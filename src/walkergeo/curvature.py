@@ -27,10 +27,11 @@ from .sampling import (
     SamplingConfig, ZeroVerdict, is_identically_zero, nonvanishing,
     zero_verdict_from_samples,
 )
-from .structure import ApctStructure
+from .jets import eval_jet
+from .structure import ApctStructure, max_abs, outer
 from .walker import (
-    FlatnessVerdict, SegreVerdict, curvature_at, flatness, ricci_at,
-    segre_type,
+    FlatnessVerdict, SegreVerdict, curvature_at, curvature_from_jet, flatness,
+    ricci_at, ricci_from_jet, segre_type,
 )
 
 _PLANE_TOL = 1e-8
@@ -186,15 +187,6 @@ def _xi_versus_null_eigenvector(S: ApctStructure, point,
 
 # --- the equivalence chain ---------------------------------------------------
 
-_EQUIVALENCE_NAMES = (
-    "ricci_operator_commutes_with_phi",
-    "flat_or_eta_einstein",
-    "curvature_commutes_with_phi",
-    "ricci_anti_invariant_under_phi",
-    "curvature_annihilates_reeb",
-)
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Five mutually equivalent curvature statements, decided separately.
@@ -218,45 +210,29 @@ def curvature_equivalences(S: ApctStructure,
                            ) -> EquivalenceReport:
     cfg = cfg or S.config
     M = S.manifold
+    M.require_spacelike_signature()
     pts = S.sample_points(cfg)
-    n = pts.shape[0]
+    frame = S.frame(pts, order=0)
+    jet = eval_jet(M.f, pts, 2)
+    R = curvature_from_jet(jet)
+    rho, q, fxx = ricci_from_jet(jet)
+    phi, xi, g, eta = frame.phi_mat, frame.xi_vec, frame.g, frame.eta_vec
 
-    commute = np.zeros(n)
-    curv_commute = np.zeros(n)
-    anti = np.zeros(n)
-    annihilate = np.zeros(n)
-    scales = np.zeros(n)
-    flat_pt = np.zeros(n, dtype=bool)
-    eta_pt = np.zeros(n, dtype=bool)
+    scales = 1.0 + frame.scale + np.maximum(max_abs(R, 4), max_abs(rho, 2))
+    allowed = cfg.tol * scales
+    scales = scales - 1.0
 
-    for k in range(n):
-        p = tuple(float(c) for c in pts[k])
-        frame = S.frame(p, order=0)
-        R = curvature_at(M, p).components
-        rho, q, fxx = ricci_at(M, p)
-        rho, q = rho.components, q.components
-        phi, xi, g, eta = frame.phi_mat, frame.xi_vec, frame.g, frame.eta_vec
+    commute = max_abs(q @ phi - phi @ q, 2)
+    t1 = np.einsum("...mk,...ijml->...ijkl", phi, R)
+    t2 = np.einsum("...ijkm,...lm->...ijkl", R, phi)
+    curv_commute = max_abs(t1 - t2, 4)
+    anti = max_abs(
+        np.einsum("...ai,...bj,...ab->...ij", phi, phi, rho) + rho, 2)
+    annihilate = max_abs(np.einsum("...ijkl,...k->...ijl", R, xi), 3)
 
-        scale = 1.0 + frame.scale + max(
-            float(np.abs(R).max()), float(np.abs(rho).max())
-        )
-        scales[k] = scale - 1.0
-
-        commute[k] = float(np.abs(q @ phi - phi @ q).max())
-        t1 = np.einsum("mk,ijml->ijkl", phi, R)
-        t2 = np.einsum("ijkm,lm->ijkl", R, phi)
-        curv_commute[k] = float(np.abs(t1 - t2).max())
-        anti[k] = float(
-            np.abs(np.einsum("ai,bj,ab->ij", phi, phi, rho) + rho).max()
-        )
-        annihilate[k] = float(np.abs(np.einsum("ijkl,k->ijl", R, xi)).max())
-
-        allowed = cfg.tol * scale
-        flat_pt[k] = float(np.abs(R).max()) <= allowed
-        resid = rho - 0.5 * fxx * (g - np.outer(eta, eta))
-        eta_pt[k] = (
-            float(np.abs(resid).max()) <= allowed and abs(fxx) > allowed
-        )
+    flat_pt = max_abs(R, 4) <= allowed
+    resid = rho - (0.5 * fxx)[..., None, None] * (g - outer(eta, eta))
+    eta_pt = (max_abs(resid, 2) <= allowed) & (abs(fxx) > allowed)
 
     verdicts = {
         "ricci_operator_commutes_with_phi":

@@ -19,8 +19,8 @@ leading sign is allowed so that components like -1 can be written directly):
 
 ASTs are immutable, compare structurally, and hash. `to_source` prints an
 expression so that reparsing reproduces the exact tree (`parse(to_source(e))
-== e`); to keep that property the printer parenthesizes right operands of
-same-precedence binary nodes.
+== e` for trees no deeper than MAX_DEPTH); to keep that property the
+printer parenthesizes right operands of same-precedence binary nodes.
 
 Numeric literals are exact `Fraction`s. The smart constructors used by
 `diff` and by the Python operator overloads only ever produce fractions with
@@ -47,6 +47,13 @@ Rational = Union[int, Fraction]
 
 _VARIABLES = ("x", "y", "z")
 _FUNCTIONS = ("exp", "sqrt")
+
+# Deepest tree (and parenthesis nesting) `parse` accepts. The evaluators,
+# `diff` and the printer recurse per level; at this depth the deepest walk
+# found (printing a quotient chain's third derivative) needs about 600 of
+# Python's default 1000 frames.
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 
 class Expr:
@@ -258,10 +265,6 @@ def exp_of(arg: Expr) -> Expr:
     return Call("exp", arg)
 
 
-def sqrt_of(arg: Expr) -> Expr:
-    return Call("sqrt", arg)
-
-
 def variables(e: Expr) -> frozenset[str]:
     """Names of the coordinates the expression actually mentions."""
     out: set[str] = set()
@@ -271,18 +274,30 @@ def variables(e: Expr) -> frozenset[str]:
     return frozenset(out)
 
 
+def _children(node: Expr) -> tuple[Expr, ...]:
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return (node.left, node.right)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, (Call, Neg)):
+        return (node.arg,)
+    return ()
+
+
 def walk(e: Expr) -> Iterator[Expr]:
     stack = [e]
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, (Add, Sub, Mul, Div)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, (Call, Neg)):
-            stack.append(node.arg)
+        stack.extend(_children(node))
+
+
+def depth(e: Expr) -> int:
+    """Nodes on the longest root-to-leaf path, counted level by level."""
+    level, levels = [e], 0
+    while level:
+        level, levels = [c for node in level for c in _children(node)], levels + 1
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +479,7 @@ class _Parser:
         self.constants = constants
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -527,6 +543,16 @@ class _Parser:
             e = Pow(e, self.integer_exponent())
         return e
 
+    def nested(self, opening: _Token) -> Expr:
+        """The expression after an opening parenthesis, and its closing one."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, self.source, opening.position)
+        e = self.expr()
+        self.expect_op(")")
+        self.nesting -= 1
+        return e
+
     def integer_exponent(self) -> int:
         sign = 1
         token = self.peek()
@@ -552,10 +578,7 @@ class _Parser:
             self.advance()
             name = token.text
             if name in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(name, arg)
+                return Call(name, self.nested(self.expect_op("(")))
             if name in _VARIABLES:
                 return Var(name)
             if name in self.constants:
@@ -564,10 +587,7 @@ class _Parser:
                 f"unbound identifier {name!r}", self.source, token.position
             )
         if token.kind == "op" and token.text == "(":
-            self.advance()
-            e = self.expr()
-            self.expect_op(")")
-            return e
+            return self.nested(self.advance())
         raise ParseError(
             f"unexpected token {token.text!r}" if token.kind != "end"
             else "unexpected end of input",
@@ -587,19 +607,21 @@ def parse(source: str, constants: Mapping[str, Rational] | None = None) -> Expr:
     """Parse expression source into an AST.
 
     `constants` binds identifier names to exact rational values; any other
-    identifier besides x, y, z, exp, sqrt is rejected with its position.
+    identifier besides x, y, z, exp, sqrt is rejected with its position, and
+    so is a tree deeper than MAX_DEPTH.
     """
     bound = {name: Fraction(v) for name, v in (constants or {}).items()}
     for name in bound:
         if name in _VARIABLES or name in _FUNCTIONS:
             raise ValueError(f"constant name {name!r} shadows a builtin")
-    return _Parser(source, bound).parse()
+    e = _Parser(source, bound).parse()
+    if depth(e) > MAX_DEPTH:
+        raise ParseError(_TOO_DEEP, source, 0)
+    return e
 
 
 # ---------------------------------------------------------------------------
 # Numeric evaluation
-
-Point = tuple[float, float, float]
 
 
 def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:

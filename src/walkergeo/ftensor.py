@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Expr, diff, evaluate_with_scale
-from .structure import ApctStructure, Frame
+from .structure import ApctStructure, Frame, dot, max_abs
+from .walker import metric_arrays
 
 _AXES = ("x", "y", "z")
 
@@ -109,23 +110,29 @@ def _coordinate_route(frame: Frame) -> np.ndarray:
     fy = f.derivative((0, 1, 0))
     fz = f.derivative((0, 0, 1))
     fv = f.value
-    xi1, xi2, xi3 = frame.xi_vec
+    xi1, xi2, xi3 = (frame.xi_vec[..., k] for k in range(3))
     d = frame.xi_d  # d[a, k] = d_a xi_{k+1}
     coeffs = (
-        (0, 0, 1, d[0, 2]),
-        (0, 0, 2, -d[0, 1]),
-        (0, 1, 2, d[0, 0] + 0.5 * xi3 * fx),
-        (1, 0, 1, d[1, 2]),
-        (1, 0, 2, -d[1, 1]),
-        (1, 1, 2, d[1, 0] + 0.5 * xi3 * fy),
-        (2, 0, 1, d[2, 2] - 0.5 * xi3 * fx),
-        (2, 0, 2, -d[2, 1] + 0.5 * xi3 * fy),
-        (2, 1, 2, d[2, 0] + 0.5 * (xi1 * fx + xi2 * fy + xi3 * fz + xi3 * fv * fx)),
+        (0, 0, 1, d[..., 0, 2]),
+        (0, 0, 2, -d[..., 0, 1]),
+        (0, 1, 2, d[..., 0, 0] + 0.5 * xi3 * fx),
+        (1, 0, 1, d[..., 1, 2]),
+        (1, 0, 2, -d[..., 1, 1]),
+        (1, 1, 2, d[..., 1, 0] + 0.5 * xi3 * fy),
+        (2, 0, 1, d[..., 2, 2] - 0.5 * xi3 * fx),
+        (2, 0, 2, -d[..., 2, 1] + 0.5 * xi3 * fy),
+        (2, 1, 2, d[..., 2, 0]
+         + 0.5 * (xi1 * fx + xi2 * fy + xi3 * fz + xi3 * fv * fx)),
     )
-    F = np.zeros((3, 3, 3))
+    return _antisymmetric(coeffs, np.shape(fv))
+
+
+def _antisymmetric(coeffs, shape: tuple) -> np.ndarray:
+    """F from its entries F[a, b, c] = value, with F[a, c, b] = -value."""
+    F = np.zeros(shape + (3, 3, 3))
     for a, b, c, value in coeffs:
-        F[a, b, c] = value
-        F[a, c, b] = -value
+        F[..., a, b, c] = value
+        F[..., a, c, b] = -value
     return F
 
 
@@ -138,15 +145,16 @@ def _connection_route(frame: Frame) -> np.ndarray:
     """
     nabla_phi = (
         frame.phi_d
-        + np.einsum("lam,mb->alb", frame.gamma, frame.phi_mat)
-        - np.einsum("lm,mab->alb", frame.phi_mat, frame.gamma)
+        + np.einsum("...lam,...mb->...alb", frame.gamma, frame.phi_mat)
+        - np.einsum("...lm,...mab->...alb", frame.phi_mat, frame.gamma)
     )
-    return np.einsum("alb,lc->abc", nabla_phi, frame.g)
+    return np.einsum("...alb,...lc->...abc", nabla_phi, frame.g)
 
 
 @dataclass(frozen=True)
 class FTensorValue:
-    """Numeric structure tensor at a point.
+    """Numeric structure tensor at a point; given (n, 3) points, this and
+    every value object below holds them in point and gains a leading axis.
 
     components[a, b, c] = F(d_a, d_b, d_c) by the coordinate formula;
     route_discrepancy is the largest difference against the connection
@@ -168,18 +176,23 @@ class FTensorValue:
         self.reeb_square.setflags(write=False)
 
 
+def _trace_forms(frame: Frame, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta and theta* on the coordinate fields, contracted out of F."""
+    theta = np.einsum("...ij,...ijc->...c", frame.ginv, F)
+    mixed = np.einsum("...ij,...mj->...im", frame.ginv, frame.phi_mat)
+    return theta, np.einsum("...im,...imc->...c", mixed, F)
+
+
 def f_tensor_at(S: ApctStructure, point) -> FTensorValue:
     frame = S.frame(point, order=1)
     coord = _coordinate_route(frame)
     conn = _connection_route(frame)
-    discrepancy = float(np.max(np.abs(coord - conn))) / (1.0 + frame.scale)
-    theta = np.einsum("ij,ijc->c", frame.ginv, coord)
-    mixed = np.einsum("ij,mj->im", frame.ginv, frame.phi_mat)
-    theta_star = np.einsum("im,imc->c", mixed, coord)
-    reeb_square = np.einsum("i,j,ijc->c", frame.xi_vec, frame.xi_vec, coord)
+    discrepancy = max_abs(coord - conn, 3) / (1.0 + frame.scale)
+    theta, theta_star = _trace_forms(frame, coord)
+    xi = frame.xi_vec
+    reeb_square = np.einsum("...i,...j,...ijc->...c", xi, xi, coord)
     return FTensorValue(
-        frame.point, coord,
-        float(theta @ frame.xi_vec), float(theta_star @ frame.xi_vec),
+        frame.point, coord, dot(theta, xi), dot(theta_star, xi),
         reeb_square, discrepancy,
     )
 
@@ -201,37 +214,35 @@ class TraceForms:
 def theta_forms(S: ApctStructure, point,
                 tensor: FTensorValue | None = None) -> TraceForms:
     frame = S.frame(point, order=1)
-    F = (tensor or f_tensor_at(S, point)).components
-    theta = np.einsum("ij,ijc->c", frame.ginv, F)
-    mixed = np.einsum("ij,mj->im", frame.ginv, frame.phi_mat)
-    theta_star = np.einsum("im,imc->c", mixed, F)
-    theta_xi = float(theta @ frame.xi_vec)
-    theta_star_xi = float(theta_star @ frame.xi_vec)
-    p = np.asarray(frame.point)
-    closed = float(evaluate_with_scale(theta_xi_field(S), p)[0])
-    closed_star = float(evaluate_with_scale(theta_star_xi_field(S), p)[0])
-    discrepancy = max(abs(theta_xi - closed), abs(theta_star_xi - closed_star))
+    t = tensor or f_tensor_at(S, point)
+    theta, theta_star = _trace_forms(frame, t.components)
+    closed = evaluate_with_scale(theta_xi_field(S), frame.points)[0]
+    closed_star = evaluate_with_scale(theta_star_xi_field(S), frame.points)[0]
+    discrepancy = np.maximum(abs(t.theta_xi - closed),
+                             abs(t.theta_star_xi - closed_star))
     return TraceForms(
-        frame.point, theta, theta_star, theta_xi, theta_star_xi,
+        frame.point, theta, theta_star, t.theta_xi, t.theta_star_xi,
         discrepancy / (1.0 + frame.scale),
     )
 
 
 def fundamental_form(frame: Frame) -> np.ndarray:
     """The 2-form g(phi ., .) as an antisymmetric matrix."""
-    return frame.phi_mat.T @ frame.g
+    return frame.phi_mat.swapaxes(-1, -2) @ frame.g
 
 
 def eta_wedge_fundamental(frame: Frame) -> np.ndarray:
     """Cyclic wedge of eta with the fundamental 2-form:
     (eta ^ fund)(X, Y, Z) = eta(X) fund(Y, Z) + eta(Y) fund(Z, X)
     + eta(Z) fund(X, Y)."""
-    ew = fundamental_form(frame)
-    eta = frame.eta_vec
+    return _eta_wedge(frame.eta_vec, fundamental_form(frame))
+
+
+def _eta_wedge(eta: np.ndarray, ew: np.ndarray) -> np.ndarray:
     return (
-        np.einsum("i,jk->ijk", eta, ew)
-        + np.einsum("j,ki->ijk", eta, ew)
-        + np.einsum("k,ij->ijk", eta, ew)
+        np.einsum("...i,...jk->...ijk", eta, ew)
+        + np.einsum("...j,...ki->...ijk", eta, ew)
+        + np.einsum("...k,...ij->...ijk", eta, ew)
     )
 
 
@@ -254,42 +265,49 @@ class ExteriorData:
     route_discrepancy: float
 
 
+def _contractions(F: np.ndarray, phi: np.ndarray, xi: np.ndarray):
+    """d(eta), Lie_xi g, nabla(eta) and d(fundamental), contracted out of
+    F; the first three through F(d_i, phi d_j, xi)."""
+    contracted = np.einsum("...imc,...mj,...c->...ij", F, phi, xi)
+    return (
+        0.5 * (contracted.swapaxes(-1, -2) - contracted),
+        -contracted - contracted.swapaxes(-1, -2),
+        -contracted,
+        F + np.einsum("...abc->...bca", F) + np.einsum("...abc->...cab", F),
+    )
+
+
 def exterior_data_at(S: ApctStructure, point,
                      tensor: FTensorValue | None = None) -> ExteriorData:
     frame = S.frame(point, order=1)
     F = (tensor or f_tensor_at(S, point)).components
 
     # d(eta)(d_i, d_j) = (d_i eta_j - d_j eta_i) / 2 for coordinate fields
-    d_eta = 0.5 * (frame.eta_d - frame.eta_d.T)
+    d_eta = 0.5 * (frame.eta_d - frame.eta_d.swapaxes(-1, -2))
 
     # nabla eta as a matrix: (nabla_{d_i} eta)(d_j) = g(nabla_{d_i} xi, d_j)
     nabla_eta = frame.nabla_xi_matrix() @ frame.g
-    lie_g = nabla_eta + nabla_eta.T
+    lie_g = nabla_eta + nabla_eta.swapaxes(-1, -2)
 
     # d of the fundamental 2-form w: (dw)_ijk = d_i w_jk - d_j w_ik + d_k w_ij.
     # Only g_33 varies, so d_a w_jk picks up phi^3_j f_a on k = 3.
-    dw = np.einsum("alj,lk->ajk", frame.phi_d, frame.g)
-    f_d = np.array([frame.f.derivative(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
-    dw[:, :, 2] += np.einsum("j,a->aj", frame.phi_mat[2], f_d)
+    dw = np.einsum("...alj,...lk->...ajk", frame.phi_d, frame.g)
+    f_d = np.stack([frame.f.derivative(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))],
+                   axis=-1)
+    dw[..., 2] += np.einsum("...j,...a->...aj", frame.phi_mat[..., 2, :], f_d)
     d_fund = (
         dw
-        - np.einsum("ajk->jak", dw)
-        + np.einsum("ajk->jka", dw)
+        - np.einsum("...ajk->...jak", dw)
+        + np.einsum("...ajk->...jka", dw)
     )
 
-    # structure-tensor routes for the same three objects
-    contracted = np.einsum("imc,mj,c->ij", F, frame.phi_mat, frame.xi_vec)
-    d_eta_f = 0.5 * (contracted.T - contracted)
-    lie_g_f = -contracted - contracted.T
-    nabla_eta_f = -contracted
-    d_fund_f = F + np.transpose(F, (1, 2, 0)) + np.transpose(F, (2, 0, 1))
-
-    discrepancy = max(
-        float(np.max(np.abs(d_eta - d_eta_f))),
-        float(np.max(np.abs(lie_g - lie_g_f))),
-        float(np.max(np.abs(nabla_eta - nabla_eta_f))),
-        float(np.max(np.abs(d_fund - d_fund_f))),
-    ) / (1.0 + frame.scale)
+    # structure-tensor routes for the same objects
+    routes = zip((d_eta, lie_g, nabla_eta, d_fund),
+                 _contractions(F, frame.phi_mat, frame.xi_vec), (2, 2, 2, 3))
+    discrepancy = np.maximum.reduce([
+        max_abs(coordinate - contracted, axes)
+        for coordinate, contracted, axes in routes
+    ]) / (1.0 + frame.scale)
     return ExteriorData(frame.point, d_eta, d_fund, lie_g, nabla_eta, discrepancy)
 
 
@@ -307,24 +325,29 @@ class NormalityData:
     defect: np.ndarray
 
 
-def normality_data_at(S: ApctStructure, point,
-                      exterior: ExteriorData | None = None) -> NormalityData:
-    frame = S.frame(point, order=1)
-    phi, pd = frame.phi_mat, frame.phi_d
+def _nijenhuis(phi: np.ndarray, pd: np.ndarray) -> np.ndarray:
+    """N(d_i, d_j)^k from phi and its partials pd[a, i, j] = d_a phi^i_j."""
     # [phi d_i, phi d_j]^k, using [U, V]^k = u^m d_m v^k - v^m d_m u^k;
     # the phi^2 [d_i, d_j] term of the torsion drops for coordinate fields.
     bracket = (
-        np.einsum("mi,mkj->ijk", phi, pd)
-        - np.einsum("mj,mki->ijk", phi, pd)
+        np.einsum("...mi,...mkj->...ijk", phi, pd)
+        - np.einsum("...mj,...mki->...ijk", phi, pd)
     )
     # -phi [phi d_i, d_j] - phi [d_i, phi d_j]
     correction = (
-        np.einsum("km,jmi->ijk", phi, pd)
-        - np.einsum("km,imj->ijk", phi, pd)
+        np.einsum("...km,...jmi->...ijk", phi, pd)
+        - np.einsum("...km,...imj->...ijk", phi, pd)
     )
-    nijenhuis_t = bracket + correction
+    return bracket + correction
+
+
+def normality_data_at(S: ApctStructure, point,
+                      exterior: ExteriorData | None = None) -> NormalityData:
+    frame = S.frame(point, order=1)
+    nijenhuis_t = _nijenhuis(frame.phi_mat, frame.phi_d)
     d_eta_mat = (exterior or exterior_data_at(S, point)).d_eta
-    defect = nijenhuis_t - 2.0 * np.einsum("ij,k->ijk", d_eta_mat, frame.xi_vec)
+    defect = nijenhuis_t - 2.0 * np.einsum("...ij,...k->...ijk", d_eta_mat,
+                                           frame.xi_vec)
     return NormalityData(frame.point, nijenhuis_t, defect)
 
 
@@ -446,10 +469,10 @@ def project_components(S: ApctStructure, point,
         F, frame.xi_vec, frame.eta_vec, frame.phi_mat, frame.g, frame.ginv
     )
     residual = F - parts["G5"] - parts["G6"] - parts["G10"] - parts["G12"]
-    normalized = float(defect) / (1.0 + frame.scale + float(np.abs(F).max()))
+    normalized = defect / (1.0 + frame.scale + max_abs(F, 3))
     return ProjectionBundle(
         frame.point, parts["G5"], parts["G6"], parts["G10"], parts["G12"],
-        residual, float(th), float(ths), normalized, normalized <= tol,
+        residual, th, ths, normalized, normalized <= tol,
     )
 
 
@@ -486,14 +509,7 @@ def frame_batch(S: ApctStructure, pts) -> FrameBatch:
     phi = np.stack(
         [np.stack([ev(e) for e in row], axis=1) for row in S.phi], axis=1
     )
-    g = np.zeros((n, 3, 3))
-    g[:, 0, 2] = g[:, 2, 0] = 1.0
-    g[:, 1, 1] = 1.0
-    g[:, 2, 2] = f
-    ginv = np.zeros((n, 3, 3))
-    ginv[:, 0, 2] = ginv[:, 2, 0] = 1.0
-    ginv[:, 1, 1] = 1.0
-    ginv[:, 0, 0] = -f
+    g, ginv = metric_arrays(f)
     return FrameBatch(pts, f, xi, eta, phi, g, ginv, scale)
 
 
@@ -505,15 +521,12 @@ def structure_tensor_batch(S: ApctStructure, pts) -> tuple[np.ndarray, np.ndarra
     """
     pts = np.asarray(pts, dtype=float)
     n = pts.shape[0]
-    F = np.zeros((n, 3, 3, 3))
-    scale = np.zeros(n)
+    coeffs, scale = [], np.zeros(n)
     for a, b, c, field in coefficient_fields(S):
         values, scales = evaluate_with_scale(field, pts)
-        values = np.broadcast_to(np.asarray(values, dtype=float), (n,))
-        F[:, a, b, c] = values
-        F[:, a, c, b] = -values
+        coeffs.append((a, b, c, np.broadcast_to(values, (n,))))
         scale = np.maximum(scale, scales)
-    return F, scale
+    return _antisymmetric(coeffs, (n,)), scale
 
 
 @dataclass(frozen=True)
@@ -544,30 +557,19 @@ def split_components_batch(S: ApctStructure, pts) -> ComponentBatch:
     return ComponentBatch(fb, F, fscale, parts, th, ths, defect)
 
 
-def _contract_phi_xi(batch: ComponentBatch) -> np.ndarray:
-    """F(d_i, phi d_j, xi) over a batch; the common core of the d(eta),
-    Lie-derivative, and nabla(eta) contractions."""
-    return np.einsum(
-        "nimc,nmj,nc->nij", batch.tensor, batch.frames.phi, batch.frames.xi
-    )
-
-
 def d_eta_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
     """d(eta) over a batch, contracted out of the structure tensor."""
-    contracted = _contract_phi_xi(batch)
-    return 0.5 * (np.transpose(contracted, (0, 2, 1)) - contracted)
+    return _contractions(batch.tensor, batch.frames.phi, batch.frames.xi)[0]
 
 
 def lie_g_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
     """Lie derivative of g along the Reeb field over a batch."""
-    contracted = _contract_phi_xi(batch)
-    return -contracted - np.transpose(contracted, (0, 2, 1))
+    return _contractions(batch.tensor, batch.frames.phi, batch.frames.xi)[1]
 
 
 def d_fundamental_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
     """d of the fundamental 2-form over a batch (cyclic sum of F)."""
-    F = batch.tensor
-    return F + np.transpose(F, (0, 2, 3, 1)) + np.transpose(F, (0, 3, 1, 2))
+    return _contractions(batch.tensor, batch.frames.phi, batch.frames.xi)[3]
 
 
 def fundamental_form_batch(batch: ComponentBatch) -> np.ndarray:
@@ -577,54 +579,36 @@ def fundamental_form_batch(batch: ComponentBatch) -> np.ndarray:
 
 def eta_wedge_fundamental_batch(batch: ComponentBatch) -> np.ndarray:
     """Cyclic wedge of eta with the fundamental 2-form over a batch."""
-    ew = fundamental_form_batch(batch)
-    eta = batch.frames.eta
-    return (
-        np.einsum("ni,njk->nijk", eta, ew)
-        + np.einsum("nj,nki->nijk", eta, ew)
-        + np.einsum("nk,nij->nijk", eta, ew)
-    )
+    return _eta_wedge(batch.frames.eta, fundamental_form_batch(batch))
+
+
+def _gradient_batch(e: Expr, pts: np.ndarray) -> np.ndarray:
+    """out[n, a] = d_a e at the n-th point, by symbolic differentiation."""
+    return np.stack([evaluate_with_scale(diff(e, axis), pts)[0]
+                     for axis in _AXES], axis=-1)
 
 
 def phi_derivative_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
     """First partials of the phi entries over a batch: out[n, a, i, j] is
     d_a phi^i_j at the n-th point."""
     pts = batch.frames.points
-    out = np.zeros((pts.shape[0], 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            entry = S.phi[i][j]
-            for a, axis in enumerate(_AXES):
-                partial = diff(entry, axis)
-                out[:, a, i, j] = evaluate_with_scale(partial, pts)[0]
-    return out
+    return np.stack([
+        np.stack([_gradient_batch(e, pts) for e in row], axis=-1)
+        for row in S.phi
+    ], axis=-2)
 
 
 def nijenhuis_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
     """Nijenhuis torsion of phi on coordinate fields over a batch;
     out[n, i, j, k] is the k-th component of N(d_i, d_j)."""
-    phi = batch.frames.phi
-    pd = phi_derivative_batch(S, batch)
-    bracket = (
-        np.einsum("nmi,nmkj->nijk", phi, pd)
-        - np.einsum("nmj,nmki->nijk", phi, pd)
-    )
-    correction = (
-        np.einsum("nkm,njmi->nijk", phi, pd)
-        - np.einsum("nkm,nimj->nijk", phi, pd)
-    )
-    return bracket + correction
+    return _nijenhuis(batch.frames.phi, phi_derivative_batch(S, batch))
 
 
 def d_eta_coordinate_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
     """d(eta) over a batch by the coordinate route (antisymmetrized partials
     of the symbolic eta entries), independent of the structure tensor."""
     pts = batch.frames.points
-    eta_d = np.zeros((pts.shape[0], 3, 3))
-    for j in range(3):
-        for a, axis in enumerate(_AXES):
-            partial = diff(S.eta[j], axis)
-            eta_d[:, a, j] = evaluate_with_scale(partial, pts)[0]
+    eta_d = np.stack([_gradient_batch(e, pts) for e in S.eta], axis=-1)
     return 0.5 * (eta_d - np.transpose(eta_d, (0, 2, 1)))
 
 

@@ -5,6 +5,13 @@ indexed by multi-indices (i, j, k) with i + j + k <= order. Coefficients are
 Taylor coefficients (derivative divided by i! j! k!), which makes products
 plain truncated polynomial multiplication; `derivative` converts back.
 
+Coefficients form one array shaped (coefficients,) + (n,) over an (n, 3)
+batch of points, or (coefficients,) at a single point, a batch-of-one view.
+Each operation acts on whole rows in one order, so a batch row is bit for
+bit the single-point jet: products accumulate `out[gamma] += a[alpha] *
+b[beta]` from 0.0 in a fixed split order, and the exp and reciprocal tables
+call math.exp and Python `**` per point (numpy rounds differently).
+
 `eval_jet` propagates jets bottom-up through an expression AST, so every
 partial derivative up to the requested order comes out of one pass, with no
 symbolic differentiation and no finite differencing. Unary functions are
@@ -16,7 +23,8 @@ divisors, positive sqrt arguments).
 from __future__ import annotations
 
 import math
-from typing import Iterable
+
+import numpy as np
 
 from .errors import EvaluationError
 from .expressions import (
@@ -39,108 +47,111 @@ def _indices(order: int) -> list[tuple[int, int, int]]:
 
 
 _INDICES = {order: _indices(order) for order in range(MAX_ORDER + 1)}
+_ROW = {order: {alpha: r for r, alpha in enumerate(_INDICES[order])}
+        for order in range(MAX_ORDER + 1)}
 
-# For each order, every way of splitting each multi-index into two factors.
-_SPLITS: dict[int, list[tuple[tuple, tuple, tuple]]] = {}
-for _order in range(MAX_ORDER + 1):
-    rows = []
-    for gamma in _INDICES[_order]:
-        gi, gj, gk = gamma
-        for ai in range(gi + 1):
-            for aj in range(gj + 1):
-                for ak in range(gk + 1):
-                    rows.append((gamma, (ai, aj, ak), (gi - ai, gj - aj, gk - ak)))
-    _SPLITS[_order] = rows
+def _product_table(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every way of splitting each multi-index gamma into two factors, as
+    rows (gamma, left factor, right factor), gamma by gamma."""
+    row = _ROW[order]
+    table = [
+        (g, row[ai, aj, ak], row[gi - ai, gj - aj, gk - ak])
+        for g, (gi, gj, gk) in enumerate(_INDICES[order])
+        for ai, aj, ak in np.ndindex(gi + 1, gj + 1, gk + 1)
+    ]
+    return tuple(np.array(column) for column in zip(*table))
+
+
+_PRODUCT = {order: _product_table(order) for order in _ROW}
+
+
+def _per_point(fn, values: np.ndarray) -> np.ndarray:
+    """fn on each value as a Python float (libm rounding); overflow -> inf."""
+    out = []
+    for u in np.ravel(values).tolist():
+        try:
+            out.append(fn(u))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out).reshape(np.shape(values))
 
 
 class Jet3:
-    """Truncated Taylor expansion at a point, up to order <= 3."""
+    """Truncated Taylor expansions up to order <= 3, at one point or over a
+    batch of points (see the module notes for the coefficient layout)."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: dict[tuple[int, int, int], float]):
+    def __init__(self, order: int, coeffs: np.ndarray):
         self.order = order
         self.coeffs = coeffs
 
     @classmethod
-    def constant(cls, value: float, order: int) -> "Jet3":
-        coeffs = {alpha: 0.0 for alpha in _INDICES[order]}
-        coeffs[(0, 0, 0)] = float(value)
+    def constant(cls, value, order: int, shape: tuple = ()) -> "Jet3":
+        coeffs = np.zeros((len(_INDICES[order]),) + shape)
+        coeffs[0] = value
         return cls(order, coeffs)
 
-    @classmethod
-    def coordinate(cls, axis: int, value: float, order: int) -> "Jet3":
-        jet = cls.constant(value, order)
-        if order >= 1:
-            unit = tuple(1 if a == axis else 0 for a in range(3))
-            jet.coeffs[unit] = 1.0
-        return jet
-
     @property
-    def value(self) -> float:
-        return self.coeffs[(0, 0, 0)]
+    def value(self):
+        return self.coeffs[0]
 
-    def derivative(self, alpha: tuple[int, int, int]) -> float:
-        """Partial derivative d^|alpha| / dx^i dy^j dz^k at the point."""
+    def derivative(self, alpha: tuple[int, int, int]):
+        """Partial derivative d^|alpha| / dx^i dy^j dz^k at the point(s)."""
         i, j, k = alpha
         factorial = math.factorial(i) * math.factorial(j) * math.factorial(k)
-        return self.coeffs[alpha] * factorial
+        return self.coeffs[_ROW[self.order][alpha]] * factorial
 
     def partial(self, axis: int) -> "Jet3":
         """Jet of the partial derivative along an axis, one order lower."""
         if self.order == 0:
             raise ValueError("cannot lower an order-0 jet")
-        out = {}
-        for alpha in _INDICES[self.order - 1]:
-            lifted = list(alpha)
-            lifted[axis] += 1
-            out[alpha] = self.coeffs[tuple(lifted)] * lifted[axis]
-        return Jet3(self.order - 1, out)
-
-    def _binary(self, other: "Jet3", op) -> "Jet3":
-        assert self.order == other.order
-        a, b = self.coeffs, other.coeffs
-        return Jet3(self.order, {k: op(a[k], b[k]) for k in a})
+        lifted = [tuple(a + (i == axis) for i, a in enumerate(alpha))
+                  for alpha in _INDICES[self.order - 1]]
+        return Jet3(self.order - 1, np.array([
+            self.coeffs[_ROW[self.order][alpha]] * alpha[axis] for alpha in lifted
+        ]))
 
     def __add__(self, other: "Jet3") -> "Jet3":
-        return self._binary(other, lambda u, v: u + v)
+        return Jet3(self.order, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "Jet3") -> "Jet3":
-        return self._binary(other, lambda u, v: u - v)
+        return Jet3(self.order, self.coeffs - other.coeffs)
 
     def __neg__(self) -> "Jet3":
-        return Jet3(self.order, {k: -v for k, v in self.coeffs.items()})
+        return Jet3(self.order, -self.coeffs)
 
     def __mul__(self, other: "Jet3") -> "Jet3":
         assert self.order == other.order
-        a, b = self.coeffs, other.coeffs
-        out = {alpha: 0.0 for alpha in _INDICES[self.order]}
-        for gamma, left, right in _SPLITS[self.order]:
-            out[gamma] += a[left] * b[right]
+        gamma, left, right = _PRODUCT[self.order]
+        out = np.zeros_like(self.coeffs)
+        # unbuffered: each gamma's terms are added one by one, in table order
+        np.add.at(out, gamma, self.coeffs[left] * other.coeffs[right])
         return Jet3(self.order, out)
 
-    def scaled(self, factor: float) -> "Jet3":
-        return Jet3(self.order, {k: v * factor for k, v in self.coeffs.items()})
-
-    def compose(self, derivs: Iterable[float]) -> "Jet3":
+    def compose(self, derivs) -> "Jet3":
         """Apply a univariate function given its derivatives at self.value.
 
         derivs = (f(u0), f'(u0), ..., f^(order)(u0)). Evaluated by Horner's
         scheme in w = self - u0, which is nilpotent under truncation.
         """
         taylor = [d / math.factorial(k) for k, d in enumerate(derivs)]
-        w = Jet3(self.order, dict(self.coeffs))
-        w.coeffs[(0, 0, 0)] = 0.0
-        result = Jet3.constant(taylor[-1], self.order)
+        w = Jet3(self.order, self.coeffs.copy())
+        w.coeffs[0] = 0.0
+        result = Jet3.constant(taylor[-1], self.order, self.value.shape)
         for c in reversed(taylor[:-1]):
             result = result * w
-            result.coeffs[(0, 0, 0)] += c
+            result.coeffs[0] += c
         return result
 
     def reciprocal(self) -> "Jet3":
         u0 = self.value
-        derivs = [1.0 / u0, -1.0 / u0**2, 2.0 / u0**3, -6.0 / u0**4]
-        return self.compose(derivs[: self.order + 1])
+        numerators = (1.0, -1.0, 2.0, -6.0)
+        derivs = [1.0 / u0] + [
+            numerators[n] / _per_point(lambda u, n=n: u ** (n + 1), u0)
+            for n in range(1, self.order + 1)
+        ]
+        return self.compose(derivs)
 
     def __truediv__(self, other: "Jet3") -> "Jet3":
         return self * other.reciprocal()
@@ -148,7 +159,7 @@ class Jet3:
     def intpow(self, exponent: int) -> "Jet3":
         if exponent < 0:
             return self.reciprocal().intpow(-exponent)
-        result = Jet3.constant(1.0, self.order)
+        result = Jet3.constant(1.0, self.order, self.value.shape)
         base = self
         n = exponent
         while n:
@@ -159,36 +170,49 @@ class Jet3:
         return result
 
     def exp(self) -> "Jet3":
-        e = math.exp(self.value)
+        """exp; an overflowing value becomes inf, which eval_jet reports."""
+        e = _per_point(math.exp, self.value)
         return self.compose([e] * (self.order + 1))
 
     def sqrt(self) -> "Jet3":
         u0 = self.value
-        s = math.sqrt(u0)
+        s = np.sqrt(u0)
         derivs = [s, 0.5 / s, -0.25 / (s * u0), 0.375 / (s * u0 * u0)]
         return self.compose(derivs[: self.order + 1])
 
-    def is_finite(self) -> bool:
-        return all(math.isfinite(v) for v in self.coeffs.values())
-
 
 def eval_jet(e: Expr, point, order: int = MAX_ORDER) -> Jet3:
-    """Value and all partial derivatives of `e` at `point`, up to `order`.
+    """Value and all partial derivatives of `e` up to `order`, at one point
+    (shape (3,)) or over a batch of points (shape (n, 3)).
 
     Domain violations (zero divisor, non-positive sqrt argument, overflow)
-    raise EvaluationError naming the offending subexpression.
+    raise EvaluationError naming the offending subexpression and the first
+    point where it fails.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
-    px, py, pz = (float(c) for c in point)
-    pt = (px, py, pz)
+    pts = np.asarray(point, dtype=float)
+    single = pts.ndim == 1
+    pts = pts.reshape(-1, 3)
+    shape = pts.shape[:1]
+
+    def check(bad: np.ndarray, reason: str, node: Expr) -> None:
+        if bad.any():
+            raise EvaluationError(reason, to_source(node), pts[int(np.argmax(bad))])
+
+    def finite(out: Jet3, node: Expr) -> Jet3:
+        check(~np.isfinite(out.coeffs).all(axis=0), "non-finite value", node)
+        return out
 
     def ev(node: Expr) -> Jet3:
         if isinstance(node, (Num, Const)):
-            return Jet3.constant(float(node.value), order)
+            return Jet3.constant(float(node.value), order, shape)
         if isinstance(node, Var):
             axis = _AXES[node.name]
-            return Jet3.coordinate(axis, pt[axis], order)
+            jet = Jet3.constant(pts[:, axis], order, shape)
+            if order >= 1:
+                jet.coeffs[1 + axis] = 1.0
+            return jet
         if isinstance(node, Add):
             return ev(node.left) + ev(node.right)
         if isinstance(node, Sub):
@@ -196,38 +220,24 @@ def eval_jet(e: Expr, point, order: int = MAX_ORDER) -> Jet3:
         if isinstance(node, Neg):
             return -ev(node.arg)
         if isinstance(node, Mul):
-            out = ev(node.left) * ev(node.right)
-            if not out.is_finite():
-                raise EvaluationError("non-finite value", to_source(node), pt)
-            return out
+            return finite(ev(node.left) * ev(node.right), node)
         if isinstance(node, Div):
             denominator = ev(node.right)
-            if denominator.value == 0.0:
-                raise EvaluationError("division by zero", to_source(node), pt)
-            out = ev(node.left) / denominator
-            if not out.is_finite():
-                raise EvaluationError("non-finite value", to_source(node), pt)
-            return out
+            check(denominator.value == 0.0, "division by zero", node)
+            return finite(ev(node.left) / denominator, node)
         if isinstance(node, Pow):
             base = ev(node.base)
-            if node.exponent < 0 and base.value == 0.0:
-                raise EvaluationError("division by zero", to_source(node), pt)
-            out = base.intpow(node.exponent)
-            if not out.is_finite():
-                raise EvaluationError("non-finite value", to_source(node), pt)
-            return out
+            if node.exponent < 0:
+                check(base.value == 0.0, "division by zero", node)
+            return finite(base.intpow(node.exponent), node)
         if isinstance(node, Call):
             arg = ev(node.arg)
             if node.func == "sqrt":
-                if arg.value <= 0.0:
-                    raise EvaluationError(
-                        "sqrt of a non-positive argument", to_source(node), pt
-                    )
+                check(arg.value <= 0.0, "sqrt of a non-positive argument", node)
                 return arg.sqrt()
-            out = arg.exp()
-            if not out.is_finite():
-                raise EvaluationError("non-finite value", to_source(node), pt)
-            return out
+            return finite(arg.exp(), node)
         raise TypeError(f"cannot evaluate {type(node).__name__}")
 
-    return ev(e)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        jet = ev(e)
+    return Jet3(order, jet.coeffs[:, 0]) if single else jet

@@ -284,41 +284,30 @@ def build_report(S: ApctStructure,
     if not equiv.all_agree:
         fail("curvature_equivalences", None, 1.0)
 
-    # route agreement over every sample point
-    tensor_max = trace_max = exterior_max = 0.0
-    proj_resid_max = proj_defect_max = 0.0
-    tensor_arg = trace_arg = exterior_arg = proj_arg = rep_point
-    for row in pts:
-        pt = tuple(float(c) for c in row)
-        t = f_tensor_at(S, pt)
-        tf = theta_forms(S, pt, tensor=t)
-        ex = exterior_data_at(S, pt, tensor=t)
-        pr = project_components(S, pt, tensor=t, tol=cfg.tol)
-        if t.route_discrepancy > tensor_max:
-            tensor_max, tensor_arg = t.route_discrepancy, pt
-        if tf.route_discrepancy > trace_max:
-            trace_max, trace_arg = tf.route_discrepancy, pt
-        if ex.route_discrepancy > exterior_max:
-            exterior_max, exterior_arg = ex.route_discrepancy, pt
-        resid = float(np.abs(pr.residual).max())
-        if resid > proj_resid_max:
-            proj_resid_max, proj_arg = resid, pt
-        proj_defect_max = max(proj_defect_max, pr.model_defect)
-
-    for check, value, arg in (
-            ("structure_tensor_routes", tensor_max, tensor_arg),
-            ("trace_form_routes", trace_max, trace_arg),
-            ("exterior_derivative_routes", exterior_max, exterior_arg),
-            ("component_split_residual", proj_resid_max, proj_arg)):
-        if value > cfg.tol:
-            fail(check, arg, value)
+    # route agreement over every sample point, as one batch; the witness
+    # is the first point to attain each maximum
+    t = f_tensor_at(S, pts)
+    sweep = {
+        "structure_tensor_routes": t.route_discrepancy,
+        "trace_form_routes": theta_forms(S, pts, tensor=t).route_discrepancy,
+        "exterior_derivative_routes":
+            exterior_data_at(S, pts, tensor=t).route_discrepancy,
+    }
+    pr = project_components(S, pts, tensor=t, tol=cfg.tol)
+    sweep["component_split_residual"] = np.abs(pr.residual).max(axis=(1, 2, 3))
+    worst = {}
+    for check, values in sweep.items():
+        k = int(np.argmax(values))
+        worst[check] = float(values[k])
+        if worst[check] > cfg.tol:
+            fail(check, pts[k], worst[check])
 
     route_agreement = {
-        "structure_tensor_max_discrepancy": tensor_max,
-        "trace_form_max_discrepancy": trace_max,
-        "exterior_max_discrepancy": exterior_max,
-        "component_split_max_residual": proj_resid_max,
-        "component_model_max_defect": proj_defect_max,
+        "structure_tensor_max_discrepancy": worst["structure_tensor_routes"],
+        "trace_form_max_discrepancy": worst["trace_form_routes"],
+        "exterior_max_discrepancy": worst["exterior_derivative_routes"],
+        "component_split_max_residual": worst["component_split_residual"],
+        "component_model_max_defect": max(0.0, float(pr.model_defect.max())),
         "classification_routes_agree": verdict.routes_agree,
         "disagreements": [
             {"check": d.check, "primary": d.primary, "cross": d.cross,

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EmptyDomainError, EvaluationError
-from .expressions import Expr, evaluate_with_scale, to_source
+from .expressions import Expr, evaluate_with_scale
 
 # Constraint margin: rejected points are those within this relative distance
 # of a constraint's singular locus, so later evaluation stays well scaled.
@@ -223,8 +223,3 @@ def nonvanishing(e: Expr, domain: Domain,
         float(residuals.min()),
         vanishing_point=tuple(float(c) for c in pts[first]),
     )
-
-
-def describe(e: Expr) -> str:
-    """Source text of a field, for report and witness messages."""
-    return to_source(e)

@@ -21,8 +21,9 @@ g(phi X, phi Y) = -g(X, Y) + eta(X) eta(Y), eta = g(xi, .),
 g(phi X, Y) = -g(X, phi Y), g(xi, xi) = 1, plus the derived ones
 (eta o phi = 0, phi^3 = phi, trace(phi) = 0).
 
-A Frame bundles jets of f, xi, eta, and phi at one point, with the numeric
-arrays every tensor operation needs; frames are cached per structure.
+A Frame bundles jets of f, xi, eta, and phi over a batch of points (one per
+analysis) or at one point (the pointwise API), with the numeric arrays every
+tensor operation needs; frames are cached per structure.
 """
 
 from __future__ import annotations
@@ -35,13 +36,41 @@ from .errors import NonexistentStructureError, UnitConstraintError
 from .expressions import Expr, ZERO, as_expr, to_source
 from .jets import Jet3, eval_jet
 from .sampling import Domain, SamplingConfig, is_identically_zero
-from .walker import WalkerManifold, christoffel_at
+from .walker import (
+    WalkerManifold, christoffel_from_jet, metric_arrays, stack_matrix,
+)
 
 _E = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+# Products of vectors and matrices over a leading batch axis. Each keeps the
+# operation form of its single-point counterpart (u @ v, A @ u, u @ A), so
+# numpy takes the same matmul path and every batch row matches its point.
+
+def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def mat_vec(A: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return (A @ u[..., :, None])[..., 0]
+
+
+def vec_mat(u: np.ndarray, A: np.ndarray) -> np.ndarray:
+    return (u[..., None, :] @ A)[..., 0, :]
+
+
+def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., :, None] * v[..., None, :]
+
+
+def max_abs(a: np.ndarray, axes: int) -> np.ndarray:
+    """Largest |entry| over the trailing `axes` axes, per point."""
+    return np.abs(a).max(axis=tuple(range(-axes, 0)))
+
+
 class Frame:
-    """Jets and numeric arrays of one structure at one point.
+    """Jets and numeric arrays of one structure at a point (shape (3,)) or
+    over a batch of points (shape (n, 3)); arrays then gain a leading axis.
 
     Derivative arrays (xi_d, eta_d, phi_d, gamma) require order >= 1; the
     layout puts the differentiation axis first: xi_d[a, k] = d_a xi^k,
@@ -49,22 +78,24 @@ class Frame:
     """
 
     __slots__ = (
-        "point", "order", "f", "xi", "eta", "phi",
+        "points", "point", "order", "f", "xi", "eta", "phi",
         "xi_vec", "eta_vec", "phi_mat", "g", "ginv", "scale",
         "xi_d", "eta_d", "phi_d", "gamma",
     )
 
-    def __init__(self, structure: "ApctStructure", point, order: int):
+    def __init__(self, structure: "ApctStructure", points, order: int):
         M = structure.manifold
-        self.point = tuple(float(c) for c in point)
+        self.points = np.asarray(points, dtype=float)
+        self.point = (tuple(float(c) for c in self.points)
+                      if self.points.ndim == 1 else self.points)
         self.order = order
-        self.f = M.f_jet(point, order)
-        self.xi = tuple(eval_jet(e, point, order) for e in structure.xi)
+        self.f = eval_jet(M.f, self.points, order)
+        self.xi = tuple(eval_jet(e, self.points, order) for e in structure.xi)
         xi1, xi2, xi3 = self.xi
         f = self.f
         self.eta = (xi3, xi2, xi1 + f * xi3)
         if structure.canonical_phi:
-            zero = Jet3.constant(0.0, order)
+            zero = Jet3.constant(0.0, order, f.value.shape)
             self.phi = (
                 (-xi2, self.eta[2], -(f * xi2)),
                 (xi3, zero, -xi1),
@@ -73,40 +104,32 @@ class Frame:
         else:
             # overridden entries (negative controls) are evaluated as given
             self.phi = tuple(
-                tuple(eval_jet(e, point, order) for e in row)
+                tuple(eval_jet(e, self.points, order) for e in row)
                 for row in structure.phi
             )
-        self.xi_vec = np.array([j.value for j in self.xi])
-        self.eta_vec = np.array([j.value for j in self.eta])
-        self.phi_mat = np.array([[e.value for e in row] for row in self.phi])
-        fv = f.value
-        self.g = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, fv]])
-        self.ginv = np.array([[-fv, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-        self.scale = max(
-            max(abs(c) for c in f.coeffs.values()),
-            max(abs(c) for jet in self.xi for c in jet.coeffs.values()),
-        )
+        self.xi_vec = np.stack([j.value for j in self.xi], axis=-1)
+        self.eta_vec = np.stack([j.value for j in self.eta], axis=-1)
+        self.phi_mat = stack_matrix([[e.value for e in row] for row in self.phi])
+        self.g, self.ginv = metric_arrays(f.value)
+        self.scale = np.abs(np.concatenate(
+            [f.coeffs] + [jet.coeffs for jet in self.xi])).max(axis=0)
         if order >= 1:
-            self.xi_d = np.array(
-                [[self.xi[k].derivative(_E[a]) for k in range(3)] for a in range(3)]
-            )
-            self.eta_d = np.array(
-                [[self.eta[k].derivative(_E[a]) for k in range(3)] for a in range(3)]
-            )
-            self.phi_d = np.array(
-                [
-                    [[self.phi[i][j].derivative(_E[a]) for j in range(3)]
-                     for i in range(3)]
-                    for a in range(3)
-                ]
-            )
-            self.gamma = christoffel_at(M, point).components
+            self.xi_d = stack_matrix([[j.derivative(_E[a]) for j in self.xi]
+                                      for a in range(3)])
+            self.eta_d = stack_matrix([[j.derivative(_E[a]) for j in self.eta]
+                                       for a in range(3)])
+            self.phi_d = np.stack([
+                stack_matrix([[e.derivative(_E[a]) for e in row]
+                              for row in self.phi])
+                for a in range(3)
+            ], axis=-3)
+            self.gamma = christoffel_from_jet(f)
         else:
             self.xi_d = self.eta_d = self.phi_d = self.gamma = None
 
     def nabla_xi_matrix(self) -> np.ndarray:
         """nab[i, k] = k-th component of nabla_{d_i} xi."""
-        return self.xi_d + np.einsum("kim,m->ik", self.gamma, self.xi_vec)
+        return self.xi_d + np.einsum("...kim,...m->...ik", self.gamma, self.xi_vec)
 
 
 class ApctStructure:
@@ -140,10 +163,12 @@ class ApctStructure:
         return self.manifold.domain
 
     def frame(self, point, order: int = 1) -> Frame:
-        key = (float(point[0]), float(point[1]), float(point[2]), order)
+        """Frame at one point, or over an (n, 3) batch of points."""
+        pts = np.asarray(point, dtype=float)
+        key = (order, pts.shape, pts.tobytes())
         frame = self._frames.get(key)
         if frame is None:
-            frame = Frame(self, point, order)
+            frame = Frame(self, pts, order)
             self._frames[key] = frame
         return frame
 
@@ -220,41 +245,32 @@ def validate_axioms(S: ApctStructure, cfg: SamplingConfig | None = None,
     """Verify every defining and derived structure identity numerically.
 
     Residuals are matrix norms divided by (1 + scale) at each sampled point;
-    each check reports its worst point as witness when it fails.
+    each check reports its worst point (the first to attain the maximum) as
+    witness when it fails.
     """
     cfg = cfg or S.config
-    pts = S.sample_points(cfg)
-    identity = np.eye(3)
-    worst: dict[str, tuple[float, tuple]] = {}
-
-    def record(name: str, residual_matrix, frame: Frame):
-        residual = float(np.max(np.abs(residual_matrix))) / (1.0 + frame.scale)
-        if name not in worst or residual > worst[name][0]:
-            worst[name] = (residual, frame.point)
-
-    for p in pts:
-        fr = S.frame(p, order=0)
-        phi, g, xi, eta = fr.phi_mat, fr.g, fr.xi_vec, fr.eta_vec
-        phi2 = phi @ phi
-        record("phi_squared_is_id_minus_eta_xi", phi2 - (identity - np.outer(xi, eta)), fr)
-        record("eta_of_reeb_is_one", np.array([eta @ xi - 1.0]), fr)
-        record("phi_kills_reeb", phi @ xi, fr)
-        record("phi_compatibility", phi.T @ g @ phi - (-g + np.outer(eta, eta)), fr)
-        record("eta_is_metric_dual_of_reeb", eta - g @ xi, fr)
-        gphi = g @ phi
-        record("phi_skew_adjoint", gphi + gphi.T, fr)
-        record("reeb_is_unit_spacelike", np.array([xi @ g @ xi - 1.0]), fr)
-        record("eta_after_phi_vanishes", eta @ phi, fr)
-        record("phi_cubed_is_phi", phi2 @ phi - phi, fr)
-        record("phi_trace_free", np.array([np.trace(phi)]), fr)
-
-    checks = tuple(
-        AxiomCheck(
-            name=name,
-            passed=residual <= tol,
-            max_residual=residual,
-            witness=None if residual <= tol else point,
-        )
-        for name, (residual, point) in worst.items()
-    )
-    return AxiomReport(checks)
+    fr = S.frame(S.sample_points(cfg), order=0)
+    phi, g, xi, eta = fr.phi_mat, fr.g, fr.xi_vec, fr.eta_vec
+    phi2 = phi @ phi
+    gphi = g @ phi
+    residuals = {
+        "phi_squared_is_id_minus_eta_xi": phi2 - (np.eye(3) - outer(xi, eta)),
+        "eta_of_reeb_is_one": (dot(eta, xi) - 1.0)[..., None],
+        "phi_kills_reeb": mat_vec(phi, xi),
+        "phi_compatibility":
+            phi.swapaxes(-1, -2) @ g @ phi - (-g + outer(eta, eta)),
+        "eta_is_metric_dual_of_reeb": eta - mat_vec(g, xi),
+        "phi_skew_adjoint": gphi + gphi.swapaxes(-1, -2),
+        "reeb_is_unit_spacelike": (dot(vec_mat(xi, g), xi) - 1.0)[..., None],
+        "eta_after_phi_vanishes": vec_mat(eta, phi),
+        "phi_cubed_is_phi": phi2 @ phi - phi,
+        "phi_trace_free": np.trace(phi, axis1=-2, axis2=-1)[..., None],
+    }
+    checks = []
+    for name, residual in residuals.items():
+        per_point = max_abs(residual, residual.ndim - 1) / (1.0 + fr.scale)
+        k = int(np.argmax(per_point))
+        value = float(per_point[k])
+        witness = None if value <= tol else tuple(float(c) for c in fr.points[k])
+        checks.append(AxiomCheck(name, value <= tol, value, witness))
+    return AxiomReport(tuple(checks))

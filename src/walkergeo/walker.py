@@ -65,21 +65,11 @@ class WalkerManifold:
         self.f = f
         self.epsilon = epsilon
         self.domain = domain
-        self._jets: dict[tuple, Jet3] = {}
 
     def __repr__(self) -> str:
         return (
             f"WalkerManifold(f={to_source(self.f)!r}, epsilon={self.epsilon})"
         )
-
-    def f_jet(self, point, order: int) -> Jet3:
-        key = (round(float(point[0]), 17), round(float(point[1]), 17),
-               round(float(point[2]), 17), order)
-        jet = self._jets.get(key)
-        if jet is None:
-            jet = eval_jet(self.f, point, order)
-            self._jets[key] = jet
-        return jet
 
     def require_inside(self, point) -> None:
         if not self.domain.contains(point):
@@ -100,11 +90,23 @@ def metric_at(M: WalkerManifold, point) -> tuple[TensorValue, TensorValue]:
     everything else zero; det(g) = -eps identically.
     """
     M.require_inside(point)
-    f = M.f_jet(point, 0).value
-    eps = float(M.epsilon)
-    g = np.array([[0.0, 0.0, 1.0], [0.0, eps, 0.0], [1.0, 0.0, f]])
-    ginv = np.array([[-f, 0.0, 1.0], [0.0, eps, 0.0], [1.0, 0.0, 0.0]])
+    g, ginv = metric_arrays(eval_jet(M.f, point, 0).value, float(M.epsilon))
     return TensorValue(g, (0, 2)), TensorValue(ginv, (2, 0))
+
+
+def stack_matrix(entries) -> np.ndarray:
+    """(..., rows, cols) array from nested rows of per-point values."""
+    return np.stack([np.stack(row, axis=-1) for row in entries], axis=-2)
+
+
+def metric_arrays(f, eps: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The metric g and its inverse from values of f, at a point or over a
+    batch (batch axes first)."""
+    zero = np.zeros_like(f)
+    one = zero + 1.0
+    e = eps * one
+    return (stack_matrix([[zero, zero, one], [zero, e, zero], [one, zero, f]]),
+            stack_matrix([[-f, zero, one], [zero, e, zero], [one, zero, zero]]))
 
 
 def christoffel_at(M: WalkerManifold, point) -> TensorValue:
@@ -116,18 +118,22 @@ def christoffel_at(M: WalkerManifold, point) -> TensorValue:
     """
     M.require_spacelike_signature()
     M.require_inside(point)
-    jet = M.f_jet(point, 1)
+    return TensorValue(christoffel_from_jet(eval_jet(M.f, point, 1)), (1, 2))
+
+
+def christoffel_from_jet(jet: Jet3) -> np.ndarray:
+    """Gamma^k_ij from a jet of f of order >= 1 (batch axes first)."""
     f = jet.value
     fx = jet.derivative((1, 0, 0))
     fy = jet.derivative((0, 1, 0))
     fz = jet.derivative((0, 0, 1))
-    gamma = np.zeros((3, 3, 3))
-    gamma[0, 0, 2] = gamma[0, 2, 0] = 0.5 * fx
-    gamma[0, 1, 2] = gamma[0, 2, 1] = 0.5 * fy
-    gamma[0, 2, 2] = 0.5 * (f * fx + fz)
-    gamma[1, 2, 2] = -0.5 * fy
-    gamma[2, 2, 2] = -0.5 * fx
-    return TensorValue(gamma, (1, 2))
+    gamma = np.zeros(np.shape(f) + (3, 3, 3))
+    gamma[..., 0, 0, 2] = gamma[..., 0, 2, 0] = 0.5 * fx
+    gamma[..., 0, 1, 2] = gamma[..., 0, 2, 1] = 0.5 * fy
+    gamma[..., 0, 2, 2] = 0.5 * (f * fx + fz)
+    gamma[..., 1, 2, 2] = -0.5 * fy
+    gamma[..., 2, 2, 2] = -0.5 * fx
+    return gamma
 
 
 def curvature_at(M: WalkerManifold, point) -> TensorValue:
@@ -140,25 +146,32 @@ def curvature_at(M: WalkerManifold, point) -> TensorValue:
     """
     M.require_spacelike_signature()
     M.require_inside(point)
-    jet = M.f_jet(point, 2)
-    f = jet.value
-    fxx = jet.derivative((2, 0, 0))
-    fxy = jet.derivative((1, 1, 0))
-    fyy = jet.derivative((0, 2, 0))
-    R = np.zeros((3, 3, 3, 3))
-    R[0, 2, 0, 0] = -0.5 * fxx
-    R[0, 2, 1, 0] = -0.5 * fxy
-    R[0, 2, 2, 0] = -0.5 * f * fxx
-    R[0, 2, 2, 1] = 0.5 * fxy
-    R[0, 2, 2, 2] = 0.5 * fxx
-    R[1, 2, 0, 0] = -0.5 * fxy
-    R[1, 2, 1, 0] = -0.5 * fyy
-    R[1, 2, 2, 0] = -0.5 * f * fxy
-    R[1, 2, 2, 1] = 0.5 * fyy
-    R[1, 2, 2, 2] = 0.5 * fxy
-    R[2, 0] = -R[0, 2]
-    R[2, 1] = -R[1, 2]
-    return TensorValue(R, (1, 3))
+    return TensorValue(curvature_from_jet(eval_jet(M.f, point, 2)), (1, 3))
+
+
+def _hessian(jet: Jet3):
+    """f, f_xx, f_xy and f_yy from a jet of f of order >= 2."""
+    return (jet.value, jet.derivative((2, 0, 0)), jet.derivative((1, 1, 0)),
+            jet.derivative((0, 2, 0)))
+
+
+def curvature_from_jet(jet: Jet3) -> np.ndarray:
+    """Curvature operator components from a jet of f of order >= 2."""
+    f, fxx, fxy, fyy = _hessian(jet)
+    R = np.zeros(np.shape(f) + (3, 3, 3, 3))
+    R[..., 0, 2, 0, 0] = -0.5 * fxx
+    R[..., 0, 2, 1, 0] = -0.5 * fxy
+    R[..., 0, 2, 2, 0] = -0.5 * f * fxx
+    R[..., 0, 2, 2, 1] = 0.5 * fxy
+    R[..., 0, 2, 2, 2] = 0.5 * fxx
+    R[..., 1, 2, 0, 0] = -0.5 * fxy
+    R[..., 1, 2, 1, 0] = -0.5 * fyy
+    R[..., 1, 2, 2, 0] = -0.5 * f * fxy
+    R[..., 1, 2, 2, 1] = 0.5 * fyy
+    R[..., 1, 2, 2, 2] = 0.5 * fxy
+    R[..., 2, 0, :, :] = -R[..., 0, 2, :, :]
+    R[..., 2, 1, :, :] = -R[..., 1, 2, :, :]
+    return R
 
 
 def ricci_at(M: WalkerManifold, point) -> tuple[TensorValue, TensorValue, float]:
@@ -166,26 +179,22 @@ def ricci_at(M: WalkerManifold, point) -> tuple[TensorValue, TensorValue, float]
     curvature trace(Q) = f_xx at a point."""
     M.require_spacelike_signature()
     M.require_inside(point)
-    jet = M.f_jet(point, 2)
-    f = jet.value
-    fxx = jet.derivative((2, 0, 0))
-    fxy = jet.derivative((1, 1, 0))
-    fyy = jet.derivative((0, 2, 0))
-    rho = np.array(
-        [
-            [0.0, 0.0, 0.5 * fxx],
-            [0.0, 0.0, 0.5 * fxy],
-            [0.5 * fxx, 0.5 * fxy, 0.5 * (f * fxx - fyy)],
-        ]
-    )
-    q = np.array(
-        [
-            [0.5 * fxx, 0.5 * fxy, -0.5 * fyy],
-            [0.0, 0.0, 0.5 * fxy],
-            [0.0, 0.0, 0.5 * fxx],
-        ]
-    )
+    rho, q, fxx = ricci_from_jet(eval_jet(M.f, point, 2))
     return TensorValue(rho, (0, 2)), TensorValue(q, (1, 1)), fxx
+
+
+def ricci_from_jet(jet: Jet3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, Q, f_xx) from a jet of f of order >= 2."""
+    f, fxx, fxy, fyy = _hessian(jet)
+    rho = np.zeros(np.shape(f) + (3, 3))
+    rho[..., 0, 2] = rho[..., 2, 0] = 0.5 * fxx
+    rho[..., 1, 2] = rho[..., 2, 1] = 0.5 * fxy
+    rho[..., 2, 2] = 0.5 * (f * fxx - fyy)
+    q = np.zeros(np.shape(f) + (3, 3))
+    q[..., 0, 0] = q[..., 2, 2] = 0.5 * fxx
+    q[..., 0, 1] = q[..., 1, 2] = 0.5 * fxy
+    q[..., 0, 2] = -0.5 * fyy
+    return rho, q, fxx
 
 
 def scalar_curvature_field(M: WalkerManifold) -> Expr:
@@ -286,9 +295,7 @@ def segre_type(M: WalkerManifold, point,
         return SegreVerdict(
             kind="other", degeneracy=degeneracy, fxx_nonvanishing=fxx_nonzero
         )
-    jet = M.f_jet(point, 2)
-    fxx_v = jet.derivative((2, 0, 0))
-    fxy_v = jet.derivative((1, 1, 0))
+    _, fxx_v, fxy_v, _ = _hessian(eval_jet(M.f, point, 2))
     s = 0.5 * fxx_v
     ratio = fxy_v / fxx_v
     kernel = np.array([-ratio, 1.0, 0.0])

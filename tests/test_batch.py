@@ -1,0 +1,139 @@
+"""The batched evaluation path against its batch-of-one views.
+
+Reports evaluate every sample point in one batch; the pointwise API
+evaluates one point. Both must give the same bits (np.array_equal, never
+allclose): an operation whose rounding depends on the batch size would make
+a report drift from the pointwise values it documents.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+import walkergeo.expressions
+from test_jets import FIELDS
+from walkergeo.corpus import FIXTURES, load_fixture
+from walkergeo.expressions import parse
+from walkergeo.ftensor import (
+    exterior_data_at, f_tensor_at, project_components, theta_forms,
+)
+from walkergeo.jets import eval_jet
+from walkergeo.report import build_report
+from walkergeo.walker import (
+    christoffel_at, christoffel_from_jet, curvature_at, curvature_from_jet,
+    ricci_at, ricci_from_jet,
+)
+
+NAMES = [fixture.name for fixture in FIXTURES]
+FRAME_ARRAYS = ("xi_vec", "eta_vec", "phi_mat", "g", "ginv", "scale")
+DERIVATIVE_ARRAYS = ("xi_d", "eta_d", "phi_d", "gamma")
+
+
+def same(a, b) -> bool:
+    return np.array_equal(np.asarray(a), np.asarray(b))
+
+
+@pytest.fixture(scope="module", params=NAMES)
+def structure(request):
+    return load_fixture(request.param).build(samples=16)
+
+
+def test_frame_rows_match_point_frames(structure):
+    S = structure
+    pts = S.sample_points()
+    for order in (0, 1):
+        batch = S.frame(pts, order)
+        names = FRAME_ARRAYS + (DERIVATIVE_ARRAYS if order else ())
+        for k, p in enumerate(pts):
+            single = S.frame(tuple(p), order)
+            for name in names:
+                assert same(getattr(batch, name)[k], getattr(single, name)), \
+                    (order, name, k)
+
+
+def test_value_objects_match_point_views(structure):
+    S = structure
+    pts = S.sample_points()
+    t = f_tensor_at(S, pts)
+    tf = theta_forms(S, pts, tensor=t)
+    ex = exterior_data_at(S, pts, tensor=t)
+    pr = project_components(S, pts, tensor=t)
+    for k, p in enumerate(pts):
+        p = tuple(p)
+        for batch, single, fields in (
+            (t, f_tensor_at(S, p),
+             ("components", "theta_xi", "theta_star_xi", "reeb_square",
+              "route_discrepancy")),
+            (tf, theta_forms(S, p),
+             ("theta", "theta_star", "theta_xi", "theta_star_xi",
+              "route_discrepancy")),
+            (ex, exterior_data_at(S, p),
+             ("d_eta", "d_fundamental", "lie_g", "nabla_eta",
+              "route_discrepancy")),
+            (pr, project_components(S, p),
+             ("F5", "F6", "F10", "F12", "residual", "theta_xi",
+              "theta_star_xi", "model_defect", "within_model")),
+        ):
+            assert single.point == p
+            for name in fields:
+                assert same(getattr(batch, name)[k], getattr(single, name)), \
+                    (type(single).__name__, name, k)
+
+
+def test_walker_tensors_match_point_views(structure):
+    M = structure.manifold
+    pts = structure.sample_points()
+    gamma = christoffel_from_jet(eval_jet(M.f, pts, 1))
+    jet = eval_jet(M.f, pts, 2)
+    R = curvature_from_jet(jet)
+    rho, q, fxx = ricci_from_jet(jet)
+    for k, p in enumerate(pts):
+        assert same(gamma[k], christoffel_at(M, p).components)
+        assert same(R[k], curvature_at(M, p).components)
+        point_rho, point_q, point_fxx = ricci_at(M, p)
+        assert same(rho[k], point_rho.components)
+        assert same(q[k], point_q.components)
+        assert same(fxx[k], point_fxx)
+
+
+@pytest.mark.parametrize("source", FIELDS)
+def test_jet_rows_match_point_jets(source):
+    e = parse(source)
+    pts = 0.5 + 1.2 * np.random.default_rng(3).random((64, 3))
+    for order in range(4):
+        batch = eval_jet(e, pts, order)
+        for k, p in enumerate(pts):
+            assert same(batch.coeffs[:, k], eval_jet(e, p, order).coeffs), \
+                (order, k)
+
+
+def count_diff_calls(monkeypatch, run) -> int:
+    """diff calls made by run(), through every module that bound diff."""
+    original = walkergeo.expressions.diff
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("walkergeo") and module is not None:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        patch.setattr(module, key, counting)
+        run()
+    return calls
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_symbolic_work_does_not_grow_with_samples(monkeypatch, name):
+    manifest = load_fixture(name)
+    counts = [
+        count_diff_calls(monkeypatch, lambda: build_report(
+            manifest.build(samples=samples), name=name))
+        for samples in (8, 32)
+    ]
+    assert counts[0] == counts[1] > 0

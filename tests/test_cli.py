@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import walkergeo
 from walkergeo.cli import main
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.errors import ConsistencyError
@@ -24,6 +29,8 @@ seed = 5
 TIMELIKE = PARABOLIC.replace("epsilon = 1", "epsilon = -1")
 
 BROKEN_REEB = PARABOLIC.replace('xi2 = 1', 'xi2 = "x"')
+
+SRC = str(Path(walkergeo.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -140,6 +147,37 @@ def test_unknown_example_exits_2(capsys):
     assert status == 2
     assert err.startswith("input error:")
     assert "known examples" in err
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "walkergeo.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_jet_overflow_exits_2_without_traceback(tmp_path):
+    path = write(tmp_path, PARABOLIC.replace('"x^2"', '"exp(exp(10*x))"'))
+    done = run_process("analyze", path)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("input error: non-finite value")
+
+
+def test_expression_at_the_depth_limit_is_analyzed(capsys, tmp_path):
+    terms = "+".join(["x"] * walkergeo.expressions.MAX_DEPTH)
+    path = write(tmp_path, PARABOLIC.replace('"x^2"', f'"{terms}"'))
+    status, out, err = run(capsys, "analyze", path)
+    assert status == 0 and err == ""
+
+
+def test_expression_past_the_depth_limit_exits_2(capsys, tmp_path):
+    terms = "+".join(["x"] * (walkergeo.expressions.MAX_DEPTH + 1))
+    path = write(tmp_path, PARABOLIC.replace('"x^2"', f'"{terms}"'))
+    status, out, err = run(capsys, "analyze", path)
+    assert status == 2 and out == ""
+    assert err.startswith("input error:") and "nests deeper" in err
 
 
 def test_consistency_failure_exits_3(capsys, tmp_path, monkeypatch):

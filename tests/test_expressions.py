@@ -8,6 +8,8 @@ from walkergeo.errors import (
     UnboundIdentifierError,
 )
 from walkergeo.expressions import (
+    MAX_DEPTH,
+    depth,
     diff,
     evaluate_with_scale,
     gradient,
@@ -15,6 +17,7 @@ from walkergeo.expressions import (
     to_source,
     variables,
 )
+from walkergeo.jets import eval_jet
 
 RNG = np.random.default_rng(20260815)
 
@@ -153,3 +156,32 @@ def test_operator_overloads_build_same_tree():
     built = x ** 2 / y ** 2
     v1, _ = evaluate_with_scale(built, np.array([3.0, 2.0, 0.0]))
     assert v1 == 2.25
+
+
+AT_LIMIT = {
+    "chain": "/".join(["x"] * MAX_DEPTH),
+    "nest": "sqrt(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+}
+
+
+@pytest.mark.parametrize("source", AT_LIMIT.values(), ids=AT_LIMIT.keys())
+def test_tree_at_the_depth_limit_gets_through_jets_and_diff(source):
+    e = parse(source)
+    assert depth(e) == MAX_DEPTH
+    p = np.array([1.1, 0.9, 1.3])
+    jet = eval_jet(e, p, order=3)
+    partial = diff(e, "x")
+    assert to_source(partial)
+    want, _ = evaluate_with_scale(partial, p)
+    assert abs(jet.derivative((1, 0, 0)) - want) <= 1e-9 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("source", [
+    "/".join(["x"] * (MAX_DEPTH + 1)),
+    "sqrt(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+    "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1),
+    "+".join(["x"] * 3000),
+], ids=["chain", "nest", "parentheses", "long-sum"])
+def test_tree_past_the_depth_limit_is_a_parse_error(source):
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse(source)
