@@ -7,125 +7,50 @@ connection and curvature, and decides which structure classes it realizes,
 checking every quantity along two independent computation routes.
 """
 
+from types import ModuleType as _ModuleType
+
 from .classify import (
-    AlphaReport,
-    BasicClassification,
-    ClassVerdict,
-    NAMED_CLASSES,
-    NamedVerdict,
-    NormalityVerdict,
-    ParacontactVerdict,
-    RouteDisagreement,
-    classify_basic,
-    is_normal,
-    is_paracontact_metric,
-    named_classes,
-    paracontact_condition_fields,
-    paracontact_family,
+    AlphaReport, BasicClassification, ClassVerdict, NAMED_CLASSES,
+    NamedVerdict, NormalityVerdict, ParacontactVerdict, RouteDisagreement,
+    classify_basic, is_normal, is_paracontact_metric, named_classes,
+    paracontact_condition_fields, paracontact_family,
 )
 from .corpus import FIXTURES, Fixture, fixture_names, get_fixture, load_fixture
 from .curvature import (
-    EquivalenceReport,
-    EtaEinsteinProfile,
-    EtaEinsteinVerdict,
-    SectionalReport,
-    curvature_equivalences,
-    eta_einstein_check,
-    eta_einstein_report,
-    ricci_residual_fields,
-    sectional_curvatures,
+    EquivalenceReport, EtaEinsteinProfile, EtaEinsteinVerdict, SectionalReport,
+    curvature_equivalences, eta_einstein_check, eta_einstein_report,
+    ricci_residual_fields, sectional_curvatures,
 )
 from .errors import (
-    ConsistencyError,
-    DegenerateInputError,
-    EmptyDomainError,
-    EvaluationError,
-    ExponentError,
-    InputError,
-    ManifestError,
-    NonexistentStructureError,
-    OutOfDomainError,
-    ParseError,
-    StructuralRejection,
-    UnboundIdentifierError,
-    UnitConstraintError,
-    UnsupportedSignatureError,
-    WalkergeoError,
+    ConsistencyError, DegenerateInputError, EmptyDomainError, EvaluationError,
+    ExponentError, InputError, ManifestError, NonexistentStructureError,
+    OutOfDomainError, ParseError, StructuralRejection, UnboundIdentifierError,
+    UnitConstraintError, UnsupportedSignatureError, WalkergeoError,
 )
 from .expressions import Expr, diff, evaluate_with_scale, parse, to_source
 from .ftensor import (
-    ExteriorData,
-    FTensorValue,
-    ProjectionBundle,
-    TraceForms,
-    coefficient_fields,
-    d_eta,
-    d_phi,
-    exterior_data_at,
-    f_tensor_at,
-    lie_xi_g,
-    nijenhuis,
-    project_components,
-    theta_forms,
-    theta_star_xi_field,
-    theta_xi_field,
+    ExteriorData, FTensorValue, ProjectionBundle, TraceForms,
+    coefficient_fields, exterior_data_at, f_tensor_at, nijenhuis,
+    project_components, theta_forms, theta_star_xi_field, theta_xi_field,
 )
 from .manifest import Manifest, load_manifest, parse_manifest
 from .report import ClassificationReport, build_report
 from .sampling import (
-    Domain,
-    Interval,
-    NonvanishingVerdict,
-    SamplingConfig,
-    ZeroVerdict,
-    is_identically_zero,
-    nonvanishing,
+    Domain, Interval, NonvanishingVerdict, SamplingConfig, ZeroVerdict,
+    is_identically_zero, nonvanishing,
 )
 from .structure import (
-    ApctStructure,
-    AxiomReport,
-    build_structure,
-    nabla_xi,
-    unit_constraint_field,
-    validate_axioms,
+    ApctStructure, AxiomReport, build_structure, nabla_xi,
+    unit_constraint_field, validate_axioms,
 )
 from .walker import (
-    FlatnessVerdict,
-    SegreVerdict,
-    WalkerManifold,
-    flatness,
-    is_strict_walker,
-    scalar_curvature_field,
-    segre_type,
+    FlatnessVerdict, SegreVerdict, WalkerManifold, flatness, is_strict_walker,
+    scalar_curvature_field, segre_type,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaReport", "ApctStructure", "AxiomReport", "BasicClassification",
-    "ClassVerdict", "ClassificationReport", "ConsistencyError",
-    "DegenerateInputError", "Domain", "EmptyDomainError", "EquivalenceReport",
-    "EtaEinsteinProfile", "EtaEinsteinVerdict", "EvaluationError",
-    "ExponentError", "Expr", "ExteriorData", "FIXTURES", "FTensorValue",
-    "Fixture", "FlatnessVerdict", "InputError", "Interval", "Manifest",
-    "ManifestError", "NAMED_CLASSES", "NamedVerdict",
-    "NonexistentStructureError", "NonvanishingVerdict", "NormalityVerdict",
-    "OutOfDomainError", "ParacontactVerdict", "ParseError",
-    "ProjectionBundle", "RouteDisagreement", "SamplingConfig",
-    "SectionalReport", "SegreVerdict", "StructuralRejection", "TraceForms",
-    "UnboundIdentifierError", "UnitConstraintError",
-    "UnsupportedSignatureError", "WalkerManifold", "WalkergeoError",
-    "ZeroVerdict", "build_report", "build_structure", "classify_basic",
-    "coefficient_fields", "curvature_equivalences", "d_eta", "d_phi",
-    "diff", "eta_einstein_check", "eta_einstein_report",
-    "evaluate_with_scale", "exterior_data_at", "f_tensor_at",
-    "fixture_names", "flatness", "get_fixture", "is_identically_zero",
-    "is_normal", "is_paracontact_metric", "is_strict_walker", "lie_xi_g",
-    "load_fixture", "load_manifest", "named_classes", "nabla_xi",
-    "nijenhuis", "nonvanishing", "paracontact_condition_fields",
-    "paracontact_family", "parse", "parse_manifest", "project_components",
-    "ricci_residual_fields", "scalar_curvature_field",
-    "sectional_curvatures", "segre_type", "theta_forms",
-    "theta_star_xi_field", "theta_xi_field", "to_source",
-    "unit_constraint_field", "validate_axioms",
-]
+# every public name imported above (the submodules are not)
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

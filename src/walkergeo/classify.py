@@ -41,8 +41,8 @@ from .ftensor import (
     split_components_batch, theta_star_xi_field,
 )
 from .sampling import (
-    Domain, SamplingConfig, ZeroVerdict, is_identically_zero,
-    zero_verdict_from_samples,
+    Domain, SamplingConfig, ZeroVerdict, analyzed, is_identically_zero,
+    once, release, zero_verdict_from_samples,
 )
 from .structure import ApctStructure, build_structure
 from .walker import WalkerManifold
@@ -50,17 +50,10 @@ from .walker import WalkerManifold
 BASIC_LABELS = ("G5", "G6", "G10", "G12")
 
 NAMED_CLASSES = (
-    "paracontact_metric",
-    "para_sasakian",
-    "k_paracontact",
-    "quasi_para_sasakian",
-    "normal",
-    "almost_alpha_paracosymplectic",
-    "alpha_paracosymplectic",
-    "almost_alpha_para_kenmotsu",
-    "alpha_para_kenmotsu",
-    "almost_paracosymplectic",
-    "paracosymplectic",
+    "paracontact_metric", "para_sasakian", "k_paracontact",
+    "quasi_para_sasakian", "normal", "almost_alpha_paracosymplectic",
+    "alpha_paracosymplectic", "almost_alpha_para_kenmotsu",
+    "alpha_para_kenmotsu", "almost_paracosymplectic", "paracosymplectic",
 )
 
 
@@ -89,12 +82,17 @@ class BasicClassification:
         return " + ".join(self.labels)
 
 
-def classify_basic(S: ApctStructure, cfg: SamplingConfig | None = None,
-                   batch: ComponentBatch | None = None) -> BasicClassification:
-    cfg = cfg or S.config
+def _components(S: ApctStructure, cfg: SamplingConfig) -> ComponentBatch:
+    """The component split over the sample points, once per analysis."""
+    return once(S, "components", S.domain, cfg,
+                lambda: split_components_batch(S, S.sample_points(cfg)))
+
+
+@analyzed
+def classify_basic(S: ApctStructure,
+                   cfg: SamplingConfig | None = None) -> BasicClassification:
     pts = S.sample_points(cfg)
-    if batch is None:
-        batch = split_components_batch(S, pts)
+    batch = _components(S, cfg)
     verdicts: dict[str, ZeroVerdict] = {}
     members = set()
     for label in BASIC_LABELS:
@@ -119,10 +117,9 @@ def classify_basic(S: ApctStructure, cfg: SamplingConfig | None = None,
         )
         g5bar = g5bar_verdict.is_zero
 
-    order = {"G5": 0, "G6": 1, "G10": 2, "G12": 3}
-    sorted_members = sorted(members, key=order.__getitem__)
     labels = tuple(
-        "G5bar" if (m == "G5" and g5bar) else m for m in sorted_members
+        "G5bar" if (m == "G5" and g5bar) else m
+        for m in BASIC_LABELS if m in members
     ) or ("G0",)
     return BasicClassification(
         frozenset(members), labels, g5bar, verdicts, g5bar_verdict,
@@ -169,14 +166,12 @@ class ParacontactVerdict:
         return self.is_paracontact
 
 
+@analyzed
 def is_paracontact_metric(S: ApctStructure,
                           cfg: SamplingConfig | None = None,
-                          batch: ComponentBatch | None = None,
                           ) -> ParacontactVerdict:
-    cfg = cfg or S.config
     pts = S.sample_points(cfg)
-    if batch is None:
-        batch = split_components_batch(S, pts)
+    batch = _components(S, cfg)
 
     conditions = tuple(
         is_identically_zero(c, S.domain, cfg)
@@ -232,7 +227,7 @@ class NormalityVerdict:
         return self.is_normal
 
 
-def _unit_y_setting(S: ApctStructure, cfg: SamplingConfig) -> int | None:
+def unit_y_setting(S: ApctStructure, cfg: SamplingConfig) -> int | None:
     """Detect the Reeb shape xi3 = 0, xi2 = +-1; returns the sign or None."""
     _, xi2, xi3 = S.xi
     if not is_identically_zero(xi3, S.domain, cfg).is_zero:
@@ -243,39 +238,33 @@ def _unit_y_setting(S: ApctStructure, cfg: SamplingConfig) -> int | None:
     return None
 
 
-def _normal_setting_conditions(S: ApctStructure, sign: int) -> tuple[Expr, Expr]:
-    """Coordinate conditions equivalent to normality when xi3 = 0 and
-    xi2 = sign: the first couples the xi1 partials, the second balances
-    the z-drift of xi1 against the metric function."""
+def _setting_fields(S: ApctStructure, sign: int) -> tuple[Expr, ...]:
+    """(xi1)_x, (xi1)_y, the z-drift of xi1 against the metric function,
+    and the two coordinate conditions equivalent to normality, for the
+    Reeb shape xi3 = 0, xi2 = sign."""
     xi1 = S.xi[0]
     f = S.manifold.f
     a1, a2 = diff(xi1, "x"), diff(xi1, "y")
     drift = 2 * diff(xi1, "z") + xi1 * diff(f, "x") + sign * diff(f, "y")
-    return a2 + sign * xi1 * a1, drift + a1 * (xi1**2 - f)
+    return a1, a2, drift, a2 + sign * xi1 * a1, drift + a1 * (xi1**2 - f)
 
 
-def is_normal(S: ApctStructure, cfg: SamplingConfig | None = None,
-              basic: BasicClassification | None = None,
-              batch: ComponentBatch | None = None) -> NormalityVerdict:
-    cfg = cfg or S.config
+@analyzed
+def is_normal(S: ApctStructure,
+              cfg: SamplingConfig | None = None) -> NormalityVerdict:
     pts = S.sample_points(cfg)
-    if batch is None:
-        batch = split_components_batch(S, pts)
-    if basic is None:
-        basic = classify_basic(S, cfg, batch)
+    batch = _components(S, cfg)
+    basic = once(S, "basic", S.domain, cfg, lambda: classify_basic(S, cfg))
 
     class_route = basic.members <= {"G5", "G6"}
     torsion = zero_verdict_from_samples(
         normality_defect_batch(S, batch), batch.scale, pts, cfg.tol
     )
 
-    setting_route = None
-    sign = _unit_y_setting(S, cfg)
-    if sign is not None:
-        setting_route = all(
-            is_identically_zero(c, S.domain, cfg).is_zero
-            for c in _normal_setting_conditions(S, sign)
-        )
+    sign = unit_y_setting(S, cfg)
+    setting_route = None if sign is None else all(
+        is_identically_zero(c, S.domain, cfg).is_zero
+        for c in _setting_fields(S, sign)[3:])
 
     is_norm = class_route
     routes_agree = class_route == torsion.is_zero and (
@@ -337,24 +326,14 @@ class ClassVerdict:
     routes_agree: bool
 
 
-def _theta_star_constancy(S: ApctStructure, cfg: SamplingConfig):
-    """Zero tests for the three partials of theta*(xi); constancy is only
-    ever asserted for the sampled domain."""
-    field = theta_star_xi_field(S)
-    return tuple(
-        is_identically_zero(partial, S.domain, cfg)
-        for partial in gradient(field)
-    )
-
-
+@analyzed
 def named_classes(S: ApctStructure,
                   cfg: SamplingConfig | None = None) -> ClassVerdict:
-    cfg = cfg or S.config
     pts = S.sample_points(cfg)
-    batch = split_components_batch(S, pts)
-    basic = classify_basic(S, cfg, batch)
-    paracontact = is_paracontact_metric(S, cfg, batch)
-    normality = is_normal(S, cfg, basic, batch)
+    batch = _components(S, cfg)
+    basic = once(S, "basic", S.domain, cfg, lambda: classify_basic(S, cfg))
+    paracontact = is_paracontact_metric(S, cfg)
+    normality = is_normal(S, cfg)
     members = basic.members
 
     def ztest(values):
@@ -368,7 +347,9 @@ def named_classes(S: ApctStructure,
     lie_zero = ztest(lie_g_batch(S, batch))
     torsion_normal = normality.torsion_verdict.is_zero
 
-    grad_verdicts = _theta_star_constancy(S, cfg)
+    # theta*(xi) is constant on the sampled domain when its partials vanish
+    grad_verdicts = [is_identically_zero(partial, S.domain, cfg)
+                     for partial in gradient(theta_star_xi_field(S))]
     theta_star_constant = all(v.is_zero for v in grad_verdicts)
     gradient_residual = max(v.max_residual for v in grad_verdicts)
 
@@ -447,94 +428,60 @@ def named_classes(S: ApctStructure,
         else lie_zero.witness,
     )
 
+    def by_components(name: str, allowed: set[str], primary: bool,
+                      cross: bool, detail: str, witness) -> None:
+        """A class read off the component split, checked by a second route."""
+        crosscheck(name, primary, cross, detail)
+        named[name] = NamedVerdict(
+            primary,
+            detail=None if primary else (
+                "no G6 component" if "G6" in allowed - members else
+                f"components present: {basic.display()}"
+            ),
+            witness=None if primary else witness,
+        )
+
     # quasi-para-Sasakian: normal with closed fundamental form, and some
     # structure tensor left; as components, exactly a pure G5.
-    quasi_primary = members == {"G5"}
-    quasi_cross = (
-        torsion_normal and d_phi_zero.is_zero and not f_zero.is_zero
-    )
-    crosscheck(
-        "quasi_para_sasakian", quasi_primary, quasi_cross,
+    by_components(
+        "quasi_para_sasakian", {"G5"}, members == {"G5"},
+        torsion_normal and d_phi_zero.is_zero and not f_zero.is_zero,
         "pure-G5 component route vs. normal + closed fundamental form",
+        excess_witness({"G5"}),
     )
-    named["quasi_para_sasakian"] = NamedVerdict(
-        quasi_primary,
-        detail=None if quasi_primary else
-        f"components present: {basic.display()}",
-        witness=None if quasi_primary else excess_witness({"G5"}),
-    )
-
     # paracosymplectic: no structure tensor at all.
-    cosym_primary = not members
-    cosym_cross = (
-        d_eta_zero.is_zero and d_phi_zero.is_zero and torsion_normal
-    )
-    crosscheck(
-        "paracosymplectic", cosym_primary, cosym_cross,
+    by_components(
+        "paracosymplectic", set(), not members,
+        d_eta_zero.is_zero and d_phi_zero.is_zero and torsion_normal,
         "empty component split vs. closed eta, closed fundamental form "
-        "and vanishing torsion defect",
+        "and vanishing torsion defect", f_zero.witness,
     )
-    named["paracosymplectic"] = NamedVerdict(
-        cosym_primary,
-        detail=None if cosym_primary else
-        f"components present: {basic.display()}",
-        witness=None if cosym_primary else f_zero.witness,
-    )
-
     # almost paracosymplectic: both forms closed but the tensor survives,
     # i.e. exactly the Reeb-symmetric component.
-    almost_cosym_primary = members == {"G10"}
-    almost_cosym_cross = (
-        d_eta_zero.is_zero and d_phi_zero.is_zero and not f_zero.is_zero
-    )
-    crosscheck(
-        "almost_paracosymplectic", almost_cosym_primary, almost_cosym_cross,
+    by_components(
+        "almost_paracosymplectic", {"G10"}, members == {"G10"},
+        d_eta_zero.is_zero and d_phi_zero.is_zero and not f_zero.is_zero,
         "pure-G10 component route vs. both forms closed with nonzero "
-        "structure tensor",
+        "structure tensor", excess_witness({"G10"}),
     )
-    named["almost_paracosymplectic"] = NamedVerdict(
-        almost_cosym_primary,
-        detail=None if almost_cosym_primary else
-        f"components present: {basic.display()}",
-        witness=None if almost_cosym_primary else excess_witness({"G10"}),
-    )
-
     # almost alpha-paracosymplectic: closed eta, fundamental form scaled
     # into the volume form by a nonzero function alpha = -theta*(xi)/2;
     # as components, within G6 + G10 with G6 actually present.
     almost_alpha_primary = members <= {"G6", "G10"} and "G6" in members
-    theta_star_zero = ztest(batch.theta_star_xi)
-    almost_alpha_cross = d_eta_zero.is_zero and not theta_star_zero.is_zero
-    crosscheck(
-        "almost_alpha_paracosymplectic",
-        almost_alpha_primary, almost_alpha_cross,
+    almost_alpha_cross = (d_eta_zero.is_zero
+                          and not ztest(batch.theta_star_xi).is_zero)
+    by_components(
+        "almost_alpha_paracosymplectic", {"G6", "G10"}, almost_alpha_primary,
+        almost_alpha_cross,
         "G6-within-G6+G10 component route vs. closed eta with theta*(xi) "
-        "not identically zero",
+        "not identically zero", excess_witness({"G6", "G10"}),
     )
-    named["almost_alpha_paracosymplectic"] = NamedVerdict(
-        almost_alpha_primary,
-        detail=None if almost_alpha_primary else (
-            "no G6 component" if "G6" not in members else
-            f"components present: {basic.display()}"
-        ),
-        witness=None if almost_alpha_primary
-        else excess_witness({"G6", "G10"}),
-    )
-
     alpha_primary = members == {"G6"}
-    alpha_cross = almost_alpha_cross and torsion_normal
-    crosscheck(
-        "alpha_paracosymplectic", alpha_primary, alpha_cross,
+    by_components(
+        "alpha_paracosymplectic", {"G6"}, alpha_primary,
+        almost_alpha_cross and torsion_normal,
         "pure-G6 component route vs. almost alpha conditions plus "
-        "vanishing torsion defect",
-    )
-    named["alpha_paracosymplectic"] = NamedVerdict(
-        alpha_primary,
-        detail=None if alpha_primary else (
-            "no G6 component" if "G6" not in members else
-            f"components present: {basic.display()}"
-        ),
-        witness=None if alpha_primary else excess_witness({"G6"}),
+        "vanishing torsion defect", excess_witness({"G6"}),
     )
 
     # the para-Kenmotsu refinements ask alpha (hence theta*(xi)) to be
@@ -569,6 +516,7 @@ def named_classes(S: ApctStructure,
         )
 
     _apply_setting_checks(S, cfg, basic, named, crosscheck)
+    release(S, "components", cfg)
 
     ordered = {name: named[name] for name in NAMED_CLASSES}
     routes_agree = (
@@ -628,12 +576,11 @@ def _apply_setting_checks(S: ApctStructure, cfg: SamplingConfig,
             )
         return
 
-    sign = _unit_y_setting(S, cfg)
+    sign = unit_y_setting(S, cfg)
     if sign is None:
         return
     tag = f"[xi3 = 0, xi2 = {sign:+d}]"
-    a1, a2 = diff(xi1, "x"), diff(xi1, "y")
-    drift = 2 * diff(xi1, "z") + xi1 * diff(f, "x") + sign * diff(f, "y")
+    a1, a2, drift, *normality = _setting_fields(S, sign)
 
     cosym_setting = zero(a1) and zero(a2) and zero(drift)
     crosscheck(
@@ -646,9 +593,7 @@ def _apply_setting_checks(S: ApctStructure, cfg: SamplingConfig,
         named["almost_paracosymplectic"].value, almost_setting,
         "xi1 constant in x and y with nonvanishing drift",
     )
-    normal_setting = all(
-        zero(c) for c in _normal_setting_conditions(S, sign)
-    )
+    normal_setting = all(zero(c) for c in normality)
     crosscheck(
         f"normal {tag}", named["normal"].value, normal_setting,
         "coordinate normality conditions",

@@ -16,13 +16,8 @@ import sys
 
 from .corpus import FIXTURES, load_fixture
 from .errors import (
-    ConsistencyError,
-    DegenerateInputError,
-    EmptyDomainError,
-    EvaluationError,
-    InputError,
-    OutOfDomainError,
-    StructuralRejection,
+    ConsistencyError, DegenerateInputError, EmptyDomainError, EvaluationError,
+    InputError, OutOfDomainError, StructuralRejection,
     UnsupportedSignatureError,
 )
 from .manifest import Manifest, load_manifest
@@ -109,6 +104,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except _INPUT as exc:
         sys.stderr.write(f"input error: {exc}\n")
+        return 2
+    except RecursionError:  # derivatives of a tree nest deeper than the tree
+        sys.stderr.write("input error: derived fields nest too deeply\n")
         return 2
     except ConsistencyError as exc:
         sys.stderr.write(f"internal consistency failure: {exc}\n")

@@ -20,36 +20,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import named_classes
+from .classify import named_classes, unit_y_setting
 from .errors import DegenerateInputError
 from .expressions import Expr, ONE, ZERO, diff, evaluate_with_scale
 from .sampling import (
-    SamplingConfig, ZeroVerdict, is_identically_zero, nonvanishing,
+    SamplingConfig, ZeroVerdict, analyzed, is_identically_zero, nonvanishing,
     zero_verdict_from_samples,
 )
 from .jets import eval_jet
-from .structure import ApctStructure, max_abs, outer
+from .structure import ApctStructure, contract, max_abs, outer
 from .walker import (
-    FlatnessVerdict, SegreVerdict, curvature_at, curvature_from_jet, flatness,
-    ricci_at, ricci_from_jet, segre_type,
+    FlatnessVerdict, SegreVerdict, curvature_at, curvature_from_jet, f_hessian,
+    ricci_at, ricci_from_jet, segre_type, shared_flatness,
 )
 
 _PLANE_TOL = 1e-8
-
-
-def _f_hessian(f: Expr) -> dict[str, Expr]:
-    fx, fy = diff(f, "x"), diff(f, "y")
-    return {
-        "fx": fx, "fy": fy,
-        "fxx": diff(fx, "x"), "fxy": diff(fx, "y"), "fyy": diff(fy, "y"),
-    }
 
 
 def ricci_residual_fields(S: ApctStructure) -> tuple[Expr, ...]:
     """Symbolic components of rho - a g - b eta (x) eta with
     a = -b = f_xx / 2, upper triangle in row-major order."""
     f = S.manifold.f
-    h = _f_hessian(f)
+    h = f_hessian(f)
     a = h["fxx"] / 2
     rho = {
         (0, 0): ZERO, (0, 1): ZERO, (0, 2): h["fxx"] / 2,
@@ -96,7 +88,7 @@ def eta_einstein_check(S: ApctStructure,
                        cfg: SamplingConfig | None = None) -> EtaEinsteinVerdict:
     cfg = cfg or S.config
     M = S.manifold
-    h = _f_hessian(M.f)
+    h = f_hessian(M.f)
     fxx = h["fxx"]
 
     residuals = tuple(
@@ -118,7 +110,7 @@ def eta_einstein_check(S: ApctStructure,
         b = -a
         point = tuple(float(c) for c in pts[0])
         segre = segre_type(M, point, cfg)
-        xi_match = _xi_versus_null_eigenvector(S, point, cfg.tol)
+        xi_match = _xi_versus_null_eigenvector(S, segre, point, cfg.tol)
 
     return EtaEinsteinVerdict(
         direct, a, b, segre, xi_match, residuals,
@@ -132,14 +124,9 @@ def _coordinate_eta_einstein(S: ApctStructure, cfg: SamplingConfig,
                              fxx_zero: ZeroVerdict) -> tuple[bool, str]:
     """Coordinate characterization: Reeb shape (xi1, +-1, 0) with xi1 the
     matched quotient, degenerate discriminant, f_xx nonvanishing."""
-    xi1, xi2, xi3 = S.xi
-    if not is_identically_zero(xi3, S.domain, cfg).is_zero:
+    if not is_identically_zero(S.xi[2], S.domain, cfg).is_zero:
         return False, "xi3 does not vanish identically"
-    sign = None
-    for s in (1, -1):
-        if is_identically_zero(xi2 - s, S.domain, cfg).is_zero:
-            sign = s
-            break
+    sign = unit_y_setting(S, cfg)
     if sign is None:
         return False, "xi2 is not identically +1 or -1"
 
@@ -161,22 +148,21 @@ def _coordinate_eta_einstein(S: ApctStructure, cfg: SamplingConfig,
     if not disc.is_zero:
         return False, "the Ricci discriminant f_xy^2 - f_xx f_yy is not zero"
     aligned = is_identically_zero(
-        xi1 + sign * h["fxy"] / h["fxx"], S.domain, cfg
+        S.xi[0] + sign * h["fxy"] / h["fxx"], S.domain, cfg
     )
     if not aligned.is_zero:
         return False, "xi1 does not match -xi2 f_xy / f_xx"
     return True, "coordinate conditions hold"
 
 
-def _xi_versus_null_eigenvector(S: ApctStructure, point,
-                                tol: float) -> int | None:
-    """Compare the Reeb field with the null Ricci eigenvector at a point;
-    returns the matching sign or None."""
-    verdict = segre_type(S.manifold, point, SamplingConfig(tol=tol))
-    if verdict.n_vector is None:
+def _xi_versus_null_eigenvector(S: ApctStructure, segre: SegreVerdict,
+                                point, tol: float) -> int | None:
+    """Compare the Reeb field with the null Ricci eigenvector of `segre`,
+    the Ricci type at the point; returns the matching sign or None."""
+    if segre.n_vector is None:
         return None
     frame = S.frame(point, order=0)
-    n = np.asarray(verdict.n_vector, dtype=float)
+    n = np.asarray(segre.n_vector, dtype=float)
     xi = frame.xi_vec
     scale = 1.0 + float(np.abs(n).max()) + float(np.abs(xi).max())
     for sign in (1, -1):
@@ -205,10 +191,10 @@ class EquivalenceReport:
     all_agree: bool
 
 
+@analyzed
 def curvature_equivalences(S: ApctStructure,
                            cfg: SamplingConfig | None = None
                            ) -> EquivalenceReport:
-    cfg = cfg or S.config
     M = S.manifold
     M.require_spacelike_signature()
     pts = S.sample_points(cfg)
@@ -218,19 +204,21 @@ def curvature_equivalences(S: ApctStructure,
     rho, q, fxx = ricci_from_jet(jet)
     phi, xi, g, eta = frame.phi_mat, frame.xi_vec, frame.g, frame.eta_vec
 
-    scales = 1.0 + frame.scale + np.maximum(max_abs(R, 4), max_abs(rho, 2))
+    r_max = max_abs(R, 4)
+    scales = 1.0 + frame.scale + np.maximum(r_max, max_abs(rho, 2))
     allowed = cfg.tol * scales
     scales = scales - 1.0
 
     commute = max_abs(q @ phi - phi @ q, 2)
-    t1 = np.einsum("...mk,...ijml->...ijkl", phi, R)
-    t2 = np.einsum("...ijkm,...lm->...ijkl", R, phi)
-    curv_commute = max_abs(t1 - t2, 4)
+    # R-sized arrays are combined in place, so fewer are alive at once
+    curv_commute = contract("...mk,...ijml->...ijkl", phi, R)
+    curv_commute -= contract("...ijkm,...lm->...ijkl", R, phi)
+    curv_commute = max_abs(np.abs(curv_commute, out=curv_commute), 4)
     anti = max_abs(
-        np.einsum("...ai,...bj,...ab->...ij", phi, phi, rho) + rho, 2)
-    annihilate = max_abs(np.einsum("...ijkl,...k->...ijl", R, xi), 3)
+        contract("...ai,...bj,...ab->...ij", phi, phi, rho) + rho, 2)
+    annihilate = max_abs(contract("...ijkl,...k->...ijl", R, xi), 3)
 
-    flat_pt = max_abs(R, 4) <= allowed
+    flat_pt = r_max <= allowed
     resid = rho - (0.5 * fxx)[..., None, None] * (g - outer(eta, eta))
     eta_pt = (max_abs(resid, 2) <= allowed) & (abs(fxx) > allowed)
 
@@ -245,7 +233,7 @@ def curvature_equivalences(S: ApctStructure,
             zero_verdict_from_samples(annihilate, scales, pts, cfg.tol),
     }
 
-    flat = flatness(M, cfg)
+    flat = shared_flatness(M, cfg)
     eta_verdict = eta_einstein_check(S, cfg)
     mixed = bool(
         np.all(flat_pt | eta_pt)
@@ -349,16 +337,16 @@ class EtaEinsteinProfile:
     matches_named_classes: bool | None = None
 
 
+@analyzed
 def eta_einstein_report(S: ApctStructure,
                         cfg: SamplingConfig | None = None,
                         directions: int = 50) -> EtaEinsteinProfile:
-    cfg = cfg or S.config
     verdict = eta_einstein_check(S, cfg)
     if not verdict.is_eta_einstein:
         return EtaEinsteinProfile(False, verdict)
 
-    f = S.manifold.f
-    fxx = diff(diff(f, "x"), "x")
+    h = f_hessian(S.manifold.f)
+    fxx = h["fxx"]
     scal_constant = all(
         is_identically_zero(diff(fxx, axis), S.domain, cfg).is_zero
         for axis in ("x", "y", "z")
@@ -385,9 +373,7 @@ def eta_einstein_report(S: ApctStructure,
     k_phi_value = float(k_phi_arr.mean()) if k_phi else None
     k_phi_variance = float(k_phi_arr.var()) if k_phi else None
 
-    fx, fy = diff(f, "x"), diff(f, "y")
-    fxy = diff(fx, "y")
-    disc_field = 2 * diff(fxy, "z") + fx * fxy - fxx * fy
+    disc_field = 2 * diff(h["fxy"], "z") + h["fx"] * h["fxy"] - fxx * h["fy"]
     disc = is_identically_zero(disc_field, S.domain, cfg)
 
     nv = named_classes(S, cfg)

@@ -30,6 +30,9 @@ round-tripping is lossless.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
@@ -37,10 +40,7 @@ from typing import Iterator, Mapping, Union
 import numpy as np
 
 from .errors import (
-    EvaluationError,
-    ExponentError,
-    ParseError,
-    UnboundIdentifierError,
+    EvaluationError, ExponentError, ParseError, UnboundIdentifierError,
 )
 
 Rational = Union[int, Fraction]
@@ -285,11 +285,14 @@ def _children(node: Expr) -> tuple[Expr, ...]:
 
 
 def walk(e: Expr) -> Iterator[Expr]:
-    stack = [e]
+    """Each distinct node of e (by identity) once: a DAG is not unfolded."""
+    seen, stack = set(), [e]
     while stack:
         node = stack.pop()
-        yield node
-        stack.extend(_children(node))
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            stack.extend(_children(node))
 
 
 def depth(e: Expr) -> int:
@@ -304,10 +307,43 @@ def depth(e: Expr) -> int:
 # Differentiation
 
 
+# (node id, variable) -> (node, derivative) while a derivative scope is open
+_DERIVATIVES: ContextVar[dict | None] = ContextVar("derivatives", default=None)
+
+
+@contextmanager
+def derivative_scope():
+    """Differentiate each (node, variable) once while open (an open scope
+    is reused); the memo keeps its nodes alive, so their ids stay unique."""
+    token = None if _DERIVATIVES.get() is not None else _DERIVATIVES.set({})
+    try:
+        yield
+    finally:
+        if token is not None:
+            _DERIVATIVES.reset(token)
+
+
 def diff(e: Expr, var: str) -> Expr:
-    """Exact partial derivative with respect to 'x', 'y', or 'z'."""
+    """Exact partial derivative with respect to 'x', 'y', or 'z'.
+
+    Memoized per (node, variable) in the open derivative scope (a call made
+    outside one opens its own), so a derivative shares the derivative
+    objects of its shared subtrees and DAG-shaped inputs stay DAG-shaped.
+    """
     if var not in _VARIABLES:
         raise ValueError(f"unknown variable {var!r}")
+    memo = _DERIVATIVES.get()
+    if memo is None:
+        with derivative_scope():
+            return diff(e, var)
+    key = (id(e), var)
+    if key not in memo:
+        memo[key] = (e, _derive(e, var))
+    return memo[key][1]
+
+
+def _derive(e: Expr, var: str) -> Expr:
+    """One differentiation rule; operands go back through `diff`."""
     if isinstance(e, (Num, Const)):
         return ZERO
     if isinstance(e, Var):
@@ -553,6 +589,12 @@ class _Parser:
         self.nesting -= 1
         return e
 
+    def in_float_range(self, value, token: _Token):
+        if abs(value) > sys.float_info.max:
+            raise ParseError("number too large for a float", self.source,
+                             token.position)
+        return value
+
     def integer_exponent(self) -> int:
         sign = 1
         token = self.peek()
@@ -567,13 +609,13 @@ class _Parser:
                 token.position,
             )
         self.advance()
-        return sign * int(token.text)
+        return sign * self.in_float_range(int(token.text), token)
 
     def base(self) -> Expr:
         token = self.peek()
         if token.kind == "num":
             self.advance()
-            return Num(_parse_number(token.text))
+            return Num(self.in_float_range(_parse_number(token.text), token))
         if token.kind == "ident":
             self.advance()
             name = token.text
@@ -624,6 +666,9 @@ def parse(source: str, constants: Mapping[str, Rational] | None = None) -> Expr:
 # Numeric evaluation
 
 
+_BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
+
+
 def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate at one point (shape (3,)) or a batch (shape (n, 3)).
 
@@ -631,6 +676,11 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     magnitude any subexpression attained there. Zero tests divide residuals
     by (1 + scale), so cancellation-heavy identities are judged relative to
     the size of the quantities that cancelled.
+
+    The expression is walked as a DAG: a subtree reached twice (`diff`
+    reuses operand objects) is evaluated once per call, children left to
+    right, and its arrays are dropped once its last parent has used them;
+    nothing is kept between calls. Values are those of a tree walk.
 
     Raises EvaluationError on division by exactly zero, sqrt of a
     non-positive argument, or a non-finite result (overflow), reporting the
@@ -644,77 +694,61 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("points must have shape (3,) or (n, 3)")
     coords = {"x": pts[:, 0], "y": pts[:, 1], "z": pts[:, 2]}
 
-    def fail(reason: str, node: Expr, mask: np.ndarray):
-        index = int(np.argmax(mask))
-        raise EvaluationError(reason, to_source(node), pts[index])
+    def check(bad: np.ndarray, reason: str, node: Expr) -> None:
+        if np.any(bad):
+            raise EvaluationError(reason, to_source(node), pts[int(np.argmax(bad))])
 
-    def ev(node: Expr) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(node, Num):
-            v = np.full(pts.shape[0], float(node.value))
+    def ev(node: Expr, args) -> tuple[np.ndarray, np.ndarray]:
+        kind = type(node)
+        if kind in (Num, Const, Var):
+            v = (coords[node.name] if kind is Var
+                 else np.full(pts.shape[0], float(node.value)))
             return v, np.abs(v)
-        if isinstance(node, Const):
-            v = np.full(pts.shape[0], float(node.value))
-            return v, np.abs(v)
-        if isinstance(node, Var):
-            v = coords[node.name]
-            return v, np.abs(v)
-        if isinstance(node, Add):
-            a, sa = ev(node.left)
-            b, sb = ev(node.right)
-            v = a + b
-            return v, np.maximum(np.maximum(sa, sb), np.abs(v))
-        if isinstance(node, Sub):
-            a, sa = ev(node.left)
-            b, sb = ev(node.right)
-            v = a - b
-            return v, np.maximum(np.maximum(sa, sb), np.abs(v))
-        if isinstance(node, Neg):
-            a, sa = ev(node.arg)
-            return -a, sa
-        if isinstance(node, Mul):
-            a, sa = ev(node.left)
-            b, sb = ev(node.right)
-            v = a * b
-            if not np.all(np.isfinite(v)):
-                fail("non-finite value", node, ~np.isfinite(v))
-            return v, np.maximum(np.maximum(sa, sb), np.abs(v))
-        if isinstance(node, Div):
-            a, sa = ev(node.left)
-            b, sb = ev(node.right)
-            zero = b == 0.0
-            if np.any(zero):
-                fail("division by zero", node, zero)
-            v = a / b
-            if not np.all(np.isfinite(v)):
-                fail("non-finite value", node, ~np.isfinite(v))
-            return v, np.maximum(np.maximum(sa, sb), np.abs(v))
-        if isinstance(node, Pow):
-            a, sa = ev(node.base)
+        (a, scale), *rest = args
+        if kind is Neg:
+            return -a, scale
+        if kind in _BINARY:
+            b, b_scale = rest[0]
+            if kind is Div:
+                check(b == 0.0, "division by zero", node)
+            v = _BINARY[kind](a, b)
+            scale = np.maximum(scale, b_scale)
+        elif kind is Pow:
             if node.exponent < 0:
-                zero = a == 0.0
-                if np.any(zero):
-                    fail("division by zero", node, zero)
+                check(a == 0.0, "division by zero", node)
             with np.errstate(over="ignore", divide="ignore"):
                 v = a ** float(node.exponent)
-            if not np.all(np.isfinite(v)):
-                fail("non-finite value", node, ~np.isfinite(v))
-            return v, np.maximum(sa, np.abs(v))
-        if isinstance(node, Call):
-            a, sa = ev(node.arg)
-            if node.func == "sqrt":
-                bad = a <= 0.0
-                if np.any(bad):
-                    fail("sqrt of a non-positive argument", node, bad)
-                v = np.sqrt(a)
-            else:
-                with np.errstate(over="ignore"):
-                    v = np.exp(a)
-                if not np.all(np.isfinite(v)):
-                    fail("non-finite value", node, ~np.isfinite(v))
-            return v, np.maximum(sa, np.abs(v))
-        raise TypeError(f"cannot evaluate {type(node).__name__}")
+        elif node.func == "sqrt":
+            check(a <= 0.0, "sqrt of a non-positive argument", node)
+            v = np.sqrt(a)
+        else:
+            with np.errstate(over="ignore"):
+                v = np.exp(a)
+        if kind in (Mul, Div, Pow) or kind is Call and node.func == "exp":
+            if not np.isfinite(v).all():
+                check(~np.isfinite(v), "non-finite value", node)
+        return v, np.maximum(scale, np.abs(v))
 
-    values, scale = ev(e)
+    uses = {id(e): 0}       # parent edges into each node
+    order: list[Expr] = []  # distinct nodes, each after its children
+
+    def visit(node: Expr) -> None:
+        for child in _children(node):
+            uses[id(child)] = uses.get(id(child), 0) + 1
+            if uses[id(child)] == 1:
+                visit(child)
+        order.append(node)
+
+    visit(e)
+    results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for node in order:
+        children = _children(node)
+        results[id(node)] = ev(node, [results[id(c)] for c in children])
+        for child in children:
+            uses[id(child)] -= 1
+            if not uses[id(child)]:
+                del results[id(child)]
+    values, scale = results[id(e)]
     if single:
         return values[0], scale[0]
     return values, scale

@@ -29,6 +29,10 @@ defining shapes of the two trace-form components and the Reeb-square
 component, leaving the fourth as remainder; the remainder is then audited
 against the shape identities it must satisfy, so a tensor outside the
 modeled direct sum is detected rather than silently projected.
+
+Contractions go through structure.contract (einsum's summation order, bit
+for bit, point axis innermost). Symbolic fields are differentiated once per
+analysis and evaluated afresh each time; no sample array outlives its call.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Expr, diff, evaluate_with_scale
-from .structure import ApctStructure, Frame, dot, max_abs
+from .structure import ApctStructure, Frame, contract, dot, max_abs
 from .walker import metric_arrays
 
 _AXES = ("x", "y", "z")
@@ -145,10 +149,10 @@ def _connection_route(frame: Frame) -> np.ndarray:
     """
     nabla_phi = (
         frame.phi_d
-        + np.einsum("...lam,...mb->...alb", frame.gamma, frame.phi_mat)
-        - np.einsum("...lm,...mab->...alb", frame.phi_mat, frame.gamma)
+        + contract("...lam,...mb->...alb", frame.gamma, frame.phi_mat)
+        - contract("...lm,...mab->...alb", frame.phi_mat, frame.gamma)
     )
-    return np.einsum("...alb,...lc->...abc", nabla_phi, frame.g)
+    return contract("...alb,...lc->...abc", nabla_phi, frame.g)
 
 
 @dataclass(frozen=True)
@@ -176,11 +180,12 @@ class FTensorValue:
         self.reeb_square.setflags(write=False)
 
 
-def _trace_forms(frame: Frame, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _trace_forms(ginv: np.ndarray, phi: np.ndarray,
+                 F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """theta and theta* on the coordinate fields, contracted out of F."""
-    theta = np.einsum("...ij,...ijc->...c", frame.ginv, F)
-    mixed = np.einsum("...ij,...mj->...im", frame.ginv, frame.phi_mat)
-    return theta, np.einsum("...im,...imc->...c", mixed, F)
+    theta = contract("...ij,...ijc->...c", ginv, F)
+    mixed = contract("...ij,...mj->...im", ginv, phi)
+    return theta, contract("...im,...imc->...c", mixed, F)
 
 
 def f_tensor_at(S: ApctStructure, point) -> FTensorValue:
@@ -188,9 +193,9 @@ def f_tensor_at(S: ApctStructure, point) -> FTensorValue:
     coord = _coordinate_route(frame)
     conn = _connection_route(frame)
     discrepancy = max_abs(coord - conn, 3) / (1.0 + frame.scale)
-    theta, theta_star = _trace_forms(frame, coord)
+    theta, theta_star = _trace_forms(frame.ginv, frame.phi_mat, coord)
     xi = frame.xi_vec
-    reeb_square = np.einsum("...i,...j,...ijc->...c", xi, xi, coord)
+    reeb_square = contract("...i,...j,...ijc->...c", xi, xi, coord)
     return FTensorValue(
         frame.point, coord, dot(theta, xi), dot(theta_star, xi),
         reeb_square, discrepancy,
@@ -215,7 +220,7 @@ def theta_forms(S: ApctStructure, point,
                 tensor: FTensorValue | None = None) -> TraceForms:
     frame = S.frame(point, order=1)
     t = tensor or f_tensor_at(S, point)
-    theta, theta_star = _trace_forms(frame, t.components)
+    theta, theta_star = _trace_forms(frame.ginv, frame.phi_mat, t.components)
     closed = evaluate_with_scale(theta_xi_field(S), frame.points)[0]
     closed_star = evaluate_with_scale(theta_star_xi_field(S), frame.points)[0]
     discrepancy = np.maximum(abs(t.theta_xi - closed),
@@ -240,9 +245,9 @@ def eta_wedge_fundamental(frame: Frame) -> np.ndarray:
 
 def _eta_wedge(eta: np.ndarray, ew: np.ndarray) -> np.ndarray:
     return (
-        np.einsum("...i,...jk->...ijk", eta, ew)
-        + np.einsum("...j,...ki->...ijk", eta, ew)
-        + np.einsum("...k,...ij->...ijk", eta, ew)
+        contract("...i,...jk->...ijk", eta, ew)
+        + contract("...j,...ki->...ijk", eta, ew)
+        + contract("...k,...ij->...ijk", eta, ew)
     )
 
 
@@ -268,12 +273,12 @@ class ExteriorData:
 def _contractions(F: np.ndarray, phi: np.ndarray, xi: np.ndarray):
     """d(eta), Lie_xi g, nabla(eta) and d(fundamental), contracted out of
     F; the first three through F(d_i, phi d_j, xi)."""
-    contracted = np.einsum("...imc,...mj,...c->...ij", F, phi, xi)
+    contracted = contract("...imc,...mj,...c->...ij", F, phi, xi)
     return (
         0.5 * (contracted.swapaxes(-1, -2) - contracted),
         -contracted - contracted.swapaxes(-1, -2),
         -contracted,
-        F + np.einsum("...abc->...bca", F) + np.einsum("...abc->...cab", F),
+        F + np.moveaxis(F, -3, -1) + np.moveaxis(F, -1, -3),
     )
 
 
@@ -291,15 +296,11 @@ def exterior_data_at(S: ApctStructure, point,
 
     # d of the fundamental 2-form w: (dw)_ijk = d_i w_jk - d_j w_ik + d_k w_ij.
     # Only g_33 varies, so d_a w_jk picks up phi^3_j f_a on k = 3.
-    dw = np.einsum("...alj,...lk->...ajk", frame.phi_d, frame.g)
+    dw = contract("...alj,...lk->...ajk", frame.phi_d, frame.g)
     f_d = np.stack([frame.f.derivative(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))],
                    axis=-1)
-    dw[..., 2] += np.einsum("...j,...a->...aj", frame.phi_mat[..., 2, :], f_d)
-    d_fund = (
-        dw
-        - np.einsum("...ajk->...jak", dw)
-        + np.einsum("...ajk->...jka", dw)
-    )
+    dw[..., 2] += contract("...j,...a->...aj", frame.phi_mat[..., 2, :], f_d)
+    d_fund = dw - dw.swapaxes(-3, -2) + np.moveaxis(dw, -3, -1)
 
     # structure-tensor routes for the same objects
     routes = zip((d_eta, lie_g, nabla_eta, d_fund),
@@ -330,13 +331,13 @@ def _nijenhuis(phi: np.ndarray, pd: np.ndarray) -> np.ndarray:
     # [phi d_i, phi d_j]^k, using [U, V]^k = u^m d_m v^k - v^m d_m u^k;
     # the phi^2 [d_i, d_j] term of the torsion drops for coordinate fields.
     bracket = (
-        np.einsum("...mi,...mkj->...ijk", phi, pd)
-        - np.einsum("...mj,...mki->...ijk", phi, pd)
+        contract("...mi,...mkj->...ijk", phi, pd)
+        - contract("...mj,...mki->...ijk", phi, pd)
     )
     # -phi [phi d_i, d_j] - phi [d_i, phi d_j]
     correction = (
-        np.einsum("...km,...jmi->...ijk", phi, pd)
-        - np.einsum("...km,...imj->...ijk", phi, pd)
+        contract("...km,...jmi->...ijk", phi, pd)
+        - contract("...km,...imj->...ijk", phi, pd)
     )
     return bracket + correction
 
@@ -346,27 +347,9 @@ def normality_data_at(S: ApctStructure, point,
     frame = S.frame(point, order=1)
     nijenhuis_t = _nijenhuis(frame.phi_mat, frame.phi_d)
     d_eta_mat = (exterior or exterior_data_at(S, point)).d_eta
-    defect = nijenhuis_t - 2.0 * np.einsum("...ij,...k->...ijk", d_eta_mat,
+    defect = nijenhuis_t - 2.0 * contract("...ij,...k->...ijk", d_eta_mat,
                                            frame.xi_vec)
     return NormalityData(frame.point, nijenhuis_t, defect)
-
-
-def d_eta(S: ApctStructure, point,
-          tensor: FTensorValue | None = None) -> np.ndarray:
-    """Exterior derivative of eta at a point, as an antisymmetric matrix."""
-    return exterior_data_at(S, point, tensor).d_eta
-
-
-def d_phi(S: ApctStructure, point,
-          tensor: FTensorValue | None = None) -> np.ndarray:
-    """Exterior derivative of the fundamental 2-form at a point."""
-    return exterior_data_at(S, point, tensor).d_fundamental
-
-
-def lie_xi_g(S: ApctStructure, point,
-             tensor: FTensorValue | None = None) -> np.ndarray:
-    """Lie derivative of the metric along the Reeb field at a point."""
-    return exterior_data_at(S, point, tensor).lie_g
 
 
 def nijenhuis(S: ApctStructure, point, X, Y) -> np.ndarray:
@@ -390,41 +373,39 @@ def _component_arrays(F, xi, eta, phi, g, ginv):
     largest violation of the remainder-shape identities (not yet
     normalized).
     """
-    theta_form = np.einsum("...ij,...ijc->...c", ginv, F)
-    mixed = np.einsum("...ij,...mj->...im", ginv, phi)
-    theta_star_form = np.einsum("...im,...imc->...c", mixed, F)
-    theta_xi = np.einsum("...c,...c->...", theta_form, xi)
-    theta_star_xi = np.einsum("...c,...c->...", theta_star_form, xi)
+    theta_form, theta_star_form = _trace_forms(ginv, phi, F)
+    theta_xi = contract("...c,...c->...", theta_form, xi)
+    theta_star_xi = contract("...c,...c->...", theta_star_form, xi)
 
-    gphiphi = np.einsum("...ai,...ab,...bj->...ij", phi, g, phi)
-    gphi = np.einsum("...ab,...bj->...aj", g, phi)
+    gphiphi = contract("...ai,...ab,...bj->...ij", phi, g, phi)
+    gphi = contract("...ab,...bj->...aj", g, phi)
     f5 = 0.5 * (
-        np.einsum("...,...j,...ik->...ijk", theta_xi, eta, gphiphi)
-        - np.einsum("...,...k,...ij->...ijk", theta_xi, eta, gphiphi)
+        contract("...,...j,...ik->...ijk", theta_xi, eta, gphiphi)
+        - contract("...,...k,...ij->...ijk", theta_xi, eta, gphiphi)
     )
     f6 = -0.5 * (
-        np.einsum("...,...j,...ik->...ijk", theta_star_xi, eta, gphi)
-        - np.einsum("...,...k,...ij->...ijk", theta_star_xi, eta, gphi)
+        contract("...,...j,...ik->...ijk", theta_star_xi, eta, gphi)
+        - contract("...,...k,...ij->...ijk", theta_star_xi, eta, gphi)
     )
-    reeb_square = np.einsum("...i,...j,...ijc->...c", xi, xi, F)
+    reeb_square = contract("...i,...j,...ijc->...c", xi, xi, F)
     f12 = (
-        np.einsum("...i,...j,...k->...ijk", eta, eta, reeb_square)
-        - np.einsum("...i,...k,...j->...ijk", eta, eta, reeb_square)
+        contract("...i,...j,...k->...ijk", eta, eta, reeb_square)
+        - contract("...i,...k,...j->...ijk", eta, eta, reeb_square)
     )
     f10 = F - f5 - f6 - f12
 
     # Remainder audit: the fourth component is characterized by
     # F(X, Y, Z) = -eta(Y) T(X, Z) + eta(Z) T(X, Y) with T = F(., ., xi)
     # symmetric and invariant under (X, Y) -> (phi X, phi Y).
-    t = np.einsum("...ijc,...c->...ij", f10, xi)
+    t = contract("...ijc,...c->...ij", f10, xi)
     recon = (
-        -np.einsum("...j,...ik->...ijk", eta, t)
-        + np.einsum("...k,...ij->...ijk", eta, t)
+        -contract("...j,...ik->...ijk", eta, t)
+        + contract("...k,...ij->...ijk", eta, t)
     )
     axes = tuple(range(-3, 0))
     d_recon = np.abs(f10 - recon).max(axis=axes)
     d_sym = np.abs(t - np.swapaxes(t, -1, -2)).max(axis=(-1, -2))
-    t_phiphi = np.einsum("...ai,...bj,...ab->...ij", phi, phi, t)
+    t_phiphi = contract("...ai,...bj,...ab->...ij", phi, phi, t)
     d_inv = np.abs(t - t_phiphi).max(axis=(-1, -2))
     model_defect = np.maximum(d_recon, np.maximum(d_sym, d_inv))
     parts = {"G5": f5, "G6": f6, "G10": f10, "G12": f12}
@@ -574,7 +555,7 @@ def d_fundamental_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
 
 def fundamental_form_batch(batch: ComponentBatch) -> np.ndarray:
     """g(phi ., .) over a batch."""
-    return np.einsum("nlj,nlk->njk", batch.frames.phi, batch.frames.g)
+    return contract("...lj,...lk->...jk", batch.frames.phi, batch.frames.g)
 
 
 def eta_wedge_fundamental_batch(batch: ComponentBatch) -> np.ndarray:
@@ -582,33 +563,18 @@ def eta_wedge_fundamental_batch(batch: ComponentBatch) -> np.ndarray:
     return _eta_wedge(batch.frames.eta, fundamental_form_batch(batch))
 
 
-def _gradient_batch(e: Expr, pts: np.ndarray) -> np.ndarray:
-    """out[n, a] = d_a e at the n-th point, by symbolic differentiation."""
-    return np.stack([evaluate_with_scale(diff(e, axis), pts)[0]
-                     for axis in _AXES], axis=-1)
-
-
-def phi_derivative_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
-    """First partials of the phi entries over a batch: out[n, a, i, j] is
-    d_a phi^i_j at the n-th point."""
-    pts = batch.frames.points
-    return np.stack([
-        np.stack([_gradient_batch(e, pts) for e in row], axis=-1)
-        for row in S.phi
-    ], axis=-2)
-
-
-def nijenhuis_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
-    """Nijenhuis torsion of phi on coordinate fields over a batch;
-    out[n, i, j, k] is the k-th component of N(d_i, d_j)."""
-    return _nijenhuis(batch.frames.phi, phi_derivative_batch(S, batch))
+def _gradients(fields, pts: np.ndarray) -> np.ndarray:
+    """out[n, a, k] = d_a of the k-th field at the n-th point, by symbolic
+    differentiation."""
+    return np.stack([np.stack([evaluate_with_scale(diff(e, axis), pts)[0]
+                               for axis in _AXES], axis=-1)
+                     for e in fields], axis=-1)
 
 
 def d_eta_coordinate_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
     """d(eta) over a batch by the coordinate route (antisymmetrized partials
     of the symbolic eta entries), independent of the structure tensor."""
-    pts = batch.frames.points
-    eta_d = np.stack([_gradient_batch(e, pts) for e in S.eta], axis=-1)
+    eta_d = _gradients(S.eta, batch.frames.points)
     return 0.5 * (eta_d - np.transpose(eta_d, (0, 2, 1)))
 
 
@@ -618,6 +584,8 @@ def normality_defect_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarra
     Both ingredients come from coordinate routes (partials of phi and eta),
     so this stays independent of the structure-tensor pipeline.
     """
-    nij = nijenhuis_batch(S, batch)
+    # phi_d[n, a, i, j] = d_a phi^i_j
+    phi_d = _gradients([e for row in S.phi for e in row], batch.frames.points)
+    nij = _nijenhuis(batch.frames.phi, phi_d.reshape(-1, 3, 3, 3))
     de = d_eta_coordinate_batch(S, batch)
-    return nij - 2.0 * np.einsum("nij,nk->nijk", de, batch.frames.xi)
+    return nij - 2.0 * contract("...ij,...k->...ijk", de, batch.frames.xi)

@@ -11,6 +11,7 @@ Each operation acts on whole rows in one order, so a batch row is bit for
 bit the single-point jet: products accumulate `out[gamma] += a[alpha] *
 b[beta]` from 0.0 in a fixed split order, and the exp and reciprocal tables
 call math.exp and Python `**` per point (numpy rounds differently).
+Jets are not memoized: nothing evaluated here is kept between calls.
 
 `eval_jet` propagates jets bottom-up through an expression AST, so every
 partial derivative up to the requested order comes out of one pass, with no

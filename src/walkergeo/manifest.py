@@ -22,10 +22,11 @@ before any geometry runs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ManifestError, ParseError
+from .errors import InputError, ManifestError, ParseError
 from .expressions import Expr, parse
 from .sampling import Domain, Interval, SamplingConfig
 from .structure import ApctStructure, build_structure
@@ -91,25 +92,35 @@ def _parse_interval(value: str, key: str, line: int) -> Interval:
         raise ManifestError(
             f"{key} is empty: [{lo}, {hi}]", line=line
         )
+    if not hi - lo <= sys.float_info.max:
+        raise ManifestError(
+            f"{key} must span a finite width, got {value!r}", line=line
+        )
     return Interval(lo, hi)
 
 
 def _parse_fraction(value: str, key: str, line: int) -> Fraction:
     try:
-        return Fraction(value.strip())
+        q = Fraction(value.strip())
     except (ValueError, ZeroDivisionError):
         raise ManifestError(
             f"{key} must be a rational number (like 2, -1/3, or 0.25), "
             f"got {value!r}", line=line,
         ) from None
+    if abs(q) > sys.float_info.max:
+        raise ManifestError(f"{key} is too large for a float, got {value!r}",
+                            line=line)
+    return q
 
 
-def _parse_int(value: str, key: str, line: int) -> int:
+def _parse_number(kind, value: str, key: str, line: int):
+    """int(value) or float(value), as `kind` says."""
     try:
-        return int(value.strip())
+        return kind(value.strip())
     except ValueError:
+        what = "an integer" if kind is int else "a number"
         raise ManifestError(
-            f"{key} must be an integer, got {value!r}", line=line
+            f"{key} must be {what}, got {value!r}", line=line
         ) from None
 
 
@@ -171,7 +182,7 @@ def parse_manifest(text: str) -> Manifest:
     }
 
     value, line = entries["epsilon"]
-    epsilon = _parse_int(value, "epsilon", line)
+    epsilon = _parse_number(int, value, "epsilon", line)
     if epsilon not in (1, -1):
         raise ManifestError(
             f"epsilon must be 1 or -1, got {epsilon}", line=line
@@ -200,37 +211,15 @@ def parse_manifest(text: str) -> Manifest:
     )
     domain = Domain(intervals, positive=positive, nonzero=nonzero)
 
-    samples = 64
-    if "samples" in entries:
-        samples = _parse_int(
-            entries["samples"][0], "samples", entries["samples"][1]
-        )
-        if samples <= 0:
-            raise ManifestError(
-                f"samples must be positive, got {samples}",
-                line=entries["samples"][1],
-            )
-    seed = 42
-    if "seed" in entries:
-        seed = _parse_int(entries["seed"][0], "seed", entries["seed"][1])
-        if seed < 0:
-            raise ManifestError(
-                f"seed must be nonnegative, got {seed}",
-                line=entries["seed"][1],
-            )
-    tol = 1e-9
-    if "tol" in entries:
-        value, line = entries["tol"]
-        try:
-            tol = float(value)
-        except ValueError:
-            raise ManifestError(
-                f"tol must be a number, got {value!r}", line=line
-            ) from None
-        if not 0.0 < tol < 1.0:
-            raise ManifestError(
-                f"tol must be strictly between 0 and 1, got {tol}", line=line
-            )
+    controls = {}
+    for key, kind in (("samples", int), ("seed", int), ("tol", float)):
+        if key in entries:
+            value, line = entries[key]
+            controls[key] = _parse_number(kind, value, key, line)
+            try:
+                SamplingConfig().with_overrides(**{key: controls[key]})
+            except InputError as exc:
+                raise ManifestError(str(exc), line=line) from None
 
     return Manifest(
         name=entries["name"][0],
@@ -241,7 +230,7 @@ def parse_manifest(text: str) -> Manifest:
         f=f,
         xi=tuple(xi),
         domain=domain,
-        sampling=SamplingConfig(samples=samples, seed=seed, tol=tol),
+        sampling=SamplingConfig(**controls),
     )
 
 

@@ -16,11 +16,13 @@ import numpy as np
 
 from .classify import ClassVerdict, NAMED_CLASSES, named_classes
 from .curvature import curvature_equivalences, sectional_curvatures
-from .expressions import diff, evaluate_with_scale, to_source
+from .expressions import evaluate_with_scale, gradient, to_source
 from .ftensor import exterior_data_at, f_tensor_at, project_components, theta_forms
-from .sampling import SamplingConfig, is_identically_zero
+from .sampling import SamplingConfig, analyzed, is_identically_zero
 from .structure import ApctStructure, unit_constraint_field, validate_axioms
-from .walker import flatness, is_strict_walker, scalar_curvature_field, segre_type
+from .walker import (
+    is_strict_walker, scalar_curvature_field, segre_type, shared_flatness,
+)
 
 __all__ = ["ClassificationReport", "build_report"]
 
@@ -141,10 +143,10 @@ def _pick_direction(S: ApctStructure, point):
     return last
 
 
+@analyzed
 def build_report(S: ApctStructure,
                  cfg: SamplingConfig | None = None,
                  name: str = "structure") -> ClassificationReport:
-    cfg = cfg or S.config
     pts = S.sample_points(cfg)
     rep_point = tuple(float(c) for c in pts[0])
     failures: list[dict] = []
@@ -226,11 +228,8 @@ def build_report(S: ApctStructure,
 
     # curvature
     scal_field = scalar_curvature_field(S.manifold)
-    scal_partials = [
-        is_identically_zero(diff(scal_field, v), S.domain, cfg)
-        for v in ("x", "y", "z")
-    ]
-    scal_constant = all(v.is_zero for v in scal_partials)
+    scal_constant = all(is_identically_zero(d, S.domain, cfg).is_zero
+                        for d in gradient(scal_field))
     scal_values, _ = evaluate_with_scale(scal_field, pts)
     scal = {
         "expression": to_source(scal_field),
@@ -239,7 +238,7 @@ def build_report(S: ApctStructure,
         "sample_range": [float(scal_values.min()), float(scal_values.max())],
     }
 
-    flat = flatness(S.manifold, cfg)
+    flat = shared_flatness(S.manifold, cfg)
     segre = segre_type(S.manifold, rep_point, cfg)
     equiv = curvature_equivalences(S, cfg)
     ee = equiv.eta_einstein

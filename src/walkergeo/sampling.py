@@ -11,18 +11,19 @@ domain: an expression is ZERO when at every sampled point its magnitude is
 at most tol * (1 + scale), where scale is the largest magnitude any
 subexpression attained there. Dividing by the scale keeps the test honest
 for cancellation-heavy identities. A NONZERO verdict carries the first
-witness point.
+witness point. Within one analysis (`analyzed`) each field is tested once.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
-from .errors import EmptyDomainError, EvaluationError
-from .expressions import Expr, evaluate_with_scale
+from .errors import EmptyDomainError, EvaluationError, InputError
+from .expressions import Expr, Num, derivative_scope, evaluate_with_scale
 
 # Constraint margin: rejected points are those within this relative distance
 # of a constraint's singular locus, so later evaluation stays well scaled.
@@ -41,6 +42,14 @@ class Interval:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
 
+# What each sampling control must be: (test, requirement).
+_CONTROLS = {
+    "samples": (lambda v: v > 0, "positive"),
+    "seed": (lambda v: v >= 0, "nonnegative"),
+    "tol": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
+}
+
+
 @dataclass(frozen=True, slots=True)
 class SamplingConfig:
     samples: int = 64
@@ -48,11 +57,15 @@ class SamplingConfig:
     tol: float = 1e-9
 
     def with_overrides(self, samples=None, seed=None, tol=None) -> "SamplingConfig":
-        return SamplingConfig(
-            samples=self.samples if samples is None else samples,
-            seed=self.seed if seed is None else seed,
-            tol=self.tol if tol is None else tol,
-        )
+        """Copy with the given controls replaced; a value a manifest may
+        not hold either is an InputError."""
+        given = {"samples": samples, "seed": seed, "tol": tol}
+        for key, value in given.items():
+            test, requirement = _CONTROLS[key]
+            if value is not None and not test(value):
+                raise InputError(f"{key} must be {requirement}, got {value}")
+        return SamplingConfig(**{key: getattr(self, key) if value is None
+                                 else value for key, value in given.items()})
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,15 +73,6 @@ class Domain:
     intervals: tuple[Interval, Interval, Interval]
     positive: tuple[Expr, ...] = ()
     nonzero: tuple[Expr, ...] = ()
-
-    @classmethod
-    def box(cls, x: tuple[float, float], y: tuple[float, float],
-            z: tuple[float, float], positive=(), nonzero=()) -> "Domain":
-        return cls(
-            intervals=(Interval(*x), Interval(*y), Interval(*z)),
-            positive=tuple(positive),
-            nonzero=tuple(nonzero),
-        )
 
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
@@ -184,10 +188,81 @@ def zero_verdict_from_samples(values: np.ndarray, scales, pts: np.ndarray,
     )
 
 
+class Analysis:
+    """What one analysis of a structure has worked out (see `analyzed`):
+    results of `once`, and a structural number for each field node seen."""
+
+    def __init__(self, structure):
+        self.structure = structure
+        self.results: dict[tuple, tuple] = {}            # key -> (owner, result)
+        self.numbers: dict[int, tuple[Expr, int]] = {}   # id -> (node, number)
+        self.shapes: dict[tuple, int] = {}
+
+    def number(self, e: Expr) -> int:
+        """Equal trees get equal numbers; each node is numbered once."""
+        hit = self.numbers.get(id(e))
+        if hit is None:
+            shape = (type(e),) + tuple(
+                self.number(v) if isinstance(v, Expr) else v
+                for v in (getattr(e, name) for name in e.__slots__))
+            hit = self.numbers[id(e)] = (
+                e, self.shapes.setdefault(shape, len(self.shapes)))
+        return hit[1]
+
+
+_ANALYSIS: ContextVar[Analysis | None] = ContextVar("analysis", default=None)
+
+
+def analyzed(run):
+    """Run `run(S, cfg, ...)`, cfg defaulting to S.config, in the analysis
+    of S: the open one, or a new one with its own derivative scope. There
+    `once` builds each verdict (per field, equal trees sharing one) and each
+    shared result once; sample arrays of fields are never kept."""
+    @wraps(run)
+    def within(S, cfg=None, *args, **kwargs):
+        cfg = cfg or S.config
+        active = _ANALYSIS.get()
+        if active is not None and active.structure is S:
+            return run(S, cfg, *args, **kwargs)
+        token = _ANALYSIS.set(Analysis(S))
+        try:
+            with derivative_scope():
+                return run(S, cfg, *args, **kwargs)
+        finally:
+            _ANALYSIS.reset(token)
+    return within
+
+
+def once(owner, name: str, domain: Domain, cfg: SamplingConfig, build):
+    """build(), once per (owner, name, cfg) in the open analysis of a
+    structure on `domain`: an Expr owner by structure, any other by
+    identity. Without such an analysis, every time."""
+    analysis = _ANALYSIS.get()
+    if analysis is None or analysis.structure.domain is not domain:
+        return build()
+    key = (analysis.number(owner) if isinstance(owner, Expr) else id(owner),
+           name, cfg)
+    if key not in analysis.results:
+        analysis.results[key] = (owner, build())
+    return analysis.results[key][1]
+
+
+def release(owner, name: str, cfg: SamplingConfig) -> None:
+    """Drop a result of `once` that no later step needs (sample arrays)."""
+    if _ANALYSIS.get() is not None:
+        _ANALYSIS.get().results.pop((id(owner), name, cfg), None)
+
+
 def is_identically_zero(e: Expr, domain: Domain,
                         cfg: SamplingConfig = SamplingConfig()) -> ZeroVerdict:
     """Sampled zero test of a symbolic field over a domain."""
+    return once(e, "zero", domain, cfg, lambda: _zero_test(e, domain, cfg))
+
+
+def _zero_test(e: Expr, domain: Domain, cfg: SamplingConfig) -> ZeroVerdict:
     pts = domain.sample(cfg)
+    if isinstance(e, Num) and e.value == 0:
+        return ZeroVerdict(True, 0.0)     # what evaluating the literal 0 gives
     values, scales = evaluate_with_scale(e, pts)
     return zero_verdict_from_samples(values, scales, pts, cfg.tol)
 
@@ -211,6 +286,12 @@ def nonvanishing(e: Expr, domain: Domain,
     Used for conditions of the form 'quantity != 0' (e.g. a denominator or a
     coefficient that a classification requires to be nonzero).
     """
+    return once(e, "nonvanishing", domain, cfg,
+                lambda: _nonvanishing(e, domain, cfg))
+
+
+def _nonvanishing(e: Expr, domain: Domain,
+                  cfg: SamplingConfig) -> NonvanishingVerdict:
     pts = domain.sample(cfg)
     values, scales = evaluate_with_scale(e, pts)
     residuals = np.abs(values) / (1.0 + scales)

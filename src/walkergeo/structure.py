@@ -23,12 +23,16 @@ g(phi X, Y) = -g(X, phi Y), g(xi, xi) = 1, plus the derived ones
 
 A Frame bundles jets of f, xi, eta, and phi over a batch of points (one per
 analysis) or at one point (the pointwise API), with the numeric arrays every
-tensor operation needs; frames are cached per structure.
+tensor operation needs; frames are cached per structure. Contractions run
+through `contract` (einsum's summation order, point axis innermost); the
+analysis of a report memoizes verdicts and expression nodes, never arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,6 +70,67 @@ def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def max_abs(a: np.ndarray, axes: int) -> np.ndarray:
     """Largest |entry| over the trailing `axes` axes, per point."""
     return np.abs(a).max(axis=tuple(range(-axes, 0)))
+
+
+@lru_cache(maxsize=None)
+def _contraction_plan(subscripts: str, lead: int):
+    """Per operand (axis order, summed axes, output axes of its view), the
+    axis order back to point-first, and the terms (each operand's summed
+    indices) in sum groups."""
+    inputs, out = subscripts.replace("...", "").split("->")
+    inputs = inputs.split(",")
+    summed = [c for c in dict.fromkeys("".join(inputs)) if c not in out]
+    groups = [list(itertools.product(range(3), repeat=len(summed)))]
+    if summed and all(s[-1] == summed[-1] for s in inputs if summed[-1] in s):
+        both = len(inputs) == 2 and all(summed[-1] in s for s in inputs)
+        groups = [[head + (c,) for c in ((0, 2, 1) if both else (0, 1, 2))]
+                  for head in itertools.product(range(3), repeat=len(summed) - 1)]
+    views = [([lead + s.index(c) for c in summed + list(out) if c in s]
+              + list(range(lead)), sum(c in s for c in summed),
+              tuple(3 if c in s else 1 for c in out)) for s in inputs]
+    back = list(range(len(out), len(out) + lead)) + list(range(len(out)))
+    return views, back, [[[tuple(term[summed.index(c)] for c in summed if c in s)
+                           for s in inputs] for term in group] for group in groups]
+
+
+def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """np.einsum(subscripts, *operands), bit for bit, for two or more
+    operands with the same leading point axes (`...`) and axes of length 3.
+
+    The point axis runs innermost: each operand is viewed in (summed,
+    output, point) axis order, uncopied, and each term is one in-place
+    product over (output, point) axes; the full product tensor is never
+    formed. The arithmetic is einsum's: factors multiply left to right in
+    operand order; every sum starts from +0.0 (a lone -0.0 product gives
+    +0.0); summed labels run in order of first appearance, the last
+    fastest, adding terms one by one, unless the last summed label is the
+    last axis of every operand that has it: then each run over it is
+    summed apart (terms 0, 2, 1 when both of two operands have it, else 0,
+    1, 2) and the run sums are added in turn.
+    """
+    lead_shape = operands[0].shape[:operands[0].ndim - len(
+        subscripts.split(",", 1)[0].replace("...", ""))]
+    plan, back, groups = _contraction_plan(subscripts, len(lead_shape))
+    views = [op.transpose(axes).reshape((3,) * summed + outs + lead_shape)
+             for op, (axes, summed, outs) in zip(operands, plan)]
+    scratch = np.empty(np.broadcast_shapes(*(o for _, _, o in plan)) + lead_shape)
+    total = None
+    for group in groups:
+        part = None
+        for term in group:
+            np.multiply(views[0][term[0]], views[1][term[1]], out=scratch)
+            for view, index in zip(views[2:], term[2:]):
+                np.multiply(scratch, view[index], out=scratch)
+            if part is None:
+                part = scratch + 0.0
+            else:
+                part += scratch
+        if total is None:
+            total = part
+        else:
+            total += part
+    scratch = None      # freed before the result is laid out point-first
+    return total.transpose(back).copy()
 
 
 class Frame:
@@ -129,7 +194,7 @@ class Frame:
 
     def nabla_xi_matrix(self) -> np.ndarray:
         """nab[i, k] = k-th component of nabla_{d_i} xi."""
-        return self.xi_d + np.einsum("...kim,...m->...ik", self.gamma, self.xi_vec)
+        return self.xi_d + contract("...kim,...m->...ik", self.gamma, self.xi_vec)
 
 
 class ApctStructure:

@@ -28,15 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError, UnsupportedSignatureError
-from .expressions import Expr, diff, to_source
+from .expressions import Expr, diff, gradient, to_source
 from .jets import Jet3, eval_jet
 from .sampling import (
-    Domain,
-    NonvanishingVerdict,
-    SamplingConfig,
-    ZeroVerdict,
-    is_identically_zero,
-    nonvanishing,
+    Domain, NonvanishingVerdict, SamplingConfig, ZeroVerdict,
+    is_identically_zero, nonvanishing, once,
 )
 
 
@@ -197,6 +193,15 @@ def ricci_from_jet(jet: Jet3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rho, q, fxx
 
 
+def f_hessian(f: Expr) -> dict[str, Expr]:
+    """f_x, f_y and the second partials f_xx, f_xy, f_yy, symbolically."""
+    fx, fy = diff(f, "x"), diff(f, "y")
+    return {
+        "fx": fx, "fy": fy,
+        "fxx": diff(fx, "x"), "fxy": diff(fx, "y"), "fyy": diff(fy, "y"),
+    }
+
+
 def scalar_curvature_field(M: WalkerManifold) -> Expr:
     """Scalar curvature as a symbolic field: f_xx."""
     return diff(diff(M.f, "x"), "x")
@@ -223,9 +228,7 @@ class FlatnessVerdict:
 
 def flatness(M: WalkerManifold, cfg: SamplingConfig = SamplingConfig()) -> FlatnessVerdict:
     M.require_spacelike_signature()
-    fx = diff(M.f, "x")
-    fy = diff(M.f, "y")
-    fz = diff(M.f, "z")
+    fx, fy, fz = gradient(M.f)
     conditions = {
         "f_xx": is_identically_zero(diff(fx, "x"), M.domain, cfg),
         "f_xy": is_identically_zero(diff(fx, "y"), M.domain, cfg),
@@ -245,6 +248,11 @@ def flatness(M: WalkerManifold, cfg: SamplingConfig = SamplingConfig()) -> Flatn
             f"(curvature route: {flat}, f_zz route: {alt})"
         )
     return FlatnessVerdict(flat, conditions, alt, note)
+
+
+def shared_flatness(M: WalkerManifold, cfg: SamplingConfig) -> FlatnessVerdict:
+    """flatness(M, cfg), decided once per open analysis."""
+    return once(M, "flatness", M.domain, cfg, lambda: flatness(M, cfg))
 
 
 def is_strict_walker(M: WalkerManifold,
@@ -281,13 +289,11 @@ def segre_type(M: WalkerManifold, point,
     eigenvector (f_xy^2 - f_xx f_yy = 0 != f_xx), or other."""
     M.require_spacelike_signature()
     M.require_inside(point)
-    flat = flatness(M, cfg)
+    flat = shared_flatness(M, cfg)
     if flat.flat:
         return SegreVerdict(kind="flat", eigenvalues=(0.0, 0.0, 0.0))
-    fx = diff(M.f, "x")
-    fxx = diff(fx, "x")
-    fxy = diff(fx, "y")
-    fyy = diff(diff(M.f, "y"), "y")
+    h = f_hessian(M.f)
+    fxx, fxy, fyy = h["fxx"], h["fxy"], h["fyy"]
     discriminant = fxy * fxy - fxx * fyy
     degeneracy = is_identically_zero(discriminant, M.domain, cfg)
     fxx_nonzero = nonvanishing(fxx, M.domain, cfg)

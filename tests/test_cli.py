@@ -83,6 +83,20 @@ def test_sampling_flags_reach_report(capsys, tmp_path):
     assert tree["sampling"] == {"samples": 9, "seed": 77, "tol": 1e-8}
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--samples", "0"), "samples must be positive, got 0"),
+    (("--samples", "-3"), "samples must be positive, got -3"),
+    (("--seed", "-1"), "seed must be nonnegative, got -1"),
+    (("--tol", "nan"), "tol must be strictly between 0 and 1, got nan"),
+    (("--tol", "-1"), "tol must be strictly between 0 and 1, got -1.0"),
+])
+def test_bad_sampling_flags_exit_2_like_the_manifest(capsys, flags, message):
+    status, out, err = run(capsys, "examples", "run", "g0-parallel",
+                           "--report", "machine", *flags)
+    assert (status, out) == (2, "")
+    assert err == f"input error: {message}\n"
+
+
 def test_machine_report_is_deterministic(capsys, tmp_path):
     path = write(tmp_path, PARABOLIC)
     _, first, _ = run(capsys, "analyze", path, "--report", "machine")
@@ -178,6 +192,15 @@ def test_expression_past_the_depth_limit_exits_2(capsys, tmp_path):
     status, out, err = run(capsys, "analyze", path)
     assert status == 2 and out == ""
     assert err.startswith("input error:") and "nests deeper" in err
+
+
+def test_derivatives_nested_past_the_recursion_limit_exit_2(tmp_path):
+    # the third derivative of a 100-level quotient chain is ~990 levels deep
+    chain = "/".join(["x"] * walkergeo.expressions.MAX_DEPTH)
+    path = write(tmp_path, PARABOLIC.replace('"x^2"', f'"{chain}"'))
+    done = run_process("analyze", path)
+    assert done.returncode == 2
+    assert done.stderr == "input error: derived fields nest too deeply\n"
 
 
 def test_consistency_failure_exits_3(capsys, tmp_path, monkeypatch):

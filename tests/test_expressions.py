@@ -185,3 +185,10 @@ def test_tree_at_the_depth_limit_gets_through_jets_and_diff(source):
 def test_tree_past_the_depth_limit_is_a_parse_error(source):
     with pytest.raises(ParseError, match="nests deeper"):
         parse(source)
+
+
+@pytest.mark.parametrize("source", ["1" + "0" * 400, "x^" + "9" * 400],
+                         ids=["literal", "exponent"])
+def test_number_beyond_float_range_is_a_parse_error(source):
+    with pytest.raises(ParseError, match="number too large for a float"):
+        parse(source)

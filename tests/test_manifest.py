@@ -112,6 +112,10 @@ def test_missing_required_key_has_no_line():
     ("f = \"x +\"", "f does not parse"),
     ("xi2 = \"q\"", "xi2 does not parse"),
     ("const.C = z", "const.C must be a rational number"),
+    ("const.C = 1e400", "const.C is too large for a float, got '1e400'"),
+    ("domain.x = [0, 1e400]", "domain.x must span a finite width"),
+    ("domain.x = [-1e308, 1e308]", "domain.x must span a finite width"),
+    ("f = \"1" + "0" * 400 + "\"", "number too large for a float"),
 ])
 def test_value_level_errors(replacement, fragment):
     key = replacement.split("=")[0].strip().split()[0]
