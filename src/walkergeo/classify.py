@@ -29,7 +29,7 @@ unit constraint, and d(fundamental) has the single essential component
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .expressions import (
@@ -59,8 +59,7 @@ NAMED_CLASSES = (
 
 # --- basic classes -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class BasicClassification:
+class BasicClassification(NamedTuple):
     """Which component shapes the structure tensor carries on the sampled
     domain.
 
@@ -145,8 +144,7 @@ def paracontact_condition_fields(S: ApctStructure) -> tuple[Expr, Expr, Expr]:
     )
 
 
-@dataclass(frozen=True)
-class ParacontactVerdict:
+class ParacontactVerdict(NamedTuple):
     """Whether d(eta) equals the fundamental 2-form.
 
     Decided by symbolic conditions (primary) and by a sampled numeric
@@ -207,8 +205,7 @@ def is_paracontact_metric(S: ApctStructure,
 
 # --- normality ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalityVerdict:
+class NormalityVerdict(NamedTuple):
     """Whether the Nijenhuis-type normality defect vanishes.
 
     class_route reads the answer off the component split (only the two
@@ -277,8 +274,7 @@ def is_normal(S: ApctStructure,
 
 # --- named classes -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class NamedVerdict:
+class NamedVerdict(NamedTuple):
     """Decision for one named class, with a witness point against
     membership when a defining residual produced one."""
 
@@ -290,8 +286,7 @@ class NamedVerdict:
         return self.value
 
 
-@dataclass(frozen=True)
-class RouteDisagreement:
+class RouteDisagreement(NamedTuple):
     """One named decision where two routes returned different answers."""
 
     check: str
@@ -300,8 +295,7 @@ class RouteDisagreement:
     detail: str | None = None
 
 
-@dataclass(frozen=True)
-class AlphaReport:
+class AlphaReport(NamedTuple):
     """The function alpha = -theta*(xi)/2 attached to the almost
     alpha-paracosymplectic classes, with its sampled constancy status."""
 
@@ -311,8 +305,7 @@ class AlphaReport:
     gradient_residual: float
 
 
-@dataclass(frozen=True)
-class ClassVerdict:
+class ClassVerdict(NamedTuple):
     """Full classification outcome: basic components plus every named
     class, with all cross-route bookkeeping."""
 
@@ -517,6 +510,7 @@ def named_classes(S: ApctStructure,
 
     _apply_setting_checks(S, cfg, basic, named, crosscheck)
     release(S, "components", cfg)
+    release(pts, "eta_partials", None)
 
     ordered = {name: named[name] for name in NAMED_CLASSES}
     routes_agree = (

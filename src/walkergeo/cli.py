@@ -6,7 +6,9 @@
     walkergeo examples run <name> [same flags]
 
 Exit status: 0 clean analysis, 1 structural rejection (no structure exists
-for the given data), 2 input error, 3 internal consistency failure.
+for the given data), 2 input error, 3 internal consistency failure. Any
+other exception is a defect of the program: it also exits 3, with the one
+line `internal error: <Type>: <message>` on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -110,6 +112,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ConsistencyError as exc:
         sys.stderr.write(f"internal consistency failure: {exc}\n")
+        return 3
+    except Exception as exc:  # last resort: a defect, reported in one line
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 3
 
 

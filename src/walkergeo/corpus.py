@@ -8,7 +8,7 @@ is a complete manifest text; `examples run <name>` analyzes one of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .manifest import Manifest, parse_manifest
@@ -17,8 +17,7 @@ __all__ = ["Fixture", "FIXTURES", "fixture_names", "get_fixture",
            "load_fixture"]
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     description: str
     manifest_text: str

@@ -16,7 +16,7 @@ raises DegenerateInputError with a witness instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ def ricci_residual_fields(S: ApctStructure) -> tuple[Expr, ...]:
     )
 
 
-@dataclass(frozen=True)
-class EtaEinsteinVerdict:
+class EtaEinsteinVerdict(NamedTuple):
     """Outcome of the eta-Einstein test.
 
     When the structure is eta-Einstein, a and b are the constant
@@ -173,8 +172,7 @@ def _xi_versus_null_eigenvector(S: ApctStructure, segre: SegreVerdict,
 
 # --- the equivalence chain ---------------------------------------------------
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Five mutually equivalent curvature statements, decided separately.
 
     flags carries one boolean per statement; all_agree asserts the chain.
@@ -259,8 +257,7 @@ def curvature_equivalences(S: ApctStructure,
 
 # --- sectional curvatures ----------------------------------------------------
 
-@dataclass(frozen=True)
-class SectionalReport:
+class SectionalReport(NamedTuple):
     """Sectional curvatures of the Reeb plane span(X, xi) and the phi-plane
     span(X, phi X) at a point, for X projected onto the kernel of eta.
 
@@ -310,8 +307,7 @@ def sectional_curvatures(S: ApctStructure, X, point) -> SectionalReport:
 
 # --- the eta-Einstein curvature profile --------------------------------------
 
-@dataclass(frozen=True)
-class EtaEinsteinProfile:
+class EtaEinsteinProfile(NamedTuple):
     """Aggregate curvature behavior of an eta-Einstein structure: constant
     nonzero scalar curvature C, Ricci coefficients a = -b = C / 2, zero
     Reeb-plane sectional curvature, constant phi-plane sectional curvature

@@ -20,7 +20,8 @@ leading sign is allowed so that components like -1 can be written directly):
 ASTs are immutable, compare structurally, and hash. `to_source` prints an
 expression so that reparsing reproduces the exact tree (`parse(to_source(e))
 == e` for trees no deeper than MAX_DEPTH); to keep that property the
-printer parenthesizes right operands of same-precedence binary nodes.
+printer parenthesizes right operands of same-precedence binary nodes and
+negated right operands of + and -.
 
 Numeric literals are exact `Fraction`s. The smart constructors used by
 `diff` and by the Python operator overloads only ever produce fractions with
@@ -33,8 +34,8 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Mapping, Union
 
 import numpy as np
@@ -56,10 +57,31 @@ MAX_DEPTH = 100
 _TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 
+_set = object.__setattr__  # fills the slots of a new, then immutable, node
+
+
 class Expr:
-    """Base class for AST nodes; provides arithmetic operator sugar."""
+    """Base class for AST nodes: immutable, equal and hashed by node type and
+    fields (`__match_args__`); provides arithmetic operator sugar."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__match_args__)    # what == and hash see
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self)
+                                 and self._key(self) == other._key(other))
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = (repr(getattr(self, name)) for name in self.__match_args__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -97,69 +119,78 @@ class Expr:
         return to_source(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Num(Expr):
     """Nonnegative rational literal (negatives are Neg-wrapped)."""
 
-    value: Fraction
+    __slots__ = __match_args__ = ("value",)
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction):
+        _set(self, "value",
+             value if isinstance(value, Fraction) else Fraction(value))
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Expr):
     """Named constant bound to a rational value at parse/build time."""
 
-    name: str
-    value: Fraction
+    __slots__ = __match_args__ = ("name", "value")
+
+    def __init__(self, name: str, value: Fraction):
+        _set(self, "name", name)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expr):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+class _Binary(Expr):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+class Div(_Binary):
+    __slots__ = ()
+
+
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = __match_args__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
-@dataclass(frozen=True, slots=True)
 class Call(Expr):
-    func: str
-    arg: Expr
+    __slots__ = __match_args__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: Expr):
+        _set(self, "func", func)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
 
 
 X = Var("x")
@@ -275,7 +306,7 @@ def variables(e: Expr) -> frozenset[str]:
 
 
 def _children(node: Expr) -> tuple[Expr, ...]:
-    if isinstance(node, (Add, Sub, Mul, Div)):
+    if isinstance(node, _Binary):
         return (node.left, node.right)
     if isinstance(node, Pow):
         return (node.base,)
@@ -429,7 +460,9 @@ def _decimal(q: Fraction) -> str:
 
 
 def to_source(e: Expr) -> str:
-    """Render an AST to source text that reparses to the identical tree."""
+    """Render an AST to source text that reparses to the identical tree. A
+    tree deeper than MAX_DEPTH (such as a derivative of a deep input) still
+    prints, but its text does not reparse."""
 
     def wrap(child: Expr, minimum: int) -> str:
         text = to_source(child)
@@ -444,9 +477,9 @@ def to_source(e: Expr) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Add):
-        return f"{wrap(e.left, _PREC_ADD)} + {wrap(e.right, _PREC_ADD + 1)}"
+        return f"{wrap(e.left, _PREC_ADD)} + {wrap(e.right, _PREC_NEG + 1)}"
     if isinstance(e, Sub):
-        return f"{wrap(e.left, _PREC_ADD)} - {wrap(e.right, _PREC_ADD + 1)}"
+        return f"{wrap(e.left, _PREC_ADD)} - {wrap(e.right, _PREC_NEG + 1)}"
     if isinstance(e, Mul):
         return f"{wrap(e.left, _PREC_MUL)} * {wrap(e.right, _PREC_MUL + 1)}"
     if isinstance(e, Div):
@@ -464,11 +497,13 @@ def to_source(e: Expr) -> str:
 # Parsing
 
 
-@dataclass(frozen=True, slots=True)
 class _Token:
-    kind: str  # 'num', 'ident', 'op', 'end'
-    text: str
-    position: int
+    __slots__ = ("kind", "text", "position")
+
+    def __init__(self, kind: str, text: str, position: int):
+        self.kind = kind  # 'num', 'ident', 'op', 'end'
+        self.text = text
+        self.position = position
 
 
 def _tokenize(source: str) -> list[_Token]:

@@ -32,16 +32,18 @@ modeled direct sum is detected rather than silently projected.
 
 Contractions go through structure.contract (einsum's summation order, bit
 for bit, point axis innermost). Symbolic fields are differentiated once per
-analysis and evaluated afresh each time; no sample array outlives its call.
+analysis and evaluated afresh each time, except the eta partials, which
+the normality and named-class routes share until the classification ends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .expressions import Expr, diff, evaluate_with_scale
+from .sampling import once
 from .structure import ApctStructure, Frame, contract, dot, max_abs
 from .walker import metric_arrays
 
@@ -155,10 +157,10 @@ def _connection_route(frame: Frame) -> np.ndarray:
     return contract("...alb,...lc->...abc", nabla_phi, frame.g)
 
 
-@dataclass(frozen=True)
 class FTensorValue:
-    """Numeric structure tensor at a point; given (n, 3) points, this and
-    every value object below holds them in point and gains a leading axis.
+    """Numeric structure tensor at a point, its arrays read-only; given
+    (n, 3) points, this and every value object below holds them in point
+    and gains a leading axis.
 
     components[a, b, c] = F(d_a, d_b, d_c) by the coordinate formula;
     route_discrepancy is the largest difference against the connection
@@ -168,16 +170,23 @@ class FTensorValue:
     cached here.
     """
 
-    point: tuple[float, float, float]
-    components: np.ndarray
-    theta_xi: float
-    theta_star_xi: float
-    reeb_square: np.ndarray
-    route_discrepancy: float
+    __slots__ = ("point", "components", "theta_xi", "theta_star_xi",
+                 "reeb_square", "route_discrepancy")
 
-    def __post_init__(self):
-        self.components.setflags(write=False)
-        self.reeb_square.setflags(write=False)
+    def __init__(self, point: tuple[float, float, float],
+                 components: np.ndarray, theta_xi: float, theta_star_xi: float,
+                 reeb_square: np.ndarray, route_discrepancy: float):
+        components.setflags(write=False)
+        reeb_square.setflags(write=False)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "theta_xi", theta_xi)
+        object.__setattr__(self, "theta_star_xi", theta_star_xi)
+        object.__setattr__(self, "reeb_square", reeb_square)
+        object.__setattr__(self, "route_discrepancy", route_discrepancy)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def _trace_forms(ginv: np.ndarray, phi: np.ndarray,
@@ -202,8 +211,7 @@ def f_tensor_at(S: ApctStructure, point) -> FTensorValue:
     )
 
 
-@dataclass(frozen=True)
-class TraceForms:
+class TraceForms(NamedTuple):
     """theta and theta* at a point, on coordinate fields and on the Reeb
     field, with the discrepancy between contraction and expanded-formula
     routes."""
@@ -251,8 +259,7 @@ def _eta_wedge(eta: np.ndarray, ew: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class ExteriorData:
+class ExteriorData(NamedTuple):
     """d(eta), d(fundamental), Lie_xi g, and nabla(eta) at a point.
 
     Primary components come from the coordinate routes (exterior derivative
@@ -312,8 +319,7 @@ def exterior_data_at(S: ApctStructure, point,
     return ExteriorData(frame.point, d_eta, d_fund, lie_g, nabla_eta, discrepancy)
 
 
-@dataclass(frozen=True)
-class NormalityData:
+class NormalityData(NamedTuple):
     """Nijenhuis torsion of phi on coordinate fields and the normality
     defect; the structure is normal exactly when the defect vanishes.
 
@@ -412,8 +418,7 @@ def _component_arrays(F, xi, eta, phi, g, ginv):
     return parts, theta_xi, theta_star_xi, model_defect
 
 
-@dataclass(frozen=True)
-class ProjectionBundle:
+class ProjectionBundle(NamedTuple):
     """Split of the structure tensor at one point into the component shapes
     a 3-dimensional structure can carry.
 
@@ -459,8 +464,7 @@ def project_components(S: ApctStructure, point,
 
 # --- vectorized evaluation over many points ---------------------------------
 
-@dataclass(frozen=True)
-class FrameBatch:
+class FrameBatch(NamedTuple):
     """Numeric frame data over an (n, 3) array of points."""
 
     points: np.ndarray
@@ -510,8 +514,7 @@ def structure_tensor_batch(S: ApctStructure, pts) -> tuple[np.ndarray, np.ndarra
     return _antisymmetric(coeffs, (n,)), scale
 
 
-@dataclass(frozen=True)
-class ComponentBatch:
+class ComponentBatch(NamedTuple):
     """Component split and associated data over a batch of points."""
 
     frames: FrameBatch
@@ -573,8 +576,11 @@ def _gradients(fields, pts: np.ndarray) -> np.ndarray:
 
 def d_eta_coordinate_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
     """d(eta) over a batch by the coordinate route (antisymmetrized partials
-    of the symbolic eta entries), independent of the structure tensor."""
-    eta_d = _gradients(S.eta, batch.frames.points)
+    of the symbolic eta entries), independent of the structure tensor.
+    The partials are evaluated once per sample array in an open analysis."""
+    pts = batch.frames.points
+    eta_d = once(pts, "eta_partials", S.domain, None,
+                 lambda: _gradients(S.eta, pts))
     return 0.5 * (eta_d - np.transpose(eta_d, (0, 2, 1)))
 
 

@@ -23,8 +23,8 @@ before any geometry runs.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError, ManifestError, ParseError
 from .expressions import Expr, parse
@@ -41,8 +41,7 @@ _REQUIRED = ("name", "epsilon", "f", "xi1", "xi2", "xi3",
              "domain.x", "domain.y", "domain.z")
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     """Parsed manifest: sources plus compiled expressions and domain."""
 
     name: str

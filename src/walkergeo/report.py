@@ -9,8 +9,7 @@ identical data. For a fixed manifest and seed both outputs are byte-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -52,8 +51,7 @@ def _point(p) -> list[float] | None:
     return [float(c) for c in p]
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Full analysis of one structure, as a JSON-ready tree.
 
     failures holds every internal-consistency violation found during the
@@ -75,16 +73,7 @@ class ClassificationReport:
         return 3 if self.failures else 0
 
     def as_tree(self) -> dict:
-        return _plain({
-            "name": self.name,
-            "sampling": self.sampling,
-            "structure_validity": self.structure_validity,
-            "basic_classes": self.basic_classes,
-            "named_classes": self.named_classes,
-            "curvature": self.curvature,
-            "route_agreement": self.route_agreement,
-            "failures": list(self.failures),
-        })
+        return _plain(self._asdict())
 
     def to_json(self) -> str:
         return json.dumps(self.as_tree(), sort_keys=True, indent=2) + "\n"
@@ -308,17 +297,13 @@ def build_report(S: ApctStructure,
         "component_split_max_residual": worst["component_split_residual"],
         "component_model_max_defect": max(0.0, float(pr.model_defect.max())),
         "classification_routes_agree": verdict.routes_agree,
-        "disagreements": [
-            {"check": d.check, "primary": d.primary, "cross": d.cross,
-             "detail": d.detail}
-            for d in verdict.disagreements
-        ],
+        "disagreements": [d._asdict() for d in verdict.disagreements],
         "agree": verdict.routes_agree and not failures,
     }
 
     return ClassificationReport(
         name=name,
-        sampling={"samples": cfg.samples, "seed": cfg.seed, "tol": cfg.tol},
+        sampling=cfg._asdict(),
         structure_validity=structure_validity,
         basic_classes=basic_classes,
         named_classes=named_section,

@@ -17,8 +17,8 @@ witness point. Within one analysis (`analyzed`) each field is tested once.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,14 +32,28 @@ _CONSTRAINT_MARGIN = 1e-7
 _MAX_BATCHES = 200
 
 
-@dataclass(frozen=True, slots=True)
 class Interval:
-    lo: float
-    hi: float
+    """Nonempty closed interval [lo, hi]; immutable, equal by its ends."""
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float):
+        if not lo < hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is Interval and (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
 
 # What each sampling control must be: (test, requirement).
@@ -50,8 +64,7 @@ _CONTROLS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class SamplingConfig:
+class SamplingConfig(NamedTuple):
     samples: int = 64
     seed: int = 42
     tol: float = 1e-9
@@ -64,12 +77,11 @@ class SamplingConfig:
             test, requirement = _CONTROLS[key]
             if value is not None and not test(value):
                 raise InputError(f"{key} must be {requirement}, got {value}")
-        return SamplingConfig(**{key: getattr(self, key) if value is None
-                                 else value for key, value in given.items()})
+        return self._replace(**{key: value for key, value in given.items()
+                                if value is not None})
 
 
-@dataclass(frozen=True, slots=True)
-class Domain:
+class Domain(NamedTuple):
     intervals: tuple[Interval, Interval, Interval]
     positive: tuple[Expr, ...] = ()
     nonzero: tuple[Expr, ...] = ()
@@ -143,8 +155,7 @@ def _sample_cached(domain: Domain, cfg: SamplingConfig) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ZeroVerdict:
+class ZeroVerdict(NamedTuple):
     """Outcome of a sampled zero test.
 
     max_residual is the largest |value| / (1 + scale) seen; for a NONZERO
@@ -204,7 +215,7 @@ class Analysis:
         if hit is None:
             shape = (type(e),) + tuple(
                 self.number(v) if isinstance(v, Expr) else v
-                for v in (getattr(e, name) for name in e.__slots__))
+                for v in (getattr(e, name) for name in e.__match_args__))
             hit = self.numbers[id(e)] = (
                 e, self.shapes.setdefault(shape, len(self.shapes)))
         return hit[1]
@@ -217,7 +228,7 @@ def analyzed(run):
     """Run `run(S, cfg, ...)`, cfg defaulting to S.config, in the analysis
     of S: the open one, or a new one with its own derivative scope. There
     `once` builds each verdict (per field, equal trees sharing one) and each
-    shared result once; sample arrays of fields are never kept."""
+    shared result once; a shared sample array is kept until `release`."""
     @wraps(run)
     def within(S, cfg=None, *args, **kwargs):
         cfg = cfg or S.config
@@ -236,7 +247,8 @@ def analyzed(run):
 def once(owner, name: str, domain: Domain, cfg: SamplingConfig, build):
     """build(), once per (owner, name, cfg) in the open analysis of a
     structure on `domain`: an Expr owner by structure, any other by
-    identity. Without such an analysis, every time."""
+    identity (a sample array owner fixes the config; pass None). Without
+    such an analysis, every time."""
     analysis = _ANALYSIS.get()
     if analysis is None or analysis.structure.domain is not domain:
         return build()
@@ -267,8 +279,7 @@ def _zero_test(e: Expr, domain: Domain, cfg: SamplingConfig) -> ZeroVerdict:
     return zero_verdict_from_samples(values, scales, pts, cfg.tol)
 
 
-@dataclass(frozen=True, slots=True)
-class NonvanishingVerdict:
+class NonvanishingVerdict(NamedTuple):
     """Whether |field| stays above tolerance at every sampled point."""
 
     everywhere: bool

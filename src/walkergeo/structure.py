@@ -31,8 +31,8 @@ analysis of a report memoizes verdicts and expression nodes, never arrays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -282,16 +282,14 @@ def nabla_xi(S: ApctStructure, direction, point) -> np.ndarray:
     return np.asarray(direction, dtype=float) @ frame.nabla_xi_matrix()
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     name: str
     passed: bool
     max_residual: float
     witness: tuple[float, float, float] | None
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     checks: tuple[AxiomCheck, ...]
 
     @property

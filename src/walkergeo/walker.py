@@ -23,7 +23,7 @@ both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,20 +36,23 @@ from .sampling import (
 )
 
 
-@dataclass(frozen=True)
 class TensorValue:
-    """Numeric tensor components at a point.
+    """Numeric tensor components at a point, read-only.
 
     variance = (contravariant, covariant) slot counts. Index layout is
     documented per operation; for curvature, components[i, j, k, l] is the
     l-th component of R(d_i, d_j) d_k.
     """
 
-    components: np.ndarray
-    variance: tuple[int, int]
+    __slots__ = ("components", "variance")
 
-    def __post_init__(self):
-        self.components.setflags(write=False)
+    def __init__(self, components: np.ndarray, variance: tuple[int, int]):
+        components.setflags(write=False)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "variance", variance)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class WalkerManifold:
@@ -207,8 +210,7 @@ def scalar_curvature_field(M: WalkerManifold) -> Expr:
     return diff(diff(M.f, "x"), "x")
 
 
-@dataclass(frozen=True)
-class FlatnessVerdict:
+class FlatnessVerdict(NamedTuple):
     """Curvature-based flatness, with the alternative prose condition.
 
     flat is decided by vanishing of the curvature components (f_xx, f_xy,
@@ -262,8 +264,7 @@ def is_strict_walker(M: WalkerManifold,
     return is_identically_zero(diff(M.f, "x"), M.domain, cfg)
 
 
-@dataclass(frozen=True)
-class SegreVerdict:
+class SegreVerdict(NamedTuple):
     """Algebraic type of the Ricci operator.
 
     kind is 'flat', 'type11_1_degenerate', or 'other'. In the degenerate

@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 
 import walkergeo.expressions as ex
+import walkergeo.ftensor as ftensor
 import walkergeo.sampling as sampling
 import walkergeo.walker as walker
 from walkergeo.cli import main
@@ -71,6 +72,8 @@ def test_each_report_step_runs_once(monkeypatch, name):
                         lambda e, points: e)
     flatness = recording(monkeypatch, walker, "flatness",
                          lambda M, cfg: cfg)
+    gradients = recording(monkeypatch, ftensor, "_gradients",
+                          lambda fields, pts: (tuple(map(id, fields)), id(pts)))
     build_report(S, name=name)
 
     assert derived and max(Counter(derived).values()) == 1
@@ -78,6 +81,10 @@ def test_each_report_step_runs_once(monkeypatch, name):
     assert not [e for e in sampled if isinstance(e, Num) and e.value == 0]
     assert flatness.count(S.config) == 1
     assert max(Counter(flatness).values()) == 1
+    # the coordinate d(eta) is shared by the normality and named-class routes
+    eta_fields = tuple(map(id, S.eta))
+    assert [key for key in gradients if key[0] == eta_fields]
+    assert max(Counter(gradients).values()) == 1
 
 
 def test_quotient_chain_derivatives_are_worked_out_once(monkeypatch):

@@ -214,6 +214,18 @@ def test_consistency_failure_exits_3(capsys, tmp_path, monkeypatch):
     assert err.startswith("internal consistency failure:")
 
 
+def test_unexpected_exception_exits_3_in_one_line(capsys, tmp_path,
+                                                  monkeypatch):
+    def boom(structure, cfg=None, name="structure"):
+        raise ValueError("unexpected shape")
+
+    monkeypatch.setattr("walkergeo.cli.build_report", boom)
+    path = write(tmp_path, PARABOLIC)
+    status, out, err = run(capsys, "analyze", path)
+    assert status == 3 and out == ""
+    assert err == "internal error: ValueError: unexpected shape\n"
+
+
 # ------------------------------------------------------------- report shape
 
 def test_report_exit_status_tracks_failures():

@@ -65,6 +65,31 @@ def test_source_round_trip(source, fn):
     assert np.array_equal(v1, v2)
 
 
+# a negated right operand of + or - prints in parentheses: "x - -y" and
+# "x + -y" are not in the grammar
+NEGATED_RIGHT = {
+    "1/(2*x)-(-y)": "1 / (2 * x) - (-y)",
+    "x + (-y)": "x + (-y)",
+    "x - (-(y*z))": "x - (-y * z)",
+    "x - (-y) + (-(-z))": "x - (-y) + (-(-z))",
+}
+
+
+@pytest.mark.parametrize("source,text", NEGATED_RIGHT.items(),
+                         ids=NEGATED_RIGHT.keys())
+def test_negated_right_operand_round_trips(source, text):
+    e = parse(source)
+    assert to_source(e) == text
+    assert parse(text) == e
+
+
+def test_derivative_with_negated_right_operand_round_trips():
+    partial = diff(parse("x*y + (2 - x*z)"), "x")   # y + (-z)
+    text = to_source(partial)
+    assert text == "y + (-z)"
+    assert parse(text) == partial
+
+
 def test_single_point_evaluation():
     value, scale = evaluate_with_scale(parse("x*y + z"), np.array([2.0, 3.0, 1.0]))
     assert value == 7.0

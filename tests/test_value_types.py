@@ -1,0 +1,135 @@
+"""The value types: NamedTuple records and slotted classes, none of them a
+dataclass, keeping what the rest of the package relies on (immutability,
+structural equality where objects are keys, validation, truthiness,
+read-only arrays)."""
+
+import dataclasses
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import walkergeo
+from walkergeo.classify import NamedVerdict, named_classes
+from walkergeo.corpus import FIXTURES, load_fixture
+from walkergeo.curvature import eta_einstein_check
+from walkergeo.expressions import Add, Num, Sub, Var, parse
+from walkergeo.ftensor import f_tensor_at
+from walkergeo.report import build_report
+from walkergeo.sampling import (
+    Domain, Interval, NonvanishingVerdict, SamplingConfig, ZeroVerdict,
+)
+from walkergeo.walker import SegreVerdict, curvature_at, flatness, metric_at
+
+SRC = str(Path(walkergeo.__file__).resolve().parents[1])
+MODULES = [importlib.import_module(f"walkergeo.{info.name}")
+           for info in pkgutil.iter_modules(walkergeo.__path__)]
+
+
+def test_no_class_of_the_package_is_a_dataclass():
+    classes = {value for module in MODULES for value in vars(module).values()
+               if isinstance(value, type)
+               and value.__module__.startswith("walkergeo")}
+    assert len(classes) > 40
+    assert not [c.__name__ for c in classes if dataclasses.is_dataclass(c)]
+
+
+def test_importing_the_cli_does_not_load_dataclasses():
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, walkergeo.cli; print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout == "False\n"
+
+
+@pytest.fixture(scope="module")
+def structure():
+    return load_fixture("eta-einstein-parabolic").build(samples=8)
+
+
+def test_assigning_a_field_raises(structure):
+    point = structure.sample_points()[0]
+    values = [
+        (parse("x*y + 1"), "left"), (Num(2), "value"), (Var("x"), "name"),
+        (Interval(0.0, 1.0), "lo"), (SamplingConfig(), "samples"),
+        (structure.domain, "positive"), (ZeroVerdict(True, 0.0), "is_zero"),
+        (NamedVerdict(False), "value"),
+        (f_tensor_at(structure, point), "components"),
+        (curvature_at(structure.manifold, point), "variance"),
+        (build_report(structure, name="v"), "failures"),
+    ]
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+
+def test_equal_keys_are_equal_and_hash_equal():
+    source = "x*exp(y - z)/(1 + x^2) - sqrt(y)"
+    a, b = parse(source), parse(source)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert Add(Var("x"), Var("y")) != Sub(Var("x"), Var("y"))
+    assert parse("x + y") != parse("y + x")
+    assert SamplingConfig(16, 5) == SamplingConfig(samples=16, seed=5)
+    assert hash(SamplingConfig(16, 5)) == hash(SamplingConfig(16, 5))
+    assert SamplingConfig(16, 5) != SamplingConfig(16, 6)
+    d1, d2 = (load_fixture(f.name).domain for f in FIXTURES[:1] * 2)
+    assert d1 is not d2 and d1 == d2 and hash(d1) == hash(d2)
+    # equal domains share the cached sample
+    assert d1.sample(SamplingConfig(4)) is d2.sample(SamplingConfig(4))
+    assert Interval(0.5, 2) == Interval(0.5, 2.0)
+    assert hash(Interval(0.5, 2)) == hash(Interval(0.5, 2.0))
+
+
+def test_fields_are_validated_and_coerced():
+    assert type(Num(3).value) is Fraction and Num(3) == Num(Fraction(3))
+    with pytest.raises(ValueError, match="empty interval"):
+        Interval(2.0, 1.0)
+
+
+def test_defaults_and_keywords():
+    assert SamplingConfig() == SamplingConfig(samples=64, seed=42, tol=1e-9)
+    segre = SegreVerdict(kind="flat", eigenvalues=(0.0, 0.0, 0.0))
+    assert segre.max_residual == 0.0 and segre.degeneracy is None
+    verdict = ZeroVerdict(False, 2.0, witness=(1.0, 1.0, 1.0))
+    assert verdict.witness_value is None
+    assert Domain((Interval(0, 1),) * 3).nonzero == ()
+
+
+def test_a_nonempty_verdict_is_false_when_its_decision_is():
+    assert not NamedVerdict(False) and NamedVerdict(True)
+    assert not ZeroVerdict(False, 1.0) and ZeroVerdict(True, 0.0)
+    assert not NonvanishingVerdict(False, 0.0)
+
+
+@pytest.mark.parametrize("name", [f.name for f in FIXTURES])
+def test_verdicts_are_truthy_by_their_decision(name):
+    S = load_fixture(name).build(samples=8)
+    verdict = named_classes(S)
+    flat = flatness(S.manifold)
+    check = eta_einstein_check(S)
+    pairs = [(verdict.paracontact, verdict.paracontact.is_paracontact),
+             (verdict.normality, verdict.normality.is_normal),
+             (flat, flat.flat), (check, check.is_eta_einstein)]
+    pairs += [(v, v.value) for v in verdict.named.values()]
+    for value, decision in pairs:
+        assert bool(value) is bool(decision)
+
+
+def test_tensor_arrays_are_read_only(structure):
+    point = structure.sample_points()[0]
+    tensor = f_tensor_at(structure, point)
+    arrays = [tensor.components, tensor.reeb_square,
+              curvature_at(structure.manifold, point).components,
+              *(t.components for t in metric_at(structure.manifold, point))]
+    for array in arrays:
+        assert isinstance(array, np.ndarray) and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0.0
