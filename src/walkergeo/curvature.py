@@ -28,7 +28,7 @@ from .sampling import (
     zero_verdict_from_samples,
 )
 from .jets import eval_jet
-from .structure import ApctStructure, contract, max_abs, outer
+from .structure import ApctStructure, contract, max_abs, points_first
 from .walker import (
     FlatnessVerdict, SegreVerdict, curvature_at, curvature_from_jet, f_hessian,
     ricci_at, ricci_from_jet, segre_type, shared_flatness,
@@ -207,28 +207,29 @@ def curvature_equivalences(S: ApctStructure,
     allowed = cfg.tol * scales
     scales = scales - 1.0
 
-    commute = max_abs(q @ phi - phi @ q, 2)
-    # R-sized arrays are combined in place, so fewer are alive at once
-    curv_commute = contract("...mk,...ijml->...ijkl", phi, R)
-    curv_commute -= contract("...ijkm,...lm->...ijkl", R, phi)
+    q_first, phi_first = points_first(q, 2), points_first(phi, 2)
+    commute = np.abs(q_first @ phi_first - phi_first @ q_first).max(axis=(1, 2))
+    # R is antisymmetric in its first pair: the commutator's (j, i) block is
+    # minus its (i, j) block and its (i, i) blocks vanish, so the blocks
+    # i < j, as one row, hold its largest entry
+    upper = R[[0, 0, 1], [1, 2, 2]][None]
+    curv_commute = contract("mk...,ijml...->ijkl...", phi, upper)
+    curv_commute -= contract("ijkm...,lm...->ijkl...", upper, phi)
     curv_commute = max_abs(np.abs(curv_commute, out=curv_commute), 4)
     anti = max_abs(
-        contract("...ai,...bj,...ab->...ij", phi, phi, rho) + rho, 2)
-    annihilate = max_abs(contract("...ijkl,...k->...ijl", R, xi), 3)
+        contract("ai...,bj...,ab...->ij...", phi, phi, rho) + rho, 2)
+    annihilate = max_abs(contract("ijkl...,k...->ijl...", R, xi), 3)
 
     flat_pt = r_max <= allowed
-    resid = rho - (0.5 * fxx)[..., None, None] * (g - outer(eta, eta))
+    resid = rho - 0.5 * fxx * (g - eta[:, None] * eta)
     eta_pt = (max_abs(resid, 2) <= allowed) & (abs(fxx) > allowed)
 
     verdicts = {
-        "ricci_operator_commutes_with_phi":
-            zero_verdict_from_samples(commute, scales, pts, cfg.tol),
-        "curvature_commutes_with_phi":
-            zero_verdict_from_samples(curv_commute, scales, pts, cfg.tol),
-        "ricci_anti_invariant_under_phi":
-            zero_verdict_from_samples(anti, scales, pts, cfg.tol),
-        "curvature_annihilates_reeb":
-            zero_verdict_from_samples(annihilate, scales, pts, cfg.tol),
+        name: zero_verdict_from_samples(values, scales, pts, cfg.tol)
+        for name, values in (("ricci_operator_commutes_with_phi", commute),
+                             ("curvature_commutes_with_phi", curv_commute),
+                             ("ricci_anti_invariant_under_phi", anti),
+                             ("curvature_annihilates_reeb", annihilate))
     }
 
     flat = shared_flatness(M, cfg)
@@ -237,22 +238,12 @@ def curvature_equivalences(S: ApctStructure,
         np.all(flat_pt | eta_pt)
         and not flat.flat and not eta_verdict.is_eta_einstein
     )
-    flags = {
-        "ricci_operator_commutes_with_phi":
-            verdicts["ricci_operator_commutes_with_phi"].is_zero,
-        "flat_or_eta_einstein":
-            flat.flat or eta_verdict.is_eta_einstein or mixed,
-        "curvature_commutes_with_phi":
-            verdicts["curvature_commutes_with_phi"].is_zero,
-        "ricci_anti_invariant_under_phi":
-            verdicts["ricci_anti_invariant_under_phi"].is_zero,
-        "curvature_annihilates_reeb":
-            verdicts["curvature_annihilates_reeb"].is_zero,
-    }
-    values = set(flags.values())
-    return EquivalenceReport(
-        flags, verdicts, flat, eta_verdict, mixed, len(values) == 1
-    )
+    # in the chain's order, where the flat-or-eta-Einstein statement is second
+    first, *rest = ((name, v.is_zero) for name, v in verdicts.items())
+    flags = dict([first, ("flat_or_eta_einstein",
+                          flat.flat or eta_verdict.is_eta_einstein or mixed), *rest])
+    return EquivalenceReport(flags, verdicts, flat, eta_verdict, mixed,
+                             len(set(flags.values())) == 1)
 
 
 # --- sectional curvatures ----------------------------------------------------

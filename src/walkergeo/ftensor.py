@@ -30,10 +30,12 @@ component, leaving the fourth as remainder; the remainder is then audited
 against the shape identities it must satisfy, so a tensor outside the
 modeled direct sum is detected rather than silently projected.
 
+Arrays are laid out components first, points last: F over n points is
+(3, 3, 3, n), and a single point has no point axis (see `structure`).
 Contractions go through structure.contract (einsum's summation order, bit
-for bit, point axis innermost). Symbolic fields are differentiated once per
-analysis and evaluated afresh each time, except the eta partials, which
-the normality and named-class routes share until the classification ends.
+for bit). Symbolic fields are differentiated once per analysis and
+evaluated afresh each time, except the eta partials, which the normality
+and named-class routes share until the classification ends.
 """
 
 from __future__ import annotations
@@ -44,10 +46,13 @@ import numpy as np
 
 from .expressions import Expr, diff, evaluate_with_scale
 from .sampling import once
-from .structure import ApctStructure, Frame, contract, dot, max_abs
+from .structure import (
+    ApctStructure, Frame, contract, dot, max_abs, points_first, points_last,
+)
 from .walker import metric_arrays
 
 _AXES = ("x", "y", "z")
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def coefficient_fields(S: ApctStructure) -> tuple[tuple[int, int, int, Expr], ...]:
@@ -111,23 +116,20 @@ def theta_star_xi_field(S: ApctStructure) -> Expr:
 
 def _coordinate_route(frame: Frame) -> np.ndarray:
     """Structure tensor from the nine-coefficient coordinate formula."""
-    f = frame.f
-    fx = f.derivative((1, 0, 0))
-    fy = f.derivative((0, 1, 0))
-    fz = f.derivative((0, 0, 1))
-    fv = f.value
-    xi1, xi2, xi3 = (frame.xi_vec[..., k] for k in range(3))
+    fx, fy, fz = (frame.f.derivative(e) for e in _UNIT)
+    fv = frame.f.value
+    xi1, xi2, xi3 = frame.xi_vec
     d = frame.xi_d  # d[a, k] = d_a xi_{k+1}
     coeffs = (
-        (0, 0, 1, d[..., 0, 2]),
-        (0, 0, 2, -d[..., 0, 1]),
-        (0, 1, 2, d[..., 0, 0] + 0.5 * xi3 * fx),
-        (1, 0, 1, d[..., 1, 2]),
-        (1, 0, 2, -d[..., 1, 1]),
-        (1, 1, 2, d[..., 1, 0] + 0.5 * xi3 * fy),
-        (2, 0, 1, d[..., 2, 2] - 0.5 * xi3 * fx),
-        (2, 0, 2, -d[..., 2, 1] + 0.5 * xi3 * fy),
-        (2, 1, 2, d[..., 2, 0]
+        (0, 0, 1, d[0, 2]),
+        (0, 0, 2, -d[0, 1]),
+        (0, 1, 2, d[0, 0] + 0.5 * xi3 * fx),
+        (1, 0, 1, d[1, 2]),
+        (1, 0, 2, -d[1, 1]),
+        (1, 1, 2, d[1, 0] + 0.5 * xi3 * fy),
+        (2, 0, 1, d[2, 2] - 0.5 * xi3 * fx),
+        (2, 0, 2, -d[2, 1] + 0.5 * xi3 * fy),
+        (2, 1, 2, d[2, 0]
          + 0.5 * (xi1 * fx + xi2 * fy + xi3 * fz + xi3 * fv * fx)),
     )
     return _antisymmetric(coeffs, np.shape(fv))
@@ -135,10 +137,10 @@ def _coordinate_route(frame: Frame) -> np.ndarray:
 
 def _antisymmetric(coeffs, shape: tuple) -> np.ndarray:
     """F from its entries F[a, b, c] = value, with F[a, c, b] = -value."""
-    F = np.zeros(shape + (3, 3, 3))
+    F = np.zeros((3, 3, 3) + shape)
     for a, b, c, value in coeffs:
-        F[..., a, b, c] = value
-        F[..., a, c, b] = -value
+        F[a, b, c] = value
+        F[a, c, b] = -value
     return F
 
 
@@ -151,16 +153,16 @@ def _connection_route(frame: Frame) -> np.ndarray:
     """
     nabla_phi = (
         frame.phi_d
-        + contract("...lam,...mb->...alb", frame.gamma, frame.phi_mat)
-        - contract("...lm,...mab->...alb", frame.phi_mat, frame.gamma)
+        + contract("lam...,mb...->alb...", frame.gamma, frame.phi_mat)
+        - contract("lm...,mab...->alb...", frame.phi_mat, frame.gamma)
     )
-    return contract("...alb,...lc->...abc", nabla_phi, frame.g)
+    return contract("alb...,lc...->abc...", nabla_phi, frame.g)
 
 
 class FTensorValue:
     """Numeric structure tensor at a point, its arrays read-only; given
     (n, 3) points, this and every value object below holds them in point
-    and gains a leading axis.
+    and its arrays gain a trailing point axis.
 
     components[a, b, c] = F(d_a, d_b, d_c) by the coordinate formula;
     route_discrepancy is the largest difference against the connection
@@ -192,9 +194,9 @@ class FTensorValue:
 def _trace_forms(ginv: np.ndarray, phi: np.ndarray,
                  F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """theta and theta* on the coordinate fields, contracted out of F."""
-    theta = contract("...ij,...ijc->...c", ginv, F)
-    mixed = contract("...ij,...mj->...im", ginv, phi)
-    return theta, contract("...im,...imc->...c", mixed, F)
+    theta = contract("ij...,ijc...->c...", ginv, F)
+    mixed = contract("ij...,mj...->im...", ginv, phi)
+    return theta, contract("im...,imc...->c...", mixed, F)
 
 
 def f_tensor_at(S: ApctStructure, point) -> FTensorValue:
@@ -204,10 +206,11 @@ def f_tensor_at(S: ApctStructure, point) -> FTensorValue:
     discrepancy = max_abs(coord - conn, 3) / (1.0 + frame.scale)
     theta, theta_star = _trace_forms(frame.ginv, frame.phi_mat, coord)
     xi = frame.xi_vec
-    reeb_square = contract("...i,...j,...ijc->...c", xi, xi, coord)
+    reeb_square = contract("i...,j...,ijc...->c...", xi, xi, coord)
+    xi_first = points_first(xi, 1)
     return FTensorValue(
-        frame.point, coord, dot(theta, xi), dot(theta_star, xi),
-        reeb_square, discrepancy,
+        frame.point, coord, dot(points_first(theta, 1), xi_first),
+        dot(points_first(theta_star, 1), xi_first), reeb_square, discrepancy,
     )
 
 
@@ -241,7 +244,8 @@ def theta_forms(S: ApctStructure, point,
 
 def fundamental_form(frame: Frame) -> np.ndarray:
     """The 2-form g(phi ., .) as an antisymmetric matrix."""
-    return frame.phi_mat.swapaxes(-1, -2) @ frame.g
+    phi, g = points_first(frame.phi_mat, 2), points_first(frame.g, 2)
+    return points_last(phi.swapaxes(-1, -2) @ g, 2)
 
 
 def eta_wedge_fundamental(frame: Frame) -> np.ndarray:
@@ -253,9 +257,9 @@ def eta_wedge_fundamental(frame: Frame) -> np.ndarray:
 
 def _eta_wedge(eta: np.ndarray, ew: np.ndarray) -> np.ndarray:
     return (
-        contract("...i,...jk->...ijk", eta, ew)
-        + contract("...j,...ki->...ijk", eta, ew)
-        + contract("...k,...ij->...ijk", eta, ew)
+        contract("i...,jk...->ijk...", eta, ew)
+        + contract("j...,ki...->ijk...", eta, ew)
+        + contract("k...,ij...->ijk...", eta, ew)
     )
 
 
@@ -280,12 +284,12 @@ class ExteriorData(NamedTuple):
 def _contractions(F: np.ndarray, phi: np.ndarray, xi: np.ndarray):
     """d(eta), Lie_xi g, nabla(eta) and d(fundamental), contracted out of
     F; the first three through F(d_i, phi d_j, xi)."""
-    contracted = contract("...imc,...mj,...c->...ij", F, phi, xi)
+    contracted = contract("imc...,mj...,c...->ij...", F, phi, xi)
     return (
-        0.5 * (contracted.swapaxes(-1, -2) - contracted),
-        -contracted - contracted.swapaxes(-1, -2),
+        0.5 * (contracted.swapaxes(0, 1) - contracted),
+        -contracted - contracted.swapaxes(0, 1),
         -contracted,
-        F + np.moveaxis(F, -3, -1) + np.moveaxis(F, -1, -3),
+        F + np.moveaxis(F, 0, 2) + np.moveaxis(F, 2, 0),
     )
 
 
@@ -295,19 +299,19 @@ def exterior_data_at(S: ApctStructure, point,
     F = (tensor or f_tensor_at(S, point)).components
 
     # d(eta)(d_i, d_j) = (d_i eta_j - d_j eta_i) / 2 for coordinate fields
-    d_eta = 0.5 * (frame.eta_d - frame.eta_d.swapaxes(-1, -2))
+    d_eta = 0.5 * (frame.eta_d - frame.eta_d.swapaxes(0, 1))
 
     # nabla eta as a matrix: (nabla_{d_i} eta)(d_j) = g(nabla_{d_i} xi, d_j)
-    nabla_eta = frame.nabla_xi_matrix() @ frame.g
-    lie_g = nabla_eta + nabla_eta.swapaxes(-1, -2)
+    nabla_eta = points_last(points_first(frame.nabla_xi_matrix(), 2)
+                            @ points_first(frame.g, 2), 2)
+    lie_g = nabla_eta + nabla_eta.swapaxes(0, 1)
 
     # d of the fundamental 2-form w: (dw)_ijk = d_i w_jk - d_j w_ik + d_k w_ij.
     # Only g_33 varies, so d_a w_jk picks up phi^3_j f_a on k = 3.
-    dw = contract("...alj,...lk->...ajk", frame.phi_d, frame.g)
-    f_d = np.stack([frame.f.derivative(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))],
-                   axis=-1)
-    dw[..., 2] += contract("...j,...a->...aj", frame.phi_mat[..., 2, :], f_d)
-    d_fund = dw - dw.swapaxes(-3, -2) + np.moveaxis(dw, -3, -1)
+    dw = contract("alj...,lk...->ajk...", frame.phi_d, frame.g)
+    f_d = np.array([frame.f.derivative(e) for e in _UNIT])
+    dw[:, :, 2] += contract("j...,a...->aj...", frame.phi_mat[2], f_d)
+    d_fund = dw - dw.swapaxes(0, 1) + np.moveaxis(dw, 0, 2)
 
     # structure-tensor routes for the same objects
     routes = zip((d_eta, lie_g, nabla_eta, d_fund),
@@ -337,13 +341,13 @@ def _nijenhuis(phi: np.ndarray, pd: np.ndarray) -> np.ndarray:
     # [phi d_i, phi d_j]^k, using [U, V]^k = u^m d_m v^k - v^m d_m u^k;
     # the phi^2 [d_i, d_j] term of the torsion drops for coordinate fields.
     bracket = (
-        contract("...mi,...mkj->...ijk", phi, pd)
-        - contract("...mj,...mki->...ijk", phi, pd)
+        contract("mi...,mkj...->ijk...", phi, pd)
+        - contract("mj...,mki...->ijk...", phi, pd)
     )
     # -phi [phi d_i, d_j] - phi [d_i, phi d_j]
     correction = (
-        contract("...km,...jmi->...ijk", phi, pd)
-        - contract("...km,...imj->...ijk", phi, pd)
+        contract("km...,jmi...->ijk...", phi, pd)
+        - contract("km...,imj...->ijk...", phi, pd)
     )
     return bracket + correction
 
@@ -353,7 +357,7 @@ def normality_data_at(S: ApctStructure, point,
     frame = S.frame(point, order=1)
     nijenhuis_t = _nijenhuis(frame.phi_mat, frame.phi_d)
     d_eta_mat = (exterior or exterior_data_at(S, point)).d_eta
-    defect = nijenhuis_t - 2.0 * contract("...ij,...k->...ijk", d_eta_mat,
+    defect = nijenhuis_t - 2.0 * contract("ij...,k...->ijk...", d_eta_mat,
                                            frame.xi_vec)
     return NormalityData(frame.point, nijenhuis_t, defect)
 
@@ -373,46 +377,45 @@ def nijenhuis(S: ApctStructure, point, X, Y) -> np.ndarray:
 def _component_arrays(F, xi, eta, phi, g, ginv):
     """Vectorized split of F into its four admissible components.
 
-    All inputs may carry leading batch axes. Returns (parts, theta_xi,
+    All inputs may carry a trailing point axis. Returns (parts, theta_xi,
     theta_star_xi, model_defect) where parts maps the component labels to
     arrays shaped like F, summing to F exactly, and model_defect is the
     largest violation of the remainder-shape identities (not yet
     normalized).
     """
     theta_form, theta_star_form = _trace_forms(ginv, phi, F)
-    theta_xi = contract("...c,...c->...", theta_form, xi)
-    theta_star_xi = contract("...c,...c->...", theta_star_form, xi)
+    theta_xi = contract("c...,c...->...", theta_form, xi)
+    theta_star_xi = contract("c...,c...->...", theta_star_form, xi)
 
-    gphiphi = contract("...ai,...ab,...bj->...ij", phi, g, phi)
-    gphi = contract("...ab,...bj->...aj", g, phi)
+    gphiphi = contract("ai...,ab...,bj...->ij...", phi, g, phi)
+    gphi = contract("ab...,bj...->aj...", g, phi)
     f5 = 0.5 * (
-        contract("...,...j,...ik->...ijk", theta_xi, eta, gphiphi)
-        - contract("...,...k,...ij->...ijk", theta_xi, eta, gphiphi)
+        contract("...,j...,ik...->ijk...", theta_xi, eta, gphiphi)
+        - contract("...,k...,ij...->ijk...", theta_xi, eta, gphiphi)
     )
     f6 = -0.5 * (
-        contract("...,...j,...ik->...ijk", theta_star_xi, eta, gphi)
-        - contract("...,...k,...ij->...ijk", theta_star_xi, eta, gphi)
+        contract("...,j...,ik...->ijk...", theta_star_xi, eta, gphi)
+        - contract("...,k...,ij...->ijk...", theta_star_xi, eta, gphi)
     )
-    reeb_square = contract("...i,...j,...ijc->...c", xi, xi, F)
+    reeb_square = contract("i...,j...,ijc...->c...", xi, xi, F)
     f12 = (
-        contract("...i,...j,...k->...ijk", eta, eta, reeb_square)
-        - contract("...i,...k,...j->...ijk", eta, eta, reeb_square)
+        contract("i...,j...,k...->ijk...", eta, eta, reeb_square)
+        - contract("i...,k...,j...->ijk...", eta, eta, reeb_square)
     )
     f10 = F - f5 - f6 - f12
 
     # Remainder audit: the fourth component is characterized by
     # F(X, Y, Z) = -eta(Y) T(X, Z) + eta(Z) T(X, Y) with T = F(., ., xi)
     # symmetric and invariant under (X, Y) -> (phi X, phi Y).
-    t = contract("...ijc,...c->...ij", f10, xi)
+    t = contract("ijc...,c...->ij...", f10, xi)
     recon = (
-        -contract("...j,...ik->...ijk", eta, t)
-        + contract("...k,...ij->...ijk", eta, t)
+        -contract("j...,ik...->ijk...", eta, t)
+        + contract("k...,ij...->ijk...", eta, t)
     )
-    axes = tuple(range(-3, 0))
-    d_recon = np.abs(f10 - recon).max(axis=axes)
-    d_sym = np.abs(t - np.swapaxes(t, -1, -2)).max(axis=(-1, -2))
-    t_phiphi = contract("...ai,...bj,...ab->...ij", phi, phi, t)
-    d_inv = np.abs(t - t_phiphi).max(axis=(-1, -2))
+    d_recon = max_abs(f10 - recon, 3)
+    d_sym = max_abs(t - t.swapaxes(0, 1), 2)
+    t_phiphi = contract("ai...,bj...,ab...->ij...", phi, phi, t)
+    d_inv = max_abs(t - t_phiphi, 2)
     model_defect = np.maximum(d_recon, np.maximum(d_sym, d_inv))
     parts = {"G5": f5, "G6": f6, "G10": f10, "G12": f12}
     return parts, theta_xi, theta_star_xi, model_defect
@@ -442,8 +445,7 @@ class ProjectionBundle(NamedTuple):
 
     @property
     def parts(self) -> dict[str, np.ndarray]:
-        return {"G5": self.F5, "G6": self.F6, "G10": self.F10,
-                "G12": self.F12}
+        return {"G5": self.F5, "G6": self.F6, "G10": self.F10, "G12": self.F12}
 
 
 def project_components(S: ApctStructure, point,
@@ -464,124 +466,102 @@ def project_components(S: ApctStructure, point,
 
 # --- vectorized evaluation over many points ---------------------------------
 
-class FrameBatch(NamedTuple):
-    """Numeric frame data over an (n, 3) array of points."""
-
-    points: np.ndarray
-    f: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
-    phi: np.ndarray
-    g: np.ndarray
-    ginv: np.ndarray
-    scale: np.ndarray
-
-
-def frame_batch(S: ApctStructure, pts) -> FrameBatch:
-    pts = np.asarray(pts, dtype=float)
-    n = pts.shape[0]
-    scale = np.zeros(n)
-
-    def ev(e: Expr) -> np.ndarray:
-        nonlocal scale
+def _evaluate(fields, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each field over the (n, 3) points, as rows of one (fields, n) array,
+    and the largest magnitude any of them reached at each point."""
+    rows, scale = [], np.zeros(len(pts))
+    for e in fields:
         values, scales = evaluate_with_scale(e, pts)
+        rows.append(np.broadcast_to(values, scale.shape))
         scale = np.maximum(scale, scales)
-        return np.broadcast_to(np.asarray(values, dtype=float), (n,)).copy()
-
-    f = ev(S.manifold.f)
-    xi = np.stack([ev(c) for c in S.xi], axis=1)
-    eta = np.stack([ev(c) for c in S.eta], axis=1)
-    phi = np.stack(
-        [np.stack([ev(e) for e in row], axis=1) for row in S.phi], axis=1
-    )
-    g, ginv = metric_arrays(f)
-    return FrameBatch(pts, f, xi, eta, phi, g, ginv, scale)
+    return np.array(rows, dtype=float), scale
 
 
 def structure_tensor_batch(S: ApctStructure, pts) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate-formula structure tensor over (n, 3) points.
 
-    Returns (F, scale) with F shaped (n, 3, 3, 3) and scale the per-point
+    Returns (F, scale) with F shaped (3, 3, 3, n) and scale the per-point
     magnitude reference accumulated from every coefficient evaluation.
     """
     pts = np.asarray(pts, dtype=float)
-    n = pts.shape[0]
-    coeffs, scale = [], np.zeros(n)
-    for a, b, c, field in coefficient_fields(S):
-        values, scales = evaluate_with_scale(field, pts)
-        coeffs.append((a, b, c, np.broadcast_to(values, (n,))))
-        scale = np.maximum(scale, scales)
-    return _antisymmetric(coeffs, (n,)), scale
+    slots = coefficient_fields(S)
+    values, scale = _evaluate([field for *_, field in slots], pts)
+    coeffs = [(a, b, c, v) for (a, b, c, _), v in zip(slots, values)]
+    return _antisymmetric(coeffs, (len(pts),)), scale
 
 
 class ComponentBatch(NamedTuple):
-    """Component split and associated data over a batch of points."""
+    """Component split over a batch of points, with the frame arrays of the
+    symbolic route it comes from (xi, eta, phi, g evaluated from their
+    expressions), point axis last; scale is the per-point magnitude
+    reference of every field evaluated."""
 
-    frames: FrameBatch
+    points: np.ndarray
+    xi: np.ndarray
+    eta: np.ndarray
+    phi: np.ndarray
+    g: np.ndarray
     tensor: np.ndarray
-    tensor_scale: np.ndarray
+    scale: np.ndarray
     parts: dict[str, np.ndarray]
     theta_xi: np.ndarray
     theta_star_xi: np.ndarray
     model_defect: np.ndarray
 
-    @property
-    def scale(self) -> np.ndarray:
-        return np.maximum(self.frames.scale, self.tensor_scale)
-
 
 def split_components_batch(S: ApctStructure, pts) -> ComponentBatch:
-    fb = frame_batch(S, pts)
-    F, fscale = structure_tensor_batch(S, pts)
-    parts, th, ths, defect = _component_arrays(
-        F, fb.xi, fb.eta, fb.phi, fb.g, fb.ginv
-    )
-    flat = np.abs(F).reshape(F.shape[0], -1).max(axis=1)
-    defect = defect / (1.0 + np.maximum(fb.scale, fscale) + flat)
-    return ComponentBatch(fb, F, fscale, parts, th, ths, defect)
+    pts = np.asarray(pts, dtype=float)
+    values, frame_scale = _evaluate(
+        (S.manifold.f,) + S.xi + S.eta + sum(S.phi, ()), pts)
+    xi, eta, phi = values[1:4], values[4:7], values[7:].reshape((3, 3, -1))
+    g, ginv = metric_arrays(values[0])
+    F, tensor_scale = structure_tensor_batch(S, pts)
+    parts, th, ths, defect = _component_arrays(F, xi, eta, phi, g, ginv)
+    scale = np.maximum(frame_scale, tensor_scale)
+    defect = defect / (1.0 + scale + max_abs(F, 3))
+    return ComponentBatch(pts, xi, eta, phi, g, F, scale, parts, th, ths, defect)
 
 
 def d_eta_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
     """d(eta) over a batch, contracted out of the structure tensor."""
-    return _contractions(batch.tensor, batch.frames.phi, batch.frames.xi)[0]
+    return _contractions(batch.tensor, batch.phi, batch.xi)[0]
 
 
 def lie_g_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
     """Lie derivative of g along the Reeb field over a batch."""
-    return _contractions(batch.tensor, batch.frames.phi, batch.frames.xi)[1]
+    return _contractions(batch.tensor, batch.phi, batch.xi)[1]
 
 
 def d_fundamental_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
     """d of the fundamental 2-form over a batch (cyclic sum of F)."""
-    return _contractions(batch.tensor, batch.frames.phi, batch.frames.xi)[3]
+    return _contractions(batch.tensor, batch.phi, batch.xi)[3]
 
 
 def fundamental_form_batch(batch: ComponentBatch) -> np.ndarray:
     """g(phi ., .) over a batch."""
-    return contract("...lj,...lk->...jk", batch.frames.phi, batch.frames.g)
+    return contract("lj...,lk...->jk...", batch.phi, batch.g)
 
 
 def eta_wedge_fundamental_batch(batch: ComponentBatch) -> np.ndarray:
     """Cyclic wedge of eta with the fundamental 2-form over a batch."""
-    return _eta_wedge(batch.frames.eta, fundamental_form_batch(batch))
+    return _eta_wedge(batch.eta, fundamental_form_batch(batch))
 
 
 def _gradients(fields, pts: np.ndarray) -> np.ndarray:
-    """out[n, a, k] = d_a of the k-th field at the n-th point, by symbolic
+    """out[a, k, n] = d_a of the k-th field at the n-th point, by symbolic
     differentiation."""
-    return np.stack([np.stack([evaluate_with_scale(diff(e, axis), pts)[0]
-                               for axis in _AXES], axis=-1)
-                     for e in fields], axis=-1)
+    return np.stack([[evaluate_with_scale(diff(e, axis), pts)[0]
+                      for axis in _AXES] for e in fields], axis=1)
 
 
 def d_eta_coordinate_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
     """d(eta) over a batch by the coordinate route (antisymmetrized partials
     of the symbolic eta entries), independent of the structure tensor.
     The partials are evaluated once per sample array in an open analysis."""
-    pts = batch.frames.points
+    pts = batch.points
     eta_d = once(pts, "eta_partials", S.domain, None,
                  lambda: _gradients(S.eta, pts))
-    return 0.5 * (eta_d - np.transpose(eta_d, (0, 2, 1)))
+    return 0.5 * (eta_d - eta_d.swapaxes(0, 1))
 
 
 def normality_defect_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
@@ -590,8 +570,8 @@ def normality_defect_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarra
     Both ingredients come from coordinate routes (partials of phi and eta),
     so this stays independent of the structure-tensor pipeline.
     """
-    # phi_d[n, a, i, j] = d_a phi^i_j
-    phi_d = _gradients([e for row in S.phi for e in row], batch.frames.points)
-    nij = _nijenhuis(batch.frames.phi, phi_d.reshape(-1, 3, 3, 3))
+    # phi_d[a, i, j, n] = d_a phi^i_j
+    phi_d = _gradients([e for row in S.phi for e in row], batch.points)
+    nij = _nijenhuis(batch.phi, phi_d.reshape((3, 3, 3, -1)))
     de = d_eta_coordinate_batch(S, batch)
-    return nij - 2.0 * contract("...ij,...k->...ijk", de, batch.frames.xi)
+    return nij - 2.0 * contract("ij...,k...->ijk...", de, batch.xi)

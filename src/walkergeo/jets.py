@@ -6,7 +6,8 @@ Taylor coefficients (derivative divided by i! j! k!), which makes products
 plain truncated polynomial multiplication; `derivative` converts back.
 
 Coefficients form one array shaped (coefficients,) + (n,) over an (n, 3)
-batch of points, or (coefficients,) at a single point, a batch-of-one view.
+batch of points, or (coefficients,) at a single point, a batch-of-one view:
+the package's one layout, components first and points last (see structure).
 Each operation acts on whole rows in one order, so a batch row is bit for
 bit the single-point jet: products accumulate `out[gamma] += a[alpha] *
 b[beta]` from 0.0 in a fixed split order, and the exp and reciprocal tables

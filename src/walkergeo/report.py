@@ -18,7 +18,9 @@ from .curvature import curvature_equivalences, sectional_curvatures
 from .expressions import evaluate_with_scale, gradient, to_source
 from .ftensor import exterior_data_at, f_tensor_at, project_components, theta_forms
 from .sampling import SamplingConfig, analyzed, is_identically_zero
-from .structure import ApctStructure, unit_constraint_field, validate_axioms
+from .structure import (
+    ApctStructure, max_abs, unit_constraint_field, validate_axioms,
+)
 from .walker import (
     is_strict_walker, scalar_curvature_field, segre_type, shared_flatness,
 )
@@ -282,7 +284,7 @@ def build_report(S: ApctStructure,
             exterior_data_at(S, pts, tensor=t).route_discrepancy,
     }
     pr = project_components(S, pts, tensor=t, tol=cfg.tol)
-    sweep["component_split_residual"] = np.abs(pr.residual).max(axis=(1, 2, 3))
+    sweep["component_split_residual"] = max_abs(pr.residual, 3)
     worst = {}
     for check, values in sweep.items():
         k = int(np.argmax(values))

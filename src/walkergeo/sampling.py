@@ -176,14 +176,13 @@ def zero_verdict_from_samples(values: np.ndarray, scales, pts: np.ndarray,
                               tol: float) -> ZeroVerdict:
     """Zero test for per-point magnitudes already in hand.
 
-    values: (n,) or (n, ...) residual components per point; scales: (n,) or
-    scalar reference magnitude each point's residual is judged against.
+    values: (n,) or (..., n) residual components per point (points last);
+    scales: (n,) or scalar reference magnitude each point's residual is
+    judged against.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.abs(np.asarray(values, dtype=float))
     if values.ndim > 1:
-        values = np.abs(values).reshape(values.shape[0], -1).max(axis=1)
-    else:
-        values = np.abs(values)
+        values = values.reshape(-1, values.shape[-1]).max(axis=0)
     scales = np.broadcast_to(np.asarray(scales, dtype=float), values.shape)
     allowed = tol * (1.0 + scales)
     residuals = values / (1.0 + scales)

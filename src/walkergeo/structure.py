@@ -23,33 +23,51 @@ g(phi X, Y) = -g(X, phi Y), g(xi, xi) = 1, plus the derived ones
 
 A Frame bundles jets of f, xi, eta, and phi over a batch of points (one per
 analysis) or at one point (the pointwise API), with the numeric arrays every
-tensor operation needs; frames are cached per structure. Contractions run
-through `contract` (einsum's summation order, point axis innermost); the
-analysis of a report memoizes verdicts and expression nodes, never arrays.
+tensor operation needs; frames are cached per structure. The analysis of a
+report memoizes verdicts and expression nodes, never arrays.
+
+Every batched numeric array of the package has one layout, that of the jet
+coefficients: components first, points last, C-contiguous. Over n points a
+vector is (3, n), a matrix (3, 3, n); a single point has no point axis, and
+a[..., k] of a batch is point k. `contract` works on that layout; `@` alone
+runs on points-first copies (see `points_first`).
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonexistentStructureError, UnitConstraintError
-from .expressions import Expr, ZERO, as_expr, to_source
+from .errors import (
+    DegenerateInputError, NonexistentStructureError, UnitConstraintError,
+)
+from .expressions import (
+    Div, Expr, Pow, ZERO, as_expr, evaluate_with_scale, to_source, variables,
+    walk,
+)
 from .jets import Jet3, eval_jet
 from .sampling import Domain, SamplingConfig, is_identically_zero
-from .walker import (
-    WalkerManifold, christoffel_from_jet, metric_arrays, stack_matrix,
-)
+from .walker import WalkerManifold, christoffel_from_jet, metric_arrays
 
 _E = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-# Products of vectors and matrices over a leading batch axis. Each keeps the
-# operation form of its single-point counterpart (u @ v, A @ u, u @ A), so
-# numpy takes the same matmul path and every batch row matches its point.
+# numpy's `@` picks its BLAS kernel by memory layout, so `@` runs on
+# contiguous points-first copies: each batch row then gets the bits of its
+# single point. A single point (`rank` axes, no point axis) is used as is.
+
+def points_first(a: np.ndarray, rank: int) -> np.ndarray:
+    return a if a.ndim == rank else np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def points_last(a: np.ndarray, rank: int) -> np.ndarray:
+    return a if a.ndim == rank else np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+# Products of points-first vectors and matrices, each in the operation form
+# of its single-point counterpart (u @ v, A @ u, u @ A).
 
 def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
@@ -63,79 +81,70 @@ def vec_mat(u: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ A)[..., 0, :]
 
 
-def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., :, None] * v[..., None, :]
-
-
 def max_abs(a: np.ndarray, axes: int) -> np.ndarray:
-    """Largest |entry| over the trailing `axes` axes, per point."""
-    return np.abs(a).max(axis=tuple(range(-axes, 0)))
+    """Largest |entry| over the leading `axes` (component) axes, per point."""
+    return np.abs(a).max(axis=tuple(range(axes)))
 
 
 @lru_cache(maxsize=None)
-def _contraction_plan(subscripts: str, lead: int):
-    """Per operand (axis order, summed axes, output axes of its view), the
-    axis order back to point-first, and the terms (each operand's summed
-    indices) in sum groups."""
+def _contraction_plan(subscripts: str, points: int):
+    """Per operand, its axis order and the index placing it on the product
+    axes (summed labels, output labels, points); the number of summed
+    labels; and the order in which a run over the last summed label is
+    summed apart, or None when the terms are added one by one."""
     inputs, out = subscripts.replace("...", "").split("->")
     inputs = inputs.split(",")
     summed = [c for c in dict.fromkeys("".join(inputs)) if c not in out]
-    groups = [list(itertools.product(range(3), repeat=len(summed)))]
+    labels = summed + list(out)
+    views = [([s.index(c) for c in labels if c in s]
+              + list(range(len(s), len(s) + points)),
+              tuple(slice(None) if c in s else None for c in labels))
+             for s in inputs]
+    run = None
     if summed and all(s[-1] == summed[-1] for s in inputs if summed[-1] in s):
         both = len(inputs) == 2 and all(summed[-1] in s for s in inputs)
-        groups = [[head + (c,) for c in ((0, 2, 1) if both else (0, 1, 2))]
-                  for head in itertools.product(range(3), repeat=len(summed) - 1)]
-    views = [([lead + s.index(c) for c in summed + list(out) if c in s]
-              + list(range(lead)), sum(c in s for c in summed),
-              tuple(3 if c in s else 1 for c in out)) for s in inputs]
-    back = list(range(len(out), len(out) + lead)) + list(range(len(out)))
-    return views, back, [[[tuple(term[summed.index(c)] for c in summed if c in s)
-                           for s in inputs] for term in group] for group in groups]
+        run = (0, 2, 1) if both else (0, 1, 2)
+    return views, len(summed), run
 
 
 def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """np.einsum(subscripts, *operands), bit for bit, for two or more
-    operands with the same leading point axes (`...`) and axes of length 3.
+    """Contraction of two or more operands with the same trailing point axes
+    (`...`) and summed axes of length 3, giving the bits np.einsum gives on
+    the points-first operands (`...` leading).
 
-    The point axis runs innermost: each operand is viewed in (summed,
-    output, point) axis order, uncopied, and each term is one in-place
-    product over (output, point) axes; the full product tensor is never
-    formed. The arithmetic is einsum's: factors multiply left to right in
-    operand order; every sum starts from +0.0 (a lone -0.0 product gives
-    +0.0); summed labels run in order of first appearance, the last
-    fastest, adding terms one by one, unless the last summed label is the
-    last axis of every operand that has it: then each run over it is
-    summed apart (terms 0, 2, 1 when both of two operands have it, else 0,
-    1, 2) and the run sums are added in turn.
+    Each operand is viewed, uncopied, on the product axes (summed labels,
+    output labels, points), and the product is one broadcast multiply per
+    operand, left to right. The sum is einsum's: it starts from +0.0 (a
+    lone -0.0 product gives +0.0); summed labels run in order of first
+    appearance, the last fastest, adding terms one by one, unless the last
+    summed label is the last component axis of every operand that has it:
+    then each run over it is summed apart (terms 0, 2, 1 when both of two
+    operands have it, else 0, 1, 2) and the run sums are added in turn.
     """
-    lead_shape = operands[0].shape[:operands[0].ndim - len(
-        subscripts.split(",", 1)[0].replace("...", ""))]
-    plan, back, groups = _contraction_plan(subscripts, len(lead_shape))
-    views = [op.transpose(axes).reshape((3,) * summed + outs + lead_shape)
-             for op, (axes, summed, outs) in zip(operands, plan)]
-    scratch = np.empty(np.broadcast_shapes(*(o for _, _, o in plan)) + lead_shape)
-    total = None
-    for group in groups:
-        part = None
-        for term in group:
-            np.multiply(views[0][term[0]], views[1][term[1]], out=scratch)
-            for view, index in zip(views[2:], term[2:]):
-                np.multiply(scratch, view[index], out=scratch)
-            if part is None:
-                part = scratch + 0.0
-            else:
-                part += scratch
-        if total is None:
-            total = part
-        else:
-            total += part
-    scratch = None      # freed before the result is laid out point-first
-    return total.transpose(back).copy()
+    points = operands[0].shape[len(subscripts.split(",", 1)[0].replace("...", "")):]
+    views, summed, run = _contraction_plan(subscripts, len(points))
+    first, second, *rest = (op.transpose(axes)[index]
+                            for op, (axes, index) in zip(operands, views))
+    product = np.multiply(first, second, order="C")
+    for view in rest:   # in place once the product spans every axis
+        spans = np.broadcast_shapes(product.shape, view.shape) == product.shape
+        product = np.multiply(product, view, out=product if spans else None,
+                              order="C")
+    terms = product.reshape((-1,) + (3,) * (run is not None) + product.shape[summed:])
+    if run is not None:
+        runs = terms[:, run[0]] + 0.0
+        for r in run[1:]:
+            runs += terms[:, r]
+        terms = runs
+    total = terms[0] + 0.0
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 class Frame:
     """Jets and numeric arrays of one structure at a point (shape (3,)) or
-    over a batch of points (shape (n, 3)); arrays then gain a leading axis.
+    over a batch of points (shape (n, 3)), arrays then with a point axis last.
 
     Derivative arrays (xi_d, eta_d, phi_d, gamma) require order >= 1; the
     layout puts the differentiation axis first: xi_d[a, k] = d_a xi^k,
@@ -172,29 +181,24 @@ class Frame:
                 tuple(eval_jet(e, self.points, order) for e in row)
                 for row in structure.phi
             )
-        self.xi_vec = np.stack([j.value for j in self.xi], axis=-1)
-        self.eta_vec = np.stack([j.value for j in self.eta], axis=-1)
-        self.phi_mat = stack_matrix([[e.value for e in row] for row in self.phi])
+        self.xi_vec = np.array([j.value for j in self.xi])
+        self.eta_vec = np.array([j.value for j in self.eta])
+        self.phi_mat = np.array([[e.value for e in row] for row in self.phi])
         self.g, self.ginv = metric_arrays(f.value)
         self.scale = np.abs(np.concatenate(
             [f.coeffs] + [jet.coeffs for jet in self.xi])).max(axis=0)
         if order >= 1:
-            self.xi_d = stack_matrix([[j.derivative(_E[a]) for j in self.xi]
-                                      for a in range(3)])
-            self.eta_d = stack_matrix([[j.derivative(_E[a]) for j in self.eta]
-                                       for a in range(3)])
-            self.phi_d = np.stack([
-                stack_matrix([[e.derivative(_E[a]) for e in row]
-                              for row in self.phi])
-                for a in range(3)
-            ], axis=-3)
+            self.xi_d = np.array([[j.derivative(a) for j in self.xi] for a in _E])
+            self.eta_d = np.array([[j.derivative(a) for j in self.eta] for a in _E])
+            self.phi_d = np.array([[[e.derivative(a) for e in row]
+                                    for row in self.phi] for a in _E])
             self.gamma = christoffel_from_jet(f)
         else:
             self.xi_d = self.eta_d = self.phi_d = self.gamma = None
 
     def nabla_xi_matrix(self) -> np.ndarray:
         """nab[i, k] = k-th component of nabla_{d_i} xi."""
-        return self.xi_d + contract("...kim,...m->...ik", self.gamma, self.xi_vec)
+        return self.xi_d + contract("kim...,m...->ik...", self.gamma, self.xi_vec)
 
 
 class ApctStructure:
@@ -259,7 +263,9 @@ def build_structure(manifold: WalkerManifold, xi,
 
     Rejects eps = -1 outright (no compatible structure exists for a
     time-like complementary direction) and rejects candidate Reeb fields
-    violating the unit constraint, with a witness point.
+    violating the unit constraint, with a witness point. Then a denominator
+    of f or xi that takes both signs on the sample is an input error (see
+    `reject_poles`).
     """
     cfg = cfg or SamplingConfig()
     if manifold.epsilon != 1:
@@ -273,11 +279,35 @@ def build_structure(manifold: WalkerManifold, xi,
     verdict = is_identically_zero(residual, manifold.domain, cfg)
     if not verdict.is_zero:
         raise UnitConstraintError(verdict.witness, verdict.witness_value)
-    return ApctStructure(manifold, xi, cfg)
+    structure = ApctStructure(manifold, xi, cfg)
+    reject_poles(structure, cfg)
+    return structure
+
+
+def reject_poles(S: ApctStructure, cfg: SamplingConfig) -> None:
+    """DegenerateInputError when a denominator of f or xi (a divisor, or the
+    base of a negative power) takes both signs on the sample: a pole lies
+    between sampled points. A denominator the domain requires nonzero or
+    positive is not scanned; a pole of even order keeps its sign."""
+    pts, seen = S.domain.sample(cfg), set(S.domain.positive + S.domain.nonzero)
+    for name, field in zip(("f", "xi1", "xi2", "xi3"), (S.manifold.f,) + S.xi):
+        for node in walk(field):
+            d = node.right if isinstance(node, Div) else node.base if (
+                isinstance(node, Pow) and node.exponent < 0) else None
+            if d is None or d in seen or not variables(d):
+                continue
+            seen.add(d)
+            v = evaluate_with_scale(d, pts)[0]
+            if (v < 0.0).any() and (v > 0.0).any():
+                k, m = sorted((int(np.argmax(v < 0.0)), int(np.argmax(v > 0.0))))
+                raise DegenerateInputError(
+                    f"denominator {to_source(d)} of {name} takes both signs on "
+                    f"the domain, so {name} has a pole there: {v[k]:.3g} at "
+                    f"{tuple(float(c) for c in pts[k])} and {v[m]:.3g}", pts[m])
 
 
 def nabla_xi(S: ApctStructure, direction, point) -> np.ndarray:
-    """Components of nabla_X xi at a point, X given by constant components."""
+    """Components of nabla_X xi at one point, X given by constant components."""
     frame = S.frame(point, order=1)
     return np.asarray(direction, dtype=float) @ frame.nabla_xi_matrix()
 
@@ -313,25 +343,29 @@ def validate_axioms(S: ApctStructure, cfg: SamplingConfig | None = None,
     """
     cfg = cfg or S.config
     fr = S.frame(S.sample_points(cfg), order=0)
-    phi, g, xi, eta = fr.phi_mat, fr.g, fr.xi_vec, fr.eta_vec
+    phi, g = points_first(fr.phi_mat, 2), points_first(fr.g, 2)
+    xi, eta = points_first(fr.xi_vec, 1), points_first(fr.eta_vec, 1)
     phi2 = phi @ phi
     gphi = g @ phi
     residuals = {
-        "phi_squared_is_id_minus_eta_xi": phi2 - (np.eye(3) - outer(xi, eta)),
-        "eta_of_reeb_is_one": (dot(eta, xi) - 1.0)[..., None],
+        "phi_squared_is_id_minus_eta_xi":
+            phi2 - (np.eye(3) - xi[..., :, None] * eta[..., None, :]),
+        "eta_of_reeb_is_one": dot(eta, xi) - 1.0,
         "phi_kills_reeb": mat_vec(phi, xi),
         "phi_compatibility":
-            phi.swapaxes(-1, -2) @ g @ phi - (-g + outer(eta, eta)),
+            phi.swapaxes(-1, -2) @ g @ phi
+            - (-g + eta[..., :, None] * eta[..., None, :]),
         "eta_is_metric_dual_of_reeb": eta - mat_vec(g, xi),
         "phi_skew_adjoint": gphi + gphi.swapaxes(-1, -2),
-        "reeb_is_unit_spacelike": (dot(vec_mat(xi, g), xi) - 1.0)[..., None],
+        "reeb_is_unit_spacelike": dot(vec_mat(xi, g), xi) - 1.0,
         "eta_after_phi_vanishes": vec_mat(eta, phi),
         "phi_cubed_is_phi": phi2 @ phi - phi,
-        "phi_trace_free": np.trace(phi, axis1=-2, axis2=-1)[..., None],
+        "phi_trace_free": np.trace(phi, axis1=-2, axis2=-1),
     }
     checks = []
     for name, residual in residuals.items():
-        per_point = max_abs(residual, residual.ndim - 1) / (1.0 + fr.scale)
+        per_point = (np.abs(residual).reshape(len(fr.points), -1).max(axis=1)
+                     / (1.0 + fr.scale))
         k = int(np.argmax(per_point))
         value = float(per_point[k])
         witness = None if value <= tol else tuple(float(c) for c in fr.points[k])

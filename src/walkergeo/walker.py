@@ -93,19 +93,13 @@ def metric_at(M: WalkerManifold, point) -> tuple[TensorValue, TensorValue]:
     return TensorValue(g, (0, 2)), TensorValue(ginv, (2, 0))
 
 
-def stack_matrix(entries) -> np.ndarray:
-    """(..., rows, cols) array from nested rows of per-point values."""
-    return np.stack([np.stack(row, axis=-1) for row in entries], axis=-2)
-
-
 def metric_arrays(f, eps: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """The metric g and its inverse from values of f, at a point or over a
-    batch (batch axes first)."""
+    """The metric g and its inverse from values of f, at points or a point."""
     zero = np.zeros_like(f)
     one = zero + 1.0
     e = eps * one
-    return (stack_matrix([[zero, zero, one], [zero, e, zero], [one, zero, f]]),
-            stack_matrix([[-f, zero, one], [zero, e, zero], [one, zero, zero]]))
+    return (np.array([[zero, zero, one], [zero, e, zero], [one, zero, f]]),
+            np.array([[-f, zero, one], [zero, e, zero], [one, zero, zero]]))
 
 
 def christoffel_at(M: WalkerManifold, point) -> TensorValue:
@@ -121,17 +115,17 @@ def christoffel_at(M: WalkerManifold, point) -> TensorValue:
 
 
 def christoffel_from_jet(jet: Jet3) -> np.ndarray:
-    """Gamma^k_ij from a jet of f of order >= 1 (batch axes first)."""
+    """Gamma^k_ij from a jet of f of order >= 1 (point axis last)."""
     f = jet.value
     fx = jet.derivative((1, 0, 0))
     fy = jet.derivative((0, 1, 0))
     fz = jet.derivative((0, 0, 1))
-    gamma = np.zeros(np.shape(f) + (3, 3, 3))
-    gamma[..., 0, 0, 2] = gamma[..., 0, 2, 0] = 0.5 * fx
-    gamma[..., 0, 1, 2] = gamma[..., 0, 2, 1] = 0.5 * fy
-    gamma[..., 0, 2, 2] = 0.5 * (f * fx + fz)
-    gamma[..., 1, 2, 2] = -0.5 * fy
-    gamma[..., 2, 2, 2] = -0.5 * fx
+    gamma = np.zeros((3, 3, 3) + np.shape(f))
+    gamma[0, 0, 2] = gamma[0, 2, 0] = 0.5 * fx
+    gamma[0, 1, 2] = gamma[0, 2, 1] = 0.5 * fy
+    gamma[0, 2, 2] = 0.5 * (f * fx + fz)
+    gamma[1, 2, 2] = -0.5 * fy
+    gamma[2, 2, 2] = -0.5 * fx
     return gamma
 
 
@@ -157,19 +151,18 @@ def _hessian(jet: Jet3):
 def curvature_from_jet(jet: Jet3) -> np.ndarray:
     """Curvature operator components from a jet of f of order >= 2."""
     f, fxx, fxy, fyy = _hessian(jet)
-    R = np.zeros(np.shape(f) + (3, 3, 3, 3))
-    R[..., 0, 2, 0, 0] = -0.5 * fxx
-    R[..., 0, 2, 1, 0] = -0.5 * fxy
-    R[..., 0, 2, 2, 0] = -0.5 * f * fxx
-    R[..., 0, 2, 2, 1] = 0.5 * fxy
-    R[..., 0, 2, 2, 2] = 0.5 * fxx
-    R[..., 1, 2, 0, 0] = -0.5 * fxy
-    R[..., 1, 2, 1, 0] = -0.5 * fyy
-    R[..., 1, 2, 2, 0] = -0.5 * f * fxy
-    R[..., 1, 2, 2, 1] = 0.5 * fyy
-    R[..., 1, 2, 2, 2] = 0.5 * fxy
-    R[..., 2, 0, :, :] = -R[..., 0, 2, :, :]
-    R[..., 2, 1, :, :] = -R[..., 1, 2, :, :]
+    R = np.zeros((3, 3, 3, 3) + np.shape(f))
+    R[0, 2, 0, 0] = -0.5 * fxx
+    R[0, 2, 1, 0] = -0.5 * fxy
+    R[0, 2, 2, 0] = -0.5 * f * fxx
+    R[0, 2, 2, 1] = 0.5 * fxy
+    R[0, 2, 2, 2] = 0.5 * fxx
+    R[1, 2, 0, 0] = -0.5 * fxy
+    R[1, 2, 1, 0] = -0.5 * fyy
+    R[1, 2, 2, 0] = -0.5 * f * fxy
+    R[1, 2, 2, 1] = 0.5 * fyy
+    R[1, 2, 2, 2] = 0.5 * fxy
+    R[2, :2] = -R[:2, 2]
     return R
 
 
@@ -185,14 +178,14 @@ def ricci_at(M: WalkerManifold, point) -> tuple[TensorValue, TensorValue, float]
 def ricci_from_jet(jet: Jet3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rho, Q, f_xx) from a jet of f of order >= 2."""
     f, fxx, fxy, fyy = _hessian(jet)
-    rho = np.zeros(np.shape(f) + (3, 3))
-    rho[..., 0, 2] = rho[..., 2, 0] = 0.5 * fxx
-    rho[..., 1, 2] = rho[..., 2, 1] = 0.5 * fxy
-    rho[..., 2, 2] = 0.5 * (f * fxx - fyy)
-    q = np.zeros(np.shape(f) + (3, 3))
-    q[..., 0, 0] = q[..., 2, 2] = 0.5 * fxx
-    q[..., 0, 1] = q[..., 1, 2] = 0.5 * fxy
-    q[..., 0, 2] = -0.5 * fyy
+    rho = np.zeros((3, 3) + np.shape(f))
+    rho[0, 2] = rho[2, 0] = 0.5 * fxx
+    rho[1, 2] = rho[2, 1] = 0.5 * fxy
+    rho[2, 2] = 0.5 * (f * fxx - fyy)
+    q = np.zeros((3, 3) + np.shape(f))
+    q[0, 0] = q[2, 2] = 0.5 * fxx
+    q[0, 1] = q[1, 2] = 0.5 * fxy
+    q[0, 2] = -0.5 * fyy
     return rho, q, fxx
 
 

@@ -247,14 +247,14 @@ def test_criterion_4_dual_route_agreement():
             local = max(local, theta_forms(S, p, tensor=t).route_discrepancy)
             ex = exterior_data_at(S, p, tensor=t)
             local = max(local, ex.route_discrepancy)
-            de_jet[n] = ex.d_eta
-            dfund_jet[n] = ex.d_fundamental
+            de_jet[..., n] = ex.d_eta
+            dfund_jet[..., n] = ex.d_fundamental
 
-        spread = np.abs(de_coord - de_tensor).reshape(len(pts), -1).max(1)
+        spread = np.abs(de_coord - de_tensor).reshape(-1, len(pts)).max(0)
         local = max(local, float((spread / norm).max()))
-        spread = np.abs(de_jet - de_tensor).reshape(len(pts), -1).max(1)
+        spread = np.abs(de_jet - de_tensor).reshape(-1, len(pts)).max(0)
         local = max(local, float((spread / norm).max()))
-        spread = np.abs(dfund_jet - dfund_tensor).reshape(len(pts), -1).max(1)
+        spread = np.abs(dfund_jet - dfund_tensor).reshape(-1, len(pts)).max(0)
         local = max(local, float((spread / norm).max()))
 
         worst = max(worst, local)
@@ -277,7 +277,7 @@ def test_criterion_5_projection_completeness_and_vanishing_laws():
 
         total = (batch.parts["G5"] + batch.parts["G6"]
                  + batch.parts["G10"] + batch.parts["G12"])
-        residual = np.abs(batch.tensor - total).reshape(len(pts), -1).max(1)
+        residual = np.abs(batch.tensor - total).reshape(-1, len(pts)).max(0)
         if float((residual / norm).max()) > 1e-9:
             problems.append(f"{fixture.name}: four-way residual "
                             f"{(residual / norm).max():.2e}")
@@ -290,11 +290,11 @@ def test_criterion_5_projection_completeness_and_vanishing_laws():
         fund = fundamental_form_batch(batch)
         dfund = d_fundamental_batch(S, batch)
         wedge = eta_wedge_fundamental_batch(batch)
-        theta = batch.theta_xi[:, None, None]
-        theta_star = batch.theta_star_xi[:, None, None, None]
+        theta = batch.theta_xi
+        theta_star = batch.theta_star_xi
 
         def law(name, gap):
-            top = float((np.abs(gap).reshape(len(pts), -1).max(1)
+            top = float((np.abs(gap).reshape(-1, len(pts)).max(0)
                          / norm).max())
             if top > 1e-9:
                 problems.append(f"{fixture.name}: {name} off by {top:.2e}")

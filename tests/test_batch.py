@@ -3,7 +3,9 @@
 Reports evaluate every sample point in one batch; the pointwise API
 evaluates one point. Both must give the same bits (np.array_equal, never
 allclose): an operation whose rounding depends on the batch size would make
-a report drift from the pointwise values it documents.
+a report drift from the pointwise values it documents. Every batched array
+is laid out components first, points last, and is C-contiguous, so slice
+[..., k] is point k.
 """
 
 import sys
@@ -16,7 +18,8 @@ from test_jets import FIELDS
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.expressions import parse
 from walkergeo.ftensor import (
-    exterior_data_at, f_tensor_at, project_components, theta_forms,
+    exterior_data_at, f_tensor_at, normality_data_at, project_components,
+    theta_forms,
 )
 from walkergeo.jets import eval_jet
 from walkergeo.report import build_report
@@ -34,6 +37,12 @@ def same(a, b) -> bool:
     return np.array_equal(np.asarray(a), np.asarray(b))
 
 
+def points_last(a, n: int) -> bool:
+    """C-contiguous with the point axis (length n) last."""
+    return (isinstance(a, np.ndarray) and a.flags.c_contiguous
+            and a.ndim >= 1 and a.shape[-1] == n)
+
+
 @pytest.fixture(scope="module", params=NAMES)
 def structure(request):
     return load_fixture(request.param).build(samples=16)
@@ -45,11 +54,13 @@ def test_frame_rows_match_point_frames(structure):
     for order in (0, 1):
         batch = S.frame(pts, order)
         names = FRAME_ARRAYS + (DERIVATIVE_ARRAYS if order else ())
+        for name in names:
+            assert points_last(getattr(batch, name), len(pts)), (order, name)
         for k, p in enumerate(pts):
             single = S.frame(tuple(p), order)
             for name in names:
-                assert same(getattr(batch, name)[k], getattr(single, name)), \
-                    (order, name, k)
+                assert same(getattr(batch, name)[..., k],
+                            getattr(single, name)), (order, name, k)
 
 
 def test_value_objects_match_point_views(structure):
@@ -59,25 +70,32 @@ def test_value_objects_match_point_views(structure):
     tf = theta_forms(S, pts, tensor=t)
     ex = exterior_data_at(S, pts, tensor=t)
     pr = project_components(S, pts, tensor=t)
-    for k, p in enumerate(pts):
-        p = tuple(p)
-        for batch, single, fields in (
-            (t, f_tensor_at(S, p),
-             ("components", "theta_xi", "theta_star_xi", "reeb_square",
-              "route_discrepancy")),
-            (tf, theta_forms(S, p),
-             ("theta", "theta_star", "theta_xi", "theta_star_xi",
-              "route_discrepancy")),
-            (ex, exterior_data_at(S, p),
-             ("d_eta", "d_fundamental", "lie_g", "nabla_eta",
-              "route_discrepancy")),
-            (pr, project_components(S, p),
-             ("F5", "F6", "F10", "F12", "residual", "theta_xi",
-              "theta_star_xi", "model_defect", "within_model")),
-        ):
+    nd = normality_data_at(S, pts, exterior=ex)
+    for batch, view, fields in (
+        (t, lambda p: f_tensor_at(S, p),
+         ("components", "theta_xi", "theta_star_xi", "reeb_square",
+          "route_discrepancy")),
+        (tf, lambda p: theta_forms(S, p),
+         ("theta", "theta_star", "theta_xi", "theta_star_xi",
+          "route_discrepancy")),
+        (ex, lambda p: exterior_data_at(S, p),
+         ("d_eta", "d_fundamental", "lie_g", "nabla_eta",
+          "route_discrepancy")),
+        (pr, lambda p: project_components(S, p),
+         ("F5", "F6", "F10", "F12", "residual", "theta_xi",
+          "theta_star_xi", "model_defect", "within_model")),
+        (nd, lambda p: normality_data_at(S, p), ("nijenhuis", "defect")),
+    ):
+        for name in fields:
+            assert points_last(getattr(batch, name), len(pts)), \
+                (type(batch).__name__, name)
+        for k, p in enumerate(pts):
+            p = tuple(p)
+            single = view(p)
             assert single.point == p
             for name in fields:
-                assert same(getattr(batch, name)[k], getattr(single, name)), \
+                assert same(getattr(batch, name)[..., k],
+                            getattr(single, name)), \
                     (type(single).__name__, name, k)
 
 
@@ -88,12 +106,14 @@ def test_walker_tensors_match_point_views(structure):
     jet = eval_jet(M.f, pts, 2)
     R = curvature_from_jet(jet)
     rho, q, fxx = ricci_from_jet(jet)
+    for array in (gamma, R, rho, q, fxx):
+        assert points_last(array, len(pts))
     for k, p in enumerate(pts):
-        assert same(gamma[k], christoffel_at(M, p).components)
-        assert same(R[k], curvature_at(M, p).components)
+        assert same(gamma[..., k], christoffel_at(M, p).components)
+        assert same(R[..., k], curvature_at(M, p).components)
         point_rho, point_q, point_fxx = ricci_at(M, p)
-        assert same(rho[k], point_rho.components)
-        assert same(q[k], point_q.components)
+        assert same(rho[..., k], point_rho.components)
+        assert same(q[..., k], point_q.components)
         assert same(fxx[k], point_fxx)
 
 

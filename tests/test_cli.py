@@ -163,6 +163,41 @@ def test_unknown_example_exits_2(capsys):
     assert "known examples" in err
 
 
+POLE = PARABOLIC.replace('"x^2"', '"1/(x - 1)"')
+
+
+def test_pole_between_samples_exits_2_with_two_witnesses(capsys, tmp_path):
+    path = write(tmp_path, POLE)
+    status, out, err = run(capsys, "analyze", path)
+    assert status == 2 and out == ""
+    assert err.startswith("input error: denominator x - 1 of f takes both signs")
+    assert err.count(" at (") == 2
+
+
+def test_pole_of_a_negative_power_in_xi_exits_2(capsys, tmp_path):
+    path = write(tmp_path, PARABOLIC.replace("xi1 = 0", 'xi1 = "(y - 1)^-3"'))
+    status, _, err = run(capsys, "analyze", path)
+    assert status == 2
+    assert err.startswith("input error: denominator y - 1 of xi1")
+
+
+@pytest.mark.parametrize("key", ["require_nonzero", "require_positive"])
+def test_a_required_denominator_is_not_scanned(capsys, tmp_path, key):
+    # the domain's requirement is the user's word for the denominator; the
+    # positive one excludes the pole side, the nonzero one keeps both sides
+    path = write(tmp_path, POLE + f'{key} = "x - 1"\n')
+    status, _, err = run(capsys, "analyze", path)
+    assert "denominator" not in err
+    assert status == 0, err
+
+
+def test_structural_rejection_comes_before_the_pole_scan(capsys, tmp_path):
+    path = write(tmp_path, POLE.replace('xi2 = 1', 'xi2 = "x"'))
+    status, _, err = run(capsys, "analyze", path)
+    assert status == 1
+    assert err.startswith("structural rejection:")
+
+
 def run_process(*argv):
     """The CLI in a fresh interpreter, so a traceback would reach stderr."""
     path = os.environ.get("PYTHONPATH")

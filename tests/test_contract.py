@@ -1,9 +1,12 @@
 """`structure.contract` against np.einsum, bit for bit.
 
 Every subscripts string the package passes to `contract` is found in the
-sources, so a new call is tested as soon as it is written. Operands span
-e^-12 .. e^12 in magnitude with exact zeros and -0.0 mixed in, because the
-summation order and the sign of a zero sum are what a reordered kernel
+sources, so a new call is tested as soon as it is written. `contract` takes
+its operands components first, points last (`...` trailing); the reference
+is np.einsum on contiguous points-first operands (`...` leading), the
+arithmetic the reports were built with before the layout changed. Operands
+span e^-12 .. e^12 in magnitude with exact zeros and -0.0 mixed in, because
+the summation order and the sign of a zero sum are what a reordered kernel
 would get wrong.
 """
 
@@ -38,25 +41,66 @@ def identical(a, b) -> bool:
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
+def points_first(subscripts: str) -> str:
+    """The same contraction with the point axes leading."""
+    inputs, out = subscripts.replace("...", "").split("->")
+    return ",".join("..." + term for term in inputs.split(",")) + "->..." + out
+
+
+def points_last_subscripts(reference: str) -> str:
+    """The same contraction with the point axes trailing."""
+    inputs, out = reference.replace("...", "").split("->")
+    return ",".join(term + "..." for term in inputs.split(",")) + "->" + out + "..."
+
+
+def points_last(a: np.ndarray, lead: tuple) -> np.ndarray:
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1)) if lead else a
+
+
+# each case is named by the einsum reference it is checked against
+CASES = {points_first(s): s for s in SUBSCRIPTS}
+
+
 def test_the_package_uses_contract():
     assert len(SUBSCRIPTS) >= 20
-    assert all(s.startswith("...") for s in SUBSCRIPTS)
+    terms = [term for s in SUBSCRIPTS
+             for term in s.replace("->", ",").split(",")]
+    assert all(term.endswith("...") and term.count("...") == 1
+               for term in terms)
 
 
-@pytest.mark.parametrize("subscripts", SUBSCRIPTS)
+@pytest.mark.parametrize("reference", sorted(CASES))
 @pytest.mark.parametrize("lead", [(), (1,), (7,), (512,)])
-def test_contract_is_einsum_bit_for_bit(subscripts, lead):
-    rng = np.random.default_rng(zlib.crc32(f"{subscripts}{lead}".encode()))
+def test_contract_is_einsum_bit_for_bit(reference, lead):
+    subscripts = CASES[reference]
+    rng = np.random.default_rng(zlib.crc32(f"{reference}{lead}".encode()))
     labels = subscripts.split("->")[0].replace("...", "").split(",")
     for _ in range(3):
-        ops = [operand(rng, lead + (3,) * len(s)) for s in labels]
+        firsts = [operand(rng, lead + (3,) * len(s)) for s in labels]
+        want = np.einsum(reference, *firsts)
+        ops = [points_last(a, lead) for a in firsts]
+        copies = [a.copy() for a in ops]
         got = contract(subscripts, *ops)
-        assert identical(got, np.einsum(subscripts, *ops)), subscripts
-        assert got.flags.c_contiguous
+        assert identical(got, points_last(want, lead)), subscripts
+        assert np.asarray(got).flags.c_contiguous
+        assert all(identical(a, b) for a, b in zip(ops, copies))
 
 
 def test_a_lone_negative_zero_product_sums_to_positive_zero():
-    u, v = np.array([[-0.0, 1.0, 2.0]]), np.ones((1, 3))
-    got = contract("...i,...j->...ij", u, v)
-    assert not np.signbit(got[0, 0]).any()
-    assert identical(got, np.einsum("...i,...j->...ij", u, v))
+    u, v = np.array([[-0.0], [1.0], [2.0]]), np.ones((3, 1))
+    got = contract("i...,j...->ij...", u, v)
+    assert not np.signbit(got[0, :, 0]).any()
+    want = np.einsum("...i,...j->...ij", u.T, v.T)
+    assert identical(got, np.moveaxis(want, 0, -1))
+
+
+def test_output_axes_may_be_shorter_than_three():
+    # curvature_equivalences passes the blocks i < j of R as one row
+    rng = np.random.default_rng(11)
+    phi, upper = operand(rng, (64, 3, 3)), operand(rng, (64, 1, 3, 3, 3))
+    for reference, ops in (("...mk,...ijml->...ijkl", (phi, upper)),
+                           ("...ijkm,...lm->...ijkl", (upper, phi))):
+        got = contract(points_last_subscripts(reference),
+                       *(points_last(a, (64,)) for a in ops))
+        want = np.einsum(reference, *ops)
+        assert identical(got, points_last(want, (64,)))

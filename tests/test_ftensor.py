@@ -353,7 +353,7 @@ def test_pointwise_normality_data_matches_batch():
     defect = normality_defect_batch(S, batch)
     for i, p in enumerate(pts):
         data = normality_data_at(S, tuple(p))
-        assert np.abs(data.defect - defect[i]).max() <= 1e-11
+        assert np.abs(data.defect - defect[..., i]).max() <= 1e-11
 
 
 def test_nijenhuis_wrapper_contracts_vectors():
@@ -526,13 +526,13 @@ def test_batch_matches_pointwise(f, xi):
     for i, row in enumerate(pts):
         p = tuple(float(c) for c in row)
         t = f_tensor_at(S, p)
-        assert np.abs(F_batch[i] - t.components).max() <= 1e-12 * (1 + np.abs(t.components).max())
+        assert np.abs(F_batch[..., i] - t.components).max() <= 1e-12 * (1 + np.abs(t.components).max())
         b = project_components(S, p, tensor=t)
         for label, part in b.parts.items():
-            assert np.abs(comp.parts[label][i] - part).max() <= 1e-11
+            assert np.abs(comp.parts[label][..., i] - part).max() <= 1e-11
         ex = exterior_data_at(S, p, tensor=t)
         fr = S.frame(p)
-        assert np.abs(de[i] - ex.d_eta).max() <= 1e-11 * (1 + fr.scale)
-        assert np.abs(lg[i] - ex.lie_g).max() <= 1e-11 * (1 + fr.scale)
-        assert np.abs(df[i] - ex.d_fundamental).max() <= 1e-11 * (1 + fr.scale)
-        assert np.abs(fb[i] - fundamental_form(fr)).max() <= 1e-12 * (1 + fr.scale)
+        assert np.abs(de[..., i] - ex.d_eta).max() <= 1e-11 * (1 + fr.scale)
+        assert np.abs(lg[..., i] - ex.lie_g).max() <= 1e-11 * (1 + fr.scale)
+        assert np.abs(df[..., i] - ex.d_fundamental).max() <= 1e-11 * (1 + fr.scale)
+        assert np.abs(fb[..., i] - fundamental_form(fr)).max() <= 1e-12 * (1 + fr.scale)
