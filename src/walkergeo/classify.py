@@ -510,6 +510,7 @@ def named_classes(S: ApctStructure,
 
     _apply_setting_checks(S, cfg, basic, named, crosscheck)
     release(S, "components", cfg)
+    release(batch, "reeb_routes", None)
     release(pts, "eta_partials", None)
 
     ordered = {name: named[name] for name in NAMED_CLASSES}

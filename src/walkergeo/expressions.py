@@ -17,9 +17,11 @@ leading sign is allowed so that components like -1 can be written directly):
              | ("exp"|"sqrt") "(" expr ")"
     number  := digits ("." digits)?
 
-ASTs are immutable, compare structurally, and hash. `to_source` prints an
+ASTs are immutable and interned (hash-consed): a constructor returns the
+live node of that type with those fields when there is one, so equal trees
+are one object and == and hash are identity. `to_source` prints an
 expression so that reparsing reproduces the exact tree (`parse(to_source(e))
-== e` for trees no deeper than MAX_DEPTH); to keep that property the
+is e` for trees no deeper than MAX_DEPTH); to keep that property the
 printer parenthesizes right operands of same-precedence binary nodes and
 negated right operands of + and -.
 
@@ -35,8 +37,8 @@ import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterator, Mapping, Union
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -49,8 +51,8 @@ Rational = Union[int, Fraction]
 _VARIABLES = ("x", "y", "z")
 _FUNCTIONS = ("exp", "sqrt")
 
-# Deepest tree (and parenthesis nesting) `parse` accepts. The evaluators,
-# `diff` and the printer recurse per level; at this depth the deepest walk
+# Deepest tree (and parenthesis nesting) `parse` accepts. `diff`, the
+# printer and `jets.eval_jet` recurse per level; at this depth the deepest walk
 # found (printing a quotient chain's third derivative) needs about 600 of
 # Python's default 1000 frames.
 MAX_DEPTH = 100
@@ -59,22 +61,29 @@ _TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 _set = object.__setattr__  # fills the slots of a new, then immutable, node
 
+# Every live node by (type, *fields): equal trees are one object.
+_NODES: WeakValueDictionary = WeakValueDictionary()
+
 
 class Expr:
-    """Base class for AST nodes: immutable, equal and hashed by node type and
-    fields (`__match_args__`); provides arithmetic operator sugar."""
+    """Base class for AST nodes: immutable and interned, so a constructor
+    given the fields of a live node returns that node and == is identity;
+    provides arithmetic operator sugar."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
-    def __init_subclass__(cls):
-        cls._key = attrgetter(*cls.__match_args__)    # what == and hash see
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                _set(node, name, value)
+            _NODES[key] = node
+        return node
 
-    def __eq__(self, other):
-        return self is other or (type(other) is type(self)
-                                 and self._key(self) == other._key(other))
-
-    def __hash__(self):
-        return hash(self._key(self))
+    def __reduce__(self):   # a copy or unpickled node is interned too
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
     def __repr__(self) -> str:
         fields = (repr(getattr(self, name)) for name in self.__match_args__)
@@ -124,9 +133,9 @@ class Num(Expr):
 
     __slots__ = __match_args__ = ("value",)
 
-    def __init__(self, value: Fraction):
-        _set(self, "value",
-             value if isinstance(value, Fraction) else Fraction(value))
+    def __new__(cls, value: Fraction):
+        return super().__new__(
+            cls, value if isinstance(value, Fraction) else Fraction(value))
 
 
 class Const(Expr):
@@ -134,24 +143,13 @@ class Const(Expr):
 
     __slots__ = __match_args__ = ("name", "value")
 
-    def __init__(self, name: str, value: Fraction):
-        _set(self, "name", name)
-        _set(self, "value", value)
-
 
 class Var(Expr):
     __slots__ = __match_args__ = ("name",)
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
-
 
 class _Binary(Expr):
     __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        _set(self, "left", left)
-        _set(self, "right", right)
 
 
 class Add(_Binary):
@@ -173,24 +171,13 @@ class Div(_Binary):
 class Pow(Expr):
     __slots__ = __match_args__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: int):
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
-
 
 class Call(Expr):
     __slots__ = __match_args__ = ("func", "arg")
 
-    def __init__(self, func: str, arg: Expr):
-        _set(self, "func", func)
-        _set(self, "arg", arg)
-
 
 class Neg(Expr):
     __slots__ = __match_args__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        _set(self, "arg", arg)
 
 
 X = Var("x")
@@ -220,18 +207,10 @@ def _num(q: Fraction) -> Expr:
     return Num(q)
 
 
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Num) and e.value == 0
-
-
-def _is_one(e: Expr) -> bool:
-    return isinstance(e, Num) and e.value == 1
-
-
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_zero(a):
+    if a is ZERO:
         return b
-    if _is_zero(b):
+    if b is ZERO:
         return a
     if isinstance(a, Num) and isinstance(b, Num):
         return _num(a.value + b.value)
@@ -239,9 +218,9 @@ def add(a: Expr, b: Expr) -> Expr:
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if _is_zero(b):
+    if b is ZERO:
         return a
-    if _is_zero(a):
+    if a is ZERO:
         return neg(b)
     if isinstance(a, Num) and isinstance(b, Num):
         return _num(a.value - b.value)
@@ -249,11 +228,11 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_zero(a) or _is_zero(b):
+    if a is ZERO or b is ZERO:
         return ZERO
-    if _is_one(a):
+    if a is ONE:
         return b
-    if _is_one(b):
+    if b is ONE:
         return a
     if isinstance(a, Num) and isinstance(b, Num):
         return _num(a.value * b.value)
@@ -261,9 +240,9 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_zero(a):
+    if a is ZERO:
         return ZERO
-    if _is_one(b):
+    if b is ONE:
         return a
     if isinstance(a, Num) and isinstance(b, Num) and b.value != 0:
         q = a.value / b.value
@@ -291,7 +270,7 @@ def pow_of(base: Expr, exponent: int) -> Expr:
 
 
 def exp_of(arg: Expr) -> Expr:
-    if _is_zero(arg):
+    if arg is ZERO:
         return ONE
     return Call("exp", arg)
 
@@ -338,20 +317,23 @@ def depth(e: Expr) -> int:
 # Differentiation
 
 
-# (node id, variable) -> (node, derivative) while a derivative scope is open
-_DERIVATIVES: ContextVar[dict | None] = ContextVar("derivatives", default=None)
+# While a derivative scope is open: (node id, variable) -> (node,
+# derivative), and (field, points id) -> (values, scale, points)
+_SCOPE: ContextVar[tuple[dict, dict] | None] = ContextVar("scope", default=None)
 
 
 @contextmanager
 def derivative_scope():
-    """Differentiate each (node, variable) once while open (an open scope
-    is reused); the memo keeps its nodes alive, so their ids stay unique."""
-    token = None if _DERIVATIVES.get() is not None else _DERIVATIVES.set({})
+    """Differentiate each (node, variable) once, and evaluate each field
+    once per read-only point array (see `evaluate_with_scale`), while open;
+    an open scope is reused. An analysis is one scope. The memos keep their
+    nodes and arrays alive, so their ids stay unique."""
+    token = None if _SCOPE.get() is not None else _SCOPE.set(({}, {}))
     try:
         yield
     finally:
         if token is not None:
-            _DERIVATIVES.reset(token)
+            _SCOPE.reset(token)
 
 
 def diff(e: Expr, var: str) -> Expr:
@@ -363,10 +345,11 @@ def diff(e: Expr, var: str) -> Expr:
     """
     if var not in _VARIABLES:
         raise ValueError(f"unknown variable {var!r}")
-    memo = _DERIVATIVES.get()
-    if memo is None:
+    scope = _SCOPE.get()
+    if scope is None:
         with derivative_scope():
             return diff(e, var)
+    memo = scope[0]
     key = (id(e), var)
     if key not in memo:
         memo[key] = (e, _derive(e, var))
@@ -712,14 +695,22 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     by (1 + scale), so cancellation-heavy identities are judged relative to
     the size of the quantities that cancelled.
 
-    The expression is walked as a DAG: a subtree reached twice (`diff`
-    reuses operand objects) is evaluated once per call, children left to
-    right, and its arrays are dropped once its last parent has used them;
-    nothing is kept between calls. Values are those of a tree walk.
+    The expression is walked as a DAG, without recursion: a subtree reached
+    twice (`diff` reuses operand objects) is evaluated once per call,
+    children left to right, and its arrays are dropped once its last parent
+    has used them. Values are those of a tree walk.
+
+    In an analysis (an open `derivative_scope`), a field evaluated on a
+    read-only (n, 3) array, such as the analysis sample, keeps its (values,
+    scale), made read-only, and the array, until the scope closes. Calling
+    again with that field returns them; a field containing it uses them as
+    a leaf. A node's values and scale depend on its subtree alone, so this
+    changes no bit. Otherwise, and for one point, nothing is kept.
 
     Raises EvaluationError on division by exactly zero, sqrt of a
     non-positive argument, or a non-finite result (overflow), reporting the
-    offending subexpression and the first offending point.
+    offending subexpression and the first offending point; a field that
+    raises is not kept.
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
@@ -727,6 +718,25 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
         pts = pts.reshape(1, 3)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (3,) or (n, 3)")
+    scope = None if single or pts.flags.writeable else _SCOPE.get()
+    table = {} if scope is None else scope[1]
+    hit = table.get((e, id(pts)))
+    if hit is not None:
+        return hit[:2]
+    values, scale = _walk(e, pts, table)
+    if single:
+        return values[0], scale[0]
+    if scope is not None:
+        values.setflags(write=False)
+        scale.setflags(write=False)
+        table[e, id(pts)] = (values, scale, pts)
+    return values, scale
+
+
+def _walk(e: Expr, pts: np.ndarray, kept: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(values, scale) of e over the (n, 3) points, a field kept for them
+    standing as a leaf (see evaluate_with_scale)."""
+    at = id(pts)
     coords = {"x": pts[:, 0], "y": pts[:, 1], "z": pts[:, 2]}
 
     def check(bad: np.ndarray, reason: str, node: Expr) -> None:
@@ -764,18 +774,25 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
                 check(~np.isfinite(v), "non-finite value", node)
         return v, np.maximum(scale, np.abs(v))
 
-    uses = {id(e): 0}       # parent edges into each node
-    order: list[Expr] = []  # distinct nodes, each after its children
-
-    def visit(node: Expr) -> None:
-        for child in _children(node):
+    # Distinct nodes depth first, each after its children (left to right),
+    # a kept field standing as a leaf; and the parent edges into each node.
+    uses = {id(e): 0}
+    order: list[Expr] = []
+    results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    stack = [(e, iter(_children(e)))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
             uses[id(child)] = uses.get(id(child), 0) + 1
             if uses[id(child)] == 1:
-                visit(child)
-        order.append(node)
-
-    visit(e)
-    results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+                hit = kept.get((child, at))
+                if hit is not None:
+                    results[id(child)] = hit[:2]
+                else:
+                    stack.append((child, iter(_children(child))))
+                    break
+        else:
+            order.append(stack.pop()[0])
     for node in order:
         children = _children(node)
         results[id(node)] = ev(node, [results[id(c)] for c in children])
@@ -783,10 +800,7 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
             uses[id(child)] -= 1
             if not uses[id(child)]:
                 del results[id(child)]
-    values, scale = results[id(e)]
-    if single:
-        return values[0], scale[0]
-    return values, scale
+    return results[id(e)]
 
 
 def evaluate(e: Expr, points):

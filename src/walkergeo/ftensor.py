@@ -33,9 +33,9 @@ modeled direct sum is detected rather than silently projected.
 Arrays are laid out components first, points last: F over n points is
 (3, 3, 3, n), and a single point has no point axis (see `structure`).
 Contractions go through structure.contract (einsum's summation order, bit
-for bit). Symbolic fields are differentiated once per analysis and
-evaluated afresh each time, except the eta partials, which the normality
-and named-class routes share until the classification ends.
+for bit). Symbolic fields are differentiated and evaluated once per
+analysis; the eta partials and a batch's Reeb contractions are shared by
+the routes that read them until the classification ends.
 """
 
 from __future__ import annotations
@@ -242,27 +242,6 @@ def theta_forms(S: ApctStructure, point,
     )
 
 
-def fundamental_form(frame: Frame) -> np.ndarray:
-    """The 2-form g(phi ., .) as an antisymmetric matrix."""
-    phi, g = points_first(frame.phi_mat, 2), points_first(frame.g, 2)
-    return points_last(phi.swapaxes(-1, -2) @ g, 2)
-
-
-def eta_wedge_fundamental(frame: Frame) -> np.ndarray:
-    """Cyclic wedge of eta with the fundamental 2-form:
-    (eta ^ fund)(X, Y, Z) = eta(X) fund(Y, Z) + eta(Y) fund(Z, X)
-    + eta(Z) fund(X, Y)."""
-    return _eta_wedge(frame.eta_vec, fundamental_form(frame))
-
-
-def _eta_wedge(eta: np.ndarray, ew: np.ndarray) -> np.ndarray:
-    return (
-        contract("i...,jk...->ijk...", eta, ew)
-        + contract("j...,ki...->ijk...", eta, ew)
-        + contract("k...,ij...->ijk...", eta, ew)
-    )
-
-
 class ExteriorData(NamedTuple):
     """d(eta), d(fundamental), Lie_xi g, and nabla(eta) at a point.
 
@@ -281,15 +260,14 @@ class ExteriorData(NamedTuple):
     route_discrepancy: float
 
 
-def _contractions(F: np.ndarray, phi: np.ndarray, xi: np.ndarray):
-    """d(eta), Lie_xi g, nabla(eta) and d(fundamental), contracted out of
-    F; the first three through F(d_i, phi d_j, xi)."""
+def _reeb_routes(F: np.ndarray, phi: np.ndarray, xi: np.ndarray):
+    """d(eta), Lie_xi g and nabla(eta), contracted out of F through
+    F(d_i, phi d_j, xi)."""
     contracted = contract("imc...,mj...,c...->ij...", F, phi, xi)
     return (
         0.5 * (contracted.swapaxes(0, 1) - contracted),
         -contracted - contracted.swapaxes(0, 1),
         -contracted,
-        F + np.moveaxis(F, 0, 2) + np.moveaxis(F, 2, 0),
     )
 
 
@@ -313,9 +291,12 @@ def exterior_data_at(S: ApctStructure, point,
     dw[:, :, 2] += contract("j...,a...->aj...", frame.phi_mat[2], f_d)
     d_fund = dw - dw.swapaxes(0, 1) + np.moveaxis(dw, 0, 2)
 
-    # structure-tensor routes for the same objects
+    # structure-tensor routes for the same objects; d(fundamental) is the
+    # cyclic sum of F
+    cyclic = F + np.moveaxis(F, 0, 2) + np.moveaxis(F, 2, 0)
     routes = zip((d_eta, lie_g, nabla_eta, d_fund),
-                 _contractions(F, frame.phi_mat, frame.xi_vec), (2, 2, 2, 3))
+                 _reeb_routes(F, frame.phi_mat, frame.xi_vec) + (cyclic,),
+                 (2, 2, 2, 3))
     discrepancy = np.maximum.reduce([
         max_abs(coordinate - contracted, axes)
         for coordinate, contracted, axes in routes
@@ -522,29 +503,25 @@ def split_components_batch(S: ApctStructure, pts) -> ComponentBatch:
     return ComponentBatch(pts, xi, eta, phi, g, F, scale, parts, th, ths, defect)
 
 
+def _batch_reeb_routes(S: ApctStructure, batch: ComponentBatch):
+    """`_reeb_routes` over a batch, formed once per batch in an analysis."""
+    return once(batch, "reeb_routes", S.domain, None,
+                lambda: _reeb_routes(batch.tensor, batch.phi, batch.xi))
+
+
 def d_eta_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
     """d(eta) over a batch, contracted out of the structure tensor."""
-    return _contractions(batch.tensor, batch.phi, batch.xi)[0]
+    return _batch_reeb_routes(S, batch)[0]
 
 
 def lie_g_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
     """Lie derivative of g along the Reeb field over a batch."""
-    return _contractions(batch.tensor, batch.phi, batch.xi)[1]
-
-
-def d_fundamental_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
-    """d of the fundamental 2-form over a batch (cyclic sum of F)."""
-    return _contractions(batch.tensor, batch.phi, batch.xi)[3]
+    return _batch_reeb_routes(S, batch)[1]
 
 
 def fundamental_form_batch(batch: ComponentBatch) -> np.ndarray:
     """g(phi ., .) over a batch."""
     return contract("lj...,lk...->jk...", batch.phi, batch.g)
-
-
-def eta_wedge_fundamental_batch(batch: ComponentBatch) -> np.ndarray:
-    """Cyclic wedge of eta with the fundamental 2-form over a batch."""
-    return _eta_wedge(batch.eta, fundamental_form_batch(batch))
 
 
 def _gradients(fields, pts: np.ndarray) -> np.ndarray:

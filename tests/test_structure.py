@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from geometry_oracles import christoffel_oracle, fd_partial, metric_fn, vector_fn
+from geometry_oracles import (
+    christoffel_oracle, fd_partial, metric_fn, vector_fn, with_phi,
+)
 from walkergeo.errors import NonexistentStructureError, UnitConstraintError
 from walkergeo.expressions import evaluate_with_scale, parse, to_source
 from walkergeo.sampling import Domain, Interval, SamplingConfig, is_identically_zero
@@ -108,7 +110,7 @@ def test_corrupted_phi_fails_validation():
     entries = [[to_source(e) for e in row] for row in S.phi]
     # flip the sign of phi^2_3; compatibility and skew-adjointness both break
     entries[1][2] = to_source(-S.phi[1][2] + parse("1"))
-    bad = S.with_phi(tuple(tuple(parse(e) for e in row) for row in entries))
+    bad = with_phi(S, tuple(tuple(parse(e) for e in row) for row in entries))
     report = validate_axioms(bad, CFG)
     assert not report.all_passed
     failed = {c.name for c in report.checks if not c.passed}

@@ -1,11 +1,13 @@
 """The value types: NamedTuple records and slotted classes, none of them a
 dataclass, keeping what the rest of the package relies on (immutability,
-structural equality where objects are keys, validation, truthiness,
-read-only arrays)."""
+equality where objects are keys, interned expression nodes, validation,
+truthiness, read-only arrays)."""
 
+import copy
 import dataclasses
 import importlib
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 import walkergeo
+import walkergeo.expressions as ex
 from walkergeo.classify import NamedVerdict, named_classes
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.curvature import eta_einstein_check
@@ -74,7 +77,7 @@ def test_assigning_a_field_raises(structure):
 def test_equal_keys_are_equal_and_hash_equal():
     source = "x*exp(y - z)/(1 + x^2) - sqrt(y)"
     a, b = parse(source), parse(source)
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b
     assert Add(Var("x"), Var("y")) != Sub(Var("x"), Var("y"))
     assert parse("x + y") != parse("y + x")
     assert SamplingConfig(16, 5) == SamplingConfig(samples=16, seed=5)
@@ -86,6 +89,26 @@ def test_equal_keys_are_equal_and_hash_equal():
     assert d1.sample(SamplingConfig(4)) is d2.sample(SamplingConfig(4))
     assert Interval(0.5, 2) == Interval(0.5, 2.0)
     assert hash(Interval(0.5, 2)) == hash(Interval(0.5, 2.0))
+
+
+def test_equal_trees_are_one_node():
+    assert Num(3) is Num(Fraction(3)) is parse("3")
+    assert parse("x*y") is Var("x") * Var("y")
+    assert parse("x*y") is not parse("y*x")
+    e = parse("x*exp(y - z)/(1 + x^2)")
+    assert copy.deepcopy(e) is e and pickle.loads(pickle.dumps(e)) is e
+
+
+def test_the_intern_table_does_not_grow_across_analyses():
+    def analyze():
+        S = load_fixture("paracontact-exponential").build(samples=8)
+        build_report(S, name="paracontact-exponential")
+
+    analyze()
+    live = len(ex._NODES)
+    for _ in range(50):
+        analyze()
+    assert 0 < len(ex._NODES) <= live
 
 
 def test_fields_are_validated_and_coerced():
