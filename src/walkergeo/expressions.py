@@ -318,17 +318,20 @@ def depth(e: Expr) -> int:
 
 
 # While a derivative scope is open: (node id, variable) -> (node,
-# derivative), and (field, points id) -> (values, scale, points)
-_SCOPE: ContextVar[tuple[dict, dict] | None] = ContextVar("scope", default=None)
+# derivative); (field, points id) -> (values, scale, points); and (field,
+# points id or point bytes) -> (jet, all finite, points) (see jets.eval_jet)
+_SCOPE: ContextVar[tuple[dict, dict, dict] | None] = ContextVar(
+    "scope", default=None)
 
 
 @contextmanager
 def derivative_scope():
-    """Differentiate each (node, variable) once, and evaluate each field
-    once per read-only point array (see `evaluate_with_scale`), while open;
-    an open scope is reused. An analysis is one scope. The memos keep their
-    nodes and arrays alive, so their ids stay unique."""
-    token = None if _SCOPE.get() is not None else _SCOPE.set(({}, {}))
+    """Differentiate each (node, variable) once, evaluate each field once per
+    read-only point array (see `evaluate_with_scale`), and keep each field's
+    jets (see `jets.eval_jet`), while open; an open scope is reused. An
+    analysis is one scope. The memos keep their nodes and arrays alive, so
+    their ids stay unique."""
+    token = None if _SCOPE.get() is not None else _SCOPE.set(({}, {}, {}))
     try:
         yield
     finally:

@@ -166,37 +166,38 @@ class FTensorValue:
 
     components[a, b, c] = F(d_a, d_b, d_c) by the coordinate formula;
     route_discrepancy is the largest difference against the connection
-    route, normalized by (1 + frame scale). theta_xi and theta_star_xi are
-    the trace forms evaluated on the Reeb field, reeb_square the covector
-    F(xi, xi, .); all three recur in the component shapes, so they are
-    cached here.
+    route, normalized by (1 + frame scale). theta and theta_star are the
+    trace forms on the coordinate fields, theta_xi and theta_star_xi the
+    same evaluated on the Reeb field, reeb_square the covector
+    F(xi, xi, .); the trace forms and the component shapes read them here.
     """
 
-    __slots__ = ("point", "components", "theta_xi", "theta_star_xi",
-                 "reeb_square", "route_discrepancy")
+    __slots__ = ("point", "components", "theta", "theta_star", "theta_xi",
+                 "theta_star_xi", "reeb_square", "route_discrepancy")
 
     def __init__(self, point: tuple[float, float, float],
-                 components: np.ndarray, theta_xi: float, theta_star_xi: float,
+                 components: np.ndarray, theta: np.ndarray,
+                 theta_star: np.ndarray, theta_xi: float, theta_star_xi: float,
                  reeb_square: np.ndarray, route_discrepancy: float):
-        components.setflags(write=False)
-        reeb_square.setflags(write=False)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "theta_xi", theta_xi)
-        object.__setattr__(self, "theta_star_xi", theta_star_xi)
-        object.__setattr__(self, "reeb_square", reeb_square)
-        object.__setattr__(self, "route_discrepancy", route_discrepancy)
+        for array in (components, theta, theta_star, reeb_square):
+            array.setflags(write=False)
+        for name, value in zip(self.__slots__, (
+                point, components, theta, theta_star, theta_xi, theta_star_xi,
+                reeb_square, route_discrepancy)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
 
-def _trace_forms(ginv: np.ndarray, phi: np.ndarray,
-                 F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """theta and theta* on the coordinate fields, contracted out of F."""
+def _tensor_forms(F: np.ndarray, xi: np.ndarray, phi: np.ndarray,
+                  ginv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """theta and theta* on the coordinate fields, and the Reeb square
+    F(xi, xi, .), contracted out of F."""
     theta = contract("ij...,ijc...->c...", ginv, F)
     mixed = contract("ij...,mj...->im...", ginv, phi)
-    return theta, contract("im...,imc...->c...", mixed, F)
+    return (theta, contract("im...,imc...->c...", mixed, F),
+            contract("i...,j...,ijc...->c...", xi, xi, F))
 
 
 def f_tensor_at(S: ApctStructure, point) -> FTensorValue:
@@ -204,12 +205,12 @@ def f_tensor_at(S: ApctStructure, point) -> FTensorValue:
     coord = _coordinate_route(frame)
     conn = _connection_route(frame)
     discrepancy = max_abs(coord - conn, 3) / (1.0 + frame.scale)
-    theta, theta_star = _trace_forms(frame.ginv, frame.phi_mat, coord)
-    xi = frame.xi_vec
-    reeb_square = contract("i...,j...,ijc...->c...", xi, xi, coord)
-    xi_first = points_first(xi, 1)
+    theta, theta_star, reeb_square = _tensor_forms(
+        coord, frame.xi_vec, frame.phi_mat, frame.ginv)
+    xi_first = points_first(frame.xi_vec, 1)
     return FTensorValue(
-        frame.point, coord, dot(points_first(theta, 1), xi_first),
+        frame.point, coord, theta, theta_star,
+        dot(points_first(theta, 1), xi_first),
         dot(points_first(theta_star, 1), xi_first), reeb_square, discrepancy,
     )
 
@@ -231,13 +232,12 @@ def theta_forms(S: ApctStructure, point,
                 tensor: FTensorValue | None = None) -> TraceForms:
     frame = S.frame(point, order=1)
     t = tensor or f_tensor_at(S, point)
-    theta, theta_star = _trace_forms(frame.ginv, frame.phi_mat, t.components)
     closed = evaluate_with_scale(theta_xi_field(S), frame.points)[0]
     closed_star = evaluate_with_scale(theta_star_xi_field(S), frame.points)[0]
     discrepancy = np.maximum(abs(t.theta_xi - closed),
                              abs(t.theta_star_xi - closed_star))
     return TraceForms(
-        frame.point, theta, theta_star, t.theta_xi, t.theta_star_xi,
+        frame.point, t.theta, t.theta_star, t.theta_xi, t.theta_star_xi,
         discrepancy / (1.0 + frame.scale),
     )
 
@@ -321,16 +321,12 @@ def _nijenhuis(phi: np.ndarray, pd: np.ndarray) -> np.ndarray:
     """N(d_i, d_j)^k from phi and its partials pd[a, i, j] = d_a phi^i_j."""
     # [phi d_i, phi d_j]^k, using [U, V]^k = u^m d_m v^k - v^m d_m u^k;
     # the phi^2 [d_i, d_j] term of the torsion drops for coordinate fields.
-    bracket = (
-        contract("mi...,mkj...->ijk...", phi, pd)
-        - contract("mj...,mki...->ijk...", phi, pd)
-    )
+    # Each second contraction is the first with i and j swapped.
+    bracket = contract("mi...,mkj...->ijk...", phi, pd)
     # -phi [phi d_i, d_j] - phi [d_i, phi d_j]
-    correction = (
-        contract("km...,jmi...->ijk...", phi, pd)
-        - contract("km...,imj...->ijk...", phi, pd)
-    )
-    return bracket + correction
+    correction = contract("km...,jmi...->ijk...", phi, pd)
+    return ((bracket - bracket.swapaxes(0, 1))
+            + (correction - correction.swapaxes(0, 1)))
 
 
 def normality_data_at(S: ApctStructure, point,
@@ -355,44 +351,37 @@ def nijenhuis(S: ApctStructure, point, X, Y) -> np.ndarray:
 
 # --- pointwise component split ---------------------------------------------
 
-def _component_arrays(F, xi, eta, phi, g, ginv):
-    """Vectorized split of F into its four admissible components.
+def _component_arrays(F, xi, eta, phi, g, forms):
+    """Vectorized split of F into its four admissible components, given
+    F's `_tensor_forms`.
 
     All inputs may carry a trailing point axis. Returns (parts, theta_xi,
     theta_star_xi, model_defect) where parts maps the component labels to
     arrays shaped like F, summing to F exactly, and model_defect is the
     largest violation of the remainder-shape identities (not yet
-    normalized).
+    normalized). Each antisymmetric pair of contractions is formed once:
+    the second is the first with its last two axes swapped.
     """
-    theta_form, theta_star_form = _trace_forms(ginv, phi, F)
+    theta_form, theta_star_form, reeb_square = forms
     theta_xi = contract("c...,c...->...", theta_form, xi)
     theta_star_xi = contract("c...,c...->...", theta_star_form, xi)
 
     gphiphi = contract("ai...,ab...,bj...->ij...", phi, g, phi)
     gphi = contract("ab...,bj...->aj...", g, phi)
-    f5 = 0.5 * (
-        contract("...,j...,ik...->ijk...", theta_xi, eta, gphiphi)
-        - contract("...,k...,ij...->ijk...", theta_xi, eta, gphiphi)
-    )
-    f6 = -0.5 * (
-        contract("...,j...,ik...->ijk...", theta_star_xi, eta, gphi)
-        - contract("...,k...,ij...->ijk...", theta_star_xi, eta, gphi)
-    )
-    reeb_square = contract("i...,j...,ijc...->c...", xi, xi, F)
-    f12 = (
-        contract("i...,j...,k...->ijk...", eta, eta, reeb_square)
-        - contract("i...,k...,j...->ijk...", eta, eta, reeb_square)
-    )
+    f5 = contract("...,j...,ik...->ijk...", theta_xi, eta, gphiphi)
+    f5 = 0.5 * (f5 - f5.swapaxes(1, 2))
+    f6 = contract("...,j...,ik...->ijk...", theta_star_xi, eta, gphi)
+    f6 = -0.5 * (f6 - f6.swapaxes(1, 2))
+    f12 = contract("i...,j...,k...->ijk...", eta, eta, reeb_square)
+    f12 = f12 - f12.swapaxes(1, 2)
     f10 = F - f5 - f6 - f12
 
     # Remainder audit: the fourth component is characterized by
     # F(X, Y, Z) = -eta(Y) T(X, Z) + eta(Z) T(X, Y) with T = F(., ., xi)
     # symmetric and invariant under (X, Y) -> (phi X, phi Y).
     t = contract("ijc...,c...->ij...", f10, xi)
-    recon = (
-        -contract("j...,ik...->ijk...", eta, t)
-        + contract("k...,ij...->ijk...", eta, t)
-    )
+    recon = contract("j...,ik...->ijk...", eta, t)
+    recon = -recon + recon.swapaxes(1, 2)
     d_recon = max_abs(f10 - recon, 3)
     d_sym = max_abs(t - t.swapaxes(0, 1), 2)
     t_phiphi = contract("ai...,bj...,ab...->ij...", phi, phi, t)
@@ -433,9 +422,11 @@ def project_components(S: ApctStructure, point,
                        tensor: FTensorValue | None = None,
                        tol: float = 1e-9) -> ProjectionBundle:
     frame = S.frame(point, order=1)
-    F = (tensor or f_tensor_at(S, point)).components
+    t = tensor or f_tensor_at(S, point)
+    F = t.components
     parts, th, ths, defect = _component_arrays(
-        F, frame.xi_vec, frame.eta_vec, frame.phi_mat, frame.g, frame.ginv
+        F, frame.xi_vec, frame.eta_vec, frame.phi_mat, frame.g,
+        (t.theta, t.theta_star, t.reeb_square),
     )
     residual = F - parts["G5"] - parts["G6"] - parts["G10"] - parts["G12"]
     normalized = defect / (1.0 + frame.scale + max_abs(F, 3))
@@ -497,7 +488,8 @@ def split_components_batch(S: ApctStructure, pts) -> ComponentBatch:
     xi, eta, phi = values[1:4], values[4:7], values[7:].reshape((3, 3, -1))
     g, ginv = metric_arrays(values[0])
     F, tensor_scale = structure_tensor_batch(S, pts)
-    parts, th, ths, defect = _component_arrays(F, xi, eta, phi, g, ginv)
+    parts, th, ths, defect = _component_arrays(
+        F, xi, eta, phi, g, _tensor_forms(F, xi, phi, ginv))
     scale = np.maximum(frame_scale, tensor_scale)
     defect = defect / (1.0 + scale + max_abs(F, 3))
     return ComponentBatch(pts, xi, eta, phi, g, F, scale, parts, th, ths, defect)

@@ -9,10 +9,12 @@ Coefficients form one array shaped (coefficients,) + (n,) over an (n, 3)
 batch of points, or (coefficients,) at a single point, a batch-of-one view:
 the package's one layout, components first and points last (see structure).
 Each operation acts on whole rows in one order, so a batch row is bit for
-bit the single-point jet: products accumulate `out[gamma] += a[alpha] *
-b[beta]` from 0.0 in a fixed split order, and the exp and reciprocal tables
-call math.exp and Python `**` per point (numpy rounds differently).
-Jets are not memoized: nothing evaluated here is kept between calls.
+bit the single-point jet: a product adds each gamma's terms a[alpha] *
+b[beta] one by one, in a fixed split order, to +0.0, as column sums (see
+`_product_table`); and the exp and reciprocal tables call math.exp and
+Python `**` per point (numpy rounds differently), mapped in C. In an
+analysis, each field's jet at a point or on a read-only batch is computed
+once and kept, and a lower order is cut from it (see `eval_jet`).
 
 `eval_jet` propagates jets bottom-up through an expression AST, so every
 partial derivative up to the requested order comes out of one pass, with no
@@ -25,12 +27,15 @@ divisors, positive sqrt arguments).
 from __future__ import annotations
 
 import math
+import operator
+from itertools import accumulate, product, repeat
 
 import numpy as np
 
 from .errors import EvaluationError
 from .expressions import (
-    Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, to_source,
+    _SCOPE, Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var,
+    to_source,
 )
 
 MAX_ORDER = 3
@@ -52,29 +57,40 @@ _INDICES = {order: _indices(order) for order in range(MAX_ORDER + 1)}
 _ROW = {order: {alpha: r for r, alpha in enumerate(_INDICES[order])}
         for order in range(MAX_ORDER + 1)}
 
-def _product_table(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _product_table(order: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Every way of splitting each multi-index gamma into two factors, as
-    rows (gamma, left factor, right factor), gamma by gamma."""
+    rows of the left and of the right factor, gamma by gamma; and the term
+    columns: column k holds each gamma's k-th term, or the index one past
+    the last term (a +0.0 pad) when gamma has fewer."""
     row = _ROW[order]
-    table = [
-        (g, row[ai, aj, ak], row[gi - ai, gj - aj, gk - ak])
-        for g, (gi, gj, gk) in enumerate(_INDICES[order])
-        for ai, aj, ak in np.ndindex(gi + 1, gj + 1, gk + 1)
-    ]
-    return tuple(np.array(column) for column in zip(*table))
+    splits = [[(row[ai, aj, ak], row[gi - ai, gj - aj, gk - ak])
+               for ai, aj, ak in product(range(gi + 1), range(gj + 1),
+                                         range(gk + 1))]
+              for gi, gj, gk in _INDICES[order]]
+    starts = [0, *accumulate(map(len, splits))]
+    columns = tuple(np.array([start + k if k < len(s) else starts[-1]
+                              for s, start in zip(splits, starts)])
+                    for k in range(max(map(len, splits))))
+    left, right = np.array([term for s in splits for term in s]).T
+    return left, right, columns
 
 
 _PRODUCT = {order: _product_table(order) for order in _ROW}
 
 
-def _per_point(fn, values: np.ndarray) -> np.ndarray:
-    """fn on each value as a Python float (libm rounding); overflow -> inf."""
-    out = []
-    for u in np.ravel(values).tolist():
-        try:
-            out.append(fn(u))
-        except OverflowError:
-            out.append(math.inf)
+def _per_point(fn, values: np.ndarray, *more) -> np.ndarray:
+    """fn(value, *more) on each value as a Python float (libm rounding);
+    overflow -> inf."""
+    flat = np.ravel(values).tolist()
+    try:
+        out = list(map(fn, flat, *map(repeat, more)))
+    except OverflowError:   # rare: again point by point
+        out = []
+        for u in flat:
+            try:
+                out.append(fn(u, *more))
+            except OverflowError:
+                out.append(math.inf)
     return np.array(out).reshape(np.shape(values))
 
 
@@ -125,10 +141,15 @@ class Jet3:
 
     def __mul__(self, other: "Jet3") -> "Jet3":
         assert self.order == other.order
-        gamma, left, right = _PRODUCT[self.order]
-        out = np.zeros_like(self.coeffs)
-        # unbuffered: each gamma's terms are added one by one, in table order
-        np.add.at(out, gamma, self.coeffs[left] * other.coeffs[right])
+        left, right, (first, *columns) = _PRODUCT[self.order]
+        terms = np.zeros((len(left) + 1,) + self.coeffs.shape[1:])
+        np.multiply(self.coeffs[left], other.coeffs[right], out=terms[:-1])
+        # column by column: a sum started at +0.0 is never -0.0, so adding
+        # the +0.0 pad changes no value and no sign of zero
+        out = terms[first]
+        out += 0.0
+        for column in columns:
+            out += terms[column]
         return Jet3(self.order, out)
 
     def compose(self, derivs) -> "Jet3":
@@ -150,7 +171,7 @@ class Jet3:
         u0 = self.value
         numerators = (1.0, -1.0, 2.0, -6.0)
         derivs = [1.0 / u0] + [
-            numerators[n] / _per_point(lambda u, n=n: u ** (n + 1), u0)
+            numerators[n] / _per_point(operator.pow, u0, n + 1)
             for n in range(1, self.order + 1)
         ]
         return self.compose(derivs)
@@ -190,10 +211,43 @@ def eval_jet(e: Expr, point, order: int = MAX_ORDER) -> Jet3:
     Domain violations (zero divisor, non-positive sqrt argument, overflow)
     raise EvaluationError naming the offending subexpression and the first
     point where it fails.
+
+    In an analysis (an open `derivative_scope`), the jet of a field at one
+    point (keyed by its bytes) or on a read-only (n, 3) array (keyed by
+    identity and kept alive) is kept, its coefficients made read-only, until
+    the scope closes; a field that raised is not kept. A call at the kept
+    order returns the kept jet; one at a lower order returns its leading
+    rows when every kept coefficient is finite. That changes no bit: a
+    coefficient of degree d comes from those of degree <= d by the same
+    operations at every order, except that a higher order adds Horner steps
+    in w = u - u0 (see `compose`). Those reach degree d only as products
+    with w's zero constant term, +-0.0 when finite, added to sums that start
+    at +0.0. A non-finite factor there gives nan, which reaches the result,
+    so a jet with a non-finite coefficient is never truncated. Otherwise,
+    and outside an analysis, the jet is computed afresh.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
     pts = np.asarray(point, dtype=float)
+    scope, key, kept = _SCOPE.get(), None, None
+    if scope is not None and (pts.ndim == 1 or not pts.flags.writeable):
+        key = (e, pts.tobytes() if pts.ndim == 1 else id(pts))
+        kept = scope[2].get(key)
+    if kept is not None:
+        jet, finite, _ = kept
+        if jet.order == order:
+            return jet
+        if jet.order > order and finite:
+            return Jet3(order, jet.coeffs[:len(_INDICES[order])])
+    jet = _propagate(e, pts, order)
+    if key is not None and (kept is None or order > kept[0].order):
+        jet.coeffs.setflags(write=False)
+        scope[2][key] = (jet, bool(np.isfinite(jet.coeffs).all()), pts)
+    return jet
+
+
+def _propagate(e: Expr, pts: np.ndarray, order: int) -> Jet3:
+    """The jet of e at the point or points, computed afresh (see eval_jet)."""
     single = pts.ndim == 1
     pts = pts.reshape(-1, 3)
     shape = pts.shape[:1]

@@ -213,9 +213,9 @@ _ANALYSIS: ContextVar[Analysis | None] = ContextVar("analysis", default=None)
 def analyzed(run):
     """Run `run(S, cfg, ...)`, cfg defaulting to S.config, in the analysis
     of S: the open one, or a new one with its own derivative scope, which
-    also keeps each field's values on the sample. There `once` builds each
-    verdict (per field) and each shared result once; a shared sample array
-    is kept until `release`."""
+    also keeps each field's values on the sample and its jets. There `once`
+    builds each verdict (per field) and each shared result once; a shared
+    sample array is kept until `release`."""
     @wraps(run)
     def within(S, cfg=None, *args, **kwargs):
         cfg = cfg or S.config

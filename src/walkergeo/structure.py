@@ -24,8 +24,10 @@ g(phi X, Y) = -g(X, phi Y), g(xi, xi) = 1, plus the derived ones
 A Frame bundles jets of f, xi, eta, and phi over a batch of points (one per
 analysis) or at one point (the pointwise API), with the numeric arrays every
 tensor operation needs; frames are cached per structure. The analysis of a
-report memoizes verdicts, a few shared batches, and each field's values on
-its sample (see `expressions.evaluate_with_scale`).
+report memoizes verdicts, a few shared batches, each field's values on its
+sample (see `expressions.evaluate_with_scale`), and each field's jets at a
+point or on the sample, from which a lower order is cut (see
+`jets.eval_jet`).
 
 Every batched numeric array of the package has one layout, that of the jet
 coefficients: components first, points last, C-contiguous. Over n points a
@@ -88,24 +90,30 @@ def max_abs(a: np.ndarray, axes: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _contraction_plan(subscripts: str, points: int):
-    """Per operand, its axis order and the index placing it on the product
-    axes (summed labels, output labels, points); the number of summed
+def _contraction_plan(subscripts: str, ndim: int):
+    """The whole of `contract` that does not depend on the operand values,
+    given the first operand's number of axes: per operand, its axis order
+    and the index placing it on the product axes (summed labels, output
+    labels, points); per later operand, whether the product already spans
+    its labels, so that it is multiplied in place; the number of summed
     labels; and the order in which a run over the last summed label is
     summed apart, or None when the terms are added one by one."""
     inputs, out = subscripts.replace("...", "").split("->")
     inputs = inputs.split(",")
+    points = ndim - len(inputs[0])
     summed = [c for c in dict.fromkeys("".join(inputs)) if c not in out]
     labels = summed + list(out)
     views = [([s.index(c) for c in labels if c in s]
               + list(range(len(s), len(s) + points)),
               tuple(slice(None) if c in s else None for c in labels))
              for s in inputs]
+    in_place = [set(s) <= set("".join(inputs[:k]))
+                for k, s in enumerate(inputs[2:], 2)]
     run = None
     if summed and all(s[-1] == summed[-1] for s in inputs if summed[-1] in s):
         both = len(inputs) == 2 and all(summed[-1] in s for s in inputs)
         run = (0, 2, 1) if both else (0, 1, 2)
-    return views, len(summed), run
+    return views, in_place, len(summed), run
 
 
 def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
@@ -113,22 +121,22 @@ def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     (`...`) and summed axes of length 3, giving the bits np.einsum gives on
     the points-first operands (`...` leading).
 
+    The plan (`_contraction_plan`) is made once per subscripts and rank.
     Each operand is viewed, uncopied, on the product axes (summed labels,
     output labels, points), and the product is one broadcast multiply per
-    operand, left to right. The sum is einsum's: it starts from +0.0 (a
-    lone -0.0 product gives +0.0); summed labels run in order of first
-    appearance, the last fastest, adding terms one by one, unless the last
-    summed label is the last component axis of every operand that has it:
-    then each run over it is summed apart (terms 0, 2, 1 when both of two
-    operands have it, else 0, 1, 2) and the run sums are added in turn.
+    operand, left to right, in place once it spans the operand's labels.
+    The sum is einsum's: it starts from +0.0 (a lone -0.0 product gives
+    +0.0); summed labels run in order of first appearance, the last
+    fastest, adding terms one by one, unless the last summed label is the
+    last component axis of every operand that has it: then each run over
+    it is summed apart (terms 0, 2, 1 when both of two operands have it,
+    else 0, 1, 2) and the run sums are added in turn.
     """
-    points = operands[0].shape[len(subscripts.split(",", 1)[0].replace("...", "")):]
-    views, summed, run = _contraction_plan(subscripts, len(points))
+    views, in_place, summed, run = _contraction_plan(subscripts, operands[0].ndim)
     first, second, *rest = (op.transpose(axes)[index]
                             for op, (axes, index) in zip(operands, views))
     product = np.multiply(first, second, order="C")
-    for view in rest:   # in place once the product spans every axis
-        spans = np.broadcast_shapes(product.shape, view.shape) == product.shape
+    for view, spans in zip(rest, in_place):
         product = np.multiply(product, view, out=product if spans else None,
                               order="C")
     terms = product.reshape((-1,) + (3,) * (run is not None) + product.shape[summed:])

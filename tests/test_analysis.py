@@ -1,9 +1,10 @@
 """One analysis per report: every derivative, zero test and flatness
-verdict is worked out once, each field is evaluated once on the sample, and
-DAG-shaped fields stay cheap to evaluate.
+verdict is worked out once, each field is evaluated once on the sample and
+its jets once per order, and DAG-shaped fields stay cheap to evaluate.
 
 Work is counted by wrapping the private workers (`_derive`, `_zero_test`,
-the evaluator's `_walk` and binary operations), never by wall time.
+the evaluator's `_walk` and binary operations, the jets' `_propagate`),
+never by wall time.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 
 import walkergeo.expressions as ex
 import walkergeo.ftensor as ftensor
+import walkergeo.jets as jets
 import walkergeo.sampling as sampling
 import walkergeo.walker as walker
 from walkergeo.cli import main
@@ -244,3 +246,31 @@ def test_outside_an_analysis_nothing_is_kept(monkeypatch):
         ex.evaluate_with_scale(field, pts)
         ex.evaluate_with_scale(field, pts)
     assert len(walks) == 7
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_each_jet_is_computed_once_per_order(monkeypatch, name):
+    S = load_fixture(name).build(samples=8)
+    kept = []   # keeps point arrays alive, so ids stay unique
+
+    def field_points_order(e, pts, order):
+        kept.append(pts)
+        return e, pts.tobytes() if pts.ndim == 1 else id(pts), order
+
+    computed = recording(monkeypatch, jets, "_propagate", field_points_order)
+    build_report(S, name=name)
+    assert computed and max(Counter(computed).values()) == 1
+
+
+def test_the_frame_route_reads_the_tensor_forms_it_formed(monkeypatch):
+    S = load_fixture("g5g6-normal").build(samples=8)
+    pts = S.sample_points()
+    formed = recording(monkeypatch, ftensor, "_tensor_forms",
+                       lambda F, xi, phi, ginv: F)
+    t = ftensor.f_tensor_at(S, pts)
+    forms = ftensor.theta_forms(S, pts, tensor=t)
+    ftensor.project_components(S, pts, tensor=t)
+    assert len(formed) == 1 and formed[0] is t.components
+    assert forms.theta is t.theta and forms.theta_star is t.theta_star
+    for array in (t.theta, t.theta_star, t.reeb_square):
+        assert not array.flags.writeable

@@ -1,9 +1,11 @@
 """`structure.contract` against np.einsum, bit for bit.
 
 Every subscripts string the package passes to `contract` is found in the
-sources, so a new call is tested as soon as it is written; two outer
-products the package no longer forms stay as cases, the only ones that
-permute an operand's axes without summing any. `contract` takes
+sources, so a new call is tested as soon as it is written; contractions the
+package no longer forms stay as cases: two outer products, the only ones
+that permute an operand's axes without summing any, and the second
+contraction of each antisymmetric pair, which the package now takes as a
+swapped view of the first (checked bit for bit below). `contract` takes
 its operands components first, points last (`...` trailing); the reference
 is np.einsum on contiguous points-first operands (`...` leading), the
 arithmetic the reports were built with before the layout changed. Operands
@@ -23,7 +25,16 @@ import walkergeo
 from walkergeo.structure import contract
 
 SOURCES = sorted(Path(walkergeo.__file__).parent.glob("*.py"))
-RETIRED = {"i...,jk...->ijk...", "j...,ki...->ijk..."}
+# (first, second, axes): second is first with the output axes swapped
+SWAPPED_PAIRS = (
+    ("...,j...,ik...->ijk...", "...,k...,ij...->ijk...", (1, 2)),
+    ("i...,j...,k...->ijk...", "i...,k...,j...->ijk...", (1, 2)),
+    ("j...,ik...->ijk...", "k...,ij...->ijk...", (1, 2)),
+    ("mi...,mkj...->ijk...", "mj...,mki...->ijk...", (0, 1)),
+    ("km...,jmi...->ijk...", "km...,imj...->ijk...", (0, 1)),
+)
+RETIRED = ({"i...,jk...->ijk...", "j...,ki...->ijk..."}
+           | {second for _, second, _ in SWAPPED_PAIRS})
 SUBSCRIPTS = sorted(RETIRED | {
     match for path in SOURCES
     for match in re.findall(r'contract\(\s*"([^"]+)"', path.read_text())
@@ -107,3 +118,15 @@ def test_output_axes_may_be_shorter_than_three():
                        *(points_last(a, (64,)) for a in ops))
         want = np.einsum(reference, *ops)
         assert identical(got, points_last(want, (64,)))
+
+
+@pytest.mark.parametrize("first, second, axes", SWAPPED_PAIRS)
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (512,)])
+def test_each_swapped_pair_is_its_second_contraction(first, second, axes, lead):
+    rng = np.random.default_rng(zlib.crc32(f"{first}{lead}".encode()))
+    labels = first.split("->")[0].replace("...", "").split(",")
+    for _ in range(3):
+        ops = [points_last(operand(rng, lead + (3,) * len(s)), lead)
+               for s in labels]
+        swapped = contract(first, *ops).swapaxes(*axes)
+        assert identical(swapped, contract(second, *ops)), first

@@ -12,6 +12,8 @@ from geometry_oracles import (
     metric_fn,
     vector_fn,
 )
+from test_contract import identical, operand
+import walkergeo.ftensor as ftensor
 from walkergeo.expressions import diff, evaluate_with_scale, parse
 from walkergeo.ftensor import (
     coefficient_fields,
@@ -31,7 +33,7 @@ from walkergeo.ftensor import (
     theta_xi_field,
 )
 from walkergeo.sampling import Domain, Interval, SamplingConfig, is_identically_zero
-from walkergeo.structure import build_structure
+from walkergeo.structure import build_structure, contract, max_abs
 from walkergeo.walker import WalkerManifold
 
 BOX = Domain((Interval(0.5, 2.0), Interval(0.5, 2.0), Interval(0.5, 2.0)))
@@ -536,3 +538,52 @@ def test_batch_matches_pointwise(f, xi):
         assert np.abs(lg[..., i] - ex.lie_g).max() <= 1e-11 * (1 + fr.scale)
         assert np.abs(df[..., i] - ex.d_fundamental).max() <= 1e-11 * (1 + fr.scale)
         assert np.abs(fb[..., i] - fundamental_form(fr)).max() <= 1e-12 * (1 + fr.scale)
+
+
+# --- antisymmetric pairs formed once ---------------------------------------
+
+def split_with_both_contractions(F, xi, eta, phi, g, forms):
+    """`ftensor._component_arrays` with the second contraction of each
+    antisymmetric pair formed as such."""
+    theta_form, theta_star_form, reeb_square = forms
+    theta_xi = contract("c...,c...->...", theta_form, xi)
+    theta_star_xi = contract("c...,c...->...", theta_star_form, xi)
+    gphiphi = contract("ai...,ab...,bj...->ij...", phi, g, phi)
+    gphi = contract("ab...,bj...->aj...", g, phi)
+    f5 = 0.5 * (contract("...,j...,ik...->ijk...", theta_xi, eta, gphiphi)
+                - contract("...,k...,ij...->ijk...", theta_xi, eta, gphiphi))
+    f6 = -0.5 * (contract("...,j...,ik...->ijk...", theta_star_xi, eta, gphi)
+                 - contract("...,k...,ij...->ijk...", theta_star_xi, eta, gphi))
+    f12 = (contract("i...,j...,k...->ijk...", eta, eta, reeb_square)
+           - contract("i...,k...,j...->ijk...", eta, eta, reeb_square))
+    f10 = F - f5 - f6 - f12
+    t = contract("ijc...,c...->ij...", f10, xi)
+    recon = (-contract("j...,ik...->ijk...", eta, t)
+             + contract("k...,ij...->ijk...", eta, t))
+    t_phiphi = contract("ai...,bj...,ab...->ij...", phi, phi, t)
+    defect = np.maximum(max_abs(f10 - recon, 3), np.maximum(
+        max_abs(t - t.swapaxes(0, 1), 2), max_abs(t - t_phiphi, 2)))
+    parts = {"G5": f5, "G6": f6, "G10": f10, "G12": f12}
+    return parts, theta_xi, theta_star_xi, defect
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (16,)])
+def test_each_antisymmetric_pair_is_formed_once_with_the_same_bits(lead):
+    rng = np.random.default_rng(len(lead) + 5)
+    for _ in range(5):
+        F, phi, g, ginv = (operand(rng, (3,) * k + lead) for k in (3, 2, 2, 2))
+        xi, eta = operand(rng, (3,) + lead), operand(rng, (3,) + lead)
+        forms = ftensor._tensor_forms(F, xi, phi, ginv)
+        got = ftensor._component_arrays(F, xi, eta, phi, g, forms)
+        want = split_with_both_contractions(F, xi, eta, phi, g, forms)
+        for label in want[0]:
+            assert identical(got[0][label], want[0][label]), label
+        for a, b in zip(got[1:], want[1:]):
+            assert identical(np.asarray(a), np.asarray(b))
+        pd = operand(rng, (3, 3, 3) + lead)
+        nijenhuis_t = (
+            (contract("mi...,mkj...->ijk...", phi, pd)
+             - contract("mj...,mki...->ijk...", phi, pd))
+            + (contract("km...,jmi...->ijk...", phi, pd)
+               - contract("km...,imj...->ijk...", phi, pd)))
+        assert identical(ftensor._nijenhuis(phi, pd), nijenhuis_t)

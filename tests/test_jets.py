@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from geometry_oracles import expr_fn, fd_partial, fd_partial2
+import walkergeo.expressions as ex
+import walkergeo.jets as jets
 from walkergeo.errors import EvaluationError
 from walkergeo.expressions import diff, evaluate_with_scale, parse
 from walkergeo.jets import eval_jet
@@ -86,3 +88,136 @@ def test_jet_respects_domain_guards():
         eval_jet(parse("1/x"), np.array([0.0, 1.0, 1.0]))
     with pytest.raises(EvaluationError):
         eval_jet(parse("sqrt(x - 5)"), np.array([1.0, 1.0, 1.0]))
+
+
+# --- the column-sum product, and the jets an analysis keeps ------------------
+
+def identical(a, b) -> bool:
+    """Equal bits, signs of zero included, and nan where the other has nan.
+    The sign of a nan is not compared: IEEE 754 leaves it open for a sum of
+    two nans, and numpy's add loops return either operand's."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan], b[~nan])
+            and np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan])))
+
+
+def add_at_product(a, b, order):
+    """a * b as np.add.at forms it: each gamma's terms added one by one, in
+    split order, to 0.0."""
+    row = jets._ROW[order]
+    table = [(g, row[ai, aj, ak], row[gi - ai, gj - aj, gk - ak])
+             for g, (gi, gj, gk) in enumerate(jets._INDICES[order])
+             for ai, aj, ak in np.ndindex(gi + 1, gj + 1, gk + 1)]
+    gamma, left, right = (np.array(column) for column in zip(*table))
+    out = np.zeros_like(a)
+    np.add.at(out, gamma, a[left] * b[right])
+    return out
+
+
+def awkward(rng, shape):
+    """Coefficients mixing +-0.0, +-1e200, +-inf and nan into ordinary ones."""
+    special = np.array([0.0, -0.0, 1e200, -1e200, np.inf, -np.inf, np.nan])
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    mask = rng.random(shape) < 0.4
+    a[mask] = rng.choice(special, size=int(mask.sum()))
+    return a
+
+
+@pytest.mark.parametrize("order", range(4))
+@pytest.mark.parametrize("points", [(), (1,), (64,)])
+def test_the_column_product_is_the_add_at_product(order, points):
+    rng = np.random.default_rng(100 * order + len(points))
+    rows = len(jets._INDICES[order])
+    with np.errstate(all="ignore"):
+        for _ in range(20):
+            a, b = awkward(rng, (rows,) + points), awkward(rng, (rows,) + points)
+            got = (jets.Jet3(order, a) * jets.Jet3(order, b)).coeffs
+            assert identical(got, add_at_product(a, b, order))
+
+
+def computations(monkeypatch):
+    """Record (field, order) of every jet computed afresh."""
+    calls, compute = [], jets._propagate
+
+    def counting(e, pts, order):
+        calls.append((e, order))
+        return compute(e, pts, order)
+
+    monkeypatch.setattr(jets, "_propagate", counting)
+    return calls
+
+
+def read_only(a):
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def test_kept_jets_are_read_only_and_returned_again(monkeypatch):
+    e, batch = parse("x*y/(1 + z^2)"), read_only(pts(5))
+    calls = computations(monkeypatch)
+    with ex.derivative_scope():
+        for point in (batch, batch[0]):   # a batch, and one point
+            jet = eval_jet(e, point, 2)
+            assert not jet.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                jet.coeffs[...] = 0.0
+            assert eval_jet(e, point, 2) is jet
+        # one point is keyed by its bytes: an equal new array finds it
+        assert eval_jet(e, tuple(batch[0]), 2) is jet
+    assert calls == [(e, 2), (e, 2)]
+
+
+def test_a_lower_order_is_the_leading_rows_of_a_kept_jet(monkeypatch):
+    e, batch = parse("(1 - 2*x*exp(2*z - 4*y))/(2*exp(z - 2*y))"), read_only(pts(7))
+    fresh = {order: eval_jet(e, batch, order) for order in range(4)}
+    calls = computations(monkeypatch)
+    with ex.derivative_scope():
+        top = eval_jet(e, batch, 3)
+        for order in range(3):
+            low = eval_jet(e, batch, order)
+            assert low.order == order and np.shares_memory(low.coeffs, top.coeffs)
+            assert identical(low.coeffs, fresh[order].coeffs)
+        assert eval_jet(e, batch, 1).coeffs.shape == fresh[1].coeffs.shape
+    assert calls == [(e, 3)]
+
+
+def test_a_non_finite_kept_jet_is_never_truncated(monkeypatch):
+    # sqrt at 1e-200: the third derivative overflows, and order 3 turns its
+    # value into nan through the Horner steps; order 2 is finite
+    e, point = parse("sqrt(x)"), np.array([1e-200, 1.0, 1.0])
+    fresh = eval_jet(e, point, 2)
+    assert np.isfinite(fresh.coeffs).all()
+    calls = computations(monkeypatch)
+    with ex.derivative_scope():
+        assert not np.isfinite(eval_jet(e, point, 3).coeffs).all()
+        assert identical(eval_jet(e, point, 2).coeffs, fresh.coeffs)
+    assert calls == [(e, 3), (e, 2)]
+
+
+def test_a_field_that_raised_leaves_no_entry(monkeypatch):
+    good, bad, batch = parse("x - 1"), parse("1/(x - x)"), read_only(pts(4))
+    calls = computations(monkeypatch)
+    with ex.derivative_scope():
+        table = ex._SCOPE.get()[2]
+        eval_jet(good, batch, 1)
+        for point in (batch, batch[0], batch):
+            with pytest.raises(EvaluationError, match="division by zero"):
+                eval_jet(bad, point, 1)
+        assert (good, id(batch)) in table
+        assert all(key[0] is not bad for key in table)
+    assert calls == [(good, 1), (bad, 1), (bad, 1), (bad, 1)]
+
+
+def test_outside_an_analysis_no_jet_is_kept(monkeypatch):
+    e, batch = parse("x*y + z"), read_only(pts(3))
+    calls = computations(monkeypatch)
+    first, second = eval_jet(e, batch, 1), eval_jet(e, batch, 1)
+    assert first is not second and first.coeffs.flags.writeable
+    eval_jet(e, batch[0], 1)
+    eval_jet(e, batch[0], 1)
+    with ex.derivative_scope():    # a writable batch is not kept either
+        eval_jet(e, np.array(batch), 1)
+        eval_jet(e, np.array(batch), 1)
+    assert len(calls) == 6

@@ -5,6 +5,8 @@
 - The printer: `to_source` is a fixpoint under `parse` for drawn
   expressions and their first and second derivatives no deeper than
   MAX_DEPTH.
+- Kept jets: in an analysis, a lower-order jet cut from a kept one is the
+  jet `eval_jet` computes afresh at that order, bit for bit.
 """
 
 import contextlib
@@ -13,15 +15,18 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from walkergeo.cli import main  # noqa: E402
+from walkergeo.errors import EvaluationError  # noqa: E402
 from walkergeo.expressions import (  # noqa: E402
-    MAX_DEPTH, depth, diff, gradient, parse, to_source,
+    MAX_DEPTH, depth, derivative_scope, diff, gradient, parse, to_source,
 )
+from walkergeo.jets import eval_jet  # noqa: E402
 
 LEAVES = st.sampled_from(["x", "y", "z", "C", "0", "1", "2", "0.5", "3/2"])
 
@@ -140,3 +145,48 @@ def test_printed_fields_reparse_to_themselves(source):
         again = parse(text, constants)
         assert again == field
         assert to_source(again) == text
+
+
+def jet_or_error(e, points, order):
+    try:
+        return eval_jet(e, points, order)
+    except EvaluationError:
+        return None
+
+
+# Fields scaled by 1e200, divided by such a product, or the square root of
+# that: their derivative tables overflow to +-inf, so Taylor coefficients
+# turn to +-0.0, and the root's third-order table to inf, which makes a
+# third-order jet non-finite where the lower orders are finite.
+HUGE = "1" + "0" * 200
+SCALINGS = st.sampled_from(["{}", "({}) * " + HUGE, "1/(({}) * " + HUGE + ")",
+                            "sqrt(1/(({}) * " + HUGE + "))"])
+COORDINATE = st.floats(-2.5, 2.5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(source=EXPRESSIONS, scaling=SCALINGS,
+       point=st.tuples(COORDINATE, COORDINATE, COORDINATE),
+       batch=st.booleans(), orders=st.sampled_from(
+           [(3, 2), (3, 1), (3, 0), (2, 1), (2, 0), (1, 0)]))
+def test_a_truncated_jet_is_the_lower_order_jet(source, scaling, point, batch,
+                                                orders):
+    e = parse(scaling.format(source), {"C": Fraction(-1, 3)})
+    points = np.array([point, np.add(point, 0.25)] if batch else point)
+    points.setflags(write=False)
+    high, low = orders
+    want = jet_or_error(e, points, low)    # outside an analysis: afresh
+    with derivative_scope():
+        top = jet_or_error(e, points, high)
+        got = jet_or_error(e, points, low)
+    if got is None or want is None:
+        assert got is want
+        return
+    cut = top is not None and bool(np.isfinite(top.coeffs).all())
+    if cut:
+        assert np.shares_memory(got.coeffs, top.coeffs)
+    nan = np.isnan(want.coeffs)
+    assert np.array_equal(nan, np.isnan(got.coeffs))
+    assert np.array_equal(got.coeffs[~nan], want.coeffs[~nan])
+    assert np.array_equal(np.signbit(got.coeffs[~nan]),
+                          np.signbit(want.coeffs[~nan]))
