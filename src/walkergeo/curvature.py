@@ -24,8 +24,8 @@ from .classify import named_classes, unit_y_setting
 from .errors import DegenerateInputError
 from .expressions import Expr, ONE, ZERO, diff, evaluate_with_scale
 from .sampling import (
-    SamplingConfig, ZeroVerdict, analyzed, is_identically_zero, nonvanishing,
-    zero_verdict_from_samples,
+    PCG64Stream, SamplingConfig, ZeroVerdict, analyzed, is_identically_zero,
+    nonvanishing, zero_verdict_from_samples,
 )
 from .jets import eval_jet
 from .structure import ApctStructure, contract, max_abs, points_first
@@ -196,14 +196,14 @@ def curvature_equivalences(S: ApctStructure,
     M = S.manifold
     M.require_spacelike_signature()
     pts = S.sample_points(cfg)
-    frame = S.frame(pts, order=0)
+    frame = S.frame(pts, order=1)
     jet = eval_jet(M.f, pts, 2)
     R = curvature_from_jet(jet)
     rho, q, fxx = ricci_from_jet(jet)
     phi, xi, g, eta = frame.phi_mat, frame.xi_vec, frame.g, frame.eta_vec
 
     r_max = max_abs(R, 4)
-    scales = 1.0 + frame.scale + np.maximum(r_max, max_abs(rho, 2))
+    scales = 1.0 + frame.value_scale + np.maximum(r_max, max_abs(rho, 2))
     allowed = cfg.tol * scales
     scales = scales - 1.0
 
@@ -328,6 +328,15 @@ class EtaEinsteinProfile(NamedTuple):
 def eta_einstein_report(S: ApctStructure,
                         cfg: SamplingConfig | None = None,
                         directions: int = 50) -> EtaEinsteinProfile:
+    """The eta-Einstein profile of S (see EtaEinsteinProfile), or a profile
+    with applicable False when S is not eta-Einstein.
+
+    The sectional curvatures are taken at the first five sample points,
+    along `directions` vectors each, with components uniform on [-1, 1]
+    from the package's PCG64 stream seeded with cfg.seed + 1 (the draws of
+    numpy's default_rng(cfg.seed + 1), see `sampling.PCG64Stream`), in
+    point order, then direction order, then component order.
+    """
     verdict = eta_einstein_check(S, cfg)
     if not verdict.is_eta_einstein:
         return EtaEinsteinProfile(False, verdict)
@@ -342,14 +351,14 @@ def eta_einstein_report(S: ApctStructure,
     values, _ = evaluate_with_scale(fxx, pts)
     C = float(values.mean())
 
-    rng = np.random.default_rng(cfg.seed + 1)
     k_xi_max = 0.0
     k_phi: list[float] = []
     probe_points = pts[: min(5, pts.shape[0])]
-    for p in probe_points:
+    draws = PCG64Stream(cfg.seed + 1).uniform(
+        -1.0, 1.0, (len(probe_points), directions, 3))
+    for p, directions_at_p in zip(probe_points, draws):
         point = tuple(float(c) for c in p)
-        for _ in range(directions):
-            X = rng.uniform(-1.0, 1.0, size=3)
+        for X in directions_at_p:
             report = sectional_curvatures(S, X, point)
             if report.K_xi is not None:
                 k_xi_max = max(k_xi_max, abs(report.K_xi))

@@ -444,7 +444,7 @@ def _evaluate(fields, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, scale = [], np.zeros(len(pts))
     for e in fields:
         values, scales = evaluate_with_scale(e, pts)
-        rows.append(np.broadcast_to(values, scale.shape))
+        rows.append(values)
         scale = np.maximum(scale, scales)
     return np.array(rows, dtype=float), scale
 

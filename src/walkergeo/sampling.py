@@ -2,9 +2,14 @@
 
 A Domain is an open coordinate box plus constraint fields required to be
 strictly positive or bounded away from zero. The sampler rejects candidate
-points violating a constraint; it never clamps. All randomness is driven by
-the seed in SamplingConfig, so identical inputs yield identical points,
-witnesses, and reports.
+points violating a constraint; it never clamps. Candidates come in batches
+from one `PCG64Stream` per (domain, config), seeded with the config's seed:
+a pure-Python PCG64 that draws the doubles numpy's
+`default_rng(seed).uniform` draws, bit for bit, without loading numpy's
+random module. The stream is the package's own code, so the sample, and
+every witness and report, is fixed by walkergeo alone: numpy's policy
+(NEP 19) lets `Generator` methods change their output between numpy
+versions.
 
 `is_identically_zero` is the package's notion of an identity holding on a
 domain: an expression is ZERO when at every sampled point its magnitude is
@@ -16,6 +21,7 @@ witness point. Within one analysis (`analyzed`) each field is tested once.
 
 from __future__ import annotations
 
+import math
 from contextvars import ContextVar
 from functools import lru_cache, wraps
 from typing import NamedTuple
@@ -131,16 +137,85 @@ def _evaluate_pointwise(field: Expr, pts: np.ndarray):
     return values, scales
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
+
+
+def _seed_state(seed: int) -> tuple[int, int]:
+    """(initstate, initseq) that numpy's SeedSequence(seed) gives PCG64:
+    the seed's 32-bit words hashed and mixed into a pool of 4, the pool
+    hashed out to 8 words, paired little-endian into 4 uint64, then taken
+    as two 128-bit numbers, high word first."""
+    entropy = [seed >> 32 * k & _MASK32
+               for k in range(max(1, (seed.bit_length() + 31) // 32))]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, words = 0x8B51F9DD, []
+    for k in range(8):
+        value = pool[k % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        words.append(value ^ value >> 16)
+    u64 = [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+    return u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]
+
+
+class PCG64Stream:
+    """The doubles numpy's `default_rng(seed).uniform` draws, bit for bit,
+    for a nonnegative int seed of any size, computed in Python:
+    numpy's SeedSequence seeds PCG64 (XSL-RR 128/64, O'Neill 2014), and
+    each uniform is (x >> 11) * 2**-53 of one 64-bit output x. The state
+    carries over from one `uniform` call to the next."""
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, seed: int):
+        initstate, initseq = _seed_state(seed)
+        self.inc = (initseq << 1 | 1) & _MASK128
+        self.state = ((self.inc + initstate) * _PCG_MULT + self.inc) & _MASK128
+
+    def uniform(self, lo, hi, shape) -> np.ndarray:
+        """Doubles lo + (hi - lo) * u over `shape`, drawn in C order."""
+        state, inc, words = self.state, self.inc, []
+        for _ in range(math.prod(shape)):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            x = (state >> 64 ^ state) & _MASK64
+            r = state >> 122
+            words.append((x >> r | x << (64 - r)) & _MASK64)
+        self.state = state
+        x = np.array(words, dtype=np.uint64).reshape(shape)
+        return lo + (hi - lo) * ((x >> np.uint64(11)) * 2.0**-53)
+
+
 @lru_cache(maxsize=256)
 def _sample_cached(domain: Domain, cfg: SamplingConfig) -> np.ndarray:
-    rng = np.random.default_rng(cfg.seed)
+    stream = PCG64Stream(cfg.seed)
     los = np.array([iv.lo for iv in domain.intervals])
     his = np.array([iv.hi for iv in domain.intervals])
     collected: list[np.ndarray] = []
     count = 0
     batch = max(cfg.samples * 2, 64)
     for _ in range(_MAX_BATCHES):
-        candidates = rng.uniform(los, his, size=(batch, 3))
+        candidates = stream.uniform(los, his, (batch, 3))
         good = candidates[domain._admissible(candidates)]
         if good.size:
             collected.append(good)
@@ -183,9 +258,9 @@ def zero_verdict_from_samples(values: np.ndarray, scales, pts: np.ndarray,
     values = np.abs(np.asarray(values, dtype=float))
     if values.ndim > 1:
         values = values.reshape(-1, values.shape[-1]).max(axis=0)
-    scales = np.broadcast_to(np.asarray(scales, dtype=float), values.shape)
-    allowed = tol * (1.0 + scales)
-    residuals = values / (1.0 + scales)
+    scales = 1.0 + np.asarray(scales, dtype=float)
+    allowed = tol * scales
+    residuals = values / scales
     bad = values > allowed
     if not bad.any():
         return ZeroVerdict(True, float(residuals.max(initial=0.0)))

@@ -155,6 +155,8 @@ class Frame:
     """Jets and numeric arrays of one structure at a point (shape (3,)) or
     over a batch of points (shape (n, 3)), arrays then with a point axis last.
 
+    scale is the largest |coefficient| of the f and xi jets per point,
+    value_scale the largest |value| of f and xi (scale at order 0).
     Derivative arrays (xi_d, eta_d, phi_d, gamma) require order >= 1; the
     layout puts the differentiation axis first: xi_d[a, k] = d_a xi^k,
     phi_d[a, i, j] = d_a phi^i_j, gamma[k, i, j] = Gamma^k_ij.
@@ -162,7 +164,7 @@ class Frame:
 
     __slots__ = (
         "points", "point", "order", "f", "xi", "eta", "phi",
-        "xi_vec", "eta_vec", "phi_mat", "g", "ginv", "scale",
+        "xi_vec", "eta_vec", "phi_mat", "g", "ginv", "scale", "value_scale",
         "xi_d", "eta_d", "phi_d", "gamma",
     )
 
@@ -196,6 +198,8 @@ class Frame:
         self.g, self.ginv = metric_arrays(f.value)
         self.scale = np.abs(np.concatenate(
             [f.coeffs] + [jet.coeffs for jet in self.xi])).max(axis=0)
+        self.value_scale = np.abs(np.array(
+            [f.value] + [jet.value for jet in self.xi])).max(axis=0)
         if order >= 1:
             self.xi_d = np.array([[j.derivative(a) for j in self.xi] for a in _E])
             self.eta_d = np.array([[j.derivative(a) for j in self.eta] for a in _E])
@@ -340,12 +344,14 @@ def validate_axioms(S: ApctStructure, cfg: SamplingConfig | None = None,
                     tol: float = 1e-10) -> AxiomReport:
     """Verify every defining and derived structure identity numerically.
 
-    Residuals are matrix norms divided by (1 + scale) at each sampled point;
-    each check reports its worst point (the first to attain the maximum) as
-    witness when it fails.
+    Residuals are matrix norms divided by (1 + scale) at each sampled point,
+    scale the largest |value| of f and xi there (read from the sample's
+    order-1 frame, the one the report's sweep uses); each check reports its
+    worst point (the first to attain the maximum) as witness when it fails.
     """
     cfg = cfg or S.config
-    fr = S.frame(S.sample_points(cfg), order=0)
+    fr = S.frame(S.sample_points(cfg), order=1)
+    scale = 1.0 + fr.value_scale
     phi, g = points_first(fr.phi_mat, 2), points_first(fr.g, 2)
     xi, eta = points_first(fr.xi_vec, 1), points_first(fr.eta_vec, 1)
     phi2 = phi @ phi
@@ -368,7 +374,7 @@ def validate_axioms(S: ApctStructure, cfg: SamplingConfig | None = None,
     checks = []
     for name, residual in residuals.items():
         per_point = (np.abs(residual).reshape(len(fr.points), -1).max(axis=1)
-                     / (1.0 + fr.scale))
+                     / scale)
         k = int(np.argmax(per_point))
         value = float(per_point[k])
         witness = None if value <= tol else tuple(float(c) for c in fr.points[k])

@@ -18,6 +18,7 @@ import walkergeo.expressions as ex
 import walkergeo.ftensor as ftensor
 import walkergeo.jets as jets
 import walkergeo.sampling as sampling
+import walkergeo.structure as structure
 import walkergeo.walker as walker
 from walkergeo.cli import main
 from walkergeo.corpus import FIXTURES, load_fixture
@@ -274,3 +275,21 @@ def test_the_frame_route_reads_the_tensor_forms_it_formed(monkeypatch):
     assert forms.theta is t.theta and forms.theta_star is t.theta_star
     for array in (t.theta, t.theta_star, t.reeb_square):
         assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_report_builds_one_frame_on_its_sample(monkeypatch, name):
+    S = load_fixture(name).build(samples=8)
+    built = []
+    original = structure.Frame.__init__
+
+    def init(frame, S, points, order):
+        built.append((points, order))
+        original(frame, S, points, order)
+
+    monkeypatch.setattr(structure.Frame, "__init__", init)
+    build_report(S, name=name)
+    sample = S.sample_points()
+    assert [order for points, order in built if points is sample] == [1]
+    assert not [points for points, _ in built if np.ndim(points) > 1
+                and points is not sample]

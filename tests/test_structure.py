@@ -8,6 +8,7 @@ from walkergeo.errors import NonexistentStructureError, UnitConstraintError
 from walkergeo.expressions import evaluate_with_scale, parse, to_source
 from walkergeo.sampling import Domain, Interval, SamplingConfig, is_identically_zero
 from walkergeo.structure import (
+    Frame,
     build_structure,
     nabla_xi,
     unit_constraint_field,
@@ -87,6 +88,18 @@ def test_frame_cache_returns_same_object():
     S = build("x^2", ("0", "1", "0"))
     assert S.frame((1.0, 1.0, 1.0)) is S.frame((1.0, 1.0, 1.0))
     assert S.frame((1.0, 1.0, 1.0), order=2) is not S.frame((1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("f,xi", STRUCTURES, ids=[s[0] for s in STRUCTURES])
+def test_value_scale_is_the_order_0_scale(f, xi):
+    S = build(f, xi)
+    pts = S.sample_points(CFG)
+    for points in (pts, pts[3]):
+        for order in (1, 2):
+            value_scale = Frame(S, points, order).value_scale
+            scale = Frame(S, points, 0).scale
+            assert value_scale.shape == scale.shape
+            assert np.array_equal(value_scale, scale)
 
 
 @pytest.mark.parametrize("f,xi", STRUCTURES[:4], ids=[s[0] for s in STRUCTURES[:4]])
