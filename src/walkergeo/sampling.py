@@ -4,7 +4,7 @@ A Domain is an open coordinate box plus constraint fields required to be
 strictly positive or bounded away from zero. The sampler rejects candidate
 points violating a constraint; it never clamps. Candidates come in batches
 from one `PCG64Stream` per (domain, config), seeded with the config's seed:
-a pure-Python PCG64 that draws the doubles numpy's
+a PCG64 in numpy's uint64 arithmetic that draws the doubles numpy's
 `default_rng(seed).uniform` draws, bit for bit, without loading numpy's
 random module. The stream is the package's own code, so the sample, and
 every witness and report, is fixed by walkergeo alone: numpy's policy
@@ -179,12 +179,53 @@ def _seed_state(seed: int) -> tuple[int, int]:
     return u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]
 
 
+def _words(value: int) -> tuple[np.ndarray, np.ndarray]:
+    """A number below 2**128 as its (high, low) uint64 words."""
+    return (np.array([value >> 64], dtype=np.uint64),
+            np.array([value & _MASK64], dtype=np.uint64))
+
+
+_LOW32, _ZERO = np.uint64(_MASK32), _words(0)
+_S11, _S32, _S58, _S63 = (np.uint64(k) for k in (11, 32, 58, 63))
+
+
+def _muladd(a, b, c):
+    """The words of a * b + c mod 2**128, each given by its words (uint64
+    arithmetic wraps mod 2**64; the high word of al * bl is formed from
+    32-bit halves)."""
+    (ah, al), (bh, bl), (ch, cl) = a, b, c
+    a1, a0, b1, b0 = al >> _S32, al & _LOW32, bl >> _S32, bl & _LOW32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _S32) + (p01 & _LOW32) + (p10 & _LOW32)
+    hi = (a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+          + al * bh + ah * bl)
+    lo = al * bl + cl
+    return hi + ch + (lo < cl), lo
+
+
+@lru_cache(maxsize=4)
+def _jumps(n: int, inc: int):
+    """Words of A_k and C_k, k = 1..n, such that k steps of PCG64 with
+    increment inc take a state s to A_k * s + C_k: A_k = M**k, and C_k is
+    where k steps take state 0. Doubled from k = 1, as steps m + k are
+    steps k after steps m: A_(m+k) = A_k * A_m, C_(m+k) = A_k * C_m + C_k."""
+    A, C = _words(_PCG_MULT), _words(inc)
+    while A[0].size < n:
+        Am, Cm = (A[0][-1:], A[1][-1:]), (C[0][-1:], C[1][-1:])
+        A2, C2 = _muladd(A, Am, _ZERO), _muladd(A, Cm, C)
+        A = tuple(np.concatenate(w) for w in zip(A, A2))
+        C = tuple(np.concatenate(w) for w in zip(C, C2))
+    return tuple(w[:n] for w in A), tuple(w[:n] for w in C)
+
+
 class PCG64Stream:
     """The doubles numpy's `default_rng(seed).uniform` draws, bit for bit,
-    for a nonnegative int seed of any size, computed in Python:
+    for a nonnegative int seed of any size, without numpy's random module:
     numpy's SeedSequence seeds PCG64 (XSL-RR 128/64, O'Neill 2014), and
-    each uniform is (x >> 11) * 2**-53 of one 64-bit output x. The state
-    carries over from one `uniform` call to the next."""
+    each uniform is (x >> 11) * 2**-53 of one 64-bit output x. A draw of
+    n doubles takes all n states at once from the current one through
+    `_jumps`, in numpy; the state carries over from one `uniform` call
+    to the next."""
 
     __slots__ = ("state", "inc")
 
@@ -195,15 +236,15 @@ class PCG64Stream:
 
     def uniform(self, lo, hi, shape) -> np.ndarray:
         """Doubles lo + (hi - lo) * u over `shape`, drawn in C order."""
-        state, inc, words = self.state, self.inc, []
-        for _ in range(math.prod(shape)):
-            state = (state * _PCG_MULT + inc) & _MASK128
-            x = (state >> 64 ^ state) & _MASK64
-            r = state >> 122
-            words.append((x >> r | x << (64 - r)) & _MASK64)
-        self.state = state
-        x = np.array(words, dtype=np.uint64).reshape(shape)
-        return lo + (hi - lo) * ((x >> np.uint64(11)) * 2.0**-53)
+        n = math.prod(shape)
+        A, C = _jumps(n, self.inc)
+        sh, sl = _muladd(A, _words(self.state), C)
+        if n:
+            self.state = int(sh[-1]) << 64 | int(sl[-1])
+        # XSL-RR: the xor of the halves, rotated right by the top 6 bits
+        x, r = sh ^ sl, sh >> _S58
+        x = x >> r | x << (-r & _S63)
+        return lo + (hi - lo) * ((x >> _S11).reshape(shape) * 2.0**-53)
 
 
 @lru_cache(maxsize=256)

@@ -3,7 +3,8 @@
 The sampler and the eta-Einstein directions draw from `PCG64Stream`, which
 must give the doubles `np.random.default_rng(seed).uniform` gives, bit for
 bit, so the sample, and every report, does not depend on numpy's random
-module; and no analysis may load that module.
+module; and no analysis may load that module. A few doubles are pinned
+as literals as well, so the stream is fixed here whatever numpy draws.
 """
 
 import os
@@ -52,6 +53,31 @@ def test_the_stream_draws_numpys_doubles(seed):
                               bits(numpy_rng.uniform(-1.0, 1.0, size=3)))
     assert np.array_equal(bits(ours.uniform(-1.0, 1.0, (5, 50, 3))),
                           bits(numpy_rng.uniform(-1.0, 1.0, size=(5, 50, 3))))
+
+
+# Bit patterns of the first three doubles on [0, 1) per seed, and, for seed
+# 42, of the three after a (128, 3) draw, as numpy 2.4 drew them: the
+# stream is pinned here too, should a later numpy draw other doubles.
+PINNED = {
+    0: (0x3FE461FD79FB3850, 0x3FD1442F7E20B674, 0x3FA4FA7B529D9BD0),
+    42: (0x3FE8C43F79A2DB24, 0x3FDC16959869E47E, 0x3FEB79A2584DDB42),
+    2**64 + 3: (0x3FE72E3130A8E59E, 0x3FDA43614024D64E, 0x3FE035A1D03EFEE3),
+}
+PINNED_AFTER_A_BATCH = (0x3FD816460B88F494, 0x3FEF927C5154DC83,
+                        0x3FE6F7E450802810)
+
+
+@pytest.mark.parametrize("seed", PINNED)
+def test_the_stream_draws_the_pinned_doubles(seed):
+    assert bits(PCG64Stream(seed).uniform(0.0, 1.0, (3,))).tolist() == \
+        list(PINNED[seed])
+
+
+def test_the_stream_continues_to_the_pinned_doubles():
+    stream = PCG64Stream(42)
+    stream.uniform(0.0, 1.0, (128, 3))
+    assert bits(stream.uniform(0.0, 1.0, (3,))).tolist() == \
+        list(PINNED_AFTER_A_BATCH)
 
 
 def numpy_sample(domain: Domain, cfg: SamplingConfig):
