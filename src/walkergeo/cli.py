@@ -107,9 +107,6 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
-    except RecursionError:  # derivatives of a tree nest deeper than the tree
-        sys.stderr.write("input error: derived fields nest too deeply\n")
-        return 2
     except ConsistencyError as exc:
         sys.stderr.write(f"internal consistency failure: {exc}\n")
         return 3

@@ -25,6 +25,12 @@ is e` for trees no deeper than MAX_DEPTH); to keep that property the
 printer parenthesizes right operands of same-precedence binary nodes and
 negated right operands of + and -.
 
+Each walker (`diff`, `to_source`, `depth`, `walk`, the evaluator and the
+jets) is a per-node rule given to `fold`, one iterative post-order pass over
+the DAG as on an operation tape (Griewank and Walther, Evaluating
+Derivatives, 2008): nothing recurses per level, so derived fields may nest
+deeply.
+
 Numeric literals are exact `Fraction`s. The smart constructors used by
 `diff` and by the Python operator overloads only ever produce fractions with
 denominators of the form 2^a * 5^b (always printable as finite decimals), so
@@ -37,7 +43,7 @@ import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 from weakref import WeakValueDictionary
 
 import numpy as np
@@ -51,10 +57,10 @@ Rational = Union[int, Fraction]
 _VARIABLES = ("x", "y", "z")
 _FUNCTIONS = ("exp", "sqrt")
 
-# Deepest tree (and parenthesis nesting) `parse` accepts. `diff`, the
-# printer and `jets.eval_jet` recurse per level; at this depth the deepest walk
-# found (printing a quotient chain's third derivative) needs about 600 of
-# Python's default 1000 frames.
+# Deepest tree (and parenthesis nesting) `parse` accepts: it bounds the
+# recursive-descent parser's nesting, and `parse(to_source(e)) is e` holds
+# for trees up to this depth. The walkers over parsed and derived fields do
+# not recurse, so they need no bound.
 MAX_DEPTH = 100
 _TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
@@ -277,11 +283,7 @@ def exp_of(arg: Expr) -> Expr:
 
 def variables(e: Expr) -> frozenset[str]:
     """Names of the coordinates the expression actually mentions."""
-    out: set[str] = set()
-    for node in walk(e):
-        if isinstance(node, Var):
-            out.add(node.name)
-    return frozenset(out)
+    return frozenset(node.name for node in walk(e) if isinstance(node, Var))
 
 
 def _children(node: Expr) -> tuple[Expr, ...]:
@@ -294,23 +296,51 @@ def _children(node: Expr) -> tuple[Expr, ...]:
     return ()
 
 
-def walk(e: Expr) -> Iterator[Expr]:
-    """Each distinct node of e (by identity) once: a DAG is not unfolded."""
-    seen, stack = set(), [e]
+def walk(e: Expr) -> list[Expr]:
+    """Each distinct node of e once, in `fold` order: a DAG is not unfolded."""
+    nodes: list[Expr] = []
+    fold(e, lambda node, _: nodes.append(node))
+    return nodes
+
+
+def fold(e: Expr, rule, known=lambda node: None):
+    """rule(node, [results of its children]) for each distinct node of e
+    (by identity), children left to right before their parent; the root's
+    result. known(node) gives a node's result when it is already known, or
+    None: such a node stands as a leaf, and its subtree is not entered. A
+    child's result is dropped once its last parent has used it. Iterative,
+    so the depth of e is bounded by memory alone."""
+    hit = known(e)
+    if hit is not None:
+        return hit
+    # distinct nodes, each after its children; the parent edges into each
+    uses, order, results, children = {e: 0}, [], {}, _children(e)
+    stack = [(e, children, iter(children))]
     while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            yield node
-            stack.extend(_children(node))
+        for child in stack[-1][2]:
+            if child in uses:
+                uses[child] += 1
+                continue
+            uses[child] = 1
+            results[child] = known(child)
+            if results[child] is None:
+                children = _children(child)
+                stack.append((child, children, iter(children)))
+                break
+        else:
+            order.append(stack.pop()[:2])
+    for node, children in order:
+        results[node] = rule(node, [results[c] for c in children])
+        for child in children:
+            uses[child] -= 1
+            if not uses[child]:
+                del results[child]
+    return results[e]
 
 
 def depth(e: Expr) -> int:
-    """Nodes on the longest root-to-leaf path, counted level by level."""
-    level, levels = [e], 0
-    while level:
-        level, levels = [c for node in level for c in _children(node)], levels + 1
-    return levels
+    """Nodes on the longest root-to-leaf path."""
+    return fold(e, lambda node, depths: 1 + max(depths, default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +348,7 @@ def depth(e: Expr) -> int:
 
 
 # While a derivative scope is open: (node id, variable) -> (node,
-# derivative); (field, points id) -> (values, scale, points); and (field,
+# derivative); (field, points id) -> ((values, scale), points); and (field,
 # points id or point bytes) -> (jet, all finite, points) (see jets.eval_jet)
 _SCOPE: ContextVar[tuple[dict, dict, dict] | None] = ContextVar(
     "scope", default=None)
@@ -342,59 +372,50 @@ def derivative_scope():
 def diff(e: Expr, var: str) -> Expr:
     """Exact partial derivative with respect to 'x', 'y', or 'z'.
 
-    Memoized per (node, variable) in the open derivative scope (a call made
-    outside one opens its own), so a derivative shares the derivative
-    objects of its shared subtrees and DAG-shaped inputs stay DAG-shaped.
+    One `fold` of `_derive`, memoized per (node, variable) in the open
+    derivative scope (a call made outside one has a memo of its own): a
+    node in the memo stands as a leaf, and each node differentiated enters
+    it. So a derivative shares the derivative objects of its shared
+    subtrees and DAG-shaped inputs stay DAG-shaped.
     """
     if var not in _VARIABLES:
         raise ValueError(f"unknown variable {var!r}")
     scope = _SCOPE.get()
-    if scope is None:
-        with derivative_scope():
-            return diff(e, var)
-    memo = scope[0]
-    key = (id(e), var)
-    if key not in memo:
-        memo[key] = (e, _derive(e, var))
-    return memo[key][1]
+    memo = {} if scope is None else scope[0]
+
+    def rule(node: Expr, derivatives: list[Expr]) -> Expr:
+        d = _derive(node, var, derivatives)
+        memo[id(node), var] = (node, d)
+        return d
+
+    return fold(e, rule, lambda node: memo.get((id(node), var), (None, None))[1])
 
 
-def _derive(e: Expr, var: str) -> Expr:
-    """One differentiation rule; operands go back through `diff`."""
+def _derive(e: Expr, var: str, d: list[Expr]) -> Expr:
+    """One differentiation rule: the derivative of e from those of its
+    children, d (in `_children` order)."""
     if isinstance(e, (Num, Const)):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == var else ZERO
     if isinstance(e, Add):
-        return add(diff(e.left, var), diff(e.right, var))
+        return add(d[0], d[1])
     if isinstance(e, Sub):
-        return sub(diff(e.left, var), diff(e.right, var))
+        return sub(d[0], d[1])
     if isinstance(e, Neg):
-        return neg(diff(e.arg, var))
+        return neg(d[0])
     if isinstance(e, Mul):
-        return add(
-            mul(diff(e.left, var), e.right),
-            mul(e.left, diff(e.right, var)),
-        )
+        return add(mul(d[0], e.right), mul(e.left, d[1]))
     if isinstance(e, Div):
-        return div(
-            sub(
-                mul(diff(e.left, var), e.right),
-                mul(e.left, diff(e.right, var)),
-            ),
-            pow_of(e.right, 2),
-        )
+        return div(sub(mul(d[0], e.right), mul(e.left, d[1])), pow_of(e.right, 2))
     if isinstance(e, Pow):
-        return mul(
-            mul(_num(Fraction(e.exponent)), pow_of(e.base, e.exponent - 1)),
-            diff(e.base, var),
-        )
+        power = pow_of(e.base, e.exponent - 1)
+        return mul(mul(_num(Fraction(e.exponent)), power), d[0])
     if isinstance(e, Call):
-        inner = diff(e.arg, var)
         if e.func == "exp":
-            return mul(e, inner)
+            return mul(e, d[0])
         if e.func == "sqrt":
-            return div(inner, mul(_num(Fraction(2)), e))
+            return div(d[0], mul(_num(Fraction(2)), e))
     raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 
@@ -446,36 +467,37 @@ def _decimal(q: Fraction) -> str:
 
 
 def to_source(e: Expr) -> str:
-    """Render an AST to source text that reparses to the identical tree. A
-    tree deeper than MAX_DEPTH (such as a derivative of a deep input) still
-    prints, but its text does not reparse."""
+    """Render an AST, by one `fold` of `_text`, to source text that reparses
+    to the identical tree. A tree deeper than MAX_DEPTH (such as a derivative
+    of a deep input) still prints, but its text does not reparse."""
+    return fold(e, _text)
 
-    def wrap(child: Expr, minimum: int) -> str:
-        text = to_source(child)
-        if _precedence(child) < minimum:
-            return f"({text})"
-        return text
+
+def _text(e: Expr, texts: list[str]) -> str:
+    """One printing rule: the text of e from those of its children."""
+
+    def wrap(i: int, minimum: int) -> str:
+        low = _precedence(_children(e)[i]) < minimum
+        return f"({texts[i]})" if low else texts[i]
 
     if isinstance(e, Num):
         return _decimal(e.value)
-    if isinstance(e, Const):
-        return e.name
-    if isinstance(e, Var):
+    if isinstance(e, (Const, Var)):
         return e.name
     if isinstance(e, Add):
-        return f"{wrap(e.left, _PREC_ADD)} + {wrap(e.right, _PREC_NEG + 1)}"
+        return f"{wrap(0, _PREC_ADD)} + {wrap(1, _PREC_NEG + 1)}"
     if isinstance(e, Sub):
-        return f"{wrap(e.left, _PREC_ADD)} - {wrap(e.right, _PREC_NEG + 1)}"
+        return f"{wrap(0, _PREC_ADD)} - {wrap(1, _PREC_NEG + 1)}"
     if isinstance(e, Mul):
-        return f"{wrap(e.left, _PREC_MUL)} * {wrap(e.right, _PREC_MUL + 1)}"
+        return f"{wrap(0, _PREC_MUL)} * {wrap(1, _PREC_MUL + 1)}"
     if isinstance(e, Div):
-        return f"{wrap(e.left, _PREC_MUL)} / {wrap(e.right, _PREC_MUL + 1)}"
+        return f"{wrap(0, _PREC_MUL)} / {wrap(1, _PREC_MUL + 1)}"
     if isinstance(e, Neg):
-        return f"-{wrap(e.arg, _PREC_NEG + 1)}"
+        return f"-{wrap(0, _PREC_NEG + 1)}"
     if isinstance(e, Pow):
-        return f"{wrap(e.base, _PREC_ATOM)}^{e.exponent}"
+        return f"{wrap(0, _PREC_ATOM)}^{e.exponent}"
     if isinstance(e, Call):
-        return f"{e.func}({to_source(e.arg)})"
+        return f"{e.func}({texts[0]})"
     raise TypeError(f"cannot print {type(e).__name__}")
 
 
@@ -698,10 +720,10 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     by (1 + scale), so cancellation-heavy identities are judged relative to
     the size of the quantities that cancelled.
 
-    The expression is walked as a DAG, without recursion: a subtree reached
-    twice (`diff` reuses operand objects) is evaluated once per call,
-    children left to right, and its arrays are dropped once its last parent
-    has used them. Values are those of a tree walk.
+    The expression is evaluated by one `fold` over its DAG: a subtree
+    reached twice (`diff` reuses operand objects) is evaluated once per
+    call, children left to right, and its arrays are dropped once its last
+    parent has used them. Values are those of a tree walk.
 
     In an analysis (an open `derivative_scope`), a field evaluated on a
     read-only (n, 3) array, such as the analysis sample, keeps its (values,
@@ -725,26 +747,28 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     table = {} if scope is None else scope[1]
     hit = table.get((e, id(pts)))
     if hit is not None:
-        return hit[:2]
+        return hit[0]
     values, scale = _walk(e, pts, table)
     if single:
         return values[0], scale[0]
     if scope is not None:
         values.setflags(write=False)
         scale.setflags(write=False)
-        table[e, id(pts)] = (values, scale, pts)
+        table[e, id(pts)] = ((values, scale), pts)
     return values, scale
 
 
+def _check(bad: np.ndarray, reason: str, node: Expr, pts: np.ndarray) -> None:
+    """EvaluationError at node and the first of the points where bad holds."""
+    if bad.any():
+        raise EvaluationError(reason, to_source(node), pts[int(np.argmax(bad))])
+
+
 def _walk(e: Expr, pts: np.ndarray, kept: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(values, scale) of e over the (n, 3) points, a field kept for them
-    standing as a leaf (see evaluate_with_scale)."""
+    """(values, scale) of e over the (n, 3) points: one `fold` of ev, a field
+    kept for them standing as a leaf (see evaluate_with_scale)."""
     at = id(pts)
     coords = {"x": pts[:, 0], "y": pts[:, 1], "z": pts[:, 2]}
-
-    def check(bad: np.ndarray, reason: str, node: Expr) -> None:
-        if np.any(bad):
-            raise EvaluationError(reason, to_source(node), pts[int(np.argmax(bad))])
 
     def ev(node: Expr, args) -> tuple[np.ndarray, np.ndarray]:
         kind = type(node)
@@ -758,52 +782,26 @@ def _walk(e: Expr, pts: np.ndarray, kept: dict) -> tuple[np.ndarray, np.ndarray]
         if kind in _BINARY:
             b, b_scale = rest[0]
             if kind is Div:
-                check(b == 0.0, "division by zero", node)
+                _check(b == 0.0, "division by zero", node, pts)
             v = _BINARY[kind](a, b)
             scale = np.maximum(scale, b_scale)
         elif kind is Pow:
             if node.exponent < 0:
-                check(a == 0.0, "division by zero", node)
+                _check(a == 0.0, "division by zero", node, pts)
             with np.errstate(over="ignore", divide="ignore"):
                 v = a ** float(node.exponent)
         elif node.func == "sqrt":
-            check(a <= 0.0, "sqrt of a non-positive argument", node)
+            _check(a <= 0.0, "sqrt of a non-positive argument", node, pts)
             v = np.sqrt(a)
         else:
             with np.errstate(over="ignore"):
                 v = np.exp(a)
         if kind in (Mul, Div, Pow) or kind is Call and node.func == "exp":
             if not np.isfinite(v).all():
-                check(~np.isfinite(v), "non-finite value", node)
+                _check(~np.isfinite(v), "non-finite value", node, pts)
         return v, np.maximum(scale, np.abs(v))
 
-    # Distinct nodes depth first, each after its children (left to right),
-    # a kept field standing as a leaf; and the parent edges into each node.
-    uses = {id(e): 0}
-    order: list[Expr] = []
-    results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    stack = [(e, iter(_children(e)))]
-    while stack:
-        node, children = stack[-1]
-        for child in children:
-            uses[id(child)] = uses.get(id(child), 0) + 1
-            if uses[id(child)] == 1:
-                hit = kept.get((child, at))
-                if hit is not None:
-                    results[id(child)] = hit[:2]
-                else:
-                    stack.append((child, iter(_children(child))))
-                    break
-        else:
-            order.append(stack.pop()[0])
-    for node in order:
-        children = _children(node)
-        results[id(node)] = ev(node, [results[id(c)] for c in children])
-        for child in children:
-            uses[id(child)] -= 1
-            if not uses[id(child)]:
-                del results[id(child)]
-    return results[id(e)]
+    return fold(e, ev, lambda node: kept.get((node, at), (None,))[0])
 
 
 def evaluate(e: Expr, points):

@@ -16,9 +16,10 @@ Python `**` per point (numpy rounds differently), mapped in C. In an
 analysis, each field's jet at a point or on a read-only batch is computed
 once and kept, and a lower order is cut from it (see `eval_jet`).
 
-`eval_jet` propagates jets bottom-up through an expression AST, so every
-partial derivative up to the requested order comes out of one pass, with no
-symbolic differentiation and no finite differencing. Unary functions are
+`eval_jet` propagates jets bottom-up through an expression DAG, by one
+`expressions.fold` of a per-node jet rule, so every partial derivative up
+to the requested order comes out of one pass, with no symbolic
+differentiation and no finite differencing. Unary functions are
 applied by composing with their univariate Taylor expansion around the inner
 value; that needs the same domain guards as plain evaluation (nonzero
 divisors, positive sqrt arguments).
@@ -32,10 +33,9 @@ from itertools import accumulate, product, repeat
 
 import numpy as np
 
-from .errors import EvaluationError
 from .expressions import (
-    _SCOPE, Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var,
-    to_source,
+    _SCOPE, Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, _check,
+    fold,
 )
 
 MAX_ORDER = 3
@@ -180,11 +180,9 @@ class Jet3:
         return self * other.reciprocal()
 
     def intpow(self, exponent: int) -> "Jet3":
-        if exponent < 0:
-            return self.reciprocal().intpow(-exponent)
         result = Jet3.constant(1.0, self.order, self.value.shape)
-        base = self
-        n = exponent
+        base = self.reciprocal() if exponent < 0 else self
+        n = abs(exponent)
         while n:
             if n & 1:
                 result = result * base
@@ -206,61 +204,81 @@ class Jet3:
 
 def eval_jet(e: Expr, point, order: int = MAX_ORDER) -> Jet3:
     """Value and all partial derivatives of `e` up to `order`, at one point
-    (shape (3,)) or over a batch of points (shape (n, 3)).
+    (shape (3,)) or over a batch of points (shape (n, 3)), by one `fold`:
+    a shared subtree's jet is computed once, children before parents.
 
     Domain violations (zero divisor, non-positive sqrt argument, overflow)
-    raise EvaluationError naming the offending subexpression and the first
-    point where it fails.
+    raise EvaluationError naming the first offending subexpression in that
+    order and the first point where it fails.
 
     In an analysis (an open `derivative_scope`), the jet of a field at one
     point (keyed by its bytes) or on a read-only (n, 3) array (keyed by
     identity and kept alive) is kept, its coefficients made read-only, until
     the scope closes; a field that raised is not kept. A call at the kept
     order returns the kept jet; one at a lower order returns its leading
-    rows when every kept coefficient is finite. That changes no bit: a
-    coefficient of degree d comes from those of degree <= d by the same
-    operations at every order, except that a higher order adds Horner steps
-    in w = u - u0 (see `compose`). Those reach degree d only as products
-    with w's zero constant term, +-0.0 when finite, added to sums that start
-    at +0.0. A non-finite factor there gives nan, which reaches the result,
-    so a jet with a non-finite coefficient is never truncated. Otherwise,
-    and outside an analysis, the jet is computed afresh.
+    rows when every kept coefficient is finite; a larger field uses either
+    as a leaf. That changes no bit: a coefficient of degree d comes from
+    those of degree <= d by the same operations at every order, except that
+    a higher order adds Horner steps in w = u - u0 (see `compose`). Those
+    reach degree d only as products with w's zero constant term, +-0.0 when
+    finite, added to sums that start at +0.0. A non-finite factor there
+    gives nan, which reaches the result, so a jet with a non-finite
+    coefficient is never truncated. Otherwise, and outside an analysis, the
+    jet is computed afresh.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
     pts = np.asarray(point, dtype=float)
-    scope, key, kept = _SCOPE.get(), None, None
-    if scope is not None and (pts.ndim == 1 or not pts.flags.writeable):
-        key = (e, pts.tobytes() if pts.ndim == 1 else id(pts))
-        kept = scope[2].get(key)
+    table, at = _table(pts)
+    kept = table.get((e, at))
+    jet = _cut(kept, order)
+    if jet is not None:
+        return jet
+    jet = _propagate(e, pts, order)
+    if at is not None and (kept is None or order > kept[0].order):
+        jet.coeffs.setflags(write=False)
+        table[e, at] = (jet, bool(np.isfinite(jet.coeffs).all()), pts)
+    return jet
+
+
+def _table(pts: np.ndarray) -> tuple[dict, object]:
+    """The analysis's jet table and pts's key in it, or ({}, None) outside
+    an analysis and for a writable batch."""
+    scope = _SCOPE.get()
+    if scope is None or pts.ndim != 1 and pts.flags.writeable:
+        return {}, None
+    return scope[2], pts.tobytes() if pts.ndim == 1 else id(pts)
+
+
+def _cut(kept: tuple | None, order: int) -> Jet3 | None:
+    """The jet at `order` a kept (jet, all finite, points) entry gives."""
     if kept is not None:
         jet, finite, _ = kept
         if jet.order == order:
             return jet
         if jet.order > order and finite:
             return Jet3(order, jet.coeffs[:len(_INDICES[order])])
-    jet = _propagate(e, pts, order)
-    if key is not None and (kept is None or order > kept[0].order):
-        jet.coeffs.setflags(write=False)
-        scope[2][key] = (jet, bool(np.isfinite(jet.coeffs).all()), pts)
-    return jet
+    return None
 
 
 def _propagate(e: Expr, pts: np.ndarray, order: int) -> Jet3:
-    """The jet of e at the point or points, computed afresh (see eval_jet)."""
+    """The jet of e at the point or points: one `fold` of ev, a field whose
+    jet is kept for them standing as a leaf (see eval_jet)."""
+    table, at = _table(pts)
     single = pts.ndim == 1
     pts = pts.reshape(-1, 3)
     shape = pts.shape[:1]
 
-    def check(bad: np.ndarray, reason: str, node: Expr) -> None:
-        if bad.any():
-            raise EvaluationError(reason, to_source(node), pts[int(np.argmax(bad))])
+    def known(node: Expr) -> Jet3 | None:   # a point's jet as a batch of one
+        jet = _cut(table.get((node, at)), order)
+        return jet and Jet3(order, jet.coeffs.reshape(len(jet.coeffs), -1))
 
     def finite(out: Jet3, node: Expr) -> Jet3:
-        check(~np.isfinite(out.coeffs).all(axis=0), "non-finite value", node)
+        _check(~np.isfinite(out.coeffs).all(axis=0), "non-finite value", node,
+               pts)
         return out
 
-    def ev(node: Expr) -> Jet3:
+    def ev(node: Expr, args: list[Jet3]) -> Jet3:
         if isinstance(node, (Num, Const)):
             return Jet3.constant(float(node.value), order, shape)
         if isinstance(node, Var):
@@ -270,30 +288,28 @@ def _propagate(e: Expr, pts: np.ndarray, order: int) -> Jet3:
                 jet.coeffs[1 + axis] = 1.0
             return jet
         if isinstance(node, Add):
-            return ev(node.left) + ev(node.right)
+            return args[0] + args[1]
         if isinstance(node, Sub):
-            return ev(node.left) - ev(node.right)
+            return args[0] - args[1]
         if isinstance(node, Neg):
-            return -ev(node.arg)
+            return -args[0]
         if isinstance(node, Mul):
-            return finite(ev(node.left) * ev(node.right), node)
+            return finite(args[0] * args[1], node)
         if isinstance(node, Div):
-            denominator = ev(node.right)
-            check(denominator.value == 0.0, "division by zero", node)
-            return finite(ev(node.left) / denominator, node)
+            _check(args[1].value == 0.0, "division by zero", node, pts)
+            return finite(args[0] / args[1], node)
         if isinstance(node, Pow):
-            base = ev(node.base)
             if node.exponent < 0:
-                check(base.value == 0.0, "division by zero", node)
-            return finite(base.intpow(node.exponent), node)
+                _check(args[0].value == 0.0, "division by zero", node, pts)
+            return finite(args[0].intpow(node.exponent), node)
         if isinstance(node, Call):
-            arg = ev(node.arg)
             if node.func == "sqrt":
-                check(arg.value <= 0.0, "sqrt of a non-positive argument", node)
-                return arg.sqrt()
-            return finite(arg.exp(), node)
+                _check(args[0].value <= 0.0, "sqrt of a non-positive argument",
+                       node, pts)
+                return args[0].sqrt()
+            return finite(args[0].exp(), node)
         raise TypeError(f"cannot evaluate {type(node).__name__}")
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        jet = ev(e)
+        jet = fold(e, ev, known)
     return Jet3(order, jet.coeffs[:, 0]) if single else jet

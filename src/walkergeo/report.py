@@ -28,22 +28,10 @@ from .walker import (
 __all__ = ["ClassificationReport", "build_report"]
 
 
-def _plain(obj: Any) -> Any:
-    """Rebuild a value out of JSON-native types only."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
+def _native(obj: Any) -> Any:
+    """The Python value of a numpy array or scalar (json.dumps's default)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"value of type {type(obj).__name__} cannot enter a report")
 
 
@@ -75,45 +63,42 @@ class ClassificationReport(NamedTuple):
         return 3 if self.failures else 0
 
     def as_tree(self) -> dict:
-        return _plain(self._asdict())
+        """The report rebuilt out of JSON-native types only."""
+        return json.loads(json.dumps(self._asdict(), default=_native))
 
     def to_json(self) -> str:
         return json.dumps(self.as_tree(), sort_keys=True, indent=2) + "\n"
 
     def render_text(self) -> str:
-        lines: list[str] = []
-        _render_into(self.as_tree(), 0, lines)
-        return "\n".join(lines) + "\n"
+        return "\n".join(_render(self.as_tree())) + "\n"
 
 
 def _leaf(value: Any) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-def _render_into(node: dict, depth: int, lines: list[str]) -> None:
-    pad = "  " * depth
-    for key, value in node.items():
-        if isinstance(value, dict):
-            if value:
-                lines.append(f"{pad}{key}:")
-                _render_into(value, depth + 1, lines)
+def _render(tree: dict) -> list[str]:
+    """Indented `key: value` lines, depth first; each dict of a list of
+    dicts is an item whose first line opens with `- `."""
+    lines: list[str] = []
+    stack = [(iter(tree.items()), "", "")]  # (entries left, pad, next pad)
+    while stack:
+        entries, pad, lead = stack.pop()
+        for key, value in entries:
+            head, lead = f"{lead}{key}:", pad
+            if isinstance(value, dict) and value:
+                nested = [(iter(value.items()), pad + "  ", pad + "  ")]
+            elif isinstance(value, list) and value and all(
+                    isinstance(item, dict) for item in value):
+                nested = [(iter(item.items()), pad + "    ", pad + "  - ")
+                          for item in reversed(value)]
             else:
-                lines.append(f"{pad}{key}: {{}}")
-        elif isinstance(value, list) and value and all(
-                isinstance(item, dict) for item in value):
-            lines.append(f"{pad}{key}:")
-            for item in value:
-                first = True
-                inner: list[str] = []
-                _render_into(item, depth + 2, inner)
-                for line in inner:
-                    if first:
-                        lines.append(f"{pad}  -" + line[len(pad) + 3:])
-                        first = False
-                    else:
-                        lines.append(line)
-        else:
-            lines.append(f"{pad}{key}: {_leaf(value)}")
+                lines.append(f"{head} {_leaf(value)}")
+                continue
+            lines.append(head)
+            stack += [(entries, pad, pad), *nested]
+            break
+    return lines
 
 
 def _pick_direction(S: ApctStructure, point):

@@ -79,7 +79,7 @@ def test_each_report_step_runs_once(monkeypatch, name):
     S = load_fixture(name).build(samples=8)
     kept = []   # keeps differentiated nodes alive, so ids stay unique
 
-    def node_and_var(e, var):
+    def node_and_var(e, var, derivatives):
         kept.append(e)
         return id(e), var
 
@@ -108,13 +108,24 @@ def test_each_report_step_runs_once(monkeypatch, name):
 def test_quotient_chain_derivatives_are_worked_out_once(monkeypatch):
     f = parse(QUOTIENT_CHAIN)
     derived = recording(monkeypatch, ex, "_derive",
-                        lambda e, var: (id(e), var))
+                        lambda e, var, derivatives: (id(e), var))
     with ex.derivative_scope():
         third = ex.diff(ex.diff(ex.diff(f, "x"), "x"), "x")
         assert ex.diff(ex.diff(f, "x"), "x") is ex.diff(ex.diff(f, "x"), "x")
     assert max(Counter(derived).values()) == 1
-    # about 1350 distinct nodes; written out as a tree, 4.5 million
+    # 967 distinct nodes; written out as a tree, 4.5 million
     assert len(list(ex.walk(third))) < 2000
+
+
+def test_depth_visits_each_distinct_node_once(monkeypatch):
+    with ex.derivative_scope():
+        third = ex.diff(ex.diff(ex.diff(parse(QUOTIENT_CHAIN), "x"), "x"), "x")
+    distinct = len(list(ex.walk(third)))
+    assert distinct == 967
+    expanded = recording(monkeypatch, ex, "_children", id)
+    assert ex.depth(third) == 387
+    # level by level, the tree has about 4.5 million nodes
+    assert len(expanded) <= 2 * distinct
 
 
 def test_evaluation_visits_each_distinct_node_once(monkeypatch):

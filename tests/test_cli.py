@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import walkergeo
@@ -174,6 +175,15 @@ def test_pole_between_samples_exits_2_with_two_witnesses(capsys, tmp_path):
     assert err.count(" at (") == 2
 
 
+def test_the_first_pole_in_fold_order_is_named(capsys, tmp_path):
+    # children left to right before their parent, as the walkers visit them
+    f = '"1/(2 + 1/(z - 1)) + 1/(y - 1)"'
+    path = write(tmp_path, PARABOLIC.replace('"x^2"', f))
+    status, _, err = run(capsys, "analyze", path)
+    assert status == 2
+    assert err.startswith("input error: denominator z - 1 of f")
+
+
 def test_pole_of_a_negative_power_in_xi_exits_2(capsys, tmp_path):
     path = write(tmp_path, PARABOLIC.replace("xi1 = 0", 'xi1 = "(y - 1)^-3"'))
     status, _, err = run(capsys, "analyze", path)
@@ -229,13 +239,19 @@ def test_expression_past_the_depth_limit_exits_2(capsys, tmp_path):
     assert err.startswith("input error:") and "nests deeper" in err
 
 
-def test_derivatives_nested_past_the_recursion_limit_exit_2(tmp_path):
-    # the third derivative of a 100-level quotient chain is ~990 levels deep
+def test_derivatives_nested_past_the_recursion_limit_are_analyzed(tmp_path):
+    # the third derivatives of a quotient chain nest about ten times deeper
+    # than the chain, past Python's default recursion limit
+    chain = "x^2 + " + "/".join(["x"] * 98)
+    path = write(tmp_path, PARABOLIC.replace('"x^2"', f'"{chain}"'))
+    done = run_process("analyze", path)
+    assert done.returncode == 0 and done.stderr == ""
+    # the 100-level chain alone ends without a traceback
     chain = "/".join(["x"] * walkergeo.expressions.MAX_DEPTH)
     path = write(tmp_path, PARABOLIC.replace('"x^2"', f'"{chain}"'))
     done = run_process("analyze", path)
-    assert done.returncode == 2
-    assert done.stderr == "input error: derived fields nest too deeply\n"
+    assert "Traceback" not in done.stderr
+    assert "nest too deeply" not in done.stderr
 
 
 def test_consistency_failure_exits_3(capsys, tmp_path, monkeypatch):
@@ -288,6 +304,35 @@ def test_report_tree_round_trips_through_json():
     assert json.loads(report.to_json()) == tree
     assert tree["basic_classes"]["display"] == "G12"
     assert tree["route_agreement"]["agree"] is True
+
+
+def test_text_report_nests_dicts_and_opens_list_items_with_a_dash():
+    report = ClassificationReport(
+        name="t", sampling={"samples": np.int64(4)}, structure_validity={},
+        basic_classes={"normal": np.bool_(True)},
+        named_classes={"a": {"b": np.array([1.0, 2.5])}},
+        curvature={"scal": np.float64(0.5)}, route_agreement={},
+        failures=({"check": "x", "witness": {"point": (0.5,)}},
+                  {"check": "y"}, {}))
+    assert report.render_text().splitlines() == [
+        'name: "t"',
+        "sampling:",
+        "  samples: 4",
+        "structure_validity: {}",
+        "basic_classes:",
+        "  normal: true",
+        "named_classes:",
+        "  a:",
+        "    b: [1.0, 2.5]",
+        "curvature:",
+        "  scal: 0.5",
+        "route_agreement: {}",
+        "failures:",
+        '  - check: "x"',
+        "    witness:",
+        "      point: [0.5]",
+        '  - check: "y"',
+    ]
 
 
 def test_every_failure_entry_names_a_witness():

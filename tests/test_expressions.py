@@ -1,6 +1,12 @@
+import sys
+from fractions import Fraction
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+import walkergeo.expressions as ex
+from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.errors import (
     EvaluationError,
     ExponentError,
@@ -9,10 +15,14 @@ from walkergeo.errors import (
 )
 from walkergeo.expressions import (
     MAX_DEPTH,
+    ONE,
+    X,
+    add,
     depth,
     diff,
     evaluate_with_scale,
     gradient,
+    mul,
     parse,
     to_source,
     variables,
@@ -217,3 +227,93 @@ def test_tree_past_the_depth_limit_is_a_parse_error(source):
 def test_number_beyond_float_range_is_a_parse_error(source):
     with pytest.raises(ParseError, match="number too large for a float"):
         parse(source)
+
+
+# A chain e = (...((x + 1)*x + 1)*x ...)*x + 1 built with the smart
+# constructors, 2 * CHAIN levels deep: far past Python's recursion limit.
+CHAIN = 5000
+
+
+def test_walkers_do_not_recurse_per_level():
+    e = ONE
+    for _ in range(CHAIN):
+        e = add(mul(e, X), ONE)
+    assert depth(e) == 2 * CHAIN > sys.getrecursionlimit()
+    assert variables(e) == frozenset("x")
+    assert to_source(e).count("+ 1") == CHAIN
+    p = np.array([0.5, 1.0, 1.0])
+    # sum of x^k for k = 0..CHAIN, and its derivative, at x = 1/2
+    value = (1 - 0.5 ** (CHAIN + 1)) / 0.5
+    slope = (1 - (CHAIN + 1) * 0.5 ** CHAIN + CHAIN * 0.5 ** (CHAIN + 1)) / 0.25
+    assert evaluate_with_scale(e, p)[0] == pytest.approx(value, rel=1e-12)
+    partial = diff(e, "x")
+    assert evaluate_with_scale(partial, p)[0] == pytest.approx(slope, rel=1e-12)
+    jet = eval_jet(e, p, order=3)
+    assert jet.value == pytest.approx(value, rel=1e-12)
+    assert jet.derivative((1, 0, 0)) == pytest.approx(slope, rel=1e-12)
+
+
+# The differentiation and printing rules stated recursively, per level: the
+# references for the rules `fold` applies.
+
+@lru_cache(maxsize=None)
+def reference_diff(e, var):
+    d = lambda child: reference_diff(child, var)
+    if isinstance(e, (ex.Num, ex.Const)):
+        return ex.ZERO
+    if isinstance(e, ex.Var):
+        return ONE if e.name == var else ex.ZERO
+    if isinstance(e, ex.Add):
+        return add(d(e.left), d(e.right))
+    if isinstance(e, ex.Sub):
+        return ex.sub(d(e.left), d(e.right))
+    if isinstance(e, ex.Neg):
+        return ex.neg(d(e.arg))
+    if isinstance(e, ex.Mul):
+        return add(mul(d(e.left), e.right), mul(e.left, d(e.right)))
+    if isinstance(e, ex.Div):
+        return ex.div(ex.sub(mul(d(e.left), e.right), mul(e.left, d(e.right))),
+                      ex.pow_of(e.right, 2))
+    if isinstance(e, ex.Pow):
+        return mul(mul(ex.as_expr(e.exponent), ex.pow_of(e.base, e.exponent - 1)),
+                   d(e.base))
+    if e.func == "exp":
+        return mul(e, d(e.arg))
+    return ex.div(d(e.arg), mul(ex.as_expr(Fraction(2)), e))
+
+
+def reference_source(e):
+    def wrap(child, minimum):
+        text = reference_source(child)
+        return f"({text})" if ex._precedence(child) < minimum else text
+
+    if isinstance(e, ex.Num):
+        return ex._decimal(e.value)
+    if isinstance(e, (ex.Const, ex.Var)):
+        return e.name
+    if isinstance(e, ex._Binary):
+        symbol, left, right = {
+            ex.Add: ("+", 10, 16), ex.Sub: ("-", 10, 16),
+            ex.Mul: ("*", 20, 21), ex.Div: ("/", 20, 21)}[type(e)]
+        return f"{wrap(e.left, left)} {symbol} {wrap(e.right, right)}"
+    if isinstance(e, ex.Neg):
+        return f"-{wrap(e.arg, 16)}"
+    if isinstance(e, ex.Pow):
+        return f"{wrap(e.base, 40)}^{e.exponent}"
+    return f"{e.func}({reference_source(e.arg)})"
+
+
+@pytest.mark.parametrize("name", [fixture.name for fixture in FIXTURES])
+def test_fold_rules_give_the_recursive_rules_nodes_and_text(name):
+    S = load_fixture(name).build(samples=1)
+    fields = [S.manifold.f, *S.xi, *(source for source, _ in CASES)]
+    for e in (parse(f) if isinstance(f, str) else f for f in fields):
+        for first in "xyz":
+            d1 = diff(e, first)
+            assert d1 is reference_diff(e, first)
+            assert to_source(d1) == reference_source(d1)
+            for second in "xyz":
+                d2 = diff(d1, second)
+                assert d2 is reference_diff(d1, second)
+                assert to_source(d2) == reference_source(d2)
+

@@ -221,3 +221,58 @@ def test_outside_an_analysis_no_jet_is_kept(monkeypatch):
         eval_jet(e, np.array(batch), 1)
         eval_jet(e, np.array(batch), 1)
     assert len(calls) == 6
+
+
+# --- the fold: children left to right before their parent, each node once ---
+
+def test_a_quotient_names_a_failing_numerator_first():
+    # the numerator is reached before the zero denominator is checked, as in
+    # evaluate_with_scale
+    e, p = parse("sqrt(x - 5)/(y - y)"), np.array([1.0, 1.0, 1.0])
+    message = r"sqrt of a non-positive argument in 'sqrt\(x - 5\)'"
+    with pytest.raises(EvaluationError, match=message):
+        evaluate_with_scale(e, p)
+    with pytest.raises(EvaluationError, match=message):
+        eval_jet(e, p, 2)
+
+
+def counting_products(monkeypatch) -> list:
+    products, multiply = [], jets.Jet3.__mul__
+
+    def counting(a, b):
+        products.append(a.order)
+        return multiply(a, b)
+
+    monkeypatch.setattr(jets.Jet3, "__mul__", counting)
+    return products
+
+
+def test_a_shared_subtree_is_propagated_once(monkeypatch):
+    shared = parse("x*y")
+    e = shared * shared          # interned: both operands are one node
+    batch = pts(4)
+    products = counting_products(monkeypatch)
+    jet = eval_jet(e, batch, 2)
+    assert len(products) == 2    # x*y once, then the square
+    want = eval_jet(shared, batch, 2).coeffs
+    assert identical(jet.coeffs, (jets.Jet3(2, want) * jets.Jet3(2, want)).coeffs)
+
+
+def test_a_kept_jet_is_a_leaf_of_a_larger_field(monkeypatch):
+    inner, batch = parse("x*y/(1 + z^2)"), read_only(pts(5))
+    outer = ex.exp_of(inner)
+    fresh = {order: eval_jet(outer, batch, order) for order in (1, 3)}
+    point_fresh = eval_jet(outer, batch[0], 1)
+    with ex.derivative_scope():
+        eval_jet(inner, batch, 3)
+        eval_jet(inner, batch[0], 3)
+        calls = computations(monkeypatch)
+        products = counting_products(monkeypatch)
+        for order in (1, 3):     # rows cut from the kept jet, and all of it
+            assert identical(eval_jet(outer, batch, order).coeffs,
+                             fresh[order].coeffs)
+        assert identical(eval_jet(outer, batch[0], 1).coeffs,
+                         point_fresh.coeffs)
+    assert calls == [(outer, 1), (outer, 3), (outer, 1)]
+    # only the exp's Horner steps: 1 at each order 1, 3 at order 3
+    assert len(products) == 5
