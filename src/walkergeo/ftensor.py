@@ -32,8 +32,8 @@ modeled direct sum is detected rather than silently projected.
 
 Arrays are laid out components first, points last: F over n points is
 (3, 3, 3, n), and a single point has no point axis (see `structure`).
-Contractions go through structure.contract (einsum's summation order, bit
-for bit). Symbolic fields are differentiated and evaluated once per
+Contractions go through structure.contract: np.einsum on these arrays,
+bit for bit the einsum of their points-first copies. Symbolic fields are differentiated and evaluated once per
 analysis; the eta partials and a batch's Reeb contractions are shared by
 the routes that read them until the classification ends.
 """

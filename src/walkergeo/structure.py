@@ -32,13 +32,15 @@ point or on the sample, from which a lower order is cut (see
 Every batched numeric array of the package has one layout, that of the jet
 coefficients: components first, points last, C-contiguous. Over n points a
 vector is (3, n), a matrix (3, 3, n); a single point has no point axis, and
-a[..., k] of a batch is point k. `contract` works on that layout; `@` alone
-runs on points-first copies (see `points_first`).
+a[..., k] of a batch is point k. `contract` is np.einsum on that layout,
+with the bits of einsum on the points-first arrays; `@` alone runs on
+points-first copies (see `points_first`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -90,65 +92,60 @@ def max_abs(a: np.ndarray, axes: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _contraction_plan(subscripts: str, ndim: int):
-    """The whole of `contract` that does not depend on the operand values,
-    given the first operand's number of axes: per operand, its axis order
-    and the index placing it on the product axes (summed labels, output
-    labels, points); per later operand, whether the product already spans
-    its labels, so that it is multiplied in place; the number of summed
-    labels; and the order in which a run over the last summed label is
-    summed apart, or None when the terms are added one by one."""
+def _contraction_plan(subscripts: str):
+    """The pieces of a contraction with a run, else None: per piece, per
+    operand the index of its view (see `contract`)."""
     inputs, out = subscripts.replace("...", "").split("->")
     inputs = inputs.split(",")
-    points = ndim - len(inputs[0])
     summed = [c for c in dict.fromkeys("".join(inputs)) if c not in out]
-    labels = summed + list(out)
-    views = [([s.index(c) for c in labels if c in s]
-              + list(range(len(s), len(s) + points)),
-              tuple(slice(None) if c in s else None for c in labels))
-             for s in inputs]
-    in_place = [set(s) <= set("".join(inputs[:k]))
-                for k, s in enumerate(inputs[2:], 2)]
-    run = None
-    if summed and all(s[-1] == summed[-1] for s in inputs if summed[-1] in s):
-        both = len(inputs) == 2 and all(summed[-1] in s for s in inputs)
-        run = (0, 2, 1) if both else (0, 1, 2)
-    return views, in_place, len(summed), run
+    if not summed or any(s[-1] != summed[-1] for s in inputs if summed[-1] in s):
+        return None
+    last = summed[-1]
+    both = len(inputs) == 2 and all(last in s for s in inputs)
+    if len(summed) == 1 and not both:
+        return None  # einsum sums the one run in order 0, 1, 2
+    parts = (slice(0, 3, 2), slice(1, 2)) if both else (slice(None),)
+    runs = product([slice(0, 1), slice(1, 2), slice(2, 3)], repeat=len(summed) - 1)
+    pieces = ({**dict(zip(summed[:-1], run)), last: part}
+              for run in runs for part in parts)
+    return tuple(tuple(tuple(piece.get(c, slice(None)) for c in s) for s in inputs)
+                 for piece in pieces)
 
 
 def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     """Contraction of two or more operands with the same trailing point axes
     (`...`) and summed axes of length 3, giving the bits np.einsum gives on
-    the points-first operands (`...` leading).
+    the points-first operands (`...` leading), C-contiguous.
 
-    The plan (`_contraction_plan`) is made once per subscripts and rank.
-    Each operand is viewed, uncopied, on the product axes (summed labels,
-    output labels, points), and the product is one broadcast multiply per
-    operand, left to right, in place once it spans the operand's labels.
-    The sum is einsum's: it starts from +0.0 (a lone -0.0 product gives
-    +0.0); summed labels run in order of first appearance, the last
-    fastest, adding terms one by one, unless the last summed label is the
-    last component axis of every operand that has it: then each run over
-    it is summed apart (terms 0, 2, 1 when both of two operands have it,
-    else 0, 1, 2) and the run sums are added in turn.
+    It is np.einsum on the points-last operands: its inner loop then runs
+    along the points, so each entry adds its terms one by one from +0.0,
+    summed labels in order of first appearance, the last fastest, as on
+    points-first operands but for a run. Where the last summed label is the
+    last component axis of every operand that has it, points-first einsum
+    sums each run over it apart (terms 0, 2, 1 when both of two operands
+    have it, else 0, 1, 2) and adds the run sums in turn; so
+    `_contraction_plan` cuts the contraction into einsum calls on views,
+    the other summed labels fixed: one per run, or two, over terms 0 and 2
+    (a step-2 view) and over term 1. A sum from +0.0 is never -0.0, so
+    adding these in turn gives the bits of adding their terms, and views,
+    not copies, keep the peak memory within a few outputs. The rule fails
+    where numpy merges the run's axis with another summed axis, as in
+    `ab...,ab...->...`, a shape the package does not form.
+
+    einsum's summation order follows the operands' strides, so they are
+    made C-contiguous first (no copy for the package's arrays); its output
+    is copied only when einsum gives it another layout.
     """
-    views, in_place, summed, run = _contraction_plan(subscripts, operands[0].ndim)
-    first, second, *rest = (op.transpose(axes)[index]
-                            for op, (axes, index) in zip(operands, views))
-    product = np.multiply(first, second, order="C")
-    for view, spans in zip(rest, in_place):
-        product = np.multiply(product, view, out=product if spans else None,
-                              order="C")
-    terms = product.reshape((-1,) + (3,) * (run is not None) + product.shape[summed:])
-    if run is not None:
-        runs = terms[:, run[0]] + 0.0
-        for r in run[1:]:
-            runs += terms[:, r]
-        terms = runs
-    total = terms[0] + 0.0
-    for term in terms[1:]:
-        total += term
-    return total
+    operands = [np.asarray(op, order="C") for op in operands]
+    plan = _contraction_plan(subscripts)
+    if plan is None:
+        total = np.einsum(subscripts, *operands)
+    else:
+        pieces = ([op[i] for op, i in zip(operands, index)] for index in plan)
+        total = np.einsum(subscripts, *next(pieces))
+        for views in pieces:
+            total += np.einsum(subscripts, *views)
+    return total if total.flags.c_contiguous else total.copy(order="C")
 
 
 class Frame:

@@ -11,10 +11,14 @@ is np.einsum on contiguous points-first operands (`...` leading), the
 arithmetic the reports were built with before the layout changed. Operands
 span e^-12 .. e^12 in magnitude with exact zeros and -0.0 mixed in, because
 the summation order and the sign of a zero sum are what a reordered kernel
-would get wrong.
+would get wrong. `contract` calls einsum itself, whose summation order
+follows the operands' strides, so its bits are checked on strided views
+too, and its peak memory is bounded, so no broadcast product over the
+summed axes comes back.
 """
 
 import re
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -33,6 +37,10 @@ SWAPPED_PAIRS = (
     ("mi...,mkj...->ijk...", "mj...,mki...->ijk...", (0, 1)),
     ("km...,jmi...->ijk...", "km...,imj...->ijk...", (0, 1)),
 )
+# the first four keep their test ids; the rest are where einsum's inner
+# kernels unroll or collapse axes
+LEADS = [(), (1,), (7,), (512,), (2,), (3,), (4,), (5,), (8,), (9,), (16,),
+         (17,), (64,), (1024,)]
 RETIRED = ({"i...,jk...->ijk...", "j...,ki...->ijk..."}
            | {second for _, second, _ in SWAPPED_PAIRS})
 SUBSCRIPTS = sorted(RETIRED | {
@@ -84,7 +92,7 @@ def test_the_package_uses_contract():
 
 
 @pytest.mark.parametrize("reference", sorted(CASES))
-@pytest.mark.parametrize("lead", [(), (1,), (7,), (512,)])
+@pytest.mark.parametrize("lead", LEADS)
 def test_contract_is_einsum_bit_for_bit(reference, lead):
     subscripts = CASES[reference]
     rng = np.random.default_rng(zlib.crc32(f"{reference}{lead}".encode()))
@@ -98,6 +106,45 @@ def test_contract_is_einsum_bit_for_bit(reference, lead):
         assert identical(got, points_last(want, lead)), subscripts
         assert np.asarray(got).flags.c_contiguous
         assert all(identical(a, b) for a, b in zip(ops, copies))
+
+
+def strided_views(a: np.ndarray):
+    """Views of a's values in other layouts: Fortran order, a step-2 slice
+    of the point axis, and a swapaxes view of a contiguous transpose."""
+    yield np.asfortranarray(a)
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+    wide[..., ::2] = a
+    yield wide[..., ::2]
+    yield np.ascontiguousarray(a.swapaxes(0, -1)).swapaxes(0, -1)
+
+
+@pytest.mark.parametrize("subscripts", SUBSCRIPTS)
+@pytest.mark.parametrize("lead", [(2,), (7,), (512,)])
+def test_contract_does_not_depend_on_operand_strides(subscripts, lead):
+    rng = np.random.default_rng(zlib.crc32(f"{subscripts}{lead}".encode()))
+    labels = subscripts.split("->")[0].replace("...", "").split(",")
+    ops = [points_last(operand(rng, lead + (3,) * len(s)), lead) for s in labels]
+    want = contract(subscripts, *ops)
+    for views in zip(*map(strided_views, ops)):
+        assert not all(v.flags.c_contiguous for v in views)
+        assert identical(contract(subscripts, *views), want), subscripts
+
+
+@pytest.mark.parametrize("subscripts", SUBSCRIPTS)
+def test_contract_never_holds_more_than_a_few_outputs(subscripts):
+    # the broadcast product this replaced held up to 13 outputs' bytes
+    rng = np.random.default_rng(zlib.crc32(subscripts.encode()))
+    labels = subscripts.split("->")[0].replace("...", "").split(",")
+    ops = [operand(rng, (3,) * len(s) + (4096,)) for s in labels]
+    contract(subscripts, *ops)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = contract(subscripts, *ops)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * out.nbytes, (subscripts, peak / out.nbytes)
 
 
 def test_a_lone_negative_zero_product_sums_to_positive_zero():
@@ -121,7 +168,7 @@ def test_output_axes_may_be_shorter_than_three():
 
 
 @pytest.mark.parametrize("first, second, axes", SWAPPED_PAIRS)
-@pytest.mark.parametrize("lead", [(), (1,), (7,), (512,)])
+@pytest.mark.parametrize("lead", LEADS)
 def test_each_swapped_pair_is_its_second_contraction(first, second, axes, lead):
     rng = np.random.default_rng(zlib.crc32(f"{first}{lead}".encode()))
     labels = first.split("->")[0].replace("...", "").split(",")
