@@ -27,7 +27,7 @@ from .sampling import (
     PCG64Stream, SamplingConfig, ZeroVerdict, analyzed, is_identically_zero,
     nonvanishing, zero_verdict_from_samples,
 )
-from .jets import eval_jet
+from .jets import Jet3, eval_jet
 from .structure import ApctStructure, contract, max_abs, points_first
 from .walker import (
     FlatnessVerdict, SegreVerdict, curvature_at, curvature_from_jet, f_hessian,
@@ -107,9 +107,8 @@ def eta_einstein_check(S: ApctStructure,
         values, _ = evaluate_with_scale(fxx, pts)
         a = float(values.mean()) / 2.0
         b = -a
-        point = tuple(float(c) for c in pts[0])
-        segre = segre_type(M, point, cfg)
-        xi_match = _xi_versus_null_eigenvector(S, segre, point, cfg.tol)
+        segre = segre_type(M, tuple(float(c) for c in pts[0]), cfg)
+        xi_match = _xi_versus_null_eigenvector(S, segre, pts, cfg.tol)
 
     return EtaEinsteinVerdict(
         direct, a, b, segre, xi_match, residuals,
@@ -155,14 +154,13 @@ def _coordinate_eta_einstein(S: ApctStructure, cfg: SamplingConfig,
 
 
 def _xi_versus_null_eigenvector(S: ApctStructure, segre: SegreVerdict,
-                                point, tol: float) -> int | None:
-    """Compare the Reeb field with the null Ricci eigenvector of `segre`,
-    the Ricci type at the point; returns the matching sign or None."""
+                                pts: np.ndarray, tol: float) -> int | None:
+    """Compare the Reeb field at pts[0] (from the sample's frame) with the
+    null Ricci eigenvector of `segre`; returns the matching sign or None."""
     if segre.n_vector is None:
         return None
-    frame = S.frame(point, order=0)
     n = np.asarray(segre.n_vector, dtype=float)
-    xi = frame.xi_vec
+    xi = S.frame(pts, order=1).xi_vec[:, 0]
     scale = 1.0 + float(np.abs(n).max()) + float(np.abs(xi).max())
     for sign in (1, -1):
         if float(np.abs(xi - sign * n).max()) <= tol * scale:
@@ -265,12 +263,28 @@ class SectionalReport(NamedTuple):
 
 
 def sectional_curvatures(S: ApctStructure, X, point) -> SectionalReport:
+    """`sectional_from_arrays` at one point; a report reads the same bits
+    from its sample (see `sample_column`)."""
     frame = S.frame(point, order=0)
     M = S.manifold
-    R = curvature_at(M, point).components
-    g, xi, eta = frame.g, frame.xi_vec, frame.eta_vec
-    scal = ricci_at(M, point)[2]
+    return sectional_from_arrays(
+        frame.point, curvature_at(M, point).components, frame.g, frame.xi_vec,
+        frame.eta_vec, frame.phi_mat, ricci_at(M, point)[2], X)
 
+
+def sample_column(S: ApctStructure, pts: np.ndarray) -> tuple:
+    """(R, g, xi, eta, phi, scal) at pts[0] from column 0 of the sample's
+    order-1 frame and order-2 jet of f (kept in an analysis), with the
+    pointwise bits; copied C-contiguous, as einsum's order follows strides."""
+    frame, f = S.frame(pts, order=1), eval_jet(S.manifold.f, pts, 2)
+    coeffs, g, xi, eta, phi = (np.ascontiguousarray(a[..., 0]) for a in (
+        f.coeffs, frame.g, frame.xi_vec, frame.eta_vec, frame.phi_mat))
+    jet = Jet3(2, coeffs)
+    return curvature_from_jet(jet), g, xi, eta, phi, ricci_from_jet(jet)[2]
+
+
+def sectional_from_arrays(point, R, g, xi, eta, phi, scal, X) -> SectionalReport:
+    """The SectionalReport at a point from the arrays there (see above)."""
     X = np.asarray(X, dtype=float)
     Xh = X - (eta @ X) * xi
 
@@ -291,9 +305,8 @@ def sectional_curvatures(S: ApctStructure, X, point) -> SectionalReport:
         return pair(u, v) / den, False
 
     K_xi, xi_deg = plane(Xh, xi)
-    phi_X = frame.phi_mat @ Xh
-    K_phi, phi_deg = plane(Xh, phi_X)
-    return SectionalReport(frame.point, K_xi, K_phi, scal, xi_deg, phi_deg)
+    K_phi, phi_deg = plane(Xh, phi @ Xh)
+    return SectionalReport(point, K_xi, K_phi, scal, xi_deg, phi_deg)
 
 
 # --- the eta-Einstein curvature profile --------------------------------------

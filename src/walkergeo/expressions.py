@@ -348,20 +348,21 @@ def depth(e: Expr) -> int:
 
 
 # While a derivative scope is open: (node id, variable) -> (node,
-# derivative); (field, points id) -> ((values, scale), points); and (field,
-# points id or point bytes) -> (jet, all finite, points) (see jets.eval_jet)
-_SCOPE: ContextVar[tuple[dict, dict, dict] | None] = ContextVar(
+# derivative); (node, points id) -> ((values, scale), points); (field,
+# points id or point bytes) -> (jet, all finite, points) (see jets.eval_jet);
+# and the (node, points id) pairs evaluated once (see evaluate_with_scale)
+_SCOPE: ContextVar[tuple[dict, dict, dict, set] | None] = ContextVar(
     "scope", default=None)
 
 
 @contextmanager
 def derivative_scope():
-    """Differentiate each (node, variable) once, evaluate each field once per
-    read-only point array (see `evaluate_with_scale`), and keep each field's
-    jets (see `jets.eval_jet`), while open; an open scope is reused. An
-    analysis is one scope. The memos keep their nodes and arrays alive, so
-    their ids stay unique."""
-    token = None if _SCOPE.get() is not None else _SCOPE.set(({}, {}, {}))
+    """Differentiate each (node, variable) once, evaluate each shared node at
+    most twice per read-only point array (see `evaluate_with_scale`), and
+    keep each field's jets (see `jets.eval_jet`), while open; an open scope
+    is reused. An analysis is one scope. The memos keep their nodes and
+    arrays alive, so their ids stay unique."""
+    token = None if _SCOPE.get() is not None else _SCOPE.set(({}, {}, {}, set()))
     try:
         yield
     finally:
@@ -725,16 +726,19 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     call, children left to right, and its arrays are dropped once its last
     parent has used them. Values are those of a tree walk.
 
-    In an analysis (an open `derivative_scope`), a field evaluated on a
-    read-only (n, 3) array, such as the analysis sample, keeps its (values,
-    scale), made read-only, and the array, until the scope closes. Calling
-    again with that field returns them; a field containing it uses them as
-    a leaf. A node's values and scale depend on its subtree alone, so this
-    changes no bit. Otherwise, and for one point, nothing is kept.
+    In an analysis (an open `derivative_scope`), on a read-only (n, 3)
+    array such as the sample, one rule keeps a node's (values, scale),
+    read-only, with the array until the scope closes: the call's root at
+    once, any other node from its second evaluation on (the first records
+    the pair). A kept node is a leaf of later calls, a kept root their
+    result. So a shared node is evaluated at most twice per sample, and the
+    scope holds two n-vectors per root and per node two calls share. A
+    node's values and scale depend on its subtree alone, so this changes no
+    bit. Otherwise, and for one point, nothing is kept.
 
     Raises EvaluationError on division by exactly zero, sqrt of a
     non-positive argument, or a non-finite result (overflow), reporting the
-    offending subexpression and the first offending point; a field that
+    offending subexpression and the first offending point; a node that
     raises is not kept.
     """
     pts = np.asarray(points, dtype=float)
@@ -744,17 +748,12 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (3,) or (n, 3)")
     scope = None if single or pts.flags.writeable else _SCOPE.get()
-    table = {} if scope is None else scope[1]
-    hit = table.get((e, id(pts)))
+    hit = None if scope is None else scope[1].get((e, id(pts)))
     if hit is not None:
         return hit[0]
-    values, scale = _walk(e, pts, table)
+    values, scale = _walk(e, pts, scope)
     if single:
         return values[0], scale[0]
-    if scope is not None:
-        values.setflags(write=False)
-        scale.setflags(write=False)
-        table[e, id(pts)] = ((values, scale), pts)
     return values, scale
 
 
@@ -764,44 +763,60 @@ def _check(bad: np.ndarray, reason: str, node: Expr, pts: np.ndarray) -> None:
         raise EvaluationError(reason, to_source(node), pts[int(np.argmax(bad))])
 
 
-def _walk(e: Expr, pts: np.ndarray, kept: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(values, scale) of e over the (n, 3) points: one `fold` of ev, a field
-    kept for them standing as a leaf (see evaluate_with_scale)."""
+def _walk(e: Expr, pts: np.ndarray, scope) -> tuple[np.ndarray, np.ndarray]:
+    """(values, scale) of e over the (n, 3) points: one `fold` of
+    `_evaluate_node`, in an analysis (an open scope) under the keep rule."""
+    if scope is None:
+        return fold(e, lambda node, args: _evaluate_node(node, args, pts))
+    _, kept, _, seen = scope
     at = id(pts)
-    coords = {"x": pts[:, 0], "y": pts[:, 1], "z": pts[:, 2]}
 
-    def ev(node: Expr, args) -> tuple[np.ndarray, np.ndarray]:
-        kind = type(node)
-        if kind in (Num, Const, Var):
-            v = (coords[node.name] if kind is Var
-                 else np.full(pts.shape[0], float(node.value)))
-            return v, np.abs(v)
-        (a, scale), *rest = args
-        if kind is Neg:
-            return -a, scale
-        if kind in _BINARY:
-            b, b_scale = rest[0]
-            if kind is Div:
-                _check(b == 0.0, "division by zero", node, pts)
-            v = _BINARY[kind](a, b)
-            scale = np.maximum(scale, b_scale)
-        elif kind is Pow:
-            if node.exponent < 0:
-                _check(a == 0.0, "division by zero", node, pts)
-            with np.errstate(over="ignore", divide="ignore"):
-                v = a ** float(node.exponent)
-        elif node.func == "sqrt":
-            _check(a <= 0.0, "sqrt of a non-positive argument", node, pts)
-            v = np.sqrt(a)
+    def keep(node: Expr, args) -> tuple[np.ndarray, np.ndarray]:
+        out = _evaluate_node(node, args, pts)
+        # a stale pair of a dead array only keeps a node one call early
+        if node is e or (node, at) in seen:
+            for array in out:
+                array.setflags(write=False)
+            kept[node, at] = (out, pts)
         else:
-            with np.errstate(over="ignore"):
-                v = np.exp(a)
-        if kind in (Mul, Div, Pow) or kind is Call and node.func == "exp":
-            if not np.isfinite(v).all():
-                _check(~np.isfinite(v), "non-finite value", node, pts)
-        return v, np.maximum(scale, np.abs(v))
+            seen.add((node, at))
+        return out
 
-    return fold(e, ev, lambda node: kept.get((node, at), (None,))[0])
+    return fold(e, keep, lambda node: kept.get((node, at), (None,))[0])
+
+
+def _evaluate_node(node: Expr, args, pts: np.ndarray):
+    """The evaluator's rule: (values, scale) of node over the points from
+    those of its children, args (in `_children` order)."""
+    kind = type(node)
+    if kind in (Num, Const, Var):
+        v = (pts[:, _VARIABLES.index(node.name)] if kind is Var
+             else np.full(pts.shape[0], float(node.value)))
+        return v, np.abs(v)
+    (a, scale), *rest = args
+    if kind is Neg:
+        return -a, scale
+    if kind in _BINARY:
+        b, b_scale = rest[0]
+        if kind is Div:
+            _check(b == 0.0, "division by zero", node, pts)
+        v = _BINARY[kind](a, b)
+        scale = np.maximum(scale, b_scale)
+    elif kind is Pow:
+        if node.exponent < 0:
+            _check(a == 0.0, "division by zero", node, pts)
+        with np.errstate(over="ignore", divide="ignore"):
+            v = a ** float(node.exponent)
+    elif node.func == "sqrt":
+        _check(a <= 0.0, "sqrt of a non-positive argument", node, pts)
+        v = np.sqrt(a)
+    else:
+        with np.errstate(over="ignore"):
+            v = np.exp(a)
+    if kind in (Mul, Div, Pow) or kind is Call and node.func == "exp":
+        if not np.isfinite(v).all():
+            _check(~np.isfinite(v), "non-finite value", node, pts)
+    return v, np.maximum(scale, np.abs(v))
 
 
 def evaluate(e: Expr, points):

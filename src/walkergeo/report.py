@@ -14,7 +14,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .classify import ClassVerdict, NAMED_CLASSES, named_classes
-from .curvature import curvature_equivalences, sectional_curvatures
+from .curvature import curvature_equivalences, sample_column, sectional_from_arrays
 from .expressions import evaluate_with_scale, gradient, to_source
 from .ftensor import exterior_data_at, f_tensor_at, project_components, theta_forms
 from .sampling import SamplingConfig, analyzed, is_identically_zero
@@ -101,7 +101,7 @@ def _render(tree: dict) -> list[str]:
     return lines
 
 
-def _pick_direction(S: ApctStructure, point):
+def _pick_direction(point, arrays):
     """First coordinate direction spanning nondegenerate planes with the
     Reeb field and with its own phi image; falls back to the last try."""
     candidates = (
@@ -112,7 +112,7 @@ def _pick_direction(S: ApctStructure, point):
     )
     last = None
     for label, X in candidates:
-        sec = sectional_curvatures(S, X, point)
+        sec = sectional_from_arrays(point, *arrays, X)
         last = (label, X, sec)
         if not sec.xi_plane_degenerate and not sec.phi_plane_degenerate:
             return last
@@ -218,7 +218,7 @@ def build_report(S: ApctStructure,
     segre = segre_type(S.manifold, rep_point, cfg)
     equiv = curvature_equivalences(S, cfg)
     ee = equiv.eta_einstein
-    direction_label, _, sec = _pick_direction(S, rep_point)
+    direction_label, _, sec = _pick_direction(rep_point, sample_column(S, pts))
 
     curvature = {
         "scal": scal,

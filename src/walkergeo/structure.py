@@ -23,11 +23,13 @@ g(phi X, Y) = -g(X, phi Y), g(xi, xi) = 1, plus the derived ones
 
 A Frame bundles jets of f, xi, eta, and phi over a batch of points (one per
 analysis) or at one point (the pointwise API), with the numeric arrays every
-tensor operation needs; frames are cached per structure. The analysis of a
-report memoizes verdicts, a few shared batches, each field's values on its
-sample (see `expressions.evaluate_with_scale`), and each field's jets at a
-point or on the sample, from which a lower order is cut (see
-`jets.eval_jet`).
+tensor operation needs; frames are cached per structure. Column k of the
+sample's arrays has the pointwise bits at pts[k], so a report reads its
+representative point pts[0] there. The analysis of a report memoizes
+verdicts, a few shared batches, the values on its sample of each field and
+each node two fields share (see `expressions.evaluate_with_scale`), and
+each field's jets at a point or on the sample, from which a lower order is
+cut (see `jets.eval_jet`).
 
 Every batched numeric array of the package has one layout, that of the jet
 coefficients: components first, points last, C-contiguous. Over n points a

@@ -1,10 +1,11 @@
 """One analysis per report: every derivative, zero test and flatness
 verdict is worked out once, each field is evaluated once on the sample and
-its jets once per order, and DAG-shaped fields stay cheap to evaluate.
+each node at most twice, its jets once per order, and DAG-shaped fields
+stay cheap to evaluate.
 
 Work is counted by wrapping the private workers (`_derive`, `_zero_test`,
-the evaluator's `_walk` and binary operations, the jets' `_propagate`),
-never by wall time.
+the evaluator's `_walk`, per-node rule and binary operations, the jets'
+`_propagate`), never by wall time.
 """
 
 import hashlib
@@ -248,16 +249,64 @@ def test_a_field_that_raised_is_not_kept(monkeypatch):
 def test_outside_an_analysis_nothing_is_kept(monkeypatch):
     pts, field = sample(), parse("x*y + z")
     walks = recording(monkeypatch, ex, "_walk", lambda e, p, table: e)
+    nodes = recording(monkeypatch, ex, "_evaluate_node",
+                      lambda node, args, p: node)
     first = ex.evaluate_with_scale(field, pts)
     second = ex.evaluate_with_scale(field, pts)
     assert first[0] is not second[0] and first[0].flags.writeable
     with ex.derivative_scope():
+        _, table, _, seen = ex._SCOPE.get()
         for _ in range(2):   # one point, and a writable array, are not kept
             ex.evaluate_with_scale(field, pts[0])
             ex.evaluate_with_scale(field, np.array(pts))
+        assert not table and not seen
         ex.evaluate_with_scale(field, pts)
         ex.evaluate_with_scale(field, pts)
+        assert list(table) == [(field, id(pts))]
     assert len(walks) == 7
+    # each of the 7 walks evaluated every node: no interior node was kept
+    assert set(Counter(nodes).values()) == {7}
+
+
+def test_a_shared_node_is_kept_from_its_second_evaluation(monkeypatch):
+    pts, product = sample(), parse("x*y")
+    fields = [parse("x*y + z"), parse("x*y - z"), parse("x*y * z")]
+    nodes = recording(monkeypatch, ex, "_evaluate_node",
+                      lambda node, args, p: node)
+    with ex.derivative_scope():
+        table = ex._SCOPE.get()[1]
+        fresh = []
+        for field in fields:
+            fresh.append((product, id(pts)) in table)
+            ex.evaluate_with_scale(field, pts)
+        values, scale = table[product, id(pts)][0]
+    assert fresh == [False, False, True]
+    assert nodes.count(product) == 2
+    assert not values.flags.writeable and not scale.flags.writeable
+    assert np.array_equal(values, pts[:, 0] * pts[:, 1])
+
+
+@pytest.mark.parametrize("samples", [64, 512])
+@pytest.mark.parametrize("name", NAMES)
+def test_no_node_is_evaluated_more_than_twice_on_the_sample(
+        monkeypatch, name, samples):
+    S = load_fixture(name).build(samples=samples)
+    held = []   # keeps point arrays alive, so ids stay unique
+
+    def node_and_points(node, args, pts):
+        held.append(pts)
+        return node, id(pts)
+
+    evaluated = recording(monkeypatch, ex, "_evaluate_node", node_and_points)
+    scopes = recording(monkeypatch, ex, "_walk", lambda e, pts, scope: scope)
+    build_report(S, name=name)
+    sample = id(S.sample_points())
+    counts = Counter(key for key in evaluated if key[1] == sample)
+    assert counts and max(counts.values()) <= 2
+    tables = {id(scope[1]): scope[1] for scope in scopes if scope is not None}
+    kept = [array for table in tables.values()
+            for arrays, _ in table.values() for array in arrays]
+    assert kept and not [array for array in kept if array.flags.writeable]
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from walkergeo.classify import named_classes
-from walkergeo.corpus import load_fixture
+from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.curvature import (
     curvature_equivalences,
     eta_einstein_check,
@@ -12,9 +12,10 @@ from walkergeo.curvature import (
 )
 from walkergeo.errors import DegenerateInputError
 from walkergeo.expressions import parse
+from walkergeo.report import build_report
 from walkergeo.sampling import Domain, Interval, SamplingConfig, is_identically_zero
 from walkergeo.structure import build_structure
-from walkergeo.walker import WalkerManifold
+from walkergeo.walker import WalkerManifold, segre_type
 
 BOX = Domain((Interval(0.5, 2.0), Interval(0.5, 2.0), Interval(0.5, 2.0)))
 CFG = SamplingConfig(samples=24, seed=23)
@@ -175,6 +176,45 @@ def test_sectional_invariant_under_reeb_component():
     r2 = sectional_curvatures(S, np.array([0.3, 5.0, 1.0]), (1.2, 0.8, 1.5))
     assert abs(r1.K_phi - r2.K_phi) <= 1e-10
     assert abs(r1.K_xi - r2.K_xi) <= 1e-10
+
+
+# A report reads the representative point pts[0] as column 0 of its sample's
+# arrays; the pointwise API must give the same bits there, at sample sizes
+# for which numpy's batched kernels take their small-batch and long paths.
+REPRESENTATIVE_SAMPLES = [1, 3, 64, 512]
+
+DIRECTIONS = {"d_z": (0.0, 0.0, 1.0), "d_y": (0.0, 1.0, 0.0),
+              "d_x": (1.0, 0.0, 0.0), "d_x + d_y + d_z": (1.0, 1.0, 1.0)}
+
+
+def bits(value):
+    return None if value is None else float(value).hex()
+
+
+@pytest.mark.parametrize("samples", REPRESENTATIVE_SAMPLES)
+@pytest.mark.parametrize("name", [fixture.name for fixture in FIXTURES])
+def test_report_sectional_curvatures_are_the_pointwise_ones(name, samples):
+    S = load_fixture(name).build(samples=samples)
+    section = build_report(S, name=name).curvature["sectional"]
+    point = tuple(S.sample_points()[0])
+    rep = sectional_curvatures(S, DIRECTIONS[section["direction"]], point)
+    assert bits(rep.K_xi) == bits(section["K_xi"])
+    assert bits(rep.K_phi) == bits(section["K_phi"])
+    assert rep.xi_plane_degenerate == section["xi_plane_degenerate"]
+    assert rep.phi_plane_degenerate == section["phi_plane_degenerate"]
+
+
+@pytest.mark.parametrize("samples", REPRESENTATIVE_SAMPLES)
+def test_xi_matches_n_is_the_pointwise_comparison(samples):
+    S = load_fixture("eta-einstein-parabolic").build(samples=samples)
+    verdict = curvature_equivalences(S).eta_einstein
+    point = tuple(S.sample_points()[0])
+    # the comparison at the point, from the frame there
+    n = segre_type(S.manifold, point, S.config).n_vector
+    xi = S.frame(point, order=0).xi_vec
+    allowed = S.config.tol * (1.0 + np.abs(n).max() + np.abs(xi).max())
+    signs = [sign for sign in (1, -1) if np.abs(xi - sign * n).max() <= allowed]
+    assert signs and verdict.xi_matches_N == signs[0]
 
 
 # -------------------------------------------------------------------- profile
