@@ -16,9 +16,17 @@ each by at least two independent routes:
     conditions on (f, xi1) decide several classes directly and are run
     as an extra cross-check.
 
-Route disagreements are collected, never averaged away: every verdict
-carries routes_agree, and a False there means the analysis itself is
-suspect, not the structure.
+Each comparison of routes is a row of one table. A Route is one route's
+answer: whether it holds, its witness (the first sampled point where a
+residual that must vanish exceeds its bound, or None) and the deciding
+residual, made from zero verdicts in hand. A Check (`Check.of`) is a name,
+a detail, its routes and whether it fails: when its routes disagree, or
+when its single route (a bound check) fails. The verdicts here and in
+`curvature` carry their checks, and one function, `decide`, turns failing
+checks into failures with the witness and residual of their first route
+that has a witness, else pts[0] and the first route's residual.
+Disagreements are never averaged away: a False routes_agree means the
+analysis itself is suspect, not the structure.
 
 The useful identity behind several shortcuts: the fundamental 2-form
 always has components (xi3, -xi2, xi1) in the coordinate 2-form basis
@@ -29,7 +37,7 @@ unit constraint, and d(fundamental) has the single essential component
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import InputError
 from .expressions import (
@@ -57,6 +65,77 @@ NAMED_CLASSES = (
 )
 
 
+# --- routes, checks and their decision ---------------------------------------
+
+class Route(NamedTuple):
+    """One route's answer to a check: whether it holds, its witness (the
+    first sampled point where a residual that must vanish exceeds its
+    bound, or None) and the deciding residual."""
+
+    holds: bool
+    witness: tuple[float, float, float] | None = None
+    residual: float = 0.0
+
+
+# the constant route of a Reeb shape that rules the answer out
+NEVER = Route(False)
+
+
+def route(verdict: ZeroVerdict, vanishes: bool = True) -> Route:
+    """The route 'the field vanishes identically', decided by its zero
+    verdict; with vanishes False, its negation, which has no witness."""
+    return Route(verdict.is_zero == vanishes,
+                 verdict.witness if vanishes else None, verdict.max_residual)
+
+
+def every(routes: Iterable[Route]) -> Route:
+    """The conjunction of routes, drawn in order only up to the first that
+    fails, which decides it; when all hold, the last decides."""
+    for part in routes:
+        if not part.holds:
+            break
+    return part
+
+
+def bound(values, limit: float, pts) -> Route:
+    """The route max(values) <= limit over the sample points, decided at
+    the first point attaining the maximum."""
+    k = int(values.argmax())
+    return Route(bool(values[k] <= limit), tuple(pts[k].tolist()),
+                 float(values[k]))
+
+
+class Check(NamedTuple):
+    """A named check, the routes that answer it and whether it fails (see
+    `of`)."""
+
+    name: str
+    detail: str | None
+    routes: tuple[Route, ...]
+    fails: bool
+
+    @classmethod
+    def of(cls, name: str, detail: str | None, *routes: Route) -> Check:
+        """The check of routes: it fails when they disagree, or when its
+        single route, a bound check, fails."""
+        if len(routes) == 1:
+            return cls(name, detail, routes, not routes[0].holds)
+        return cls(name, detail, routes, len({r.holds for r in routes}) > 1)
+
+
+def decide(checks: Iterable[Check], pts) -> list[dict]:
+    """The failing checks in order, each a dict with keys check, witness
+    and magnitude: those of the first route with a sampled witness, else
+    pts[0] and the first route's residual."""
+    failures = []
+    for check in (c for c in checks if c.fails):
+        by = next((r for r in check.routes if r.witness), check.routes[0])
+        failures.append({"check": check.name,
+                         "witness": [float(c) for c in by.witness or pts[0]],
+                         "magnitude": by.residual})
+    return failures
+
+
 # --- basic classes -----------------------------------------------------------
 
 class BasicClassification(NamedTuple):
@@ -65,7 +144,9 @@ class BasicClassification(NamedTuple):
 
     members holds the plain component labels; labels is the user-facing
     tuple where an empty set prints as G0 and a contact-type G5 component
-    (trace form equal to 2 on the Reeb field) prints as G5bar.
+    (trace form equal to 2 on the Reeb field) prints as G5bar. model is the
+    bound check model_defect <= tol, whose route gives within_model and
+    model_defect.
     """
 
     members: frozenset[str]
@@ -75,7 +156,7 @@ class BasicClassification(NamedTuple):
     g5bar_verdict: ZeroVerdict | None
     within_model: bool
     model_defect: float
-    model_witness: tuple[float, float, float] | None
+    model: Check
 
     def display(self) -> str:
         return " + ".join(self.labels)
@@ -102,11 +183,8 @@ def classify_basic(S: ApctStructure,
         if not verdict.is_zero:
             members.add(label)
 
-    worst = float(batch.model_defect.max(initial=0.0))
-    within = worst <= cfg.tol
-    witness = None
-    if not within:
-        witness = tuple(float(c) for c in pts[int(batch.model_defect.argmax())])
+    model = Check.of("component_model", None,
+                     bound(batch.model_defect, cfg.tol, pts))
 
     g5bar = False
     g5bar_verdict = None
@@ -122,8 +200,27 @@ def classify_basic(S: ApctStructure,
     ) or ("G0",)
     return BasicClassification(
         frozenset(members), labels, g5bar, verdicts, g5bar_verdict,
-        within, worst, witness,
+        not model.fails, model.routes[0].residual, model,
     )
+
+
+def _split_route(basic: BasicClassification, allowed: set[str],
+                 required: str | None = None) -> Route:
+    """The projection route 'no component outside allowed, and required
+    present': the first present component outside allowed decides, then
+    the required one."""
+    verdicts = basic.component_verdicts
+    parts = [route(verdicts[label])
+             for label in BASIC_LABELS if label not in allowed]
+    if required:
+        parts.append(route(verdicts[required], vanishes=False))
+    return every(parts)
+
+
+def _contact_route(basic: BasicClassification, allowed: set[str]) -> Route:
+    """_split_route with a contact-type G5 (trace form 2 on xi) required."""
+    shape = _split_route(basic, allowed, "G5")
+    return route(basic.g5bar_verdict) if shape.holds else shape
 
 
 # --- paracontact metric ------------------------------------------------------
@@ -149,16 +246,17 @@ class ParacontactVerdict(NamedTuple):
 
     Decided by symbolic conditions (primary) and by a sampled numeric
     comparison of the two 2-forms; shortcut records a structural shape of
-    the Reeb field known to rule the property out, run as a third check.
+    the Reeb field known to rule the property out, the third route of
+    check when present.
     """
 
     is_paracontact: bool
     conditions: tuple[ZeroVerdict, ZeroVerdict, ZeroVerdict]
     numeric_matches: bool
-    numeric_residual: float
     numeric_witness: tuple[float, float, float] | None
     shortcut: str | None
     routes_agree: bool
+    check: Check
 
     def __bool__(self) -> bool:
         return self.is_paracontact
@@ -175,7 +273,7 @@ def is_paracontact_metric(S: ApctStructure,
         is_identically_zero(c, S.domain, cfg)
         for c in paracontact_condition_fields(S)
     )
-    symbolic = all(c.is_zero for c in conditions)
+    symbolic = every(route(c) for c in conditions)
 
     gap = d_eta_batch(S, batch) - fundamental_form_batch(batch)
     numeric = zero_verdict_from_samples(gap, batch.scale, pts, cfg.tol)
@@ -194,12 +292,11 @@ def is_paracontact_metric(S: ApctStructure,
             "satisfies the paracontact conditions"
         )
 
-    routes_agree = symbolic == numeric.is_zero
-    if shortcut is not None and symbolic:
-        routes_agree = False
+    check = Check.of("paracontact_routes", shortcut, symbolic, route(numeric),
+                     *([NEVER] if shortcut else []))
     return ParacontactVerdict(
-        symbolic, conditions, numeric.is_zero, numeric.max_residual,
-        numeric.witness, shortcut, routes_agree,
+        symbolic.holds, conditions, numeric.is_zero, numeric.witness,
+        shortcut, not check.fails, check,
     )
 
 
@@ -219,6 +316,7 @@ class NormalityVerdict(NamedTuple):
     torsion_verdict: ZeroVerdict
     setting_route: bool | None
     routes_agree: bool
+    check: Check
 
     def __bool__(self) -> bool:
         return self.is_normal
@@ -253,22 +351,20 @@ def is_normal(S: ApctStructure,
     batch = _components(S, cfg)
     basic = once(S, "basic", S.domain, cfg, lambda: classify_basic(S, cfg))
 
-    class_route = basic.members <= {"G5", "G6"}
+    class_route = _split_route(basic, {"G5", "G6"})
     torsion = zero_verdict_from_samples(
         normality_defect_batch(S, batch), batch.scale, pts, cfg.tol
     )
-
+    routes = [class_route, route(torsion)]
     sign = unit_y_setting(S, cfg)
-    setting_route = None if sign is None else all(
-        is_identically_zero(c, S.domain, cfg).is_zero
-        for c in _setting_fields(S, sign)[3:])
+    if sign is not None:
+        routes.append(every(route(is_identically_zero(c, S.domain, cfg))
+                            for c in _setting_fields(S, sign)[3:]))
 
-    is_norm = class_route
-    routes_agree = class_route == torsion.is_zero and (
-        setting_route is None or setting_route == is_norm
-    )
+    check = Check.of("normality_routes", None, *routes)
     return NormalityVerdict(
-        is_norm, class_route, torsion, setting_route, routes_agree
+        class_route.holds, class_route.holds, torsion,
+        None if sign is None else routes[2].holds, not check.fails, check,
     )
 
 
@@ -307,7 +403,9 @@ class AlphaReport(NamedTuple):
 
 class ClassVerdict(NamedTuple):
     """Full classification outcome: basic components plus every named
-    class, with all cross-route bookkeeping."""
+    class, with all cross-route bookkeeping. checks is the classification
+    table: the component model, the paracontact and normality routes, and
+    one row per cross-check of a named class."""
 
     basic: BasicClassification
     named: dict[str, NamedVerdict]
@@ -317,6 +415,7 @@ class ClassVerdict(NamedTuple):
     alpha: AlphaReport | None
     disagreements: tuple[RouteDisagreement, ...]
     routes_agree: bool
+    checks: tuple[Check, ...]
 
 
 @analyzed
@@ -333,17 +432,19 @@ def named_classes(S: ApctStructure,
         return zero_verdict_from_samples(values, batch.scale, pts, cfg.tol)
 
     f_zero = ztest(batch.tensor)
-    d_eta_zero = ztest(d_eta_coordinate_batch(S, batch))
+    tensor = route(f_zero, vanishes=False)
+    d_eta = route(ztest(d_eta_coordinate_batch(S, batch)))
     xi1, xi2, xi3 = S.xi
     divergence = diff(xi1, "x") + diff(xi2, "y") + diff(xi3, "z")
-    d_phi_zero = is_identically_zero(divergence, S.domain, cfg)
-    lie_zero = ztest(lie_g_batch(S, batch))
-    torsion_normal = normality.torsion_verdict.is_zero
+    d_phi = route(is_identically_zero(divergence, S.domain, cfg))
+    lie = ztest(lie_g_batch(S, batch))
+    torsion = route(normality.torsion_verdict)
 
     # theta*(xi) is constant on the sampled domain when its partials vanish
     grad_verdicts = [is_identically_zero(partial, S.domain, cfg)
                      for partial in gradient(theta_star_xi_field(S))]
-    theta_star_constant = all(v.is_zero for v in grad_verdicts)
+    constant = every(route(v) for v in grad_verdicts)
+    theta_star_constant = constant.holds
     gradient_residual = max(v.max_residual for v in grad_verdicts)
 
     alpha = None
@@ -356,257 +457,167 @@ def named_classes(S: ApctStructure,
             gradient_residual,
         )
 
-    disagreements: list[RouteDisagreement] = []
+    # the first route of a check decides its class
+    para, normal = paracontact.check.routes[0], normality.check.routes[0]
+    sasaki = every((normal, para))
+    quasi = _split_route(basic, {"G5"}, "G5")
+    cosym = _split_route(basic, set())
+    almost_cosym = _split_route(basic, {"G10"}, "G10")
+    almost_alpha = _split_route(basic, {"G6", "G10"}, "G6")
+    alpha_only = _split_route(basic, {"G6"}, "G6")
+    alpha_cross = every((d_eta, route(ztest(batch.theta_star_xi), False)))
+    present = f"components present: {basic.display()}"
+    no_g6 = present if "G6" in members else "no G6 component"
+    sasaki_detail = "not normal" if not normal.holds else "not paracontact"
+    not_constant = "theta*(xi) is not constant on the sampled domain"
 
-    def crosscheck(name: str, primary: bool, cross: bool, detail: str):
-        if primary != cross:
-            disagreements.append(
-                RouteDisagreement(name, primary, cross, detail)
-            )
-
-    def excess_witness(allowed: set[str]):
-        for label in BASIC_LABELS:
-            if label not in allowed and label in members:
-                verdict = basic.component_verdicts[label]
-                return verdict.witness
-        return None
-
-    named: dict[str, NamedVerdict] = {}
-
-    # paracontact and normality first; their route bookkeeping lives in
-    # their own verdict objects.
-    named["paracontact_metric"] = NamedVerdict(
-        paracontact.is_paracontact,
-        detail=None if paracontact.is_paracontact else (
-            paracontact.shortcut or "the d(eta) = fundamental-form "
-            "conditions fail"
-        ),
-        witness=None if paracontact.is_paracontact
-        else paracontact.numeric_witness,
+    # (class, deciding route, cross route or None where the verdict's own
+    # check holds the routes, what the two compare, detail and witness
+    # against membership). Para-Sasakian and K-paracontact coincide in
+    # dimension 3: both mean normal plus paracontact, equivalently a pure
+    # contact-type G5. Read off the split: quasi-para-Sasakian (normal,
+    # closed fundamental form, some tensor left) is a pure G5;
+    # paracosymplectic has no tensor; almost paracosymplectic (both forms
+    # closed, tensor left) is a pure G10; almost alpha-paracosymplectic
+    # (closed eta, fundamental form scaled into the volume form by
+    # alpha = -theta*(xi)/2 != 0) lies within G6 + G10 with G6 present. The
+    # para-Kenmotsu refinements ask alpha to be constant, which is judged
+    # on the sampled domain only.
+    table = (
+        ("paracontact_metric", para, None, None, paracontact.shortcut
+         or "the d(eta) = fundamental-form conditions fail",
+         paracontact.numeric_witness),
+        ("normal", normal, None, None,
+         "components outside the two trace-form shapes are present: "
+         + ", ".join(sorted(members - {"G5", "G6"})),
+         normality.torsion_verdict.witness),
+        ("para_sasakian", sasaki, _contact_route(basic, {"G5"}),
+         "normal-and-paracontact route vs. pure contact-type G5 component",
+         sasaki_detail, None),
+        ("k_paracontact", sasaki, every((route(lie), para)),
+         "para-Sasakian route vs. paracontact with Killing Reeb field",
+         sasaki_detail, lie.witness),
+        ("quasi_para_sasakian", quasi, every((torsion, d_phi, tensor)),
+         "pure-G5 component route vs. normal + closed fundamental form",
+         present, quasi.witness),
+        ("paracosymplectic", cosym, every((d_eta, d_phi, torsion)),
+         "empty component split vs. closed eta, closed fundamental form "
+         "and vanishing torsion defect", present, f_zero.witness),
+        ("almost_paracosymplectic", almost_cosym,
+         every((d_eta, d_phi, tensor)),
+         "pure-G10 component route vs. both forms closed with nonzero "
+         "structure tensor", present, almost_cosym.witness),
+        ("almost_alpha_paracosymplectic", almost_alpha, alpha_cross,
+         "G6-within-G6+G10 component route vs. closed eta with theta*(xi) "
+         "not identically zero", no_g6, almost_alpha.witness),
+        ("alpha_paracosymplectic", alpha_only, every((alpha_cross, torsion)),
+         "pure-G6 component route vs. almost alpha conditions plus "
+         "vanishing torsion defect", no_g6, alpha_only.witness),
+        ("almost_alpha_para_kenmotsu", every((almost_alpha, constant)), None,
+         None, not_constant if almost_alpha.holds else no_g6, None),
+        ("alpha_para_kenmotsu", every((alpha_only, constant)), None, None,
+         not_constant if alpha_only.holds else no_g6, None),
     )
-    named["normal"] = NamedVerdict(
-        normality.is_normal,
-        detail=None if normality.is_normal else (
-            "components outside the two trace-form shapes are present: "
-            + ", ".join(sorted(members - {"G5", "G6"}))
-        ),
-        witness=None if normality.is_normal
-        else normality.torsion_verdict.witness,
-    )
-
-    # para-Sasakian and K-paracontact coincide in dimension 3: both mean
-    # normal plus paracontact, equivalently a pure contact-type G5.
-    sasaki_primary = normality.is_normal and paracontact.is_paracontact
-    sasaki_class = members == {"G5"} and basic.g5bar
-    crosscheck(
-        "para_sasakian", sasaki_primary, sasaki_class,
-        "normal-and-paracontact route vs. pure contact-type G5 component",
-    )
-    sasaki_detail = None
-    if not sasaki_primary:
-        sasaki_detail = (
-            "not normal" if not normality.is_normal else "not paracontact"
-        )
-    named["para_sasakian"] = NamedVerdict(sasaki_primary, sasaki_detail)
-
-    killing = lie_zero.is_zero and paracontact.is_paracontact
-    crosscheck(
-        "k_paracontact", sasaki_primary, killing,
-        "para-Sasakian route vs. paracontact with Killing Reeb field",
-    )
-    named["k_paracontact"] = NamedVerdict(
-        sasaki_primary,
-        sasaki_detail,
-        witness=None if (sasaki_primary or lie_zero.is_zero)
-        else lie_zero.witness,
-    )
-
-    def by_components(name: str, allowed: set[str], primary: bool,
-                      cross: bool, detail: str, witness) -> None:
-        """A class read off the component split, checked by a second route."""
-        crosscheck(name, primary, cross, detail)
-        named[name] = NamedVerdict(
-            primary,
-            detail=None if primary else (
-                "no G6 component" if "G6" in allowed - members else
-                f"components present: {basic.display()}"
-            ),
-            witness=None if primary else witness,
-        )
-
-    # quasi-para-Sasakian: normal with closed fundamental form, and some
-    # structure tensor left; as components, exactly a pure G5.
-    by_components(
-        "quasi_para_sasakian", {"G5"}, members == {"G5"},
-        torsion_normal and d_phi_zero.is_zero and not f_zero.is_zero,
-        "pure-G5 component route vs. normal + closed fundamental form",
-        excess_witness({"G5"}),
-    )
-    # paracosymplectic: no structure tensor at all.
-    by_components(
-        "paracosymplectic", set(), not members,
-        d_eta_zero.is_zero and d_phi_zero.is_zero and torsion_normal,
-        "empty component split vs. closed eta, closed fundamental form "
-        "and vanishing torsion defect", f_zero.witness,
-    )
-    # almost paracosymplectic: both forms closed but the tensor survives,
-    # i.e. exactly the Reeb-symmetric component.
-    by_components(
-        "almost_paracosymplectic", {"G10"}, members == {"G10"},
-        d_eta_zero.is_zero and d_phi_zero.is_zero and not f_zero.is_zero,
-        "pure-G10 component route vs. both forms closed with nonzero "
-        "structure tensor", excess_witness({"G10"}),
-    )
-    # almost alpha-paracosymplectic: closed eta, fundamental form scaled
-    # into the volume form by a nonzero function alpha = -theta*(xi)/2;
-    # as components, within G6 + G10 with G6 actually present.
-    almost_alpha_primary = members <= {"G6", "G10"} and "G6" in members
-    almost_alpha_cross = (d_eta_zero.is_zero
-                          and not ztest(batch.theta_star_xi).is_zero)
-    by_components(
-        "almost_alpha_paracosymplectic", {"G6", "G10"}, almost_alpha_primary,
-        almost_alpha_cross,
-        "G6-within-G6+G10 component route vs. closed eta with theta*(xi) "
-        "not identically zero", excess_witness({"G6", "G10"}),
-    )
-    alpha_primary = members == {"G6"}
-    by_components(
-        "alpha_paracosymplectic", {"G6"}, alpha_primary,
-        almost_alpha_cross and torsion_normal,
-        "pure-G6 component route vs. almost alpha conditions plus "
-        "vanishing torsion defect", excess_witness({"G6"}),
-    )
-
-    # the para-Kenmotsu refinements ask alpha (hence theta*(xi)) to be
-    # constant; constancy is judged on the sampled domain only.
-    kenmotsu_detail = (
-        None if theta_star_constant
-        else "theta*(xi) is not constant on the sampled domain"
-    )
-    named["almost_alpha_para_kenmotsu"] = NamedVerdict(
-        almost_alpha_primary and theta_star_constant,
-        detail=kenmotsu_detail if almost_alpha_primary else (
-            named["almost_alpha_paracosymplectic"].detail
-        ),
-    )
-    named["alpha_para_kenmotsu"] = NamedVerdict(
-        alpha_primary and theta_star_constant,
-        detail=kenmotsu_detail if alpha_primary else (
-            named["alpha_paracosymplectic"].detail
-        ),
-    )
+    named, decided, rows = {}, {}, []
+    for name, primary, cross, compared, detail, witness in table:
+        decided[name] = primary
+        named[name] = NamedVerdict(primary.holds, *(
+            (None, None) if primary.holds else (detail, witness)))
+        if cross is not None:
+            rows.append(Check.of(f"classification:{name}", compared,
+                                 primary, cross))
 
     # a paracontact structure must split as contact-type G5 (possibly with
     # a G10 part) and nothing else.
-    if paracontact.is_paracontact:
-        shape_ok = (
-            members <= {"G5", "G10"} and "G5" in members and basic.g5bar
-        )
-        crosscheck(
-            "paracontact_component_shape", True, shape_ok,
+    if para.holds:
+        rows.append(Check.of(
+            "classification:paracontact_component_shape",
             "paracontact structures must carry a contact-type G5 "
             "component and at most a G10 part besides",
-        )
+            para, _contact_route(basic, {"G5", "G10"}),
+        ))
 
-    _apply_setting_checks(S, cfg, basic, named, crosscheck)
+    rows += _setting_checks(S, cfg, basic, decided)
     release(S, "components", cfg)
     release(batch, "reeb_routes", None)
     release(pts, "eta_partials", None)
 
     ordered = {name: named[name] for name in NAMED_CLASSES}
-    routes_agree = (
-        not disagreements
-        and paracontact.routes_agree
-        and normality.routes_agree
-        and basic.within_model
+    checks = (basic.model, paracontact.check, normality.check, *rows)
+    disagreements = tuple(
+        RouteDisagreement(c.name.removeprefix("classification:"),
+                          c.routes[0].holds, c.routes[1].holds, c.detail)
+        for c in rows if c.fails
     )
     return ClassVerdict(
         basic, ordered, paracontact, normality, theta_star_constant,
-        alpha, tuple(disagreements), routes_agree,
+        alpha, disagreements, not any(c.fails for c in checks), checks,
     )
 
 
-def _apply_setting_checks(S: ApctStructure, cfg: SamplingConfig,
-                          basic: BasicClassification,
-                          named: dict[str, NamedVerdict],
-                          crosscheck) -> None:
-    """Cross-check named verdicts against closed coordinate conditions
-    available for special Reeb shapes."""
+def _setting_checks(S: ApctStructure, cfg: SamplingConfig,
+                    basic: BasicClassification,
+                    decided: dict[str, Route]) -> list[Check]:
+    """Rows checking named verdicts (their deciding routes) against closed
+    coordinate conditions available for special Reeb shapes; a conjunction
+    of conditions is tested only as far as the first that fails."""
     xi1, xi2, xi3 = S.xi
     f = S.manifold.f
-    members = basic.members
+    never = "this Reeb shape never lands in the class"
 
-    def zero(e: Expr) -> bool:
-        return is_identically_zero(e, S.domain, cfg).is_zero
+    def conditions(*tests) -> Route:
+        """(field, vanishes) tests as one conjunction."""
+        return every(route(is_identically_zero(e, S.domain, cfg), vanishes)
+                     for e, vanishes in tests)
 
-    if zero(xi1) and zero(xi2):
+    if conditions((xi1, True), (xi2, True)).holds:
         # Reeb field along the z-coordinate: xi3 is pinned to 1/sqrt(f) by
         # the unit constraint. The coordinate conditions below assume a
         # nonconstant f; a constant f degenerates to the parallel class
         # and is left to the generic routes.
         fx, fy, fz = gradient(f)
-        if not (zero(fx) and zero(fy) and zero(fz)):
-            tag = "[reeb along dz]"
-            for name in ("paracosymplectic", "quasi_para_sasakian",
-                         "alpha_paracosymplectic", "alpha_para_kenmotsu",
-                         "almost_paracosymplectic", "normal",
-                         "almost_alpha_para_kenmotsu"):
-                crosscheck(
-                    f"{name} {tag}", named[name].value, False,
-                    "this Reeb shape never lands in the class",
-                )
-            almost_alpha_setting = (
-                zero(fy) and zero(fz + f * fx) and not zero(fz)
-            )
-            crosscheck(
-                f"almost_alpha_paracosymplectic {tag}",
-                named["almost_alpha_paracosymplectic"].value,
-                almost_alpha_setting,
-                "coordinate conditions f_y = 0, f_z = -f f_x != 0",
-            )
-            g12_setting = zero(fy) and zero(fz) and not zero(fx)
-            crosscheck(
-                f"pure_G12 {tag}", members == {"G12"}, g12_setting,
-                "coordinate conditions f_y = f_z = 0 != f_x",
-            )
-        return
-
-    sign = unit_y_setting(S, cfg)
-    if sign is None:
-        return
-    tag = f"[xi3 = 0, xi2 = {sign:+d}]"
-    a1, a2, drift, *normality = _setting_fields(S, sign)
-
-    cosym_setting = zero(a1) and zero(a2) and zero(drift)
-    crosscheck(
-        f"paracosymplectic {tag}", named["paracosymplectic"].value,
-        cosym_setting, "xi1 constant in x and y with vanishing drift",
-    )
-    almost_setting = zero(a1) and zero(a2) and not zero(drift)
-    crosscheck(
-        f"almost_paracosymplectic {tag}",
-        named["almost_paracosymplectic"].value, almost_setting,
-        "xi1 constant in x and y with nonvanishing drift",
-    )
-    normal_setting = all(zero(c) for c in normality)
-    crosscheck(
-        f"normal {tag}", named["normal"].value, normal_setting,
-        "coordinate normality conditions",
-    )
-    g12_setting = (
-        zero(a1) and not zero(a2) and zero(2 * xi1 * a2 - sign * drift)
-    )
-    crosscheck(
-        f"pure_G12 {tag}", members == {"G12"}, g12_setting,
-        "coordinate conditions for a pure Reeb-square component",
-    )
-    for name in ("quasi_para_sasakian", "almost_alpha_paracosymplectic",
-                 "alpha_paracosymplectic", "almost_alpha_para_kenmotsu",
-                 "alpha_para_kenmotsu"):
-        crosscheck(
-            f"{name} {tag}", named[name].value, False,
-            "this Reeb shape never lands in the class",
-        )
+        if conditions((fx, True), (fy, True), (fz, True)).holds:
+            return []
+        tag = "[reeb along dz]"
+        rows = [(name, never, NEVER) for name in (
+            "paracosymplectic", "quasi_para_sasakian",
+            "alpha_paracosymplectic", "alpha_para_kenmotsu",
+            "almost_paracosymplectic", "normal",
+            "almost_alpha_para_kenmotsu")]
+        rows += [
+            ("almost_alpha_paracosymplectic",
+             "coordinate conditions f_y = 0, f_z = -f f_x != 0",
+             conditions((fy, True), (fz + f * fx, True), (fz, False))),
+            ("pure_G12", "coordinate conditions f_y = f_z = 0 != f_x",
+             conditions((fy, True), (fz, True), (fx, False))),
+        ]
+    else:
+        sign = unit_y_setting(S, cfg)
+        if sign is None:
+            return []
+        tag = f"[xi3 = 0, xi2 = {sign:+d}]"
+        a1, a2, drift, *normality = _setting_fields(S, sign)
+        rows = [
+            ("paracosymplectic",
+             "xi1 constant in x and y with vanishing drift",
+             conditions((a1, True), (a2, True), (drift, True))),
+            ("almost_paracosymplectic",
+             "xi1 constant in x and y with nonvanishing drift",
+             conditions((a1, True), (a2, True), (drift, False))),
+            ("normal", "coordinate normality conditions",
+             conditions(*((c, True) for c in normality))),
+            ("pure_G12",
+             "coordinate conditions for a pure Reeb-square component",
+             conditions((a1, True), (a2, False),
+                        (2 * xi1 * a2 - sign * drift, True))),
+        ]
+        rows += [(name, never, NEVER) for name in (
+            "quasi_para_sasakian", "almost_alpha_paracosymplectic",
+            "alpha_paracosymplectic", "almost_alpha_para_kenmotsu",
+            "alpha_para_kenmotsu")]
+    primary = {**decided, "pure_G12": _split_route(basic, {"G12"}, "G12")}
+    return [Check.of(f"classification:{name} {tag}", detail, primary[name],
+                     cross) for name, detail, cross in rows]
 
 
 # --- explicit paracontact family ---------------------------------------------

@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import named_classes, unit_y_setting
+from .classify import (
+    NEVER, Check, Route, every, named_classes, route, unit_y_setting)
 from .errors import DegenerateInputError
 from .expressions import Expr, ONE, ZERO, diff, evaluate_with_scale
 from .sampling import (
@@ -78,6 +79,7 @@ class EtaEinsteinVerdict(NamedTuple):
     coordinate_route: bool
     coordinate_detail: str
     routes_agree: bool
+    check: Check
 
     def __bool__(self) -> bool:
         return self.is_eta_einstein
@@ -95,14 +97,15 @@ def eta_einstein_check(S: ApctStructure,
         for e in ricci_residual_fields(S)
     )
     fxx_zero = is_identically_zero(fxx, S.domain, cfg)
-    direct = all(v.is_zero for v in residuals) and not fxx_zero.is_zero
+    direct = every((*map(route, residuals), route(fxx_zero, False)))
 
     coordinate, detail = _coordinate_eta_einstein(S, cfg, h, fxx_zero)
+    check = Check.of("eta_einstein_routes", detail, direct, coordinate)
 
     a = b = None
     segre = None
     xi_match = None
-    if direct:
+    if direct.holds:
         pts = S.sample_points(cfg)
         values, _ = evaluate_with_scale(fxx, pts)
         a = float(values.mean()) / 2.0
@@ -111,26 +114,29 @@ def eta_einstein_check(S: ApctStructure,
         xi_match = _xi_versus_null_eigenvector(S, segre, pts, cfg.tol)
 
     return EtaEinsteinVerdict(
-        direct, a, b, segre, xi_match, residuals,
-        not fxx_zero.is_zero, coordinate, detail,
-        direct == coordinate,
+        direct.holds, a, b, segre, xi_match, residuals,
+        not fxx_zero.is_zero, coordinate.holds, detail,
+        not check.fails, check,
     )
 
 
 def _coordinate_eta_einstein(S: ApctStructure, cfg: SamplingConfig,
                              h: dict[str, Expr],
-                             fxx_zero: ZeroVerdict) -> tuple[bool, str]:
+                             fxx_zero: ZeroVerdict) -> tuple[Route, str]:
     """Coordinate characterization: Reeb shape (xi1, +-1, 0) with xi1 the
-    matched quotient, degenerate discriminant, f_xx nonvanishing."""
-    if not is_identically_zero(S.xi[2], S.domain, cfg).is_zero:
-        return False, "xi3 does not vanish identically"
+    matched quotient, degenerate discriminant, f_xx nonvanishing. Returns
+    the route, decided by the zero verdict that settled it (a constant for
+    xi2 not +-1), and its detail."""
+    xi3 = is_identically_zero(S.xi[2], S.domain, cfg)
+    if not xi3.is_zero:
+        return route(xi3), "xi3 does not vanish identically"
     sign = unit_y_setting(S, cfg)
     if sign is None:
-        return False, "xi2 is not identically +1 or -1"
+        return NEVER, "xi2 is not identically +1 or -1"
 
     if fxx_zero.is_zero:
-        return False, "f_xx vanishes identically, so the Ricci operator " \
-                      "has no nonzero eigenvalue"
+        return (route(fxx_zero, False), "f_xx vanishes identically, so the "
+                "Ricci operator has no nonzero eigenvalue")
     fxx_nv = nonvanishing(h["fxx"], S.domain, cfg)
     if not fxx_nv.everywhere:
         raise DegenerateInputError(
@@ -144,13 +150,13 @@ def _coordinate_eta_einstein(S: ApctStructure, cfg: SamplingConfig,
         h["fxy"] ** 2 - h["fxx"] * h["fyy"], S.domain, cfg
     )
     if not disc.is_zero:
-        return False, "the Ricci discriminant f_xy^2 - f_xx f_yy is not zero"
+        return (route(disc),
+                "the Ricci discriminant f_xy^2 - f_xx f_yy is not zero")
     aligned = is_identically_zero(
         S.xi[0] + sign * h["fxy"] / h["fxx"], S.domain, cfg
     )
-    if not aligned.is_zero:
-        return False, "xi1 does not match -xi2 f_xy / f_xx"
-    return True, "coordinate conditions hold"
+    return route(aligned), ("coordinate conditions hold" if aligned.is_zero
+                            else "xi1 does not match -xi2 f_xy / f_xx")
 
 
 def _xi_versus_null_eigenvector(S: ApctStructure, segre: SegreVerdict,
@@ -173,7 +179,8 @@ def _xi_versus_null_eigenvector(S: ApctStructure, segre: SegreVerdict,
 class EquivalenceReport(NamedTuple):
     """Five mutually equivalent curvature statements, decided separately.
 
-    flags carries one boolean per statement; all_agree asserts the chain.
+    flags carries one boolean per statement, the answer of its route in
+    check; all_agree asserts the chain.
     mixed marks the honest in-between case for the second flag: every
     sampled point is flat or eta-Einstein pointwise, but neither holds on
     the whole sampled domain; the flag counts that as satisfied.
@@ -185,6 +192,7 @@ class EquivalenceReport(NamedTuple):
     eta_einstein: EtaEinsteinVerdict
     mixed: bool
     all_agree: bool
+    check: Check
 
 
 @analyzed
@@ -237,11 +245,13 @@ def curvature_equivalences(S: ApctStructure,
         and not flat.flat and not eta_verdict.is_eta_einstein
     )
     # in the chain's order, where the flat-or-eta-Einstein statement is second
-    first, *rest = ((name, v.is_zero) for name, v in verdicts.items())
-    flags = dict([first, ("flat_or_eta_einstein",
-                          flat.flat or eta_verdict.is_eta_einstein or mixed), *rest])
-    return EquivalenceReport(flags, verdicts, flat, eta_verdict, mixed,
-                             len(set(flags.values())) == 1)
+    first, *rest = ((name, route(v)) for name, v in verdicts.items())
+    routes = dict([first, ("flat_or_eta_einstein", Route(
+        flat.flat or eta_verdict.is_eta_einstein or mixed)), *rest])
+    check = Check.of("curvature_equivalences", None, *routes.values())
+    return EquivalenceReport({name: r.holds for name, r in routes.items()},
+                             verdicts, flat, eta_verdict, mixed,
+                             not check.fails, check)
 
 
 # --- sectional curvatures ----------------------------------------------------

@@ -13,7 +13,8 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .classify import ClassVerdict, NAMED_CLASSES, named_classes
+from .classify import (
+    NAMED_CLASSES, Check, Route, bound, decide, named_classes, route)
 from .curvature import curvature_equivalences, sample_column, sectional_from_arrays
 from .expressions import evaluate_with_scale, gradient, to_source
 from .ftensor import exterior_data_at, f_tensor_at, project_components, theta_forms
@@ -35,18 +36,13 @@ def _native(obj: Any) -> Any:
     raise TypeError(f"value of type {type(obj).__name__} cannot enter a report")
 
 
-def _point(p) -> list[float] | None:
-    if p is None:
-        return None
-    return [float(c) for c in p]
-
-
 class ClassificationReport(NamedTuple):
     """Full analysis of one structure, as a JSON-ready tree.
 
     failures holds every internal-consistency violation found during the
-    run, each entry a dict with keys check, witness, magnitude. A nonempty
-    list means the run is not trustworthy and maps to exit status 3.
+    run, each entry a dict with keys check, witness, magnitude (see
+    classify.decide). A nonempty list means the run is not trustworthy and
+    maps to exit status 3.
     """
 
     name: str
@@ -125,14 +121,6 @@ def build_report(S: ApctStructure,
                  name: str = "structure") -> ClassificationReport:
     pts = S.sample_points(cfg)
     rep_point = tuple(float(c) for c in pts[0])
-    failures: list[dict] = []
-
-    def fail(check: str, witness, magnitude) -> None:
-        failures.append({
-            "check": check,
-            "witness": _point(witness if witness is not None else rep_point),
-            "magnitude": float(magnitude),
-        })
 
     # structure validity
     axioms = validate_axioms(S, cfg)
@@ -149,14 +137,9 @@ def build_report(S: ApctStructure,
             for c in axioms.checks
         },
     }
-    for c in axioms.checks:
-        if not c.passed:
-            fail(f"axiom:{c.name}", c.witness, c.max_residual)
-    if not unit.is_zero:
-        fail("unit_constraint", unit.witness, unit.max_residual)
 
     # classification
-    verdict: ClassVerdict = named_classes(S, cfg)
+    verdict = named_classes(S, cfg)
     basic = verdict.basic
     basic_classes = {
         "display": basic.display(),
@@ -172,8 +155,6 @@ def build_report(S: ApctStructure,
         "within_model": basic.within_model,
         "model_defect": basic.model_defect,
     }
-    if not basic.within_model:
-        fail("component_model", basic.model_witness, basic.model_defect)
 
     named_section = {
         "classes": {n: verdict.named[n].value for n in NAMED_CLASSES},
@@ -193,14 +174,6 @@ def build_report(S: ApctStructure,
             "sample_range": list(verdict.alpha.sample_range),
         },
     }
-    if not verdict.paracontact.routes_agree:
-        fail("paracontact_routes", verdict.paracontact.numeric_witness,
-             verdict.paracontact.numeric_residual)
-    if not verdict.normality.routes_agree:
-        fail("normality_routes", verdict.normality.torsion_verdict.witness,
-             verdict.normality.torsion_verdict.max_residual)
-    for d in verdict.disagreements:
-        fail(f"classification:{d.check}", None, 1.0)
 
     # curvature
     scal_field = scalar_curvature_field(S.manifold)
@@ -231,7 +204,7 @@ def build_report(S: ApctStructure,
             "kind": segre.kind,
             "eigenvalues": None if segre.eigenvalues is None
             else list(segre.eigenvalues),
-            "at": _point(rep_point),
+            "at": list(rep_point),
         },
         "eta_einstein": {
             "holds": ee.is_eta_einstein,
@@ -246,7 +219,7 @@ def build_report(S: ApctStructure,
             "mixed": equiv.mixed,
         },
         "sectional": {
-            "at": _point(rep_point),
+            "at": list(rep_point),
             "direction": direction_label,
             "K_xi": sec.K_xi,
             "K_phi": sec.K_phi,
@@ -254,28 +227,30 @@ def build_report(S: ApctStructure,
             "phi_plane_degenerate": sec.phi_plane_degenerate,
         },
     }
-    if not ee.routes_agree:
-        fail("eta_einstein_routes", None, 1.0)
-    if not equiv.all_agree:
-        fail("curvature_equivalences", None, 1.0)
 
     # route agreement over every sample point, as one batch; the witness
     # is the first point to attain each maximum
     t = f_tensor_at(S, pts)
-    sweep = {
+    discrepancies = {
         "structure_tensor_routes": t.route_discrepancy,
         "trace_form_routes": theta_forms(S, pts, tensor=t).route_discrepancy,
         "exterior_derivative_routes":
             exterior_data_at(S, pts, tensor=t).route_discrepancy,
     }
     pr = project_components(S, pts, tensor=t, tol=cfg.tol)
-    sweep["component_split_residual"] = max_abs(pr.residual, 3)
-    worst = {}
-    for check, values in sweep.items():
-        k = int(np.argmax(values))
-        worst[check] = float(values[k])
-        if worst[check] > cfg.tol:
-            fail(check, pts[k], worst[check])
+    discrepancies["component_split_residual"] = max_abs(pr.residual, 3)
+    sweep = [Check.of(name, None, bound(values, cfg.tol, pts))
+             for name, values in discrepancies.items()]
+    worst = {c.name: c.routes[0].residual for c in sweep}
+
+    # every check of the run, in stage order
+    failures = decide((
+        *(Check.of(f"axiom:{c.name}", None,
+                   Route(c.passed, c.witness, c.max_residual))
+          for c in axioms.checks),
+        Check.of("unit_constraint", None, route(unit)),
+        *verdict.checks, ee.check, equiv.check, *sweep,
+    ), pts)
 
     route_agreement = {
         "structure_tensor_max_discrepancy": worst["structure_tensor_routes"],

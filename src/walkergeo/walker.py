@@ -295,18 +295,19 @@ def segre_type(M: WalkerManifold, point,
         return SegreVerdict(
             kind="other", degeneracy=degeneracy, fxx_nonvanishing=fxx_nonzero
         )
-    _, fxx_v, fxy_v, _ = _hessian(eval_jet(M.f, point, 2))
+    jet = eval_jet(M.f, point, 2)
+    _, fxx_v, fxy_v, _ = _hessian(jet)
     s = 0.5 * fxx_v
     ratio = fxy_v / fxx_v
     kernel = np.array([-ratio, 1.0, 0.0])
     v1 = np.array([1.0, 0.0, 0.0])
     v2 = np.array([0.0, ratio, 1.0])
-    _, q, _ = ricci_at(M, point)
+    _, q, _ = ricci_from_jet(jet)
     scale = 1.0 + abs(s) + abs(ratio)
     residual = max(
-        float(np.abs(q.components @ kernel).max()),
-        float(np.abs(q.components @ v1 - s * v1).max()),
-        float(np.abs(q.components @ v2 - s * v2).max()),
+        float(np.abs(q @ kernel).max()),
+        float(np.abs(q @ v1 - s * v1).max()),
+        float(np.abs(q @ v2 - s * v2).max()),
     ) / scale
     return SegreVerdict(
         kind="type11_1_degenerate",

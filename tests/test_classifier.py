@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+from walkergeo import report
 from walkergeo.classify import (
+    NEVER,
+    Check,
+    Route,
     classify_basic,
+    decide,
+    every,
     is_normal,
     is_paracontact_metric,
     named_classes,
@@ -242,3 +248,79 @@ def test_para_sasakian_never_on_this_family():
         v = named_classes(m.build(), m.sampling)
         assert not v.named["para_sasakian"].value
         assert not v.named["k_paracontact"].value
+
+
+# ------------------------------------------------------- the table of checks
+
+# the single-route bound checks of a report: residual <= bound
+BOUND_CHECKS = {
+    *(f"axiom:{name}" for name in (
+        "phi_squared_is_id_minus_eta_xi", "eta_of_reeb_is_one",
+        "phi_kills_reeb", "phi_compatibility", "eta_is_metric_dual_of_reeb",
+        "phi_skew_adjoint", "reeb_is_unit_spacelike",
+        "eta_after_phi_vanishes", "phi_cubed_is_phi", "phi_trace_free")),
+    "unit_constraint", "component_model", "structure_tensor_routes",
+    "trace_form_routes", "exterior_derivative_routes",
+    "component_split_residual",
+}
+
+# the check whose first route decides each named class; the para-Kenmotsu
+# refinements add the sampled constancy of theta*(xi), one route, to the
+# class they refine
+CLASS_CHECKS = {
+    "paracontact_metric": "paracontact_routes",
+    "normal": "normality_routes",
+    **{name: f"classification:{name}" for name in (
+        "para_sasakian", "k_paracontact", "quasi_para_sasakian",
+        "paracosymplectic", "almost_paracosymplectic",
+        "almost_alpha_paracosymplectic", "alpha_paracosymplectic")},
+    "almost_alpha_para_kenmotsu":
+        "classification:almost_alpha_paracosymplectic",
+    "alpha_para_kenmotsu": "classification:alpha_paracosymplectic",
+}
+
+
+@pytest.mark.parametrize("name", [fx.name for fx in FIXTURES])
+def test_every_verdict_has_two_routes_and_only_bounds_have_one(
+        monkeypatch, name):
+    seen = []
+
+    def recording(checks, pts):
+        seen.extend(checks)
+        return decide(checks, pts)
+    monkeypatch.setattr(report, "decide", recording)
+    S = load_fixture(name).build()
+    report.build_report(S, name=name)
+
+    checks = {check.name: check for check in seen}
+    assert len(checks) == len(seen)
+    assert {n for n, c in checks.items() if len(c.routes) == 1} == BOUND_CHECKS
+    assert all(len(c.routes) >= 2 for n, c in checks.items()
+               if n not in BOUND_CHECKS)
+    named = named_classes(S).named
+    assert set(CLASS_CHECKS) == set(named)
+    for cls, check in CLASS_CHECKS.items():
+        if "kenmotsu" not in cls:
+            assert checks[check].routes[0].holds == named[cls].value, cls
+
+
+def test_decide_reads_the_first_witness_of_a_failing_check():
+    pts = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+    holds, near = Route(True, None, 1e-12), Route(True, None, 5e-10)
+    off = Route(False, (2.0, 2.0, 2.0), 3e-7)
+    checks = [
+        Check.of("agree", None, holds, near),
+        Check.of("bound", None, off),
+        Check.of("disagree", None, near, NEVER, off),
+        Check.of("no witness", None, near, NEVER),
+        Check.of("bound holds", None, holds),
+        Check.of("all fail", None, NEVER, NEVER),
+    ]
+    assert decide(checks, pts) == [
+        {"check": "bound", "witness": [2.0, 2.0, 2.0], "magnitude": 3e-7},
+        {"check": "disagree", "witness": [2.0, 2.0, 2.0], "magnitude": 3e-7},
+        {"check": "no witness", "witness": [1.0, 1.0, 1.0],
+         "magnitude": 5e-10},
+    ]
+    assert every(iter([holds, off, near])) is off
+    assert every(iter([holds, near])) is near

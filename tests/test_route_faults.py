@@ -1,0 +1,140 @@
+"""Fault injection: a route that goes wrong must surface as an exit-3
+failure that says where and by how much.
+
+Each case perturbs one route on a fixture that reaches its check: the
+residual that route tests gets 10 * tol * (1 + scale) added at one sample
+row, ROW, and nowhere else. The other routes of the check still hold, so
+the check fails; its failure must name the check, give that row of the
+sample as the witness (the first row where the faulted residual exceeds
+its bound) and give the faulted route's residual as the magnitude.
+
+The routes are perturbed where their residual is formed: an array kernel
+of the component split (faulted output), a symbolic field's sampled zero
+test, or the per-point residual handed to a curvature zero test.
+"""
+
+import numpy as np
+import pytest
+
+from walkergeo import classify, curvature
+from walkergeo.corpus import load_fixture
+from walkergeo.expressions import evaluate_with_scale, gradient
+from walkergeo.report import build_report
+from walkergeo.sampling import zero_verdict_from_samples
+
+ROW = 5
+
+
+def bumped(values, scales, tol):
+    """A copy of values (points last) with 10 * tol * (1 + scale) added to
+    its first component at ROW."""
+    values = np.array(values, dtype=float)
+    values.reshape(-1, values.shape[-1])[0, ROW] += 10 * tol * (1 + scales[ROW])
+    return values
+
+
+def kernel(name):
+    """Fault the classify array kernel `name(S, batch)`; the route's
+    verdict is the zero test named_classes applies to it."""
+    def install(monkeypatch, S):
+        original, seen = getattr(classify, name), []
+
+        def faulted(S, batch):
+            out = bumped(original(S, batch), batch.scale, S.config.tol)
+            seen.append(zero_verdict_from_samples(
+                out, batch.scale, batch.points, S.config.tol))
+            return out
+        monkeypatch.setattr(classify, name, faulted)
+        return seen
+    return install
+
+
+def field(module, pick):
+    """Fault the sampled zero test, in `module`, of the field pick(S)."""
+    def install(monkeypatch, S):
+        original, target, seen = module.is_identically_zero, pick(S), []
+
+        def faulted(e, domain, cfg):
+            if e is not target:
+                return original(e, domain, cfg)
+            pts = domain.sample(cfg)
+            values, scales = evaluate_with_scale(e, pts)
+            scales = np.broadcast_to(scales, (len(pts),))
+            values = bumped(np.broadcast_to(values, (len(pts),)), scales, cfg.tol)
+            seen.append(zero_verdict_from_samples(values, scales, pts, cfg.tol))
+            return seen[-1]
+        monkeypatch.setattr(module, "is_identically_zero", faulted)
+        return seen
+    return install
+
+
+def commutator(monkeypatch, S):
+    """Fault the first statement of the curvature equivalence chain, the
+    Ricci operator commuting with phi: its per-point residual is the first
+    one curvature_equivalences hands to a zero test."""
+    original, seen = curvature.zero_verdict_from_samples, []
+
+    def faulted(values, scales, pts, tol):
+        if not seen:
+            values = bumped(values, scales, tol)
+            seen.append(original(values, scales, pts, tol))
+            return seen[-1]
+        return original(values, scales, pts, tol)
+    monkeypatch.setattr(curvature, "zero_verdict_from_samples", faulted)
+    return seen
+
+
+def drift(S):
+    """The z-drift of xi1 in the coordinate conditions for xi2 = +1."""
+    return classify._setting_fields(S, 1)[2]
+
+
+def scaled_null_condition(S):
+    """f_z + f f_x, a coordinate condition for a Reeb field along dz."""
+    f = S.manifold.f
+    fx, _, fz = gradient(f)
+    return fz + f * fx
+
+
+CASES = [
+    ("g0-parallel", "classification:paracosymplectic",
+     kernel("d_eta_coordinate_batch")),
+    ("g10-almost-paracosymplectic", "classification:almost_paracosymplectic",
+     kernel("d_eta_coordinate_batch")),
+    ("g6g10-almost-alpha", "classification:almost_alpha_paracosymplectic",
+     kernel("d_eta_coordinate_batch")),
+    ("g0-parallel", "classification:paracosymplectic [xi3 = 0, xi2 = +1]",
+     field(classify, drift)),
+    ("g6g10-almost-alpha",
+     "classification:almost_alpha_paracosymplectic [reeb along dz]",
+     field(classify, scaled_null_condition)),
+    # the numeric route holds; the symbolic one is faulted
+    ("paracontact-exponential", "paracontact_routes",
+     field(classify, lambda S: classify.paracontact_condition_fields(S)[0])),
+    ("eta-einstein-parabolic", "eta_einstein_routes",
+     field(curvature, lambda S: curvature.ricci_residual_fields(S)[5])),
+    ("eta-einstein-parabolic", "curvature_equivalences", commutator),
+]
+
+
+@pytest.mark.parametrize("fixture, check, install", CASES,
+                         ids=[f"{check}@{fixture}" for fixture, check, _ in CASES])
+def test_a_faulted_route_fails_with_its_witness_and_residual(
+        monkeypatch, fixture, check, install):
+    S = load_fixture(fixture).build()
+    pts, tol = S.sample_points(), S.config.tol
+    seen = install(monkeypatch, S)
+    report = build_report(S, name=fixture)
+
+    assert report.exit_status == 3
+    failures = {entry["check"]: entry for entry in report.failures}
+    assert check in failures, sorted(failures)
+    entry = failures[check]
+    faulted = seen[-1]
+    assert not faulted.is_zero
+    # the witness is the sample row where the faulted residual first
+    # exceeds its bound, and only ROW was perturbed
+    assert faulted.witness == tuple(pts[ROW])
+    assert entry["witness"] == [float(c) for c in pts[ROW]]
+    assert entry["magnitude"] == faulted.max_residual
+    assert tol < entry["magnitude"] != 1.0
