@@ -41,7 +41,8 @@ from typing import Iterable, NamedTuple
 
 from .errors import InputError
 from .expressions import (
-    Expr, Var, ZERO, as_expr, diff, exp_of, gradient, to_source, variables,
+    Expr, Var, ZERO, as_expr, diff, exp_of, gradient, once, release, to_source,
+    variables,
 )
 from .ftensor import (
     ComponentBatch, d_eta_batch, d_eta_coordinate_batch,
@@ -50,7 +51,7 @@ from .ftensor import (
 )
 from .sampling import (
     Domain, SamplingConfig, ZeroVerdict, analyzed, is_identically_zero,
-    once, release, zero_verdict_from_samples,
+    zero_verdict_from_samples,
 )
 from .structure import ApctStructure, build_structure
 from .walker import WalkerManifold
@@ -164,7 +165,7 @@ class BasicClassification(NamedTuple):
 
 def _components(S: ApctStructure, cfg: SamplingConfig) -> ComponentBatch:
     """The component split over the sample points, once per analysis."""
-    return once(S, "components", S.domain, cfg,
+    return once(S, "components", (cfg,),
                 lambda: split_components_batch(S, S.sample_points(cfg)))
 
 
@@ -349,7 +350,7 @@ def is_normal(S: ApctStructure,
               cfg: SamplingConfig | None = None) -> NormalityVerdict:
     pts = S.sample_points(cfg)
     batch = _components(S, cfg)
-    basic = once(S, "basic", S.domain, cfg, lambda: classify_basic(S, cfg))
+    basic = once(S, "basic", (cfg,), lambda: classify_basic(S, cfg))
 
     class_route = _split_route(basic, {"G5", "G6"})
     torsion = zero_verdict_from_samples(
@@ -423,7 +424,7 @@ def named_classes(S: ApctStructure,
                   cfg: SamplingConfig | None = None) -> ClassVerdict:
     pts = S.sample_points(cfg)
     batch = _components(S, cfg)
-    basic = once(S, "basic", S.domain, cfg, lambda: classify_basic(S, cfg))
+    basic = once(S, "basic", (cfg,), lambda: classify_basic(S, cfg))
     paracontact = is_paracontact_metric(S, cfg)
     normality = is_normal(S, cfg)
     members = basic.members
@@ -538,9 +539,9 @@ def named_classes(S: ApctStructure,
         ))
 
     rows += _setting_checks(S, cfg, basic, decided)
-    release(S, "components", cfg)
-    release(batch, "reeb_routes", None)
-    release(pts, "eta_partials", None)
+    release(S, "components", (cfg,))
+    release(batch, "reeb_routes", ())
+    release(S, "eta_partials", (pts,))
 
     ordered = {name: named[name] for name in NAMED_CLASSES}
     checks = (basic.model, paracontact.check, normality.check, *rows)

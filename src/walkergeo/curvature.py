@@ -22,7 +22,7 @@ import numpy as np
 
 from .classify import (
     NEVER, Check, Route, every, named_classes, route, unit_y_setting)
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, EvaluationError
 from .expressions import Expr, ONE, ZERO, diff, evaluate_with_scale
 from .sampling import (
     PCG64Stream, SamplingConfig, ZeroVerdict, analyzed, is_identically_zero,
@@ -36,6 +36,7 @@ from .walker import (
 )
 
 _PLANE_TOL = 1e-8
+_DIRECTIONS = 50    # per point, in `eta_einstein_report`
 
 
 def ricci_residual_fields(S: ApctStructure) -> tuple[Expr, ...]:
@@ -294,7 +295,8 @@ def sample_column(S: ApctStructure, pts: np.ndarray) -> tuple:
 
 
 def sectional_from_arrays(point, R, g, xi, eta, phi, scal, X) -> SectionalReport:
-    """The SectionalReport at a point from the arrays there (see above)."""
+    """The SectionalReport at a point from the arrays there (see above); a
+    non-finite curvature (an overflow) is an EvaluationError there."""
     X = np.asarray(X, dtype=float)
     Xh = X - (eta @ X) * xi
 
@@ -304,7 +306,7 @@ def sectional_from_arrays(point, R, g, xi, eta, phi, scal, X) -> SectionalReport
             np.einsum("i,j,k,ijkl,lm,m->", u, v, v, R, g, u)
         )
 
-    def plane(u, v):
+    def plane(u, v, name):
         guu = float(u @ g @ u)
         gvv = float(v @ g @ v)
         guv = float(u @ g @ v)
@@ -312,10 +314,13 @@ def sectional_from_arrays(point, R, g, xi, eta, phi, scal, X) -> SectionalReport
         degenerate = abs(den) <= _PLANE_TOL * (abs(guu * gvv) + guv * guv + 1e-300)
         if degenerate or den == 0.0:
             return None, True
-        return pair(u, v) / den, False
+        K = pair(u, v) / den
+        if not np.isfinite(K):
+            raise EvaluationError("non-finite sectional curvature", name, point)
+        return K, False
 
-    K_xi, xi_deg = plane(Xh, xi)
-    K_phi, phi_deg = plane(Xh, phi @ Xh)
+    K_xi, xi_deg = plane(Xh, xi, "K_xi")
+    K_phi, phi_deg = plane(Xh, phi @ Xh, "K_phi")
     return SectionalReport(point, K_xi, K_phi, scal, xi_deg, phi_deg)
 
 
@@ -349,13 +354,12 @@ class EtaEinsteinProfile(NamedTuple):
 
 @analyzed
 def eta_einstein_report(S: ApctStructure,
-                        cfg: SamplingConfig | None = None,
-                        directions: int = 50) -> EtaEinsteinProfile:
+                        cfg: SamplingConfig | None = None) -> EtaEinsteinProfile:
     """The eta-Einstein profile of S (see EtaEinsteinProfile), or a profile
     with applicable False when S is not eta-Einstein.
 
     The sectional curvatures are taken at the first five sample points,
-    along `directions` vectors each, with components uniform on [-1, 1]
+    along _DIRECTIONS vectors each, with components uniform on [-1, 1]
     from the package's PCG64 stream seeded with cfg.seed + 1 (the draws of
     numpy's default_rng(cfg.seed + 1), see `sampling.PCG64Stream`), in
     point order, then direction order, then component order.
@@ -378,7 +382,7 @@ def eta_einstein_report(S: ApctStructure,
     k_phi: list[float] = []
     probe_points = pts[: min(5, pts.shape[0])]
     draws = PCG64Stream(cfg.seed + 1).uniform(
-        -1.0, 1.0, (len(probe_points), directions, 3))
+        -1.0, 1.0, (len(probe_points), _DIRECTIONS, 3))
     for p, directions_at_p in zip(probe_points, draws):
         point = tuple(float(c) for c in p)
         for X in directions_at_p:

@@ -29,7 +29,10 @@ Each walker (`diff`, `to_source`, `depth`, `walk`, the evaluator and the
 jets) is a per-node rule given to `fold`, one iterative post-order pass over
 the DAG as on an operation tape (Griewank and Walther, Evaluating
 Derivatives, 2008): nothing recurses per level, so derived fields may nest
-deeply.
+deeply. All one analysis remembers (derivatives, kept values and jets,
+results of `once` such as frames) is one `Analysis`, in named tables
+keyed by every input an entry reads (as in hash-consing practice:
+Filliatre and Conchon, Type-safe modular hash-consing, 2006).
 
 Numeric literals are exact `Fraction`s. The smart constructors used by
 `diff` and by the Python operator overloads only ever produce fractions with
@@ -347,49 +350,92 @@ def depth(e: Expr) -> int:
 # Differentiation
 
 
-# While a derivative scope is open: (node id, variable) -> (node,
-# derivative); (node, points id) -> ((values, scale), points); (field,
-# points id or point bytes) -> (jet, all finite, points) (see jets.eval_jet);
-# and the (node, points id) pairs evaluated once (see evaluate_with_scale)
-_SCOPE: ContextVar[tuple[dict, dict, dict, set] | None] = ContextVar(
-    "scope", default=None)
+class Analysis:
+    """What one analysis remembers, until it closes (see `analysis`), in
+    named tables. Each entry is keyed by every input it reads, points by
+    `at`, so the analyses of several structures can share one."""
+
+    def __init__(self):
+        self.derivatives = {}   # (node, variable) -> derivative; see `diff`
+        self.values = {}        # (node, points) -> (values, scale) and
+        self.seen = set()       # (node, points) once; see evaluate_with_scale
+        self.jets = {}          # (field, points) -> (jet, all finite)
+        self.results = {}       # (owner id, name, *key) -> (owner, result)
+        self.batches = {}       # id -> each batch keyed, kept alive
+
+    def at(self, points: np.ndarray):
+        """The key of points in every table: one point (shape (3,)) by its
+        bytes, a read-only batch by identity (kept alive, so the id stays
+        unique); None for a writable batch, which is never kept."""
+        if points.ndim == 1:
+            return points.tobytes()
+        if points.flags.writeable:
+            return None
+        self.batches[id(points)] = points
+        return id(points)
+
+    def key(self, owner, name: str, key: tuple):
+        """The key of a result of `once`, or None for a writable batch."""
+        parts = [self.at(p) if isinstance(p, np.ndarray) else p for p in key]
+        return None if None in parts else (id(owner), name, *parts)
+
+
+_ANALYSIS: ContextVar[Analysis | None] = ContextVar("analysis", default=None)
 
 
 @contextmanager
-def derivative_scope():
-    """Differentiate each (node, variable) once, evaluate each shared node at
-    most twice per read-only point array (see `evaluate_with_scale`), and
-    keep each field's jets (see `jets.eval_jet`), while open; an open scope
-    is reused. An analysis is one scope. The memos keep their nodes and
-    arrays alive, so their ids stay unique."""
-    token = None if _SCOPE.get() is not None else _SCOPE.set(({}, {}, {}, set()))
+def analysis():
+    """The open Analysis, or a new one that closes, with all it keeps, when
+    the block ends."""
+    token = None if _ANALYSIS.get() else _ANALYSIS.set(Analysis())
     try:
-        yield
+        yield _ANALYSIS.get()
     finally:
         if token is not None:
-            _SCOPE.reset(token)
+            _ANALYSIS.reset(token)
+
+
+def once(owner, name: str, key: tuple, build):
+    """build(), once per (owner, name, key) in the open analysis's results:
+    owner by identity (kept with the result), key by `Analysis.key`, so key
+    must name every other input the result reads. Outside an analysis, or
+    for a writable batch, every time."""
+    active = _ANALYSIS.get()
+    k = None if active is None else active.key(owner, name, key)
+    if k is None:
+        return build()
+    hit = active.results.get(k)
+    if hit is None:
+        hit = active.results[k] = (owner, build())
+    return hit[1]
+
+
+def release(owner, name: str, key: tuple) -> None:
+    """Drop a result of `once` that no later step needs (sample arrays)."""
+    active = _ANALYSIS.get()
+    if active is not None:
+        active.results.pop(active.key(owner, name, key), None)
 
 
 def diff(e: Expr, var: str) -> Expr:
     """Exact partial derivative with respect to 'x', 'y', or 'z'.
 
     One `fold` of `_derive`, memoized per (node, variable) in the open
-    derivative scope (a call made outside one has a memo of its own): a
-    node in the memo stands as a leaf, and each node differentiated enters
-    it. So a derivative shares the derivative objects of its shared
+    analysis's derivatives (a call made outside one has a memo of its
+    own): a node in the memo stands as a leaf, and each node differentiated
+    enters it. So a derivative shares the derivative objects of its shared
     subtrees and DAG-shaped inputs stay DAG-shaped.
     """
     if var not in _VARIABLES:
         raise ValueError(f"unknown variable {var!r}")
-    scope = _SCOPE.get()
-    memo = {} if scope is None else scope[0]
+    active = _ANALYSIS.get()
+    memo = {} if active is None else active.derivatives
 
     def rule(node: Expr, derivatives: list[Expr]) -> Expr:
-        d = _derive(node, var, derivatives)
-        memo[id(node), var] = (node, d)
+        d = memo[node, var] = _derive(node, var, derivatives)
         return d
 
-    return fold(e, rule, lambda node: memo.get((id(node), var), (None, None))[1])
+    return fold(e, rule, lambda node: memo.get((node, var)))
 
 
 def _derive(e: Expr, var: str, d: list[Expr]) -> Expr:
@@ -726,15 +772,15 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     call, children left to right, and its arrays are dropped once its last
     parent has used them. Values are those of a tree walk.
 
-    In an analysis (an open `derivative_scope`), on a read-only (n, 3)
+    In an analysis (see `analysis`), at one point or on a read-only (n, 3)
     array such as the sample, one rule keeps a node's (values, scale),
-    read-only, with the array until the scope closes: the call's root at
-    once, any other node from its second evaluation on (the first records
-    the pair). A kept node is a leaf of later calls, a kept root their
-    result. So a shared node is evaluated at most twice per sample, and the
-    scope holds two n-vectors per root and per node two calls share. A
-    node's values and scale depend on its subtree alone, so this changes no
-    bit. Otherwise, and for one point, nothing is kept.
+    read-only, in the analysis's values: the call's root at once, any other
+    node from its second evaluation on (the first enters it in seen). A
+    kept node is a leaf of later calls, a kept root their result. So a
+    shared node is evaluated at most twice per sample, and the analysis
+    holds two n-vectors per root and per node two calls share. A node's
+    values and scale depend on its subtree alone, so this changes no bit.
+    Outside an analysis, and on a writable batch, nothing is kept.
 
     Raises EvaluationError on division by exactly zero, sqrt of a
     non-positive argument, or a non-finite result (overflow), reporting the
@@ -742,19 +788,14 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     raises is not kept.
     """
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts.reshape(1, 3)
-    if pts.ndim != 2 or pts.shape[1] != 3:
+    single = pts.shape == (3,)
+    if not single and (pts.ndim != 2 or pts.shape[1] != 3):
         raise ValueError("points must have shape (3,) or (n, 3)")
-    scope = None if single or pts.flags.writeable else _SCOPE.get()
-    hit = None if scope is None else scope[1].get((e, id(pts)))
-    if hit is not None:
-        return hit[0]
-    values, scale = _walk(e, pts, scope)
-    if single:
-        return values[0], scale[0]
-    return values, scale
+    active = _ANALYSIS.get()
+    at = None if active is None else active.at(pts)
+    kept = None if at is None else active.values.get((e, at))
+    values, scale = kept or _walk(e, pts.reshape(1, 3) if single else pts, at)
+    return (values[0], scale[0]) if single else (values, scale)
 
 
 def _check(bad: np.ndarray, reason: str, node: Expr, pts: np.ndarray) -> None:
@@ -763,26 +804,26 @@ def _check(bad: np.ndarray, reason: str, node: Expr, pts: np.ndarray) -> None:
         raise EvaluationError(reason, to_source(node), pts[int(np.argmax(bad))])
 
 
-def _walk(e: Expr, pts: np.ndarray, scope) -> tuple[np.ndarray, np.ndarray]:
+def _walk(e: Expr, pts: np.ndarray, at) -> tuple[np.ndarray, np.ndarray]:
     """(values, scale) of e over the (n, 3) points: one `fold` of
-    `_evaluate_node`, in an analysis (an open scope) under the keep rule."""
-    if scope is None:
+    `_evaluate_node`, under the keep rule when at is their key in the open
+    analysis."""
+    if at is None:
         return fold(e, lambda node, args: _evaluate_node(node, args, pts))
-    _, kept, _, seen = scope
-    at = id(pts)
+    active = _ANALYSIS.get()
+    kept, seen = active.values, active.seen
 
     def keep(node: Expr, args) -> tuple[np.ndarray, np.ndarray]:
         out = _evaluate_node(node, args, pts)
-        # a stale pair of a dead array only keeps a node one call early
         if node is e or (node, at) in seen:
             for array in out:
                 array.setflags(write=False)
-            kept[node, at] = (out, pts)
+            kept[node, at] = out
         else:
             seen.add((node, at))
         return out
 
-    return fold(e, keep, lambda node: kept.get((node, at), (None,))[0])
+    return fold(e, keep, lambda node: kept.get((node, at)))
 
 
 def _evaluate_node(node: Expr, args, pts: np.ndarray):

@@ -33,9 +33,11 @@ modeled direct sum is detected rather than silently projected.
 Arrays are laid out components first, points last: F over n points is
 (3, 3, 3, n), and a single point has no point axis (see `structure`).
 Contractions go through structure.contract: np.einsum on these arrays,
-bit for bit the einsum of their points-first copies. Symbolic fields are differentiated and evaluated once per
-analysis; the eta partials and a batch's Reeb contractions are shared by
-the routes that read them until the classification ends.
+bit for bit the einsum of their points-first copies. In an analysis (each
+pointwise entry point runs in one, or joins the open one), the frames, the
+structure tensor (`f_tensor_at`) and every symbolic field's values are
+formed once; the eta partials and a batch's Reeb contractions are shared
+by the routes that read them until the classification ends.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expressions import Expr, diff, evaluate_with_scale
-from .sampling import once
+from .expressions import Expr, analysis, diff, evaluate_with_scale, once
 from .structure import (
     ApctStructure, Frame, contract, dot, max_abs, points_first, points_last,
 )
@@ -201,7 +202,12 @@ def _tensor_forms(F: np.ndarray, xi: np.ndarray, phi: np.ndarray,
 
 
 def f_tensor_at(S: ApctStructure, point) -> FTensorValue:
-    frame = S.frame(point, order=1)
+    """The structure tensor at the point or points, once per analysis."""
+    pts = np.asarray(point, dtype=float)
+    return once(S, "f_tensor", (pts,), lambda: _f_tensor(S.frame(pts, order=1)))
+
+
+def _f_tensor(frame: Frame) -> FTensorValue:
     coord = _coordinate_route(frame)
     conn = _connection_route(frame)
     discrepancy = max_abs(coord - conn, 3) / (1.0 + frame.scale)
@@ -228,10 +234,10 @@ class TraceForms(NamedTuple):
     route_discrepancy: float
 
 
-def theta_forms(S: ApctStructure, point,
-                tensor: FTensorValue | None = None) -> TraceForms:
+@analysis()
+def theta_forms(S: ApctStructure, point) -> TraceForms:
     frame = S.frame(point, order=1)
-    t = tensor or f_tensor_at(S, point)
+    t = f_tensor_at(S, point)
     closed = evaluate_with_scale(theta_xi_field(S), frame.points)[0]
     closed_star = evaluate_with_scale(theta_star_xi_field(S), frame.points)[0]
     discrepancy = np.maximum(abs(t.theta_xi - closed),
@@ -271,10 +277,10 @@ def _reeb_routes(F: np.ndarray, phi: np.ndarray, xi: np.ndarray):
     )
 
 
-def exterior_data_at(S: ApctStructure, point,
-                     tensor: FTensorValue | None = None) -> ExteriorData:
+@analysis()
+def exterior_data_at(S: ApctStructure, point) -> ExteriorData:
     frame = S.frame(point, order=1)
-    F = (tensor or f_tensor_at(S, point)).components
+    F = f_tensor_at(S, point).components
 
     # d(eta)(d_i, d_j) = (d_i eta_j - d_j eta_i) / 2 for coordinate fields
     d_eta = 0.5 * (frame.eta_d - frame.eta_d.swapaxes(0, 1))
@@ -329,11 +335,11 @@ def _nijenhuis(phi: np.ndarray, pd: np.ndarray) -> np.ndarray:
             + (correction - correction.swapaxes(0, 1)))
 
 
-def normality_data_at(S: ApctStructure, point,
-                      exterior: ExteriorData | None = None) -> NormalityData:
+@analysis()
+def normality_data_at(S: ApctStructure, point) -> NormalityData:
     frame = S.frame(point, order=1)
     nijenhuis_t = _nijenhuis(frame.phi_mat, frame.phi_d)
-    d_eta_mat = (exterior or exterior_data_at(S, point)).d_eta
+    d_eta_mat = exterior_data_at(S, point).d_eta
     defect = nijenhuis_t - 2.0 * contract("ij...,k...->ijk...", d_eta_mat,
                                            frame.xi_vec)
     return NormalityData(frame.point, nijenhuis_t, defect)
@@ -418,11 +424,11 @@ class ProjectionBundle(NamedTuple):
         return {"G5": self.F5, "G6": self.F6, "G10": self.F10, "G12": self.F12}
 
 
+@analysis()
 def project_components(S: ApctStructure, point,
-                       tensor: FTensorValue | None = None,
                        tol: float = 1e-9) -> ProjectionBundle:
     frame = S.frame(point, order=1)
-    t = tensor or f_tensor_at(S, point)
+    t = f_tensor_at(S, point)
     F = t.components
     parts, th, ths, defect = _component_arrays(
         F, frame.xi_vec, frame.eta_vec, frame.phi_mat, frame.g,
@@ -497,7 +503,7 @@ def split_components_batch(S: ApctStructure, pts) -> ComponentBatch:
 
 def _batch_reeb_routes(S: ApctStructure, batch: ComponentBatch):
     """`_reeb_routes` over a batch, formed once per batch in an analysis."""
-    return once(batch, "reeb_routes", S.domain, None,
+    return once(batch, "reeb_routes", (),
                 lambda: _reeb_routes(batch.tensor, batch.phi, batch.xi))
 
 
@@ -526,10 +532,10 @@ def _gradients(fields, pts: np.ndarray) -> np.ndarray:
 def d_eta_coordinate_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
     """d(eta) over a batch by the coordinate route (antisymmetrized partials
     of the symbolic eta entries), independent of the structure tensor.
-    The partials are evaluated once per sample array in an open analysis."""
+    The partials are evaluated once per structure and sample array in an
+    open analysis."""
     pts = batch.points
-    eta_d = once(pts, "eta_partials", S.domain, None,
-                 lambda: _gradients(S.eta, pts))
+    eta_d = once(S, "eta_partials", (pts,), lambda: _gradients(S.eta, pts))
     return 0.5 * (eta_d - eta_d.swapaxes(0, 1))
 
 

@@ -14,7 +14,8 @@ b[beta] one by one, in a fixed split order, to +0.0, as column sums (see
 `_product_table`); and the exp and reciprocal tables call math.exp and
 Python `**` per point (numpy rounds differently), mapped in C. In an
 analysis, each field's jet at a point or on a read-only batch is computed
-once and kept, and a lower order is cut from it (see `eval_jet`).
+once and kept in the analysis's jets table, and a lower order is cut from
+it (see `eval_jet`).
 
 `eval_jet` propagates jets bottom-up through an expression DAG, by one
 `expressions.fold` of a per-node jet rule, so every partial derivative up
@@ -34,8 +35,8 @@ from itertools import accumulate, product, repeat
 import numpy as np
 
 from .expressions import (
-    _SCOPE, Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, _check,
-    fold,
+    _ANALYSIS, Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var,
+    _check, fold,
 )
 
 MAX_ORDER = 3
@@ -211,13 +212,12 @@ def eval_jet(e: Expr, point, order: int = MAX_ORDER) -> Jet3:
     raise EvaluationError naming the first offending subexpression in that
     order and the first point where it fails.
 
-    In an analysis (an open `derivative_scope`), the jet of a field at one
-    point (keyed by its bytes) or on a read-only (n, 3) array (keyed by
-    identity and kept alive) is kept, its coefficients made read-only, until
-    the scope closes; a field that raised is not kept. A call at the kept
-    order returns the kept jet; one at a lower order returns its leading
-    rows when every kept coefficient is finite; a larger field uses either
-    as a leaf. That changes no bit: a coefficient of degree d comes from
+    In an analysis (see `expressions.analysis`), the jet of a field at one
+    point or on a read-only (n, 3) array is kept in its jets table, the
+    coefficients made read-only; a field that raised is not kept. A call at
+    the kept order returns the kept jet; one at a lower order returns its
+    leading rows when every kept coefficient is finite; a larger field uses
+    either as a leaf. That changes no bit: a coefficient of degree d comes from
     those of degree <= d by the same operations at every order, except that
     a higher order adds Horner steps in w = u - u0 (see `compose`). Those
     reach degree d only as products with w's zero constant term, +-0.0 when
@@ -229,31 +229,23 @@ def eval_jet(e: Expr, point, order: int = MAX_ORDER) -> Jet3:
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
     pts = np.asarray(point, dtype=float)
-    table, at = _table(pts)
-    kept = table.get((e, at))
+    active = _ANALYSIS.get()
+    at = None if active is None else active.at(pts)
+    kept = None if at is None else active.jets.get((e, at))
     jet = _cut(kept, order)
     if jet is not None:
         return jet
     jet = _propagate(e, pts, order)
     if at is not None and (kept is None or order > kept[0].order):
         jet.coeffs.setflags(write=False)
-        table[e, at] = (jet, bool(np.isfinite(jet.coeffs).all()), pts)
+        active.jets[e, at] = (jet, bool(np.isfinite(jet.coeffs).all()))
     return jet
 
 
-def _table(pts: np.ndarray) -> tuple[dict, object]:
-    """The analysis's jet table and pts's key in it, or ({}, None) outside
-    an analysis and for a writable batch."""
-    scope = _SCOPE.get()
-    if scope is None or pts.ndim != 1 and pts.flags.writeable:
-        return {}, None
-    return scope[2], pts.tobytes() if pts.ndim == 1 else id(pts)
-
-
 def _cut(kept: tuple | None, order: int) -> Jet3 | None:
-    """The jet at `order` a kept (jet, all finite, points) entry gives."""
+    """The jet at `order` a kept (jet, all finite) entry gives."""
     if kept is not None:
-        jet, finite, _ = kept
+        jet, finite = kept
         if jet.order == order:
             return jet
         if jet.order > order and finite:
@@ -264,7 +256,9 @@ def _cut(kept: tuple | None, order: int) -> Jet3 | None:
 def _propagate(e: Expr, pts: np.ndarray, order: int) -> Jet3:
     """The jet of e at the point or points: one `fold` of ev, a field whose
     jet is kept for them standing as a leaf (see eval_jet)."""
-    table, at = _table(pts)
+    active = _ANALYSIS.get()
+    at = None if active is None else active.at(pts)
+    table = {} if at is None else active.jets
     single = pts.ndim == 1
     pts = pts.reshape(-1, 3)
     shape = pts.shape[:1]

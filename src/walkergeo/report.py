@@ -63,7 +63,8 @@ class ClassificationReport(NamedTuple):
         return json.loads(json.dumps(self._asdict(), default=_native))
 
     def to_json(self) -> str:
-        return json.dumps(self.as_tree(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.as_tree(), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
 
     def render_text(self) -> str:
         return "\n".join(_render(self.as_tree())) + "\n"
@@ -230,14 +231,13 @@ def build_report(S: ApctStructure,
 
     # route agreement over every sample point, as one batch; the witness
     # is the first point to attain each maximum
-    t = f_tensor_at(S, pts)
     discrepancies = {
-        "structure_tensor_routes": t.route_discrepancy,
-        "trace_form_routes": theta_forms(S, pts, tensor=t).route_discrepancy,
+        "structure_tensor_routes": f_tensor_at(S, pts).route_discrepancy,
+        "trace_form_routes": theta_forms(S, pts).route_discrepancy,
         "exterior_derivative_routes":
-            exterior_data_at(S, pts, tensor=t).route_discrepancy,
+            exterior_data_at(S, pts).route_discrepancy,
     }
-    pr = project_components(S, pts, tensor=t, tol=cfg.tol)
+    pr = project_components(S, pts, tol=cfg.tol)
     discrepancies["component_split_residual"] = max_abs(pr.residual, 3)
     sweep = [Check.of(name, None, bound(values, cfg.tol, pts))
              for name, values in discrepancies.items()]

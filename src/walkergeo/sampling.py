@@ -22,14 +22,13 @@ witness point. Within one analysis (`analyzed`) each field is tested once.
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyDomainError, EvaluationError, InputError
-from .expressions import ZERO, Expr, derivative_scope, evaluate_with_scale
+from .expressions import ZERO, Expr, analysis, evaluate_with_scale, once
 
 # Constraint margin: rejected points are those within this relative distance
 # of a constraint's singular locus, so later evaluation stays well scaled.
@@ -314,63 +313,20 @@ def zero_verdict_from_samples(values: np.ndarray, scales, pts: np.ndarray,
     )
 
 
-class Analysis:
-    """What one analysis of a structure has worked out (see `analyzed`):
-    results of `once`, each kept with its owner."""
-
-    def __init__(self, structure):
-        self.structure = structure
-        self.results: dict[tuple, tuple] = {}   # key -> (owner, result)
-
-
-_ANALYSIS: ContextVar[Analysis | None] = ContextVar("analysis", default=None)
-
-
 def analyzed(run):
-    """Run `run(S, cfg, ...)`, cfg defaulting to S.config, in the analysis
-    of S: the open one, or a new one with its own derivative scope, which
-    also keeps each field's values on the sample and its jets. There `once`
-    builds each verdict (per field) and each shared result once; a shared
-    sample array is kept until `release`."""
+    """Run `run(S, cfg, ...)`, cfg defaulting to S.config, in the open
+    analysis, or in a new one (see `expressions.analysis`)."""
     @wraps(run)
     def within(S, cfg=None, *args, **kwargs):
-        cfg = cfg or S.config
-        active = _ANALYSIS.get()
-        if active is not None and active.structure is S:
-            return run(S, cfg, *args, **kwargs)
-        token = _ANALYSIS.set(Analysis(S))
-        try:
-            with derivative_scope():
-                return run(S, cfg, *args, **kwargs)
-        finally:
-            _ANALYSIS.reset(token)
+        with analysis():
+            return run(S, cfg or S.config, *args, **kwargs)
     return within
-
-
-def once(owner, name: str, domain: Domain, cfg: SamplingConfig, build):
-    """build(), once per (owner, name, cfg) in the open analysis of a
-    structure on `domain`, the owner by identity (interned fields are equal
-    only when identical; a sample array owner fixes the config; pass None).
-    Without such an analysis, every time."""
-    analysis = _ANALYSIS.get()
-    if analysis is None or analysis.structure.domain is not domain:
-        return build()
-    key = (id(owner), name, cfg)
-    if key not in analysis.results:
-        analysis.results[key] = (owner, build())
-    return analysis.results[key][1]
-
-
-def release(owner, name: str, cfg: SamplingConfig) -> None:
-    """Drop a result of `once` that no later step needs (sample arrays)."""
-    if _ANALYSIS.get() is not None:
-        _ANALYSIS.get().results.pop((id(owner), name, cfg), None)
 
 
 def is_identically_zero(e: Expr, domain: Domain,
                         cfg: SamplingConfig = SamplingConfig()) -> ZeroVerdict:
     """Sampled zero test of a symbolic field over a domain."""
-    return once(e, "zero", domain, cfg, lambda: _zero_test(e, domain, cfg))
+    return once(e, "zero", (domain, cfg), lambda: _zero_test(e, domain, cfg))
 
 
 def _zero_test(e: Expr, domain: Domain, cfg: SamplingConfig) -> ZeroVerdict:
@@ -399,7 +355,7 @@ def nonvanishing(e: Expr, domain: Domain,
     Used for conditions of the form 'quantity != 0' (e.g. a denominator or a
     coefficient that a classification requires to be nonzero).
     """
-    return once(e, "nonvanishing", domain, cfg,
+    return once(e, "nonvanishing", (domain, cfg),
                 lambda: _nonvanishing(e, domain, cfg))
 
 

@@ -23,13 +23,13 @@ g(phi X, Y) = -g(X, phi Y), g(xi, xi) = 1, plus the derived ones
 
 A Frame bundles jets of f, xi, eta, and phi over a batch of points (one per
 analysis) or at one point (the pointwise API), with the numeric arrays every
-tensor operation needs; frames are cached per structure. Column k of the
-sample's arrays has the pointwise bits at pts[k], so a report reads its
-representative point pts[0] there. The analysis of a report memoizes
-verdicts, a few shared batches, the values on its sample of each field and
-each node two fields share (see `expressions.evaluate_with_scale`), and
-each field's jets at a point or on the sample, from which a lower order is
-cut (see `jets.eval_jet`).
+tensor operation needs. Column k of the sample's arrays has the pointwise
+bits at pts[k], so a report reads its representative point pts[0] there.
+All an analysis (a report, a classifier) remembers is one
+`expressions.Analysis`: frames, verdicts, the sample's structure tensor, a
+few shared batches, the values on the sample of each field and of each node
+two fields share, and each field's jets. Each entry is keyed by every input
+it reads, and nothing outlives the analysis.
 
 Every batched numeric array of the package has one layout, that of the jet
 coefficients: components first, points last, C-contiguous. Over n points a
@@ -51,14 +51,15 @@ from .errors import (
     DegenerateInputError, NonexistentStructureError, UnitConstraintError,
 )
 from .expressions import (
-    Div, Expr, Pow, ZERO, as_expr, evaluate_with_scale, to_source, variables,
-    walk,
+    Div, Expr, Pow, ZERO, as_expr, evaluate_with_scale, once, to_source,
+    variables, walk,
 )
 from .jets import Jet3, eval_jet
 from .sampling import Domain, SamplingConfig, is_identically_zero
 from .walker import WalkerManifold, christoffel_from_jet, metric_arrays
 
 _E = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_AXIOM_TOL = 1e-10     # largest normalized residual an axiom may leave
 
 
 # numpy's `@` picks its BLAS kernel by memory layout, so `@` runs on
@@ -164,7 +165,7 @@ class Frame:
     __slots__ = (
         "points", "point", "order", "f", "xi", "eta", "phi",
         "xi_vec", "eta_vec", "phi_mat", "g", "ginv", "scale", "value_scale",
-        "xi_d", "eta_d", "phi_d", "gamma",
+        "xi_d", "eta_d", "phi_d", "gamma", "__weakref__",
     )
 
     def __init__(self, structure: "ApctStructure", points, order: int):
@@ -214,7 +215,7 @@ class Frame:
 
 
 class ApctStructure:
-    """Immutable bundle (manifold, xi, eta, phi) plus frame/sample caches."""
+    """Immutable bundle (manifold, xi, eta, phi)."""
 
     def __init__(self, manifold: WalkerManifold, xi, config: SamplingConfig,
                  phi_entries=None):
@@ -233,7 +234,6 @@ class ApctStructure:
             )
         else:
             self.phi = tuple(tuple(as_expr(e) for e in row) for row in phi_entries)
-        self._frames: dict[tuple, Frame] = {}
 
     def __repr__(self) -> str:
         xi = ", ".join(to_source(c) for c in self.xi)
@@ -244,14 +244,10 @@ class ApctStructure:
         return self.manifold.domain
 
     def frame(self, point, order: int = 1) -> Frame:
-        """Frame at one point, or over an (n, 3) batch of points."""
+        """Frame at one point, or over an (n, 3) batch, once per analysis."""
         pts = np.asarray(point, dtype=float)
-        key = (order, pts.shape, pts.tobytes())
-        frame = self._frames.get(key)
-        if frame is None:
-            frame = Frame(self, pts, order)
-            self._frames[key] = frame
-        return frame
+        return once(self, "frame", (order, pts),
+                    lambda: Frame(self, pts, order))
 
     def sample_points(self, cfg: SamplingConfig | None = None) -> np.ndarray:
         return self.domain.sample(cfg or self.config)
@@ -339,22 +335,22 @@ class AxiomReport(NamedTuple):
         raise KeyError(name)
 
 
-def validate_axioms(S: ApctStructure, cfg: SamplingConfig | None = None,
-                    tol: float = 1e-10) -> AxiomReport:
+def validate_axioms(S: ApctStructure,
+                    cfg: SamplingConfig | None = None) -> AxiomReport:
     """Verify every defining and derived structure identity numerically.
 
     Residuals are matrix norms divided by (1 + scale) at each sampled point,
     scale the largest |value| of f and xi there (read from the sample's
     order-1 frame, the one the report's sweep uses); each check reports its
-    worst point (the first to attain the maximum) as witness when it fails.
+    worst point (the first to attain the maximum) as witness when it
+    exceeds _AXIOM_TOL.
     """
     cfg = cfg or S.config
     fr = S.frame(S.sample_points(cfg), order=1)
     scale = 1.0 + fr.value_scale
     phi, g = points_first(fr.phi_mat, 2), points_first(fr.g, 2)
     xi, eta = points_first(fr.xi_vec, 1), points_first(fr.eta_vec, 1)
-    phi2 = phi @ phi
-    gphi = g @ phi
+    phi2, gphi = phi @ phi, g @ phi
     residuals = {
         "phi_squared_is_id_minus_eta_xi":
             phi2 - (np.eye(3) - xi[..., :, None] * eta[..., None, :]),
@@ -376,6 +372,7 @@ def validate_axioms(S: ApctStructure, cfg: SamplingConfig | None = None,
                      / scale)
         k = int(np.argmax(per_point))
         value = float(per_point[k])
-        witness = None if value <= tol else tuple(float(c) for c in fr.points[k])
-        checks.append(AxiomCheck(name, value <= tol, value, witness))
+        passed = value <= _AXIOM_TOL
+        witness = None if passed else tuple(float(c) for c in fr.points[k])
+        checks.append(AxiomCheck(name, passed, value, witness))
     return AxiomReport(tuple(checks))

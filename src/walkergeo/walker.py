@@ -28,11 +28,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfDomainError, UnsupportedSignatureError
-from .expressions import Expr, diff, gradient, to_source
+from .expressions import Expr, diff, gradient, once, to_source
 from .jets import Jet3, eval_jet
 from .sampling import (
     Domain, NonvanishingVerdict, SamplingConfig, ZeroVerdict,
-    is_identically_zero, nonvanishing, once,
+    is_identically_zero, nonvanishing,
 )
 
 
@@ -247,7 +247,7 @@ def flatness(M: WalkerManifold, cfg: SamplingConfig = SamplingConfig()) -> Flatn
 
 def shared_flatness(M: WalkerManifold, cfg: SamplingConfig) -> FlatnessVerdict:
     """flatness(M, cfg), decided once per open analysis."""
-    return once(M, "flatness", M.domain, cfg, lambda: flatness(M, cfg))
+    return once(M, "flatness", (cfg,), lambda: flatness(M, cfg))
 
 
 def is_strict_walker(M: WalkerManifold,

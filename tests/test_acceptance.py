@@ -244,8 +244,8 @@ def test_criterion_4_dual_route_agreement():
         for n, p in enumerate(pts):
             t = f_tensor_at(S, p)
             local = max(local, t.route_discrepancy)
-            local = max(local, theta_forms(S, p, tensor=t).route_discrepancy)
-            ex = exterior_data_at(S, p, tensor=t)
+            local = max(local, theta_forms(S, p).route_discrepancy)
+            ex = exterior_data_at(S, p)
             local = max(local, ex.route_discrepancy)
             de_jet[..., n] = ex.d_eta
             dfund_jet[..., n] = ex.d_fundamental
@@ -327,7 +327,7 @@ def test_criterion_6_eta_einstein_fixture_profile():
     if abs(v.a - 1.0) > 1e-9 or abs(v.b + 1.0) > 1e-9:
         problems.append(f"coefficients a={v.a}, b={v.b}, wanted 1, -1")
 
-    prof = eta_einstein_report(S, directions=50)
+    prof = eta_einstein_report(S)
     if not prof.scal_constant or abs(prof.scal_value - 2.0) > 1e-9:
         problems.append(f"scal {prof.scal_value}, wanted constant 2")
     if prof.k_xi_max > 1e-9:

@@ -9,18 +9,21 @@ the evaluator's `_walk`, per-node rule and binary operations, the jets'
 """
 
 import hashlib
+import sys
+import weakref
 from collections import Counter
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+import walkergeo.classify as classify
 import walkergeo.expressions as ex
 import walkergeo.ftensor as ftensor
 import walkergeo.jets as jets
 import walkergeo.sampling as sampling
 import walkergeo.structure as structure
 import walkergeo.walker as walker
+from walkergeo.classify import named_classes
 from walkergeo.cli import main
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.errors import EvaluationError
@@ -52,11 +55,11 @@ QUOTIENT_REPORT_SHA256 = (
 
 
 # Binary ufunc applications in one report at 8 samples, each fixture, when
-# every evaluation walked its field afresh (before fields were kept per
-# analysis)
+# each of the report's evaluations is made again outside any analysis, so
+# that every one walks its field afresh
 WALKED_AFRESH_BINARY = {
-    "g0-parallel": 42, "g5g6-normal": 208, "g10-almost-paracosymplectic": 59,
-    "g6g10-almost-alpha": 221, "g12-pure": 41, "paracontact-exponential": 643,
+    "g0-parallel": 42, "g5g6-normal": 198, "g10-almost-paracosymplectic": 59,
+    "g6g10-almost-alpha": 207, "g12-pure": 41, "paracontact-exponential": 578,
     "paracontact-constant": 140, "eta-einstein-parabolic": 6,
     "flat-bilinear": 3,
 }
@@ -110,7 +113,7 @@ def test_quotient_chain_derivatives_are_worked_out_once(monkeypatch):
     f = parse(QUOTIENT_CHAIN)
     derived = recording(monkeypatch, ex, "_derive",
                         lambda e, var, derivatives: (id(e), var))
-    with ex.derivative_scope():
+    with ex.analysis():
         third = ex.diff(ex.diff(ex.diff(f, "x"), "x"), "x")
         assert ex.diff(ex.diff(f, "x"), "x") is ex.diff(ex.diff(f, "x"), "x")
     assert max(Counter(derived).values()) == 1
@@ -119,7 +122,7 @@ def test_quotient_chain_derivatives_are_worked_out_once(monkeypatch):
 
 
 def test_depth_visits_each_distinct_node_once(monkeypatch):
-    with ex.derivative_scope():
+    with ex.analysis():
         third = ex.diff(ex.diff(ex.diff(parse(QUOTIENT_CHAIN), "x"), "x"), "x")
     distinct = len(list(ex.walk(third)))
     assert distinct == 967
@@ -130,7 +133,7 @@ def test_depth_visits_each_distinct_node_once(monkeypatch):
 
 
 def test_evaluation_visits_each_distinct_node_once(monkeypatch):
-    with ex.derivative_scope():
+    with ex.analysis():
         fxx = ex.diff(ex.diff(parse(QUOTIENT_CHAIN), "x"), "x")
     operations = Counter()
 
@@ -196,20 +199,30 @@ def test_each_field_is_walked_once_per_sample(monkeypatch, name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_a_report_applies_fewer_binary_ufuncs(monkeypatch, name):
-    operations, counts = counting_binary(monkeypatch), []
-    for _ in range(2):
-        operations.clear()
-        build_report(load_fixture(name).build(samples=8), name=name)
-        counts.append(sum(operations.values()))
-        # then again with analyses that keep neither derivatives nor values
-        monkeypatch.setattr(sampling, "derivative_scope", nullcontext)
-    kept, afresh = counts
+    evaluate, calls = ex.evaluate_with_scale, []
+
+    def recorded(e, points):
+        calls.append((e, points))
+        return evaluate(e, points)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("walkergeo")
+                and vars(module).get("evaluate_with_scale") is evaluate):
+            monkeypatch.setattr(module, "evaluate_with_scale", recorded)
+    operations = counting_binary(monkeypatch)
+    build_report(load_fixture(name).build(samples=8), name=name)
+    kept = sum(operations.values())
+    # then every evaluation of the report again, afresh: outside any analysis
+    operations.clear()
+    for e, points in calls:
+        evaluate(e, points)
+    afresh = sum(operations.values())
     assert kept < afresh <= WALKED_AFRESH_BINARY[name]
 
 
 def test_kept_arrays_are_read_only_and_reused():
     pts, field = sample(), parse("x*y/(1 + z^2)")
-    with ex.derivative_scope():
+    with ex.analysis():
         values, scale = ex.evaluate_with_scale(field, pts)
         again = ex.evaluate_with_scale(field, pts)
         for array in (values, scale):
@@ -223,7 +236,7 @@ def test_a_kept_field_is_a_leaf_of_a_larger_one(monkeypatch):
     pts, inner = sample(), parse("x*y/(1 + z^2)")
     outer = ex.exp_of(inner)
     fresh = ex.evaluate_with_scale(outer, pts)
-    with ex.derivative_scope():
+    with ex.analysis():
         ex.evaluate_with_scale(inner, pts)
         operations = counting_binary(monkeypatch)
         got = ex.evaluate_with_scale(outer, pts)
@@ -236,13 +249,13 @@ def test_a_field_that_raised_is_not_kept(monkeypatch):
     pts = sample()
     good, bad = parse("x - 1"), parse("1/(x - x)")
     walks = recording(monkeypatch, ex, "_walk", lambda e, p, table: e)
-    with ex.derivative_scope():
-        table = ex._SCOPE.get()[1]
+    with ex.analysis() as analysis:
         ex.evaluate_with_scale(good, pts)
         for _ in range(2):
             with pytest.raises(EvaluationError, match="division by zero"):
                 ex.evaluate_with_scale(bad, pts)
-        assert (good, id(pts)) in table and (bad, id(pts)) not in table
+        assert (good, id(pts)) in analysis.values
+        assert (bad, id(pts)) not in analysis.values
     assert walks == [good, bad, bad]
 
 
@@ -254,18 +267,30 @@ def test_outside_an_analysis_nothing_is_kept(monkeypatch):
     first = ex.evaluate_with_scale(field, pts)
     second = ex.evaluate_with_scale(field, pts)
     assert first[0] is not second[0] and first[0].flags.writeable
-    with ex.derivative_scope():
-        _, table, _, seen = ex._SCOPE.get()
-        for _ in range(2):   # one point, and a writable array, are not kept
-            ex.evaluate_with_scale(field, pts[0])
+    ex.evaluate_with_scale(field, pts[0])
+    ex.evaluate_with_scale(field, pts[0])
+    with ex.analysis() as analysis:
+        for _ in range(2):   # a writable array is not kept
             ex.evaluate_with_scale(field, np.array(pts))
-        assert not table and not seen
+        assert not analysis.values and not analysis.seen
         ex.evaluate_with_scale(field, pts)
         ex.evaluate_with_scale(field, pts)
-        assert list(table) == [(field, id(pts))]
+        assert list(analysis.values) == [(field, id(pts))]
     assert len(walks) == 7
     # each of the 7 walks evaluated every node: no interior node was kept
     assert set(Counter(nodes).values()) == {7}
+
+
+def test_one_point_is_kept_by_its_bytes(monkeypatch):
+    pts, field = sample(), parse("x*y + z")
+    walks = recording(monkeypatch, ex, "_walk", lambda e, p, at: e)
+    with ex.analysis() as analysis:
+        value, scale = ex.evaluate_with_scale(field, pts[0])
+        # an equal new point finds the kept values
+        again = ex.evaluate_with_scale(field, tuple(pts[0]))
+        assert list(analysis.values) == [(field, pts[0].tobytes())]
+    assert walks == [field]
+    assert again == (value, scale) and value == pts[0, 0] * pts[0, 1] + pts[0, 2]
 
 
 def test_a_shared_node_is_kept_from_its_second_evaluation(monkeypatch):
@@ -273,13 +298,12 @@ def test_a_shared_node_is_kept_from_its_second_evaluation(monkeypatch):
     fields = [parse("x*y + z"), parse("x*y - z"), parse("x*y * z")]
     nodes = recording(monkeypatch, ex, "_evaluate_node",
                       lambda node, args, p: node)
-    with ex.derivative_scope():
-        table = ex._SCOPE.get()[1]
+    with ex.analysis() as analysis:
         fresh = []
         for field in fields:
-            fresh.append((product, id(pts)) in table)
+            fresh.append((product, id(pts)) in analysis.values)
             ex.evaluate_with_scale(field, pts)
-        values, scale = table[product, id(pts)][0]
+        values, scale = analysis.values[product, id(pts)]
     assert fresh == [False, False, True]
     assert nodes.count(product) == 2
     assert not values.flags.writeable and not scale.flags.writeable
@@ -298,14 +322,15 @@ def test_no_node_is_evaluated_more_than_twice_on_the_sample(
         return node, id(pts)
 
     evaluated = recording(monkeypatch, ex, "_evaluate_node", node_and_points)
-    scopes = recording(monkeypatch, ex, "_walk", lambda e, pts, scope: scope)
+    analyses = recording(monkeypatch, ex, "_walk",
+                         lambda e, pts, at: ex._ANALYSIS.get())
     build_report(S, name=name)
     sample = id(S.sample_points())
     counts = Counter(key for key in evaluated if key[1] == sample)
     assert counts and max(counts.values()) <= 2
-    tables = {id(scope[1]): scope[1] for scope in scopes if scope is not None}
+    tables = {id(a): a.values for a in analyses if a is not None}
     kept = [array for table in tables.values()
-            for arrays, _ in table.values() for array in arrays]
+            for arrays in table.values() for array in arrays]
     assert kept and not [array for array in kept if array.flags.writeable]
 
 
@@ -328,9 +353,11 @@ def test_the_frame_route_reads_the_tensor_forms_it_formed(monkeypatch):
     pts = S.sample_points()
     formed = recording(monkeypatch, ftensor, "_tensor_forms",
                        lambda F, xi, phi, ginv: F)
-    t = ftensor.f_tensor_at(S, pts)
-    forms = ftensor.theta_forms(S, pts, tensor=t)
-    ftensor.project_components(S, pts, tensor=t)
+    with ex.analysis():
+        t = ftensor.f_tensor_at(S, pts)
+        forms = ftensor.theta_forms(S, pts)
+        ftensor.project_components(S, pts)
+        assert ftensor.f_tensor_at(S, pts) is t
     assert len(formed) == 1 and formed[0] is t.components
     assert forms.theta is t.theta and forms.theta_star is t.theta_star
     for array in (t.theta, t.theta_star, t.reeb_square):
@@ -353,3 +380,58 @@ def test_a_report_builds_one_frame_on_its_sample(monkeypatch, name):
     assert [order for points, order in built if points is sample] == [1]
     assert not [points for points, _ in built if np.ndim(points) > 1
                 and points is not sample]
+
+
+def test_everything_kept_dies_when_the_outermost_analysis_closes(monkeypatch):
+    S = load_fixture("g5g6-normal").build(samples=8)
+    pts, field = S.sample_points(), parse("x*y/(1 + z^2)")
+    with ex.analysis() as outer:
+        with ex.analysis() as inner:    # joins the open analysis
+            values, _ = ex.evaluate_with_scale(field, pts)
+            frame = S.frame(pts)
+            refs = [weakref.ref(values), weakref.ref(frame)]
+        assert inner is outer
+        assert ex.evaluate_with_scale(field, pts)[0] is values
+        assert S.frame(pts) is frame
+        del values, frame, inner, outer
+    assert [ref() for ref in refs] == [None, None]
+
+    # and every frame a report built, once the report returns
+    frames, init = [], structure.Frame.__init__
+
+    def recording_init(frame, *args):
+        init(frame, *args)
+        frames.append(weakref.ref(frame))
+
+    monkeypatch.setattr(structure.Frame, "__init__", recording_init)
+    build_report(S, name="g5g6-normal")
+    assert frames and [ref() for ref in frames] == [None] * len(frames)
+
+
+def summary(verdict):
+    """What named_classes decided, with every route's witness and residual."""
+    return (verdict.named, verdict.basic.labels,
+            [(c.name, c.fails, c.routes) for c in verdict.checks])
+
+
+def test_a_nested_analysis_of_another_structure_reads_only_its_own():
+    first = load_fixture("g5g6-normal").build(samples=8)
+    second = load_fixture("paracontact-exponential").build(samples=8)
+    pts, cfg = first.sample_points(), first.config
+    assert second.sample_points() is pts and second.config == cfg
+    alone = named_classes(second)   # in an analysis of its own
+    eta_alone = ftensor.d_eta_coordinate_batch(
+        second, ftensor.split_components_batch(second, pts))
+    with ex.analysis() as analysis:
+        # the first structure's split and eta partials, on the same sample
+        classify.is_normal(first)
+        first_batch = classify._components(first, cfg)
+        joined = named_classes(second)   # joins the open analysis
+        assert analysis.key(second, "basic", (cfg,)) in analysis.results
+        batch = classify._components(second, cfg)
+        assert batch is not first_batch
+        eta = ftensor.d_eta_coordinate_batch(second, batch)
+        # the second structure's release left the first one's entries
+        assert classify._components(first, cfg) is first_batch
+    assert summary(joined) == summary(alone)
+    assert np.array_equal(eta, eta_alone)

@@ -67,10 +67,10 @@ def test_value_objects_match_point_views(structure):
     S = structure
     pts = S.sample_points()
     t = f_tensor_at(S, pts)
-    tf = theta_forms(S, pts, tensor=t)
-    ex = exterior_data_at(S, pts, tensor=t)
-    pr = project_components(S, pts, tensor=t)
-    nd = normality_data_at(S, pts, exterior=ex)
+    tf = theta_forms(S, pts)
+    ex = exterior_data_at(S, pts)
+    pr = project_components(S, pts)
+    nd = normality_data_at(S, pts)
     for batch, view, fields in (
         (t, lambda p: f_tensor_at(S, p),
          ("components", "theta_xi", "theta_star_xi", "reeb_square",

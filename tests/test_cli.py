@@ -224,6 +224,26 @@ def test_jet_overflow_exits_2_without_traceback(tmp_path):
     assert done.stderr.startswith("input error: non-finite value")
 
 
+def test_overflowing_sectional_curvature_exits_2_without_traceback(tmp_path):
+    # f_xx ~ 4e4 exp(200 x) overflows the curvature products, so a sectional
+    # curvature at pts[0] comes out nan
+    text = PARABOLIC.replace('"x^2"', '"exp(200*x)"').replace("seed = 5\n", "")
+    done = run_process("analyze", write(tmp_path, text), "--report", "machine")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(
+        "input error: non-finite sectional curvature in 'K_phi' at point (")
+
+
+def test_machine_report_refuses_a_non_finite_value():
+    report = ClassificationReport(
+        name="t", sampling={}, structure_validity={}, basic_classes={},
+        named_classes={}, curvature={"K_phi": float("nan")},
+        route_agreement={}, failures=())
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report.to_json()
+
+
 def test_expression_at_the_depth_limit_is_analyzed(capsys, tmp_path):
     terms = "+".join(["x"] * walkergeo.expressions.MAX_DEPTH)
     path = write(tmp_path, PARABOLIC.replace('"x^2"', f'"{terms}"'))

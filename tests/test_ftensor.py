@@ -163,8 +163,8 @@ def test_routes_agree_everywhere(f, xi):
     for p in points(S):
         t = f_tensor_at(S, p)
         assert t.route_discrepancy <= 1e-9
-        assert theta_forms(S, p, tensor=t).route_discrepancy <= 1e-9
-        assert exterior_data_at(S, p, tensor=t).route_discrepancy <= 1e-9
+        assert theta_forms(S, p).route_discrepancy <= 1e-9
+        assert exterior_data_at(S, p).route_discrepancy <= 1e-9
 
 
 def test_components_are_read_only():
@@ -300,7 +300,7 @@ def test_d_eta_reeb_law_on_g12():
     for p in points(S):
         fr = S.frame(p)
         t = f_tensor_at(S, p)
-        ex = exterior_data_at(S, p, tensor=t)
+        ex = exterior_data_at(S, p)
         rs_phi = t.reeb_square @ fr.phi_mat
         want = 0.5 * (np.einsum("i,j->ij", fr.eta_vec, rs_phi)
                       - np.einsum("j,i->ij", fr.eta_vec, rs_phi))
@@ -375,7 +375,7 @@ def test_projection_sum_reconstructs_tensor(f, xi):
     S = build(f, xi)
     for p in points(S):
         t = f_tensor_at(S, p)
-        b = project_components(S, p, tensor=t)
+        b = project_components(S, p)
         total = b.F5 + b.F6 + b.F10 + b.F12
         assert np.abs(t.components - total).max() <= 1e-9 * (1 + np.abs(t.components).max())
         assert np.abs(b.residual).max() <= 1e-9 * (1 + np.abs(t.components).max())
@@ -508,7 +508,7 @@ def test_projection_formulas_unit_y_setting():
         assert np.abs(t.reeb_square - np.array([0.0, 0.0, s12])).max() \
             <= 1e-9 * (1 + abs(s12))
         # theta(xi) = theta*(xi) = -(xi1)_x in this setting
-        forms = theta_forms(S, (x, y, z), tensor=t)
+        forms = theta_forms(S, (x, y, z))
         assert abs(forms.theta_xi + a1) <= 1e-9 * (1 + abs(a1))
         assert abs(forms.theta_star_xi + a1) <= 1e-9 * (1 + abs(a1))
 
@@ -529,10 +529,10 @@ def test_batch_matches_pointwise(f, xi):
         p = tuple(float(c) for c in row)
         t = f_tensor_at(S, p)
         assert np.abs(F_batch[..., i] - t.components).max() <= 1e-12 * (1 + np.abs(t.components).max())
-        b = project_components(S, p, tensor=t)
+        b = project_components(S, p)
         for label, part in b.parts.items():
             assert np.abs(comp.parts[label][..., i] - part).max() <= 1e-11
-        ex = exterior_data_at(S, p, tensor=t)
+        ex = exterior_data_at(S, p)
         fr = S.frame(p)
         assert np.abs(de[..., i] - ex.d_eta).max() <= 1e-11 * (1 + fr.scale)
         assert np.abs(lg[..., i] - ex.lie_g).max() <= 1e-11 * (1 + fr.scale)

@@ -157,7 +157,7 @@ def read_only(a):
 def test_kept_jets_are_read_only_and_returned_again(monkeypatch):
     e, batch = parse("x*y/(1 + z^2)"), read_only(pts(5))
     calls = computations(monkeypatch)
-    with ex.derivative_scope():
+    with ex.analysis():
         for point in (batch, batch[0]):   # a batch, and one point
             jet = eval_jet(e, point, 2)
             assert not jet.coeffs.flags.writeable
@@ -173,7 +173,7 @@ def test_a_lower_order_is_the_leading_rows_of_a_kept_jet(monkeypatch):
     e, batch = parse("(1 - 2*x*exp(2*z - 4*y))/(2*exp(z - 2*y))"), read_only(pts(7))
     fresh = {order: eval_jet(e, batch, order) for order in range(4)}
     calls = computations(monkeypatch)
-    with ex.derivative_scope():
+    with ex.analysis():
         top = eval_jet(e, batch, 3)
         for order in range(3):
             low = eval_jet(e, batch, order)
@@ -190,7 +190,7 @@ def test_a_non_finite_kept_jet_is_never_truncated(monkeypatch):
     fresh = eval_jet(e, point, 2)
     assert np.isfinite(fresh.coeffs).all()
     calls = computations(monkeypatch)
-    with ex.derivative_scope():
+    with ex.analysis():
         assert not np.isfinite(eval_jet(e, point, 3).coeffs).all()
         assert identical(eval_jet(e, point, 2).coeffs, fresh.coeffs)
     assert calls == [(e, 3), (e, 2)]
@@ -199,14 +199,13 @@ def test_a_non_finite_kept_jet_is_never_truncated(monkeypatch):
 def test_a_field_that_raised_leaves_no_entry(monkeypatch):
     good, bad, batch = parse("x - 1"), parse("1/(x - x)"), read_only(pts(4))
     calls = computations(monkeypatch)
-    with ex.derivative_scope():
-        table = ex._SCOPE.get()[2]
+    with ex.analysis() as analysis:
         eval_jet(good, batch, 1)
         for point in (batch, batch[0], batch):
             with pytest.raises(EvaluationError, match="division by zero"):
                 eval_jet(bad, point, 1)
-        assert (good, id(batch)) in table
-        assert all(key[0] is not bad for key in table)
+        assert (good, id(batch)) in analysis.jets
+        assert all(key[0] is not bad for key in analysis.jets)
     assert calls == [(good, 1), (bad, 1), (bad, 1), (bad, 1)]
 
 
@@ -217,7 +216,7 @@ def test_outside_an_analysis_no_jet_is_kept(monkeypatch):
     assert first is not second and first.coeffs.flags.writeable
     eval_jet(e, batch[0], 1)
     eval_jet(e, batch[0], 1)
-    with ex.derivative_scope():    # a writable batch is not kept either
+    with ex.analysis():    # a writable batch is not kept either
         eval_jet(e, np.array(batch), 1)
         eval_jet(e, np.array(batch), 1)
     assert len(calls) == 6
@@ -263,7 +262,7 @@ def test_a_kept_jet_is_a_leaf_of_a_larger_field(monkeypatch):
     outer = ex.exp_of(inner)
     fresh = {order: eval_jet(outer, batch, order) for order in (1, 3)}
     point_fresh = eval_jet(outer, batch[0], 1)
-    with ex.derivative_scope():
+    with ex.analysis():
         eval_jet(inner, batch, 3)
         eval_jet(inner, batch[0], 3)
         calls = computations(monkeypatch)

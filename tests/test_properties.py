@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from walkergeo.cli import main  # noqa: E402
 from walkergeo.errors import EvaluationError  # noqa: E402
 from walkergeo.expressions import (  # noqa: E402
-    MAX_DEPTH, depth, derivative_scope, diff, gradient, parse, to_source,
+    MAX_DEPTH, analysis, depth, diff, gradient, parse, to_source,
 )
 from walkergeo.jets import eval_jet  # noqa: E402
 
@@ -176,7 +176,7 @@ def test_a_truncated_jet_is_the_lower_order_jet(source, scaling, point, batch,
     points.setflags(write=False)
     high, low = orders
     want = jet_or_error(e, points, low)    # outside an analysis: afresh
-    with derivative_scope():
+    with analysis():
         top = jet_or_error(e, points, high)
         got = jet_or_error(e, points, low)
     if got is None or want is None:

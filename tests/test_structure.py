@@ -5,7 +5,7 @@ from geometry_oracles import (
     christoffel_oracle, fd_partial, metric_fn, vector_fn, with_phi,
 )
 from walkergeo.errors import NonexistentStructureError, UnitConstraintError
-from walkergeo.expressions import evaluate_with_scale, parse, to_source
+from walkergeo.expressions import analysis, evaluate_with_scale, parse, to_source
 from walkergeo.sampling import Domain, Interval, SamplingConfig, is_identically_zero
 from walkergeo.structure import (
     Frame,
@@ -86,8 +86,11 @@ def test_eta_is_metric_dual(f, xi):
 
 def test_frame_cache_returns_same_object():
     S = build("x^2", ("0", "1", "0"))
-    assert S.frame((1.0, 1.0, 1.0)) is S.frame((1.0, 1.0, 1.0))
-    assert S.frame((1.0, 1.0, 1.0), order=2) is not S.frame((1.0, 1.0, 1.0))
+    with analysis():
+        assert S.frame((1.0, 1.0, 1.0)) is S.frame((1.0, 1.0, 1.0))
+        assert S.frame((1.0, 1.0, 1.0), order=2) is not S.frame((1.0, 1.0, 1.0))
+    # outside an analysis nothing is kept
+    assert S.frame((1.0, 1.0, 1.0)) is not S.frame((1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("f,xi", STRUCTURES, ids=[s[0] for s in STRUCTURES])
