@@ -36,12 +36,11 @@ from .ftensor import (
 from .manifest import Manifest, load_manifest, parse_manifest
 from .report import ClassificationReport, build_report
 from .sampling import (
-    Domain, Interval, NonvanishingVerdict, SamplingConfig, ZeroVerdict,
-    is_identically_zero, nonvanishing,
+    Domain, Interval, Route, SamplingConfig, is_identically_zero, nonvanishing,
 )
 from .structure import (
-    ApctStructure, AxiomReport, build_structure, nabla_xi,
-    unit_constraint_field, validate_axioms,
+    ApctStructure, build_structure, nabla_xi, unit_constraint_field,
+    validate_axioms,
 )
 from .walker import (
     FlatnessVerdict, SegreVerdict, WalkerManifold, flatness, is_strict_walker,

@@ -16,17 +16,17 @@ each by at least two independent routes:
     conditions on (f, xi1) decide several classes directly and are run
     as an extra cross-check.
 
-Each comparison of routes is a row of one table. A Route is one route's
-answer: whether it holds, its witness (the first sampled point where a
-residual that must vanish exceeds its bound, or None) and the deciding
-residual, made from zero verdicts in hand. A Check (`Check.of`) is a name,
-a detail, its routes and whether it fails: when its routes disagree, or
-when its single route (a bound check) fails. The verdicts here and in
-`curvature` carry their checks, and one function, `decide`, turns failing
-checks into failures with the witness and residual of their first route
-that has a witness, else pts[0] and the first route's residual.
-Disagreements are never averaged away: a False routes_agree means the
-analysis itself is suspect, not the structure.
+Each comparison of routes is a row of one table. A route is one sampled
+decision, a `sampling.Route`: whether it holds, its witness (the first
+sampled point where it fails, or None) and the deciding residual. A Check
+(`Check.of`) is a name, a detail, its routes and whether it fails: when
+its routes disagree, or when its single route (a bound check) fails. The
+verdicts here and in `curvature` carry their checks and nothing the
+checks already say; one function, `decide`, turns failing checks into
+failures with the witness and residual of their first route that has a
+witness, else pts[0] and the first route's residual. Disagreements are
+never averaged away: a failing check means the analysis itself is
+suspect, not the structure.
 
 The useful identity behind several shortcuts: the fundamental 2-form
 always has components (xi3, -xi2, xi1) in the coordinate 2-form basis
@@ -50,8 +50,8 @@ from .ftensor import (
     split_components_batch, theta_star_xi_field,
 )
 from .sampling import (
-    Domain, SamplingConfig, ZeroVerdict, analyzed, is_identically_zero,
-    zero_verdict_from_samples,
+    NEVER, Domain, Route, SamplingConfig, analyzed, bound, every,
+    is_identically_zero, negated, zero_verdict_from_samples,
 )
 from .structure import ApctStructure, build_structure
 from .walker import WalkerManifold
@@ -66,45 +66,7 @@ NAMED_CLASSES = (
 )
 
 
-# --- routes, checks and their decision ---------------------------------------
-
-class Route(NamedTuple):
-    """One route's answer to a check: whether it holds, its witness (the
-    first sampled point where a residual that must vanish exceeds its
-    bound, or None) and the deciding residual."""
-
-    holds: bool
-    witness: tuple[float, float, float] | None = None
-    residual: float = 0.0
-
-
-# the constant route of a Reeb shape that rules the answer out
-NEVER = Route(False)
-
-
-def route(verdict: ZeroVerdict, vanishes: bool = True) -> Route:
-    """The route 'the field vanishes identically', decided by its zero
-    verdict; with vanishes False, its negation, which has no witness."""
-    return Route(verdict.is_zero == vanishes,
-                 verdict.witness if vanishes else None, verdict.max_residual)
-
-
-def every(routes: Iterable[Route]) -> Route:
-    """The conjunction of routes, drawn in order only up to the first that
-    fails, which decides it; when all hold, the last decides."""
-    for part in routes:
-        if not part.holds:
-            break
-    return part
-
-
-def bound(values, limit: float, pts) -> Route:
-    """The route max(values) <= limit over the sample points, decided at
-    the first point attaining the maximum."""
-    k = int(values.argmax())
-    return Route(bool(values[k] <= limit), tuple(pts[k].tolist()),
-                 float(values[k]))
-
+# --- checks and their decision -----------------------------------------------
 
 class Check(NamedTuple):
     """A named check, the routes that answer it and whether it fails (see
@@ -146,17 +108,15 @@ class BasicClassification(NamedTuple):
     members holds the plain component labels; labels is the user-facing
     tuple where an empty set prints as G0 and a contact-type G5 component
     (trace form equal to 2 on the Reeb field) prints as G5bar. model is the
-    bound check model_defect <= tol, whose route gives within_model and
-    model_defect.
+    bound check model defect <= tol: its route holds when the split stays
+    within the component model, its residual the largest defect.
     """
 
     members: frozenset[str]
     labels: tuple[str, ...]
     g5bar: bool
-    component_verdicts: dict[str, ZeroVerdict]
-    g5bar_verdict: ZeroVerdict | None
-    within_model: bool
-    model_defect: float
+    component_verdicts: dict[str, Route]
+    g5bar_verdict: Route | None
     model: Check
 
     def display(self) -> str:
@@ -174,15 +134,10 @@ def classify_basic(S: ApctStructure,
                    cfg: SamplingConfig | None = None) -> BasicClassification:
     pts = S.sample_points(cfg)
     batch = _components(S, cfg)
-    verdicts: dict[str, ZeroVerdict] = {}
-    members = set()
-    for label in BASIC_LABELS:
-        verdict = zero_verdict_from_samples(
-            batch.parts[label], batch.scale, pts, cfg.tol
-        )
-        verdicts[label] = verdict
-        if not verdict.is_zero:
-            members.add(label)
+    verdicts = {label: zero_verdict_from_samples(batch.parts[label],
+                                                 batch.scale, pts, cfg.tol)
+                for label in BASIC_LABELS}
+    members = {label for label, verdict in verdicts.items() if not verdict}
 
     model = Check.of("component_model", None,
                      bound(batch.model_defect, cfg.tol, pts))
@@ -193,16 +148,14 @@ def classify_basic(S: ApctStructure,
         g5bar_verdict = zero_verdict_from_samples(
             batch.theta_xi - 2.0, batch.scale, pts, cfg.tol
         )
-        g5bar = g5bar_verdict.is_zero
+        g5bar = g5bar_verdict.holds
 
     labels = tuple(
         "G5bar" if (m == "G5" and g5bar) else m
         for m in BASIC_LABELS if m in members
     ) or ("G0",)
     return BasicClassification(
-        frozenset(members), labels, g5bar, verdicts, g5bar_verdict,
-        not model.fails, model.routes[0].residual, model,
-    )
+        frozenset(members), labels, g5bar, verdicts, g5bar_verdict, model)
 
 
 def _split_route(basic: BasicClassification, allowed: set[str],
@@ -211,17 +164,16 @@ def _split_route(basic: BasicClassification, allowed: set[str],
     present': the first present component outside allowed decides, then
     the required one."""
     verdicts = basic.component_verdicts
-    parts = [route(verdicts[label])
-             for label in BASIC_LABELS if label not in allowed]
+    parts = [verdicts[label] for label in BASIC_LABELS if label not in allowed]
     if required:
-        parts.append(route(verdicts[required], vanishes=False))
+        parts.append(negated(verdicts[required]))
     return every(parts)
 
 
 def _contact_route(basic: BasicClassification, allowed: set[str]) -> Route:
     """_split_route with a contact-type G5 (trace form 2 on xi) required."""
     shape = _split_route(basic, allowed, "G5")
-    return route(basic.g5bar_verdict) if shape.holds else shape
+    return basic.g5bar_verdict if shape.holds else shape
 
 
 # --- paracontact metric ------------------------------------------------------
@@ -245,18 +197,15 @@ def paracontact_condition_fields(S: ApctStructure) -> tuple[Expr, Expr, Expr]:
 class ParacontactVerdict(NamedTuple):
     """Whether d(eta) equals the fundamental 2-form.
 
-    Decided by symbolic conditions (primary) and by a sampled numeric
-    comparison of the two 2-forms; shortcut records a structural shape of
-    the Reeb field known to rule the property out, the third route of
-    check when present.
+    Decided by symbolic conditions (primary, the first route of check) and
+    by a sampled numeric comparison of the two 2-forms (its second route);
+    shortcut records a structural shape of the Reeb field known to rule
+    the property out, the third route of check when present.
     """
 
     is_paracontact: bool
-    conditions: tuple[ZeroVerdict, ZeroVerdict, ZeroVerdict]
-    numeric_matches: bool
-    numeric_witness: tuple[float, float, float] | None
+    conditions: tuple[Route, Route, Route]
     shortcut: str | None
-    routes_agree: bool
     check: Check
 
     def __bool__(self) -> bool:
@@ -274,31 +223,28 @@ def is_paracontact_metric(S: ApctStructure,
         is_identically_zero(c, S.domain, cfg)
         for c in paracontact_condition_fields(S)
     )
-    symbolic = every(route(c) for c in conditions)
+    symbolic = every(conditions)
 
     gap = d_eta_batch(S, batch) - fundamental_form_batch(batch)
     numeric = zero_verdict_from_samples(gap, batch.scale, pts, cfg.tol)
 
     xi1, xi2, xi3 = S.xi
     shortcut = None
-    if is_identically_zero(xi3, S.domain, cfg).is_zero:
+    if is_identically_zero(xi3, S.domain, cfg):
         shortcut = (
             "xi3 vanishes identically; no Reeb field of that shape "
             "satisfies the paracontact conditions"
         )
-    elif (is_identically_zero(xi1, S.domain, cfg).is_zero
-          and is_identically_zero(xi2, S.domain, cfg).is_zero):
+    elif (is_identically_zero(xi1, S.domain, cfg)
+          and is_identically_zero(xi2, S.domain, cfg)):
         shortcut = (
             "xi1 and xi2 vanish identically; no Reeb field of that shape "
             "satisfies the paracontact conditions"
         )
 
-    check = Check.of("paracontact_routes", shortcut, symbolic, route(numeric),
+    check = Check.of("paracontact_routes", shortcut, symbolic, numeric,
                      *([NEVER] if shortcut else []))
-    return ParacontactVerdict(
-        symbolic.holds, conditions, numeric.is_zero, numeric.witness,
-        shortcut, not check.fails, check,
-    )
+    return ParacontactVerdict(symbolic.holds, conditions, shortcut, check)
 
 
 # --- normality ---------------------------------------------------------------
@@ -306,17 +252,13 @@ def is_paracontact_metric(S: ApctStructure,
 class NormalityVerdict(NamedTuple):
     """Whether the Nijenhuis-type normality defect vanishes.
 
-    class_route reads the answer off the component split (only the two
-    trace-form components are normal); torsion_verdict is the sampled
-    defect N - 2 d(eta) (x) xi itself; setting_route holds the coordinate
-    answer when the Reeb field has the shape xi3 = 0, xi2 = +-1.
+    The routes of check: the answer read off the component split (only
+    the two trace-form components are normal), which decides it; the
+    sampled defect N - 2 d(eta) (x) xi itself; and, when the Reeb field
+    has the shape xi3 = 0, xi2 = +-1, the coordinate answer.
     """
 
     is_normal: bool
-    class_route: bool
-    torsion_verdict: ZeroVerdict
-    setting_route: bool | None
-    routes_agree: bool
     check: Check
 
     def __bool__(self) -> bool:
@@ -326,10 +268,10 @@ class NormalityVerdict(NamedTuple):
 def unit_y_setting(S: ApctStructure, cfg: SamplingConfig) -> int | None:
     """Detect the Reeb shape xi3 = 0, xi2 = +-1; returns the sign or None."""
     _, xi2, xi3 = S.xi
-    if not is_identically_zero(xi3, S.domain, cfg).is_zero:
+    if not is_identically_zero(xi3, S.domain, cfg):
         return None
     for sign in (1, -1):
-        if is_identically_zero(xi2 - sign, S.domain, cfg).is_zero:
+        if is_identically_zero(xi2 - sign, S.domain, cfg):
             return sign
     return None
 
@@ -356,17 +298,13 @@ def is_normal(S: ApctStructure,
     torsion = zero_verdict_from_samples(
         normality_defect_batch(S, batch), batch.scale, pts, cfg.tol
     )
-    routes = [class_route, route(torsion)]
+    routes = [class_route, torsion]
     sign = unit_y_setting(S, cfg)
     if sign is not None:
-        routes.append(every(route(is_identically_zero(c, S.domain, cfg))
+        routes.append(every(is_identically_zero(c, S.domain, cfg)
                             for c in _setting_fields(S, sign)[3:]))
-
-    check = Check.of("normality_routes", None, *routes)
     return NormalityVerdict(
-        class_route.holds, class_route.holds, torsion,
-        None if sign is None else routes[2].holds, not check.fails, check,
-    )
+        class_route.holds, Check.of("normality_routes", None, *routes))
 
 
 # --- named classes -----------------------------------------------------------
@@ -406,7 +344,8 @@ class ClassVerdict(NamedTuple):
     """Full classification outcome: basic components plus every named
     class, with all cross-route bookkeeping. checks is the classification
     table: the component model, the paracontact and normality routes, and
-    one row per cross-check of a named class."""
+    one row per cross-check of a named class; the routes agree when none
+    fails."""
 
     basic: BasicClassification
     named: dict[str, NamedVerdict]
@@ -415,7 +354,6 @@ class ClassVerdict(NamedTuple):
     theta_star_constant: bool
     alpha: AlphaReport | None
     disagreements: tuple[RouteDisagreement, ...]
-    routes_agree: bool
     checks: tuple[Check, ...]
 
 
@@ -433,20 +371,19 @@ def named_classes(S: ApctStructure,
         return zero_verdict_from_samples(values, batch.scale, pts, cfg.tol)
 
     f_zero = ztest(batch.tensor)
-    tensor = route(f_zero, vanishes=False)
-    d_eta = route(ztest(d_eta_coordinate_batch(S, batch)))
+    tensor = negated(f_zero)
+    d_eta = ztest(d_eta_coordinate_batch(S, batch))
     xi1, xi2, xi3 = S.xi
     divergence = diff(xi1, "x") + diff(xi2, "y") + diff(xi3, "z")
-    d_phi = route(is_identically_zero(divergence, S.domain, cfg))
+    d_phi = is_identically_zero(divergence, S.domain, cfg)
     lie = ztest(lie_g_batch(S, batch))
-    torsion = route(normality.torsion_verdict)
 
     # theta*(xi) is constant on the sampled domain when its partials vanish
     grad_verdicts = [is_identically_zero(partial, S.domain, cfg)
                      for partial in gradient(theta_star_xi_field(S))]
-    constant = every(route(v) for v in grad_verdicts)
+    constant = every(grad_verdicts)
     theta_star_constant = constant.holds
-    gradient_residual = max(v.max_residual for v in grad_verdicts)
+    gradient_residual = max(v.residual for v in grad_verdicts)
 
     alpha = None
     if "G6" in members:
@@ -458,15 +395,17 @@ def named_classes(S: ApctStructure,
             gradient_residual,
         )
 
-    # the first route of a check decides its class
+    # the first route of a check decides its class; the second is the
+    # sampled numeric comparison (normality: the torsion defect)
     para, normal = paracontact.check.routes[0], normality.check.routes[0]
+    torsion = normality.check.routes[1]
     sasaki = every((normal, para))
     quasi = _split_route(basic, {"G5"}, "G5")
     cosym = _split_route(basic, set())
     almost_cosym = _split_route(basic, {"G10"}, "G10")
     almost_alpha = _split_route(basic, {"G6", "G10"}, "G6")
     alpha_only = _split_route(basic, {"G6"}, "G6")
-    alpha_cross = every((d_eta, route(ztest(batch.theta_star_xi), False)))
+    alpha_cross = every((d_eta, negated(ztest(batch.theta_star_xi))))
     present = f"components present: {basic.display()}"
     no_g6 = present if "G6" in members else "no G6 component"
     sasaki_detail = "not normal" if not normal.holds else "not paracontact"
@@ -487,15 +426,15 @@ def named_classes(S: ApctStructure,
     table = (
         ("paracontact_metric", para, None, None, paracontact.shortcut
          or "the d(eta) = fundamental-form conditions fail",
-         paracontact.numeric_witness),
+         paracontact.check.routes[1].witness),
         ("normal", normal, None, None,
          "components outside the two trace-form shapes are present: "
          + ", ".join(sorted(members - {"G5", "G6"})),
-         normality.torsion_verdict.witness),
+         torsion.witness),
         ("para_sasakian", sasaki, _contact_route(basic, {"G5"}),
          "normal-and-paracontact route vs. pure contact-type G5 component",
          sasaki_detail, None),
-        ("k_paracontact", sasaki, every((route(lie), para)),
+        ("k_paracontact", sasaki, every((lie, para)),
          "para-Sasakian route vs. paracontact with Killing Reeb field",
          sasaki_detail, lie.witness),
         ("quasi_para_sasakian", quasi, every((torsion, d_phi, tensor)),
@@ -550,10 +489,8 @@ def named_classes(S: ApctStructure,
                           c.routes[0].holds, c.routes[1].holds, c.detail)
         for c in rows if c.fails
     )
-    return ClassVerdict(
-        basic, ordered, paracontact, normality, theta_star_constant,
-        alpha, disagreements, not any(c.fails for c in checks), checks,
-    )
+    return ClassVerdict(basic, ordered, paracontact, normality,
+                        theta_star_constant, alpha, disagreements, checks)
 
 
 def _setting_checks(S: ApctStructure, cfg: SamplingConfig,
@@ -568,7 +505,8 @@ def _setting_checks(S: ApctStructure, cfg: SamplingConfig,
 
     def conditions(*tests) -> Route:
         """(field, vanishes) tests as one conjunction."""
-        return every(route(is_identically_zero(e, S.domain, cfg), vanishes)
+        return every(is_identically_zero(e, S.domain, cfg) if vanishes
+                     else negated(is_identically_zero(e, S.domain, cfg))
                      for e, vanishes in tests)
 
     if conditions((xi1, True), (xi2, True)).holds:

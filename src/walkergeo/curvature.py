@@ -20,13 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import (
-    NEVER, Check, Route, every, named_classes, route, unit_y_setting)
+from .classify import Check, named_classes, unit_y_setting
 from .errors import DegenerateInputError, EvaluationError
 from .expressions import Expr, ONE, ZERO, diff, evaluate_with_scale
 from .sampling import (
-    PCG64Stream, SamplingConfig, ZeroVerdict, analyzed, is_identically_zero,
-    nonvanishing, zero_verdict_from_samples,
+    NEVER, PCG64Stream, Route, SamplingConfig, analyzed, every,
+    is_identically_zero, negated, nonvanishing, zero_verdict_from_samples,
 )
 from .jets import Jet3, eval_jet
 from .structure import ApctStructure, contract, max_abs, points_first
@@ -68,6 +67,8 @@ class EtaEinsteinVerdict(NamedTuple):
     coefficients of g and eta (x) eta (a = -b = f_xx / 2), segre describes
     the Ricci operator at a representative point, and xi_matches_N records
     whether the Reeb field is plus or minus the null Ricci eigenvector.
+    check compares the direct route (first) with the coordinate one, whose
+    detail it carries.
     """
 
     is_eta_einstein: bool
@@ -75,11 +76,7 @@ class EtaEinsteinVerdict(NamedTuple):
     b: float | None
     segre: SegreVerdict | None
     xi_matches_N: int | None
-    residual_conditions: tuple[ZeroVerdict, ...]
     fxx_nonzero: bool
-    coordinate_route: bool
-    coordinate_detail: str
-    routes_agree: bool
     check: Check
 
     def __bool__(self) -> bool:
@@ -98,7 +95,7 @@ def eta_einstein_check(S: ApctStructure,
         for e in ricci_residual_fields(S)
     )
     fxx_zero = is_identically_zero(fxx, S.domain, cfg)
-    direct = every((*map(route, residuals), route(fxx_zero, False)))
+    direct = every((*residuals, negated(fxx_zero)))
 
     coordinate, detail = _coordinate_eta_einstein(S, cfg, h, fxx_zero)
     check = Check.of("eta_einstein_routes", detail, direct, coordinate)
@@ -114,50 +111,46 @@ def eta_einstein_check(S: ApctStructure,
         segre = segre_type(M, tuple(float(c) for c in pts[0]), cfg)
         xi_match = _xi_versus_null_eigenvector(S, segre, pts, cfg.tol)
 
-    return EtaEinsteinVerdict(
-        direct.holds, a, b, segre, xi_match, residuals,
-        not fxx_zero.is_zero, coordinate.holds, detail,
-        not check.fails, check,
-    )
+    return EtaEinsteinVerdict(direct.holds, a, b, segre, xi_match,
+                              not fxx_zero, check)
 
 
 def _coordinate_eta_einstein(S: ApctStructure, cfg: SamplingConfig,
                              h: dict[str, Expr],
-                             fxx_zero: ZeroVerdict) -> tuple[Route, str]:
+                             fxx_zero: Route) -> tuple[Route, str]:
     """Coordinate characterization: Reeb shape (xi1, +-1, 0) with xi1 the
     matched quotient, degenerate discriminant, f_xx nonvanishing. Returns
-    the route, decided by the zero verdict that settled it (a constant for
-    xi2 not +-1), and its detail."""
+    the route (the zero test that settled it, or a constant for xi2 not
+    +-1) and its detail."""
     xi3 = is_identically_zero(S.xi[2], S.domain, cfg)
-    if not xi3.is_zero:
-        return route(xi3), "xi3 does not vanish identically"
+    if not xi3:
+        return xi3, "xi3 does not vanish identically"
     sign = unit_y_setting(S, cfg)
     if sign is None:
         return NEVER, "xi2 is not identically +1 or -1"
 
-    if fxx_zero.is_zero:
-        return (route(fxx_zero, False), "f_xx vanishes identically, so the "
+    if fxx_zero:
+        return (negated(fxx_zero), "f_xx vanishes identically, so the "
                 "Ricci operator has no nonzero eigenvalue")
     fxx_nv = nonvanishing(h["fxx"], S.domain, cfg)
-    if not fxx_nv.everywhere:
+    if not fxx_nv:
         raise DegenerateInputError(
             "f_xx vanishes at a sampled point but not identically, so the "
             "eigenvector quotient f_xy / f_xx is undefined there and the "
             "coordinate eta-Einstein characterization cannot be evaluated",
-            witness=fxx_nv.vanishing_point,
+            witness=fxx_nv.witness,
         )
 
     disc = is_identically_zero(
         h["fxy"] ** 2 - h["fxx"] * h["fyy"], S.domain, cfg
     )
-    if not disc.is_zero:
-        return (route(disc),
-                "the Ricci discriminant f_xy^2 - f_xx f_yy is not zero")
+    if not disc:
+        return disc, "the Ricci discriminant f_xy^2 - f_xx f_yy is not zero"
     aligned = is_identically_zero(
         S.xi[0] + sign * h["fxy"] / h["fxx"], S.domain, cfg
     )
-    return route(aligned), ("coordinate conditions hold" if aligned.is_zero
-                            else "xi1 does not match -xi2 f_xy / f_xx")
+    return aligned, ("coordinate conditions hold" if aligned
+                     else "xi1 does not match -xi2 f_xy / f_xx")
 
 
 def _xi_versus_null_eigenvector(S: ApctStructure, segre: SegreVerdict,
@@ -181,18 +174,17 @@ class EquivalenceReport(NamedTuple):
     """Five mutually equivalent curvature statements, decided separately.
 
     flags carries one boolean per statement, the answer of its route in
-    check; all_agree asserts the chain.
+    check, which fails when the chain breaks.
     mixed marks the honest in-between case for the second flag: every
     sampled point is flat or eta-Einstein pointwise, but neither holds on
     the whole sampled domain; the flag counts that as satisfied.
     """
 
     flags: dict[str, bool]
-    verdicts: dict[str, ZeroVerdict]
+    verdicts: dict[str, Route]
     flat: FlatnessVerdict
     eta_einstein: EtaEinsteinVerdict
     mixed: bool
-    all_agree: bool
     check: Check
 
 
@@ -246,13 +238,12 @@ def curvature_equivalences(S: ApctStructure,
         and not flat.flat and not eta_verdict.is_eta_einstein
     )
     # in the chain's order, where the flat-or-eta-Einstein statement is second
-    first, *rest = ((name, route(v)) for name, v in verdicts.items())
+    first, *rest = verdicts.items()
     routes = dict([first, ("flat_or_eta_einstein", Route(
         flat.flat or eta_verdict.is_eta_einstein or mixed)), *rest])
     check = Check.of("curvature_equivalences", None, *routes.values())
     return EquivalenceReport({name: r.holds for name, r in routes.items()},
-                             verdicts, flat, eta_verdict, mixed,
-                             not check.fails, check)
+                             verdicts, flat, eta_verdict, mixed, check)
 
 
 # --- sectional curvatures ----------------------------------------------------
@@ -348,7 +339,7 @@ class EtaEinsteinProfile(NamedTuple):
     k_phi_value: float | None = None
     k_phi_variance: float | None = None
     paracosymplectic: bool | None = None
-    discriminant: ZeroVerdict | None = None
+    discriminant: Route | None = None
     matches_named_classes: bool | None = None
 
 
@@ -371,7 +362,7 @@ def eta_einstein_report(S: ApctStructure,
     h = f_hessian(S.manifold.f)
     fxx = h["fxx"]
     scal_constant = all(
-        is_identically_zero(diff(fxx, axis), S.domain, cfg).is_zero
+        is_identically_zero(diff(fxx, axis), S.domain, cfg)
         for axis in ("x", "y", "z")
     )
     pts = S.sample_points(cfg)
@@ -401,8 +392,8 @@ def eta_einstein_report(S: ApctStructure,
 
     nv = named_classes(S, cfg)
     matches = (
-        nv.named["paracosymplectic"].value == disc.is_zero
-        and nv.named["almost_paracosymplectic"].value == (not disc.is_zero)
+        nv.named["paracosymplectic"].value == disc.holds
+        and nv.named["almost_paracosymplectic"].value == (not disc.holds)
     )
 
     return EtaEinsteinProfile(
@@ -414,7 +405,7 @@ def eta_einstein_report(S: ApctStructure,
         k_xi_max=k_xi_max,
         k_phi_value=k_phi_value,
         k_phi_variance=k_phi_variance,
-        paracosymplectic=disc.is_zero,
+        paracosymplectic=disc.holds,
         discriminant=disc,
         matches_named_classes=matches,
     )

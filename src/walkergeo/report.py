@@ -13,12 +13,11 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .classify import (
-    NAMED_CLASSES, Check, Route, bound, decide, named_classes, route)
+from .classify import NAMED_CLASSES, Check, decide, named_classes
 from .curvature import curvature_equivalences, sample_column, sectional_from_arrays
 from .expressions import evaluate_with_scale, gradient, to_source
 from .ftensor import exterior_data_at, f_tensor_at, project_components, theta_forms
-from .sampling import SamplingConfig, analyzed, is_identically_zero
+from .sampling import SamplingConfig, analyzed, bound, is_identically_zero
 from .structure import (
     ApctStructure, max_abs, unit_constraint_field, validate_axioms,
 )
@@ -63,8 +62,8 @@ class ClassificationReport(NamedTuple):
         return json.loads(json.dumps(self._asdict(), default=_native))
 
     def to_json(self) -> str:
-        return json.dumps(self.as_tree(), sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
+        return json.dumps(self._asdict(), default=_native, sort_keys=True,
+                          indent=2, allow_nan=False) + "\n"
 
     def render_text(self) -> str:
         return "\n".join(_render(self.as_tree())) + "\n"
@@ -130,12 +129,12 @@ def build_report(S: ApctStructure,
     strict = is_strict_walker(S.manifold, cfg)
     structure_validity = {
         "epsilon": S.manifold.epsilon,
-        "unit_constraint_max_residual": unit.max_residual,
-        "strict_walker": strict.is_zero,
-        "axioms_all_hold": axioms.all_passed,
+        "unit_constraint_max_residual": unit.residual,
+        "strict_walker": strict.holds,
+        "axioms_all_hold": all(axioms.values()),
         "axioms": {
-            c.name: {"holds": c.passed, "max_residual": c.max_residual}
-            for c in axioms.checks
+            name: {"holds": r.holds, "max_residual": r.residual}
+            for name, r in axioms.items()
         },
     }
 
@@ -149,12 +148,12 @@ def build_report(S: ApctStructure,
         "components": {
             label: {
                 "present": label in basic.members,
-                "max_residual": basic.component_verdicts[label].max_residual,
+                "max_residual": basic.component_verdicts[label].residual,
             }
             for label in sorted(basic.component_verdicts)
         },
-        "within_model": basic.within_model,
-        "model_defect": basic.model_defect,
+        "within_model": not basic.model.fails,
+        "model_defect": basic.model.routes[0].residual,
     }
 
     named_section = {
@@ -162,11 +161,11 @@ def build_report(S: ApctStructure,
         "paracontact": {
             "holds": verdict.paracontact.is_paracontact,
             "shortcut": verdict.paracontact.shortcut,
-            "routes_agree": verdict.paracontact.routes_agree,
+            "routes_agree": not verdict.paracontact.check.fails,
         },
         "normality": {
             "holds": verdict.normality.is_normal,
-            "routes_agree": verdict.normality.routes_agree,
+            "routes_agree": not verdict.normality.check.fails,
         },
         "theta_star_constant": verdict.theta_star_constant,
         "alpha": None if verdict.alpha is None else {
@@ -178,7 +177,7 @@ def build_report(S: ApctStructure,
 
     # curvature
     scal_field = scalar_curvature_field(S.manifold)
-    scal_constant = all(is_identically_zero(d, S.domain, cfg).is_zero
+    scal_constant = all(is_identically_zero(d, S.domain, cfg)
                         for d in gradient(scal_field))
     scal_values, _ = evaluate_with_scale(scal_field, pts)
     scal = {
@@ -198,7 +197,7 @@ def build_report(S: ApctStructure,
         "scal": scal,
         "flat": flat.flat,
         "flatness_conditions": {
-            k: v.max_residual for k, v in flat.conditions.items()
+            k: v.residual for k, v in flat.conditions.items()
         },
         "flatness_note": flat.note,
         "segre": {
@@ -211,12 +210,12 @@ def build_report(S: ApctStructure,
             "holds": ee.is_eta_einstein,
             "a": ee.a,
             "b": ee.b,
-            "detail": ee.coordinate_detail,
-            "routes_agree": ee.routes_agree,
+            "detail": ee.check.detail,
+            "routes_agree": not ee.check.fails,
         },
         "equivalences": {
             "flags": dict(equiv.flags),
-            "all_agree": equiv.all_agree,
+            "all_agree": not equiv.check.fails,
             "mixed": equiv.mixed,
         },
         "sectional": {
@@ -245,12 +244,11 @@ def build_report(S: ApctStructure,
 
     # every check of the run, in stage order
     failures = decide((
-        *(Check.of(f"axiom:{c.name}", None,
-                   Route(c.passed, c.witness, c.max_residual))
-          for c in axioms.checks),
-        Check.of("unit_constraint", None, route(unit)),
+        *(Check.of(f"axiom:{name}", None, r) for name, r in axioms.items()),
+        Check.of("unit_constraint", None, unit),
         *verdict.checks, ee.check, equiv.check, *sweep,
     ), pts)
+    routes_agree = not any(c.fails for c in verdict.checks)
 
     route_agreement = {
         "structure_tensor_max_discrepancy": worst["structure_tensor_routes"],
@@ -258,9 +256,9 @@ def build_report(S: ApctStructure,
         "exterior_max_discrepancy": worst["exterior_derivative_routes"],
         "component_split_max_residual": worst["component_split_residual"],
         "component_model_max_defect": max(0.0, float(pr.model_defect.max())),
-        "classification_routes_agree": verdict.routes_agree,
+        "classification_routes_agree": routes_agree,
         "disagreements": [d._asdict() for d in verdict.disagreements],
-        "agree": verdict.routes_agree and not failures,
+        "agree": routes_agree and not failures,
     }
 
     return ClassificationReport(

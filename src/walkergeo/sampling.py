@@ -11,19 +11,22 @@ every witness and report, is fixed by walkergeo alone: numpy's policy
 (NEP 19) lets `Generator` methods change their output between numpy
 versions.
 
+Every sampled decision of the package is a `Route`: whether it holds, the
+first sampled point where it fails, and its deciding residual.
 `is_identically_zero` is the package's notion of an identity holding on a
-domain: an expression is ZERO when at every sampled point its magnitude is
+domain: an expression is zero when at every sampled point its magnitude is
 at most tol * (1 + scale), where scale is the largest magnitude any
 subexpression attained there. Dividing by the scale keeps the test honest
-for cancellation-heavy identities. A NONZERO verdict carries the first
-witness point. Within one analysis (`analyzed`) each field is tested once.
+for cancellation-heavy identities. `nonvanishing` is its opposite bound,
+`bound` the route of a per-point maximum, and `every` the conjunction of
+routes. Within one analysis (`analyzed`) each field is tested once.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache, wraps
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,28 +40,24 @@ _CONSTRAINT_MARGIN = 1e-7
 _MAX_BATCHES = 200
 
 
-class Interval:
-    """Nonempty closed interval [lo, hi]; immutable, equal by its ends."""
+class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
+    """Nonempty closed interval [lo, hi]; immutable, equal by its ends to
+    another Interval. A tuple, so a Domain hashes in C."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ()
 
-    def __init__(self, lo: float, hi: float):
+    def __new__(cls, lo: float, hi: float):
         if not lo < hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        return super().__new__(cls, lo, hi)
 
     def __eq__(self, other):
-        return type(other) is Interval and (self.lo, self.hi) == (other.lo, other.hi)
+        return type(other) is Interval and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.lo, self.hi))
+    def __ne__(self, other):
+        return not self == other
 
-    def __repr__(self) -> str:
-        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
+    __hash__ = tuple.__hash__
 
 
 # What each sampling control must be: (test, requirement).
@@ -270,26 +269,51 @@ def _sample_cached(domain: Domain, cfg: SamplingConfig) -> np.ndarray:
     )
 
 
-class ZeroVerdict(NamedTuple):
-    """Outcome of a sampled zero test.
+class Route(NamedTuple):
+    """One sampled decision: whether it holds, its witness (the first
+    sampled point where it fails, or None) and the deciding residual. It
+    is true when it holds."""
 
-    max_residual is the largest |value| / (1 + scale) seen; for a NONZERO
-    verdict, witness is the first sampled point exceeding tolerance and
-    witness_value the field's value there.
-    """
-
-    is_zero: bool
-    max_residual: float
+    holds: bool
     witness: tuple[float, float, float] | None = None
-    witness_value: float | None = None
+    residual: float = 0.0
 
     def __bool__(self) -> bool:
-        return self.is_zero
+        return self.holds
+
+
+# the constant route of a Reeb shape that rules the answer out
+NEVER = Route(False)
+
+
+def negated(route: Route) -> Route:
+    """The route 'not route', with route's residual and no witness."""
+    return Route(not route.holds, None, route.residual)
+
+
+def every(routes: Iterable[Route]) -> Route:
+    """The conjunction of routes, drawn in order only up to the first that
+    fails, which decides it; when all hold, the last decides."""
+    for part in routes:
+        if not part.holds:
+            break
+    return part
+
+
+def bound(values, limit: float, pts) -> Route:
+    """The route max(values) <= limit over the sample points, decided at
+    the first point attaining the maximum."""
+    k = int(values.argmax())
+    return Route(bool(values[k] <= limit), tuple(pts[k].tolist()),
+                 float(values[k]))
 
 
 def zero_verdict_from_samples(values: np.ndarray, scales, pts: np.ndarray,
-                              tol: float) -> ZeroVerdict:
-    """Zero test for per-point magnitudes already in hand.
+                              tol: float) -> Route:
+    """Zero test for per-point magnitudes already in hand: it holds when
+    |value| <= tol * (1 + scale) at every point. Its residual is the
+    largest |value| / (1 + scale), its witness the first point past the
+    bound.
 
     values: (n,) or (..., n) residual components per point (points last);
     scales: (n,) or scalar reference magnitude each point's residual is
@@ -299,18 +323,17 @@ def zero_verdict_from_samples(values: np.ndarray, scales, pts: np.ndarray,
     if values.ndim > 1:
         values = values.reshape(-1, values.shape[-1]).max(axis=0)
     scales = 1.0 + np.asarray(scales, dtype=float)
-    allowed = tol * scales
-    residuals = values / scales
-    bad = values > allowed
+    return _unless(values > tol * scales, pts,
+                   float((values / scales).max(initial=0.0)))
+
+
+def _unless(bad: np.ndarray, pts: np.ndarray, residual: float) -> Route:
+    """The route that holds unless bad holds at a point, the first such
+    point its witness."""
     if not bad.any():
-        return ZeroVerdict(True, float(residuals.max(initial=0.0)))
-    first = int(np.argmax(bad))
-    return ZeroVerdict(
-        False,
-        float(residuals.max(initial=0.0)),
-        witness=tuple(float(c) for c in pts[first]),
-        witness_value=float(values[first]),
-    )
+        return Route(True, None, residual)
+    return Route(False, tuple(float(c) for c in pts[int(np.argmax(bad))]),
+                 residual)
 
 
 def analyzed(run):
@@ -324,33 +347,25 @@ def analyzed(run):
 
 
 def is_identically_zero(e: Expr, domain: Domain,
-                        cfg: SamplingConfig = SamplingConfig()) -> ZeroVerdict:
+                        cfg: SamplingConfig = SamplingConfig()) -> Route:
     """Sampled zero test of a symbolic field over a domain."""
     return once(e, "zero", (domain, cfg), lambda: _zero_test(e, domain, cfg))
 
 
-def _zero_test(e: Expr, domain: Domain, cfg: SamplingConfig) -> ZeroVerdict:
+def _zero_test(e: Expr, domain: Domain, cfg: SamplingConfig) -> Route:
     pts = domain.sample(cfg)
     if e is ZERO:
-        return ZeroVerdict(True, 0.0)     # what evaluating the literal 0 gives
+        return Route(True)     # what evaluating the literal 0 gives
     values, scales = evaluate_with_scale(e, pts)
     return zero_verdict_from_samples(values, scales, pts, cfg.tol)
 
 
-class NonvanishingVerdict(NamedTuple):
-    """Whether |field| stays above tolerance at every sampled point."""
-
-    everywhere: bool
-    min_residual: float
-    vanishing_point: tuple[float, float, float] | None = None
-
-    def __bool__(self) -> bool:
-        return self.everywhere
-
-
 def nonvanishing(e: Expr, domain: Domain,
-                 cfg: SamplingConfig = SamplingConfig()) -> NonvanishingVerdict:
-    """Check the field is bounded away from zero on the sampled domain.
+                 cfg: SamplingConfig = SamplingConfig()) -> Route:
+    """Check the field is bounded away from zero on the sampled domain:
+    it holds when |value| > tol * (1 + scale) at every point. Its residual
+    is the smallest |value| / (1 + scale), its witness the first point
+    where the field vanishes.
 
     Used for conditions of the form 'quantity != 0' (e.g. a denominator or a
     coefficient that a classification requires to be nonzero).
@@ -359,17 +374,8 @@ def nonvanishing(e: Expr, domain: Domain,
                 lambda: _nonvanishing(e, domain, cfg))
 
 
-def _nonvanishing(e: Expr, domain: Domain,
-                  cfg: SamplingConfig) -> NonvanishingVerdict:
+def _nonvanishing(e: Expr, domain: Domain, cfg: SamplingConfig) -> Route:
     pts = domain.sample(cfg)
     values, scales = evaluate_with_scale(e, pts)
-    residuals = np.abs(values) / (1.0 + scales)
-    bad = np.abs(values) <= cfg.tol * (1.0 + scales)
-    if not bad.any():
-        return NonvanishingVerdict(True, float(residuals.min()))
-    first = int(np.argmax(bad))
-    return NonvanishingVerdict(
-        False,
-        float(residuals.min()),
-        vanishing_point=tuple(float(c) for c in pts[first]),
-    )
+    return _unless(np.abs(values) <= cfg.tol * (1.0 + scales), pts,
+                   float((np.abs(values) / (1.0 + scales)).min()))

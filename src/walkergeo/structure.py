@@ -43,19 +43,21 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    DegenerateInputError, NonexistentStructureError, UnitConstraintError,
+    DegenerateInputError, EvaluationError, NonexistentStructureError,
+    UnitConstraintError,
 )
 from .expressions import (
     Div, Expr, Pow, ZERO, as_expr, evaluate_with_scale, once, to_source,
     variables, walk,
 )
 from .jets import Jet3, eval_jet
-from .sampling import Domain, SamplingConfig, is_identically_zero
+from .sampling import (
+    Domain, Route, SamplingConfig, bound, is_identically_zero,
+)
 from .walker import WalkerManifold, christoffel_from_jet, metric_arrays
 
 _E = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -174,6 +176,14 @@ class Frame:
         self.point = (tuple(float(c) for c in self.points)
                       if self.points.ndim == 1 else self.points)
         self.order = order
+        if self.points.ndim == 2 and order < 2:
+            # a sample's curvature routes read f's order-2 jet: propagated
+            # here once, it is kept and cut to `order` (see eval_jet); where
+            # it cannot be formed, the curvature routes report that
+            try:
+                eval_jet(M.f, self.points, 2)
+            except EvaluationError:
+                pass
         self.f = eval_jet(M.f, self.points, order)
         self.xi = tuple(eval_jet(e, self.points, order) for e in structure.xi)
         xi1, xi2, xi3 = self.xi
@@ -278,9 +288,10 @@ def build_structure(manifold: WalkerManifold, xi,
             "Reeb field compatible with the metric"
         )
     residual = unit_constraint_field(manifold, xi)
-    verdict = is_identically_zero(residual, manifold.domain, cfg)
-    if not verdict.is_zero:
-        raise UnitConstraintError(verdict.witness, verdict.witness_value)
+    unit = is_identically_zero(residual, manifold.domain, cfg)
+    if not unit:
+        value = evaluate_with_scale(residual, np.array(unit.witness))[0]
+        raise UnitConstraintError(unit.witness, abs(value))
     structure = ApctStructure(manifold, xi, cfg)
     reject_poles(structure, cfg)
     return structure
@@ -314,36 +325,16 @@ def nabla_xi(S: ApctStructure, direction, point) -> np.ndarray:
     return np.asarray(direction, dtype=float) @ frame.nabla_xi_matrix()
 
 
-class AxiomCheck(NamedTuple):
-    name: str
-    passed: bool
-    max_residual: float
-    witness: tuple[float, float, float] | None
-
-
-class AxiomReport(NamedTuple):
-    checks: tuple[AxiomCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> AxiomCheck:
-        for check in self.checks:
-            if check.name == name:
-                return check
-        raise KeyError(name)
-
-
 def validate_axioms(S: ApctStructure,
-                    cfg: SamplingConfig | None = None) -> AxiomReport:
-    """Verify every defining and derived structure identity numerically.
+                    cfg: SamplingConfig | None = None) -> dict[str, Route]:
+    """Verify every defining and derived structure identity numerically:
+    the route of each identity, by name.
 
     Residuals are matrix norms divided by (1 + scale) at each sampled point,
     scale the largest |value| of f and xi there (read from the sample's
-    order-1 frame, the one the report's sweep uses); each check reports its
-    worst point (the first to attain the maximum) as witness when it
-    exceeds _AXIOM_TOL.
+    order-1 frame, the one the report's sweep uses); each route is the
+    bound _AXIOM_TOL on them, decided at the worst point (the first to
+    attain the maximum).
     """
     cfg = cfg or S.config
     fr = S.frame(S.sample_points(cfg), order=1)
@@ -366,13 +357,7 @@ def validate_axioms(S: ApctStructure,
         "phi_cubed_is_phi": phi2 @ phi - phi,
         "phi_trace_free": np.trace(phi, axis1=-2, axis2=-1),
     }
-    checks = []
-    for name, residual in residuals.items():
-        per_point = (np.abs(residual).reshape(len(fr.points), -1).max(axis=1)
-                     / scale)
-        k = int(np.argmax(per_point))
-        value = float(per_point[k])
-        passed = value <= _AXIOM_TOL
-        witness = None if passed else tuple(float(c) for c in fr.points[k])
-        checks.append(AxiomCheck(name, passed, value, witness))
-    return AxiomReport(tuple(checks))
+    n = len(fr.points)
+    return {name: bound(np.abs(r).reshape(n, -1).max(axis=1) / scale,
+                        _AXIOM_TOL, fr.points)
+            for name, r in residuals.items()}

@@ -31,8 +31,7 @@ from .errors import OutOfDomainError, UnsupportedSignatureError
 from .expressions import Expr, diff, gradient, once, to_source
 from .jets import Jet3, eval_jet
 from .sampling import (
-    Domain, NonvanishingVerdict, SamplingConfig, ZeroVerdict,
-    is_identically_zero, nonvanishing,
+    Domain, Route, SamplingConfig, is_identically_zero, nonvanishing,
 )
 
 
@@ -213,7 +212,7 @@ class FlatnessVerdict(NamedTuple):
     """
 
     flat: bool
-    conditions: dict[str, ZeroVerdict]
+    conditions: dict[str, Route]
     alternative_flat: bool
     note: str | None
 
@@ -229,11 +228,11 @@ def flatness(M: WalkerManifold, cfg: SamplingConfig = SamplingConfig()) -> Flatn
         "f_xy": is_identically_zero(diff(fx, "y"), M.domain, cfg),
         "f_yy": is_identically_zero(diff(fy, "y"), M.domain, cfg),
     }
-    flat = all(v.is_zero for v in conditions.values())
-    alt = (
-        conditions["f_xx"].is_zero
-        and conditions["f_yy"].is_zero
-        and is_identically_zero(diff(fz, "z"), M.domain, cfg).is_zero
+    flat = all(conditions.values())
+    alt = bool(
+        conditions["f_xx"]
+        and conditions["f_yy"]
+        and is_identically_zero(diff(fz, "z"), M.domain, cfg)
     )
     note = None
     if alt != flat:
@@ -251,9 +250,9 @@ def shared_flatness(M: WalkerManifold, cfg: SamplingConfig) -> FlatnessVerdict:
 
 
 def is_strict_walker(M: WalkerManifold,
-                     cfg: SamplingConfig = SamplingConfig()) -> ZeroVerdict:
-    """ZERO verdict iff the parallel null line field's metric function is
-    x-independent (f_x vanishes on the sampled domain)."""
+                     cfg: SamplingConfig = SamplingConfig()) -> Route:
+    """The route that holds iff the parallel null line field's metric
+    function is x-independent (f_x vanishes on the sampled domain)."""
     return is_identically_zero(diff(M.f, "x"), M.domain, cfg)
 
 
@@ -273,8 +272,8 @@ class SegreVerdict(NamedTuple):
     v1: np.ndarray | None = None
     v2: np.ndarray | None = None
     max_residual: float = 0.0
-    degeneracy: ZeroVerdict | None = None
-    fxx_nonvanishing: NonvanishingVerdict | None = None
+    degeneracy: Route | None = None
+    fxx_nonvanishing: Route | None = None
 
 
 def segre_type(M: WalkerManifold, point,
@@ -291,7 +290,7 @@ def segre_type(M: WalkerManifold, point,
     discriminant = fxy * fxy - fxx * fyy
     degeneracy = is_identically_zero(discriminant, M.domain, cfg)
     fxx_nonzero = nonvanishing(fxx, M.domain, cfg)
-    if not (degeneracy.is_zero and fxx_nonzero.everywhere):
+    if not (degeneracy and fxx_nonzero):
         return SegreVerdict(
             kind="other", degeneracy=degeneracy, fxx_nonvanishing=fxx_nonzero
         )

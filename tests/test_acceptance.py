@@ -144,9 +144,9 @@ def test_criterion_2_paracontact_family_members_and_perturbation():
     for psi, m in (("z", "0"), ("1", "1")):
         S = paracontact_family(parse(psi), parse(m), BOX, CFG16)
         v = is_paracontact_metric(S)
-        if not (v.is_paracontact and v.numeric_matches):
+        if not (v.is_paracontact and v.check.routes[1].holds):
             problems.append(f"family psi={psi}, m={m} not paracontact")
-        if not v.routes_agree:
+        if v.check.fails:
             problems.append(f"family psi={psi}, m={m} routes disagree")
 
     # perturb the metric function of the psi(z)=z member and rebuild the
@@ -157,12 +157,12 @@ def test_criterion_2_paracontact_family_members_and_perturbation():
     S = build_structure(WalkerManifold(f, 1, BOX), (xi1, parse("0"), xi3),
                         CFG16)
     v = is_paracontact_metric(S)
-    if v.is_paracontact or v.numeric_matches:
+    if v.is_paracontact or v.check.routes[1].holds:
         problems.append("perturbed member still reported paracontact")
-    if not v.routes_agree:
+    if v.check.fails:
         problems.append("perturbed member routes disagree")
-    witnesses = [c.witness for c in v.conditions if not c.is_zero]
-    if not witnesses and v.numeric_witness is None:
+    witnesses = [c.witness for c in v.conditions if not c.holds]
+    if not witnesses and v.check.routes[1].witness is None:
         problems.append("perturbed member rejected without a witness")
 
     conclude(2, "paracontact family accepted, perturbation rejected "
@@ -322,7 +322,7 @@ def test_criterion_6_eta_einstein_fixture_profile():
     problems = []
     S = built("eta-einstein-parabolic")
     v = eta_einstein_check(S)
-    if not (v.is_eta_einstein and v.routes_agree):
+    if not v.is_eta_einstein or v.check.fails:
         problems.append("not recognized as eta-Einstein via both routes")
     if abs(v.a - 1.0) > 1e-9 or abs(v.b + 1.0) > 1e-9:
         problems.append(f"coefficients a={v.a}, b={v.b}, wanted 1, -1")
@@ -366,7 +366,7 @@ def test_criterion_7_equivalence_flags_agree_everywhere():
     for fixture in FIXTURES:
         S = load_fixture(fixture.name).build(samples=32, seed=42)
         rep = curvature_equivalences(S)
-        if not rep.all_agree or len(set(rep.flags.values())) != 1:
+        if rep.check.fails or len(set(rep.flags.values())) != 1:
             problems.append(f"{fixture.name}: flags {rep.flags}")
             continue
         uniform = next(iter(rep.flags.values()))

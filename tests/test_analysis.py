@@ -348,6 +348,19 @@ def test_each_jet_is_computed_once_per_order(monkeypatch, name):
     assert computed and max(Counter(computed).values()) == 1
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_the_jet_of_f_is_propagated_once_on_the_sample(monkeypatch, name):
+    # the sample's frame propagates f to order 2, for the curvature routes,
+    # and cuts its own order-1 jet from that
+    S = load_fixture(name).build(samples=64)
+    computed = recording(monkeypatch, jets, "_propagate",
+                         lambda e, pts, order: (e, pts, order))
+    build_report(S, name=name)
+    sample = S.sample_points()
+    assert [order for e, pts, order in computed
+            if e is S.manifold.f and pts is sample] == [2]
+
+
 def test_the_frame_route_reads_the_tensor_forms_it_formed(monkeypatch):
     S = load_fixture("g5g6-normal").build(samples=8)
     pts = S.sample_points()

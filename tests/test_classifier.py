@@ -63,8 +63,8 @@ def test_fixture_basic_classes(name):
     members, display = EXPECTED_BASIC[name]
     assert basic.members == members
     assert basic.display() == display
-    assert basic.within_model
-    assert basic.model_defect <= 1e-9
+    assert not basic.model.fails
+    assert basic.model.routes[0].residual <= 1e-9
 
 
 @pytest.mark.parametrize("name", list(EXPECTED_NAMED), ids=list(EXPECTED_NAMED))
@@ -73,7 +73,7 @@ def test_fixture_named_classes(name):
     v = named_classes(m.build(), m.sampling)
     true_names = {n for n, nv in v.named.items() if nv.value}
     assert true_names == EXPECTED_NAMED[name]
-    assert v.routes_agree
+    assert not any(c.fails for c in v.checks)
     assert not v.disagreements
 
 
@@ -109,8 +109,8 @@ def test_paracontact_family_instances():
         S = paracontact_family(parse(psi), parse(mfun), BOX, CFG)
         verdict = is_paracontact_metric(S, CFG)
         assert verdict.is_paracontact
-        assert verdict.routes_agree
-        assert verdict.numeric_matches
+        assert not verdict.check.fails
+        assert verdict.check.routes[1].holds
         basic = classify_basic(S, CFG)
         assert basic.members == frozenset({"G5", "G10"})
         assert basic.g5bar
@@ -132,10 +132,10 @@ def test_perturbed_family_member_fails_with_witness():
     S = build(f, (xi1, "0", xi3))
     verdict = is_paracontact_metric(S, CFG)
     assert not verdict.is_paracontact
-    assert verdict.routes_agree
-    failing = [v for v in verdict.conditions if not v.is_zero]
+    assert not verdict.check.fails
+    failing = [v for v in verdict.conditions if not v.holds]
     assert failing
-    assert not verdict.conditions[1].is_zero
+    assert not verdict.conditions[1].holds
     assert verdict.conditions[1].witness is not None
 
 
@@ -165,7 +165,7 @@ def test_reeb_without_null_component_is_never_paracontact():
         verdict = is_paracontact_metric(m.build(), m.sampling)
         assert not verdict.is_paracontact
         assert verdict.shortcut is not None
-        assert verdict.routes_agree
+        assert not verdict.check.fails
 
 
 def test_null_direction_reeb_is_never_paracontact():
@@ -174,7 +174,7 @@ def test_null_direction_reeb_is_never_paracontact():
     verdict = is_paracontact_metric(m.build(), m.sampling)
     assert not verdict.is_paracontact
     assert verdict.shortcut is not None
-    assert verdict.routes_agree
+    assert not verdict.check.fails
 
 
 # -------------------------------------------------------------------- normality
@@ -185,9 +185,10 @@ def test_normal_iff_members_within_g5_g6():
         S = m.build()
         verdict = is_normal(S, m.sampling)
         assert verdict.is_normal == (members <= {"G5", "G6"})
-        assert verdict.routes_agree, name
-        if verdict.setting_route is not None:
-            assert verdict.setting_route == verdict.is_normal
+        assert not verdict.check.fails, name
+        # the coordinate route, present for the Reeb shape (xi1, +-1, 0)
+        for setting in verdict.check.routes[2:]:
+            assert setting.holds == verdict.is_normal
 
 
 def test_normal_and_paracontact_exclude_each_other():
@@ -209,14 +210,14 @@ def test_vanishing_tensor_despite_nonconstant_data():
     v = named_classes(S, CFG)
     assert v.named["paracosymplectic"].value
     assert v.named["normal"].value
-    assert v.routes_agree
+    assert not any(c.fails for c in v.checks)
 
 
 def test_unit_y_setting_with_negative_sign():
     # xi2 = -1 exercises the sign-aware coordinate cross-checks
     S = build("x + z", ("exp(z/2)", "-1", "0"))
     v = named_classes(S, CFG)
-    assert v.routes_agree
+    assert not any(c.fails for c in v.checks)
     assert not v.disagreements
 
 
@@ -226,7 +227,7 @@ def test_mixed_second_partial_structure():
     assert basic.members == frozenset({"G10"})
     v = named_classes(S, CFG)
     assert v.named["almost_paracosymplectic"].value
-    assert v.routes_agree
+    assert not any(c.fails for c in v.checks)
 
 
 def test_classifier_verdict_repr_is_loadable():

@@ -139,9 +139,13 @@ def test_timelike_manifest_exits_1(capsys, tmp_path):
 def test_broken_reeb_exits_1_with_witness(capsys, tmp_path):
     path = write(tmp_path, BROKEN_REEB)
     status, out, err = run(capsys, "analyze", path)
-    assert status == 1
-    assert err.startswith("structural rejection:")
-    assert "(" in err  # witness point is spelled out
+    assert status == 1 and out == ""
+    # the witness is the first sampled point past the bound; the residual
+    # is |xi2^2 + f*xi3^2 + 2*xi1*xi3 - 1| there
+    assert err == (
+        "structural rejection: unit constraint xi2^2 + f*xi3^2 + 2*xi1*xi3 "
+        "= 1 violated at (1.7075043856180703, 1.7119111846047406, "
+        "1.272988341563213) (residual 1.916e+00)\n")
 
 
 def test_malformed_manifest_exits_2(capsys, tmp_path):
@@ -266,12 +270,19 @@ def test_derivatives_nested_past_the_recursion_limit_are_analyzed(tmp_path):
     path = write(tmp_path, PARABOLIC.replace('"x^2"', f'"{chain}"'))
     done = run_process("analyze", path)
     assert done.returncode == 0 and done.stderr == ""
-    # the 100-level chain alone ends without a traceback
+    # the 100-level chain alone ends without a traceback: its f_xx fails
+    # the nonvanishing test at a sampled point, which the error names
     chain = "/".join(["x"] * walkergeo.expressions.MAX_DEPTH)
     path = write(tmp_path, PARABOLIC.replace('"x^2"', f'"{chain}"'))
     done = run_process("analyze", path)
     assert "Traceback" not in done.stderr
     assert "nest too deeply" not in done.stderr
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (
+        "input error: f_xx vanishes at a sampled point but not identically, "
+        "so the eigenvector quotient f_xy / f_xx is undefined there and the "
+        "coordinate eta-Einstein characterization cannot be evaluated at "
+        "(1.7075043856180703, 1.7119111846047406, 1.272988341563213)\n")
 
 
 def test_consistency_failure_exits_3(capsys, tmp_path, monkeypatch):

@@ -43,7 +43,7 @@ def test_eta_einstein_parabolic():
     assert v.is_eta_einstein
     assert abs(v.a - 1.0) <= 1e-12
     assert abs(v.b + 1.0) <= 1e-12
-    assert v.routes_agree and v.coordinate_route
+    assert not v.check.fails and v.check.routes[1].holds
     assert v.fxx_nonzero
     assert v.segre.kind == "type11_1_degenerate"
     assert v.xi_matches_N in (1, -1)
@@ -53,7 +53,7 @@ def test_eta_einstein_with_mixed_term():
     # f = x^2 + y*z keeps the discriminant degenerate
     S = build("x^2 + y*z", ("0", "1", "0"))
     v = eta_einstein_check(S, CFG)
-    assert v.is_eta_einstein and v.routes_agree
+    assert v.is_eta_einstein and not v.check.fails
     assert abs(v.a - 1.0) <= 1e-12 and abs(v.b + 1.0) <= 1e-12
 
 
@@ -61,7 +61,7 @@ def test_eta_einstein_negative_sign_branch():
     # xi2 = -1 flips the eigenvector matching sign
     S = build("x^2", ("0", "-1", "0"))
     v = eta_einstein_check(S, CFG)
-    assert v.is_eta_einstein and v.routes_agree
+    assert v.is_eta_einstein and not v.check.fails
 
 
 def test_eta_einstein_requires_alignment():
@@ -71,23 +71,23 @@ def test_eta_einstein_requires_alignment():
     misaligned = build("(x + y)^2", ("0", "1", "0"))
     v = eta_einstein_check(misaligned, CFG)
     assert not v.is_eta_einstein
-    assert v.routes_agree
-    assert "xi1" in v.coordinate_detail
+    assert not v.check.fails
+    assert "xi1" in v.check.detail
 
 
 def test_not_eta_einstein_when_discriminant_splits():
     S = build("x^2 + y^2", ("0", "1", "0"))
     v = eta_einstein_check(S, CFG)
     assert not v.is_eta_einstein
-    assert v.routes_agree
-    assert "discriminant" in v.coordinate_detail
+    assert not v.check.fails
+    assert "discriminant" in v.check.detail
 
 
 def test_flat_is_not_eta_einstein():
     S = build("y*z", ("0", "1", "0"))
     v = eta_einstein_check(S, CFG)
     assert not v.is_eta_einstein
-    assert v.routes_agree
+    assert not v.check.fails
     assert not v.fxx_nonzero
 
 
@@ -106,7 +106,7 @@ def test_wrong_reeb_shape_fails_coordinate_route():
     m = load_fixture("g6g10-almost-alpha")
     v = eta_einstein_check(m.build(), m.sampling)
     assert not v.is_eta_einstein
-    assert "xi3" in v.coordinate_detail
+    assert "xi3" in v.check.detail
 
 
 # -------------------------------------------------------------- equivalences
@@ -114,7 +114,7 @@ def test_wrong_reeb_shape_fails_coordinate_route():
 def test_equivalences_all_true_on_parabolic():
     S = build("x^2", ("0", "1", "0"))
     rep = curvature_equivalences(S, CFG)
-    assert rep.all_agree
+    assert not rep.check.fails
     assert all(rep.flags.values())
     assert set(rep.flags) == {
         "ricci_operator_commutes_with_phi",
@@ -129,7 +129,7 @@ def test_equivalences_all_true_on_parabolic():
 def test_equivalences_all_true_on_flat():
     S = build("y*z", ("0", "1", "0"))
     rep = curvature_equivalences(S, CFG)
-    assert rep.all_agree
+    assert not rep.check.fails
     assert all(rep.flags.values())
     assert rep.flat.flat
     assert not rep.eta_einstein.is_eta_einstein
@@ -138,7 +138,7 @@ def test_equivalences_all_true_on_flat():
 def test_equivalences_all_false_on_mix56():
     m = load_fixture("g5g6-normal")
     rep = curvature_equivalences(m.build(), m.sampling)
-    assert rep.all_agree
+    assert not rep.check.fails
     assert not any(rep.flags.values())
 
 
@@ -147,7 +147,7 @@ def test_equivalences_agree_across_fixtures():
                  "paracontact-exponential"):
         m = load_fixture(name)
         rep = curvature_equivalences(m.build(), m.sampling)
-        assert rep.all_agree, name
+        assert not rep.check.fails, name
         assert len(set(rep.flags.values())) == 1
 
 
@@ -277,7 +277,7 @@ def test_profile_detects_almost_paracosymplectic():
     assert prof.applicable
     assert prof.scal_constant
     assert not prof.paracosymplectic
-    assert not prof.discriminant.is_zero
+    assert not prof.discriminant.holds
     assert prof.matches_named_classes
     assert prof.k_phi_variance <= 1e-9
 

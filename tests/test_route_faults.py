@@ -131,10 +131,10 @@ def test_a_faulted_route_fails_with_its_witness_and_residual(
     assert check in failures, sorted(failures)
     entry = failures[check]
     faulted = seen[-1]
-    assert not faulted.is_zero
+    assert not faulted.holds
     # the witness is the sample row where the faulted residual first
     # exceeds its bound, and only ROW was perturbed
     assert faulted.witness == tuple(pts[ROW])
     assert entry["witness"] == [float(c) for c in pts[ROW]]
-    assert entry["magnitude"] == faulted.max_residual
+    assert entry["magnitude"] == faulted.residual
     assert tol < entry["magnitude"] != 1.0

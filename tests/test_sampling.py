@@ -65,20 +65,22 @@ def test_zero_verdict_on_actual_zero():
     cfg = SamplingConfig(samples=64, seed=42)
     v = is_identically_zero(parse("(x + y)^2 - x^2 - 2*x*y - y^2"), d, cfg)
     assert v
-    assert v.is_zero
+    assert v.holds
     assert v.witness is None
-    assert v.max_residual <= 1e-12
+    assert v.residual <= 1e-12
 
 
 def test_zero_verdict_finds_witness():
     d = Domain(BOX)
     cfg = SamplingConfig(samples=64, seed=42)
     v = is_identically_zero(parse("x - y"), d, cfg)
-    assert not v.is_zero
+    assert not v.holds
     assert v.witness is not None
+    # the witness is a point past the bound tol * (1 + scale), the scale
+    # of x - y being its largest subexpression magnitude there
     x, y, _ = v.witness
-    assert abs((x - y) - v.witness_value) <= 1e-12
-    assert v.max_residual > cfg.tol
+    assert abs(x - y) > cfg.tol * (1 + max(x, y))
+    assert v.residual > cfg.tol
 
 
 def test_zero_verdict_scales_relative():
@@ -86,18 +88,18 @@ def test_zero_verdict_scales_relative():
     d = Domain(BOX)
     cfg = SamplingConfig(samples=64, seed=1)
     v = is_identically_zero(parse("1000000*(x - y)"), d, cfg)
-    assert not v.is_zero
+    assert not v.holds
 
 
 def test_nonvanishing_verdict():
     d = Domain(BOX)
     cfg = SamplingConfig(samples=64, seed=42)
-    assert nonvanishing(parse("x + y"), d, cfg).everywhere
+    assert nonvanishing(parse("x + y"), d, cfg).holds
     # detection is sample-based: catching the zero set of x - y needs a
     # tolerance wider than the closest sample's residual
     v = nonvanishing(parse("x - y"), d, SamplingConfig(samples=64, seed=42, tol=1e-2))
-    assert not v.everywhere
-    assert v.vanishing_point is not None
+    assert not v.holds
+    assert v.witness is not None
 
 
 def test_with_overrides():

@@ -37,14 +37,12 @@ def build(f, xi, cfg=CFG):
 @pytest.mark.parametrize("f,xi", STRUCTURES, ids=[s[0] for s in STRUCTURES])
 def test_all_axioms_hold(f, xi):
     S = build(f, xi)
-    report = validate_axioms(S, CFG)
-    for check in report.checks:
-        assert check.passed, f"{check.name}: residual {check.max_residual}"
-    assert report.all_passed
-    names = {c.name for c in report.checks}
-    assert len(report.checks) == 10
-    assert "phi_squared_is_id_minus_eta_xi" in names
-    assert "phi_compatibility" in names
+    routes = validate_axioms(S, CFG)
+    for name, route in routes.items():
+        assert route.holds, f"{name}: residual {route.residual}"
+    assert len(routes) == 10
+    assert "phi_squared_is_id_minus_eta_xi" in routes
+    assert "phi_compatibility" in routes
 
 
 def test_unit_constraint_field_source():
@@ -127,13 +125,11 @@ def test_corrupted_phi_fails_validation():
     # flip the sign of phi^2_3; compatibility and skew-adjointness both break
     entries[1][2] = to_source(-S.phi[1][2] + parse("1"))
     bad = with_phi(S, tuple(tuple(parse(e) for e in row) for row in entries))
-    report = validate_axioms(bad, CFG)
-    assert not report.all_passed
-    failed = {c.name for c in report.checks if not c.passed}
+    routes = validate_axioms(bad, CFG)
+    failed = {name for name, route in routes.items() if not route.holds}
     assert failed, "corruption must trip at least one axiom"
-    for c in report.checks:
-        if not c.passed:
-            assert c.witness is not None
+    for name in failed:
+        assert routes[name].witness is not None
 
 
 def test_unit_constraint_violation_rejected():

@@ -25,9 +25,7 @@ from walkergeo.curvature import eta_einstein_check
 from walkergeo.expressions import Add, Num, Sub, Var, parse
 from walkergeo.ftensor import f_tensor_at
 from walkergeo.report import build_report
-from walkergeo.sampling import (
-    Domain, Interval, NonvanishingVerdict, SamplingConfig, ZeroVerdict,
-)
+from walkergeo.sampling import Domain, Interval, Route, SamplingConfig
 from walkergeo.walker import SegreVerdict, curvature_at, flatness, metric_at
 
 SRC = str(Path(walkergeo.__file__).resolve().parents[1])
@@ -63,7 +61,7 @@ def test_assigning_a_field_raises(structure):
     values = [
         (parse("x*y + 1"), "left"), (Num(2), "value"), (Var("x"), "name"),
         (Interval(0.0, 1.0), "lo"), (SamplingConfig(), "samples"),
-        (structure.domain, "positive"), (ZeroVerdict(True, 0.0), "is_zero"),
+        (structure.domain, "positive"), (Route(True), "holds"),
         (NamedVerdict(False), "value"),
         (f_tensor_at(structure, point), "components"),
         (curvature_at(structure.manifold, point), "variance"),
@@ -89,6 +87,20 @@ def test_equal_keys_are_equal_and_hash_equal():
     assert d1.sample(SamplingConfig(4)) is d2.sample(SamplingConfig(4))
     assert Interval(0.5, 2) == Interval(0.5, 2.0)
     assert hash(Interval(0.5, 2)) == hash(Interval(0.5, 2.0))
+    assert Interval(0.5, 2) != (0.5, 2) and not Interval(0.5, 2) == (0.5, 2)
+    assert repr(Interval(0.5, 2)) == "Interval(lo=0.5, hi=2)"
+
+
+def test_a_domain_hashes_without_python_code():
+    # a zero test's analysis key holds its domain, hashed on every lookup
+    domain = Domain((Interval(0.5, 2), Interval(0.5, 2), Interval(0, 1)))
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append((event, frame)))
+    try:
+        hash(domain)
+    finally:
+        sys.setprofile(None)
+    assert not [frame for event, frame in calls if event == "call"]
 
 
 def test_equal_trees_are_one_node():
@@ -121,15 +133,15 @@ def test_defaults_and_keywords():
     assert SamplingConfig() == SamplingConfig(samples=64, seed=42, tol=1e-9)
     segre = SegreVerdict(kind="flat", eigenvalues=(0.0, 0.0, 0.0))
     assert segre.max_residual == 0.0 and segre.degeneracy is None
-    verdict = ZeroVerdict(False, 2.0, witness=(1.0, 1.0, 1.0))
-    assert verdict.witness_value is None
+    route = Route(False, witness=(1.0, 1.0, 1.0))
+    assert route.residual == 0.0 and Route(True) == (True, None, 0.0)
     assert Domain((Interval(0, 1),) * 3).nonzero == ()
 
 
 def test_a_nonempty_verdict_is_false_when_its_decision_is():
     assert not NamedVerdict(False) and NamedVerdict(True)
-    assert not ZeroVerdict(False, 1.0) and ZeroVerdict(True, 0.0)
-    assert not NonvanishingVerdict(False, 0.0)
+    assert not Route(False, None, 1.0) and Route(True, None, 0.0)
+    assert not Route(False, (1.0, 1.0, 1.0), 2.0)
 
 
 @pytest.mark.parametrize("name", [f.name for f in FIXTURES])
@@ -142,6 +154,7 @@ def test_verdicts_are_truthy_by_their_decision(name):
              (verdict.normality, verdict.normality.is_normal),
              (flat, flat.flat), (check, check.is_eta_einstein)]
     pairs += [(v, v.value) for v in verdict.named.values()]
+    pairs += [(r, r.holds) for c in verdict.checks for r in c.routes]
     for value, decision in pairs:
         assert bool(value) is bool(decision)
 
