@@ -11,9 +11,9 @@ from types import ModuleType as _ModuleType
 
 from .classify import (
     AlphaReport, BasicClassification, ClassVerdict, NAMED_CLASSES,
-    NamedVerdict, NormalityVerdict, ParacontactVerdict, RouteDisagreement,
-    classify_basic, is_normal, is_paracontact_metric, named_classes,
-    paracontact_condition_fields, paracontact_family,
+    NormalityVerdict, ParacontactVerdict, classify_basic, is_normal,
+    is_paracontact_metric, named_classes, paracontact_condition_fields,
+    paracontact_family,
 )
 from .corpus import FIXTURES, Fixture, fixture_names, get_fixture, load_fixture
 from .curvature import (

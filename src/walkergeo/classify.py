@@ -20,13 +20,13 @@ Each comparison of routes is a row of one table. A route is one sampled
 decision, a `sampling.Route`: whether it holds, its witness (the first
 sampled point where it fails, or None) and the deciding residual. A Check
 (`Check.of`) is a name, a detail, its routes and whether it fails: when
-its routes disagree, or when its single route (a bound check) fails. The
-verdicts here and in `curvature` carry their checks and nothing the
-checks already say; one function, `decide`, turns failing checks into
-failures with the witness and residual of their first route that has a
-witness, else pts[0] and the first route's residual. Disagreements are
-never averaged away: a failing check means the analysis itself is
-suspect, not the structure.
+its routes disagree, or when its single route (a bound check) fails. A
+named class is the route that decides it. The verdicts here and in
+`curvature` carry their checks and nothing the checks already say; one
+function, `decide`, turns failing checks into failures with the witness
+and residual of their first route that has a witness, else pts[0] and
+the first route's residual. Disagreements are never averaged away: a
+failing check means the analysis itself is suspect, not the structure.
 
 The useful identity behind several shortcuts: the fundamental 2-form
 always has components (xi3, -xi2, xi1) in the coordinate 2-form basis
@@ -309,32 +309,11 @@ def is_normal(S: ApctStructure,
 
 # --- named classes -----------------------------------------------------------
 
-class NamedVerdict(NamedTuple):
-    """Decision for one named class, with a witness point against
-    membership when a defining residual produced one."""
-
-    value: bool
-    detail: str | None = None
-    witness: tuple[float, float, float] | None = None
-
-    def __bool__(self) -> bool:
-        return self.value
-
-
-class RouteDisagreement(NamedTuple):
-    """One named decision where two routes returned different answers."""
-
-    check: str
-    primary: bool
-    cross: bool
-    detail: str | None = None
-
-
 class AlphaReport(NamedTuple):
     """The function alpha = -theta*(xi)/2 attached to the almost
-    alpha-paracosymplectic classes, with its sampled constancy status."""
+    alpha-paracosymplectic classes; its value when theta*(xi) is constant
+    (ClassVerdict.theta_star_constant), else None."""
 
-    constant: bool
     value: float | None
     sample_range: tuple[float, float]
     gradient_residual: float
@@ -342,18 +321,18 @@ class AlphaReport(NamedTuple):
 
 class ClassVerdict(NamedTuple):
     """Full classification outcome: basic components plus every named
-    class, with all cross-route bookkeeping. checks is the classification
-    table: the component model, the paracontact and normality routes, and
-    one row per cross-check of a named class; the routes agree when none
-    fails."""
+    class, with all cross-route bookkeeping. named maps each class to the
+    Route that decides it, the first route of its row in checks where it
+    has one. checks is the classification table: the component model, the
+    paracontact and normality routes, and one row per cross-check of a
+    named class; the routes agree when none fails."""
 
     basic: BasicClassification
-    named: dict[str, NamedVerdict]
+    named: dict[str, Route]
     paracontact: ParacontactVerdict
     normality: NormalityVerdict
     theta_star_constant: bool
     alpha: AlphaReport | None
-    disagreements: tuple[RouteDisagreement, ...]
     checks: tuple[Check, ...]
 
 
@@ -365,13 +344,11 @@ def named_classes(S: ApctStructure,
     basic = once(S, "basic", (cfg,), lambda: classify_basic(S, cfg))
     paracontact = is_paracontact_metric(S, cfg)
     normality = is_normal(S, cfg)
-    members = basic.members
 
     def ztest(values):
         return zero_verdict_from_samples(values, batch.scale, pts, cfg.tol)
 
-    f_zero = ztest(batch.tensor)
-    tensor = negated(f_zero)
+    tensor = negated(ztest(batch.tensor))
     d_eta = ztest(d_eta_coordinate_batch(S, batch))
     xi1, xi2, xi3 = S.xi
     divergence = diff(xi1, "x") + diff(xi2, "y") + diff(xi3, "z")
@@ -386,10 +363,9 @@ def named_classes(S: ApctStructure,
     gradient_residual = max(v.residual for v in grad_verdicts)
 
     alpha = None
-    if "G6" in members:
+    if "G6" in basic.members:
         alpha_samples = -0.5 * batch.theta_star_xi
         alpha = AlphaReport(
-            theta_star_constant,
             float(alpha_samples.mean()) if theta_star_constant else None,
             (float(alpha_samples.min()), float(alpha_samples.max())),
             gradient_residual,
@@ -406,66 +382,47 @@ def named_classes(S: ApctStructure,
     almost_alpha = _split_route(basic, {"G6", "G10"}, "G6")
     alpha_only = _split_route(basic, {"G6"}, "G6")
     alpha_cross = every((d_eta, negated(ztest(batch.theta_star_xi))))
-    present = f"components present: {basic.display()}"
-    no_g6 = present if "G6" in members else "no G6 component"
-    sasaki_detail = "not normal" if not normal.holds else "not paracontact"
-    not_constant = "theta*(xi) is not constant on the sampled domain"
 
     # (class, deciding route, cross route or None where the verdict's own
-    # check holds the routes, what the two compare, detail and witness
-    # against membership). Para-Sasakian and K-paracontact coincide in
-    # dimension 3: both mean normal plus paracontact, equivalently a pure
-    # contact-type G5. Read off the split: quasi-para-Sasakian (normal,
-    # closed fundamental form, some tensor left) is a pure G5;
-    # paracosymplectic has no tensor; almost paracosymplectic (both forms
-    # closed, tensor left) is a pure G10; almost alpha-paracosymplectic
-    # (closed eta, fundamental form scaled into the volume form by
-    # alpha = -theta*(xi)/2 != 0) lies within G6 + G10 with G6 present. The
-    # para-Kenmotsu refinements ask alpha to be constant, which is judged
-    # on the sampled domain only.
+    # check holds the routes, what the two compare). Para-Sasakian and
+    # K-paracontact coincide in dimension 3: both mean normal plus
+    # paracontact, equivalently a pure contact-type G5. Read off the split:
+    # quasi-para-Sasakian (normal, closed fundamental form, some tensor
+    # left) is a pure G5; paracosymplectic has no tensor; almost
+    # paracosymplectic (both forms closed, tensor left) is a pure G10;
+    # almost alpha-paracosymplectic (closed eta, fundamental form scaled
+    # into the volume form by alpha = -theta*(xi)/2 != 0) lies within
+    # G6 + G10 with G6 present. The para-Kenmotsu refinements ask alpha to
+    # be constant, which is judged on the sampled domain only.
     table = (
-        ("paracontact_metric", para, None, None, paracontact.shortcut
-         or "the d(eta) = fundamental-form conditions fail",
-         paracontact.check.routes[1].witness),
-        ("normal", normal, None, None,
-         "components outside the two trace-form shapes are present: "
-         + ", ".join(sorted(members - {"G5", "G6"})),
-         torsion.witness),
+        ("paracontact_metric", para, None, None),
+        ("normal", normal, None, None),
         ("para_sasakian", sasaki, _contact_route(basic, {"G5"}),
-         "normal-and-paracontact route vs. pure contact-type G5 component",
-         sasaki_detail, None),
+         "normal-and-paracontact route vs. pure contact-type G5 component"),
         ("k_paracontact", sasaki, every((lie, para)),
-         "para-Sasakian route vs. paracontact with Killing Reeb field",
-         sasaki_detail, lie.witness),
+         "para-Sasakian route vs. paracontact with Killing Reeb field"),
         ("quasi_para_sasakian", quasi, every((torsion, d_phi, tensor)),
-         "pure-G5 component route vs. normal + closed fundamental form",
-         present, quasi.witness),
+         "pure-G5 component route vs. normal + closed fundamental form"),
         ("paracosymplectic", cosym, every((d_eta, d_phi, torsion)),
          "empty component split vs. closed eta, closed fundamental form "
-         "and vanishing torsion defect", present, f_zero.witness),
+         "and vanishing torsion defect"),
         ("almost_paracosymplectic", almost_cosym,
          every((d_eta, d_phi, tensor)),
          "pure-G10 component route vs. both forms closed with nonzero "
-         "structure tensor", present, almost_cosym.witness),
+         "structure tensor"),
         ("almost_alpha_paracosymplectic", almost_alpha, alpha_cross,
          "G6-within-G6+G10 component route vs. closed eta with theta*(xi) "
-         "not identically zero", no_g6, almost_alpha.witness),
+         "not identically zero"),
         ("alpha_paracosymplectic", alpha_only, every((alpha_cross, torsion)),
          "pure-G6 component route vs. almost alpha conditions plus "
-         "vanishing torsion defect", no_g6, alpha_only.witness),
+         "vanishing torsion defect"),
         ("almost_alpha_para_kenmotsu", every((almost_alpha, constant)), None,
-         None, not_constant if almost_alpha.holds else no_g6, None),
-        ("alpha_para_kenmotsu", every((alpha_only, constant)), None, None,
-         not_constant if alpha_only.holds else no_g6, None),
+         None),
+        ("alpha_para_kenmotsu", every((alpha_only, constant)), None, None),
     )
-    named, decided, rows = {}, {}, []
-    for name, primary, cross, compared, detail, witness in table:
-        decided[name] = primary
-        named[name] = NamedVerdict(primary.holds, *(
-            (None, None) if primary.holds else (detail, witness)))
-        if cross is not None:
-            rows.append(Check.of(f"classification:{name}", compared,
-                                 primary, cross))
+    named = {name: primary for name, primary, _, _ in table}
+    rows = [Check.of(f"classification:{name}", compared, primary, cross)
+            for name, primary, cross, compared in table if cross is not None]
 
     # a paracontact structure must split as contact-type G5 (possibly with
     # a G10 part) and nothing else.
@@ -477,26 +434,21 @@ def named_classes(S: ApctStructure,
             para, _contact_route(basic, {"G5", "G10"}),
         ))
 
-    rows += _setting_checks(S, cfg, basic, decided)
+    rows += _setting_checks(S, cfg, basic, named)
     release(S, "components", (cfg,))
     release(batch, "reeb_routes", ())
     release(S, "eta_partials", (pts,))
 
     ordered = {name: named[name] for name in NAMED_CLASSES}
     checks = (basic.model, paracontact.check, normality.check, *rows)
-    disagreements = tuple(
-        RouteDisagreement(c.name.removeprefix("classification:"),
-                          c.routes[0].holds, c.routes[1].holds, c.detail)
-        for c in rows if c.fails
-    )
     return ClassVerdict(basic, ordered, paracontact, normality,
-                        theta_star_constant, alpha, disagreements, checks)
+                        theta_star_constant, alpha, checks)
 
 
 def _setting_checks(S: ApctStructure, cfg: SamplingConfig,
                     basic: BasicClassification,
-                    decided: dict[str, Route]) -> list[Check]:
-    """Rows checking named verdicts (their deciding routes) against closed
+                    named: dict[str, Route]) -> list[Check]:
+    """Rows checking named classes (their deciding routes) against closed
     coordinate conditions available for special Reeb shapes; a conjunction
     of conditions is tested only as far as the first that fails."""
     xi1, xi2, xi3 = S.xi
@@ -554,7 +506,7 @@ def _setting_checks(S: ApctStructure, cfg: SamplingConfig,
             "quasi_para_sasakian", "almost_alpha_paracosymplectic",
             "alpha_paracosymplectic", "almost_alpha_para_kenmotsu",
             "alpha_para_kenmotsu")]
-    primary = {**decided, "pure_G12": _split_route(basic, {"G12"}, "G12")}
+    primary = {**named, "pure_G12": _split_route(basic, {"G12"}, "G12")}
     return [Check.of(f"classification:{name} {tag}", detail, primary[name],
                      cross) for name, detail, cross in rows]
 

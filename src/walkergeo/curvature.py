@@ -174,14 +174,13 @@ class EquivalenceReport(NamedTuple):
     """Five mutually equivalent curvature statements, decided separately.
 
     flags carries one boolean per statement, the answer of its route in
-    check, which fails when the chain breaks.
+    check (in the same order), which fails when the chain breaks.
     mixed marks the honest in-between case for the second flag: every
     sampled point is flat or eta-Einstein pointwise, but neither holds on
     the whole sampled domain; the flag counts that as satisfied.
     """
 
     flags: dict[str, bool]
-    verdicts: dict[str, Route]
     flat: FlatnessVerdict
     eta_einstein: EtaEinsteinVerdict
     mixed: bool
@@ -243,7 +242,7 @@ def curvature_equivalences(S: ApctStructure,
         flat.flat or eta_verdict.is_eta_einstein or mixed)), *rest])
     check = Check.of("curvature_equivalences", None, *routes.values())
     return EquivalenceReport({name: r.holds for name, r in routes.items()},
-                             verdicts, flat, eta_verdict, mixed, check)
+                             flat, eta_verdict, mixed, check)
 
 
 # --- sectional curvatures ----------------------------------------------------
@@ -319,26 +318,21 @@ def sectional_from_arrays(point, R, g, xi, eta, phi, scal, X) -> SectionalReport
 
 class EtaEinsteinProfile(NamedTuple):
     """Aggregate curvature behavior of an eta-Einstein structure: constant
-    nonzero scalar curvature C, Ricci coefficients a = -b = C / 2, zero
-    Reeb-plane sectional curvature, constant phi-plane sectional curvature
-    -C / 2, and membership in exactly one of the two cosymplectic-type
-    classes, decided by the closed discriminant
-    2 f_xyz + f_x f_xy - f_xx f_y.
+    nonzero scalar curvature C = 2 verdict.a, Ricci coefficients
+    verdict.a = -verdict.b = C / 2, zero Reeb-plane sectional curvature,
+    constant phi-plane sectional curvature -C / 2, and membership in exactly
+    one of the two cosymplectic-type classes: paracosymplectic when the
+    closed discriminant 2 f_xyz + f_x f_xy - f_xx f_y vanishes
+    (discriminant holds), else almost paracosymplectic.
 
-    applicable is False for structures that are not eta-Einstein; all
-    other fields are then None.
+    When the verdict is not eta-Einstein, every other field is None.
     """
 
-    applicable: bool
     verdict: EtaEinsteinVerdict
     scal_constant: bool | None = None
-    scal_value: float | None = None
-    a: float | None = None
-    b: float | None = None
     k_xi_max: float | None = None
     k_phi_value: float | None = None
     k_phi_variance: float | None = None
-    paracosymplectic: bool | None = None
     discriminant: Route | None = None
     matches_named_classes: bool | None = None
 
@@ -346,8 +340,8 @@ class EtaEinsteinProfile(NamedTuple):
 @analyzed
 def eta_einstein_report(S: ApctStructure,
                         cfg: SamplingConfig | None = None) -> EtaEinsteinProfile:
-    """The eta-Einstein profile of S (see EtaEinsteinProfile), or a profile
-    with applicable False when S is not eta-Einstein.
+    """The eta-Einstein profile of S (see EtaEinsteinProfile), or the
+    profile of its verdict alone when S is not eta-Einstein.
 
     The sectional curvatures are taken at the first five sample points,
     along _DIRECTIONS vectors each, with components uniform on [-1, 1]
@@ -357,7 +351,7 @@ def eta_einstein_report(S: ApctStructure,
     """
     verdict = eta_einstein_check(S, cfg)
     if not verdict.is_eta_einstein:
-        return EtaEinsteinProfile(False, verdict)
+        return EtaEinsteinProfile(verdict)
 
     h = f_hessian(S.manifold.f)
     fxx = h["fxx"]
@@ -366,8 +360,6 @@ def eta_einstein_report(S: ApctStructure,
         for axis in ("x", "y", "z")
     )
     pts = S.sample_points(cfg)
-    values, _ = evaluate_with_scale(fxx, pts)
-    C = float(values.mean())
 
     k_xi_max = 0.0
     k_phi: list[float] = []
@@ -390,22 +382,18 @@ def eta_einstein_report(S: ApctStructure,
     disc_field = 2 * diff(h["fxy"], "z") + h["fx"] * h["fxy"] - fxx * h["fy"]
     disc = is_identically_zero(disc_field, S.domain, cfg)
 
-    nv = named_classes(S, cfg)
+    named = named_classes(S, cfg).named
     matches = (
-        nv.named["paracosymplectic"].value == disc.holds
-        and nv.named["almost_paracosymplectic"].value == (not disc.holds)
+        named["paracosymplectic"].holds == disc.holds
+        and named["almost_paracosymplectic"].holds == (not disc.holds)
     )
 
     return EtaEinsteinProfile(
-        True, verdict,
+        verdict,
         scal_constant=scal_constant,
-        scal_value=C,
-        a=C / 2.0,
-        b=-C / 2.0,
         k_xi_max=k_xi_max,
         k_phi_value=k_phi_value,
         k_phi_variance=k_phi_variance,
-        paracosymplectic=disc.holds,
         discriminant=disc,
         matches_named_classes=matches,
     )

@@ -216,13 +216,20 @@ def _num(q: Fraction) -> Expr:
     return Num(q)
 
 
+def _fold(q: Fraction) -> Expr | None:
+    """The constant q, or None past float range: as the parser, the
+    constructors make no Num a float cannot hold, so a sum, product or
+    power that overflows stays a node, which evaluation names."""
+    return _num(q) if abs(q) <= sys.float_info.max else None
+
+
 def add(a: Expr, b: Expr) -> Expr:
     if a is ZERO:
         return b
     if b is ZERO:
         return a
     if isinstance(a, Num) and isinstance(b, Num):
-        return _num(a.value + b.value)
+        return _fold(a.value + b.value) or Add(a, b)
     return Add(a, b)
 
 
@@ -244,7 +251,7 @@ def mul(a: Expr, b: Expr) -> Expr:
     if b is ONE:
         return a
     if isinstance(a, Num) and isinstance(b, Num):
-        return _num(a.value * b.value)
+        return _fold(a.value * b.value) or Mul(a, b)
     return Mul(a, b)
 
 
@@ -256,7 +263,7 @@ def div(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Num) and isinstance(b, Num) and b.value != 0:
         q = a.value / b.value
         if q.denominator == 1:
-            return _num(q)
+            return _fold(q) or Div(a, b)
     return Div(a, b)
 
 
@@ -274,7 +281,7 @@ def pow_of(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Num) and exponent > 0:
-        return _num(base.value**exponent)
+        return _fold(base.value**exponent) or Pow(base, exponent)
     return Pow(base, exponent)
 
 
@@ -809,7 +816,8 @@ def _walk(e: Expr, pts: np.ndarray, at) -> tuple[np.ndarray, np.ndarray]:
     `_evaluate_node`, under the keep rule when at is their key in the open
     analysis."""
     if at is None:
-        return fold(e, lambda node, args: _evaluate_node(node, args, pts))
+        with np.errstate(over="ignore", divide="ignore"):
+            return fold(e, lambda node, args: _evaluate_node(node, args, pts))
     active = _ANALYSIS.get()
     kept, seen = active.values, active.seen
 
@@ -823,12 +831,14 @@ def _walk(e: Expr, pts: np.ndarray, at) -> tuple[np.ndarray, np.ndarray]:
             seen.add((node, at))
         return out
 
-    return fold(e, keep, lambda node: kept.get((node, at)))
+    with np.errstate(over="ignore", divide="ignore"):
+        return fold(e, keep, lambda node: kept.get((node, at)))
 
 
 def _evaluate_node(node: Expr, args, pts: np.ndarray):
     """The evaluator's rule: (values, scale) of node over the points from
-    those of its children, args (in `_children` order)."""
+    those of its children, args (in `_children` order), all finite: an
+    overflow raises, under `_walk`'s errstate, so with no warning."""
     kind = type(node)
     if kind in (Num, Const, Var):
         v = (pts[:, _VARIABLES.index(node.name)] if kind is Var
@@ -846,15 +856,13 @@ def _evaluate_node(node: Expr, args, pts: np.ndarray):
     elif kind is Pow:
         if node.exponent < 0:
             _check(a == 0.0, "division by zero", node, pts)
-        with np.errstate(over="ignore", divide="ignore"):
-            v = a ** float(node.exponent)
+        v = a ** float(node.exponent)
     elif node.func == "sqrt":
         _check(a <= 0.0, "sqrt of a non-positive argument", node, pts)
         v = np.sqrt(a)
     else:
-        with np.errstate(over="ignore"):
-            v = np.exp(a)
-    if kind in (Mul, Div, Pow) or kind is Call and node.func == "exp":
+        v = np.exp(a)
+    if kind is not Call or node.func == "exp":   # a finite sqrt stays finite
         if not np.isfinite(v).all():
             _check(~np.isfinite(v), "non-finite value", node, pts)
     return v, np.maximum(scale, np.abs(v))

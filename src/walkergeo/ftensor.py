@@ -8,8 +8,10 @@ antisymmetric in its last two slots. On a Walker 3-manifold it collapses to
 nine independent coefficient fields built from first derivatives of
 (f, xi); that closed coordinate formula is the primary route here, and the
 literal connection route (differentiate phi, correct with Christoffel
-symbols, lower an index) is computed alongside as a cross-check. Every
-value object records the normalized discrepancy between its routes.
+symbols, lower an index) is computed alongside as a cross-check. The
+value objects of two-route quantities (FTensorValue, TraceForms,
+ExteriorData) record the normalized discrepancy between their routes;
+NormalityData and ProjectionBundle hold one route's arrays.
 
 Derived objects, each again by two independent routes:
 
@@ -403,9 +405,9 @@ class ProjectionBundle(NamedTuple):
 
     F5 + F6 + F10 + F12 recovers the input tensor up to the stored residual
     (zero up to rounding, by construction of F10 as the remainder). The
-    split is meaningful only when within_model holds, i.e. the remainder
-    part satisfies its shape identities up to model_defect <= tol. A
-    failure there means the tensor falls outside the modeled direct sum.
+    split is meaningful only when the remainder part satisfies its shape
+    identities, i.e. model_defect is within tol. A larger defect means the
+    tensor falls outside the modeled direct sum.
     """
 
     point: tuple[float, float, float]
@@ -417,7 +419,6 @@ class ProjectionBundle(NamedTuple):
     theta_xi: float
     theta_star_xi: float
     model_defect: float
-    within_model: bool
 
     @property
     def parts(self) -> dict[str, np.ndarray]:
@@ -425,8 +426,7 @@ class ProjectionBundle(NamedTuple):
 
 
 @analysis()
-def project_components(S: ApctStructure, point,
-                       tol: float = 1e-9) -> ProjectionBundle:
+def project_components(S: ApctStructure, point) -> ProjectionBundle:
     frame = S.frame(point, order=1)
     t = f_tensor_at(S, point)
     F = t.components
@@ -438,7 +438,7 @@ def project_components(S: ApctStructure, point,
     normalized = defect / (1.0 + frame.scale + max_abs(F, 3))
     return ProjectionBundle(
         frame.point, parts["G5"], parts["G6"], parts["G10"], parts["G12"],
-        residual, th, ths, normalized, normalized <= tol,
+        residual, th, ths, normalized,
     )
 
 

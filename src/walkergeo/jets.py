@@ -282,9 +282,9 @@ def _propagate(e: Expr, pts: np.ndarray, order: int) -> Jet3:
                 jet.coeffs[1 + axis] = 1.0
             return jet
         if isinstance(node, Add):
-            return args[0] + args[1]
+            return finite(args[0] + args[1], node)
         if isinstance(node, Sub):
-            return args[0] - args[1]
+            return finite(args[0] - args[1], node)
         if isinstance(node, Neg):
             return -args[0]
         if isinstance(node, Mul):

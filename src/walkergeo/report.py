@@ -157,7 +157,7 @@ def build_report(S: ApctStructure,
     }
 
     named_section = {
-        "classes": {n: verdict.named[n].value for n in NAMED_CLASSES},
+        "classes": {n: verdict.named[n].holds for n in NAMED_CLASSES},
         "paracontact": {
             "holds": verdict.paracontact.is_paracontact,
             "shortcut": verdict.paracontact.shortcut,
@@ -169,7 +169,7 @@ def build_report(S: ApctStructure,
         },
         "theta_star_constant": verdict.theta_star_constant,
         "alpha": None if verdict.alpha is None else {
-            "constant": verdict.alpha.constant,
+            "constant": verdict.theta_star_constant,
             "value": verdict.alpha.value,
             "sample_range": list(verdict.alpha.sample_range),
         },
@@ -236,7 +236,7 @@ def build_report(S: ApctStructure,
         "exterior_derivative_routes":
             exterior_data_at(S, pts).route_discrepancy,
     }
-    pr = project_components(S, pts, tol=cfg.tol)
+    pr = project_components(S, pts)
     discrepancies["component_split_residual"] = max_abs(pr.residual, 3)
     sweep = [Check.of(name, None, bound(values, cfg.tol, pts))
              for name, values in discrepancies.items()]
@@ -257,7 +257,11 @@ def build_report(S: ApctStructure,
         "component_split_max_residual": worst["component_split_residual"],
         "component_model_max_defect": max(0.0, float(pr.model_defect.max())),
         "classification_routes_agree": routes_agree,
-        "disagreements": [d._asdict() for d in verdict.disagreements],
+        "disagreements": [  # the failing rows of named classes
+            {"check": c.name.removeprefix("classification:"),
+             "primary": c.routes[0].holds, "cross": c.routes[1].holds,
+             "detail": c.detail} for c in verdict.checks
+            if c.fails and c.name.startswith("classification:")],
         "agree": routes_agree and not failures,
     }
 

@@ -42,14 +42,15 @@ _MAX_BATCHES = 200
 
 class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
     """Nonempty closed interval [lo, hi]; immutable, equal by its ends to
-    another Interval. A tuple, so a Domain hashes in C."""
+    another Interval. A tuple, so a Domain hashes in C, and one object per
+    recent (lo, hi) of the same types, so equal boxes compare in C."""
 
     __slots__ = ()
 
     def __new__(cls, lo: float, hi: float):
         if not lo < hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
-        return super().__new__(cls, lo, hi)
+        return _interval(cls, lo, hi)
 
     def __eq__(self, other):
         return type(other) is Interval and tuple.__eq__(self, other)
@@ -58,6 +59,11 @@ class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
         return not self == other
 
     __hash__ = tuple.__hash__
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _interval(cls, lo, hi) -> Interval:
+    return tuple.__new__(cls, (lo, hi))
 
 
 # What each sampling control must be: (test, requirement).
@@ -115,10 +121,6 @@ class Domain(NamedTuple):
                 good &= np.abs(values) > margin
             ok &= good
         return ok
-
-    def sample(self, cfg: SamplingConfig) -> np.ndarray:
-        """Deterministic (n, 3) array of admissible points."""
-        return _sample_cached(self, cfg)
 
 
 def _evaluate_pointwise(field: Expr, pts: np.ndarray):
@@ -247,6 +249,8 @@ class PCG64Stream:
 
 @lru_cache(maxsize=256)
 def _sample_cached(domain: Domain, cfg: SamplingConfig) -> np.ndarray:
+    """`Domain.sample`: the deterministic (n, 3) array of admissible
+    points, found again with no Python frame."""
     stream = PCG64Stream(cfg.seed)
     los = np.array([iv.lo for iv in domain.intervals])
     his = np.array([iv.hi for iv in domain.intervals])
@@ -267,6 +271,9 @@ def _sample_cached(domain: Domain, cfg: SamplingConfig) -> np.ndarray:
         f"could not draw {cfg.samples} admissible points from the domain "
         f"after {_MAX_BATCHES} batches; constraints may exclude the box"
     )
+
+
+Domain.sample = _sample_cached
 
 
 class Route(NamedTuple):

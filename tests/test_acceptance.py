@@ -328,15 +328,15 @@ def test_criterion_6_eta_einstein_fixture_profile():
         problems.append(f"coefficients a={v.a}, b={v.b}, wanted 1, -1")
 
     prof = eta_einstein_report(S)
-    if not prof.scal_constant or abs(prof.scal_value - 2.0) > 1e-9:
-        problems.append(f"scal {prof.scal_value}, wanted constant 2")
+    if not prof.scal_constant or abs(2 * prof.verdict.a - 2.0) > 1e-9:
+        problems.append(f"scal {2 * prof.verdict.a}, wanted constant 2")
     if prof.k_xi_max > 1e-9:
         problems.append(f"Reeb-plane curvature reaches {prof.k_xi_max:.2e}")
     if abs(prof.k_phi_value + 1.0) > 1e-9 or prof.k_phi_variance > 1e-9:
         problems.append(
             f"phi-plane curvature {prof.k_phi_value} "
             f"(variance {prof.k_phi_variance:.2e}), wanted constant -1")
-    if not prof.paracosymplectic:
+    if not prof.discriminant.holds:
         problems.append("not flagged paracosymplectic")
     if not named_classes(S).named["paracosymplectic"]:
         problems.append("named classifier disagrees on paracosymplectic")

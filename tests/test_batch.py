@@ -83,7 +83,7 @@ def test_value_objects_match_point_views(structure):
           "route_discrepancy")),
         (pr, lambda p: project_components(S, p),
          ("F5", "F6", "F10", "F12", "residual", "theta_xi",
-          "theta_star_xi", "model_defect", "within_model")),
+          "theta_star_xi", "model_defect")),
         (nd, lambda p: normality_data_at(S, p), ("nijenhuis", "defect")),
     ):
         for name in fields:

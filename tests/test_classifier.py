@@ -71,10 +71,9 @@ def test_fixture_basic_classes(name):
 def test_fixture_named_classes(name):
     m = load_fixture(name)
     v = named_classes(m.build(), m.sampling)
-    true_names = {n for n, nv in v.named.items() if nv.value}
+    true_names = {n for n, route in v.named.items() if route.holds}
     assert true_names == EXPECTED_NAMED[name]
     assert not any(c.fails for c in v.checks)
-    assert not v.disagreements
 
 
 def test_g5bar_flag_only_on_paracontact_fixtures():
@@ -89,13 +88,12 @@ def test_alpha_report_presence():
     m = load_fixture("g6g10-almost-alpha")
     v = named_classes(m.build(), m.sampling)
     assert v.alpha is not None
-    assert not v.alpha.constant
     assert v.alpha.value is None
     assert not v.theta_star_constant
-    # nonconstant alpha blocks the Kenmotsu refinement
+    # nonconstant alpha blocks the Kenmotsu refinement, at a sampled point
     kenmotsu = v.named["almost_alpha_para_kenmotsu"]
-    assert not kenmotsu.value
-    assert kenmotsu.detail is not None
+    assert not kenmotsu.holds
+    assert kenmotsu.witness is not None
 
     m = load_fixture("g10-almost-paracosymplectic")
     v = named_classes(m.build(), m.sampling)
@@ -196,8 +194,8 @@ def test_normal_and_paracontact_exclude_each_other():
         m = load_fixture(fx.name)
         S = m.build()
         v = named_classes(S, m.sampling)
-        assert not (v.named["normal"].value
-                    and v.named["paracontact_metric"].value), fx.name
+        assert not (v.named["normal"].holds
+                    and v.named["paracontact_metric"].holds), fx.name
 
 
 # ------------------------------------------------------------ extra structures
@@ -208,8 +206,8 @@ def test_vanishing_tensor_despite_nonconstant_data():
     basic = classify_basic(S, CFG)
     assert basic.members == frozenset()
     v = named_classes(S, CFG)
-    assert v.named["paracosymplectic"].value
-    assert v.named["normal"].value
+    assert v.named["paracosymplectic"].holds
+    assert v.named["normal"].holds
     assert not any(c.fails for c in v.checks)
 
 
@@ -218,7 +216,6 @@ def test_unit_y_setting_with_negative_sign():
     S = build("x + z", ("exp(z/2)", "-1", "0"))
     v = named_classes(S, CFG)
     assert not any(c.fails for c in v.checks)
-    assert not v.disagreements
 
 
 def test_mixed_second_partial_structure():
@@ -226,7 +223,7 @@ def test_mixed_second_partial_structure():
     basic = classify_basic(S, CFG)
     assert basic.members == frozenset({"G10"})
     v = named_classes(S, CFG)
-    assert v.named["almost_paracosymplectic"].value
+    assert v.named["almost_paracosymplectic"].holds
     assert not any(c.fails for c in v.checks)
 
 
@@ -247,8 +244,8 @@ def test_para_sasakian_never_on_this_family():
     for fx in FIXTURES:
         m = load_fixture(fx.name)
         v = named_classes(m.build(), m.sampling)
-        assert not v.named["para_sasakian"].value
-        assert not v.named["k_paracontact"].value
+        assert not v.named["para_sasakian"].holds
+        assert not v.named["k_paracontact"].holds
 
 
 # ------------------------------------------------------- the table of checks
@@ -302,7 +299,17 @@ def test_every_verdict_has_two_routes_and_only_bounds_have_one(
     assert set(CLASS_CHECKS) == set(named)
     for cls, check in CLASS_CHECKS.items():
         if "kenmotsu" not in cls:
-            assert checks[check].routes[0].holds == named[cls].value, cls
+            assert checks[check].routes[0].holds == named[cls].holds, cls
+
+
+@pytest.mark.parametrize("name", [fx.name for fx in FIXTURES])
+def test_each_named_class_is_the_first_route_of_its_check(name):
+    m = load_fixture(name)
+    v = named_classes(m.build(), m.sampling)
+    checks = {check.name: check for check in v.checks}
+    for cls, check in CLASS_CHECKS.items():
+        if "kenmotsu" not in cls:
+            assert v.named[cls] is checks[check].routes[0], cls
 
 
 def test_decide_reads_the_first_witness_of_a_failing_check():

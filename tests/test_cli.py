@@ -239,6 +239,26 @@ def test_overflowing_sectional_curvature_exits_2_without_traceback(tmp_path):
         "input error: non-finite sectional curvature in 'K_phi' at point (")
 
 
+# a literal the parser accepts: twice it is past float range
+BIG = "17" + "0" * 307
+
+
+@pytest.mark.parametrize("f, box_x, node", [
+    # diff folds N + N, past float range, only as a node
+    (f"{BIG}*x + {BIG}*x", "[0.5, 1]", f"{BIG} * x + {BIG} * x"),
+    (f"{BIG} + {BIG}", "[0.5, 2]", f"{BIG} + {BIG}"),
+], ids=["sum-in-f", "constant-sum"])
+def test_an_overflowing_sum_exits_2_naming_it(tmp_path, f, box_x, node):
+    text = PARABOLIC.replace('"x^2"', f'"{f}"').replace(
+        "domain.x = [0.5, 2]", f"domain.x = {box_x}")
+    done = run_process("analyze", write(tmp_path, text))
+    assert done.returncode == 2 and done.stdout == ""
+    # one line, no numpy warning before it
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith(
+        f"input error: non-finite value in '{node}' at point (")
+
+
 def test_machine_report_refuses_a_non_finite_value():
     report = ClassificationReport(
         name="t", sampling={}, structure_validity={}, basic_classes={},

@@ -261,22 +261,23 @@ def test_xi_matches_n_is_the_pointwise_comparison(samples):
 def test_profile_parabolic():
     S = build("x^2", ("0", "1", "0"))
     prof = eta_einstein_report(S, CFG)
-    assert prof.applicable
-    assert prof.scal_constant and abs(prof.scal_value - 2.0) <= 1e-12
-    assert abs(prof.a - 1.0) <= 1e-12 and abs(prof.b + 1.0) <= 1e-12
+    assert prof.verdict.is_eta_einstein
+    assert prof.scal_constant and abs(2 * prof.verdict.a - 2.0) <= 1e-12
+    assert (abs(prof.verdict.a - 1.0) <= 1e-12
+            and abs(prof.verdict.b + 1.0) <= 1e-12)
     assert prof.k_xi_max <= 1e-9
     assert abs(prof.k_phi_value + 1.0) <= 1e-9
     assert prof.k_phi_variance <= 1e-9
-    assert prof.paracosymplectic
+    assert prof.discriminant.holds
     assert prof.matches_named_classes
 
 
 def test_profile_detects_almost_paracosymplectic():
     S = build("x^2 + y*z", ("0", "1", "0"))
     prof = eta_einstein_report(S, CFG)
-    assert prof.applicable
+    assert prof.verdict.is_eta_einstein
     assert prof.scal_constant
-    assert not prof.paracosymplectic
+    assert not prof.discriminant.holds
     assert not prof.discriminant.holds
     assert prof.matches_named_classes
     assert prof.k_phi_variance <= 1e-9
@@ -285,5 +286,5 @@ def test_profile_detects_almost_paracosymplectic():
 def test_profile_not_applicable_without_eta_einstein():
     S = build("x^2 + y^2", ("0", "1", "0"))
     prof = eta_einstein_report(S, CFG)
-    assert not prof.applicable
-    assert prof.scal_value is None
+    assert not prof.verdict.is_eta_einstein
+    assert prof.verdict.a is None

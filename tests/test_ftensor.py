@@ -379,7 +379,6 @@ def test_projection_sum_reconstructs_tensor(f, xi):
         total = b.F5 + b.F6 + b.F10 + b.F12
         assert np.abs(t.components - total).max() <= 1e-9 * (1 + np.abs(t.components).max())
         assert np.abs(b.residual).max() <= 1e-9 * (1 + np.abs(t.components).max())
-        assert b.within_model
         assert b.model_defect <= 1e-9
 
 

@@ -13,10 +13,13 @@ of the component split (faulted output), a symbolic field's sampled zero
 test, or the per-point residual handed to a curvature zero test.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from walkergeo import classify, curvature
+from walkergeo.cli import main
 from walkergeo.corpus import load_fixture
 from walkergeo.expressions import evaluate_with_scale, gradient
 from walkergeo.report import build_report
@@ -138,3 +141,32 @@ def test_a_faulted_route_fails_with_its_witness_and_residual(
     assert entry["witness"] == [float(c) for c in pts[ROW]]
     assert entry["magnitude"] == faulted.residual
     assert tol < entry["magnitude"] != 1.0
+
+
+def test_a_disagreement_names_the_check_and_both_answers(monkeypatch, capsys):
+    # a Reeb field made Killing (L_xi g = 0) on a paracontact structure: the
+    # cross route of K-paracontact (paracontact and Killing) holds, while
+    # its deciding route, para-Sasakian, fails as the structure is not normal
+    monkeypatch.setattr(classify, "lie_g_batch",
+                        lambda S, batch: np.zeros((3, 3, len(batch.scale))))
+    argv = ["examples", "run", "paracontact-exponential", "--samples", "64",
+            "--report"]
+    detail = "para-Sasakian route vs. paracontact with Killing Reeb field"
+    assert main([*argv, "machine"]) == 3
+    tree = json.loads(capsys.readouterr().out)
+    assert [entry["check"] for entry in tree["failures"]] == [
+        "classification:k_paracontact"]
+    assert tree["route_agreement"]["disagreements"] == [
+        {"check": "k_paracontact", "primary": False, "cross": True,
+         "detail": detail}]
+
+    assert main([*argv, "text"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("  disagreements:")
+    assert lines[start:start + 5] == [
+        "  disagreements:",
+        '    - check: "k_paracontact"',
+        "      primary: false",
+        "      cross: true",
+        f'      detail: "{detail}"',
+    ]

@@ -19,7 +19,7 @@ import pytest
 
 import walkergeo
 import walkergeo.expressions as ex
-from walkergeo.classify import NamedVerdict, named_classes
+from walkergeo.classify import named_classes
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.curvature import eta_einstein_check
 from walkergeo.expressions import Add, Num, Sub, Var, parse
@@ -62,7 +62,6 @@ def test_assigning_a_field_raises(structure):
         (parse("x*y + 1"), "left"), (Num(2), "value"), (Var("x"), "name"),
         (Interval(0.0, 1.0), "lo"), (SamplingConfig(), "samples"),
         (structure.domain, "positive"), (Route(True), "holds"),
-        (NamedVerdict(False), "value"),
         (f_tensor_at(structure, point), "components"),
         (curvature_at(structure.manifold, point), "variance"),
         (build_report(structure, name="v"), "failures"),
@@ -98,6 +97,22 @@ def test_a_domain_hashes_without_python_code():
     sys.setprofile(lambda frame, event, arg: calls.append((event, frame)))
     try:
         hash(domain)
+    finally:
+        sys.setprofile(None)
+    assert not [frame for event, frame in calls if event == "call"]
+
+
+def test_a_cached_sample_is_found_without_python_code():
+    # each analysis of a freshly read manifest looks its sample up by a new
+    # box equal to the cached one; equal intervals are one object, so the
+    # lookup compares the boxes in C
+    cfg = SamplingConfig(4)
+    load_fixture("g12-pure").domain.sample(cfg)
+    domain = load_fixture("g12-pure").domain
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append((event, frame)))
+    try:
+        domain.sample(cfg)
     finally:
         sys.setprofile(None)
     assert not [frame for event, frame in calls if event == "call"]
@@ -139,7 +154,6 @@ def test_defaults_and_keywords():
 
 
 def test_a_nonempty_verdict_is_false_when_its_decision_is():
-    assert not NamedVerdict(False) and NamedVerdict(True)
     assert not Route(False, None, 1.0) and Route(True, None, 0.0)
     assert not Route(False, (1.0, 1.0, 1.0), 2.0)
 
@@ -153,7 +167,7 @@ def test_verdicts_are_truthy_by_their_decision(name):
     pairs = [(verdict.paracontact, verdict.paracontact.is_paracontact),
              (verdict.normality, verdict.normality.is_normal),
              (flat, flat.flat), (check, check.is_eta_einstein)]
-    pairs += [(v, v.value) for v in verdict.named.values()]
+    pairs += [(v, v.holds) for v in verdict.named.values()]
     pairs += [(r, r.holds) for c in verdict.checks for r in c.routes]
     for value, decision in pairs:
         assert bool(value) is bool(decision)
