@@ -199,13 +199,15 @@ ONE = Num(Fraction(1))
 def as_expr(value) -> Expr:
     """Coerce an int, Fraction, or Expr into an Expr.
 
-    Floats are rejected: literals must stay exact rationals.
+    Floats are rejected: literals must stay exact rationals in float range.
     """
     if isinstance(value, Expr):
         return value
     if isinstance(value, bool):
         raise TypeError("booleans are not scalar fields")
     if isinstance(value, (int, Fraction)):
+        if abs(value) > sys.float_info.max:
+            raise ValueError(f"number too large for a float: {value}")
         return _num(Fraction(value))
     raise TypeError(f"cannot interpret {value!r} as a scalar field")
 

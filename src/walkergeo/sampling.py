@@ -41,9 +41,10 @@ _MAX_BATCHES = 200
 
 
 class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
-    """Nonempty closed interval [lo, hi]; immutable, equal by its ends to
-    another Interval. A tuple, so a Domain hashes in C, and one object per
-    recent (lo, hi) of the same types, so equal boxes compare in C."""
+    """Nonempty closed interval [lo, hi], however made (`_make` and
+    `_replace` too); immutable, equal by its ends to another Interval. A
+    tuple, so a Domain hashes in C, and one object per recent (lo, hi) of
+    the same types, so equal boxes compare in C."""
 
     __slots__ = ()
 
@@ -59,6 +60,7 @@ class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
         return not self == other
 
     __hash__ = tuple.__hash__
+    _make = classmethod(lambda cls, ends: cls(*ends))
 
 
 @lru_cache(maxsize=1024, typed=True)

@@ -43,9 +43,24 @@ def points_last(a, n: int) -> bool:
             and a.ndim >= 1 and a.shape[-1] == n)
 
 
-@pytest.fixture(scope="module", params=NAMES)
+# einsum's kernels unroll by batch size, so each fixture is built at three
+# sample sizes; a 16-point case keeps the fixture's name as its id
+@pytest.fixture(scope="module", params=[
+    pytest.param((name, samples), id=name + suffix)
+    for samples, suffix in ((16, ""), (3, "-3"), (512, "-512"))
+    for name in NAMES
+])
 def structure(request):
-    return load_fixture(request.param).build(samples=16)
+    name, samples = request.param
+    return load_fixture(name).build(samples=samples)
+
+
+def columns(pts):
+    """(k, pts[k]) for every point of a small batch, and for the first two,
+    the middle and the last of a large one."""
+    n = len(pts)
+    ks = range(n) if n <= 16 else (0, 1, n // 2, n - 1)
+    return [(k, pts[k]) for k in ks]
 
 
 def test_frame_rows_match_point_frames(structure):
@@ -56,7 +71,7 @@ def test_frame_rows_match_point_frames(structure):
         names = FRAME_ARRAYS + (DERIVATIVE_ARRAYS if order else ())
         for name in names:
             assert points_last(getattr(batch, name), len(pts)), (order, name)
-        for k, p in enumerate(pts):
+        for k, p in columns(pts):
             single = S.frame(tuple(p), order)
             for name in names:
                 assert same(getattr(batch, name)[..., k],
@@ -89,7 +104,7 @@ def test_value_objects_match_point_views(structure):
         for name in fields:
             assert points_last(getattr(batch, name), len(pts)), \
                 (type(batch).__name__, name)
-        for k, p in enumerate(pts):
+        for k, p in columns(pts):
             p = tuple(p)
             single = view(p)
             assert single.point == p
@@ -108,7 +123,7 @@ def test_walker_tensors_match_point_views(structure):
     rho, q, fxx = ricci_from_jet(jet)
     for array in (gamma, R, rho, q, fxx):
         assert points_last(array, len(pts))
-    for k, p in enumerate(pts):
+    for k, p in columns(pts):
         assert same(gamma[..., k], christoffel_at(M, p).components)
         assert same(R[..., k], curvature_at(M, p).components)
         point_rho, point_q, point_fxx = ricci_at(M, p)

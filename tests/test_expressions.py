@@ -229,6 +229,14 @@ def test_number_beyond_float_range_is_a_parse_error(source):
         parse(source)
 
 
+@pytest.mark.parametrize("value", [10**400, -10**400, Fraction(10**400, 3)],
+                         ids=["int", "negative", "fraction"])
+def test_a_coerced_number_beyond_float_range_is_refused(value):
+    with pytest.raises(ValueError, match="number too large for a float: -?1000"):
+        X * value
+    assert evaluate_with_scale(X * 10**300, np.ones(3))[0] == 1e300
+
+
 # A chain e = (...((x + 1)*x + 1)*x ...)*x + 1 built with the smart
 # constructors, 2 * CHAIN levels deep: far past Python's recursion limit.
 CHAIN = 5000

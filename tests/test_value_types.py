@@ -144,6 +144,15 @@ def test_fields_are_validated_and_coerced():
         Interval(2.0, 1.0)
 
 
+def test_a_replaced_or_made_interval_is_checked_and_shared():
+    with pytest.raises(ValueError, match="empty interval"):
+        Interval(0.5, 2)._replace(hi=0.1)
+    with pytest.raises(ValueError, match="empty interval"):
+        Interval._make((3, 1))
+    assert Interval(0.5, 2)._replace(hi=3) is Interval._make((0.5, 3)) \
+        is Interval(0.5, 3)
+
+
 def test_defaults_and_keywords():
     assert SamplingConfig() == SamplingConfig(samples=64, seed=42, tol=1e-9)
     segre = SegreVerdict(kind="flat", eigenvalues=(0.0, 0.0, 0.0))
