@@ -15,6 +15,7 @@ import pytest
 
 import walkergeo.expressions
 from test_jets import FIELDS
+from walkergeo import parse_manifest
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.expressions import parse
 from walkergeo.ftensor import (
@@ -43,15 +44,32 @@ def points_last(a, n: int) -> bool:
             and a.ndim >= 1 and a.shape[-1] == n)
 
 
+# Each fixture has a Reeb component that is identically 0, so its arrays
+# hold structural zeros, on which sums in another order keep their bits;
+# this structure has none
+DENSE = """name = dense-curvature
+epsilon = 1
+f = "x^2*y + y^2*z + 1"
+xi1 = "(1 - (0.3*x)^2 - (x^2*y + y^2*z + 1)*(1 + 0.1*y)^2)/(2*(1 + 0.1*y))"
+xi2 = "0.3*x"
+xi3 = "1 + 0.1*y"
+domain.x = [0.5, 2]
+domain.y = [0.5, 2]
+domain.z = [0.5, 2]
+"""
+
+
 # einsum's kernels unroll by batch size, so each fixture is built at three
 # sample sizes; a 16-point case keeps the fixture's name as its id
 @pytest.fixture(scope="module", params=[
     pytest.param((name, samples), id=name + suffix)
     for samples, suffix in ((16, ""), (3, "-3"), (512, "-512"))
-    for name in NAMES
+    for name in NAMES + ["dense-curvature"]
 ])
 def structure(request):
     name, samples = request.param
+    if name == "dense-curvature":
+        return parse_manifest(DENSE).build(samples=samples)
     return load_fixture(name).build(samples=samples)
 
 
