@@ -160,7 +160,7 @@ def _xi_versus_null_eigenvector(S: ApctStructure, segre: SegreVerdict,
     if segre.n_vector is None:
         return None
     n = np.asarray(segre.n_vector, dtype=float)
-    xi = S.frame(pts, order=1).xi_vec[:, 0]
+    xi = S.frame(pts).xi_vec[:, 0]
     scale = 1.0 + float(np.abs(n).max()) + float(np.abs(xi).max())
     for sign in (1, -1):
         if float(np.abs(xi - sign * n).max()) <= tol * scale:
@@ -194,7 +194,7 @@ def curvature_equivalences(S: ApctStructure,
     M = S.manifold
     M.require_spacelike_signature()
     pts = S.sample_points(cfg)
-    frame = S.frame(pts, order=1)
+    frame = S.frame(pts)
     jet = eval_jet(M.f, pts, 2)
     R = curvature_from_jet(jet)
     rho, q, fxx = ricci_from_jet(jet)
@@ -266,7 +266,7 @@ class SectionalReport(NamedTuple):
 def sectional_curvatures(S: ApctStructure, X, point) -> SectionalReport:
     """`sectional_from_arrays` at one point; a report reads the same bits
     from its sample (see `sample_column`)."""
-    frame = S.frame(point, order=0)
+    frame = S.frame(point)
     M = S.manifold
     return sectional_from_arrays(
         frame.point, curvature_at(M, point).components, frame.g, frame.xi_vec,
@@ -275,9 +275,9 @@ def sectional_curvatures(S: ApctStructure, X, point) -> SectionalReport:
 
 def sample_column(S: ApctStructure, pts: np.ndarray) -> tuple:
     """(R, g, xi, eta, phi, scal) at pts[0] from column 0 of the sample's
-    order-1 frame and order-2 jet of f (kept in an analysis), with the
+    frame and order-2 jet of f (kept in an analysis), with the
     pointwise bits; copied C-contiguous, as einsum's order follows strides."""
-    frame, f = S.frame(pts, order=1), eval_jet(S.manifold.f, pts, 2)
+    frame, f = S.frame(pts), eval_jet(S.manifold.f, pts, 2)
     coeffs, g, xi, eta, phi = (np.ascontiguousarray(a[..., 0]) for a in (
         f.coeffs, frame.g, frame.xi_vec, frame.eta_vec, frame.phi_mat))
     jet = Jet3(2, coeffs)

@@ -42,6 +42,7 @@ round-tripping is lossless.
 
 from __future__ import annotations
 
+import math
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -207,7 +208,11 @@ def as_expr(value) -> Expr:
         raise TypeError("booleans are not scalar fields")
     if isinstance(value, (int, Fraction)):
         if abs(value) > sys.float_info.max:
-            raise ValueError(f"number too large for a float: {value}")
+            # a count of digits, as str() refuses an int past 4300 digits
+            whole = abs(int(value))
+            k = int(whole.bit_length() * math.log10(2))
+            raise ValueError("number too large for a float: "
+                             f"{k + (whole >= 10**k)} digits")
         return _num(Fraction(value))
     raise TypeError(f"cannot interpret {value!r} as a scalar field")
 

@@ -206,7 +206,7 @@ def _tensor_forms(F: np.ndarray, xi: np.ndarray, phi: np.ndarray,
 def f_tensor_at(S: ApctStructure, point) -> FTensorValue:
     """The structure tensor at the point or points, once per analysis."""
     pts = np.asarray(point, dtype=float)
-    return once(S, "f_tensor", (pts,), lambda: _f_tensor(S.frame(pts, order=1)))
+    return once(S, "f_tensor", (pts,), lambda: _f_tensor(S.frame(pts)))
 
 
 def _f_tensor(frame: Frame) -> FTensorValue:
@@ -238,7 +238,7 @@ class TraceForms(NamedTuple):
 
 @analysis()
 def theta_forms(S: ApctStructure, point) -> TraceForms:
-    frame = S.frame(point, order=1)
+    frame = S.frame(point)
     t = f_tensor_at(S, point)
     closed = evaluate_with_scale(theta_xi_field(S), frame.points)[0]
     closed_star = evaluate_with_scale(theta_star_xi_field(S), frame.points)[0]
@@ -281,7 +281,7 @@ def _reeb_routes(F: np.ndarray, phi: np.ndarray, xi: np.ndarray):
 
 @analysis()
 def exterior_data_at(S: ApctStructure, point) -> ExteriorData:
-    frame = S.frame(point, order=1)
+    frame = S.frame(point)
     F = f_tensor_at(S, point).components
 
     # d(eta)(d_i, d_j) = (d_i eta_j - d_j eta_i) / 2 for coordinate fields
@@ -339,7 +339,7 @@ def _nijenhuis(phi: np.ndarray, pd: np.ndarray) -> np.ndarray:
 
 @analysis()
 def normality_data_at(S: ApctStructure, point) -> NormalityData:
-    frame = S.frame(point, order=1)
+    frame = S.frame(point)
     nijenhuis_t = _nijenhuis(frame.phi_mat, frame.phi_d)
     d_eta_mat = exterior_data_at(S, point).d_eta
     defect = nijenhuis_t - 2.0 * contract("ij...,k...->ijk...", d_eta_mat,
@@ -427,7 +427,7 @@ class ProjectionBundle(NamedTuple):
 
 @analysis()
 def project_components(S: ApctStructure, point) -> ProjectionBundle:
-    frame = S.frame(point, order=1)
+    frame = S.frame(point)
     t = f_tensor_at(S, point)
     F = t.components
     parts, th, ths, defect = _component_arrays(

@@ -121,16 +121,6 @@ class Jet3:
         factorial = math.factorial(i) * math.factorial(j) * math.factorial(k)
         return self.coeffs[_ROW[self.order][alpha]] * factorial
 
-    def partial(self, axis: int) -> "Jet3":
-        """Jet of the partial derivative along an axis, one order lower."""
-        if self.order == 0:
-            raise ValueError("cannot lower an order-0 jet")
-        lifted = [tuple(a + (i == axis) for i, a in enumerate(alpha))
-                  for alpha in _INDICES[self.order - 1]]
-        return Jet3(self.order - 1, np.array([
-            self.coeffs[_ROW[self.order][alpha]] * alpha[axis] for alpha in lifted
-        ]))
-
     def __add__(self, other: "Jet3") -> "Jet3":
         return Jet3(self.order, self.coeffs + other.coeffs)
 

@@ -21,10 +21,12 @@ g(phi X, phi Y) = -g(X, Y) + eta(X) eta(Y), eta = g(xi, .),
 g(phi X, Y) = -g(X, phi Y), g(xi, xi) = 1, plus the derived ones
 (eta o phi = 0, phi^3 = phi, trace(phi) = 0).
 
-A Frame bundles jets of f, xi, eta, and phi over a batch of points (one per
-analysis) or at one point (the pointwise API), with the numeric arrays every
-tensor operation needs. Column k of the sample's arrays has the pointwise
-bits at pts[k], so a report reads its representative point pts[0] there.
+A Frame bundles the order-1 jets of the structure's own fields f, xi, eta
+and phi (the expressions above, so both sweep routes read one statement of
+the construction) over a batch of points (one per analysis) or at one point
+(the pointwise API), with the numeric arrays every tensor operation needs.
+Column k of the sample's arrays has the pointwise bits at pts[k], so a
+report reads its representative point pts[0] there.
 All an analysis (a report, a classifier) remembers is one
 `expressions.Analysis`: frames, verdicts, the sample's structure tensor, a
 few shared batches, the values on the sample of each field and of each node
@@ -54,7 +56,7 @@ from .expressions import (
     Div, Expr, Pow, ZERO, as_expr, evaluate_with_scale, once, to_source,
     variables, walk,
 )
-from .jets import Jet3, eval_jet
+from .jets import eval_jet
 from .sampling import (
     Domain, Route, SamplingConfig, bound, is_identically_zero,
 )
@@ -154,54 +156,40 @@ def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
 
 
 class Frame:
-    """Jets and numeric arrays of one structure at a point (shape (3,)) or
+    """Order-1 jets of a structure's own fields f, xi, eta and phi, and the
+    numeric arrays every tensor operation needs, at a point (shape (3,)) or
     over a batch of points (shape (n, 3)), arrays then with a point axis last.
 
     scale is the largest |coefficient| of the f and xi jets per point,
-    value_scale the largest |value| of f and xi (scale at order 0).
-    Derivative arrays (xi_d, eta_d, phi_d, gamma) require order >= 1; the
-    layout puts the differentiation axis first: xi_d[a, k] = d_a xi^k,
-    phi_d[a, i, j] = d_a phi^i_j, gamma[k, i, j] = Gamma^k_ij.
+    value_scale the largest |value| of f and xi. The derivative arrays
+    (xi_d, eta_d, phi_d, gamma) put the differentiation axis first:
+    xi_d[a, k] = d_a xi^k, phi_d[a, i, j] = d_a phi^i_j,
+    gamma[k, i, j] = Gamma^k_ij.
     """
 
     __slots__ = (
-        "points", "point", "order", "f", "xi", "eta", "phi",
+        "points", "point", "f", "xi", "eta", "phi",
         "xi_vec", "eta_vec", "phi_mat", "g", "ginv", "scale", "value_scale",
         "xi_d", "eta_d", "phi_d", "gamma", "__weakref__",
     )
 
-    def __init__(self, structure: "ApctStructure", points, order: int):
+    def __init__(self, structure: "ApctStructure", points):
         M = structure.manifold
-        self.points = np.asarray(points, dtype=float)
-        self.point = (tuple(float(c) for c in self.points)
-                      if self.points.ndim == 1 else self.points)
-        self.order = order
-        if self.points.ndim == 2 and order < 2:
+        pts = self.points = np.asarray(points, dtype=float)
+        self.point = tuple(float(c) for c in pts) if pts.ndim == 1 else pts
+        if pts.ndim == 2:
             # a sample's curvature routes read f's order-2 jet: propagated
-            # here once, it is kept and cut to `order` (see eval_jet); where
+            # here once, it is kept and cut to order 1 (see eval_jet); where
             # it cannot be formed, the curvature routes report that
             try:
-                eval_jet(M.f, self.points, 2)
+                eval_jet(M.f, pts, 2)
             except EvaluationError:
                 pass
-        self.f = eval_jet(M.f, self.points, order)
-        self.xi = tuple(eval_jet(e, self.points, order) for e in structure.xi)
-        xi1, xi2, xi3 = self.xi
-        f = self.f
-        self.eta = (xi3, xi2, xi1 + f * xi3)
-        if structure.canonical_phi:
-            zero = Jet3.constant(0.0, order, f.value.shape)
-            self.phi = (
-                (-xi2, self.eta[2], -(f * xi2)),
-                (xi3, zero, -xi1),
-                (zero, -xi3, xi2),
-            )
-        else:
-            # overridden entries (negative controls) are evaluated as given
-            self.phi = tuple(
-                tuple(eval_jet(e, self.points, order) for e in row)
-                for row in structure.phi
-            )
+        f = self.f = eval_jet(M.f, pts, 1)
+        self.xi = tuple(eval_jet(e, pts, 1) for e in structure.xi)
+        self.eta = tuple(eval_jet(e, pts, 1) for e in structure.eta)
+        self.phi = tuple(tuple(eval_jet(e, pts, 1) for e in row)
+                         for row in structure.phi)
         self.xi_vec = np.array([j.value for j in self.xi])
         self.eta_vec = np.array([j.value for j in self.eta])
         self.phi_mat = np.array([[e.value for e in row] for row in self.phi])
@@ -210,14 +198,11 @@ class Frame:
             [f.coeffs] + [jet.coeffs for jet in self.xi])).max(axis=0)
         self.value_scale = np.abs(np.array(
             [f.value] + [jet.value for jet in self.xi])).max(axis=0)
-        if order >= 1:
-            self.xi_d = np.array([[j.derivative(a) for j in self.xi] for a in _E])
-            self.eta_d = np.array([[j.derivative(a) for j in self.eta] for a in _E])
-            self.phi_d = np.array([[[e.derivative(a) for e in row]
-                                    for row in self.phi] for a in _E])
-            self.gamma = christoffel_from_jet(f)
-        else:
-            self.xi_d = self.eta_d = self.phi_d = self.gamma = None
+        self.xi_d = np.array([[j.derivative(a) for j in self.xi] for a in _E])
+        self.eta_d = np.array([[j.derivative(a) for j in self.eta] for a in _E])
+        self.phi_d = np.array([[[e.derivative(a) for e in row]
+                                for row in self.phi] for a in _E])
+        self.gamma = christoffel_from_jet(f)
 
     def nabla_xi_matrix(self) -> np.ndarray:
         """nab[i, k] = k-th component of nabla_{d_i} xi."""
@@ -227,23 +212,18 @@ class Frame:
 class ApctStructure:
     """Immutable bundle (manifold, xi, eta, phi)."""
 
-    def __init__(self, manifold: WalkerManifold, xi, config: SamplingConfig,
-                 phi_entries=None):
+    def __init__(self, manifold: WalkerManifold, xi, config: SamplingConfig):
         self.manifold = manifold
         self.xi = tuple(as_expr(c) for c in xi)
         self.config = config
         xi1, xi2, xi3 = self.xi
         f = manifold.f
         self.eta = (xi3, xi2, xi1 + f * xi3)
-        self.canonical_phi = phi_entries is None
-        if phi_entries is None:
-            self.phi = (
-                (-xi2, xi1 + f * xi3, -(f * xi2)),
-                (xi3, ZERO, -xi1),
-                (ZERO, -xi3, xi2),
-            )
-        else:
-            self.phi = tuple(tuple(as_expr(e) for e in row) for row in phi_entries)
+        self.phi = (
+            (-xi2, self.eta[2], -(f * xi2)),
+            (xi3, ZERO, -xi1),
+            (ZERO, -xi3, xi2),
+        )
 
     def __repr__(self) -> str:
         xi = ", ".join(to_source(c) for c in self.xi)
@@ -253,11 +233,10 @@ class ApctStructure:
     def domain(self) -> Domain:
         return self.manifold.domain
 
-    def frame(self, point, order: int = 1) -> Frame:
+    def frame(self, point) -> Frame:
         """Frame at one point, or over an (n, 3) batch, once per analysis."""
         pts = np.asarray(point, dtype=float)
-        return once(self, "frame", (order, pts),
-                    lambda: Frame(self, pts, order))
+        return once(self, "frame", (pts,), lambda: Frame(self, pts))
 
     def sample_points(self, cfg: SamplingConfig | None = None) -> np.ndarray:
         return self.domain.sample(cfg or self.config)
@@ -321,7 +300,7 @@ def reject_poles(S: ApctStructure, cfg: SamplingConfig) -> None:
 
 def nabla_xi(S: ApctStructure, direction, point) -> np.ndarray:
     """Components of nabla_X xi at one point, X given by constant components."""
-    frame = S.frame(point, order=1)
+    frame = S.frame(point)
     return np.asarray(direction, dtype=float) @ frame.nabla_xi_matrix()
 
 
@@ -332,12 +311,12 @@ def validate_axioms(S: ApctStructure,
 
     Residuals are matrix norms divided by (1 + scale) at each sampled point,
     scale the largest |value| of f and xi there (read from the sample's
-    order-1 frame, the one the report's sweep uses); each route is the
-    bound _AXIOM_TOL on them, decided at the worst point (the first to
-    attain the maximum).
+    frame, the one the report's sweep uses); each route is the bound
+    _AXIOM_TOL on them, decided at the worst point (the first to attain
+    the maximum).
     """
     cfg = cfg or S.config
-    fr = S.frame(S.sample_points(cfg), order=1)
+    fr = S.frame(S.sample_points(cfg))
     scale = 1.0 + fr.value_scale
     phi, g = points_first(fr.phi_mat, 2), points_first(fr.g, 2)
     xi, eta = points_first(fr.xi_vec, 1), points_first(fr.eta_vec, 1)

@@ -198,4 +198,6 @@ def d_fundamental_batch(batch):
 
 def with_phi(S, phi_entries):
     """Copy of a structure with explicit phi entries (a negative control)."""
-    return ApctStructure(S.manifold, S.xi, S.config, phi_entries=phi_entries)
+    bad = ApctStructure(S.manifold, S.xi, S.config)
+    bad.phi = phi_entries
+    return bad

@@ -383,15 +383,15 @@ def test_a_report_builds_one_frame_on_its_sample(monkeypatch, name):
     built = []
     original = structure.Frame.__init__
 
-    def init(frame, S, points, order):
-        built.append((points, order))
-        original(frame, S, points, order)
+    def init(frame, S, points):
+        built.append(points)
+        original(frame, S, points)
 
     monkeypatch.setattr(structure.Frame, "__init__", init)
     build_report(S, name=name)
     sample = S.sample_points()
-    assert [order for points, order in built if points is sample] == [1]
-    assert not [points for points, _ in built if np.ndim(points) > 1
+    assert sum(points is sample for points in built) == 1
+    assert not [points for points in built if np.ndim(points) > 1
                 and points is not sample]
 
 

@@ -58,18 +58,32 @@ domain.y = [0.5, 2]
 domain.z = [0.5, 2]
 """
 
+# Constant f and xi whose eta_3 = xi1 + f xi3 the constructors fold exactly
+# as a rational, so the frame's eta and phi read that constant
+CONSTANT_RATIONAL = """name = constant-rational
+epsilon = 1
+f = "3"
+xi1 = "4.85"
+xi2 = "0"
+xi3 = "0.1"
+domain.x = [0.5, 2]
+domain.y = [0.5, 2]
+domain.z = [0.5, 2]
+"""
+MANIFESTS = {"dense-curvature": DENSE, "constant-rational": CONSTANT_RATIONAL}
+
 
 # einsum's kernels unroll by batch size, so each fixture is built at three
 # sample sizes; a 16-point case keeps the fixture's name as its id
 @pytest.fixture(scope="module", params=[
     pytest.param((name, samples), id=name + suffix)
     for samples, suffix in ((16, ""), (3, "-3"), (512, "-512"))
-    for name in NAMES + ["dense-curvature"]
+    for name in NAMES + list(MANIFESTS)
 ])
 def structure(request):
     name, samples = request.param
-    if name == "dense-curvature":
-        return parse_manifest(DENSE).build(samples=samples)
+    if name in MANIFESTS:
+        return parse_manifest(MANIFESTS[name]).build(samples=samples)
     return load_fixture(name).build(samples=samples)
 
 
@@ -84,16 +98,15 @@ def columns(pts):
 def test_frame_rows_match_point_frames(structure):
     S = structure
     pts = S.sample_points()
-    for order in (0, 1):
-        batch = S.frame(pts, order)
-        names = FRAME_ARRAYS + (DERIVATIVE_ARRAYS if order else ())
+    batch = S.frame(pts)
+    names = FRAME_ARRAYS + DERIVATIVE_ARRAYS
+    for name in names:
+        assert points_last(getattr(batch, name), len(pts)), name
+    for k, p in columns(pts):
+        single = S.frame(tuple(p))
         for name in names:
-            assert points_last(getattr(batch, name), len(pts)), (order, name)
-        for k, p in columns(pts):
-            single = S.frame(tuple(p), order)
-            for name in names:
-                assert same(getattr(batch, name)[..., k],
-                            getattr(single, name)), (order, name, k)
+            assert same(getattr(batch, name)[..., k],
+                        getattr(single, name)), (name, k)
 
 
 def test_value_objects_match_point_views(structure):

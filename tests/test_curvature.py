@@ -233,7 +233,7 @@ def reference_k_xi(S, point, X):
     """K(X_h, xi) at a point, summed as the sectional kernel sums it:
     R(u, v, v, u) by one einsum without optimize, over the Gram
     determinant of the plane."""
-    frame = S.frame(point, order=0)
+    frame = S.frame(point)
     R = curvature_at(S.manifold, point).components
     g, xi = frame.g, frame.xi_vec
     u = np.asarray(X, dtype=float)
@@ -250,7 +250,7 @@ def test_xi_matches_n_is_the_pointwise_comparison(samples):
     point = tuple(S.sample_points()[0])
     # the comparison at the point, from the frame there
     n = segre_type(S.manifold, point, S.config).n_vector
-    xi = S.frame(point, order=0).xi_vec
+    xi = S.frame(point).xi_vec
     allowed = S.config.tol * (1.0 + np.abs(n).max() + np.abs(xi).max())
     signs = [sign for sign in (1, -1) if np.abs(xi - sign * n).max() <= allowed]
     assert signs and verdict.xi_matches_N == signs[0]

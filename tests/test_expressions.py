@@ -229,10 +229,16 @@ def test_number_beyond_float_range_is_a_parse_error(source):
         parse(source)
 
 
-@pytest.mark.parametrize("value", [10**400, -10**400, Fraction(10**400, 3)],
-                         ids=["int", "negative", "fraction"])
-def test_a_coerced_number_beyond_float_range_is_refused(value):
-    with pytest.raises(ValueError, match="number too large for a float: -?1000"):
+@pytest.mark.parametrize("value,digits", [
+    (10**400, 401), (-10**400, 401), (Fraction(10**400, 3), 400),
+    (10**5000, 5001), (-10**5000, 5001), (Fraction(10**5000, 3), 5000),
+], ids=["int", "negative", "fraction",
+        "int-5000", "negative-5000", "fraction-5000"])
+def test_a_coerced_number_beyond_float_range_is_refused(value, digits):
+    # the message counts the digits of the integer part: str() refuses an
+    # int of more than 4300 digits
+    with pytest.raises(ValueError,
+                       match=f"number too large for a float: {digits} digits$"):
         X * value
     assert evaluate_with_scale(X * 10**300, np.ones(3))[0] == 1e300
 

@@ -65,15 +65,6 @@ def test_third_order_mixed_partial():
     assert abs(jet.derivative((0, 1, 1)) - want) <= 1e-4 * (1 + abs(want))
 
 
-def test_partial_shifts_the_jet():
-    e = parse("x^2*y + z^3")
-    jet = eval_jet(e, np.array([2.0, 3.0, 1.0]))
-    dx = jet.partial(0)
-    assert abs(dx.value - 12.0) <= 1e-12          # 2xy
-    assert abs(dx.derivative((1, 0, 0)) - 6.0) <= 1e-12   # 2y
-    assert abs(jet.partial(2).derivative((0, 0, 1)) - 6.0) <= 1e-12  # 6z
-
-
 def test_lower_order_jets_still_differentiate():
     e = parse("x^2/y^2")
     p = np.array([1.5, 1.2, 0.8])

@@ -6,6 +6,7 @@ from geometry_oracles import (
 )
 from walkergeo.errors import NonexistentStructureError, UnitConstraintError
 from walkergeo.expressions import analysis, evaluate_with_scale, parse, to_source
+from walkergeo.jets import eval_jet
 from walkergeo.sampling import Domain, Interval, SamplingConfig, is_identically_zero
 from walkergeo.structure import (
     Frame,
@@ -86,7 +87,6 @@ def test_frame_cache_returns_same_object():
     S = build("x^2", ("0", "1", "0"))
     with analysis():
         assert S.frame((1.0, 1.0, 1.0)) is S.frame((1.0, 1.0, 1.0))
-        assert S.frame((1.0, 1.0, 1.0), order=2) is not S.frame((1.0, 1.0, 1.0))
     # outside an analysis nothing is kept
     assert S.frame((1.0, 1.0, 1.0)) is not S.frame((1.0, 1.0, 1.0))
 
@@ -96,11 +96,26 @@ def test_value_scale_is_the_order_0_scale(f, xi):
     S = build(f, xi)
     pts = S.sample_points(CFG)
     for points in (pts, pts[3]):
-        for order in (1, 2):
-            value_scale = Frame(S, points, order).value_scale
-            scale = Frame(S, points, 0).scale
-            assert value_scale.shape == scale.shape
-            assert np.array_equal(value_scale, scale)
+        # outside an analysis each jet is computed afresh
+        jets = [eval_jet(e, points, 0) for e in (S.manifold.f,) + S.xi]
+        scale = np.abs(np.concatenate([j.coeffs for j in jets])).max(axis=0)
+        value_scale = Frame(S, points).value_scale
+        assert value_scale.shape == scale.shape
+        assert np.array_equal(value_scale, scale)
+
+
+@pytest.mark.parametrize("f,xi", STRUCTURES, ids=[s[0] for s in STRUCTURES])
+def test_frame_jets_are_the_structure_fields_jets(f, xi):
+    # eta and phi are stated once, as expressions: the frame holds their jets
+    S = build(f, xi)
+    pts = S.sample_points(CFG)
+    for points in (pts, tuple(pts[3])):
+        with analysis():
+            fr = S.frame(points)
+            for k in range(3):
+                assert fr.eta[k] is eval_jet(S.eta[k], points, 1)
+                for j in range(3):
+                    assert fr.phi[k][j] is eval_jet(S.phi[k][j], points, 1)
 
 
 @pytest.mark.parametrize("f,xi", STRUCTURES[:4], ids=[s[0] for s in STRUCTURES[:4]])
