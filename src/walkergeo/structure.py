@@ -62,7 +62,6 @@ from .sampling import (
 )
 from .walker import WalkerManifold, christoffel_from_jet, metric_arrays
 
-_E = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _AXIOM_TOL = 1e-10     # largest normalized residual an axiom may leave
 
 
@@ -198,10 +197,11 @@ class Frame:
             [f.coeffs] + [jet.coeffs for jet in self.xi])).max(axis=0)
         self.value_scale = np.abs(np.array(
             [f.value] + [jet.value for jet in self.xi])).max(axis=0)
-        self.xi_d = np.array([[j.derivative(a) for j in self.xi] for a in _E])
-        self.eta_d = np.array([[j.derivative(a) for j in self.eta] for a in _E])
-        self.phi_d = np.array([[[e.derivative(a) for e in row]
-                                for row in self.phi] for a in _E])
+        # rows 1 to 3 of an order-1 jet are its x, y and z partials
+        self.xi_d = np.stack([j.coeffs[1:4] for j in self.xi], axis=1)
+        self.eta_d = np.stack([j.coeffs[1:4] for j in self.eta], axis=1)
+        self.phi_d = np.stack([np.stack([e.coeffs[1:4] for e in row], axis=1)
+                               for row in self.phi], axis=1)
         self.gamma = christoffel_from_jet(f)
 
     def nabla_xi_matrix(self) -> np.ndarray:

@@ -28,6 +28,7 @@ from walkergeo.walker import (
     christoffel_at, christoffel_from_jet, curvature_at, curvature_from_jet,
     ricci_at, ricci_from_jet,
 )
+from write_reports import read_manifest
 
 NAMES = [fixture.name for fixture in FIXTURES]
 FRAME_ARRAYS = ("xi_vec", "eta_vec", "phi_mat", "g", "ginv", "scale")
@@ -46,31 +47,11 @@ def points_last(a, n: int) -> bool:
 
 # Each fixture has a Reeb component that is identically 0, so its arrays
 # hold structural zeros, on which sums in another order keep their bits;
-# this structure has none
-DENSE = """name = dense-curvature
-epsilon = 1
-f = "x^2*y + y^2*z + 1"
-xi1 = "(1 - (0.3*x)^2 - (x^2*y + y^2*z + 1)*(1 + 0.1*y)^2)/(2*(1 + 0.1*y))"
-xi2 = "0.3*x"
-xi3 = "1 + 0.1*y"
-domain.x = [0.5, 2]
-domain.y = [0.5, 2]
-domain.z = [0.5, 2]
-"""
-
-# Constant f and xi whose eta_3 = xi1 + f xi3 the constructors fold exactly
-# as a rational, so the frame's eta and phi read that constant
-CONSTANT_RATIONAL = """name = constant-rational
-epsilon = 1
-f = "3"
-xi1 = "4.85"
-xi2 = "0"
-xi3 = "0.1"
-domain.x = [0.5, 2]
-domain.y = [0.5, 2]
-domain.z = [0.5, 2]
-"""
-MANIFESTS = {"dense-curvature": DENSE, "constant-rational": CONSTANT_RATIONAL}
+# dense-curvature has none. constant-rational has constant f and xi whose
+# eta_3 = xi1 + f xi3 the constructors fold exactly as a rational, so the
+# frame's eta and phi read that constant
+MANIFESTS = {stem: read_manifest(stem)
+             for stem in ("dense-curvature", "constant-rational")}
 
 
 # einsum's kernels unroll by batch size, so each fixture is built at three

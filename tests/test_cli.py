@@ -12,20 +12,9 @@ from walkergeo.cli import main
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.errors import ConsistencyError
 from walkergeo.report import ClassificationReport, build_report
+from write_reports import chain_manifests, read_manifest
 
-PARABOLIC = """\
-name = parabolic
-epsilon = 1
-f = "x^2"
-xi1 = 0
-xi2 = 1
-xi3 = 0
-domain.x = [0.5, 2]
-domain.y = [0.5, 2]
-domain.z = [0.5, 2]
-samples = 16
-seed = 5
-"""
+PARABOLIC = read_manifest("parabolic")
 
 TIMELIKE = PARABOLIC.replace("epsilon = 1", "epsilon = -1")
 
@@ -286,14 +275,13 @@ def test_expression_past_the_depth_limit_exits_2(capsys, tmp_path):
 def test_derivatives_nested_past_the_recursion_limit_are_analyzed(tmp_path):
     # the third derivatives of a quotient chain nest about ten times deeper
     # than the chain, past Python's default recursion limit
-    chain = "x^2 + " + "/".join(["x"] * 98)
-    path = write(tmp_path, PARABOLIC.replace('"x^2"', f'"{chain}"'))
+    chains = chain_manifests()
+    path = write(tmp_path, chains["parabolic-98x"])
     done = run_process("analyze", path)
     assert done.returncode == 0 and done.stderr == ""
     # the 100-level chain alone ends without a traceback: its f_xx fails
     # the nonvanishing test at a sampled point, which the error names
-    chain = "/".join(["x"] * walkergeo.expressions.MAX_DEPTH)
-    path = write(tmp_path, PARABOLIC.replace('"x^2"', f'"{chain}"'))
+    path = write(tmp_path, chains["parabolic-100x"])
     done = run_process("analyze", path)
     assert "Traceback" not in done.stderr
     assert "nest too deeply" not in done.stderr

@@ -17,6 +17,7 @@ from walkergeo.report import build_report
 from walkergeo.sampling import Domain, Interval, SamplingConfig, is_identically_zero
 from walkergeo.structure import build_structure
 from walkergeo.walker import WalkerManifold, curvature_at, segre_type
+from write_reports import read_manifest
 
 BOX = Domain((Interval(0.5, 2.0), Interval(0.5, 2.0), Interval(0.5, 2.0)))
 CFG = SamplingConfig(samples=24, seed=23)
@@ -193,22 +194,12 @@ def bits(value):
 
 
 # On the fixtures every R(u, v, v, u) sum at pts[0] comes out exact in any
-# order. This manifest's curvature is dense there, so a change of summation
-# order in the sectional kernel changes the bits of K_xi. It is test data
-# only: the benchmark checks every corpus fixture against recorded digests.
-DENSE_CURVATURE = """name = dense-curvature
-epsilon = 1
-f = "x^2*y + y^2*z + 1"
-xi1 = "(1 - (0.3*x)^2 - (x^2*y + y^2*z + 1)*(1 + 0.1*y)^2)/(2*(1 + 0.1*y))"
-xi2 = "0.3*x"
-xi3 = "1 + 0.1*y"
-domain.x = [0.5, 2]
-domain.y = [0.5, 2]
-domain.z = [0.5, 2]
-"""
-
+# order. The dense-curvature manifest's curvature is dense there, so a change
+# of summation order in the sectional kernel changes the bits of K_xi. It is
+# test data only: the benchmark checks every corpus fixture against recorded
+# digests.
 MANIFESTS = {fixture.name: fixture.manifest_text for fixture in FIXTURES}
-MANIFESTS["dense-curvature"] = DENSE_CURVATURE
+MANIFESTS["dense-curvature"] = read_manifest("dense-curvature")
 
 
 @pytest.mark.parametrize("samples", REPRESENTATIVE_SAMPLES)

@@ -21,6 +21,7 @@ from walkergeo.expressions import parse
 from walkergeo.sampling import (
     _MAX_BATCHES, Domain, Interval, PCG64Stream, SamplingConfig,
 )
+from write_reports import MANIFESTS
 
 SRC = str(Path(walkergeo.__file__).resolve().parents[1])
 
@@ -108,29 +109,14 @@ def test_the_rejection_loop_samples_numpys_points(samples, seed):
     assert np.array_equal(bits(pts), bits(expected))
 
 
-RESTRICTED_MANIFEST = """\
-name = g0-parallel-restricted
-epsilon = 1
-const.C = 1
-f = "x"
-xi1 = "exp((C - z)/2)"
-xi2 = "1"
-xi3 = "0"
-require_positive = "x - 1.8"
-domain.x = [0.5, 2]
-domain.y = [0.5, 2]
-domain.z = [0.5, 2]
-"""
-
 UNLOADED = ("numpy.random", "secrets", "_hashlib")
 
 
 @pytest.mark.parametrize("command", ["examples", "analyze"])
-def test_an_analysis_does_not_load_numpy_random(tmp_path, command):
-    manifest = tmp_path / "restricted.manifest"
-    manifest.write_text(RESTRICTED_MANIFEST)
+def test_an_analysis_does_not_load_numpy_random(command):
     argv = (["examples", "run", "eta-einstein-parabolic"]
-            if command == "examples" else ["analyze", str(manifest)])
+            if command == "examples"
+            else ["analyze", str(MANIFESTS / "restricted.manifest")])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     script = ("import sys\n"
