@@ -381,8 +381,9 @@ class Analysis:
         """The key of points in every table: one point (shape (3,)) by its
         bytes, a read-only batch by identity (kept alive, so the id stays
         unique); None for a writable batch, which is never kept."""
-        if points.ndim == 1:
-            return points.tobytes()
+        if points.ndim == 1:   # an exact point's bytes are pointers
+            return (points.tobytes() if points.dtype != object
+                    else tuple(points.tolist()))
         if points.flags.writeable:
             return None
         self.batches[id(points)] = points
@@ -773,6 +774,36 @@ def parse(source: str, constants: Mapping[str, Rational] | None = None) -> Expr:
 _BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 
 
+# Every numeric kernel keeps the scalar type of its points: floats, or exact
+# scalars (an object array, such as of Fractions), on which it runs in exact
+# arithmetic with no change to its float results.
+
+def as_points(points) -> np.ndarray:
+    """points as floats, or as given when they hold exact scalars."""
+    pts = np.asarray(points)
+    return pts if pts.dtype == object else pts.astype(float, copy=False)
+
+
+def scalar(value, like):
+    """value in the scalar type of the array like: a float, or for exact
+    entries 0 * an entry + value, so an int entry never truncates value."""
+    like = np.asarray(like)
+    return float(value) if like.dtype != object else like.flat[0] * 0 + value
+
+
+def zeros(shape: tuple, like) -> np.ndarray:
+    """np.zeros(shape) in the scalar type of like (see `scalar`)."""
+    if np.asarray(like).dtype != object:
+        return np.zeros(shape)
+    return np.full(shape, scalar(0, like))
+
+
+def is_finite(a) -> np.ndarray:
+    """np.isfinite, true everywhere on exact scalars."""
+    a = np.asarray(a)
+    return np.isfinite(a) if a.dtype != object else np.ones(a.shape, bool)
+
+
 def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate at one point (shape (3,)) or a batch (shape (n, 3)).
 
@@ -801,7 +832,7 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     offending subexpression and the first offending point; a node that
     raises is not kept.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = as_points(points)
     single = pts.shape == (3,)
     if not single and (pts.ndim != 2 or pts.shape[1] != 3):
         raise ValueError("points must have shape (3,) or (n, 3)")
@@ -849,7 +880,7 @@ def _evaluate_node(node: Expr, args, pts: np.ndarray):
     kind = type(node)
     if kind in (Num, Const, Var):
         v = (pts[:, _VARIABLES.index(node.name)] if kind is Var
-             else np.full(pts.shape[0], float(node.value)))
+             else np.full(pts.shape[0], scalar(node.value, pts)))
         return v, np.abs(v)
     (a, scale), *rest = args
     if kind is Neg:
@@ -863,15 +894,15 @@ def _evaluate_node(node: Expr, args, pts: np.ndarray):
     elif kind is Pow:
         if node.exponent < 0:
             _check(a == 0.0, "division by zero", node, pts)
-        v = a ** float(node.exponent)
+        v = a ** node.exponent   # the bits of a ** float(exponent)
     elif node.func == "sqrt":
         _check(a <= 0.0, "sqrt of a non-positive argument", node, pts)
         v = np.sqrt(a)
     else:
         v = np.exp(a)
     if kind is not Call or node.func == "exp":   # a finite sqrt stays finite
-        if not np.isfinite(v).all():
-            _check(~np.isfinite(v), "non-finite value", node, pts)
+        if not is_finite(v).all():
+            _check(~is_finite(v), "non-finite value", node, pts)
     return v, np.maximum(scale, np.abs(v))
 
 

@@ -48,7 +48,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expressions import Expr, analysis, diff, evaluate_with_scale, once
+from .expressions import (
+    Expr, analysis, as_points, diff, evaluate_with_scale, once, zeros,
+)
 from .structure import (
     ApctStructure, Frame, contract, dot, max_abs, points_first, points_last,
 )
@@ -135,12 +137,13 @@ def _coordinate_route(frame: Frame) -> np.ndarray:
         (2, 1, 2, d[2, 0]
          + 0.5 * (xi1 * fx + xi2 * fy + xi3 * fz + xi3 * fv * fx)),
     )
-    return _antisymmetric(coeffs, np.shape(fv))
+    return _antisymmetric(coeffs, fv)
 
 
-def _antisymmetric(coeffs, shape: tuple) -> np.ndarray:
-    """F from its entries F[a, b, c] = value, with F[a, c, b] = -value."""
-    F = np.zeros((3, 3, 3) + shape)
+def _antisymmetric(coeffs, like) -> np.ndarray:
+    """F from its entries F[a, b, c] = value, with F[a, c, b] = -value,
+    with the shape and scalar type of like per component."""
+    F = zeros((3, 3, 3) + np.shape(like), like)
     for a, b, c, value in coeffs:
         F[a, b, c] = value
         F[a, c, b] = -value
@@ -205,7 +208,7 @@ def _tensor_forms(F: np.ndarray, xi: np.ndarray, phi: np.ndarray,
 
 def f_tensor_at(S: ApctStructure, point) -> FTensorValue:
     """The structure tensor at the point or points, once per analysis."""
-    pts = np.asarray(point, dtype=float)
+    pts = as_points(point)
     return once(S, "f_tensor", (pts,), lambda: _f_tensor(S.frame(pts)))
 
 
@@ -465,7 +468,7 @@ def structure_tensor_batch(S: ApctStructure, pts) -> tuple[np.ndarray, np.ndarra
     slots = coefficient_fields(S)
     values, scale = _evaluate([field for *_, field in slots], pts)
     coeffs = [(a, b, c, v) for (a, b, c, _), v in zip(slots, values)]
-    return _antisymmetric(coeffs, (len(pts),)), scale
+    return _antisymmetric(coeffs, scale), scale
 
 
 class ComponentBatch(NamedTuple):

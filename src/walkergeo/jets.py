@@ -36,7 +36,7 @@ import numpy as np
 
 from .expressions import (
     _ANALYSIS, Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var,
-    _check, fold,
+    _check, as_points, fold, is_finite, scalar, zeros,
 )
 
 MAX_ORDER = 3
@@ -107,7 +107,7 @@ class Jet3:
 
     @classmethod
     def constant(cls, value, order: int, shape: tuple = ()) -> "Jet3":
-        coeffs = np.zeros((len(_INDICES[order]),) + shape)
+        coeffs = zeros((len(_INDICES[order]),) + shape, value)
         coeffs[0] = value
         return cls(order, coeffs)
 
@@ -133,7 +133,8 @@ class Jet3:
     def __mul__(self, other: "Jet3") -> "Jet3":
         assert self.order == other.order
         left, right, (first, *columns) = _PRODUCT[self.order]
-        terms = np.zeros((len(left) + 1,) + self.coeffs.shape[1:])
+        terms = np.zeros((len(left) + 1,) + self.coeffs.shape[1:],
+                         self.coeffs.dtype)
         np.multiply(self.coeffs[left], other.coeffs[right], out=terms[:-1])
         # column by column: a sum started at +0.0 is never -0.0, so adding
         # the +0.0 pad changes no value and no sign of zero
@@ -171,7 +172,8 @@ class Jet3:
         return self * other.reciprocal()
 
     def intpow(self, exponent: int) -> "Jet3":
-        result = Jet3.constant(1.0, self.order, self.value.shape)
+        result = Jet3.constant(scalar(1, self.coeffs), self.order,
+                               self.value.shape)
         base = self.reciprocal() if exponent < 0 else self
         n = abs(exponent)
         while n:
@@ -218,7 +220,7 @@ def eval_jet(e: Expr, point, order: int = MAX_ORDER) -> Jet3:
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
-    pts = np.asarray(point, dtype=float)
+    pts = as_points(point)
     active = _ANALYSIS.get()
     at = None if active is None else active.at(pts)
     kept = None if at is None else active.jets.get((e, at))
@@ -228,7 +230,7 @@ def eval_jet(e: Expr, point, order: int = MAX_ORDER) -> Jet3:
     jet = _propagate(e, pts, order)
     if at is not None and (kept is None or order > kept[0].order):
         jet.coeffs.setflags(write=False)
-        active.jets[e, at] = (jet, bool(np.isfinite(jet.coeffs).all()))
+        active.jets[e, at] = (jet, bool(is_finite(jet.coeffs).all()))
     return jet
 
 
@@ -258,18 +260,18 @@ def _propagate(e: Expr, pts: np.ndarray, order: int) -> Jet3:
         return jet and Jet3(order, jet.coeffs.reshape(len(jet.coeffs), -1))
 
     def finite(out: Jet3, node: Expr) -> Jet3:
-        _check(~np.isfinite(out.coeffs).all(axis=0), "non-finite value", node,
+        _check(~is_finite(out.coeffs).all(axis=0), "non-finite value", node,
                pts)
         return out
 
     def ev(node: Expr, args: list[Jet3]) -> Jet3:
         if isinstance(node, (Num, Const)):
-            return Jet3.constant(float(node.value), order, shape)
+            return Jet3.constant(scalar(node.value, pts), order, shape)
         if isinstance(node, Var):
             axis = _AXES[node.name]
             jet = Jet3.constant(pts[:, axis], order, shape)
             if order >= 1:
-                jet.coeffs[1 + axis] = 1.0
+                jet.coeffs[1 + axis] = scalar(1, pts)
             return jet
         if isinstance(node, Add):
             return finite(args[0] + args[1], node)

@@ -53,8 +53,8 @@ from .errors import (
     UnitConstraintError,
 )
 from .expressions import (
-    Div, Expr, Pow, ZERO, as_expr, evaluate_with_scale, once, to_source,
-    variables, walk,
+    Div, Expr, Pow, ZERO, as_expr, as_points, evaluate_with_scale, once,
+    to_source, variables, walk,
 )
 from .jets import eval_jet
 from .sampling import (
@@ -174,8 +174,8 @@ class Frame:
 
     def __init__(self, structure: "ApctStructure", points):
         M = structure.manifold
-        pts = self.points = np.asarray(points, dtype=float)
-        self.point = tuple(float(c) for c in pts) if pts.ndim == 1 else pts
+        pts = self.points = as_points(points)
+        self.point = tuple(pts.tolist()) if pts.ndim == 1 else pts
         if pts.ndim == 2:
             # a sample's curvature routes read f's order-2 jet: propagated
             # here once, it is kept and cut to order 1 (see eval_jet); where
@@ -235,7 +235,7 @@ class ApctStructure:
 
     def frame(self, point) -> Frame:
         """Frame at one point, or over an (n, 3) batch, once per analysis."""
-        pts = np.asarray(point, dtype=float)
+        pts = as_points(point)
         return once(self, "frame", (pts,), lambda: Frame(self, pts))
 
     def sample_points(self, cfg: SamplingConfig | None = None) -> np.ndarray:

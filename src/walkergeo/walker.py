@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfDomainError, UnsupportedSignatureError
-from .expressions import Expr, diff, gradient, once, to_source
+from .expressions import Expr, diff, gradient, once, to_source, zeros
 from .jets import Jet3, eval_jet
 from .sampling import (
     Domain, Route, SamplingConfig, is_identically_zero, nonvanishing,
@@ -119,7 +119,7 @@ def christoffel_from_jet(jet: Jet3) -> np.ndarray:
     fx = jet.derivative((1, 0, 0))
     fy = jet.derivative((0, 1, 0))
     fz = jet.derivative((0, 0, 1))
-    gamma = np.zeros((3, 3, 3) + np.shape(f))
+    gamma = zeros((3, 3, 3) + np.shape(f), f)
     gamma[0, 0, 2] = gamma[0, 2, 0] = 0.5 * fx
     gamma[0, 1, 2] = gamma[0, 2, 1] = 0.5 * fy
     gamma[0, 2, 2] = 0.5 * (f * fx + fz)
@@ -150,7 +150,7 @@ def _hessian(jet: Jet3):
 def curvature_from_jet(jet: Jet3) -> np.ndarray:
     """Curvature operator components from a jet of f of order >= 2."""
     f, fxx, fxy, fyy = _hessian(jet)
-    R = np.zeros((3, 3, 3, 3) + np.shape(f))
+    R = zeros((3, 3, 3, 3) + np.shape(f), f)
     R[0, 2, 0, 0] = -0.5 * fxx
     R[0, 2, 1, 0] = -0.5 * fxy
     R[0, 2, 2, 0] = -0.5 * f * fxx
@@ -177,11 +177,11 @@ def ricci_at(M: WalkerManifold, point) -> tuple[TensorValue, TensorValue, float]
 def ricci_from_jet(jet: Jet3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rho, Q, f_xx) from a jet of f of order >= 2."""
     f, fxx, fxy, fyy = _hessian(jet)
-    rho = np.zeros((3, 3) + np.shape(f))
+    rho = zeros((3, 3) + np.shape(f), f)
     rho[0, 2] = rho[2, 0] = 0.5 * fxx
     rho[1, 2] = rho[2, 1] = 0.5 * fxy
     rho[2, 2] = 0.5 * (f * fxx - fyy)
-    q = np.zeros((3, 3) + np.shape(f))
+    q = zeros((3, 3) + np.shape(f), f)
     q[0, 0] = q[2, 2] = 0.5 * fxx
     q[0, 1] = q[1, 2] = 0.5 * fxy
     q[0, 2] = -0.5 * fyy
