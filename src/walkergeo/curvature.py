@@ -28,7 +28,7 @@ from .sampling import (
     is_identically_zero, negated, nonvanishing, zero_verdict_from_samples,
 )
 from .jets import Jet3, eval_jet
-from .structure import ApctStructure, contract, max_abs, points_first
+from .structure import ApctStructure, max_abs, points_first
 from .walker import (
     FlatnessVerdict, SegreVerdict, curvature_at, curvature_from_jet, f_hessian,
     ricci_at, ricci_from_jet, segre_type, shared_flatness,
@@ -211,12 +211,12 @@ def curvature_equivalences(S: ApctStructure,
     # minus its (i, j) block and its (i, i) blocks vanish, so the blocks
     # i < j, as one row, hold its largest entry
     upper = R[[0, 0, 1], [1, 2, 2]][None]
-    curv_commute = contract("mk...,ijml...->ijkl...", phi, upper)
-    curv_commute -= contract("ijkm...,lm...->ijkl...", upper, phi)
+    curv_commute = np.einsum("mk...,ijml...->ijkl...", phi, upper)
+    curv_commute -= np.einsum("ijkm...,lm...->ijkl...", upper, phi)
     curv_commute = max_abs(np.abs(curv_commute, out=curv_commute), 4)
     anti = max_abs(
-        contract("ai...,bj...,ab...->ij...", phi, phi, rho) + rho, 2)
-    annihilate = max_abs(contract("ijkl...,k...->ijl...", R, xi), 3)
+        np.einsum("ai...,bj...,ab...->ij...", phi, phi, rho) + rho, 2)
+    annihilate = max_abs(np.einsum("ijkl...,k...->ijl...", R, xi), 3)
 
     flat_pt = r_max <= allowed
     resid = rho - 0.5 * fxx * (g - eta[:, None] * eta)

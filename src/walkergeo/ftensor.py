@@ -34,12 +34,13 @@ modeled direct sum is detected rather than silently projected.
 
 Arrays are laid out components first, points last: F over n points is
 (3, 3, 3, n), and a single point has no point axis (see `structure`).
-Contractions go through structure.contract: np.einsum on these arrays,
-bit for bit the einsum of their points-first copies. In an analysis (each
-pointwise entry point runs in one, or joins the open one), the frames, the
-structure tensor (`f_tensor_at`) and every symbolic field's values are
-formed once; the eta partials and a batch's Reeb contractions are shared
-by the routes that read them until the classification ends.
+Contractions are np.einsum on these arrays. On rational points every
+kernel runs in exact arithmetic, and a batch's column k then equals the
+pointwise result at pts[k] exactly. In an analysis (each pointwise entry
+point runs in one, or joins the open one), the frames, the structure
+tensor (`f_tensor_at`) and every symbolic field's values are formed once;
+the eta partials and a batch's Reeb contractions are shared by the routes
+that read them until the classification ends.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .expressions import (
     Expr, analysis, as_points, diff, evaluate_with_scale, once, zeros,
 )
 from .structure import (
-    ApctStructure, Frame, contract, dot, max_abs, points_first, points_last,
+    ApctStructure, Frame, dot, max_abs, points_first, points_last,
 )
 from .walker import metric_arrays
 
@@ -159,10 +160,10 @@ def _connection_route(frame: Frame) -> np.ndarray:
     """
     nabla_phi = (
         frame.phi_d
-        + contract("lam...,mb...->alb...", frame.gamma, frame.phi_mat)
-        - contract("lm...,mab...->alb...", frame.phi_mat, frame.gamma)
+        + np.einsum("lam...,mb...->alb...", frame.gamma, frame.phi_mat)
+        - np.einsum("lm...,mab...->alb...", frame.phi_mat, frame.gamma)
     )
-    return contract("alb...,lc...->abc...", nabla_phi, frame.g)
+    return np.einsum("alb...,lc...->abc...", nabla_phi, frame.g)
 
 
 class FTensorValue:
@@ -200,10 +201,10 @@ def _tensor_forms(F: np.ndarray, xi: np.ndarray, phi: np.ndarray,
                   ginv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """theta and theta* on the coordinate fields, and the Reeb square
     F(xi, xi, .), contracted out of F."""
-    theta = contract("ij...,ijc...->c...", ginv, F)
-    mixed = contract("ij...,mj...->im...", ginv, phi)
-    return (theta, contract("im...,imc...->c...", mixed, F),
-            contract("i...,j...,ijc...->c...", xi, xi, F))
+    theta = np.einsum("ij...,ijc...->c...", ginv, F)
+    mixed = np.einsum("ij...,mj...->im...", ginv, phi)
+    return (theta, np.einsum("im...,imc...->c...", mixed, F),
+            np.einsum("i...,j...,ijc...->c...", xi, xi, F))
 
 
 def f_tensor_at(S: ApctStructure, point) -> FTensorValue:
@@ -274,7 +275,7 @@ class ExteriorData(NamedTuple):
 def _reeb_routes(F: np.ndarray, phi: np.ndarray, xi: np.ndarray):
     """d(eta), Lie_xi g and nabla(eta), contracted out of F through
     F(d_i, phi d_j, xi)."""
-    contracted = contract("imc...,mj...,c...->ij...", F, phi, xi)
+    contracted = np.einsum("imc...,mj...,c...->ij...", F, phi, xi)
     return (
         0.5 * (contracted.swapaxes(0, 1) - contracted),
         -contracted - contracted.swapaxes(0, 1),
@@ -297,9 +298,9 @@ def exterior_data_at(S: ApctStructure, point) -> ExteriorData:
 
     # d of the fundamental 2-form w: (dw)_ijk = d_i w_jk - d_j w_ik + d_k w_ij.
     # Only g_33 varies, so d_a w_jk picks up phi^3_j f_a on k = 3.
-    dw = contract("alj...,lk...->ajk...", frame.phi_d, frame.g)
+    dw = np.einsum("alj...,lk...->ajk...", frame.phi_d, frame.g)
     f_d = np.array([frame.f.derivative(e) for e in _UNIT])
-    dw[:, :, 2] += contract("j...,a...->aj...", frame.phi_mat[2], f_d)
+    dw[:, :, 2] += np.einsum("j...,a...->aj...", frame.phi_mat[2], f_d)
     d_fund = dw - dw.swapaxes(0, 1) + np.moveaxis(dw, 0, 2)
 
     # structure-tensor routes for the same objects; d(fundamental) is the
@@ -333,9 +334,9 @@ def _nijenhuis(phi: np.ndarray, pd: np.ndarray) -> np.ndarray:
     # [phi d_i, phi d_j]^k, using [U, V]^k = u^m d_m v^k - v^m d_m u^k;
     # the phi^2 [d_i, d_j] term of the torsion drops for coordinate fields.
     # Each second contraction is the first with i and j swapped.
-    bracket = contract("mi...,mkj...->ijk...", phi, pd)
+    bracket = np.einsum("mi...,mkj...->ijk...", phi, pd)
     # -phi [phi d_i, d_j] - phi [d_i, phi d_j]
-    correction = contract("km...,jmi...->ijk...", phi, pd)
+    correction = np.einsum("km...,jmi...->ijk...", phi, pd)
     return ((bracket - bracket.swapaxes(0, 1))
             + (correction - correction.swapaxes(0, 1)))
 
@@ -345,7 +346,7 @@ def normality_data_at(S: ApctStructure, point) -> NormalityData:
     frame = S.frame(point)
     nijenhuis_t = _nijenhuis(frame.phi_mat, frame.phi_d)
     d_eta_mat = exterior_data_at(S, point).d_eta
-    defect = nijenhuis_t - 2.0 * contract("ij...,k...->ijk...", d_eta_mat,
+    defect = nijenhuis_t - 2.0 * np.einsum("ij...,k...->ijk...", d_eta_mat,
                                            frame.xi_vec)
     return NormalityData(frame.point, nijenhuis_t, defect)
 
@@ -374,28 +375,28 @@ def _component_arrays(F, xi, eta, phi, g, forms):
     the second is the first with its last two axes swapped.
     """
     theta_form, theta_star_form, reeb_square = forms
-    theta_xi = contract("c...,c...->...", theta_form, xi)
-    theta_star_xi = contract("c...,c...->...", theta_star_form, xi)
+    theta_xi = np.einsum("c...,c...->...", theta_form, xi)
+    theta_star_xi = np.einsum("c...,c...->...", theta_star_form, xi)
 
-    gphiphi = contract("ai...,ab...,bj...->ij...", phi, g, phi)
-    gphi = contract("ab...,bj...->aj...", g, phi)
-    f5 = contract("...,j...,ik...->ijk...", theta_xi, eta, gphiphi)
+    gphiphi = np.einsum("ai...,ab...,bj...->ij...", phi, g, phi)
+    gphi = np.einsum("ab...,bj...->aj...", g, phi)
+    f5 = np.einsum("...,j...,ik...->ijk...", theta_xi, eta, gphiphi)
     f5 = 0.5 * (f5 - f5.swapaxes(1, 2))
-    f6 = contract("...,j...,ik...->ijk...", theta_star_xi, eta, gphi)
+    f6 = np.einsum("...,j...,ik...->ijk...", theta_star_xi, eta, gphi)
     f6 = -0.5 * (f6 - f6.swapaxes(1, 2))
-    f12 = contract("i...,j...,k...->ijk...", eta, eta, reeb_square)
+    f12 = np.einsum("i...,j...,k...->ijk...", eta, eta, reeb_square)
     f12 = f12 - f12.swapaxes(1, 2)
     f10 = F - f5 - f6 - f12
 
     # Remainder audit: the fourth component is characterized by
     # F(X, Y, Z) = -eta(Y) T(X, Z) + eta(Z) T(X, Y) with T = F(., ., xi)
     # symmetric and invariant under (X, Y) -> (phi X, phi Y).
-    t = contract("ijc...,c...->ij...", f10, xi)
-    recon = contract("j...,ik...->ijk...", eta, t)
+    t = np.einsum("ijc...,c...->ij...", f10, xi)
+    recon = np.einsum("j...,ik...->ijk...", eta, t)
     recon = -recon + recon.swapaxes(1, 2)
     d_recon = max_abs(f10 - recon, 3)
     d_sym = max_abs(t - t.swapaxes(0, 1), 2)
-    t_phiphi = contract("ai...,bj...,ab...->ij...", phi, phi, t)
+    t_phiphi = np.einsum("ai...,bj...,ab...->ij...", phi, phi, t)
     d_inv = max_abs(t - t_phiphi, 2)
     model_defect = np.maximum(d_recon, np.maximum(d_sym, d_inv))
     parts = {"G5": f5, "G6": f6, "G10": f10, "G12": f12}
@@ -522,7 +523,7 @@ def lie_g_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
 
 def fundamental_form_batch(batch: ComponentBatch) -> np.ndarray:
     """g(phi ., .) over a batch."""
-    return contract("lj...,lk...->jk...", batch.phi, batch.g)
+    return np.einsum("lj...,lk...->jk...", batch.phi, batch.g)
 
 
 def _gradients(fields, pts: np.ndarray) -> np.ndarray:
@@ -552,4 +553,4 @@ def normality_defect_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarra
     phi_d = _gradients([e for row in S.phi for e in row], batch.points)
     nij = _nijenhuis(batch.phi, phi_d.reshape((3, 3, 3, -1)))
     de = d_eta_coordinate_batch(S, batch)
-    return nij - 2.0 * contract("ij...,k...->ijk...", de, batch.xi)
+    return nij - 2.0 * np.einsum("ij...,k...->ijk...", de, batch.xi)

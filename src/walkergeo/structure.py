@@ -36,15 +36,13 @@ it reads, and nothing outlives the analysis.
 Every batched numeric array of the package has one layout, that of the jet
 coefficients: components first, points last, C-contiguous. Over n points a
 vector is (3, n), a matrix (3, 3, n); a single point has no point axis, and
-a[..., k] of a batch is point k. `contract` is np.einsum on that layout,
-with the bits of einsum on the points-first arrays; `@` alone runs on
-points-first copies (see `points_first`).
+a[..., k] of a batch is point k. Contractions are np.einsum on that
+layout, whose summation order may differ between a batch and a point, so
+their columns are compared with points in exact arithmetic, on rational
+points; `@` alone runs on points-first copies (see `points_first`).
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -95,63 +93,6 @@ def vec_mat(u: np.ndarray, A: np.ndarray) -> np.ndarray:
 def max_abs(a: np.ndarray, axes: int) -> np.ndarray:
     """Largest |entry| over the leading `axes` (component) axes, per point."""
     return np.abs(a).max(axis=tuple(range(axes)))
-
-
-@lru_cache(maxsize=None)
-def _contraction_plan(subscripts: str):
-    """The pieces of a contraction with a run, else None: per piece, per
-    operand the index of its view (see `contract`)."""
-    inputs, out = subscripts.replace("...", "").split("->")
-    inputs = inputs.split(",")
-    summed = [c for c in dict.fromkeys("".join(inputs)) if c not in out]
-    if not summed or any(s[-1] != summed[-1] for s in inputs if summed[-1] in s):
-        return None
-    last = summed[-1]
-    both = len(inputs) == 2 and all(last in s for s in inputs)
-    if len(summed) == 1 and not both:
-        return None  # einsum sums the one run in order 0, 1, 2
-    parts = (slice(0, 3, 2), slice(1, 2)) if both else (slice(None),)
-    runs = product([slice(0, 1), slice(1, 2), slice(2, 3)], repeat=len(summed) - 1)
-    pieces = ({**dict(zip(summed[:-1], run)), last: part}
-              for run in runs for part in parts)
-    return tuple(tuple(tuple(piece.get(c, slice(None)) for c in s) for s in inputs)
-                 for piece in pieces)
-
-
-def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """Contraction of two or more operands with the same trailing point axes
-    (`...`) and summed axes of length 3, giving the bits np.einsum gives on
-    the points-first operands (`...` leading), C-contiguous.
-
-    It is np.einsum on the points-last operands: its inner loop then runs
-    along the points, so each entry adds its terms one by one from +0.0,
-    summed labels in order of first appearance, the last fastest, as on
-    points-first operands but for a run. Where the last summed label is the
-    last component axis of every operand that has it, points-first einsum
-    sums each run over it apart (terms 0, 2, 1 when both of two operands
-    have it, else 0, 1, 2) and adds the run sums in turn; so
-    `_contraction_plan` cuts the contraction into einsum calls on views,
-    the other summed labels fixed: one per run, or two, over terms 0 and 2
-    (a step-2 view) and over term 1. A sum from +0.0 is never -0.0, so
-    adding these in turn gives the bits of adding their terms, and views,
-    not copies, keep the peak memory within a few outputs. The rule fails
-    where numpy merges the run's axis with another summed axis, as in
-    `ab...,ab...->...`, a shape the package does not form.
-
-    einsum's summation order follows the operands' strides, so they are
-    made C-contiguous first (no copy for the package's arrays); its output
-    is copied only when einsum gives it another layout.
-    """
-    operands = [np.asarray(op, order="C") for op in operands]
-    plan = _contraction_plan(subscripts)
-    if plan is None:
-        total = np.einsum(subscripts, *operands)
-    else:
-        pieces = ([op[i] for op, i in zip(operands, index)] for index in plan)
-        total = np.einsum(subscripts, *next(pieces))
-        for views in pieces:
-            total += np.einsum(subscripts, *views)
-    return total if total.flags.c_contiguous else total.copy(order="C")
 
 
 class Frame:
@@ -206,7 +147,7 @@ class Frame:
 
     def nabla_xi_matrix(self) -> np.ndarray:
         """nab[i, k] = k-th component of nabla_{d_i} xi."""
-        return self.xi_d + contract("kim...,m...->ik...", self.gamma, self.xi_vec)
+        return self.xi_d + np.einsum("kim...,m...->ik...", self.gamma, self.xi_vec)
 
 
 class ApctStructure:

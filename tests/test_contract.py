@@ -1,20 +1,17 @@
-"""`structure.contract` against np.einsum, bit for bit.
+"""np.einsum on the package's points-last arrays.
 
-Every subscripts string the package passes to `contract` is found in the
-sources, so a new call is tested as soon as it is written; contractions the
-package no longer forms stay as cases: two outer products, the only ones
-that permute an operand's axes without summing any, and the second
-contraction of each antisymmetric pair, which the package now takes as a
-swapped view of the first (checked bit for bit below). `contract` takes
-its operands components first, points last (`...` trailing); the reference
-is np.einsum on contiguous points-first operands (`...` leading), the
-arithmetic the reports were built with before the layout changed. Operands
-span e^-12 .. e^12 in magnitude with exact zeros and -0.0 mixed in, because
-the summation order and the sign of a zero sum are what a reordered kernel
-would get wrong. `contract` calls einsum itself, whose summation order
-follows the operands' strides, so its bits are checked on strided views
-too, and its peak memory is bounded, so no broadcast product over the
-summed axes comes back.
+Every subscripts string the package passes to np.einsum with point axes
+(`...` trailing) is found in the sources, so a new contraction is tested as
+soon as it is written; contractions the package no longer forms stay as
+cases: two outer products, the only ones that permute an operand's axes
+without summing any, and the second contraction of each antisymmetric
+pair, which the package takes as a swapped view of the first (checked bit
+for bit below). Operands span e^-12 .. e^12 in magnitude with exact zeros
+and -0.0 mixed in, because the summation order and the sign of a zero sum
+are what a reordered kernel would get wrong. Each contraction's peak
+memory is bounded, so no broadcast product over the summed axes comes
+back. A batch's columns are compared with the pointwise results in exact
+arithmetic, in tests/test_exact.py.
 """
 
 import re
@@ -26,7 +23,6 @@ import numpy as np
 import pytest
 
 import walkergeo
-from walkergeo.structure import contract
 
 SOURCES = sorted(Path(walkergeo.__file__).parent.glob("*.py"))
 # (first, second, axes): second is first with the output axes swapped
@@ -45,7 +41,8 @@ RETIRED = ({"i...,jk...->ijk...", "j...,ki...->ijk..."}
            | {second for _, second, _ in SWAPPED_PAIRS})
 SUBSCRIPTS = sorted(RETIRED | {
     match for path in SOURCES
-    for match in re.findall(r'contract\(\s*"([^"]+)"', path.read_text())
+    for match in re.findall(r'np\.einsum\(\s*"([^"]+)"', path.read_text())
+    if "..." in match
 })
 
 
@@ -63,71 +60,16 @@ def identical(a, b) -> bool:
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
-def points_first(subscripts: str) -> str:
-    """The same contraction with the point axes leading."""
-    inputs, out = subscripts.replace("...", "").split("->")
-    return ",".join("..." + term for term in inputs.split(",")) + "->..." + out
-
-
-def points_last_subscripts(reference: str) -> str:
-    """The same contraction with the point axes trailing."""
-    inputs, out = reference.replace("...", "").split("->")
-    return ",".join(term + "..." for term in inputs.split(",")) + "->" + out + "..."
-
-
 def points_last(a: np.ndarray, lead: tuple) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(a, 0, -1)) if lead else a
 
 
-# each case is named by the einsum reference it is checked against
-CASES = {points_first(s): s for s in SUBSCRIPTS}
-
-
-def test_the_package_uses_contract():
+def test_the_package_uses_einsum():
     assert len(SUBSCRIPTS) >= 20
     terms = [term for s in SUBSCRIPTS
              for term in s.replace("->", ",").split(",")]
     assert all(term.endswith("...") and term.count("...") == 1
                for term in terms)
-
-
-@pytest.mark.parametrize("reference", sorted(CASES))
-@pytest.mark.parametrize("lead", LEADS)
-def test_contract_is_einsum_bit_for_bit(reference, lead):
-    subscripts = CASES[reference]
-    rng = np.random.default_rng(zlib.crc32(f"{reference}{lead}".encode()))
-    labels = subscripts.split("->")[0].replace("...", "").split(",")
-    for _ in range(3):
-        firsts = [operand(rng, lead + (3,) * len(s)) for s in labels]
-        want = np.einsum(reference, *firsts)
-        ops = [points_last(a, lead) for a in firsts]
-        copies = [a.copy() for a in ops]
-        got = contract(subscripts, *ops)
-        assert identical(got, points_last(want, lead)), subscripts
-        assert np.asarray(got).flags.c_contiguous
-        assert all(identical(a, b) for a, b in zip(ops, copies))
-
-
-def strided_views(a: np.ndarray):
-    """Views of a's values in other layouts: Fortran order, a step-2 slice
-    of the point axis, and a swapaxes view of a contiguous transpose."""
-    yield np.asfortranarray(a)
-    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
-    wide[..., ::2] = a
-    yield wide[..., ::2]
-    yield np.ascontiguousarray(a.swapaxes(0, -1)).swapaxes(0, -1)
-
-
-@pytest.mark.parametrize("subscripts", SUBSCRIPTS)
-@pytest.mark.parametrize("lead", [(2,), (7,), (512,)])
-def test_contract_does_not_depend_on_operand_strides(subscripts, lead):
-    rng = np.random.default_rng(zlib.crc32(f"{subscripts}{lead}".encode()))
-    labels = subscripts.split("->")[0].replace("...", "").split(",")
-    ops = [points_last(operand(rng, lead + (3,) * len(s)), lead) for s in labels]
-    want = contract(subscripts, *ops)
-    for views in zip(*map(strided_views, ops)):
-        assert not all(v.flags.c_contiguous for v in views)
-        assert identical(contract(subscripts, *views), want), subscripts
 
 
 @pytest.mark.parametrize("subscripts", SUBSCRIPTS)
@@ -136,11 +78,11 @@ def test_contract_never_holds_more_than_a_few_outputs(subscripts):
     rng = np.random.default_rng(zlib.crc32(subscripts.encode()))
     labels = subscripts.split("->")[0].replace("...", "").split(",")
     ops = [operand(rng, (3,) * len(s) + (4096,)) for s in labels]
-    contract(subscripts, *ops)
+    np.einsum(subscripts, *ops)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        out = contract(subscripts, *ops)
+        out = np.einsum(subscripts, *ops)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -149,22 +91,10 @@ def test_contract_never_holds_more_than_a_few_outputs(subscripts):
 
 def test_a_lone_negative_zero_product_sums_to_positive_zero():
     u, v = np.array([[-0.0], [1.0], [2.0]]), np.ones((3, 1))
-    got = contract("i...,j...->ij...", u, v)
+    got = np.einsum("i...,j...->ij...", u, v)
     assert not np.signbit(got[0, :, 0]).any()
     want = np.einsum("...i,...j->...ij", u.T, v.T)
     assert identical(got, np.moveaxis(want, 0, -1))
-
-
-def test_output_axes_may_be_shorter_than_three():
-    # curvature_equivalences passes the blocks i < j of R as one row
-    rng = np.random.default_rng(11)
-    phi, upper = operand(rng, (64, 3, 3)), operand(rng, (64, 1, 3, 3, 3))
-    for reference, ops in (("...mk,...ijml->...ijkl", (phi, upper)),
-                           ("...ijkm,...lm->...ijkl", (upper, phi))):
-        got = contract(points_last_subscripts(reference),
-                       *(points_last(a, (64,)) for a in ops))
-        want = np.einsum(reference, *ops)
-        assert identical(got, points_last(want, (64,)))
 
 
 @pytest.mark.parametrize("first, second, axes", SWAPPED_PAIRS)
@@ -175,5 +105,5 @@ def test_each_swapped_pair_is_its_second_contraction(first, second, axes, lead):
     for _ in range(3):
         ops = [points_last(operand(rng, lead + (3,) * len(s)), lead)
                for s in labels]
-        swapped = contract(first, *ops).swapaxes(*axes)
-        assert identical(swapped, contract(second, *ops)), first
+        swapped = np.einsum(first, *ops).swapaxes(*axes)
+        assert identical(swapped, np.einsum(second, *ops)), first

@@ -33,7 +33,7 @@ from walkergeo.ftensor import (
     theta_xi_field,
 )
 from walkergeo.sampling import Domain, Interval, SamplingConfig, is_identically_zero
-from walkergeo.structure import build_structure, contract, max_abs
+from walkergeo.structure import build_structure, max_abs
 from walkergeo.walker import WalkerManifold
 
 BOX = Domain((Interval(0.5, 2.0), Interval(0.5, 2.0), Interval(0.5, 2.0)))
@@ -545,21 +545,21 @@ def split_with_both_contractions(F, xi, eta, phi, g, forms):
     """`ftensor._component_arrays` with the second contraction of each
     antisymmetric pair formed as such."""
     theta_form, theta_star_form, reeb_square = forms
-    theta_xi = contract("c...,c...->...", theta_form, xi)
-    theta_star_xi = contract("c...,c...->...", theta_star_form, xi)
-    gphiphi = contract("ai...,ab...,bj...->ij...", phi, g, phi)
-    gphi = contract("ab...,bj...->aj...", g, phi)
-    f5 = 0.5 * (contract("...,j...,ik...->ijk...", theta_xi, eta, gphiphi)
-                - contract("...,k...,ij...->ijk...", theta_xi, eta, gphiphi))
-    f6 = -0.5 * (contract("...,j...,ik...->ijk...", theta_star_xi, eta, gphi)
-                 - contract("...,k...,ij...->ijk...", theta_star_xi, eta, gphi))
-    f12 = (contract("i...,j...,k...->ijk...", eta, eta, reeb_square)
-           - contract("i...,k...,j...->ijk...", eta, eta, reeb_square))
+    theta_xi = np.einsum("c...,c...->...", theta_form, xi)
+    theta_star_xi = np.einsum("c...,c...->...", theta_star_form, xi)
+    gphiphi = np.einsum("ai...,ab...,bj...->ij...", phi, g, phi)
+    gphi = np.einsum("ab...,bj...->aj...", g, phi)
+    f5 = 0.5 * (np.einsum("...,j...,ik...->ijk...", theta_xi, eta, gphiphi)
+                - np.einsum("...,k...,ij...->ijk...", theta_xi, eta, gphiphi))
+    f6 = -0.5 * (np.einsum("...,j...,ik...->ijk...", theta_star_xi, eta, gphi)
+                 - np.einsum("...,k...,ij...->ijk...", theta_star_xi, eta, gphi))
+    f12 = (np.einsum("i...,j...,k...->ijk...", eta, eta, reeb_square)
+           - np.einsum("i...,k...,j...->ijk...", eta, eta, reeb_square))
     f10 = F - f5 - f6 - f12
-    t = contract("ijc...,c...->ij...", f10, xi)
-    recon = (-contract("j...,ik...->ijk...", eta, t)
-             + contract("k...,ij...->ijk...", eta, t))
-    t_phiphi = contract("ai...,bj...,ab...->ij...", phi, phi, t)
+    t = np.einsum("ijc...,c...->ij...", f10, xi)
+    recon = (-np.einsum("j...,ik...->ijk...", eta, t)
+             + np.einsum("k...,ij...->ijk...", eta, t))
+    t_phiphi = np.einsum("ai...,bj...,ab...->ij...", phi, phi, t)
     defect = np.maximum(max_abs(f10 - recon, 3), np.maximum(
         max_abs(t - t.swapaxes(0, 1), 2), max_abs(t - t_phiphi, 2)))
     parts = {"G5": f5, "G6": f6, "G10": f10, "G12": f12}
@@ -581,8 +581,8 @@ def test_each_antisymmetric_pair_is_formed_once_with_the_same_bits(lead):
             assert identical(np.asarray(a), np.asarray(b))
         pd = operand(rng, (3, 3, 3) + lead)
         nijenhuis_t = (
-            (contract("mi...,mkj...->ijk...", phi, pd)
-             - contract("mj...,mki...->ijk...", phi, pd))
-            + (contract("km...,jmi...->ijk...", phi, pd)
-               - contract("km...,imj...->ijk...", phi, pd)))
+            (np.einsum("mi...,mkj...->ijk...", phi, pd)
+             - np.einsum("mj...,mki...->ijk...", phi, pd))
+            + (np.einsum("km...,jmi...->ijk...", phi, pd)
+               - np.einsum("km...,imj...->ijk...", phi, pd)))
         assert identical(ftensor._nijenhuis(phi, pd), nijenhuis_t)
