@@ -311,10 +311,13 @@ def every(routes: Iterable[Route]) -> Route:
 
 def bound(values, limit: float, pts) -> Route:
     """The route max(values) <= limit over the sample points, decided at
-    the first point attaining the maximum."""
-    k = int(values.argmax())
-    return Route(bool(values[k] <= limit), tuple(pts[k].tolist()),
-                 float(values[k]))
+    the first point attaining the maximum; a non-finite value fails it and
+    raises (see `_unless`)."""
+    k = int(values.argmax())   # the first nan, if any
+    holds = bool(values[k] <= limit)
+    if not holds:
+        _require_finite(values, pts)
+    return Route(holds, tuple(pts[k].tolist()), float(values[k]))
 
 
 def zero_verdict_from_samples(values: np.ndarray, scales, pts: np.ndarray,
@@ -332,25 +335,39 @@ def zero_verdict_from_samples(values: np.ndarray, scales, pts: np.ndarray,
     if values.ndim > 1:
         values = values.reshape(-1, values.shape[-1]).max(axis=0)
     scales = 1.0 + np.asarray(scales, dtype=float)
-    return _unless(values > tol * scales, pts,
-                   float((values / scales).max(initial=0.0)))
+    return _unless(~(values <= tol * scales), pts,
+                   float((values / scales).max(initial=0.0)), values)
 
 
-def _unless(bad: np.ndarray, pts: np.ndarray, residual: float) -> Route:
+def _unless(bad: np.ndarray, pts: np.ndarray, residual: float,
+            values: np.ndarray) -> Route:
     """The route that holds unless bad holds at a point, the first such
-    point its witness."""
+    point its witness. Each rule marks a nan value bad, so only a route
+    that fails checks that its values are finite: a non-finite one is an
+    EvaluationError, not a verdict."""
     if not bad.any():
         return Route(True, None, residual)
+    _require_finite(values, pts)
     return Route(False, tuple(float(c) for c in pts[int(np.argmax(bad))]),
                  residual)
 
 
+def _require_finite(values: np.ndarray, pts: np.ndarray) -> None:
+    """EvaluationError at the first sampled point of a non-finite value."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise EvaluationError("non-finite value", "a sampled residual",
+                              pts[int(np.argmax(bad))])
+
+
 def analyzed(run):
     """Run `run(S, cfg, ...)`, cfg defaulting to S.config, in the open
-    analysis, or in a new one (see `expressions.analysis`)."""
+    analysis, or in a new one (see `expressions.analysis`), with numpy's
+    floating-point warnings off: every route checks the values it decides
+    on, and a non-finite one raises (see `_unless`)."""
     @wraps(run)
     def within(S, cfg=None, *args, **kwargs):
-        with analysis():
+        with analysis(), np.errstate(all="ignore"):
             return run(S, cfg or S.config, *args, **kwargs)
     return within
 
@@ -386,5 +403,5 @@ def nonvanishing(e: Expr, domain: Domain,
 def _nonvanishing(e: Expr, domain: Domain, cfg: SamplingConfig) -> Route:
     pts = domain.sample(cfg)
     values, scales = evaluate_with_scale(e, pts)
-    return _unless(np.abs(values) <= cfg.tol * (1.0 + scales), pts,
-                   float((np.abs(values) / (1.0 + scales)).min()))
+    return _unless(~(np.abs(values) > cfg.tol * (1.0 + scales)), pts,
+                   float((np.abs(values) / (1.0 + scales)).min()), values)

@@ -248,6 +248,21 @@ def test_an_overflowing_sum_exits_2_naming_it(tmp_path, f, box_x, node):
         f"input error: non-finite value in '{node}' at point (")
 
 
+@pytest.mark.parametrize("samples", ["16", "64", "512"])
+def test_an_overflowing_contraction_exits_2_naming_a_non_finite_value(
+        tmp_path, samples):
+    # F is finite, but its Reeb-square component overflows, and inf - inf
+    # reaches the component zero tests as nan
+    text = read_manifest("overflow-contraction")
+    done = run_process("analyze", write(tmp_path, text), "--samples", samples,
+                       "--report", "machine")
+    assert done.returncode == 2 and done.stdout == ""
+    # one line, no numpy warning before it
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith(
+        "input error: non-finite value in 'a sampled residual' at point (")
+
+
 def test_machine_report_refuses_a_non_finite_value():
     report = ClassificationReport(
         name="t", sampling={}, structure_validity={}, basic_classes={},

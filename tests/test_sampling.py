@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from walkergeo.errors import EmptyDomainError
+from walkergeo.errors import EmptyDomainError, EvaluationError
 from walkergeo.expressions import parse
 from walkergeo.sampling import (
     Domain,
     Interval,
     SamplingConfig,
+    bound,
     is_identically_zero,
     nonvanishing,
+    zero_verdict_from_samples,
 )
 
 BOX = (Interval(0.5, 2.0), Interval(0.5, 2.0), Interval(0.5, 2.0))
@@ -100,6 +102,17 @@ def test_nonvanishing_verdict():
     v = nonvanishing(parse("x - y"), d, SamplingConfig(samples=64, seed=42, tol=1e-2))
     assert not v.holds
     assert v.witness is not None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_residual_raises_naming_its_first_point(bad):
+    pts = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [3.0, 1.0, 1.0]])
+    values = np.array([0.0, bad, bad])
+    for decide in (lambda: zero_verdict_from_samples(values, 0.0, pts, 1e-9),
+                   lambda: bound(values, 1e-9, pts)):
+        with pytest.raises(EvaluationError, match="non-finite value") as err:
+            decide()
+        assert err.value.point == (2.0, 1.0, 1.0)
 
 
 def test_with_overrides():
