@@ -166,7 +166,7 @@ def _connection_route(frame: Frame) -> np.ndarray:
     return np.einsum("alb...,lc...->abc...", nabla_phi, frame.g)
 
 
-class FTensorValue:
+class FTensorValue(NamedTuple):
     """Numeric structure tensor at a point, its arrays read-only; given
     (n, 3) points, this and every value object below holds them in point
     and its arrays gain a trailing point axis.
@@ -179,22 +179,14 @@ class FTensorValue:
     F(xi, xi, .); the trace forms and the component shapes read them here.
     """
 
-    __slots__ = ("point", "components", "theta", "theta_star", "theta_xi",
-                 "theta_star_xi", "reeb_square", "route_discrepancy")
-
-    def __init__(self, point: tuple[float, float, float],
-                 components: np.ndarray, theta: np.ndarray,
-                 theta_star: np.ndarray, theta_xi: float, theta_star_xi: float,
-                 reeb_square: np.ndarray, route_discrepancy: float):
-        for array in (components, theta, theta_star, reeb_square):
-            array.setflags(write=False)
-        for name, value in zip(self.__slots__, (
-                point, components, theta, theta_star, theta_xi, theta_star_xi,
-                reeb_square, route_discrepancy)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    point: tuple[float, float, float]
+    components: np.ndarray
+    theta: np.ndarray
+    theta_star: np.ndarray
+    theta_xi: float
+    theta_star_xi: float
+    reeb_square: np.ndarray
+    route_discrepancy: float
 
 
 def _tensor_forms(F: np.ndarray, xi: np.ndarray, phi: np.ndarray,
@@ -219,6 +211,8 @@ def _f_tensor(frame: Frame) -> FTensorValue:
     discrepancy = max_abs(coord - conn, 3) / (1.0 + frame.scale)
     theta, theta_star, reeb_square = _tensor_forms(
         coord, frame.xi_vec, frame.phi_mat, frame.ginv)
+    for array in (coord, theta, theta_star, reeb_square):
+        array.setflags(write=False)
     xi_first = points_first(frame.xi_vec, 1)
     return FTensorValue(
         frame.point, coord, theta, theta_star,

@@ -10,16 +10,28 @@ arithmetic first.
 The last few helpers are objects only tests read: the fundamental 2-form,
 its cyclic wedge with eta and d(fundamental) as the cyclic sum of F, by
 np.einsum on the package's arrays, and a structure with phi overridden.
+`build` makes a structure from source strings on BOX, the box the test
+modules share.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from walkergeo.expressions import evaluate_with_scale
-from walkergeo.structure import ApctStructure
+from walkergeo.expressions import evaluate_with_scale, parse
+from walkergeo.sampling import Domain, Interval, SamplingConfig
+from walkergeo.structure import ApctStructure, build_structure
+from walkergeo.walker import WalkerManifold
 
 STEP = 1e-4
+BOX = Domain((Interval(0.5, 2.0), Interval(0.5, 2.0), Interval(0.5, 2.0)))
+
+
+def build(f: str, xi, cfg: SamplingConfig) -> ApctStructure:
+    """The structure of f and the Reeb components xi (source strings) on
+    BOX, sampled by cfg."""
+    M = WalkerManifold(parse(f), 1, BOX)
+    return build_structure(M, tuple(parse(c) for c in xi), cfg)
 
 
 def expr_fn(e):

@@ -1,6 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from geometry_oracles import BOX, build as build_on_box
 from walkergeo import report
 from walkergeo.classify import (
     NEVER,
@@ -17,13 +20,11 @@ from walkergeo.classify import (
 )
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.errors import InputError
-from walkergeo.expressions import parse, to_source
-from walkergeo.sampling import Domain, Interval, SamplingConfig, is_identically_zero
-from walkergeo.structure import build_structure
-from walkergeo.walker import WalkerManifold
+from walkergeo.expressions import parse
+from walkergeo.sampling import SamplingConfig, is_identically_zero
 
-BOX = Domain((Interval(0.5, 2.0), Interval(0.5, 2.0), Interval(0.5, 2.0)))
 CFG = SamplingConfig(samples=24, seed=17)
+build = partial(build_on_box, cfg=CFG)
 
 EXPECTED_BASIC = {
     "g0-parallel": (frozenset(), "G0"),
@@ -49,10 +50,6 @@ EXPECTED_NAMED = {
     "flat-bilinear": {"almost_paracosymplectic"},
 }
 
-
-def build(f, xi, cfg=CFG):
-    M = WalkerManifold(parse(f), 1, BOX)
-    return build_structure(M, tuple(parse(c) for c in xi), cfg)
 
 
 @pytest.mark.parametrize("name", list(EXPECTED_BASIC), ids=list(EXPECTED_BASIC))

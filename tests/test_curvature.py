@@ -1,7 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from walkergeo.classify import named_classes
+from geometry_oracles import build as build_on_box
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.curvature import (
     curvature_equivalences,
@@ -11,21 +13,14 @@ from walkergeo.curvature import (
     sectional_curvatures,
 )
 from walkergeo.errors import DegenerateInputError
-from walkergeo.expressions import parse
 from walkergeo.manifest import parse_manifest
 from walkergeo.report import build_report
-from walkergeo.sampling import Domain, Interval, SamplingConfig, is_identically_zero
-from walkergeo.structure import build_structure
-from walkergeo.walker import WalkerManifold, curvature_at, segre_type
+from walkergeo.sampling import SamplingConfig, is_identically_zero
+from walkergeo.walker import curvature_at, segre_type
 from write_reports import read_manifest
 
-BOX = Domain((Interval(0.5, 2.0), Interval(0.5, 2.0), Interval(0.5, 2.0)))
 CFG = SamplingConfig(samples=24, seed=23)
-
-
-def build(f, xi, cfg=CFG):
-    M = WalkerManifold(parse(f), 1, BOX)
-    return build_structure(M, tuple(parse(c) for c in xi), cfg)
+build = partial(build_on_box, cfg=CFG)
 
 
 # -------------------------------------------------------------- ricci relation

@@ -1,12 +1,14 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from geometry_oracles import (
+    build as build_on_box,
     d_fundamental_batch,
     d_one_form_oracle,
     d_two_form_oracle,
     eta_wedge_fundamental,
-    expr_fn,
     fundamental_form,
     lie_metric_oracle,
     metric_fn,
@@ -14,7 +16,7 @@ from geometry_oracles import (
 )
 from test_contract import identical, operand
 import walkergeo.ftensor as ftensor
-from walkergeo.expressions import diff, evaluate_with_scale, parse
+from walkergeo.expressions import diff, evaluate_with_scale
 from walkergeo.ftensor import (
     coefficient_fields,
     d_eta_batch,
@@ -32,17 +34,11 @@ from walkergeo.ftensor import (
     theta_star_xi_field,
     theta_xi_field,
 )
-from walkergeo.sampling import Domain, Interval, SamplingConfig, is_identically_zero
-from walkergeo.structure import build_structure, max_abs
-from walkergeo.walker import WalkerManifold
+from walkergeo.sampling import SamplingConfig, is_identically_zero
+from walkergeo.structure import max_abs
 
-BOX = Domain((Interval(0.5, 2.0), Interval(0.5, 2.0), Interval(0.5, 2.0)))
 CFG = SamplingConfig(samples=24, seed=13)
-
-
-def build(f, xi, cfg=CFG):
-    M = WalkerManifold(parse(f), 1, BOX)
-    return build_structure(M, tuple(parse(c) for c in xi), cfg)
+build = partial(build_on_box, cfg=CFG)
 
 
 def points(S, n=6):

@@ -1,13 +1,16 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from geometry_oracles import (
-    christoffel_oracle, fd_partial, metric_fn, vector_fn, with_phi,
+    BOX, build as build_on_box, christoffel_oracle, fd_partial, metric_fn,
+    vector_fn, with_phi,
 )
 from walkergeo.errors import NonexistentStructureError, UnitConstraintError
 from walkergeo.expressions import analysis, evaluate_with_scale, parse, to_source
 from walkergeo.jets import eval_jet
-from walkergeo.sampling import Domain, Interval, SamplingConfig, is_identically_zero
+from walkergeo.sampling import SamplingConfig, is_identically_zero
 from walkergeo.structure import (
     Frame,
     build_structure,
@@ -17,8 +20,8 @@ from walkergeo.structure import (
 )
 from walkergeo.walker import WalkerManifold
 
-BOX = Domain((Interval(0.5, 2.0), Interval(0.5, 2.0), Interval(0.5, 2.0)))
 CFG = SamplingConfig(samples=32, seed=9)
+build = partial(build_on_box, cfg=CFG)
 
 # (f, xi) pairs covering the Reeb shapes the classifier cares about
 STRUCTURES = [
@@ -29,10 +32,6 @@ STRUCTURES = [
     ("x + z", ("exp(z/2)", "-1", "0")),  # xi2 = -1 branch
 ]
 
-
-def build(f, xi, cfg=CFG):
-    M = WalkerManifold(parse(f), 1, BOX)
-    return build_structure(M, tuple(parse(c) for c in xi), cfg)
 
 
 @pytest.mark.parametrize("f,xi", STRUCTURES, ids=[s[0] for s in STRUCTURES])
