@@ -774,33 +774,21 @@ def parse(source: str, constants: Mapping[str, Rational] | None = None) -> Expr:
 _BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 
 
-# Every numeric kernel keeps the scalar type of its points: floats, or exact
-# scalars (an object array, such as of Fractions), on which it runs in exact
-# arithmetic with no change to its float results.
-
 def as_points(points) -> np.ndarray:
-    """points as floats, or as given when they hold exact scalars."""
+    """points as floats, or as given when they hold exact scalars (an object
+    array, such as of Fractions): every numeric kernel keeps that type."""
     pts = np.asarray(points)
     return pts if pts.dtype == object else pts.astype(float, copy=False)
 
 
 def scalar(value, like):
-    """value in the scalar type of the array like: a float, or for exact
-    entries 0 * an entry + value, so an int entry never truncates value."""
+    """value as a float, or as 0 * like's first exact entry + value."""
     like = np.asarray(like)
     return float(value) if like.dtype != object else like.flat[0] * 0 + value
 
 
-def zeros(shape: tuple, like) -> np.ndarray:
-    """np.zeros(shape) in the scalar type of like (see `scalar`)."""
-    if np.asarray(like).dtype != object:
-        return np.zeros(shape)
-    return np.full(shape, scalar(0, like))
-
-
-def is_finite(a) -> np.ndarray:
+def is_finite(a: np.ndarray) -> np.ndarray:
     """np.isfinite, true everywhere on exact scalars."""
-    a = np.asarray(a)
     return np.isfinite(a) if a.dtype != object else np.ones(a.shape, bool)
 
 

@@ -34,13 +34,12 @@ modeled direct sum is detected rather than silently projected.
 
 Arrays are laid out components first, points last: F over n points is
 (3, 3, 3, n), and a single point has no point axis (see `structure`).
-Contractions are np.einsum on these arrays. On rational points every
-kernel runs in exact arithmetic, and a batch's column k then equals the
-pointwise result at pts[k] exactly. In an analysis (each pointwise entry
-point runs in one, or joins the open one), the frames, the structure
-tensor (`f_tensor_at`) and every symbolic field's values are formed once;
-the eta partials and a batch's Reeb contractions are shared by the routes
-that read them until the classification ends.
+Contractions are np.einsum on them; on rational points a batch's column k
+equals the pointwise result at pts[k] exactly. In an analysis (each
+pointwise entry point runs in one, or joins the open one), the frames, the
+structure tensor (`f_tensor_at`) and every symbolic field's values are
+formed once; the eta partials and a batch's Reeb contractions are shared
+by the routes that read them until the classification ends.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .expressions import (
-    Expr, analysis, as_points, diff, evaluate_with_scale, once, zeros,
+    Expr, analysis, as_points, diff, evaluate_with_scale, once, scalar,
 )
 from .structure import (
     ApctStructure, Frame, dot, max_abs, points_first, points_last,
@@ -142,9 +141,8 @@ def _coordinate_route(frame: Frame) -> np.ndarray:
 
 
 def _antisymmetric(coeffs, like) -> np.ndarray:
-    """F from its entries F[a, b, c] = value, with F[a, c, b] = -value,
-    with the shape and scalar type of like per component."""
-    F = zeros((3, 3, 3) + np.shape(like), like)
+    """F[a, b, c] = value, F[a, c, b] = -value; each component like like."""
+    F = np.full((3, 3, 3) + np.shape(like), scalar(0, like))
     for a, b, c, value in coeffs:
         F[a, b, c] = value
         F[a, c, b] = -value

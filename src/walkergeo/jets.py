@@ -36,7 +36,7 @@ import numpy as np
 
 from .expressions import (
     _ANALYSIS, Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var,
-    _check, as_points, fold, is_finite, scalar, zeros,
+    _check, as_points, fold, is_finite, scalar,
 )
 
 MAX_ORDER = 3
@@ -107,7 +107,7 @@ class Jet3:
 
     @classmethod
     def constant(cls, value, order: int, shape: tuple = ()) -> "Jet3":
-        coeffs = zeros((len(_INDICES[order]),) + shape, value)
+        coeffs = np.full((len(_INDICES[order]),) + shape, scalar(0, value))
         coeffs[0] = value
         return cls(order, coeffs)
 

@@ -311,13 +311,12 @@ def every(routes: Iterable[Route]) -> Route:
 
 def bound(values, limit: float, pts) -> Route:
     """The route max(values) <= limit over the sample points, decided at
-    the first point attaining the maximum; a non-finite value fails it and
-    raises (see `_unless`)."""
+    the first point attaining the maximum, where a nan or inf raises."""
     k = int(values.argmax())   # the first nan, if any
-    holds = bool(values[k] <= limit)
-    if not holds:
-        _require_finite(values, pts)
-    return Route(holds, tuple(pts[k].tolist()), float(values[k]))
+    if not np.isfinite(values[k]):
+        raise EvaluationError("non-finite value", "a sampled residual", pts[k])
+    return Route(bool(values[k] <= limit), tuple(pts[k].tolist()),
+                 float(values[k]))
 
 
 def zero_verdict_from_samples(values: np.ndarray, scales, pts: np.ndarray,
@@ -342,29 +341,22 @@ def zero_verdict_from_samples(values: np.ndarray, scales, pts: np.ndarray,
 def _unless(bad: np.ndarray, pts: np.ndarray, residual: float,
             values: np.ndarray) -> Route:
     """The route that holds unless bad holds at a point, the first such
-    point its witness. Each rule marks a nan value bad, so only a route
-    that fails checks that its values are finite: a non-finite one is an
-    EvaluationError, not a verdict."""
+    point its witness. A rule marks nan bad, and a failing route raises
+    EvaluationError at its first non-finite value, if any."""
     if not bad.any():
         return Route(True, None, residual)
-    _require_finite(values, pts)
+    nonfinite = ~np.isfinite(values)
+    if nonfinite.any():
+        raise EvaluationError("non-finite value", "a sampled residual",
+                              pts[int(np.argmax(nonfinite))])
     return Route(False, tuple(float(c) for c in pts[int(np.argmax(bad))]),
                  residual)
-
-
-def _require_finite(values: np.ndarray, pts: np.ndarray) -> None:
-    """EvaluationError at the first sampled point of a non-finite value."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise EvaluationError("non-finite value", "a sampled residual",
-                              pts[int(np.argmax(bad))])
 
 
 def analyzed(run):
     """Run `run(S, cfg, ...)`, cfg defaulting to S.config, in the open
     analysis, or in a new one (see `expressions.analysis`), with numpy's
-    floating-point warnings off: every route checks the values it decides
-    on, and a non-finite one raises (see `_unless`)."""
+    warnings off: each route checks the values it decides (see `_unless`)."""
     @wraps(run)
     def within(S, cfg=None, *args, **kwargs):
         with analysis(), np.errstate(all="ignore"):

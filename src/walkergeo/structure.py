@@ -37,8 +37,7 @@ Every batched numeric array of the package has one layout, that of the jet
 coefficients: components first, points last, C-contiguous. Over n points a
 vector is (3, n), a matrix (3, 3, n); a single point has no point axis, and
 a[..., k] of a batch is point k. Contractions are np.einsum on that
-layout, whose summation order may differ between a batch and a point, so
-their columns are compared with points in exact arithmetic, on rational
+layout, whose batch columns equal the pointwise results on rational
 points; `@` alone runs on points-first copies (see `points_first`).
 """
 

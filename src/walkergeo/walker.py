@@ -28,30 +28,28 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfDomainError, UnsupportedSignatureError
-from .expressions import Expr, diff, gradient, once, to_source, zeros
+from .expressions import Expr, diff, gradient, once, scalar, to_source
 from .jets import Jet3, eval_jet
 from .sampling import (
     Domain, Route, SamplingConfig, is_identically_zero, nonvanishing,
 )
 
 
-class TensorValue:
-    """Numeric tensor components at a point, read-only.
+class TensorValue(NamedTuple):
+    """Numeric tensor components at a point, read-only (see `_tensor`).
 
     variance = (contravariant, covariant) slot counts. Index layout is
     documented per operation; for curvature, components[i, j, k, l] is the
     l-th component of R(d_i, d_j) d_k.
     """
 
-    __slots__ = ("components", "variance")
+    components: np.ndarray
+    variance: tuple[int, int]
 
-    def __init__(self, components: np.ndarray, variance: tuple[int, int]):
-        components.setflags(write=False)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "variance", variance)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+def _tensor(components: np.ndarray, variance: tuple[int, int]) -> TensorValue:
+    components.setflags(write=False)
+    return TensorValue(components, variance)
 
 
 class WalkerManifold:
@@ -89,7 +87,7 @@ def metric_at(M: WalkerManifold, point) -> tuple[TensorValue, TensorValue]:
     """
     M.require_inside(point)
     g, ginv = metric_arrays(eval_jet(M.f, point, 0).value, float(M.epsilon))
-    return TensorValue(g, (0, 2)), TensorValue(ginv, (2, 0))
+    return _tensor(g, (0, 2)), _tensor(ginv, (2, 0))
 
 
 def metric_arrays(f, eps: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +108,7 @@ def christoffel_at(M: WalkerManifold, point) -> TensorValue:
     """
     M.require_spacelike_signature()
     M.require_inside(point)
-    return TensorValue(christoffel_from_jet(eval_jet(M.f, point, 1)), (1, 2))
+    return _tensor(christoffel_from_jet(eval_jet(M.f, point, 1)), (1, 2))
 
 
 def christoffel_from_jet(jet: Jet3) -> np.ndarray:
@@ -119,7 +117,7 @@ def christoffel_from_jet(jet: Jet3) -> np.ndarray:
     fx = jet.derivative((1, 0, 0))
     fy = jet.derivative((0, 1, 0))
     fz = jet.derivative((0, 0, 1))
-    gamma = zeros((3, 3, 3) + np.shape(f), f)
+    gamma = np.full((3, 3, 3) + np.shape(f), scalar(0, f))
     gamma[0, 0, 2] = gamma[0, 2, 0] = 0.5 * fx
     gamma[0, 1, 2] = gamma[0, 2, 1] = 0.5 * fy
     gamma[0, 2, 2] = 0.5 * (f * fx + fz)
@@ -138,7 +136,7 @@ def curvature_at(M: WalkerManifold, point) -> TensorValue:
     """
     M.require_spacelike_signature()
     M.require_inside(point)
-    return TensorValue(curvature_from_jet(eval_jet(M.f, point, 2)), (1, 3))
+    return _tensor(curvature_from_jet(eval_jet(M.f, point, 2)), (1, 3))
 
 
 def _hessian(jet: Jet3):
@@ -150,7 +148,7 @@ def _hessian(jet: Jet3):
 def curvature_from_jet(jet: Jet3) -> np.ndarray:
     """Curvature operator components from a jet of f of order >= 2."""
     f, fxx, fxy, fyy = _hessian(jet)
-    R = zeros((3, 3, 3, 3) + np.shape(f), f)
+    R = np.full((3, 3, 3, 3) + np.shape(f), scalar(0, f))
     R[0, 2, 0, 0] = -0.5 * fxx
     R[0, 2, 1, 0] = -0.5 * fxy
     R[0, 2, 2, 0] = -0.5 * f * fxx
@@ -171,17 +169,17 @@ def ricci_at(M: WalkerManifold, point) -> tuple[TensorValue, TensorValue, float]
     M.require_spacelike_signature()
     M.require_inside(point)
     rho, q, fxx = ricci_from_jet(eval_jet(M.f, point, 2))
-    return TensorValue(rho, (0, 2)), TensorValue(q, (1, 1)), fxx
+    return _tensor(rho, (0, 2)), _tensor(q, (1, 1)), fxx
 
 
 def ricci_from_jet(jet: Jet3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rho, Q, f_xx) from a jet of f of order >= 2."""
     f, fxx, fxy, fyy = _hessian(jet)
-    rho = zeros((3, 3) + np.shape(f), f)
+    rho = np.full((3, 3) + np.shape(f), scalar(0, f))
     rho[0, 2] = rho[2, 0] = 0.5 * fxx
     rho[1, 2] = rho[2, 1] = 0.5 * fxy
     rho[2, 2] = 0.5 * (f * fxx - fyy)
-    q = zeros((3, 3) + np.shape(f), f)
+    q = np.full((3, 3) + np.shape(f), scalar(0, f))
     q[0, 0] = q[2, 2] = 0.5 * fxx
     q[0, 1] = q[1, 2] = 0.5 * fxy
     q[0, 2] = -0.5 * fyy
