@@ -141,7 +141,7 @@ def _coordinate_route(frame: Frame) -> np.ndarray:
 
 
 def _antisymmetric(coeffs, like) -> np.ndarray:
-    """F[a, b, c] = value, F[a, c, b] = -value; each component like like."""
+    """F[a, b, c] = value, F[a, c, b] = -value, in like's shape and type."""
     F = np.full((3, 3, 3) + np.shape(like), scalar(0, like))
     for a, b, c, value in coeffs:
         F[a, b, c] = value
