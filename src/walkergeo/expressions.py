@@ -775,8 +775,8 @@ _BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 
 
 def as_points(points) -> np.ndarray:
-    """points as floats, or as given when they hold exact scalars (an object
-    array, such as of Fractions): every numeric kernel keeps that type."""
+    """points as floats, or as given when exact: an object array of a scalar
+    type that takes float literals exactly, which every kernel keeps."""
     pts = np.asarray(points)
     return pts if pts.dtype == object else pts.astype(float, copy=False)
 

@@ -92,7 +92,7 @@ def metric_at(M: WalkerManifold, point) -> tuple[TensorValue, TensorValue]:
 
 def metric_arrays(f, eps: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """The metric g and its inverse from values of f, at points or a point."""
-    zero = np.zeros_like(f)
+    zero = np.full(np.shape(f), scalar(0, f))
     one = zero + 1.0
     e = eps * one
     return (np.array([[zero, zero, one], [zero, e, zero], [one, zero, f]]),
