@@ -32,7 +32,10 @@ Derivatives, 2008): nothing recurses per level, so derived fields may nest
 deeply. All one analysis remembers (derivatives, kept values and jets,
 results of `once` such as frames) is one `Analysis`, in named tables
 keyed by every input an entry reads (as in hash-consing practice:
-Filliatre and Conchon, Type-safe modular hash-consing, 2006).
+Filliatre and Conchon, Type-safe modular hash-consing, 2006). Every
+walker and `once` use the `current` analysis, the open one or one that
+lives for the call alone, under one rule: `diff` and the evaluator keep
+each node, the jets each field, from its first computation.
 
 Numeric literals are exact `Fraction`s. The smart constructors used by
 `diff` and by the Python operator overloads only ever produce fractions with
@@ -371,80 +374,78 @@ class Analysis:
 
     def __init__(self):
         self.derivatives = {}   # (node, variable) -> derivative; see `diff`
-        self.values = {}        # (node, points) -> (values, scale) and
-        self.seen = set()       # (node, points) once; see evaluate_with_scale
-        self.jets = {}          # (field, points) -> (jet, all finite)
+        self.values = {}        # points -> {node: (values, scale)}
+        self.jets = {}          # points -> {field: (jet, all finite)}
         self.results = {}       # (owner id, name, *key) -> (owner, result)
-        self.batches = {}       # id -> each batch keyed, kept alive
+        self.batches = {}       # id -> each read-only batch keyed, kept alive
 
     def at(self, points: np.ndarray):
         """The key of points in every table: one point (shape (3,)) by its
         bytes, a read-only batch by identity (kept alive, so the id stays
-        unique); None for a writable batch, which is never kept."""
+        unique), and a writable batch by a key no later call shares, so a
+        batch changed in place is never served a kept value."""
         if points.ndim == 1:   # an exact point's bytes are pointers
             return (points.tobytes() if points.dtype != object
                     else tuple(points.tolist()))
         if points.flags.writeable:
-            return None
+            return object()
         self.batches[id(points)] = points
         return id(points)
 
-    def key(self, owner, name: str, key: tuple):
-        """The key of a result of `once`, or None for a writable batch."""
-        parts = [self.at(p) if isinstance(p, np.ndarray) else p for p in key]
-        return None if None in parts else (id(owner), name, *parts)
+    def key(self, owner, name: str, key: tuple) -> tuple:
+        """The key of a result of `once`."""
+        return (id(owner), name, *(self.at(p) if isinstance(p, np.ndarray)
+                                   else p for p in key))
 
 
 _ANALYSIS: ContextVar[Analysis | None] = ContextVar("analysis", default=None)
+
+
+def current() -> Analysis:
+    """The open Analysis, or a new one that lives only for the caller's
+    call, so a call made outside an analysis keeps nothing for the next."""
+    return _ANALYSIS.get() or Analysis()
 
 
 @contextmanager
 def analysis():
     """The open Analysis, or a new one that closes, with all it keeps, when
     the block ends."""
-    token = None if _ANALYSIS.get() else _ANALYSIS.set(Analysis())
+    token = _ANALYSIS.set(current())
     try:
         yield _ANALYSIS.get()
     finally:
-        if token is not None:
-            _ANALYSIS.reset(token)
+        _ANALYSIS.reset(token)
 
 
 def once(owner, name: str, key: tuple, build):
-    """build(), once per (owner, name, key) in the open analysis's results:
-    owner by identity (kept with the result), key by `Analysis.key`, so key
-    must name every other input the result reads. Outside an analysis, or
-    for a writable batch, every time."""
-    active = _ANALYSIS.get()
-    k = None if active is None else active.key(owner, name, key)
-    if k is None:
-        return build()
-    hit = active.results.get(k)
-    if hit is None:
-        hit = active.results[k] = (owner, build())
-    return hit[1]
+    """build(), once per (owner, name, key) in the `current` analysis's
+    results: owner by identity (kept with the result), key by
+    `Analysis.key`, so key must name every other input the result reads."""
+    active = current()
+    k = active.key(owner, name, key)
+    if k not in active.results:
+        active.results[k] = (owner, build())
+    return active.results[k][1]
 
 
 def release(owner, name: str, key: tuple) -> None:
     """Drop a result of `once` that no later step needs (sample arrays)."""
-    active = _ANALYSIS.get()
-    if active is not None:
-        active.results.pop(active.key(owner, name, key), None)
+    active = current()
+    active.results.pop(active.key(owner, name, key), None)
 
 
 def diff(e: Expr, var: str) -> Expr:
     """Exact partial derivative with respect to 'x', 'y', or 'z'.
 
-    One `fold` of `_derive`, memoized per (node, variable) in the open
-    analysis's derivatives (a call made outside one has a memo of its
-    own): a node in the memo stands as a leaf, and each node differentiated
-    enters it. So a derivative shares the derivative objects of its shared
-    subtrees and DAG-shaped inputs stay DAG-shaped.
+    One `fold` of `_derive`, memoized per (node, variable) in the `current`
+    analysis's derivatives: a node in the memo stands as a leaf, and each
+    node differentiated enters it. So a derivative shares the derivative
+    objects of its shared subtrees and DAG-shaped inputs stay DAG-shaped.
     """
     if var not in _VARIABLES:
         raise ValueError(f"unknown variable {var!r}")
-    active = _ANALYSIS.get()
-    memo = {} if active is None else active.derivatives
+    memo = current().derivatives
 
     def rule(node: Expr, derivatives: list[Expr]) -> Expr:
         d = memo[node, var] = _derive(node, var, derivatives)
@@ -787,8 +788,9 @@ def scalar(value, like):
     return float(value) if like.dtype != object else like.flat[0] * 0 + value
 
 
-def is_finite(a: np.ndarray) -> np.ndarray:
+def is_finite(a) -> np.ndarray:
     """np.isfinite, true everywhere on exact scalars."""
+    a = np.asarray(a)
     return np.isfinite(a) if a.dtype != object else np.ones(a.shape, bool)
 
 
@@ -802,18 +804,12 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
 
     The expression is evaluated by one `fold` over its DAG: a subtree
     reached twice (`diff` reuses operand objects) is evaluated once per
-    call, children left to right, and its arrays are dropped once its last
-    parent has used them. Values are those of a tree walk.
+    call, children left to right. Values are those of a tree walk.
 
-    In an analysis (see `analysis`), at one point or on a read-only (n, 3)
-    array such as the sample, one rule keeps a node's (values, scale),
-    read-only, in the analysis's values: the call's root at once, any other
-    node from its second evaluation on (the first enters it in seen). A
-    kept node is a leaf of later calls, a kept root their result. So a
-    shared node is evaluated at most twice per sample, and the analysis
-    holds two n-vectors per root and per node two calls share. A node's
+    Each node's (values, scale), read-only, is kept from its first
+    evaluation in the `current` analysis's values for these points (see
+    `Analysis.at`), where it stands as a leaf of later calls; a node's
     values and scale depend on its subtree alone, so this changes no bit.
-    Outside an analysis, and on a writable batch, nothing is kept.
 
     Raises EvaluationError on division by exactly zero, sqrt of a
     non-positive argument, or a non-finite result (overflow), reporting the
@@ -824,41 +820,31 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     single = pts.shape == (3,)
     if not single and (pts.ndim != 2 or pts.shape[1] != 3):
         raise ValueError("points must have shape (3,) or (n, 3)")
-    active = _ANALYSIS.get()
-    at = None if active is None else active.at(pts)
-    kept = None if at is None else active.values.get((e, at))
-    values, scale = kept or _walk(e, pts.reshape(1, 3) if single else pts, at)
+    active = current()
+    kept = active.values.setdefault(active.at(pts), {})
+    values, scale = _walk(e, pts.reshape(1, 3) if single else pts, kept)
     return (values[0], scale[0]) if single else (values, scale)
 
 
-def _check(bad: np.ndarray, reason: str, node: Expr, pts: np.ndarray) -> None:
+def raise_at(bad: np.ndarray, reason: str, node: Expr, pts: np.ndarray) -> None:
     """EvaluationError at node and the first of the points where bad holds."""
     if bad.any():
         raise EvaluationError(reason, to_source(node), pts[int(np.argmax(bad))])
 
 
-def _walk(e: Expr, pts: np.ndarray, at) -> tuple[np.ndarray, np.ndarray]:
+def _walk(e: Expr, pts: np.ndarray, kept: dict) -> tuple[np.ndarray, np.ndarray]:
     """(values, scale) of e over the (n, 3) points: one `fold` of
-    `_evaluate_node`, under the keep rule when at is their key in the open
-    analysis."""
-    if at is None:
-        with np.errstate(over="ignore", divide="ignore"):
-            return fold(e, lambda node, args: _evaluate_node(node, args, pts))
-    active = _ANALYSIS.get()
-    kept, seen = active.values, active.seen
+    `_evaluate_node`, each node's result made read-only and kept in kept,
+    the points' table, where a kept node stands as a leaf."""
 
     def keep(node: Expr, args) -> tuple[np.ndarray, np.ndarray]:
-        out = _evaluate_node(node, args, pts)
-        if node is e or (node, at) in seen:
-            for array in out:
-                array.setflags(write=False)
-            kept[node, at] = out
-        else:
-            seen.add((node, at))
+        out = kept[node] = _evaluate_node(node, args, pts)
+        for array in out:
+            array.setflags(write=False)
         return out
 
     with np.errstate(over="ignore", divide="ignore"):
-        return fold(e, keep, lambda node: kept.get((node, at)))
+        return fold(e, keep, kept.get)
 
 
 def _evaluate_node(node: Expr, args, pts: np.ndarray):
@@ -876,21 +862,21 @@ def _evaluate_node(node: Expr, args, pts: np.ndarray):
     if kind in _BINARY:
         b, b_scale = rest[0]
         if kind is Div:
-            _check(b == 0.0, "division by zero", node, pts)
+            raise_at(b == 0.0, "division by zero", node, pts)
         v = _BINARY[kind](a, b)
         scale = np.maximum(scale, b_scale)
     elif kind is Pow:
         if node.exponent < 0:
-            _check(a == 0.0, "division by zero", node, pts)
+            raise_at(a == 0.0, "division by zero", node, pts)
         v = a ** node.exponent   # the bits of a ** float(exponent)
     elif node.func == "sqrt":
-        _check(a <= 0.0, "sqrt of a non-positive argument", node, pts)
+        raise_at(a <= 0.0, "sqrt of a non-positive argument", node, pts)
         v = np.sqrt(a)
     else:
         v = np.exp(a)
     if kind is not Call or node.func == "exp":   # a finite sqrt stays finite
         if not is_finite(v).all():
-            _check(~is_finite(v), "non-finite value", node, pts)
+            raise_at(~is_finite(v), "non-finite value", node, pts)
     return v, np.maximum(scale, np.abs(v))
 
 

@@ -48,8 +48,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import EvaluationError
 from .expressions import (
-    Expr, analysis, as_points, diff, evaluate_with_scale, once, scalar,
+    Expr, analysis, as_points, diff, evaluate_with_scale, is_finite, once,
+    scalar,
 )
 from .structure import (
     ApctStructure, Frame, dot, max_abs, points_first, points_last,
@@ -423,15 +425,23 @@ class ProjectionBundle(NamedTuple):
 
 @analysis()
 def project_components(S: ApctStructure, point) -> ProjectionBundle:
+    """The split at the point or points; EvaluationError at the first point
+    where it is not finite (a component that overflows), which is where
+    model_defect is not: every entry reaches F10 = F - F5 - F6 - F12."""
     frame = S.frame(point)
     t = f_tensor_at(S, point)
     F = t.components
-    parts, th, ths, defect = _component_arrays(
-        F, frame.xi_vec, frame.eta_vec, frame.phi_mat, frame.g,
-        (t.theta, t.theta_star, t.reeb_square),
-    )
-    residual = F - parts["G5"] - parts["G6"] - parts["G10"] - parts["G12"]
-    normalized = defect / (1.0 + frame.scale + max_abs(F, 3))
+    with np.errstate(all="ignore"):
+        parts, th, ths, defect = _component_arrays(
+            F, frame.xi_vec, frame.eta_vec, frame.phi_mat, frame.g,
+            (t.theta, t.theta_star, t.reeb_square),
+        )
+        residual = F - parts["G5"] - parts["G6"] - parts["G10"] - parts["G12"]
+        normalized = defect / (1.0 + frame.scale + max_abs(F, 3))
+    bad = ~is_finite(normalized)
+    if bad.any():
+        raise EvaluationError("non-finite value", "the component split",
+                              frame.points.reshape(-1, 3)[int(np.argmax(bad))])
     return ProjectionBundle(
         frame.point, parts["G5"], parts["G6"], parts["G10"], parts["G12"],
         residual, th, ths, normalized,

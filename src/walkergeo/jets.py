@@ -12,10 +12,9 @@ Each operation acts on whole rows in one order, so a batch row is bit for
 bit the single-point jet: a product adds each gamma's terms a[alpha] *
 b[beta] one by one, in a fixed split order, to +0.0, as column sums (see
 `_product_table`); and the exp and reciprocal tables call math.exp and
-Python `**` per point (numpy rounds differently), mapped in C. In an
-analysis, each field's jet at a point or on a read-only batch is computed
-once and kept in the analysis's jets table, and a lower order is cut from
-it (see `eval_jet`).
+Python `**` per point (numpy rounds differently), mapped in C. Each
+field's jet is computed once per analysis and points, and a lower order is
+cut from it (see `eval_jet`).
 
 `eval_jet` propagates jets bottom-up through an expression DAG, by one
 `expressions.fold` of a per-node jet rule, so every partial derivative up
@@ -35,8 +34,8 @@ from itertools import accumulate, product, repeat
 import numpy as np
 
 from .expressions import (
-    _ANALYSIS, Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var,
-    _check, as_points, fold, is_finite, scalar,
+    Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, as_points,
+    current, fold, is_finite, raise_at, scalar,
 )
 
 MAX_ORDER = 3
@@ -204,33 +203,31 @@ def eval_jet(e: Expr, point, order: int = MAX_ORDER) -> Jet3:
     raise EvaluationError naming the first offending subexpression in that
     order and the first point where it fails.
 
-    In an analysis (see `expressions.analysis`), the jet of a field at one
-    point or on a read-only (n, 3) array is kept in its jets table, the
-    coefficients made read-only; a field that raised is not kept. A call at
-    the kept order returns the kept jet; one at a lower order returns its
-    leading rows when every kept coefficient is finite; a larger field uses
-    either as a leaf. That changes no bit: a coefficient of degree d comes from
-    those of degree <= d by the same operations at every order, except that
-    a higher order adds Horner steps in w = u - u0 (see `compose`). Those
-    reach degree d only as products with w's zero constant term, +-0.0 when
-    finite, added to sums that start at +0.0. A non-finite factor there
-    gives nan, which reaches the result, so a jet with a non-finite
-    coefficient is never truncated. Otherwise, and outside an analysis, the
-    jet is computed afresh.
+    The jet of each field is kept, read-only, in the `current` analysis's
+    jets for these points (see `expressions.Analysis.at`); a field that
+    raised is not kept. A call at the kept order returns the kept jet; one
+    at a lower order returns its leading rows when every kept coefficient
+    is finite; a larger field uses either as a leaf. That changes no bit:
+    a coefficient of degree d comes from those of degree <= d by the same
+    operations at every order, except that a higher order adds Horner steps
+    in w = u - u0 (see `compose`). Those reach degree d only as products
+    with w's zero constant term, +-0.0 when finite, added to sums that
+    start at +0.0. A non-finite factor there gives nan, which reaches the
+    result, so a jet with a non-finite coefficient is never truncated, and
+    the jet at the lower order is computed afresh.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
     pts = as_points(point)
-    active = _ANALYSIS.get()
-    at = None if active is None else active.at(pts)
-    kept = None if at is None else active.jets.get((e, at))
+    active = current()
+    table = active.jets.setdefault(active.at(pts), {})
+    kept = table.get(e)
     jet = _cut(kept, order)
-    if jet is not None:
-        return jet
-    jet = _propagate(e, pts, order)
-    if at is not None and (kept is None or order > kept[0].order):
+    if jet is None:
+        jet = _propagate(e, pts, order, table)
         jet.coeffs.setflags(write=False)
-        active.jets[e, at] = (jet, bool(is_finite(jet.coeffs).all()))
+        if kept is None or order > kept[0].order:
+            table[e] = (jet, bool(is_finite(jet.coeffs).all()))
     return jet
 
 
@@ -245,23 +242,20 @@ def _cut(kept: tuple | None, order: int) -> Jet3 | None:
     return None
 
 
-def _propagate(e: Expr, pts: np.ndarray, order: int) -> Jet3:
+def _propagate(e: Expr, pts: np.ndarray, order: int, table: dict) -> Jet3:
     """The jet of e at the point or points: one `fold` of ev, a field whose
-    jet is kept for them standing as a leaf (see eval_jet)."""
-    active = _ANALYSIS.get()
-    at = None if active is None else active.at(pts)
-    table = {} if at is None else active.jets
+    jet the points' table keeps standing as a leaf (see eval_jet)."""
     single = pts.ndim == 1
     pts = pts.reshape(-1, 3)
     shape = pts.shape[:1]
 
     def known(node: Expr) -> Jet3 | None:   # a point's jet as a batch of one
-        jet = _cut(table.get((node, at)), order)
+        jet = _cut(table.get(node), order)
         return jet and Jet3(order, jet.coeffs.reshape(len(jet.coeffs), -1))
 
     def finite(out: Jet3, node: Expr) -> Jet3:
-        _check(~is_finite(out.coeffs).all(axis=0), "non-finite value", node,
-               pts)
+        raise_at(~is_finite(out.coeffs).all(axis=0), "non-finite value", node,
+                 pts)
         return out
 
     def ev(node: Expr, args: list[Jet3]) -> Jet3:
@@ -282,16 +276,16 @@ def _propagate(e: Expr, pts: np.ndarray, order: int) -> Jet3:
         if isinstance(node, Mul):
             return finite(args[0] * args[1], node)
         if isinstance(node, Div):
-            _check(args[1].value == 0.0, "division by zero", node, pts)
+            raise_at(args[1].value == 0.0, "division by zero", node, pts)
             return finite(args[0] / args[1], node)
         if isinstance(node, Pow):
             if node.exponent < 0:
-                _check(args[0].value == 0.0, "division by zero", node, pts)
+                raise_at(args[0].value == 0.0, "division by zero", node, pts)
             return finite(args[0].intpow(node.exponent), node)
         if isinstance(node, Call):
             if node.func == "sqrt":
-                _check(args[0].value <= 0.0, "sqrt of a non-positive argument",
-                       node, pts)
+                raise_at(args[0].value <= 0.0, "sqrt of a non-positive argument",
+                         node, pts)
                 return args[0].sqrt()
             return finite(args[0].exp(), node)
         raise TypeError(f"cannot evaluate {type(node).__name__}")

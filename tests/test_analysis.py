@@ -1,7 +1,7 @@
 """One analysis per report: every derivative, zero test and flatness
-verdict is worked out once, each field is evaluated once on the sample and
-each node at most twice, its jets once per order, and DAG-shaped fields
-stay cheap to evaluate.
+verdict is worked out once, each node of each field is evaluated at most
+once on the sample, its jets once per order, and DAG-shaped fields stay
+cheap to evaluate.
 
 Work is counted by wrapping the private workers (`_derive`, `_zero_test`,
 the evaluator's `_walk`, per-node rule and binary operations, the jets'
@@ -28,6 +28,7 @@ from walkergeo.cli import main
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.errors import EvaluationError
 from walkergeo.expressions import Num, parse, to_source
+from walkergeo.jets import eval_jet
 from walkergeo.report import build_report
 
 NAMES = [fixture.name for fixture in FIXTURES]
@@ -185,16 +186,18 @@ def sample(n=6):
 @pytest.mark.parametrize("name", NAMES)
 def test_each_field_is_walked_once_per_sample(monkeypatch, name):
     S = load_fixture(name).build(samples=8)
-    kept = []   # keeps fields and point arrays alive, so ids stay unique
+    held = []   # keeps fields, point arrays and tables alive, so ids stay unique
 
-    def field_and_points(e, pts, table):
-        kept.append((e, pts))
-        return id(e), id(pts)
+    def field_and_points(e, pts, kept):
+        held.append((e, pts, kept))
+        return id(e), id(pts), id(kept), e in kept
 
     walks = recording(monkeypatch, ex, "_walk", field_and_points)
     build_report(S, name=name)
-    sampled = [key for key in walks if key[1] == id(S.sample_points())]
-    assert sampled and max(Counter(walks).values()) == 1
+    # a walk whose field is not yet kept evaluates it; any later one finds it
+    evaluated = [key[:3] for key in walks if not key[3]]
+    sampled = [key for key in evaluated if key[1] == id(S.sample_points())]
+    assert sampled and max(Counter(evaluated).values()) == 1
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -248,52 +251,53 @@ def test_a_kept_field_is_a_leaf_of_a_larger_one(monkeypatch):
 def test_a_field_that_raised_is_not_kept(monkeypatch):
     pts = sample()
     good, bad = parse("x - 1"), parse("1/(x - x)")
-    walks = recording(monkeypatch, ex, "_walk", lambda e, p, table: e)
+    nodes = recording(monkeypatch, ex, "_evaluate_node",
+                      lambda node, args, p: node)
     with ex.analysis() as analysis:
         ex.evaluate_with_scale(good, pts)
         for _ in range(2):
             with pytest.raises(EvaluationError, match="division by zero"):
                 ex.evaluate_with_scale(bad, pts)
-        assert (good, id(pts)) in analysis.values
-        assert (bad, id(pts)) not in analysis.values
-    assert walks == [good, bad, bad]
+        kept = analysis.values[id(pts)]
+        assert good in kept and bad not in kept
+    # the quotient raised both times; its divisor was kept from the first
+    assert nodes.count(bad) == 2 and nodes.count(parse("x - x")) == 1
 
 
 def test_outside_an_analysis_nothing_is_kept(monkeypatch):
     pts, field = sample(), parse("x*y + z")
-    walks = recording(monkeypatch, ex, "_walk", lambda e, p, table: e)
     nodes = recording(monkeypatch, ex, "_evaluate_node",
                       lambda node, args, p: node)
     first = ex.evaluate_with_scale(field, pts)
     second = ex.evaluate_with_scale(field, pts)
-    assert first[0] is not second[0] and first[0].flags.writeable
+    assert first[0] is not second[0]
     ex.evaluate_with_scale(field, pts[0])
     ex.evaluate_with_scale(field, pts[0])
     with ex.analysis() as analysis:
-        for _ in range(2):   # a writable array is not kept
+        for _ in range(2):   # a writable array is never found again
             ex.evaluate_with_scale(field, np.array(pts))
-        assert not analysis.values and not analysis.seen
+        assert id(pts) not in analysis.values
         ex.evaluate_with_scale(field, pts)
         ex.evaluate_with_scale(field, pts)
-        assert list(analysis.values) == [(field, id(pts))]
-    assert len(walks) == 7
-    # each of the 7 walks evaluated every node: no interior node was kept
+        assert set(analysis.values[id(pts)]) == set(ex.walk(field))
+    # 7 of the 8 calls evaluated every node; the last found the kept field
     assert set(Counter(nodes).values()) == {7}
 
 
 def test_one_point_is_kept_by_its_bytes(monkeypatch):
     pts, field = sample(), parse("x*y + z")
-    walks = recording(monkeypatch, ex, "_walk", lambda e, p, at: e)
+    nodes = recording(monkeypatch, ex, "_evaluate_node",
+                      lambda node, args, p: node)
     with ex.analysis() as analysis:
         value, scale = ex.evaluate_with_scale(field, pts[0])
         # an equal new point finds the kept values
         again = ex.evaluate_with_scale(field, tuple(pts[0]))
-        assert list(analysis.values) == [(field, pts[0].tobytes())]
-    assert walks == [field]
+        assert list(analysis.values) == [pts[0].tobytes()]
+    assert nodes == ex.walk(field)
     assert again == (value, scale) and value == pts[0, 0] * pts[0, 1] + pts[0, 2]
 
 
-def test_a_shared_node_is_kept_from_its_second_evaluation(monkeypatch):
+def test_a_shared_node_is_kept_from_its_first_evaluation(monkeypatch):
     pts, product = sample(), parse("x*y")
     fields = [parse("x*y + z"), parse("x*y - z"), parse("x*y * z")]
     nodes = recording(monkeypatch, ex, "_evaluate_node",
@@ -301,19 +305,38 @@ def test_a_shared_node_is_kept_from_its_second_evaluation(monkeypatch):
     with ex.analysis() as analysis:
         fresh = []
         for field in fields:
-            fresh.append((product, id(pts)) in analysis.values)
+            fresh.append(product in analysis.values.get(id(pts), {}))
             ex.evaluate_with_scale(field, pts)
-        values, scale = analysis.values[product, id(pts)]
-    assert fresh == [False, False, True]
-    assert nodes.count(product) == 2
+        values, scale = analysis.values[id(pts)][product]
+    assert fresh == [False, True, True]
+    assert nodes.count(product) == 1
     assert not values.flags.writeable and not scale.flags.writeable
     assert np.array_equal(values, pts[:, 0] * pts[:, 1])
+
+
+def test_a_writable_batch_changed_in_place_gets_fresh_values():
+    S = load_fixture("g5g6-normal").build(samples=8)
+    pts, field = np.array(S.sample_points()), parse("x*y + z")
+    with ex.analysis():
+        before = ex.evaluate_with_scale(field, pts)[0].copy()
+        jet = eval_jet(field, pts, 1)
+        frame = S.frame(pts)
+        pts += 0.25
+        want = pts[:, 0] * pts[:, 1] + pts[:, 2]
+        assert not np.array_equal(before, want)
+        assert np.array_equal(ex.evaluate_with_scale(field, pts)[0], want)
+        assert np.array_equal(eval_jet(field, pts, 1).value, want)
+        assert eval_jet(field, pts, 1) is not jet
+        again = S.frame(pts)
+    assert again is not frame
+    assert np.array_equal(again.g, S.frame(pts).g)
 
 
 @pytest.mark.parametrize("samples", [64, 512])
 @pytest.mark.parametrize("name", NAMES)
 def test_no_node_is_evaluated_more_than_twice_on_the_sample(
         monkeypatch, name, samples):
+    # at most once, in fact: each node is kept from its first evaluation
     S = load_fixture(name).build(samples=samples)
     held = []   # keeps point arrays alive, so ids stay unique
 
@@ -322,14 +345,12 @@ def test_no_node_is_evaluated_more_than_twice_on_the_sample(
         return node, id(pts)
 
     evaluated = recording(monkeypatch, ex, "_evaluate_node", node_and_points)
-    analyses = recording(monkeypatch, ex, "_walk",
-                         lambda e, pts, at: ex._ANALYSIS.get())
+    tables = recording(monkeypatch, ex, "_walk", lambda e, pts, kept: kept)
     build_report(S, name=name)
     sample = id(S.sample_points())
     counts = Counter(key for key in evaluated if key[1] == sample)
-    assert counts and max(counts.values()) <= 2
-    tables = {id(a): a.values for a in analyses if a is not None}
-    kept = [array for table in tables.values()
+    assert counts and max(counts.values()) == 1
+    kept = [array for table in {id(t): t for t in tables}.values()
             for arrays in table.values() for array in arrays]
     assert kept and not [array for array in kept if array.flags.writeable]
 
@@ -339,7 +360,7 @@ def test_each_jet_is_computed_once_per_order(monkeypatch, name):
     S = load_fixture(name).build(samples=8)
     kept = []   # keeps point arrays alive, so ids stay unique
 
-    def field_points_order(e, pts, order):
+    def field_points_order(e, pts, order, table):
         kept.append(pts)
         return e, pts.tobytes() if pts.ndim == 1 else id(pts), order
 
@@ -354,7 +375,7 @@ def test_the_jet_of_f_is_propagated_once_on_the_sample(monkeypatch, name):
     # and cuts its own order-1 jet from that
     S = load_fixture(name).build(samples=64)
     computed = recording(monkeypatch, jets, "_propagate",
-                         lambda e, pts, order: (e, pts, order))
+                         lambda e, pts, order, table: (e, pts, order))
     build_report(S, name=name)
     sample = S.sample_points()
     assert [order for e, pts, order in computed

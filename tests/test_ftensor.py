@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 
 import numpy as np
@@ -16,6 +17,7 @@ from geometry_oracles import (
 )
 from test_contract import identical, operand
 import walkergeo.ftensor as ftensor
+from walkergeo.errors import EvaluationError
 from walkergeo.expressions import diff, evaluate_with_scale
 from walkergeo.ftensor import (
     coefficient_fields,
@@ -34,8 +36,10 @@ from walkergeo.ftensor import (
     theta_star_xi_field,
     theta_xi_field,
 )
+from walkergeo.manifest import load_manifest
 from walkergeo.sampling import SamplingConfig, is_identically_zero
 from walkergeo.structure import max_abs
+from write_reports import MANIFESTS
 
 CFG = SamplingConfig(samples=24, seed=13)
 build = partial(build_on_box, cfg=CFG)
@@ -582,3 +586,18 @@ def test_each_antisymmetric_pair_is_formed_once_with_the_same_bits(lead):
             + (np.einsum("km...,jmi...->ijk...", phi, pd)
                - np.einsum("km...,imj...->ijk...", phi, pd)))
         assert identical(ftensor._nijenhuis(phi, pd), nijenhuis_t)
+
+
+def test_a_component_split_that_overflows_raises_at_its_first_point():
+    # f near 1e100: F is finite, but its Reeb-square component overflows,
+    # and F10 = F - F5 - F6 - F12 meets inf - inf at every sampled point
+    manifest = load_manifest(MANIFESTS / "overflow-contraction.manifest")
+    S = manifest.build(samples=4)
+    pts = S.sample_points()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # and no numpy warning before it
+        for point, first in ((pts, pts[0]), (pts[2], pts[2])):
+            with pytest.raises(EvaluationError, match=(
+                    "non-finite value in 'the component split'")) as info:
+                project_components(S, point)
+            assert info.value.point == tuple(first.tolist())

@@ -131,9 +131,9 @@ def computations(monkeypatch):
     """Record (field, order) of every jet computed afresh."""
     calls, compute = [], jets._propagate
 
-    def counting(e, pts, order):
+    def counting(e, pts, order, table):
         calls.append((e, order))
-        return compute(e, pts, order)
+        return compute(e, pts, order, table)
 
     monkeypatch.setattr(jets, "_propagate", counting)
     return calls
@@ -195,8 +195,8 @@ def test_a_field_that_raised_leaves_no_entry(monkeypatch):
         for point in (batch, batch[0], batch):
             with pytest.raises(EvaluationError, match="division by zero"):
                 eval_jet(bad, point, 1)
-        assert (good, id(batch)) in analysis.jets
-        assert all(key[0] is not bad for key in analysis.jets)
+        assert good in analysis.jets[id(batch)]
+        assert all(bad not in table for table in analysis.jets.values())
     assert calls == [(good, 1), (bad, 1), (bad, 1), (bad, 1)]
 
 
@@ -204,10 +204,10 @@ def test_outside_an_analysis_no_jet_is_kept(monkeypatch):
     e, batch = parse("x*y + z"), read_only(pts(3))
     calls = computations(monkeypatch)
     first, second = eval_jet(e, batch, 1), eval_jet(e, batch, 1)
-    assert first is not second and first.coeffs.flags.writeable
+    assert first is not second
     eval_jet(e, batch[0], 1)
     eval_jet(e, batch[0], 1)
-    with ex.analysis():    # a writable batch is not kept either
+    with ex.analysis():    # a writable batch is never found again either
         eval_jet(e, np.array(batch), 1)
         eval_jet(e, np.array(batch), 1)
     assert len(calls) == 6

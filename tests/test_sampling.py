@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import walkergeo.sampling as sampling
+from walkergeo.cli import main
 from walkergeo.errors import EmptyDomainError, EvaluationError
 from walkergeo.expressions import parse
+from walkergeo.manifest import load_manifest
 from walkergeo.sampling import (
     Domain,
     Interval,
@@ -12,6 +15,8 @@ from walkergeo.sampling import (
     nonvanishing,
     zero_verdict_from_samples,
 )
+
+from write_reports import MANIFESTS
 
 BOX = (Interval(0.5, 2.0), Interval(0.5, 2.0), Interval(0.5, 2.0))
 
@@ -121,3 +126,26 @@ def test_with_overrides():
     out = cfg.with_overrides(samples=16, tol=1e-6)
     assert out == SamplingConfig(samples=16, seed=42, tol=1e-6)
     assert cfg.with_overrides() == cfg
+
+
+@pytest.mark.parametrize("samples", [64, 512])
+def test_a_constraint_that_fails_on_a_batch_is_evaluated_point_by_point(
+        monkeypatch, capsys, samples):
+    # sqrt(x - 1) raises on every candidate batch, which holds some x <= 1,
+    # so the sampler evaluates it point by point and rejects those points
+    path = MANIFESTS / "sqrt-constraint.manifest"
+    domain = load_manifest(path).domain
+    fallback = sampling._evaluate_pointwise
+    batches = []
+
+    def pointwise(field, pts):
+        batches.append(len(pts))
+        return fallback(field, pts)
+
+    monkeypatch.setattr(sampling, "_evaluate_pointwise", pointwise)
+    # uncached, so that this call draws the sample itself
+    pts = Domain.sample.__wrapped__(domain, SamplingConfig(samples=samples))
+    assert batches and pts.shape == (samples, 3)
+    assert np.all(pts[:, 0] > 1.0)
+    assert main(["analyze", str(path), "--samples", str(samples)]) == 0
+    capsys.readouterr()
