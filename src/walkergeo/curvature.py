@@ -178,6 +178,8 @@ class EquivalenceReport(NamedTuple):
     mixed marks the honest in-between case for the second flag: every
     sampled point is flat or eta-Einstein pointwise, but neither holds on
     the whole sampled domain; the flag counts that as satisfied.
+    flatness compares flat (the zero tests of f_xx, f_xy and f_yy) with
+    the curvature of f's jet at every sampled point.
     """
 
     flags: dict[str, bool]
@@ -185,6 +187,7 @@ class EquivalenceReport(NamedTuple):
     eta_einstein: EtaEinsteinVerdict
     mixed: bool
     check: Check
+    flatness: Check
 
 
 @analyzed
@@ -241,8 +244,11 @@ def curvature_equivalences(S: ApctStructure,
     routes = dict([first, ("flat_or_eta_einstein", Route(
         flat.flat or eta_verdict.is_eta_einstein or mixed)), *rest])
     check = Check.of("curvature_equivalences", None, *routes.values())
+    flatness = Check.of(
+        "flatness_routes", None, every(flat.conditions.values()),
+        zero_verdict_from_samples(r_max, scales, pts, cfg.tol))
     return EquivalenceReport({name: r.holds for name, r in routes.items()},
-                             flat, eta_verdict, mixed, check)
+                             flat, eta_verdict, mixed, check, flatness)
 
 
 # --- sectional curvatures ----------------------------------------------------

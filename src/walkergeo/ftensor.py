@@ -10,7 +10,8 @@ nine independent coefficient fields built from first derivatives of
 literal connection route (differentiate phi, correct with Christoffel
 symbols, lower an index) is computed alongside as a cross-check. The
 value objects of two-route quantities (FTensorValue, TraceForms,
-ExteriorData) record the normalized discrepancy between their routes;
+ExteriorData) record the normalized discrepancy between their routes
+(`_discrepancy`, which raises at the first point where it is not finite);
 NormalityData and ProjectionBundle hold one route's arrays.
 
 Derived objects, each again by two independent routes:
@@ -48,11 +49,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EvaluationError
 from .expressions import (
-    Expr, analysis, as_points, diff, evaluate_with_scale, is_finite, once,
-    scalar,
+    Expr, analysis, as_points, diff, evaluate_with_scale, once, scalar,
 )
+from .sampling import require_finite
 from .structure import (
     ApctStructure, Frame, dot, max_abs, points_first, points_last,
 )
@@ -205,10 +205,19 @@ def f_tensor_at(S: ApctStructure, point) -> FTensorValue:
     return once(S, "f_tensor", (pts,), lambda: _f_tensor(S.frame(pts)))
 
 
+def _discrepancy(frame: Frame, *routes) -> np.ndarray:
+    """The largest |a - b| of the routes (a, b, axes), over the leading
+    `axes` (component) axes of a - b, per point over (1 + frame scale):
+    the route discrepancy of a value object, which raises at the first
+    point where it is not finite (see `require_finite`)."""
+    return require_finite(np.maximum.reduce([
+        max_abs(a - b, axes) for a, b, axes in routes
+    ]) / (1.0 + frame.scale), frame.points)
+
+
 def _f_tensor(frame: Frame) -> FTensorValue:
     coord = _coordinate_route(frame)
-    conn = _connection_route(frame)
-    discrepancy = max_abs(coord - conn, 3) / (1.0 + frame.scale)
+    discrepancy = _discrepancy(frame, (coord, _connection_route(frame), 3))
     theta, theta_star, reeb_square = _tensor_forms(
         coord, frame.xi_vec, frame.phi_mat, frame.ginv)
     for array in (coord, theta, theta_star, reeb_square):
@@ -240,11 +249,10 @@ def theta_forms(S: ApctStructure, point) -> TraceForms:
     t = f_tensor_at(S, point)
     closed = evaluate_with_scale(theta_xi_field(S), frame.points)[0]
     closed_star = evaluate_with_scale(theta_star_xi_field(S), frame.points)[0]
-    discrepancy = np.maximum(abs(t.theta_xi - closed),
-                             abs(t.theta_star_xi - closed_star))
     return TraceForms(
         frame.point, t.theta, t.theta_star, t.theta_xi, t.theta_star_xi,
-        discrepancy / (1.0 + frame.scale),
+        _discrepancy(frame, (np.array([t.theta_xi, t.theta_star_xi]),
+                             np.array([closed, closed_star]), 1)),
     )
 
 
@@ -300,13 +308,10 @@ def exterior_data_at(S: ApctStructure, point) -> ExteriorData:
     # structure-tensor routes for the same objects; d(fundamental) is the
     # cyclic sum of F
     cyclic = F + np.moveaxis(F, 0, 2) + np.moveaxis(F, 2, 0)
-    routes = zip((d_eta, lie_g, nabla_eta, d_fund),
-                 _reeb_routes(F, frame.phi_mat, frame.xi_vec) + (cyclic,),
-                 (2, 2, 2, 3))
-    discrepancy = np.maximum.reduce([
-        max_abs(coordinate - contracted, axes)
-        for coordinate, contracted, axes in routes
-    ]) / (1.0 + frame.scale)
+    discrepancy = _discrepancy(frame, *zip(
+        (d_eta, lie_g, nabla_eta, d_fund),
+        _reeb_routes(F, frame.phi_mat, frame.xi_vec) + (cyclic,),
+        (2, 2, 2, 3)))
     return ExteriorData(frame.point, d_eta, d_fund, lie_g, nabla_eta, discrepancy)
 
 
@@ -357,16 +362,20 @@ def nijenhuis(S: ApctStructure, point, X, Y) -> np.ndarray:
 
 # --- pointwise component split ---------------------------------------------
 
-def _component_arrays(F, xi, eta, phi, g, forms):
+@np.errstate(all="ignore")
+def _component_arrays(F, xi, eta, phi, g, forms, scale, pts):
     """Vectorized split of F into its four admissible components, given
-    F's `_tensor_forms`.
+    F's `_tensor_forms`, with numpy's warnings off.
 
     All inputs may carry a trailing point axis. Returns (parts, theta_xi,
     theta_star_xi, model_defect) where parts maps the component labels to
     arrays shaped like F, summing to F exactly, and model_defect is the
-    largest violation of the remainder-shape identities (not yet
-    normalized). Each antisymmetric pair of contractions is formed once:
-    the second is the first with its last two axes swapped.
+    largest violation of the remainder-shape identities over
+    (1 + scale + max |F|). It raises at the first of pts where the defect
+    is not finite (see `require_finite`), which is where the split is not
+    (a component that overflows): every entry reaches F10 = F - F5 - F6 -
+    F12. Each antisymmetric pair of contractions is formed once: the second
+    is the first with its last two axes swapped.
     """
     theta_form, theta_star_form, reeb_square = forms
     theta_xi = np.einsum("c...,c...->...", theta_form, xi)
@@ -394,7 +403,8 @@ def _component_arrays(F, xi, eta, phi, g, forms):
     d_inv = max_abs(t - t_phiphi, 2)
     model_defect = np.maximum(d_recon, np.maximum(d_sym, d_inv))
     parts = {"G5": f5, "G6": f6, "G10": f10, "G12": f12}
-    return parts, theta_xi, theta_star_xi, model_defect
+    return parts, theta_xi, theta_star_xi, require_finite(
+        model_defect / (1.0 + scale + max_abs(F, 3)), pts)
 
 
 class ProjectionBundle(NamedTuple):
@@ -426,25 +436,17 @@ class ProjectionBundle(NamedTuple):
 @analysis()
 def project_components(S: ApctStructure, point) -> ProjectionBundle:
     """The split at the point or points; EvaluationError at the first point
-    where it is not finite (a component that overflows), which is where
-    model_defect is not: every entry reaches F10 = F - F5 - F6 - F12."""
+    where it is not finite (see `_component_arrays`)."""
     frame = S.frame(point)
     t = f_tensor_at(S, point)
     F = t.components
-    with np.errstate(all="ignore"):
-        parts, th, ths, defect = _component_arrays(
-            F, frame.xi_vec, frame.eta_vec, frame.phi_mat, frame.g,
-            (t.theta, t.theta_star, t.reeb_square),
-        )
-        residual = F - parts["G5"] - parts["G6"] - parts["G10"] - parts["G12"]
-        normalized = defect / (1.0 + frame.scale + max_abs(F, 3))
-    bad = ~is_finite(normalized)
-    if bad.any():
-        raise EvaluationError("non-finite value", "the component split",
-                              frame.points.reshape(-1, 3)[int(np.argmax(bad))])
+    parts, th, ths, defect = _component_arrays(
+        F, frame.xi_vec, frame.eta_vec, frame.phi_mat, frame.g,
+        (t.theta, t.theta_star, t.reeb_square), frame.scale, frame.points)
     return ProjectionBundle(
         frame.point, parts["G5"], parts["G6"], parts["G10"], parts["G12"],
-        residual, th, ths, normalized,
+        F - parts["G5"] - parts["G6"] - parts["G10"] - parts["G12"], th, ths,
+        defect,
     )
 
 
@@ -500,10 +502,9 @@ def split_components_batch(S: ApctStructure, pts) -> ComponentBatch:
     xi, eta, phi = values[1:4], values[4:7], values[7:].reshape((3, 3, -1))
     g, ginv = metric_arrays(values[0])
     F, tensor_scale = structure_tensor_batch(S, pts)
-    parts, th, ths, defect = _component_arrays(
-        F, xi, eta, phi, g, _tensor_forms(F, xi, phi, ginv))
     scale = np.maximum(frame_scale, tensor_scale)
-    defect = defect / (1.0 + scale + max_abs(F, 3))
+    parts, th, ths, defect = _component_arrays(
+        F, xi, eta, phi, g, _tensor_forms(F, xi, phi, ginv), scale, pts)
     return ComponentBatch(pts, xi, eta, phi, g, F, scale, parts, th, ths, defect)
 
 

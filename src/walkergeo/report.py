@@ -246,7 +246,7 @@ def build_report(S: ApctStructure,
     failures = decide((
         *(Check.of(f"axiom:{name}", None, r) for name, r in axioms.items()),
         Check.of("unit_constraint", None, unit),
-        *verdict.checks, ee.check, equiv.check, *sweep,
+        *verdict.checks, ee.check, equiv.check, equiv.flatness, *sweep,
     ), pts)
     routes_agree = not any(c.fails for c in verdict.checks)
 

@@ -19,7 +19,10 @@ at most tol * (1 + scale), where scale is the largest magnitude any
 subexpression attained there. Dividing by the scale keeps the test honest
 for cancellation-heavy identities. `nonvanishing` is its opposite bound,
 `bound` the route of a per-point maximum, and `every` the conjunction of
-routes. Within one analysis (`analyzed`) each field is tested once.
+routes. Within one analysis (`analyzed`) each field is tested once. A
+residual that is not finite (an overflow, or inf - inf) decides nothing:
+`require_finite` raises at its first point, for every route here and for
+the route discrepancies and component split of `ftensor`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import EmptyDomainError, EvaluationError, InputError
-from .expressions import ZERO, Expr, analysis, evaluate_with_scale, once
+from .expressions import (
+    ZERO, Expr, analysis, evaluate_with_scale, is_finite, once,
+)
 
 # Constraint margin: rejected points are those within this relative distance
 # of a constraint's singular locus, so later evaluation stays well scaled.
@@ -309,12 +314,22 @@ def every(routes: Iterable[Route]) -> Route:
     return part
 
 
+def require_finite(values, pts):
+    """values, a sampled residual at the points (one point, or one per
+    value); EvaluationError at the first point whose value is not finite.
+    Every non-finite residual the package meets raises here."""
+    bad = ~is_finite(values)
+    if bad.any():
+        raise EvaluationError("non-finite value", "a sampled residual",
+                              np.reshape(pts, (-1, 3))[int(np.argmax(bad))])
+    return values
+
+
 def bound(values, limit: float, pts) -> Route:
     """The route max(values) <= limit over the sample points, decided at
     the first point attaining the maximum, where a nan or inf raises."""
     k = int(values.argmax())   # the first nan, if any
-    if not np.isfinite(values[k]):
-        raise EvaluationError("non-finite value", "a sampled residual", pts[k])
+    require_finite(values[k], pts[k])
     return Route(bool(values[k] <= limit), tuple(pts[k].tolist()),
                  float(values[k]))
 
@@ -342,13 +357,10 @@ def _unless(bad: np.ndarray, pts: np.ndarray, residual: float,
             values: np.ndarray) -> Route:
     """The route that holds unless bad holds at a point, the first such
     point its witness. A rule marks nan bad, and a failing route raises
-    EvaluationError at its first non-finite value, if any."""
+    at its first non-finite value, if any (see `require_finite`)."""
     if not bad.any():
         return Route(True, None, residual)
-    nonfinite = ~np.isfinite(values)
-    if nonfinite.any():
-        raise EvaluationError("non-finite value", "a sampled residual",
-                              pts[int(np.argmax(nonfinite))])
+    require_finite(values, pts)
     return Route(False, tuple(float(c) for c in pts[int(np.argmax(bad))]),
                  residual)
 
@@ -356,7 +368,8 @@ def _unless(bad: np.ndarray, pts: np.ndarray, residual: float,
 def analyzed(run):
     """Run `run(S, cfg, ...)`, cfg defaulting to S.config, in the open
     analysis, or in a new one (see `expressions.analysis`), with numpy's
-    warnings off: each route checks the values it decides (see `_unless`)."""
+    warnings off: each route checks the values it decides (see
+    `require_finite`)."""
     @wraps(run)
     def within(S, cfg=None, *args, **kwargs):
         with analysis(), np.errstate(all="ignore"):

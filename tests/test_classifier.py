@@ -285,7 +285,7 @@ def test_every_verdict_has_two_routes_and_only_bounds_have_one(
         return decide(checks, pts)
     monkeypatch.setattr(report, "decide", recording)
     S = load_fixture(name).build()
-    report.build_report(S, name=name)
+    built = report.build_report(S, name=name)
 
     checks = {check.name: check for check in seen}
     assert len(checks) == len(seen)
@@ -297,6 +297,9 @@ def test_every_verdict_has_two_routes_and_only_bounds_have_one(
     for cls, check in CLASS_CHECKS.items():
         if "kenmotsu" not in cls:
             assert checks[check].routes[0].holds == named[cls].holds, cls
+    # the report's flat is the first route of the flatness check
+    assert (checks["flatness_routes"].routes[0].holds
+            is built.curvature["flat"])
 
 
 @pytest.mark.parametrize("name", [fx.name for fx in FIXTURES])

@@ -12,7 +12,7 @@ from walkergeo.cli import main
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.errors import ConsistencyError
 from walkergeo.report import ClassificationReport, build_report
-from write_reports import chain_manifests, read_manifest
+from write_reports import MANIFESTS, chain_manifests, read_manifest
 
 PARABOLIC = read_manifest("parabolic")
 
@@ -261,6 +261,21 @@ def test_an_overflowing_contraction_exits_2_naming_a_non_finite_value(
     assert done.stderr.count("\n") == 1
     assert done.stderr.startswith(
         "input error: non-finite value in 'a sampled residual' at point (")
+
+
+@pytest.mark.parametrize("samples", ["16", "64", "512"])
+def test_a_curvature_the_zero_tests_miss_fails_the_flatness_routes(
+        capsys, samples):
+    # f = (16 x)^2 / 16^2 is x^2, whose f_xx = 2 the sampled zero test takes
+    # for 0 against the scale of its subexpressions; the jet's curvature
+    # route sees it, so the two flatness routes disagree
+    path = MANIFESTS / "scaled-square.manifest"
+    status, out, err = run(capsys, "analyze", str(path), "--samples", samples,
+                           "--report", "machine")
+    assert status == 3 and err == ""
+    tree = json.loads(out)
+    assert tree["curvature"]["flat"] is True
+    assert [f["check"] for f in tree["failures"]] == ["flatness_routes"]
 
 
 def test_machine_report_refuses_a_non_finite_value():

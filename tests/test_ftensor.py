@@ -541,7 +541,7 @@ def test_batch_matches_pointwise(f, xi):
 
 # --- antisymmetric pairs formed once ---------------------------------------
 
-def split_with_both_contractions(F, xi, eta, phi, g, forms):
+def split_with_both_contractions(F, xi, eta, phi, g, forms, scale):
     """`ftensor._component_arrays` with the second contraction of each
     antisymmetric pair formed as such."""
     theta_form, theta_star_form, reeb_square = forms
@@ -563,7 +563,8 @@ def split_with_both_contractions(F, xi, eta, phi, g, forms):
     defect = np.maximum(max_abs(f10 - recon, 3), np.maximum(
         max_abs(t - t.swapaxes(0, 1), 2), max_abs(t - t_phiphi, 2)))
     parts = {"G5": f5, "G6": f6, "G10": f10, "G12": f12}
-    return parts, theta_xi, theta_star_xi, defect
+    return (parts, theta_xi, theta_star_xi,
+            defect / (1.0 + scale + max_abs(F, 3)))
 
 
 @pytest.mark.parametrize("lead", [(), (1,), (16,)])
@@ -573,8 +574,9 @@ def test_each_antisymmetric_pair_is_formed_once_with_the_same_bits(lead):
         F, phi, g, ginv = (operand(rng, (3,) * k + lead) for k in (3, 2, 2, 2))
         xi, eta = operand(rng, (3,) + lead), operand(rng, (3,) + lead)
         forms = ftensor._tensor_forms(F, xi, phi, ginv)
-        got = ftensor._component_arrays(F, xi, eta, phi, g, forms)
-        want = split_with_both_contractions(F, xi, eta, phi, g, forms)
+        scale, pts = np.abs(operand(rng, lead)), operand(rng, lead + (3,))
+        got = ftensor._component_arrays(F, xi, eta, phi, g, forms, scale, pts)
+        want = split_with_both_contractions(F, xi, eta, phi, g, forms, scale)
         for label in want[0]:
             assert identical(got[0][label], want[0][label]), label
         for a, b in zip(got[1:], want[1:]):
@@ -598,6 +600,55 @@ def test_a_component_split_that_overflows_raises_at_its_first_point():
         warnings.simplefilter("error")   # and no numpy warning before it
         for point, first in ((pts, pts[0]), (pts[2], pts[2])):
             with pytest.raises(EvaluationError, match=(
-                    "non-finite value in 'the component split'")) as info:
+                    "non-finite value in 'a sampled residual'")) as info:
                 project_components(S, point)
             assert info.value.point == tuple(first.tolist())
+
+
+def test_a_batch_split_that_overflows_raises_at_its_first_point():
+    # the split named_classes runs on the sample raises before a nan part
+    # can reach a zero test, and with no numpy warning
+    manifest = load_manifest(MANIFESTS / "overflow-contraction.manifest")
+    S = manifest.build(samples=4)
+    pts = S.sample_points()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match=(
+                "non-finite value in 'a sampled residual'")) as info:
+            split_components_batch(S, pts)
+    assert info.value.point == tuple(pts[0].tolist())
+
+
+def with_nan(a, at):
+    """A float copy of a with nan at the index at."""
+    a = np.array(a, dtype=float)
+    a[at] = np.nan
+    return a
+
+
+# per value object, the function its second route reads and a fault that
+# puts nan into that route's values at an index
+ROUTE_FAULTS = {
+    f_tensor_at: ("_connection_route", with_nan),
+    theta_forms: ("evaluate_with_scale",
+                  lambda out, at: (with_nan(out[0], at), out[1])),
+    exterior_data_at: ("_reeb_routes",
+                       lambda out, at: (with_nan(out[0], at), *out[1:])),
+}
+
+
+@pytest.mark.parametrize("view", ROUTE_FAULTS, ids=lambda v: v.__name__)
+def test_a_non_finite_route_discrepancy_raises_at_its_first_point(
+        monkeypatch, view):
+    name, fault = ROUTE_FAULTS[view]
+    original = getattr(ftensor, name)
+    S = build(*GENERIC)
+    pts = S.sample_points(CFG)[:4]
+    # nan at points 1 and 3 of a batch, or everywhere at one point
+    for point, at in ((pts, (..., [1, 3])), (pts[1], ...)):
+        monkeypatch.setattr(ftensor, name,
+                            lambda *args: fault(original(*args), at))
+        with pytest.raises(EvaluationError, match=(
+                "non-finite value in 'a sampled residual'")) as info:
+            view(S, point)
+        assert info.value.point == tuple(pts[1].tolist())
