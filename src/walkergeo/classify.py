@@ -292,7 +292,7 @@ def is_normal(S: ApctStructure,
               cfg: SamplingConfig | None = None) -> NormalityVerdict:
     pts = S.sample_points(cfg)
     batch = _components(S, cfg)
-    basic = once(S, "basic", (cfg,), lambda: classify_basic(S, cfg))
+    basic = classify_basic(S, cfg)
 
     class_route = _split_route(basic, {"G5", "G6"})
     torsion = zero_verdict_from_samples(
@@ -316,7 +316,6 @@ class AlphaReport(NamedTuple):
 
     value: float | None
     sample_range: tuple[float, float]
-    gradient_residual: float
 
 
 class ClassVerdict(NamedTuple):
@@ -341,7 +340,7 @@ def named_classes(S: ApctStructure,
                   cfg: SamplingConfig | None = None) -> ClassVerdict:
     pts = S.sample_points(cfg)
     batch = _components(S, cfg)
-    basic = once(S, "basic", (cfg,), lambda: classify_basic(S, cfg))
+    basic = classify_basic(S, cfg)
     paracontact = is_paracontact_metric(S, cfg)
     normality = is_normal(S, cfg)
 
@@ -356,11 +355,9 @@ def named_classes(S: ApctStructure,
     lie = ztest(lie_g_batch(S, batch))
 
     # theta*(xi) is constant on the sampled domain when its partials vanish
-    grad_verdicts = [is_identically_zero(partial, S.domain, cfg)
-                     for partial in gradient(theta_star_xi_field(S))]
-    constant = every(grad_verdicts)
+    constant = every([is_identically_zero(partial, S.domain, cfg)
+                      for partial in gradient(theta_star_xi_field(S))])
     theta_star_constant = constant.holds
-    gradient_residual = max(v.residual for v in grad_verdicts)
 
     alpha = None
     if "G6" in basic.members:
@@ -368,7 +365,6 @@ def named_classes(S: ApctStructure,
         alpha = AlphaReport(
             float(alpha_samples.mean()) if theta_star_constant else None,
             (float(alpha_samples.min()), float(alpha_samples.max())),
-            gradient_residual,
         )
 
     # the first route of a check decides its class; the second is the

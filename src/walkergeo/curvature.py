@@ -30,8 +30,9 @@ from .sampling import (
 from .jets import Jet3, eval_jet
 from .structure import ApctStructure, max_abs, points_first
 from .walker import (
-    FlatnessVerdict, SegreVerdict, curvature_at, curvature_from_jet, f_hessian,
-    ricci_at, ricci_from_jet, segre_type, shared_flatness,
+    SegreVerdict, curvature_at, curvature_from_jet, f_hessian, flatness,
+    ricci_at, ricci_from_jet, scalar_curvature_constant,
+    scalar_curvature_field, segre_type,
 )
 
 _PLANE_TOL = 1e-8
@@ -83,9 +84,9 @@ class EtaEinsteinVerdict(NamedTuple):
         return self.is_eta_einstein
 
 
+@analyzed
 def eta_einstein_check(S: ApctStructure,
                        cfg: SamplingConfig | None = None) -> EtaEinsteinVerdict:
-    cfg = cfg or S.config
     M = S.manifold
     h = f_hessian(M.f)
     fxx = h["fxx"]
@@ -141,9 +142,7 @@ def _coordinate_eta_einstein(S: ApctStructure, cfg: SamplingConfig,
             witness=fxx_nv.witness,
         )
 
-    disc = is_identically_zero(
-        h["fxy"] ** 2 - h["fxx"] * h["fyy"], S.domain, cfg
-    )
+    disc = is_identically_zero(h["disc"], S.domain, cfg)
     if not disc:
         return disc, "the Ricci discriminant f_xy^2 - f_xx f_yy is not zero"
     aligned = is_identically_zero(
@@ -178,16 +177,17 @@ class EquivalenceReport(NamedTuple):
     mixed marks the honest in-between case for the second flag: every
     sampled point is flat or eta-Einstein pointwise, but neither holds on
     the whole sampled domain; the flag counts that as satisfied.
-    flatness compares flat (the zero tests of f_xx, f_xy and f_yy) with
-    the curvature of f's jet at every sampled point.
+    flatness compares `walker.flatness` (the zero tests of f_xx, f_xy and
+    f_yy) with the curvature of f's jet at every sampled point, and
+    scalar_curvature compares `walker.scalar_curvature_constant` with the
+    gradient of the scalar curvature's jet there.
     """
 
     flags: dict[str, bool]
-    flat: FlatnessVerdict
-    eta_einstein: EtaEinsteinVerdict
     mixed: bool
     check: Check
     flatness: Check
+    scalar_curvature: Check
 
 
 @analyzed
@@ -233,7 +233,7 @@ def curvature_equivalences(S: ApctStructure,
                              ("curvature_annihilates_reeb", annihilate))
     }
 
-    flat = shared_flatness(M, cfg)
+    flat = flatness(M, cfg)
     eta_verdict = eta_einstein_check(S, cfg)
     mixed = bool(
         np.all(flat_pt | eta_pt)
@@ -244,11 +244,16 @@ def curvature_equivalences(S: ApctStructure,
     routes = dict([first, ("flat_or_eta_einstein", Route(
         flat.flat or eta_verdict.is_eta_einstein or mixed)), *rest])
     check = Check.of("curvature_equivalences", None, *routes.values())
-    flatness = Check.of(
+    flat_routes = Check.of(
         "flatness_routes", None, every(flat.conditions.values()),
         zero_verdict_from_samples(r_max, scales, pts, cfg.tol))
+    scal_routes = Check.of(
+        "scalar_curvature_routes", None, scalar_curvature_constant(M, cfg),
+        zero_verdict_from_samples(
+            eval_jet(scalar_curvature_field(M), pts, 1).coeffs[1:], scales,
+            pts, cfg.tol))
     return EquivalenceReport({name: r.holds for name, r in routes.items()},
-                             flat, eta_verdict, mixed, check, flatness)
+                             mixed, check, flat_routes, scal_routes)
 
 
 # --- sectional curvatures ----------------------------------------------------
@@ -279,12 +284,12 @@ def sectional_curvatures(S: ApctStructure, X, point) -> SectionalReport:
         frame.eta_vec, frame.phi_mat, ricci_at(M, point)[2], X)
 
 
-def sample_column(S: ApctStructure, pts: np.ndarray) -> tuple:
-    """(R, g, xi, eta, phi, scal) at pts[0] from column 0 of the sample's
+def sample_column(S: ApctStructure, pts: np.ndarray, k: int = 0) -> tuple:
+    """(R, g, xi, eta, phi, scal) at pts[k] from column k of the sample's
     frame and order-2 jet of f (kept in an analysis), with the
     pointwise bits; copied C-contiguous, as einsum's order follows strides."""
     frame, f = S.frame(pts), eval_jet(S.manifold.f, pts, 2)
-    coeffs, g, xi, eta, phi = (np.ascontiguousarray(a[..., 0]) for a in (
+    coeffs, g, xi, eta, phi = (np.ascontiguousarray(a[..., k]) for a in (
         f.coeffs, frame.g, frame.xi_vec, frame.eta_vec, frame.phi_mat))
     jet = Jet3(2, coeffs)
     return curvature_from_jet(jet), g, xi, eta, phi, ricci_from_jet(jet)[2]
@@ -353,29 +358,26 @@ def eta_einstein_report(S: ApctStructure,
     along _DIRECTIONS vectors each, with components uniform on [-1, 1]
     from the package's PCG64 stream seeded with cfg.seed + 1 (the draws of
     numpy's default_rng(cfg.seed + 1), see `sampling.PCG64Stream`), in
-    point order, then direction order, then component order.
+    point order, then direction order, then component order. Each point's
+    arrays are its column of the sample (see `sample_column`), so the
+    values are those of `sectional_curvatures` there.
     """
     verdict = eta_einstein_check(S, cfg)
     if not verdict.is_eta_einstein:
         return EtaEinsteinProfile(verdict)
 
     h = f_hessian(S.manifold.f)
-    fxx = h["fxx"]
-    scal_constant = all(
-        is_identically_zero(diff(fxx, axis), S.domain, cfg)
-        for axis in ("x", "y", "z")
-    )
     pts = S.sample_points(cfg)
 
     k_xi_max = 0.0
     k_phi: list[float] = []
-    probe_points = pts[: min(5, pts.shape[0])]
     draws = PCG64Stream(cfg.seed + 1).uniform(
-        -1.0, 1.0, (len(probe_points), _DIRECTIONS, 3))
-    for p, directions_at_p in zip(probe_points, draws):
-        point = tuple(float(c) for c in p)
+        -1.0, 1.0, (min(5, pts.shape[0]), _DIRECTIONS, 3))
+    for k, directions_at_p in enumerate(draws):
+        point = tuple(float(c) for c in pts[k])
+        arrays = sample_column(S, pts, k)
         for X in directions_at_p:
-            report = sectional_curvatures(S, X, point)
+            report = sectional_from_arrays(point, *arrays, X)
             if report.K_xi is not None:
                 k_xi_max = max(k_xi_max, abs(report.K_xi))
             if report.K_phi is not None:
@@ -385,7 +387,8 @@ def eta_einstein_report(S: ApctStructure,
     k_phi_value = float(k_phi_arr.mean()) if k_phi else None
     k_phi_variance = float(k_phi_arr.var()) if k_phi else None
 
-    disc_field = 2 * diff(h["fxy"], "z") + h["fx"] * h["fxy"] - fxx * h["fy"]
+    disc_field = (2 * diff(h["fxy"], "z") + h["fx"] * h["fxy"]
+                  - h["fxx"] * h["fy"])
     disc = is_identically_zero(disc_field, S.domain, cfg)
 
     named = named_classes(S, cfg).named
@@ -396,7 +399,7 @@ def eta_einstein_report(S: ApctStructure,
 
     return EtaEinsteinProfile(
         verdict,
-        scal_constant=scal_constant,
+        scal_constant=scalar_curvature_constant(S.manifold, cfg).holds,
         k_xi_max=k_xi_max,
         k_phi_value=k_phi_value,
         k_phi_variance=k_phi_variance,

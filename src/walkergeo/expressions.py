@@ -586,15 +586,15 @@ def _tokenize(source: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             if j < n and source[j] == ".":
                 j += 1
-                if j >= n or not source[j].isdigit():
+                if j >= n or not source[j].isdecimal():
                     raise ParseError("malformed number", source, i)
-                while j < n and source[j].isdigit():
+                while j < n and source[j].isdecimal():
                     j += 1
             tokens.append(_Token("num", source[i:j], i))
             i = j

@@ -14,15 +14,19 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .classify import NAMED_CLASSES, Check, decide, named_classes
-from .curvature import curvature_equivalences, sample_column, sectional_from_arrays
-from .expressions import evaluate_with_scale, gradient, to_source
+from .curvature import (
+    curvature_equivalences, eta_einstein_check, sample_column,
+    sectional_from_arrays,
+)
+from .expressions import evaluate_with_scale, to_source
 from .ftensor import exterior_data_at, f_tensor_at, project_components, theta_forms
 from .sampling import SamplingConfig, analyzed, bound, is_identically_zero
 from .structure import (
     ApctStructure, max_abs, unit_constraint_field, validate_axioms,
 )
 from .walker import (
-    is_strict_walker, scalar_curvature_field, segre_type, shared_flatness,
+    flatness, is_strict_walker, scalar_curvature_constant,
+    scalar_curvature_field, segre_type,
 )
 
 __all__ = ["ClassificationReport", "build_report"]
@@ -177,8 +181,7 @@ def build_report(S: ApctStructure,
 
     # curvature
     scal_field = scalar_curvature_field(S.manifold)
-    scal_constant = all(is_identically_zero(d, S.domain, cfg)
-                        for d in gradient(scal_field))
+    scal_constant = scalar_curvature_constant(S.manifold, cfg).holds
     scal_values, _ = evaluate_with_scale(scal_field, pts)
     scal = {
         "expression": to_source(scal_field),
@@ -187,10 +190,10 @@ def build_report(S: ApctStructure,
         "sample_range": [float(scal_values.min()), float(scal_values.max())],
     }
 
-    flat = shared_flatness(S.manifold, cfg)
+    flat = flatness(S.manifold, cfg)
     segre = segre_type(S.manifold, rep_point, cfg)
     equiv = curvature_equivalences(S, cfg)
-    ee = equiv.eta_einstein
+    ee = eta_einstein_check(S, cfg)
     direction_label, _, sec = _pick_direction(rep_point, sample_column(S, pts))
 
     curvature = {
@@ -246,7 +249,8 @@ def build_report(S: ApctStructure,
     failures = decide((
         *(Check.of(f"axiom:{name}", None, r) for name, r in axioms.items()),
         Check.of("unit_constraint", None, unit),
-        *verdict.checks, ee.check, equiv.check, equiv.flatness, *sweep,
+        *verdict.checks, ee.check, equiv.check, equiv.flatness,
+        equiv.scalar_curvature, *sweep,
     ), pts)
     routes_agree = not any(c.fails for c in verdict.checks)
 

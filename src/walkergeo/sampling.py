@@ -19,10 +19,11 @@ at most tol * (1 + scale), where scale is the largest magnitude any
 subexpression attained there. Dividing by the scale keeps the test honest
 for cancellation-heavy identities. `nonvanishing` is its opposite bound,
 `bound` the route of a per-point maximum, and `every` the conjunction of
-routes. Within one analysis (`analyzed`) each field is tested once. A
-residual that is not finite (an overflow, or inf - inf) decides nothing:
-`require_finite` raises at its first point, for every route here and for
-the route discrepancies and component split of `ftensor`.
+routes. Within one analysis (`analyzed`) each field is tested once, and
+each verdict function runs once per arguments. A residual that is not
+finite (an overflow, or inf - inf) decides nothing: `require_finite`
+raises at its first point, for every route here and for the route
+discrepancies and component split of `ftensor`.
 """
 
 from __future__ import annotations
@@ -366,14 +367,18 @@ def _unless(bad: np.ndarray, pts: np.ndarray, residual: float,
 
 
 def analyzed(run):
-    """Run `run(S, cfg, ...)`, cfg defaulting to S.config, in the open
-    analysis, or in a new one (see `expressions.analysis`), with numpy's
-    warnings off: each route checks the values it decides (see
+    """Run `run(S, cfg, ...)`, cfg defaulting to S.config, once per
+    analysis and arguments: through `once`, keyed by the function, the cfg
+    and the other arguments (a keyword one as its (name, value) pair), in
+    the open analysis, or in a new one (see `expressions.analysis`), with
+    numpy's warnings off: each route checks the values it decides (see
     `require_finite`)."""
     @wraps(run)
     def within(S, cfg=None, *args, **kwargs):
+        cfg = cfg or S.config
         with analysis(), np.errstate(all="ignore"):
-            return run(S, cfg or S.config, *args, **kwargs)
+            return once(S, within, (cfg, *args, *sorted(kwargs.items())),
+                        lambda: run(S, cfg, *args, **kwargs))
     return within
 
 

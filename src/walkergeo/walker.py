@@ -31,7 +31,7 @@ from .errors import OutOfDomainError, UnsupportedSignatureError
 from .expressions import Expr, diff, gradient, once, scalar, to_source
 from .jets import Jet3, eval_jet
 from .sampling import (
-    Domain, Route, SamplingConfig, is_identically_zero, nonvanishing,
+    Domain, Route, SamplingConfig, every, is_identically_zero, nonvanishing,
 )
 
 
@@ -187,17 +187,25 @@ def ricci_from_jet(jet: Jet3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def f_hessian(f: Expr) -> dict[str, Expr]:
-    """f_x, f_y and the second partials f_xx, f_xy, f_yy, symbolically."""
+    """f_x, f_y, the second partials f_xx, f_xy, f_yy and the Ricci
+    discriminant f_xy^2 - f_xx f_yy, symbolically."""
     fx, fy = diff(f, "x"), diff(f, "y")
-    return {
-        "fx": fx, "fy": fy,
-        "fxx": diff(fx, "x"), "fxy": diff(fx, "y"), "fyy": diff(fy, "y"),
-    }
+    fxx, fxy, fyy = diff(fx, "x"), diff(fx, "y"), diff(fy, "y")
+    return {"fx": fx, "fy": fy, "fxx": fxx, "fxy": fxy, "fyy": fyy,
+            "disc": fxy * fxy - fxx * fyy}
 
 
 def scalar_curvature_field(M: WalkerManifold) -> Expr:
     """Scalar curvature as a symbolic field: f_xx."""
     return diff(diff(M.f, "x"), "x")
+
+
+def scalar_curvature_constant(M: WalkerManifold,
+                              cfg: SamplingConfig = SamplingConfig()) -> Route:
+    """The route that holds iff the scalar curvature is constant: every
+    partial of `scalar_curvature_field` vanishes on the sampled domain."""
+    return every(is_identically_zero(d, M.domain, cfg)
+                 for d in gradient(scalar_curvature_field(M)))
 
 
 class FlatnessVerdict(NamedTuple):
@@ -218,8 +226,14 @@ class FlatnessVerdict(NamedTuple):
         return self.flat
 
 
-def flatness(M: WalkerManifold, cfg: SamplingConfig = SamplingConfig()) -> FlatnessVerdict:
+def flatness(M: WalkerManifold,
+             cfg: SamplingConfig = SamplingConfig()) -> FlatnessVerdict:
+    """The FlatnessVerdict of M, decided once per analysis."""
     M.require_spacelike_signature()
+    return once(M, "flatness", (cfg,), lambda: _flatness(M, cfg))
+
+
+def _flatness(M: WalkerManifold, cfg: SamplingConfig) -> FlatnessVerdict:
     fx, fy, fz = gradient(M.f)
     conditions = {
         "f_xx": is_identically_zero(diff(fx, "x"), M.domain, cfg),
@@ -240,11 +254,6 @@ def flatness(M: WalkerManifold, cfg: SamplingConfig = SamplingConfig()) -> Flatn
             f"(curvature route: {flat}, f_zz route: {alt})"
         )
     return FlatnessVerdict(flat, conditions, alt, note)
-
-
-def shared_flatness(M: WalkerManifold, cfg: SamplingConfig) -> FlatnessVerdict:
-    """flatness(M, cfg), decided once per open analysis."""
-    return once(M, "flatness", (cfg,), lambda: flatness(M, cfg))
 
 
 def is_strict_walker(M: WalkerManifold,
@@ -277,17 +286,20 @@ class SegreVerdict(NamedTuple):
 def segre_type(M: WalkerManifold, point,
                cfg: SamplingConfig = SamplingConfig()) -> SegreVerdict:
     """Classify the Ricci operator: flat, degenerate {11;1} with a null
-    eigenvector (f_xy^2 - f_xx f_yy = 0 != f_xx), or other."""
+    eigenvector (f_xy^2 - f_xx f_yy = 0 != f_xx), or other; once per
+    point and cfg in an analysis."""
     M.require_spacelike_signature()
     M.require_inside(point)
-    flat = shared_flatness(M, cfg)
-    if flat.flat:
+    return once(M, "segre", (np.asarray(point), cfg),
+                lambda: _segre_type(M, point, cfg))
+
+
+def _segre_type(M: WalkerManifold, point, cfg: SamplingConfig) -> SegreVerdict:
+    if flatness(M, cfg).flat:
         return SegreVerdict(kind="flat", eigenvalues=(0.0, 0.0, 0.0))
     h = f_hessian(M.f)
-    fxx, fxy, fyy = h["fxx"], h["fxy"], h["fyy"]
-    discriminant = fxy * fxy - fxx * fyy
-    degeneracy = is_identically_zero(discriminant, M.domain, cfg)
-    fxx_nonzero = nonvanishing(fxx, M.domain, cfg)
+    degeneracy = is_identically_zero(h["disc"], M.domain, cfg)
+    fxx_nonzero = nonvanishing(h["fxx"], M.domain, cfg)
     if not (degeneracy and fxx_nonzero):
         return SegreVerdict(
             kind="other", degeneracy=degeneracy, fxx_nonvanishing=fxx_nonzero

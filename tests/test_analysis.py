@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import walkergeo.classify as classify
+import walkergeo.curvature as curvature
 import walkergeo.expressions as ex
 import walkergeo.ftensor as ftensor
 import walkergeo.jets as jets
@@ -29,7 +30,9 @@ from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.errors import EvaluationError
 from walkergeo.expressions import Num, parse, to_source
 from walkergeo.jets import eval_jet
+from walkergeo.manifest import parse_manifest
 from walkergeo.report import build_report
+from write_reports import read_manifest
 
 NAMES = [fixture.name for fixture in FIXTURES]
 
@@ -93,7 +96,7 @@ def test_each_report_step_runs_once(monkeypatch, name):
                            lambda e, domain, cfg: (to_source(e), cfg))
     sampled = recording(monkeypatch, sampling, "evaluate_with_scale",
                         lambda e, points: e)
-    flatness = recording(monkeypatch, walker, "flatness",
+    flatness = recording(monkeypatch, walker, "_flatness",
                          lambda M, cfg: cfg)
     gradients = recording(monkeypatch, ftensor, "_gradients",
                           lambda fields, pts: (tuple(map(id, fields)), id(pts)))
@@ -108,6 +111,52 @@ def test_each_report_step_runs_once(monkeypatch, name):
     eta_fields = tuple(map(id, S.eta))
     assert [key for key in gradients if key[0] == eta_fields]
     assert max(Counter(gradients).values()) == 1
+
+
+VERDICTS = (classify.classify_basic, classify.is_paracontact_metric,
+            classify.is_normal, classify.named_classes,
+            curvature.eta_einstein_check, curvature.curvature_equivalences,
+            curvature.eta_einstein_report, build_report)
+
+
+@pytest.mark.parametrize("verdict", VERDICTS, ids=lambda f: f.__name__)
+def test_a_verdict_is_decided_once_per_analysis(verdict):
+    S = load_fixture("eta-einstein-parabolic").build(samples=8)
+    with ex.analysis():
+        first = verdict(S)
+        assert verdict(S) is first and verdict(S, S.config) is first
+    assert verdict(S) is not first
+
+
+def test_flatness_and_segre_type_are_decided_once_per_analysis():
+    S = load_fixture("eta-einstein-parabolic").build(samples=8)
+    M, cfg, point = S.manifold, S.config, tuple(S.sample_points()[0])
+    with ex.analysis():
+        flat, segre = walker.flatness(M, cfg), walker.segre_type(M, point, cfg)
+        assert walker.flatness(M, cfg) is flat
+        assert walker.segre_type(M, np.array(point), cfg) is segre
+    assert walker.flatness(M, cfg) is not flat
+    assert walker.segre_type(M, point, cfg) is not segre
+
+
+def test_an_eta_einstein_report_tests_its_discriminant_once(monkeypatch):
+    # eta-Einstein with xi1 = -f_xy / f_xx = -1; the discriminant of
+    # eta-einstein-parabolic folds to the literal 0, which is not evaluated
+    text = read_manifest("parabolic").replace('"x^2"', '"(x + y)^3"')
+    S = parse_manifest(text.replace("xi1 = 0", "xi1 = -1")).build(samples=8)
+    h = walker.f_hessian(S.manifold.f)
+    # the discriminant node, and the form the coordinate route once built
+    forms = (h["disc"], h["fxy"] ** 2 - h["fxx"] * h["fyy"])
+    sampled = recording(monkeypatch, sampling, "evaluate_with_scale",
+                        lambda e, points: e)
+    segre = recording(monkeypatch, walker, "_segre_type",
+                      lambda M, point, cfg: point)
+    report = build_report(S, name="cubic")
+    assert report.exit_status == 0
+    assert report.curvature["eta_einstein"]["holds"]
+    assert report.curvature["segre"]["kind"] == "type11_1_degenerate"
+    assert sum(e in forms for e in sampled) == 1
+    assert len(segre) == 1
 
 
 def test_quotient_chain_derivatives_are_worked_out_once(monkeypatch):
@@ -461,7 +510,8 @@ def test_a_nested_analysis_of_another_structure_reads_only_its_own():
         classify.is_normal(first)
         first_batch = classify._components(first, cfg)
         joined = named_classes(second)   # joins the open analysis
-        assert analysis.key(second, "basic", (cfg,)) in analysis.results
+        assert (analysis.key(second, classify.classify_basic, (cfg,))
+                in analysis.results)
         batch = classify._components(second, cfg)
         assert batch is not first_batch
         eta = ftensor.d_eta_coordinate_batch(second, batch)

@@ -297,9 +297,12 @@ def test_every_verdict_has_two_routes_and_only_bounds_have_one(
     for cls, check in CLASS_CHECKS.items():
         if "kenmotsu" not in cls:
             assert checks[check].routes[0].holds == named[cls].holds, cls
-    # the report's flat is the first route of the flatness check
+    # the report's flat and scal.constant are the first routes of their
+    # checks
     assert (checks["flatness_routes"].routes[0].holds
             is built.curvature["flat"])
+    assert (checks["scalar_curvature_routes"].routes[0].holds
+            is built.curvature["scal"]["constant"])
 
 
 @pytest.mark.parametrize("name", [fx.name for fx in FIXTURES])

@@ -278,6 +278,44 @@ def test_a_curvature_the_zero_tests_miss_fails_the_flatness_routes(
     assert [f["check"] for f in tree["failures"]] == ["flatness_routes"]
 
 
+@pytest.mark.parametrize("samples", ["1", "16", "64", "512"])
+def test_a_scalar_curvature_the_zero_tests_miss_fails_its_routes(
+        capsys, samples):
+    # f = (4 x)^2 / y^2 / 16 is x^2 / y^2, whose scalar curvature 2 / y^2
+    # the sampled zero tests of its gradient take for constant against the
+    # scale of its subexpressions; the jet of f_xx sees its y-derivative
+    path = MANIFESTS / "scaled-scal.manifest"
+    status, out, err = run(capsys, "analyze", str(path), "--samples", samples,
+                           "--report", "machine")
+    assert status == 3 and err == ""
+    tree = json.loads(out)
+    assert tree["curvature"]["scal"]["constant"] is True
+    assert [f["check"] for f in tree["failures"]] == [
+        "scalar_curvature_routes"]
+
+
+def test_a_plainly_written_nonconstant_scalar_curvature_exits_0(
+        capsys, tmp_path):
+    text = (MANIFESTS / "scaled-scal.manifest").read_text(encoding="utf-8")
+    path = write(tmp_path, text.replace('"(4*x)^2/y^2/16"', '"x^2/y^2"'))
+    status, out, err = run(capsys, "analyze", path, "--report", "machine")
+    assert status == 0 and err == ""
+    assert json.loads(out)["curvature"]["scal"]["constant"] is False
+
+
+@pytest.mark.parametrize("f, position", [("x^²", 2), ("2²", 1)])
+def test_a_superscript_digit_exits_2_in_one_line(capsys, tmp_path, f,
+                                                  position):
+    text = (MANIFESTS / "superscript-exponent.manifest").read_text(
+        encoding="utf-8")
+    path = write(tmp_path, text.replace('"x^²"', f'"{f}"'))
+    status, out, err = run(capsys, "analyze", path)
+    assert status == 2 and out == ""
+    assert err.count("\n") == 1
+    assert (f"unexpected character '{f[position]}' at position {position}"
+            in err)
+
+
 def test_machine_report_refuses_a_non_finite_value():
     report = ClassificationReport(
         name="t", sampling={}, structure_validity={}, basic_classes={},

@@ -15,8 +15,8 @@ from walkergeo.curvature import (
 from walkergeo.errors import DegenerateInputError
 from walkergeo.manifest import parse_manifest
 from walkergeo.report import build_report
-from walkergeo.sampling import SamplingConfig, is_identically_zero
-from walkergeo.walker import curvature_at, segre_type
+from walkergeo.sampling import PCG64Stream, SamplingConfig, is_identically_zero
+from walkergeo.walker import curvature_at, flatness, segre_type
 from write_reports import read_manifest
 
 CFG = SamplingConfig(samples=24, seed=23)
@@ -127,8 +127,8 @@ def test_equivalences_all_true_on_flat():
     rep = curvature_equivalences(S, CFG)
     assert not rep.check.fails
     assert all(rep.flags.values())
-    assert rep.flat.flat
-    assert not rep.eta_einstein.is_eta_einstein
+    assert flatness(S.manifold, CFG).flat
+    assert not eta_einstein_check(S, CFG).is_eta_einstein
 
 
 def test_equivalences_all_false_on_mix56():
@@ -232,7 +232,7 @@ def reference_k_xi(S, point, X):
 @pytest.mark.parametrize("samples", REPRESENTATIVE_SAMPLES)
 def test_xi_matches_n_is_the_pointwise_comparison(samples):
     S = load_fixture("eta-einstein-parabolic").build(samples=samples)
-    verdict = curvature_equivalences(S).eta_einstein
+    verdict = eta_einstein_check(S)
     point = tuple(S.sample_points()[0])
     # the comparison at the point, from the frame there
     n = segre_type(S.manifold, point, S.config).n_vector
@@ -256,6 +256,29 @@ def test_profile_parabolic():
     assert prof.k_phi_variance <= 1e-9
     assert prof.discriminant.holds
     assert prof.matches_named_classes
+
+
+@pytest.mark.parametrize("samples", REPRESENTATIVE_SAMPLES)
+@pytest.mark.parametrize("f", ["x^2", "x^2 + y*z"])
+def test_profile_is_the_pointwise_sectional_curvatures(f, samples):
+    # the profile reads each probe point's column of the sample; the
+    # pointwise API on the same draws gives the same bits
+    S = build(f, ("0", "1", "0"), cfg=SamplingConfig(samples=samples))
+    prof = eta_einstein_report(S)
+    pts = S.sample_points()
+    draws = PCG64Stream(S.config.seed + 1).uniform(
+        -1.0, 1.0, (min(5, len(pts)), 50, 3))
+    k_xi_max, k_phi = 0.0, []
+    for p, directions in zip(pts, draws):
+        for X in directions:
+            rep = sectional_curvatures(S, X, tuple(float(c) for c in p))
+            if rep.K_xi is not None:
+                k_xi_max = max(k_xi_max, abs(rep.K_xi))
+            if rep.K_phi is not None:
+                k_phi.append(rep.K_phi)
+    assert k_phi and bits(prof.k_xi_max) == bits(k_xi_max)
+    assert bits(prof.k_phi_value) == bits(np.mean(k_phi))
+    assert bits(prof.k_phi_variance) == bits(np.var(k_phi))
 
 
 def test_profile_detects_almost_paracosymplectic():

@@ -135,6 +135,20 @@ def test_parse_errors_carry_position(source):
     assert 0 <= info.value.position <= len(source)
 
 
+@pytest.mark.parametrize("source, position", [
+    ("x^²", 2), ("2²", 1), ("x^¹", 2), ("1.²", 0)])
+def test_a_digit_int_cannot_read_is_a_parse_error(source, position):
+    # str.isdigit holds for superscripts, which int() refuses
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert info.value.position == position
+
+
+def test_decimal_digits_of_any_script_parse():
+    assert parse("x^\u0662") is parse("x^2")
+    assert parse("\u0661\u0660*x") is parse("10*x")
+
+
 def test_division_by_zero_raises():
     with pytest.raises(EvaluationError):
         evaluate_with_scale(parse("1/x"), np.array([0.0, 1.0, 1.0]))

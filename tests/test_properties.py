@@ -52,7 +52,7 @@ BROKEN = {
     "epsilon": st.sampled_from(["epsilon = 0", "epsilon = x"]),
     "const.C": st.sampled_from(["const.C = q", "const.C = 1e400"]),
     "f": st.sampled_from(['f = "1' + "0" * 400 + '"', 'f = "x^' + "9" * 400
-                          + '"', 'f = "x +"', 'f = "w"']),
+                          + '"', 'f = "x +"', 'f = "w"', 'f = "x^²"']),
     "domain.x": st.sampled_from([
         "domain.x = [1, 1]", "domain.x = [2, 0.5]", "domain.x = 0.5, 2",
         "domain.x = [a, b]", "domain.x = [0, 1e400]",
