@@ -24,8 +24,9 @@ from .classify import Check, named_classes, unit_y_setting
 from .errors import DegenerateInputError, EvaluationError
 from .expressions import Expr, ONE, ZERO, diff, evaluate_with_scale
 from .sampling import (
-    NEVER, PCG64Stream, Route, SamplingConfig, analyzed, every,
-    is_identically_zero, negated, nonvanishing, zero_verdict_from_samples,
+    NEVER, PLANE_TOL, PCG64Stream, Route, SamplingConfig, analyzed, every,
+    is_identically_zero, negated, nonvanishing, within,
+    zero_verdict_from_samples,
 )
 from .jets import Jet3, eval_jet
 from .structure import ApctStructure, max_abs, points_first
@@ -35,7 +36,6 @@ from .walker import (
     scalar_curvature_field, segre_type,
 )
 
-_PLANE_TOL = 1e-8
 _DIRECTIONS = 50    # per point, in `eta_einstein_report`
 
 
@@ -162,7 +162,7 @@ def _xi_versus_null_eigenvector(S: ApctStructure, segre: SegreVerdict,
     xi = S.frame(pts).xi_vec[:, 0]
     scale = 1.0 + float(np.abs(n).max()) + float(np.abs(xi).max())
     for sign in (1, -1):
-        if float(np.abs(xi - sign * n).max()) <= tol * scale:
+        if within(float(np.abs(xi - sign * n).max()), tol, scale):
             return sign
     return None
 
@@ -204,9 +204,10 @@ def curvature_equivalences(S: ApctStructure,
     phi, xi, g, eta = frame.phi_mat, frame.xi_vec, frame.g, frame.eta_vec
 
     r_max = max_abs(R, 4)
-    scales = 1.0 + frame.value_scale + np.maximum(r_max, max_abs(rho, 2))
-    allowed = cfg.tol * scales
-    scales = scales - 1.0
+    # the zero rule's 1 + scales is 1 + value_scale + that maximum, as
+    # B - 1 is exact for 1 <= B < 2^53; the pointwise masks judge by it too
+    scales = 1.0 + frame.value_scale + np.maximum(r_max, max_abs(rho, 2)) - 1.0
+    reference = 1.0 + scales
 
     q_first, phi_first = points_first(q, 2), points_first(phi, 2)
     commute = np.abs(q_first @ phi_first - phi_first @ q_first).max(axis=(1, 2))
@@ -221,9 +222,10 @@ def curvature_equivalences(S: ApctStructure,
         np.einsum("ai...,bj...,ab...->ij...", phi, phi, rho) + rho, 2)
     annihilate = max_abs(np.einsum("ijkl...,k...->ijl...", R, xi), 3)
 
-    flat_pt = r_max <= allowed
+    flat_pt = within(r_max, cfg.tol, reference)
     resid = rho - 0.5 * fxx * (g - eta[:, None] * eta)
-    eta_pt = (max_abs(resid, 2) <= allowed) & (abs(fxx) > allowed)
+    eta_pt = (within(max_abs(resid, 2), cfg.tol, reference)
+              & within(abs(fxx), cfg.tol, reference, exceeds=True))
 
     verdicts = {
         name: zero_verdict_from_samples(values, scales, pts, cfg.tol)
@@ -262,8 +264,9 @@ class SectionalReport(NamedTuple):
     """Sectional curvatures of the Reeb plane span(X, xi) and the phi-plane
     span(X, phi X) at a point, for X projected onto the kernel of eta.
 
-    A plane whose induced metric is degenerate (relative to _PLANE_TOL) has
-    no sectional curvature; its value is None and the flag is set.
+    A plane whose induced metric is degenerate (relative to
+    `sampling.PLANE_TOL`) has no sectional curvature; its value is None
+    and the flag is set.
     """
 
     point: tuple[float, float, float]
@@ -312,9 +315,8 @@ def sectional_from_arrays(point, R, g, xi, eta, phi, scal, X) -> SectionalReport
         gvv = float(v @ g @ v)
         guv = float(u @ g @ v)
         den = guu * gvv - guv * guv
-        degenerate = abs(den) <= _PLANE_TOL * (abs(guu * gvv) + guv * guv + 1e-300)
-        if degenerate or den == 0.0:
-            return None, True
+        if within(abs(den), PLANE_TOL, abs(guu * gvv) + guv * guv + 1e-300):
+            return None, True   # den == 0.0 is among these
         K = pair(u, v) / den
         if not np.isfinite(K):
             raise EvaluationError("non-finite sectional curvature", name, point)

@@ -20,7 +20,10 @@ from .curvature import (
 )
 from .expressions import evaluate_with_scale, to_source
 from .ftensor import exterior_data_at, f_tensor_at, project_components, theta_forms
-from .sampling import SamplingConfig, analyzed, bound, is_identically_zero
+from .sampling import (
+    SamplingConfig, analyzed, bound, is_identically_zero,
+    zero_verdict_from_samples,
+)
 from .structure import (
     ApctStructure, max_abs, unit_constraint_field, validate_axioms,
 )
@@ -131,6 +134,12 @@ def build_report(S: ApctStructure,
     unit = is_identically_zero(
         unit_constraint_field(S.manifold, S.xi), S.domain, cfg)
     strict = is_strict_walker(S.manifold, cfg)
+    # its second route: f_x from the kept order-1 jet of f (the frame's),
+    # judged against that jet's largest |coefficient| at each point
+    f = S.frame(pts).f
+    strict_routes = Check.of(
+        "strict_walker_routes", None, strict, zero_verdict_from_samples(
+            f.derivative((1, 0, 0)), max_abs(f.coeffs, 1), pts, cfg.tol))
     structure_validity = {
         "epsilon": S.manifold.epsilon,
         "unit_constraint_max_residual": unit.residual,
@@ -248,7 +257,7 @@ def build_report(S: ApctStructure,
     # every check of the run, in stage order
     failures = decide((
         *(Check.of(f"axiom:{name}", None, r) for name, r in axioms.items()),
-        Check.of("unit_constraint", None, unit),
+        Check.of("unit_constraint", None, unit), strict_routes,
         *verdict.checks, ee.check, equiv.check, equiv.flatness,
         equiv.scalar_curvature, *sweep,
     ), pts)

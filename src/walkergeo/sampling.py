@@ -24,6 +24,12 @@ each verdict function runs once per arguments. A residual that is not
 finite (an overflow, or inf - inf) decides nothing: `require_finite`
 raises at its first point, for every route here and for the route
 discrepancies and component split of `ftensor`.
+
+Every tolerance comparison of the package, here and in the modules that
+judge their own residuals, is `within`: a magnitude at most a tolerance
+times a reference magnitude, or its negation. The tolerances are the
+user's cfg.tol and the three constants beside `within`, so this module is
+the one place the smallness rule is stated.
 """
 
 from __future__ import annotations
@@ -39,11 +45,25 @@ from .expressions import (
     ZERO, Expr, analysis, evaluate_with_scale, is_finite, once,
 )
 
-# Constraint margin: rejected points are those within this relative distance
-# of a constraint's singular locus, so later evaluation stays well scaled.
-_CONSTRAINT_MARGIN = 1e-7
-
 _MAX_BATCHES = 200
+
+# The package's tolerances besides cfg.tol, each relative to the reference
+# magnitude its caller hands to `within`.
+# A constraint field within this of 0, relative to 1 + its scale, rejects
+# its point, so later evaluation stays well scaled (`Domain._admissible`)
+CONSTRAINT_MARGIN = 1e-7
+# the largest normalized residual an axiom may leave (`validate_axioms`)
+AXIOM_TOL = 1e-10
+# a plane whose Gram determinant is within this of 0, relative to the sizes
+# of its terms, is degenerate (`curvature.sectional_from_arrays`)
+PLANE_TOL = 1e-8
+
+
+def within(values, tol: float, reference, exceeds: bool = False):
+    """values <= tol * reference, elementwise; with exceeds, its negation
+    values > tol * reference. A nan satisfies neither, so a rule that fails
+    where `~within(...)` holds fails at a nan (see `_unless`)."""
+    return values > tol * reference if exceeds else values <= tol * reference
 
 
 class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
@@ -121,13 +141,9 @@ class Domain(NamedTuple):
                 values, scales = evaluate_with_scale(field, pts)
             except EvaluationError:
                 values, scales = _evaluate_pointwise(field, pts)
-            margin = _CONSTRAINT_MARGIN * (1.0 + scales)
-            good = np.isfinite(values)
-            if positive:
-                good &= values > margin
-            else:
-                good &= np.abs(values) > margin
-            ok &= good
+            ok &= np.isfinite(values) & within(
+                values if positive else np.abs(values), CONSTRAINT_MARGIN,
+                1.0 + scales, exceeds=True)
         return ok
 
 
@@ -326,12 +342,12 @@ def require_finite(values, pts):
     return values
 
 
-def bound(values, limit: float, pts) -> Route:
-    """The route max(values) <= limit over the sample points, decided at
+def bound(values, tol: float, pts) -> Route:
+    """The route max(values) <= tol over the sample points, decided at
     the first point attaining the maximum, where a nan or inf raises."""
     k = int(values.argmax())   # the first nan, if any
     require_finite(values[k], pts[k])
-    return Route(bool(values[k] <= limit), tuple(pts[k].tolist()),
+    return Route(bool(within(values[k], tol, 1.0)), tuple(pts[k].tolist()),
                  float(values[k]))
 
 
@@ -350,7 +366,7 @@ def zero_verdict_from_samples(values: np.ndarray, scales, pts: np.ndarray,
     if values.ndim > 1:
         values = values.reshape(-1, values.shape[-1]).max(axis=0)
     scales = 1.0 + np.asarray(scales, dtype=float)
-    return _unless(~(values <= tol * scales), pts,
+    return _unless(~within(values, tol, scales), pts,
                    float((values / scales).max(initial=0.0)), values)
 
 
@@ -413,5 +429,6 @@ def nonvanishing(e: Expr, domain: Domain,
 def _nonvanishing(e: Expr, domain: Domain, cfg: SamplingConfig) -> Route:
     pts = domain.sample(cfg)
     values, scales = evaluate_with_scale(e, pts)
-    return _unless(~(np.abs(values) > cfg.tol * (1.0 + scales)), pts,
-                   float((np.abs(values) / (1.0 + scales)).min()), values)
+    return _unless(
+        ~within(np.abs(values), cfg.tol, 1.0 + scales, exceeds=True), pts,
+        float((np.abs(values) / (1.0 + scales)).min()), values)

@@ -55,11 +55,9 @@ from .expressions import (
 )
 from .jets import eval_jet
 from .sampling import (
-    Domain, Route, SamplingConfig, bound, is_identically_zero,
+    AXIOM_TOL, Domain, Route, SamplingConfig, bound, is_identically_zero,
 )
 from .walker import WalkerManifold, christoffel_from_jet, metric_arrays
-
-_AXIOM_TOL = 1e-10     # largest normalized residual an axiom may leave
 
 
 # numpy's `@` picks its BLAS kernel by memory layout, so `@` runs on
@@ -252,8 +250,8 @@ def validate_axioms(S: ApctStructure,
     Residuals are matrix norms divided by (1 + scale) at each sampled point,
     scale the largest |value| of f and xi there (read from the sample's
     frame, the one the report's sweep uses); each route is the bound
-    _AXIOM_TOL on them, decided at the worst point (the first to attain
-    the maximum).
+    `sampling.AXIOM_TOL` on them, decided at the worst point (the first to
+    attain the maximum).
     """
     cfg = cfg or S.config
     fr = S.frame(S.sample_points(cfg))
@@ -278,5 +276,5 @@ def validate_axioms(S: ApctStructure,
     }
     n = len(fr.points)
     return {name: bound(np.abs(r).reshape(n, -1).max(axis=1) / scale,
-                        _AXIOM_TOL, fr.points)
+                        AXIOM_TOL, fr.points)
             for name, r in residuals.items()}

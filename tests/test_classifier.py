@@ -297,8 +297,10 @@ def test_every_verdict_has_two_routes_and_only_bounds_have_one(
     for cls, check in CLASS_CHECKS.items():
         if "kenmotsu" not in cls:
             assert checks[check].routes[0].holds == named[cls].holds, cls
-    # the report's flat and scal.constant are the first routes of their
-    # checks
+    # the report's strict_walker, flat and scal.constant are the first
+    # routes of their checks
+    assert (checks["strict_walker_routes"].routes[0].holds
+            is built.structure_validity["strict_walker"])
     assert (checks["flatness_routes"].routes[0].holds
             is built.curvature["flat"])
     assert (checks["scalar_curvature_routes"].routes[0].holds

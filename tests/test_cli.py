@@ -294,6 +294,22 @@ def test_a_scalar_curvature_the_zero_tests_miss_fails_its_routes(
         "scalar_curvature_routes"]
 
 
+@pytest.mark.parametrize("samples", ["1", "16", "64", "512"])
+def test_an_x_dependence_the_zero_test_misses_fails_the_strict_walker_routes(
+        capsys, samples):
+    # f = (64 x) / 4096 is x / 64: g0-parallel under the Walker isometry
+    # with factor 2^6. diff writes its f_x as 262144 / 16777216, whose
+    # scale of 1.7e7 lets 1/64 pass the sampled zero test; the jet's f_x,
+    # judged against f's own coefficients, does not
+    path = MANIFESTS / "scaled-strict.manifest"
+    status, out, err = run(capsys, "analyze", str(path), "--samples", samples,
+                           "--report", "machine")
+    assert status == 3 and err == ""
+    tree = json.loads(out)
+    assert tree["structure_validity"]["strict_walker"] is True
+    assert [f["check"] for f in tree["failures"]] == ["strict_walker_routes"]
+
+
 def test_a_plainly_written_nonconstant_scalar_curvature_exits_0(
         capsys, tmp_path):
     text = (MANIFESTS / "scaled-scal.manifest").read_text(encoding="utf-8")

@@ -10,7 +10,8 @@ its bound) and give the faulted route's residual as the magnitude.
 
 The routes are perturbed where their residual is formed: an array kernel
 of the component split (faulted output), a symbolic field's sampled zero
-test, or the per-point residual handed to a curvature zero test.
+test, or the per-point residual handed to a zero test of the curvature
+chain or of the report's jet route for a strict Walker metric.
 """
 
 import json
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from walkergeo import classify, curvature
+from walkergeo import report as report_module
 from walkergeo.cli import main
 from walkergeo.corpus import load_fixture
 from walkergeo.expressions import evaluate_with_scale, gradient
@@ -71,20 +73,23 @@ def field(module, pick):
     return install
 
 
-def commutator(monkeypatch, S):
-    """Fault the first statement of the curvature equivalence chain, the
-    Ricci operator commuting with phi: its per-point residual is the first
-    one curvature_equivalences hands to a zero test."""
-    original, seen = curvature.zero_verdict_from_samples, []
+def first_zero_test(module):
+    """Fault the first per-point residual `module` hands to a zero test:
+    in curvature, the first statement of the equivalence chain, the Ricci
+    operator commuting with phi; in report, the f_x of f's jet, the second
+    route of strict_walker."""
+    def install(monkeypatch, S):
+        original, seen = module.zero_verdict_from_samples, []
 
-    def faulted(values, scales, pts, tol):
-        if not seen:
-            values = bumped(values, scales, tol)
-            seen.append(original(values, scales, pts, tol))
-            return seen[-1]
-        return original(values, scales, pts, tol)
-    monkeypatch.setattr(curvature, "zero_verdict_from_samples", faulted)
-    return seen
+        def faulted(values, scales, pts, tol):
+            if not seen:
+                values = bumped(values, scales, tol)
+                seen.append(original(values, scales, pts, tol))
+                return seen[-1]
+            return original(values, scales, pts, tol)
+        monkeypatch.setattr(module, "zero_verdict_from_samples", faulted)
+        return seen
+    return install
 
 
 def drift(S):
@@ -116,7 +121,11 @@ CASES = [
      field(classify, lambda S: classify.paracontact_condition_fields(S)[0])),
     ("eta-einstein-parabolic", "eta_einstein_routes",
      field(curvature, lambda S: curvature.ricci_residual_fields(S)[5])),
-    ("eta-einstein-parabolic", "curvature_equivalences", commutator),
+    ("eta-einstein-parabolic", "curvature_equivalences",
+     first_zero_test(curvature)),
+    # f = y z is strict Walker; g0-parallel's f = x is not, so its jet
+    # route already fails at the first row
+    ("flat-bilinear", "strict_walker_routes", first_zero_test(report_module)),
 ]
 
 

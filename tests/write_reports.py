@@ -53,6 +53,11 @@ The inputs, and why each is there:
     sampled zero tests of its scalar curvature's gradient, judged against
     the scale its subexpressions reach, call it constant; the jet of f_xx
     does not, so it exits 3 on scalar_curvature_routes.
+  - scaled-strict: g0-parallel under the Walker isometry with factor 2^6,
+    f = (64*x)/4096, which is x/64, on the box scaled to match. The sampled
+    zero test of its f_x, judged against the 16777216 its subexpressions
+    reach, calls it strict Walker; the f_x of f's jet does not, so it exits
+    3 on strict_walker_routes.
   - superscript-exponent: f = "x^²". A superscript digit is not a decimal
     one, so the tokenizer refuses it: exit 2 with its position, not an
     internal error.
@@ -105,7 +110,7 @@ sys.exit(main(["examples", "run", "paracontact-exponential",
 """
 
 # outputs of the plan when it was written; a shorter plan is refused
-EXPECTED = 206
+EXPECTED = 210
 
 
 class Run(NamedTuple):
