@@ -33,6 +33,11 @@ always has components (xi3, -xi2, xi1) in the coordinate 2-form basis
 (dx^dy, dx^dz, dy^dz), so eta wedge it is the standard volume form by the
 unit constraint, and d(fundamental) has the single essential component
 (xi1)_x + (xi2)_y + (xi3)_z = -theta*(xi).
+
+The paracontact conditions are written twice on purpose: as symbolic
+residuals (`paracontact_condition_fields`) and as the sampled gap between
+d(eta) and the fundamental 2-form, because `paracontact_routes` compares
+the two.
 """
 
 from __future__ import annotations
@@ -47,13 +52,14 @@ from .expressions import (
 from .ftensor import (
     ComponentBatch, d_eta_batch, d_eta_coordinate_batch,
     fundamental_form_batch, lie_g_batch, normality_defect_batch,
-    split_components_batch, theta_star_xi_field,
+    split_components_batch, theta_star_xi_field, theta_xi_field,
 )
+from .jets import eval_jet
 from .sampling import (
     NEVER, Domain, Route, SamplingConfig, analyzed, bound, every,
     is_identically_zero, negated, zero_verdict_from_samples,
 )
-from .structure import ApctStructure, build_structure
+from .structure import ApctStructure, build_structure, max_abs
 from .walker import WalkerManifold
 
 BASIC_LABELS = ("G5", "G6", "G10", "G12")
@@ -323,8 +329,9 @@ class ClassVerdict(NamedTuple):
     class, with all cross-route bookkeeping. named maps each class to the
     Route that decides it, the first route of its row in checks where it
     has one. checks is the classification table: the component model, the
-    paracontact and normality routes, and one row per cross-check of a
-    named class; the routes agree when none fails."""
+    paracontact and normality routes, one row per cross-check of a named
+    class, and the routes of theta_star_constant and, when G5 is present,
+    of basic.g5bar; the routes agree when none fails."""
 
     basic: BasicClassification
     named: dict[str, Route]
@@ -354,10 +361,16 @@ def named_classes(S: ApctStructure,
     d_phi = is_identically_zero(divergence, S.domain, cfg)
     lie = ztest(lie_g_batch(S, batch))
 
-    # theta*(xi) is constant on the sampled domain when its partials vanish
+    # theta*(xi) is constant on the sampled domain when its partials vanish;
+    # the second route reads the gradient rows of the jet of the divergence,
+    # which is -theta*(xi), judged against that jet's largest |coefficient|
     constant = every([is_identically_zero(partial, S.domain, cfg)
                       for partial in gradient(theta_star_xi_field(S))])
     theta_star_constant = constant.holds
+    jet = eval_jet(divergence, pts, 1)
+    constant_routes = Check.of(
+        "theta_star_constant_routes", None, constant, zero_verdict_from_samples(
+            jet.coeffs[1:], max_abs(jet.coeffs, 1), pts, cfg.tol))
 
     alpha = None
     if "G6" in basic.members:
@@ -419,6 +432,13 @@ def named_classes(S: ApctStructure,
     named = {name: primary for name, primary, _, _ in table}
     rows = [Check.of(f"classification:{name}", compared, primary, cross)
             for name, primary, cross, compared in table if cross is not None]
+    rows.append(constant_routes)
+    # a present G5 is contact-type when theta(xi) = 2: the numeric trace form
+    # of the split against the closed formula
+    if basic.g5bar_verdict is not None:
+        rows.append(Check.of("g5bar_routes", None, basic.g5bar_verdict,
+                             is_identically_zero(theta_xi_field(S) - 2,
+                                                 S.domain, cfg)))
 
     # a paracontact structure must split as contact-type G5 (possibly with
     # a G10 part) and nothing else.

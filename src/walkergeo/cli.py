@@ -6,7 +6,8 @@
     walkergeo examples run <name> [same flags]
 
 Exit status: 0 clean analysis, 1 structural rejection (no structure exists
-for the given data), 2 input error, 3 internal consistency failure. Any
+for the given data), 2 input error, 3 internal consistency failure; the
+second to fourth are the three bases of `errors`. Any
 other exception is a defect of the program: it also exits 3, with the one
 line `internal error: <Type>: <message>` on stderr and no traceback.
 """
@@ -17,19 +18,11 @@ import argparse
 import sys
 
 from .corpus import FIXTURES, load_fixture
-from .errors import (
-    ConsistencyError, DegenerateInputError, EmptyDomainError, EvaluationError,
-    InputError, OutOfDomainError, StructuralRejection,
-    UnsupportedSignatureError,
-)
+from .errors import ConsistencyError, InputError, StructuralRejection
 from .manifest import Manifest, load_manifest
 from .report import build_report
 
 __all__ = ["main"]
-
-_STRUCTURAL = (StructuralRejection, UnsupportedSignatureError)
-_INPUT = (InputError, EvaluationError, OutOfDomainError, EmptyDomainError,
-          DegenerateInputError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,10 +94,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _STRUCTURAL as exc:
+    except StructuralRejection as exc:
         sys.stderr.write(f"structural rejection: {exc}\n")
         return 1
-    except _INPUT as exc:
+    except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except ConsistencyError as exc:

@@ -9,6 +9,14 @@ Ricci discriminant, f_xx nonvanishing). Flat metrics satisfy the residual
 identity trivially with a = b = 0; they are reported as not eta-Einstein,
 matching the coordinate route, which demands f_xx != 0.
 
+The residual is written once (`eta_einstein_residual`): the direct route
+reads it over expressions, the chain's pointwise eta-Einstein mask over the
+jet's arrays, and the coordinate route checks it. The Ricci tensor rho
+itself stays written twice on purpose, as expressions in
+`ricci_residual_fields` and as `walker.ricci_from_jet`, because the chain
+compares the two: its second statement reads the first, its fourth (the
+anti-invariance of rho under phi) the second.
+
 A partially vanishing f_xx is a genuine obstruction for the coordinate
 route (its defining quotient f_xy / f_xx stops making sense), so that case
 raises DegenerateInputError with a witness instead of guessing.
@@ -39,12 +47,24 @@ from .walker import (
 _DIRECTIONS = 50    # per point, in `eta_einstein_report`
 
 
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def eta_einstein_residual(rho, g, eta, fxx) -> tuple:
+    """The components of rho - a g + a eta (x) eta with a = f_xx / 2 (the
+    eta-Einstein residual rho - a g - b eta (x) eta at b = -a), upper
+    triangle in row-major order: the one statement of the residual, read
+    with [i, j] from dicts of expressions or from arrays."""
+    a = fxx / 2
+    return tuple(rho[i, j] - a * g[i, j] + a * eta[i] * eta[j]
+                 for i, j in _UPPER)
+
+
 def ricci_residual_fields(S: ApctStructure) -> tuple[Expr, ...]:
-    """Symbolic components of rho - a g - b eta (x) eta with
-    a = -b = f_xx / 2, upper triangle in row-major order."""
+    """Symbolic components of the eta-Einstein residual (see
+    `eta_einstein_residual`)."""
     f = S.manifold.f
     h = f_hessian(f)
-    a = h["fxx"] / 2
     rho = {
         (0, 0): ZERO, (0, 1): ZERO, (0, 2): h["fxx"] / 2,
         (1, 1): ZERO, (1, 2): h["fxy"] / 2,
@@ -54,11 +74,7 @@ def ricci_residual_fields(S: ApctStructure) -> tuple[Expr, ...]:
         (0, 0): ZERO, (0, 1): ZERO, (0, 2): ONE,
         (1, 1): ONE, (1, 2): ZERO, (2, 2): f,
     }
-    eta = S.eta
-    return tuple(
-        rho[i, j] - a * g_sym[i, j] + a * eta[i] * eta[j]
-        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-    )
+    return eta_einstein_residual(rho, g_sym, S.eta, h["fxx"])
 
 
 class EtaEinsteinVerdict(NamedTuple):
@@ -223,8 +239,8 @@ def curvature_equivalences(S: ApctStructure,
     annihilate = max_abs(np.einsum("ijkl...,k...->ijl...", R, xi), 3)
 
     flat_pt = within(r_max, cfg.tol, reference)
-    resid = rho - 0.5 * fxx * (g - eta[:, None] * eta)
-    eta_pt = (within(max_abs(resid, 2), cfg.tol, reference)
+    resid = np.array(eta_einstein_residual(rho, g, eta, fxx))
+    eta_pt = (within(max_abs(resid, 1), cfg.tol, reference)
               & within(abs(fxx), cfg.tol, reference, exceeds=True))
 
     verdicts = {

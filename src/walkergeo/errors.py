@@ -1,9 +1,15 @@
 """Exception types shared across the package.
 
-Structural rejections (no structure exists, unit constraint violated) are
-distinguished from input errors (bad expressions, bad manifests) and from
-evaluation problems (points outside a field's domain), because the command
-line maps each group to a different exit status.
+Every package error sits under exactly one of three bases, and the command
+line maps each base to its exit status:
+
+  * StructuralRejection, exit 1: no valid structure exists for the data
+    (epsilon = -1, unit constraint violated, an operation defined only for
+    epsilon = +1);
+  * InputError, exit 2: the input cannot be analyzed (bad expressions or
+    manifests, a field that cannot be evaluated at a point, an empty or
+    degenerate domain, a point outside it);
+  * ConsistencyError, exit 3: two independent routes disagreed.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ class ManifestError(InputError):
         super().__init__(f"{message}{where}")
 
 
-class EvaluationError(WalkergeoError):
+class EvaluationError(InputError):
     """A field could not be evaluated at a point."""
 
     def __init__(self, reason: str, subexpression: str, point):
@@ -55,11 +61,11 @@ class EvaluationError(WalkergeoError):
         )
 
 
-class EmptyDomainError(WalkergeoError):
+class EmptyDomainError(InputError):
     """Rejection sampling failed to find any point satisfying the constraints."""
 
 
-class OutOfDomainError(WalkergeoError):
+class OutOfDomainError(InputError):
     """A pointwise operation was called outside the declared domain."""
 
     def __init__(self, point):
@@ -90,11 +96,11 @@ class UnitConstraintError(StructuralRejection):
         )
 
 
-class UnsupportedSignatureError(WalkergeoError):
+class UnsupportedSignatureError(StructuralRejection):
     """Operation defined only for epsilon = +1 called with epsilon = -1."""
 
 
-class DegenerateInputError(WalkergeoError):
+class DegenerateInputError(InputError):
     """Input degenerates on part of the domain (e.g. f_xx vanishes at some
     sampled points but not identically while a condition route divides by it)."""
 

@@ -8,8 +8,21 @@ antisymmetric in its last two slots. On a Walker 3-manifold it collapses to
 nine independent coefficient fields built from first derivatives of
 (f, xi); that closed coordinate formula is the primary route here, and the
 literal connection route (differentiate phi, correct with Christoffel
-symbols, lower an index) is computed alongside as a cross-check. The
-value objects of two-route quantities (FTensorValue, TraceForms,
+symbols, lower an index) is computed alongside as a cross-check.
+
+The symbolic route (`diff` and the evaluator, the `_batch` functions) and
+the jet route (the frame's Taylor jets, the `_at` functions) differ only in
+method: each formula they share is written once and takes expressions or
+arrays alike, namely the nine coefficients (`_coefficients`), d(eta) from
+the partials of eta (`_d_eta`) and the normality defect
+(`_normality_defect`). Each statement is checked by one that does not call
+it: the coefficients by the connection route, d(eta) by its contraction out
+of F, the defect by the component split in `classify.is_normal`. The trace
+forms on the Reeb field are written twice on purpose, as expanded formulas
+(`theta_xi_field`, `theta_star_xi_field`) and as contractions of F, because
+the trace-form routes compare the two.
+
+The value objects of two-route quantities (FTensorValue, TraceForms,
 ExteriorData) record the normalized discrepancy between their routes
 (`_discrepancy`, which raises at the first point where it is not finite);
 NormalityData and ProjectionBundle hold one route's arrays.
@@ -50,7 +63,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .expressions import (
-    Expr, analysis, as_points, diff, evaluate_with_scale, once, scalar,
+    Expr, analysis, as_points, diff, evaluate_with_scale, gradient, once,
+    scalar,
 )
 from .sampling import require_finite
 from .structure import (
@@ -62,31 +76,38 @@ _AXES = ("x", "y", "z")
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def coefficient_fields(S: ApctStructure) -> tuple[tuple[int, int, int, Expr], ...]:
-    """The nine symbolic coefficients of the structure tensor.
+def _coefficients(f, df, xi, dxi) -> tuple:
+    """The nine coefficients of the structure tensor from f, its gradient
+    df, the Reeb components xi and their partials dxi[a][k] = d_a xi_{k+1},
+    as expressions or as arrays: the one statement of the coordinate
+    formula, which the symbolic and the jet route both read.
 
-    Each entry (a, b, c, field) places F(d_a, d_b, d_c) = field, with the
-    antisymmetric partner F(d_a, d_c, d_b) = -field; slots not covered are
+    Each entry (a, b, c, value) places F(d_a, d_b, d_c) = value, with the
+    antisymmetric partner F(d_a, d_c, d_b) = -value; slots not covered are
     identically zero.
     """
-    f = S.manifold.f
-    fx, fy, fz = (diff(f, v) for v in _AXES)
-    xi1, xi2, xi3 = S.xi
-
-    def d(e: Expr, axis: int) -> Expr:
-        return diff(e, _AXES[axis])
-
+    fx, fy, fz = df
+    xi1, xi2, xi3 = xi
     return (
-        (0, 0, 1, d(xi3, 0)),
-        (0, 0, 2, -d(xi2, 0)),
-        (0, 1, 2, d(xi1, 0) + xi3 * fx / 2),
-        (1, 0, 1, d(xi3, 1)),
-        (1, 0, 2, -d(xi2, 1)),
-        (1, 1, 2, d(xi1, 1) + xi3 * fy / 2),
-        (2, 0, 1, d(xi3, 2) - xi3 * fx / 2),
-        (2, 0, 2, -d(xi2, 2) + xi3 * fy / 2),
-        (2, 1, 2, d(xi1, 2) + (xi1 * fx + xi2 * fy + xi3 * fz + xi3 * f * fx) / 2),
+        (0, 0, 1, dxi[0][2]),
+        (0, 0, 2, -dxi[0][1]),
+        (0, 1, 2, dxi[0][0] + xi3 * fx / 2),
+        (1, 0, 1, dxi[1][2]),
+        (1, 0, 2, -dxi[1][1]),
+        (1, 1, 2, dxi[1][0] + xi3 * fy / 2),
+        (2, 0, 1, dxi[2][2] - xi3 * fx / 2),
+        (2, 0, 2, -dxi[2][1] + xi3 * fy / 2),
+        (2, 1, 2, dxi[2][0]
+         + (xi1 * fx + xi2 * fy + xi3 * fz + xi3 * f * fx) / 2),
     )
+
+
+def coefficient_fields(S: ApctStructure) -> tuple[tuple[int, int, int, Expr], ...]:
+    """The nine symbolic coefficients of the structure tensor (see
+    `_coefficients`)."""
+    f = S.manifold.f
+    return _coefficients(f, gradient(f), S.xi,
+                         [[diff(e, v) for e in S.xi] for v in _AXES])
 
 
 def theta_xi_field(S: ApctStructure) -> Expr:
@@ -123,23 +144,10 @@ def theta_star_xi_field(S: ApctStructure) -> Expr:
 
 def _coordinate_route(frame: Frame) -> np.ndarray:
     """Structure tensor from the nine-coefficient coordinate formula."""
-    fx, fy, fz = (frame.f.derivative(e) for e in _UNIT)
-    fv = frame.f.value
-    xi1, xi2, xi3 = frame.xi_vec
-    d = frame.xi_d  # d[a, k] = d_a xi_{k+1}
-    coeffs = (
-        (0, 0, 1, d[0, 2]),
-        (0, 0, 2, -d[0, 1]),
-        (0, 1, 2, d[0, 0] + 0.5 * xi3 * fx),
-        (1, 0, 1, d[1, 2]),
-        (1, 0, 2, -d[1, 1]),
-        (1, 1, 2, d[1, 0] + 0.5 * xi3 * fy),
-        (2, 0, 1, d[2, 2] - 0.5 * xi3 * fx),
-        (2, 0, 2, -d[2, 1] + 0.5 * xi3 * fy),
-        (2, 1, 2, d[2, 0]
-         + 0.5 * (xi1 * fx + xi2 * fy + xi3 * fz + xi3 * fv * fx)),
-    )
-    return _antisymmetric(coeffs, fv)
+    f = frame.f
+    coeffs = _coefficients(f.value, [f.derivative(e) for e in _UNIT],
+                           frame.xi_vec, frame.xi_d)
+    return _antisymmetric(coeffs, f.value)
 
 
 def _antisymmetric(coeffs, like) -> np.ndarray:
@@ -274,6 +282,12 @@ class ExteriorData(NamedTuple):
     route_discrepancy: float
 
 
+def _d_eta(eta_d: np.ndarray) -> np.ndarray:
+    """d(eta)(d_i, d_j) = (d_i eta_j - d_j eta_i) / 2 on coordinate fields,
+    from the partials eta_d[i, j] = d_i eta_j."""
+    return (eta_d - eta_d.swapaxes(0, 1)) / 2
+
+
 def _reeb_routes(F: np.ndarray, phi: np.ndarray, xi: np.ndarray):
     """d(eta), Lie_xi g and nabla(eta), contracted out of F through
     F(d_i, phi d_j, xi)."""
@@ -290,8 +304,7 @@ def exterior_data_at(S: ApctStructure, point) -> ExteriorData:
     frame = S.frame(point)
     F = f_tensor_at(S, point).components
 
-    # d(eta)(d_i, d_j) = (d_i eta_j - d_j eta_i) / 2 for coordinate fields
-    d_eta = 0.5 * (frame.eta_d - frame.eta_d.swapaxes(0, 1))
+    d_eta = _d_eta(frame.eta_d)
 
     # nabla eta as a matrix: (nabla_{d_i} eta)(d_j) = g(nabla_{d_i} xi, d_j)
     nabla_eta = points_last(points_first(frame.nabla_xi_matrix(), 2)
@@ -340,13 +353,18 @@ def _nijenhuis(phi: np.ndarray, pd: np.ndarray) -> np.ndarray:
             + (correction - correction.swapaxes(0, 1)))
 
 
+def _normality_defect(nij, d_eta, xi) -> np.ndarray:
+    """N - 2 d(eta) (x) xi from the torsion and d(eta) in the layout of
+    `NormalityData`."""
+    return nij - 2 * np.einsum("ij...,k...->ijk...", d_eta, xi)
+
+
 @analysis()
 def normality_data_at(S: ApctStructure, point) -> NormalityData:
     frame = S.frame(point)
     nijenhuis_t = _nijenhuis(frame.phi_mat, frame.phi_d)
-    d_eta_mat = exterior_data_at(S, point).d_eta
-    defect = nijenhuis_t - 2.0 * np.einsum("ij...,k...->ijk...", d_eta_mat,
-                                           frame.xi_vec)
+    defect = _normality_defect(nijenhuis_t, exterior_data_at(S, point).d_eta,
+                               frame.xi_vec)
     return NormalityData(frame.point, nijenhuis_t, defect)
 
 
@@ -542,8 +560,8 @@ def d_eta_coordinate_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarra
     The partials are evaluated once per structure and sample array in an
     open analysis."""
     pts = batch.points
-    eta_d = once(S, "eta_partials", (pts,), lambda: _gradients(S.eta, pts))
-    return 0.5 * (eta_d - eta_d.swapaxes(0, 1))
+    return _d_eta(once(S, "eta_partials", (pts,),
+                       lambda: _gradients(S.eta, pts)))
 
 
 def normality_defect_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarray:
@@ -555,5 +573,4 @@ def normality_defect_batch(S: ApctStructure, batch: ComponentBatch) -> np.ndarra
     # phi_d[a, i, j, n] = d_a phi^i_j
     phi_d = _gradients([e for row in S.phi for e in row], batch.points)
     nij = _nijenhuis(batch.phi, phi_d.reshape((3, 3, 3, -1)))
-    de = d_eta_coordinate_batch(S, batch)
-    return nij - 2.0 * np.einsum("ij...,k...->ijk...", de, batch.xi)
+    return _normality_defect(nij, d_eta_coordinate_batch(S, batch), batch.xi)

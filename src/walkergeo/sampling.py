@@ -390,12 +390,12 @@ def analyzed(run):
     numpy's warnings off: each route checks the values it decides (see
     `require_finite`)."""
     @wraps(run)
-    def within(S, cfg=None, *args, **kwargs):
+    def memoized(S, cfg=None, *args, **kwargs):
         cfg = cfg or S.config
         with analysis(), np.errstate(all="ignore"):
-            return once(S, within, (cfg, *args, *sorted(kwargs.items())),
+            return once(S, memoized, (cfg, *args, *sorted(kwargs.items())),
                         lambda: run(S, cfg, *args, **kwargs))
-    return within
+    return memoized
 
 
 def is_identically_zero(e: Expr, domain: Domain,

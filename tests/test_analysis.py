@@ -63,8 +63,8 @@ QUOTIENT_REPORT_SHA256 = (
 # that every one walks its field afresh
 WALKED_AFRESH_BINARY = {
     "g0-parallel": 42, "g5g6-normal": 198, "g10-almost-paracosymplectic": 59,
-    "g6g10-almost-alpha": 207, "g12-pure": 41, "paracontact-exponential": 578,
-    "paracontact-constant": 140, "eta-einstein-parabolic": 6,
+    "g6g10-almost-alpha": 207, "g12-pure": 41, "paracontact-exponential": 600,
+    "paracontact-constant": 156, "eta-einstein-parabolic": 6,
     "flat-bilinear": 3,
 }
 

@@ -20,7 +20,8 @@ from walkergeo.classify import (
 )
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.errors import InputError
-from walkergeo.expressions import parse
+from walkergeo.expressions import diff, parse
+from walkergeo.ftensor import theta_star_xi_field
 from walkergeo.sampling import SamplingConfig, is_identically_zero
 
 CFG = SamplingConfig(samples=24, seed=17)
@@ -297,14 +298,31 @@ def test_every_verdict_has_two_routes_and_only_bounds_have_one(
     for cls, check in CLASS_CHECKS.items():
         if "kenmotsu" not in cls:
             assert checks[check].routes[0].holds == named[cls].holds, cls
-    # the report's strict_walker, flat and scal.constant are the first
-    # routes of their checks
+    # the report's strict_walker, flat, scal.constant, g5bar (present with
+    # G5) and theta_star_constant are the first routes of their checks
+    members = built.basic_classes["members"]
+    assert ("g5bar_routes" in checks) == ("G5" in members)
+    if "g5bar_routes" in checks:
+        assert (checks["g5bar_routes"].routes[0].holds
+                is built.basic_classes["g5bar"])
+    assert (checks["theta_star_constant_routes"].routes[0].holds
+            is built.named_classes["theta_star_constant"])
     assert (checks["strict_walker_routes"].routes[0].holds
             is built.structure_validity["strict_walker"])
     assert (checks["flatness_routes"].routes[0].holds
             is built.curvature["flat"])
     assert (checks["scalar_curvature_routes"].routes[0].holds
             is built.curvature["scal"]["constant"])
+
+
+@pytest.mark.parametrize("name", [fx.name for fx in FIXTURES])
+def test_theta_star_of_the_reeb_field_is_minus_its_divergence(name):
+    # the identity the jet route of theta_star_constant_routes relies on
+    S = load_fixture(name).build()
+    xi1, xi2, xi3 = S.xi
+    divergence = diff(xi1, "x") + diff(xi2, "y") + diff(xi3, "z")
+    assert is_identically_zero(theta_star_xi_field(S) + divergence, S.domain,
+                               S.config)
 
 
 @pytest.mark.parametrize("name", [fx.name for fx in FIXTURES])

@@ -10,7 +10,9 @@ import pytest
 import walkergeo
 from walkergeo.cli import main
 from walkergeo.corpus import FIXTURES, load_fixture
-from walkergeo.errors import ConsistencyError
+from walkergeo.errors import (
+    ConsistencyError, InputError, StructuralRejection, WalkergeoError,
+)
 from walkergeo.report import ClassificationReport, build_report
 from write_reports import MANIFESTS, chain_manifests, read_manifest
 
@@ -398,6 +400,31 @@ def test_unexpected_exception_exits_3_in_one_line(capsys, tmp_path,
     status, out, err = run(capsys, "analyze", path)
     assert status == 3 and out == ""
     assert err == "internal error: ValueError: unexpected shape\n"
+
+
+def _package_errors(cls=WalkergeoError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _package_errors(sub)
+
+
+EXIT_BASES = {StructuralRejection: 1, InputError: 2, ConsistencyError: 3}
+
+
+@pytest.mark.parametrize("error", sorted(set(_package_errors()),
+                                         key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_every_package_error_sits_under_one_exit_base(capsys, tmp_path,
+                                                       monkeypatch, error):
+    bases = [base for base in EXIT_BASES if issubclass(error, base)]
+    assert len(bases) == 1, bases
+
+    def boom(structure, cfg=None, name="structure"):
+        raise error.__new__(error)
+
+    monkeypatch.setattr("walkergeo.cli.build_report", boom)
+    status, out, _ = run(capsys, "analyze", write(tmp_path, PARABOLIC))
+    assert status == EXIT_BASES[bases[0]] and out == ""
 
 
 # ------------------------------------------------------------- report shape

@@ -12,6 +12,12 @@ The routes are perturbed where their residual is formed: an array kernel
 of the component split (faulted output), a symbolic field's sampled zero
 test, or the per-point residual handed to a zero test of the curvature
 chain or of the report's jet route for a strict Walker metric.
+
+A formula that the symbolic and the jet route share is written once, so a
+fault in it reaches both uses; each must still be caught by a statement
+that does not call it. The formula-fault cases flip one term of each
+shared formula and expect exit 3 naming the check that compares it with
+its independent statement.
 """
 
 import json
@@ -19,7 +25,7 @@ import json
 import numpy as np
 import pytest
 
-from walkergeo import classify, curvature
+from walkergeo import classify, curvature, ftensor
 from walkergeo import report as report_module
 from walkergeo.cli import main
 from walkergeo.corpus import load_fixture
@@ -126,6 +132,12 @@ CASES = [
     # f = y z is strict Walker; g0-parallel's f = x is not, so its jet
     # route already fails at the first row
     ("flat-bilinear", "strict_walker_routes", first_zero_test(report_module)),
+    # the closed theta(xi) - 2 and the first partial of theta*(xi); the
+    # numeric trace form and the divergence's jet hold
+    ("paracontact-exponential", "g5bar_routes",
+     field(classify, lambda S: ftensor.theta_xi_field(S) - 2)),
+    ("paracontact-exponential", "theta_star_constant_routes",
+     field(classify, lambda S: gradient(ftensor.theta_star_xi_field(S))[0])),
 ]
 
 
@@ -179,3 +191,51 @@ def test_a_disagreement_names_the_check_and_both_answers(monkeypatch, capsys):
         "      cross: true",
         f'      detail: "{detail}"',
     ]
+
+
+COEFFICIENTS = ftensor._coefficients
+
+
+def flipped_coefficients(*args):
+    """The nine coefficients with the sign of F(d_y, d_x, d_y) = d_y xi3,
+    a single term, flipped."""
+    coeffs = list(COEFFICIENTS(*args))
+    a, b, c, value = coeffs[3]
+    coeffs[3] = (a, b, c, -value)
+    return tuple(coeffs)
+
+
+def flipped_residual(rho, g, eta, fxx):
+    """The eta-Einstein residual with the sign of its a g term flipped."""
+    a = fxx / 2
+    return tuple(rho[i, j] + a * g[i, j] + a * eta[i] * eta[j]
+                 for i, j in curvature._UPPER)
+
+
+FORMULA_FAULTS = [
+    # checked by the connection route
+    ("paracontact-exponential", "structure_tensor_routes",
+     ftensor, "_coefficients", flipped_coefficients),
+    # checked by d(eta) contracted out of F
+    ("paracontact-exponential", "exterior_derivative_routes",
+     ftensor, "_d_eta", lambda eta_d: (eta_d + eta_d.swapaxes(0, 1)) / 2),
+    # the factor 2 dropped; checked by the component split
+    ("g5g6-normal", "normality_routes", ftensor, "_normality_defect",
+     lambda nij, d_eta, xi: nij - np.einsum("ij...,k...->ijk...", d_eta, xi)),
+    # checked by the coordinate characterization
+    ("eta-einstein-parabolic", "eta_einstein_routes",
+     curvature, "eta_einstein_residual", flipped_residual),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture, check, module, name, fault", FORMULA_FAULTS,
+    ids=[f"{name}@{fixture}" for fixture, _, _, name, _ in FORMULA_FAULTS])
+def test_a_faulted_shared_formula_fails_its_check(
+        monkeypatch, fixture, check, module, name, fault):
+    S = load_fixture(fixture).build()
+    monkeypatch.setattr(module, name, fault)
+    report = build_report(S, name=fixture)
+
+    assert report.exit_status == 3
+    assert check in [entry["check"] for entry in report.failures]
