@@ -56,7 +56,7 @@ from .ftensor import (
 )
 from .jets import eval_jet
 from .sampling import (
-    NEVER, Domain, Route, SamplingConfig, analyzed, bound, every,
+    NEVER, Domain, Route, analyzed, bound, every,
     is_identically_zero, negated, zero_verdict_from_samples,
 )
 from .structure import ApctStructure, build_structure, max_abs
@@ -129,30 +129,29 @@ class BasicClassification(NamedTuple):
         return " + ".join(self.labels)
 
 
-def _components(S: ApctStructure, cfg: SamplingConfig) -> ComponentBatch:
+def _components(S: ApctStructure) -> ComponentBatch:
     """The component split over the sample points, once per analysis."""
-    return once(S, "components", (cfg,),
-                lambda: split_components_batch(S, S.sample_points(cfg)))
+    return once(S, "components", (),
+                lambda: split_components_batch(S, S.domain.sample()))
 
 
 @analyzed
-def classify_basic(S: ApctStructure,
-                   cfg: SamplingConfig | None = None) -> BasicClassification:
-    pts = S.sample_points(cfg)
-    batch = _components(S, cfg)
+def classify_basic(S: ApctStructure) -> BasicClassification:
+    pts, tol = S.domain.sample(), S.domain.sampling.tol
+    batch = _components(S)
     verdicts = {label: zero_verdict_from_samples(batch.parts[label],
-                                                 batch.scale, pts, cfg.tol)
+                                                 batch.scale, pts, tol)
                 for label in BASIC_LABELS}
     members = {label for label, verdict in verdicts.items() if not verdict}
 
     model = Check.of("component_model", None,
-                     bound(batch.model_defect, cfg.tol, pts))
+                     bound(batch.model_defect, tol, pts))
 
     g5bar = False
     g5bar_verdict = None
     if "G5" in members:
         g5bar_verdict = zero_verdict_from_samples(
-            batch.theta_xi - 2.0, batch.scale, pts, cfg.tol
+            batch.theta_xi - 2.0, batch.scale, pts, tol
         )
         g5bar = g5bar_verdict.holds
 
@@ -219,30 +218,28 @@ class ParacontactVerdict(NamedTuple):
 
 
 @analyzed
-def is_paracontact_metric(S: ApctStructure,
-                          cfg: SamplingConfig | None = None,
-                          ) -> ParacontactVerdict:
-    pts = S.sample_points(cfg)
-    batch = _components(S, cfg)
+def is_paracontact_metric(S: ApctStructure) -> ParacontactVerdict:
+    batch = _components(S)
 
     conditions = tuple(
-        is_identically_zero(c, S.domain, cfg)
+        is_identically_zero(c, S.domain)
         for c in paracontact_condition_fields(S)
     )
     symbolic = every(conditions)
 
     gap = d_eta_batch(S, batch) - fundamental_form_batch(batch)
-    numeric = zero_verdict_from_samples(gap, batch.scale, pts, cfg.tol)
+    numeric = zero_verdict_from_samples(gap, batch.scale, S.domain.sample(),
+                                        S.domain.sampling.tol)
 
     xi1, xi2, xi3 = S.xi
     shortcut = None
-    if is_identically_zero(xi3, S.domain, cfg):
+    if is_identically_zero(xi3, S.domain):
         shortcut = (
             "xi3 vanishes identically; no Reeb field of that shape "
             "satisfies the paracontact conditions"
         )
-    elif (is_identically_zero(xi1, S.domain, cfg)
-          and is_identically_zero(xi2, S.domain, cfg)):
+    elif (is_identically_zero(xi1, S.domain)
+          and is_identically_zero(xi2, S.domain)):
         shortcut = (
             "xi1 and xi2 vanish identically; no Reeb field of that shape "
             "satisfies the paracontact conditions"
@@ -271,13 +268,13 @@ class NormalityVerdict(NamedTuple):
         return self.is_normal
 
 
-def unit_y_setting(S: ApctStructure, cfg: SamplingConfig) -> int | None:
+def unit_y_setting(S: ApctStructure) -> int | None:
     """Detect the Reeb shape xi3 = 0, xi2 = +-1; returns the sign or None."""
     _, xi2, xi3 = S.xi
-    if not is_identically_zero(xi3, S.domain, cfg):
+    if not is_identically_zero(xi3, S.domain):
         return None
     for sign in (1, -1):
-        if is_identically_zero(xi2 - sign, S.domain, cfg):
+        if is_identically_zero(xi2 - sign, S.domain):
             return sign
     return None
 
@@ -294,20 +291,19 @@ def _setting_fields(S: ApctStructure, sign: int) -> tuple[Expr, ...]:
 
 
 @analyzed
-def is_normal(S: ApctStructure,
-              cfg: SamplingConfig | None = None) -> NormalityVerdict:
-    pts = S.sample_points(cfg)
-    batch = _components(S, cfg)
-    basic = classify_basic(S, cfg)
+def is_normal(S: ApctStructure) -> NormalityVerdict:
+    batch = _components(S)
+    basic = classify_basic(S)
 
     class_route = _split_route(basic, {"G5", "G6"})
     torsion = zero_verdict_from_samples(
-        normality_defect_batch(S, batch), batch.scale, pts, cfg.tol
+        normality_defect_batch(S, batch), batch.scale, S.domain.sample(),
+        S.domain.sampling.tol
     )
     routes = [class_route, torsion]
-    sign = unit_y_setting(S, cfg)
+    sign = unit_y_setting(S)
     if sign is not None:
-        routes.append(every(is_identically_zero(c, S.domain, cfg)
+        routes.append(every(is_identically_zero(c, S.domain)
                             for c in _setting_fields(S, sign)[3:]))
     return NormalityVerdict(
         class_route.holds, Check.of("normality_routes", None, *routes))
@@ -343,34 +339,33 @@ class ClassVerdict(NamedTuple):
 
 
 @analyzed
-def named_classes(S: ApctStructure,
-                  cfg: SamplingConfig | None = None) -> ClassVerdict:
-    pts = S.sample_points(cfg)
-    batch = _components(S, cfg)
-    basic = classify_basic(S, cfg)
-    paracontact = is_paracontact_metric(S, cfg)
-    normality = is_normal(S, cfg)
+def named_classes(S: ApctStructure) -> ClassVerdict:
+    pts, tol = S.domain.sample(), S.domain.sampling.tol
+    batch = _components(S)
+    basic = classify_basic(S)
+    paracontact = is_paracontact_metric(S)
+    normality = is_normal(S)
 
     def ztest(values):
-        return zero_verdict_from_samples(values, batch.scale, pts, cfg.tol)
+        return zero_verdict_from_samples(values, batch.scale, pts, tol)
 
     tensor = negated(ztest(batch.tensor))
     d_eta = ztest(d_eta_coordinate_batch(S, batch))
     xi1, xi2, xi3 = S.xi
     divergence = diff(xi1, "x") + diff(xi2, "y") + diff(xi3, "z")
-    d_phi = is_identically_zero(divergence, S.domain, cfg)
+    d_phi = is_identically_zero(divergence, S.domain)
     lie = ztest(lie_g_batch(S, batch))
 
     # theta*(xi) is constant on the sampled domain when its partials vanish;
     # the second route reads the gradient rows of the jet of the divergence,
     # which is -theta*(xi), judged against that jet's largest |coefficient|
-    constant = every([is_identically_zero(partial, S.domain, cfg)
+    constant = every([is_identically_zero(partial, S.domain)
                       for partial in gradient(theta_star_xi_field(S))])
     theta_star_constant = constant.holds
     jet = eval_jet(divergence, pts, 1)
     constant_routes = Check.of(
         "theta_star_constant_routes", None, constant, zero_verdict_from_samples(
-            jet.coeffs[1:], max_abs(jet.coeffs, 1), pts, cfg.tol))
+            jet.coeffs[1:], max_abs(jet.coeffs, 1), pts, tol))
 
     alpha = None
     if "G6" in basic.members:
@@ -438,7 +433,7 @@ def named_classes(S: ApctStructure,
     if basic.g5bar_verdict is not None:
         rows.append(Check.of("g5bar_routes", None, basic.g5bar_verdict,
                              is_identically_zero(theta_xi_field(S) - 2,
-                                                 S.domain, cfg)))
+                                                 S.domain)))
 
     # a paracontact structure must split as contact-type G5 (possibly with
     # a G10 part) and nothing else.
@@ -450,8 +445,8 @@ def named_classes(S: ApctStructure,
             para, _contact_route(basic, {"G5", "G10"}),
         ))
 
-    rows += _setting_checks(S, cfg, basic, named)
-    release(S, "components", (cfg,))
+    rows += _setting_checks(S, basic, named)
+    release(S, "components", ())
     release(batch, "reeb_routes", ())
     release(S, "eta_partials", (pts,))
 
@@ -461,8 +456,7 @@ def named_classes(S: ApctStructure,
                         theta_star_constant, alpha, checks)
 
 
-def _setting_checks(S: ApctStructure, cfg: SamplingConfig,
-                    basic: BasicClassification,
+def _setting_checks(S: ApctStructure, basic: BasicClassification,
                     named: dict[str, Route]) -> list[Check]:
     """Rows checking named classes (their deciding routes) against closed
     coordinate conditions available for special Reeb shapes; a conjunction
@@ -473,8 +467,8 @@ def _setting_checks(S: ApctStructure, cfg: SamplingConfig,
 
     def conditions(*tests) -> Route:
         """(field, vanishes) tests as one conjunction."""
-        return every(is_identically_zero(e, S.domain, cfg) if vanishes
-                     else negated(is_identically_zero(e, S.domain, cfg))
+        return every(is_identically_zero(e, S.domain) if vanishes
+                     else negated(is_identically_zero(e, S.domain))
                      for e, vanishes in tests)
 
     if conditions((xi1, True), (xi2, True)).holds:
@@ -499,11 +493,13 @@ def _setting_checks(S: ApctStructure, cfg: SamplingConfig,
              conditions((fy, True), (fz, True), (fx, False))),
         ]
     else:
-        sign = unit_y_setting(S, cfg)
+        sign = unit_y_setting(S)
         if sign is None:
             return []
         tag = f"[xi3 = 0, xi2 = {sign:+d}]"
-        a1, a2, drift, *normality = _setting_fields(S, sign)
+        # normality is not restated here: its coordinate conditions are
+        # already the third route of `normality_routes`
+        a1, a2, drift = _setting_fields(S, sign)[:3]
         rows = [
             ("paracosymplectic",
              "xi1 constant in x and y with vanishing drift",
@@ -511,8 +507,6 @@ def _setting_checks(S: ApctStructure, cfg: SamplingConfig,
             ("almost_paracosymplectic",
              "xi1 constant in x and y with nonvanishing drift",
              conditions((a1, True), (a2, True), (drift, False))),
-            ("normal", "coordinate normality conditions",
-             conditions(*((c, True) for c in normality))),
             ("pure_G12",
              "coordinate conditions for a pure Reeb-square component",
              conditions((a1, True), (a2, False),
@@ -529,8 +523,7 @@ def _setting_checks(S: ApctStructure, cfg: SamplingConfig,
 
 # --- explicit paracontact family ---------------------------------------------
 
-def paracontact_family(psi, m, domain: Domain,
-                       cfg: SamplingConfig | None = None) -> ApctStructure:
+def paracontact_family(psi, m, domain: Domain) -> ApctStructure:
     """Build the two-function family of paracontact metric structures.
 
     psi and m are expressions in z alone; the family takes
@@ -552,4 +545,4 @@ def paracontact_family(psi, m, domain: Domain,
     xi3 = exp_of(psi - 2 * Var("y"))
     xi1 = (1 - f * xi3**2) / (2 * xi3)
     manifold = WalkerManifold(f, 1, domain)
-    return build_structure(manifold, (xi1, ZERO, xi3), cfg or SamplingConfig())
+    return build_structure(manifold, (xi1, ZERO, xi3))

@@ -32,7 +32,7 @@ from .classify import Check, named_classes, unit_y_setting
 from .errors import DegenerateInputError, EvaluationError
 from .expressions import Expr, ONE, ZERO, diff, evaluate_with_scale
 from .sampling import (
-    NEVER, PLANE_TOL, PCG64Stream, Route, SamplingConfig, analyzed, every,
+    NEVER, PLANE_TOL, PCG64Stream, Route, analyzed, every,
     is_identically_zero, negated, nonvanishing, within,
     zero_verdict_from_samples,
 )
@@ -101,55 +101,53 @@ class EtaEinsteinVerdict(NamedTuple):
 
 
 @analyzed
-def eta_einstein_check(S: ApctStructure,
-                       cfg: SamplingConfig | None = None) -> EtaEinsteinVerdict:
+def eta_einstein_check(S: ApctStructure) -> EtaEinsteinVerdict:
     M = S.manifold
     h = f_hessian(M.f)
     fxx = h["fxx"]
 
     residuals = tuple(
-        is_identically_zero(e, S.domain, cfg)
+        is_identically_zero(e, S.domain)
         for e in ricci_residual_fields(S)
     )
-    fxx_zero = is_identically_zero(fxx, S.domain, cfg)
+    fxx_zero = is_identically_zero(fxx, S.domain)
     direct = every((*residuals, negated(fxx_zero)))
 
-    coordinate, detail = _coordinate_eta_einstein(S, cfg, h, fxx_zero)
+    coordinate, detail = _coordinate_eta_einstein(S, h, fxx_zero)
     check = Check.of("eta_einstein_routes", detail, direct, coordinate)
 
     a = b = None
     segre = None
     xi_match = None
     if direct.holds:
-        pts = S.sample_points(cfg)
+        pts = S.domain.sample()
         values, _ = evaluate_with_scale(fxx, pts)
         a = float(values.mean()) / 2.0
         b = -a
-        segre = segre_type(M, tuple(float(c) for c in pts[0]), cfg)
-        xi_match = _xi_versus_null_eigenvector(S, segre, pts, cfg.tol)
+        segre = segre_type(M, tuple(float(c) for c in pts[0]))
+        xi_match = _xi_versus_null_eigenvector(S, segre, pts)
 
     return EtaEinsteinVerdict(direct.holds, a, b, segre, xi_match,
                               not fxx_zero, check)
 
 
-def _coordinate_eta_einstein(S: ApctStructure, cfg: SamplingConfig,
-                             h: dict[str, Expr],
+def _coordinate_eta_einstein(S: ApctStructure, h: dict[str, Expr],
                              fxx_zero: Route) -> tuple[Route, str]:
     """Coordinate characterization: Reeb shape (xi1, +-1, 0) with xi1 the
     matched quotient, degenerate discriminant, f_xx nonvanishing. Returns
     the route (the zero test that settled it, or a constant for xi2 not
     +-1) and its detail."""
-    xi3 = is_identically_zero(S.xi[2], S.domain, cfg)
+    xi3 = is_identically_zero(S.xi[2], S.domain)
     if not xi3:
         return xi3, "xi3 does not vanish identically"
-    sign = unit_y_setting(S, cfg)
+    sign = unit_y_setting(S)
     if sign is None:
         return NEVER, "xi2 is not identically +1 or -1"
 
     if fxx_zero:
         return (negated(fxx_zero), "f_xx vanishes identically, so the "
                 "Ricci operator has no nonzero eigenvalue")
-    fxx_nv = nonvanishing(h["fxx"], S.domain, cfg)
+    fxx_nv = nonvanishing(h["fxx"], S.domain)
     if not fxx_nv:
         raise DegenerateInputError(
             "f_xx vanishes at a sampled point but not identically, so the "
@@ -158,18 +156,18 @@ def _coordinate_eta_einstein(S: ApctStructure, cfg: SamplingConfig,
             witness=fxx_nv.witness,
         )
 
-    disc = is_identically_zero(h["disc"], S.domain, cfg)
+    disc = is_identically_zero(h["disc"], S.domain)
     if not disc:
         return disc, "the Ricci discriminant f_xy^2 - f_xx f_yy is not zero"
     aligned = is_identically_zero(
-        S.xi[0] + sign * h["fxy"] / h["fxx"], S.domain, cfg
+        S.xi[0] + sign * h["fxy"] / h["fxx"], S.domain
     )
     return aligned, ("coordinate conditions hold" if aligned
                      else "xi1 does not match -xi2 f_xy / f_xx")
 
 
 def _xi_versus_null_eigenvector(S: ApctStructure, segre: SegreVerdict,
-                                pts: np.ndarray, tol: float) -> int | None:
+                                pts: np.ndarray) -> int | None:
     """Compare the Reeb field at pts[0] (from the sample's frame) with the
     null Ricci eigenvector of `segre`; returns the matching sign or None."""
     if segre.n_vector is None:
@@ -178,7 +176,8 @@ def _xi_versus_null_eigenvector(S: ApctStructure, segre: SegreVerdict,
     xi = S.frame(pts).xi_vec[:, 0]
     scale = 1.0 + float(np.abs(n).max()) + float(np.abs(xi).max())
     for sign in (1, -1):
-        if within(float(np.abs(xi - sign * n).max()), tol, scale):
+        if within(float(np.abs(xi - sign * n).max()), S.domain.sampling.tol,
+                  scale):
             return sign
     return None
 
@@ -207,12 +206,10 @@ class EquivalenceReport(NamedTuple):
 
 
 @analyzed
-def curvature_equivalences(S: ApctStructure,
-                           cfg: SamplingConfig | None = None
-                           ) -> EquivalenceReport:
+def curvature_equivalences(S: ApctStructure) -> EquivalenceReport:
     M = S.manifold
     M.require_spacelike_signature()
-    pts = S.sample_points(cfg)
+    pts, tol = S.domain.sample(), S.domain.sampling.tol
     frame = S.frame(pts)
     jet = eval_jet(M.f, pts, 2)
     R = curvature_from_jet(jet)
@@ -238,21 +235,21 @@ def curvature_equivalences(S: ApctStructure,
         np.einsum("ai...,bj...,ab...->ij...", phi, phi, rho) + rho, 2)
     annihilate = max_abs(np.einsum("ijkl...,k...->ijl...", R, xi), 3)
 
-    flat_pt = within(r_max, cfg.tol, reference)
+    flat_pt = within(r_max, tol, reference)
     resid = np.array(eta_einstein_residual(rho, g, eta, fxx))
-    eta_pt = (within(max_abs(resid, 1), cfg.tol, reference)
-              & within(abs(fxx), cfg.tol, reference, exceeds=True))
+    eta_pt = (within(max_abs(resid, 1), tol, reference)
+              & within(abs(fxx), tol, reference, exceeds=True))
 
     verdicts = {
-        name: zero_verdict_from_samples(values, scales, pts, cfg.tol)
+        name: zero_verdict_from_samples(values, scales, pts, tol)
         for name, values in (("ricci_operator_commutes_with_phi", commute),
                              ("curvature_commutes_with_phi", curv_commute),
                              ("ricci_anti_invariant_under_phi", anti),
                              ("curvature_annihilates_reeb", annihilate))
     }
 
-    flat = flatness(M, cfg)
-    eta_verdict = eta_einstein_check(S, cfg)
+    flat = flatness(M)
+    eta_verdict = eta_einstein_check(S)
     mixed = bool(
         np.all(flat_pt | eta_pt)
         and not flat.flat and not eta_verdict.is_eta_einstein
@@ -264,12 +261,12 @@ def curvature_equivalences(S: ApctStructure,
     check = Check.of("curvature_equivalences", None, *routes.values())
     flat_routes = Check.of(
         "flatness_routes", None, every(flat.conditions.values()),
-        zero_verdict_from_samples(r_max, scales, pts, cfg.tol))
+        zero_verdict_from_samples(r_max, scales, pts, tol))
     scal_routes = Check.of(
-        "scalar_curvature_routes", None, scalar_curvature_constant(M, cfg),
+        "scalar_curvature_routes", None, scalar_curvature_constant(M),
         zero_verdict_from_samples(
             eval_jet(scalar_curvature_field(M), pts, 1).coeffs[1:], scales,
-            pts, cfg.tol))
+            pts, tol))
     return EquivalenceReport({name: r.holds for name, r in routes.items()},
                              mixed, check, flat_routes, scal_routes)
 
@@ -299,7 +296,7 @@ def sectional_curvatures(S: ApctStructure, X, point) -> SectionalReport:
     frame = S.frame(point)
     M = S.manifold
     return sectional_from_arrays(
-        frame.point, curvature_at(M, point).components, frame.g, frame.xi_vec,
+        frame.point, curvature_at(M, point), frame.g, frame.xi_vec,
         frame.eta_vec, frame.phi_mat, ricci_at(M, point)[2], X)
 
 
@@ -367,29 +364,28 @@ class EtaEinsteinProfile(NamedTuple):
 
 
 @analyzed
-def eta_einstein_report(S: ApctStructure,
-                        cfg: SamplingConfig | None = None) -> EtaEinsteinProfile:
+def eta_einstein_report(S: ApctStructure) -> EtaEinsteinProfile:
     """The eta-Einstein profile of S (see EtaEinsteinProfile), or the
     profile of its verdict alone when S is not eta-Einstein.
 
     The sectional curvatures are taken at the first five sample points,
     along _DIRECTIONS vectors each, with components uniform on [-1, 1]
-    from the package's PCG64 stream seeded with cfg.seed + 1 (the draws of
-    numpy's default_rng(cfg.seed + 1), see `sampling.PCG64Stream`), in
+    from the package's PCG64 stream seeded with the sample's seed + 1 (the
+    draws of numpy's default_rng(seed + 1), see `sampling.PCG64Stream`), in
     point order, then direction order, then component order. Each point's
     arrays are its column of the sample (see `sample_column`), so the
     values are those of `sectional_curvatures` there.
     """
-    verdict = eta_einstein_check(S, cfg)
+    verdict = eta_einstein_check(S)
     if not verdict.is_eta_einstein:
         return EtaEinsteinProfile(verdict)
 
     h = f_hessian(S.manifold.f)
-    pts = S.sample_points(cfg)
+    pts = S.domain.sample()
 
     k_xi_max = 0.0
     k_phi: list[float] = []
-    draws = PCG64Stream(cfg.seed + 1).uniform(
+    draws = PCG64Stream(S.domain.sampling.seed + 1).uniform(
         -1.0, 1.0, (min(5, pts.shape[0]), _DIRECTIONS, 3))
     for k, directions_at_p in enumerate(draws):
         point = tuple(float(c) for c in pts[k])
@@ -407,9 +403,9 @@ def eta_einstein_report(S: ApctStructure,
 
     disc_field = (2 * diff(h["fxy"], "z") + h["fx"] * h["fxy"]
                   - h["fxx"] * h["fy"])
-    disc = is_identically_zero(disc_field, S.domain, cfg)
+    disc = is_identically_zero(disc_field, S.domain)
 
-    named = named_classes(S, cfg).named
+    named = named_classes(S).named
     matches = (
         named["paracosymplectic"].holds == disc.holds
         and named["almost_paracosymplectic"].holds == (not disc.holds)
@@ -417,7 +413,7 @@ def eta_einstein_report(S: ApctStructure,
 
     return EtaEinsteinProfile(
         verdict,
-        scal_constant=scalar_curvature_constant(S.manifold, cfg).holds,
+        scal_constant=scalar_curvature_constant(S.manifold).holds,
         k_xi_max=k_xi_max,
         k_phi_value=k_phi_value,
         k_phi_variance=k_phi_variance,

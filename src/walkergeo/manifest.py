@@ -42,7 +42,8 @@ _REQUIRED = ("name", "epsilon", "f", "xi1", "xi2", "xi3",
 
 
 class Manifest(NamedTuple):
-    """Parsed manifest: sources plus compiled expressions and domain."""
+    """Parsed manifest: sources plus compiled expressions and domain, which
+    carries the manifest's sampling controls (`Domain.sampling`)."""
 
     name: str
     epsilon: int
@@ -52,14 +53,15 @@ class Manifest(NamedTuple):
     f: Expr
     xi: tuple[Expr, Expr, Expr]
     domain: Domain
-    sampling: SamplingConfig
 
     def build(self, samples: int | None = None, seed: int | None = None,
               tol: float | None = None) -> ApctStructure:
-        """Construct the structure, with optional sampling overrides."""
-        cfg = self.sampling.with_overrides(samples, seed, tol)
-        manifold = WalkerManifold(self.f, self.epsilon, self.domain)
-        return build_structure(manifold, self.xi, cfg)
+        """Construct the structure on the domain, with optional sampling
+        overrides."""
+        domain = self.domain._replace(
+            sampling=self.domain.sampling.with_overrides(samples, seed, tol))
+        return build_structure(WalkerManifold(self.f, self.epsilon, domain),
+                               self.xi)
 
 
 def _unquote(value: str) -> str:
@@ -208,15 +210,13 @@ def parse_manifest(text: str) -> Manifest:
         _compile(_unquote(value), constants, "require_nonzero", line)
         for value, line in repeats["require_nonzero"]
     )
-    domain = Domain(intervals, positive=positive, nonzero=nonzero)
-
-    controls = {}
+    sampling = SamplingConfig()
     for key, kind in (("samples", int), ("seed", int), ("tol", float)):
         if key in entries:
             value, line = entries[key]
-            controls[key] = _parse_number(kind, value, key, line)
+            number = _parse_number(kind, value, key, line)
             try:
-                SamplingConfig().with_overrides(**{key: controls[key]})
+                sampling = sampling.with_overrides(**{key: number})
             except InputError as exc:
                 raise ManifestError(str(exc), line=line) from None
 
@@ -228,8 +228,7 @@ def parse_manifest(text: str) -> Manifest:
         constants=constants,
         f=f,
         xi=tuple(xi),
-        domain=domain,
-        sampling=SamplingConfig(**controls),
+        domain=Domain(intervals, positive, nonzero, sampling),
     )
 
 

@@ -21,8 +21,7 @@ from .curvature import (
 from .expressions import evaluate_with_scale, to_source
 from .ftensor import exterior_data_at, f_tensor_at, project_components, theta_forms
 from .sampling import (
-    SamplingConfig, analyzed, bound, is_identically_zero,
-    zero_verdict_from_samples,
+    analyzed, bound, is_identically_zero, zero_verdict_from_samples,
 )
 from .structure import (
     ApctStructure, max_abs, unit_constraint_field, validate_axioms,
@@ -123,23 +122,22 @@ def _pick_direction(point, arrays):
 
 
 @analyzed
-def build_report(S: ApctStructure,
-                 cfg: SamplingConfig | None = None,
+def build_report(S: ApctStructure, *,
                  name: str = "structure") -> ClassificationReport:
-    pts = S.sample_points(cfg)
+    pts, tol = S.domain.sample(), S.domain.sampling.tol
     rep_point = tuple(float(c) for c in pts[0])
 
     # structure validity
-    axioms = validate_axioms(S, cfg)
+    axioms = validate_axioms(S)
     unit = is_identically_zero(
-        unit_constraint_field(S.manifold, S.xi), S.domain, cfg)
-    strict = is_strict_walker(S.manifold, cfg)
+        unit_constraint_field(S.manifold, S.xi), S.domain)
+    strict = is_strict_walker(S.manifold)
     # its second route: f_x from the kept order-1 jet of f (the frame's),
     # judged against that jet's largest |coefficient| at each point
     f = S.frame(pts).f
     strict_routes = Check.of(
         "strict_walker_routes", None, strict, zero_verdict_from_samples(
-            f.derivative((1, 0, 0)), max_abs(f.coeffs, 1), pts, cfg.tol))
+            f.derivative((1, 0, 0)), max_abs(f.coeffs, 1), pts, tol))
     structure_validity = {
         "epsilon": S.manifold.epsilon,
         "unit_constraint_max_residual": unit.residual,
@@ -152,7 +150,7 @@ def build_report(S: ApctStructure,
     }
 
     # classification
-    verdict = named_classes(S, cfg)
+    verdict = named_classes(S)
     basic = verdict.basic
     basic_classes = {
         "display": basic.display(),
@@ -190,7 +188,7 @@ def build_report(S: ApctStructure,
 
     # curvature
     scal_field = scalar_curvature_field(S.manifold)
-    scal_constant = scalar_curvature_constant(S.manifold, cfg).holds
+    scal_constant = scalar_curvature_constant(S.manifold).holds
     scal_values, _ = evaluate_with_scale(scal_field, pts)
     scal = {
         "expression": to_source(scal_field),
@@ -199,10 +197,10 @@ def build_report(S: ApctStructure,
         "sample_range": [float(scal_values.min()), float(scal_values.max())],
     }
 
-    flat = flatness(S.manifold, cfg)
-    segre = segre_type(S.manifold, rep_point, cfg)
-    equiv = curvature_equivalences(S, cfg)
-    ee = eta_einstein_check(S, cfg)
+    flat = flatness(S.manifold)
+    segre = segre_type(S.manifold, rep_point)
+    equiv = curvature_equivalences(S)
+    ee = eta_einstein_check(S)
     direction_label, _, sec = _pick_direction(rep_point, sample_column(S, pts))
 
     curvature = {
@@ -250,7 +248,7 @@ def build_report(S: ApctStructure,
     }
     pr = project_components(S, pts)
     discrepancies["component_split_residual"] = max_abs(pr.residual, 3)
-    sweep = [Check.of(name, None, bound(values, cfg.tol, pts))
+    sweep = [Check.of(name, None, bound(values, tol, pts))
              for name, values in discrepancies.items()]
     worst = {c.name: c.routes[0].residual for c in sweep}
 
@@ -280,7 +278,7 @@ def build_report(S: ApctStructure,
 
     return ClassificationReport(
         name=name,
-        sampling=cfg._asdict(),
+        sampling=S.domain.sampling._asdict(),
         structure_validity=structure_validity,
         basic_classes=basic_classes,
         named_classes=named_section,

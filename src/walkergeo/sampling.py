@@ -1,9 +1,11 @@
 """Domains, deterministic point sampling, and numeric zero testing.
 
 A Domain is an open coordinate box plus constraint fields required to be
-strictly positive or bounded away from zero. The sampler rejects candidate
-points violating a constraint; it never clamps. Candidates come in batches
-from one `PCG64Stream` per (domain, config), seeded with the config's seed:
+strictly positive or bounded away from zero, and the settings of its
+sample (`SamplingConfig`: samples, seed, tol), the one place they are
+held. The sampler rejects candidate points violating a constraint; it
+never clamps. Candidates come in batches from one `PCG64Stream` per
+domain, seeded with the domain's seed:
 a PCG64 in numpy's uint64 arithmetic that draws the doubles numpy's
 `default_rng(seed).uniform` draws, bit for bit, without loading numpy's
 random module. The stream is the package's own code, so the sample, and
@@ -28,8 +30,8 @@ discrepancies and component split of `ftensor`.
 Every tolerance comparison of the package, here and in the modules that
 judge their own residuals, is `within`: a magnitude at most a tolerance
 times a reference magnitude, or its negation. The tolerances are the
-user's cfg.tol and the three constants beside `within`, so this module is
-the one place the smallness rule is stated.
+user's tol (`Domain.sampling.tol`) and the three constants beside
+`within`, so this module is the one place the smallness rule is stated.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from .expressions import (
 
 _MAX_BATCHES = 200
 
-# The package's tolerances besides cfg.tol, each relative to the reference
-# magnitude its caller hands to `within`.
+# The package's tolerances besides the sampling tol, each relative to the
+# reference magnitude its caller hands to `within`.
 # A constraint field within this of 0, relative to 1 + its scale, rejects
 # its point, so later evaluation stays well scaled (`Domain._admissible`)
 CONSTRAINT_MARGIN = 1e-7
@@ -120,9 +122,14 @@ class SamplingConfig(NamedTuple):
 
 
 class Domain(NamedTuple):
+    """A box, the constraint fields that cut it, and the settings of its
+    sample: the sample (`sample`), and every sampled decision on the
+    domain, is fixed by this one value."""
+
     intervals: tuple[Interval, Interval, Interval]
     positive: tuple[Expr, ...] = ()
     nonzero: tuple[Expr, ...] = ()
+    sampling: SamplingConfig = SamplingConfig()
 
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
@@ -272,27 +279,28 @@ class PCG64Stream:
 
 
 @lru_cache(maxsize=256)
-def _sample_cached(domain: Domain, cfg: SamplingConfig) -> np.ndarray:
+def _sample_cached(domain: Domain) -> np.ndarray:
     """`Domain.sample`: the deterministic (n, 3) array of admissible
     points, found again with no Python frame."""
-    stream = PCG64Stream(cfg.seed)
+    n = domain.sampling.samples
+    stream = PCG64Stream(domain.sampling.seed)
     los = np.array([iv.lo for iv in domain.intervals])
     his = np.array([iv.hi for iv in domain.intervals])
     collected: list[np.ndarray] = []
     count = 0
-    batch = max(cfg.samples * 2, 64)
+    batch = max(n * 2, 64)
     for _ in range(_MAX_BATCHES):
         candidates = stream.uniform(los, his, (batch, 3))
         good = candidates[domain._admissible(candidates)]
         if good.size:
             collected.append(good)
             count += good.shape[0]
-        if count >= cfg.samples:
-            pts = np.concatenate(collected)[: cfg.samples]
+        if count >= n:
+            pts = np.concatenate(collected)[:n]
             pts.setflags(write=False)
             return pts
     raise EmptyDomainError(
-        f"could not draw {cfg.samples} admissible points from the domain "
+        f"could not draw {n} admissible points from the domain "
         f"after {_MAX_BATCHES} batches; constraints may exclude the box"
     )
 
@@ -383,37 +391,34 @@ def _unless(bad: np.ndarray, pts: np.ndarray, residual: float,
 
 
 def analyzed(run):
-    """Run `run(S, cfg, ...)`, cfg defaulting to S.config, once per
-    analysis and arguments: through `once`, keyed by the function, the cfg
-    and the other arguments (a keyword one as its (name, value) pair), in
-    the open analysis, or in a new one (see `expressions.analysis`), with
-    numpy's warnings off: each route checks the values it decides (see
-    `require_finite`)."""
+    """Run `run(S, ...)` once per analysis and arguments: through `once`,
+    keyed by the function and the arguments (a keyword one as its
+    (name, value) pair), in the open analysis, or in a new one (see
+    `expressions.analysis`), with numpy's warnings off: each route checks
+    the values it decides (see `require_finite`). The sample is S's own,
+    `S.domain.sample()`, so the arguments are the whole key."""
     @wraps(run)
-    def memoized(S, cfg=None, *args, **kwargs):
-        cfg = cfg or S.config
+    def memoized(S, *args, **kwargs):
         with analysis(), np.errstate(all="ignore"):
-            return once(S, memoized, (cfg, *args, *sorted(kwargs.items())),
-                        lambda: run(S, cfg, *args, **kwargs))
+            return once(S, memoized, (*args, *sorted(kwargs.items())),
+                        lambda: run(S, *args, **kwargs))
     return memoized
 
 
-def is_identically_zero(e: Expr, domain: Domain,
-                        cfg: SamplingConfig = SamplingConfig()) -> Route:
+def is_identically_zero(e: Expr, domain: Domain) -> Route:
     """Sampled zero test of a symbolic field over a domain."""
-    return once(e, "zero", (domain, cfg), lambda: _zero_test(e, domain, cfg))
+    return once(e, "zero", (domain,), lambda: _zero_test(e, domain))
 
 
-def _zero_test(e: Expr, domain: Domain, cfg: SamplingConfig) -> Route:
-    pts = domain.sample(cfg)
+def _zero_test(e: Expr, domain: Domain) -> Route:
+    pts = domain.sample()
     if e is ZERO:
         return Route(True)     # what evaluating the literal 0 gives
     values, scales = evaluate_with_scale(e, pts)
-    return zero_verdict_from_samples(values, scales, pts, cfg.tol)
+    return zero_verdict_from_samples(values, scales, pts, domain.sampling.tol)
 
 
-def nonvanishing(e: Expr, domain: Domain,
-                 cfg: SamplingConfig = SamplingConfig()) -> Route:
+def nonvanishing(e: Expr, domain: Domain) -> Route:
     """Check the field is bounded away from zero on the sampled domain:
     it holds when |value| > tol * (1 + scale) at every point. Its residual
     is the smallest |value| / (1 + scale), its witness the first point
@@ -422,13 +427,13 @@ def nonvanishing(e: Expr, domain: Domain,
     Used for conditions of the form 'quantity != 0' (e.g. a denominator or a
     coefficient that a classification requires to be nonzero).
     """
-    return once(e, "nonvanishing", (domain, cfg),
-                lambda: _nonvanishing(e, domain, cfg))
+    return once(e, "nonvanishing", (domain,), lambda: _nonvanishing(e, domain))
 
 
-def _nonvanishing(e: Expr, domain: Domain, cfg: SamplingConfig) -> Route:
-    pts = domain.sample(cfg)
+def _nonvanishing(e: Expr, domain: Domain) -> Route:
+    pts = domain.sample()
     values, scales = evaluate_with_scale(e, pts)
     return _unless(
-        ~within(np.abs(values), cfg.tol, 1.0 + scales, exceeds=True), pts,
+        ~within(np.abs(values), domain.sampling.tol, 1.0 + scales,
+                exceeds=True), pts,
         float((np.abs(values) / (1.0 + scales)).min()), values)

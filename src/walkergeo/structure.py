@@ -55,7 +55,7 @@ from .expressions import (
 )
 from .jets import eval_jet
 from .sampling import (
-    AXIOM_TOL, Domain, Route, SamplingConfig, bound, is_identically_zero,
+    AXIOM_TOL, Domain, Route, bound, is_identically_zero,
 )
 from .walker import WalkerManifold, christoffel_from_jet, metric_arrays
 
@@ -148,12 +148,12 @@ class Frame:
 
 
 class ApctStructure:
-    """Immutable bundle (manifold, xi, eta, phi)."""
+    """Immutable bundle (manifold, xi, eta, phi). Its sample is its
+    domain's, `S.domain.sample()`."""
 
-    def __init__(self, manifold: WalkerManifold, xi, config: SamplingConfig):
+    def __init__(self, manifold: WalkerManifold, xi):
         self.manifold = manifold
         self.xi = tuple(as_expr(c) for c in xi)
-        self.config = config
         xi1, xi2, xi3 = self.xi
         f = manifold.f
         self.eta = (xi3, xi2, xi1 + f * xi3)
@@ -172,12 +172,12 @@ class ApctStructure:
         return self.manifold.domain
 
     def frame(self, point) -> Frame:
-        """Frame at one point, or over an (n, 3) batch, once per analysis."""
+        """Frame at one point of the domain (else OutOfDomainError), or over
+        an (n, 3) batch, once per analysis."""
         pts = as_points(point)
+        if pts.ndim == 1:
+            self.manifold.require_inside(pts)
         return once(self, "frame", (pts,), lambda: Frame(self, pts))
-
-    def sample_points(self, cfg: SamplingConfig | None = None) -> np.ndarray:
-        return self.domain.sample(cfg or self.config)
 
 
 def unit_constraint_field(manifold: WalkerManifold, xi) -> Expr:
@@ -186,8 +186,7 @@ def unit_constraint_field(manifold: WalkerManifold, xi) -> Expr:
     return xi2**2 + manifold.f * xi3**2 + 2 * xi1 * xi3 - 1
 
 
-def build_structure(manifold: WalkerManifold, xi,
-                    cfg: SamplingConfig | None = None) -> ApctStructure:
+def build_structure(manifold: WalkerManifold, xi) -> ApctStructure:
     """Construct the almost paracontact metric structure determined by xi.
 
     Rejects eps = -1 outright (no compatible structure exists for a
@@ -196,7 +195,6 @@ def build_structure(manifold: WalkerManifold, xi,
     of f or xi that takes both signs on the sample is an input error (see
     `reject_poles`).
     """
-    cfg = cfg or SamplingConfig()
     if manifold.epsilon != 1:
         raise NonexistentStructureError(
             "no almost paracontact metric structure exists on a Walker "
@@ -205,21 +203,21 @@ def build_structure(manifold: WalkerManifold, xi,
             "Reeb field compatible with the metric"
         )
     residual = unit_constraint_field(manifold, xi)
-    unit = is_identically_zero(residual, manifold.domain, cfg)
+    unit = is_identically_zero(residual, manifold.domain)
     if not unit:
         value = evaluate_with_scale(residual, np.array(unit.witness))[0]
         raise UnitConstraintError(unit.witness, abs(value))
-    structure = ApctStructure(manifold, xi, cfg)
-    reject_poles(structure, cfg)
+    structure = ApctStructure(manifold, xi)
+    reject_poles(structure)
     return structure
 
 
-def reject_poles(S: ApctStructure, cfg: SamplingConfig) -> None:
+def reject_poles(S: ApctStructure) -> None:
     """DegenerateInputError when a denominator of f or xi (a divisor, or the
     base of a negative power) takes both signs on the sample: a pole lies
     between sampled points. A denominator the domain requires nonzero or
     positive is not scanned; a pole of even order keeps its sign."""
-    pts, seen = S.domain.sample(cfg), set(S.domain.positive + S.domain.nonzero)
+    pts, seen = S.domain.sample(), set(S.domain.positive + S.domain.nonzero)
     for name, field in zip(("f", "xi1", "xi2", "xi3"), (S.manifold.f,) + S.xi):
         for node in walk(field):
             d = node.right if isinstance(node, Div) else node.base if (
@@ -242,8 +240,7 @@ def nabla_xi(S: ApctStructure, direction, point) -> np.ndarray:
     return np.asarray(direction, dtype=float) @ frame.nabla_xi_matrix()
 
 
-def validate_axioms(S: ApctStructure,
-                    cfg: SamplingConfig | None = None) -> dict[str, Route]:
+def validate_axioms(S: ApctStructure) -> dict[str, Route]:
     """Verify every defining and derived structure identity numerically:
     the route of each identity, by name.
 
@@ -253,8 +250,7 @@ def validate_axioms(S: ApctStructure,
     `sampling.AXIOM_TOL` on them, decided at the worst point (the first to
     attain the maximum).
     """
-    cfg = cfg or S.config
-    fr = S.frame(S.sample_points(cfg))
+    fr = S.frame(S.domain.sample())
     scale = 1.0 + fr.value_scale
     phi, g = points_first(fr.phi_mat, 2), points_first(fr.g, 2)
     xi, eta = points_first(fr.xi_vec, 1), points_first(fr.eta_vec, 1)

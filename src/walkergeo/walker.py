@@ -30,26 +30,12 @@ import numpy as np
 from .errors import OutOfDomainError, UnsupportedSignatureError
 from .expressions import Expr, diff, gradient, once, scalar, to_source
 from .jets import Jet3, eval_jet
-from .sampling import (
-    Domain, Route, SamplingConfig, every, is_identically_zero, nonvanishing,
-)
+from .sampling import Domain, Route, every, is_identically_zero, nonvanishing
 
 
-class TensorValue(NamedTuple):
-    """Numeric tensor components at a point, read-only (see `_tensor`).
-
-    variance = (contravariant, covariant) slot counts. Index layout is
-    documented per operation; for curvature, components[i, j, k, l] is the
-    l-th component of R(d_i, d_j) d_k.
-    """
-
-    components: np.ndarray
-    variance: tuple[int, int]
-
-
-def _tensor(components: np.ndarray, variance: tuple[int, int]) -> TensorValue:
-    components.setflags(write=False)
-    return TensorValue(components, variance)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 class WalkerManifold:
@@ -79,15 +65,15 @@ class WalkerManifold:
             )
 
 
-def metric_at(M: WalkerManifold, point) -> tuple[TensorValue, TensorValue]:
-    """Metric and inverse metric components at a point.
+def metric_at(M: WalkerManifold, point) -> tuple[np.ndarray, np.ndarray]:
+    """Metric and inverse metric components at a point, read-only.
 
     The inverse is closed-form: g^11 = -f, g^13 = g^31 = 1, g^22 = eps,
     everything else zero; det(g) = -eps identically.
     """
     M.require_inside(point)
     g, ginv = metric_arrays(eval_jet(M.f, point, 0).value, float(M.epsilon))
-    return _tensor(g, (0, 2)), _tensor(ginv, (2, 0))
+    return _read_only(g), _read_only(ginv)
 
 
 def metric_arrays(f, eps: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -99,8 +85,9 @@ def metric_arrays(f, eps: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
             np.array([[-f, zero, one], [zero, e, zero], [one, zero, zero]]))
 
 
-def christoffel_at(M: WalkerManifold, point) -> TensorValue:
-    """Levi-Civita connection coefficients; components[k, i, j] = Gamma^k_ij.
+def christoffel_at(M: WalkerManifold, point) -> np.ndarray:
+    """Levi-Civita connection coefficients, read-only; [k, i, j] holds
+    Gamma^k_ij.
 
     Nonzero coefficients (eps = +1): Gamma^1_13 = f_x/2, Gamma^1_23 = f_y/2,
     Gamma^1_33 = (f f_x + f_z)/2, Gamma^2_33 = -f_y/2, Gamma^3_33 = -f_x/2,
@@ -108,7 +95,7 @@ def christoffel_at(M: WalkerManifold, point) -> TensorValue:
     """
     M.require_spacelike_signature()
     M.require_inside(point)
-    return _tensor(christoffel_from_jet(eval_jet(M.f, point, 1)), (1, 2))
+    return _read_only(christoffel_from_jet(eval_jet(M.f, point, 1)))
 
 
 def christoffel_from_jet(jet: Jet3) -> np.ndarray:
@@ -126,17 +113,17 @@ def christoffel_from_jet(jet: Jet3) -> np.ndarray:
     return gamma
 
 
-def curvature_at(M: WalkerManifold, point) -> TensorValue:
-    """Curvature operator components; components[i, j, k, l] gives
-    R(d_i, d_j) d_k = sum_l components[i, j, k, l] d_l, under the sign
-    convention in the module docstring.
+def curvature_at(M: WalkerManifold, point) -> np.ndarray:
+    """Curvature operator components R, read-only: R(d_i, d_j) d_k =
+    sum_l R[i, j, k, l] d_l, under the sign convention in the module
+    docstring.
 
     Only the (d_x, d_z) and (d_y, d_z) planes act nontrivially; the operator
     vanishes identically exactly when f_xx, f_xy, f_yy all vanish.
     """
     M.require_spacelike_signature()
     M.require_inside(point)
-    return _tensor(curvature_from_jet(eval_jet(M.f, point, 2)), (1, 3))
+    return _read_only(curvature_from_jet(eval_jet(M.f, point, 2)))
 
 
 def _hessian(jet: Jet3):
@@ -163,13 +150,13 @@ def curvature_from_jet(jet: Jet3) -> np.ndarray:
     return R
 
 
-def ricci_at(M: WalkerManifold, point) -> tuple[TensorValue, TensorValue, float]:
-    """Ricci tensor rho, Ricci operator Q (g(QX, Y) = rho(X, Y)), and scalar
-    curvature trace(Q) = f_xx at a point."""
+def ricci_at(M: WalkerManifold, point) -> tuple[np.ndarray, np.ndarray, float]:
+    """Ricci tensor rho, Ricci operator Q (g(QX, Y) = rho(X, Y)), both
+    read-only, and scalar curvature trace(Q) = f_xx at a point."""
     M.require_spacelike_signature()
     M.require_inside(point)
     rho, q, fxx = ricci_from_jet(eval_jet(M.f, point, 2))
-    return _tensor(rho, (0, 2)), _tensor(q, (1, 1)), fxx
+    return _read_only(rho), _read_only(q), fxx
 
 
 def ricci_from_jet(jet: Jet3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,11 +187,10 @@ def scalar_curvature_field(M: WalkerManifold) -> Expr:
     return diff(diff(M.f, "x"), "x")
 
 
-def scalar_curvature_constant(M: WalkerManifold,
-                              cfg: SamplingConfig = SamplingConfig()) -> Route:
+def scalar_curvature_constant(M: WalkerManifold) -> Route:
     """The route that holds iff the scalar curvature is constant: every
     partial of `scalar_curvature_field` vanishes on the sampled domain."""
-    return every(is_identically_zero(d, M.domain, cfg)
+    return every(is_identically_zero(d, M.domain)
                  for d in gradient(scalar_curvature_field(M)))
 
 
@@ -226,25 +212,24 @@ class FlatnessVerdict(NamedTuple):
         return self.flat
 
 
-def flatness(M: WalkerManifold,
-             cfg: SamplingConfig = SamplingConfig()) -> FlatnessVerdict:
+def flatness(M: WalkerManifold) -> FlatnessVerdict:
     """The FlatnessVerdict of M, decided once per analysis."""
     M.require_spacelike_signature()
-    return once(M, "flatness", (cfg,), lambda: _flatness(M, cfg))
+    return once(M, "flatness", (), lambda: _flatness(M))
 
 
-def _flatness(M: WalkerManifold, cfg: SamplingConfig) -> FlatnessVerdict:
+def _flatness(M: WalkerManifold) -> FlatnessVerdict:
     fx, fy, fz = gradient(M.f)
     conditions = {
-        "f_xx": is_identically_zero(diff(fx, "x"), M.domain, cfg),
-        "f_xy": is_identically_zero(diff(fx, "y"), M.domain, cfg),
-        "f_yy": is_identically_zero(diff(fy, "y"), M.domain, cfg),
+        "f_xx": is_identically_zero(diff(fx, "x"), M.domain),
+        "f_xy": is_identically_zero(diff(fx, "y"), M.domain),
+        "f_yy": is_identically_zero(diff(fy, "y"), M.domain),
     }
     flat = all(conditions.values())
     alt = bool(
         conditions["f_xx"]
         and conditions["f_yy"]
-        and is_identically_zero(diff(fz, "z"), M.domain, cfg)
+        and is_identically_zero(diff(fz, "z"), M.domain)
     )
     note = None
     if alt != flat:
@@ -256,11 +241,10 @@ def _flatness(M: WalkerManifold, cfg: SamplingConfig) -> FlatnessVerdict:
     return FlatnessVerdict(flat, conditions, alt, note)
 
 
-def is_strict_walker(M: WalkerManifold,
-                     cfg: SamplingConfig = SamplingConfig()) -> Route:
+def is_strict_walker(M: WalkerManifold) -> Route:
     """The route that holds iff the parallel null line field's metric
     function is x-independent (f_x vanishes on the sampled domain)."""
-    return is_identically_zero(diff(M.f, "x"), M.domain, cfg)
+    return is_identically_zero(diff(M.f, "x"), M.domain)
 
 
 class SegreVerdict(NamedTuple):
@@ -283,23 +267,22 @@ class SegreVerdict(NamedTuple):
     fxx_nonvanishing: Route | None = None
 
 
-def segre_type(M: WalkerManifold, point,
-               cfg: SamplingConfig = SamplingConfig()) -> SegreVerdict:
+def segre_type(M: WalkerManifold, point) -> SegreVerdict:
     """Classify the Ricci operator: flat, degenerate {11;1} with a null
     eigenvector (f_xy^2 - f_xx f_yy = 0 != f_xx), or other; once per
-    point and cfg in an analysis."""
+    point in an analysis."""
     M.require_spacelike_signature()
     M.require_inside(point)
-    return once(M, "segre", (np.asarray(point), cfg),
-                lambda: _segre_type(M, point, cfg))
+    return once(M, "segre", (np.asarray(point),),
+                lambda: _segre_type(M, point))
 
 
-def _segre_type(M: WalkerManifold, point, cfg: SamplingConfig) -> SegreVerdict:
-    if flatness(M, cfg).flat:
+def _segre_type(M: WalkerManifold, point) -> SegreVerdict:
+    if flatness(M).flat:
         return SegreVerdict(kind="flat", eigenvalues=(0.0, 0.0, 0.0))
     h = f_hessian(M.f)
-    degeneracy = is_identically_zero(h["disc"], M.domain, cfg)
-    fxx_nonzero = nonvanishing(h["fxx"], M.domain, cfg)
+    degeneracy = is_identically_zero(h["disc"], M.domain)
+    fxx_nonzero = nonvanishing(h["fxx"], M.domain)
     if not (degeneracy and fxx_nonzero):
         return SegreVerdict(
             kind="other", degeneracy=degeneracy, fxx_nonvanishing=fxx_nonzero

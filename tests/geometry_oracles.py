@@ -27,11 +27,11 @@ STEP = 1e-4
 BOX = Domain((Interval(0.5, 2.0), Interval(0.5, 2.0), Interval(0.5, 2.0)))
 
 
-def build(f: str, xi, cfg: SamplingConfig) -> ApctStructure:
+def build(f: str, xi, sampling: SamplingConfig) -> ApctStructure:
     """The structure of f and the Reeb components xi (source strings) on
-    BOX, sampled by cfg."""
-    M = WalkerManifold(parse(f), 1, BOX)
-    return build_structure(M, tuple(parse(c) for c in xi), cfg)
+    BOX with the given sampling settings."""
+    M = WalkerManifold(parse(f), 1, BOX._replace(sampling=sampling))
+    return build_structure(M, tuple(parse(c) for c in xi))
 
 
 def expr_fn(e):
@@ -210,6 +210,6 @@ def d_fundamental_batch(batch):
 
 def with_phi(S, phi_entries):
     """Copy of a structure with explicit phi entries (a negative control)."""
-    bad = ApctStructure(S.manifold, S.xi, S.config)
+    bad = ApctStructure(S.manifold, S.xi)
     bad.phi = phi_entries
     return bad

@@ -52,7 +52,7 @@ from walkergeo.walker import (
 )
 
 BOX = Domain((Interval(0.5, 2.0), Interval(0.5, 2.0), Interval(0.5, 2.0)))
-CFG16 = SamplingConfig(samples=16, seed=3)
+BOX16 = BOX._replace(sampling=SamplingConfig(samples=16, seed=3))
 
 
 def conclude(number, label, problems):
@@ -78,7 +78,7 @@ def test_criterion_1_example_corpus_classifies_as_documented():
         problems.append(f"(i) members {set(v.basic.members)}, wanted none")
     if not v.named["paracosymplectic"]:
         problems.append("(i) not paracosymplectic")
-    batch = split_components_batch(S, S.sample_points())
+    batch = split_components_batch(S, S.domain.sample())
     top = float(np.abs(batch.tensor).max())
     if top > 1e-9:
         problems.append(f"(i) structure tensor max |F| = {top:.2e}")
@@ -90,7 +90,8 @@ def test_criterion_1_example_corpus_classifies_as_documented():
         problems.append(f"(ii) members {set(v.basic.members)}")
     if not v.normality.is_normal:
         problems.append("(ii) not normal")
-    pts = S.domain.sample(SamplingConfig(samples=100, seed=11))
+    pts = S.domain._replace(
+        sampling=SamplingConfig(samples=100, seed=11)).sample()
     b = split_components_batch(S, pts)
     want = -1.0 / pts[:, 1]
     for label, got in (("theta", b.theta_xi), ("theta*", b.theta_star_xi)):
@@ -105,7 +106,7 @@ def test_criterion_1_example_corpus_classifies_as_documented():
         problems.append(f"(iii) members {set(v.basic.members)}")
     if not v.named["almost_paracosymplectic"]:
         problems.append("(iii) not almost paracosymplectic")
-    b = split_components_batch(S, S.sample_points())
+    b = split_components_batch(S, S.domain.sample())
     top = max(float(np.abs(b.theta_xi).max()),
               float(np.abs(b.theta_star_xi).max()))
     if top > 1e-9 * (1.0 + float(b.scale.max())):
@@ -116,7 +117,7 @@ def test_criterion_1_example_corpus_classifies_as_documented():
     v = named_classes(S)
     if set(v.basic.members) != {"G6", "G10"}:
         problems.append(f"(iv) members {set(v.basic.members)}")
-    pts = S.sample_points()
+    pts = S.domain.sample()
     b = split_components_batch(S, pts)
     x, z = pts[:, 0], pts[:, 2]
     want = -1.0 / (2.0 * z * np.sqrt(x / z))
@@ -129,7 +130,7 @@ def test_criterion_1_example_corpus_classifies_as_documented():
     v = named_classes(S)
     if set(v.basic.members) != {"G12"}:
         problems.append(f"(v) members {set(v.basic.members)}")
-    b = split_components_batch(S, S.sample_points())
+    b = split_components_batch(S, S.domain.sample())
     residual = float(np.abs(b.tensor - b.parts["G12"]).max())
     if residual > 1e-9:
         problems.append(f"(v) F - F12 residual {residual:.2e}")
@@ -142,7 +143,7 @@ def test_criterion_1_example_corpus_classifies_as_documented():
 def test_criterion_2_paracontact_family_members_and_perturbation():
     problems = []
     for psi, m in (("z", "0"), ("1", "1")):
-        S = paracontact_family(parse(psi), parse(m), BOX, CFG16)
+        S = paracontact_family(parse(psi), parse(m), BOX16)
         v = is_paracontact_metric(S)
         if not (v.is_paracontact and v.check.routes[1].holds):
             problems.append(f"family psi={psi}, m={m} not paracontact")
@@ -154,8 +155,7 @@ def test_criterion_2_paracontact_family_members_and_perturbation():
     f = parse("2*x + x^2")
     xi3 = parse("exp(z - 2*y)")
     xi1 = (1 - f * xi3**2) / (2 * xi3)
-    S = build_structure(WalkerManifold(f, 1, BOX), (xi1, parse("0"), xi3),
-                        CFG16)
+    S = build_structure(WalkerManifold(f, 1, BOX16), (xi1, parse("0"), xi3))
     v = is_paracontact_metric(S)
     if v.is_paracontact or v.check.routes[1].holds:
         problems.append("perturbed member still reported paracontact")
@@ -193,8 +193,8 @@ def test_criterion_3_normal_and_paracontact_exclude_each_other():
     rng = np.random.default_rng(20260815)
 
     def check(S, label):
-        nv = is_normal(S, CFG16)
-        pv = is_paracontact_metric(S, CFG16)
+        nv = is_normal(S)
+        pv = is_paracontact_metric(S)
         if nv.is_normal and pv.is_paracontact:
             problems.append(f"{label} is both normal and paracontact")
 
@@ -216,7 +216,7 @@ def test_criterion_3_normal_and_paracontact_exclude_each_other():
             xi2 = _random_polynomial(rng, 1, 2)
             xi1 = (1 - xi2**2 - f * xi3**2) / (2 * xi3)
             xi = (xi1, xi2, xi3)
-        S = build_structure(WalkerManifold(f, 1, BOX), xi, CFG16)
+        S = build_structure(WalkerManifold(f, 1, BOX16), xi)
         check(S, f"random structure {trial}")
 
     conclude(3, "normal and paracontact metric never hold together "
@@ -230,7 +230,7 @@ def test_criterion_4_dual_route_agreement():
     worst = 0.0
     for fixture in FIXTURES:
         S = load_fixture(fixture.name).build(samples=64, seed=42)
-        pts = S.sample_points()
+        pts = S.domain.sample()
         batch = split_components_batch(S, pts)
         norm = 1.0 + batch.scale
 
@@ -271,7 +271,7 @@ def test_criterion_5_projection_completeness_and_vanishing_laws():
     problems = []
     for fixture in FIXTURES:
         S = load_fixture(fixture.name).build(samples=64, seed=42)
-        pts = S.sample_points()
+        pts = S.domain.sample()
         batch = split_components_batch(S, pts)
         norm = 1.0 + batch.scale
 
@@ -351,7 +351,7 @@ def test_criterion_6_eta_einstein_fixture_profile():
         if sorted(seg.eigenvalues) != [0.0, 1.0, 1.0]:
             problems.append(f"eigenvalues {seg.eigenvalues}")
     _, q, _ = ricci_at(S.manifold, point)
-    q_xi = q.components @ np.array([0.0, 1.0, 0.0])
+    q_xi = q @ np.array([0.0, 1.0, 0.0])
     if np.abs(q_xi).max() > 1e-12:
         problems.append(f"Q xi = {q_xi}, wanted 0")
 
@@ -393,20 +393,20 @@ def test_criterion_8_geometry_matches_independent_oracles():
         g_fn = metric_fn(M.f)
         pts = random_points(((0.5, 2.0),) * 3, 12, seed=8)
         for p in pts:
-            gamma = christoffel_at(M, p).components
+            gamma = christoffel_at(M, p)
             gamma_fd = christoffel_oracle(g_fn, p)
             if np.abs(gamma - gamma_fd).max() > 1e-6 * (1 + np.abs(gamma).max()):
                 problems.append(f"f={source}: Christoffel vs oracle at {p}")
                 break
 
-            R = curvature_at(M, p).components
+            R = curvature_at(M, p)
             R_fd = curvature_oracle(g_fn, p)
             if np.abs(R - R_fd).max() > 1e-6 * (1 + np.abs(R).max()):
                 problems.append(f"f={source}: curvature vs oracle at {p}")
                 break
 
             g, _ = metric_at(M, p)
-            low = np.einsum("ijkm,ml->ijkl", R, g.components)
+            low = np.einsum("ijkm,ml->ijkl", R, g)
             scale = 1e-10 * (1 + np.abs(low).max())
             if np.abs(low + np.transpose(low, (1, 0, 2, 3))).max() > scale:
                 problems.append(f"f={source}: pair antisymmetry at {p}")

@@ -93,11 +93,10 @@ def test_each_report_step_runs_once(monkeypatch, name):
 
     derived = recording(monkeypatch, ex, "_derive", node_and_var)
     zero_tests = recording(monkeypatch, sampling, "_zero_test",
-                           lambda e, domain, cfg: (to_source(e), cfg))
+                           lambda e, domain: (to_source(e), domain))
     sampled = recording(monkeypatch, sampling, "evaluate_with_scale",
                         lambda e, points: e)
-    flatness = recording(monkeypatch, walker, "_flatness",
-                         lambda M, cfg: cfg)
+    flatness = recording(monkeypatch, walker, "_flatness", lambda M: M)
     gradients = recording(monkeypatch, ftensor, "_gradients",
                           lambda fields, pts: (tuple(map(id, fields)), id(pts)))
     build_report(S, name=name)
@@ -105,8 +104,7 @@ def test_each_report_step_runs_once(monkeypatch, name):
     assert derived and max(Counter(derived).values()) == 1
     assert zero_tests and max(Counter(zero_tests).values()) == 1
     assert not [e for e in sampled if isinstance(e, Num) and e.value == 0]
-    assert flatness.count(S.config) == 1
-    assert max(Counter(flatness).values()) == 1
+    assert flatness == [S.manifold]
     # the coordinate d(eta) is shared by the normality and named-class routes
     eta_fields = tuple(map(id, S.eta))
     assert [key for key in gradients if key[0] == eta_fields]
@@ -124,19 +122,19 @@ def test_a_verdict_is_decided_once_per_analysis(verdict):
     S = load_fixture("eta-einstein-parabolic").build(samples=8)
     with ex.analysis():
         first = verdict(S)
-        assert verdict(S) is first and verdict(S, S.config) is first
+        assert verdict(S) is first
     assert verdict(S) is not first
 
 
 def test_flatness_and_segre_type_are_decided_once_per_analysis():
     S = load_fixture("eta-einstein-parabolic").build(samples=8)
-    M, cfg, point = S.manifold, S.config, tuple(S.sample_points()[0])
+    M, point = S.manifold, tuple(S.domain.sample()[0])
     with ex.analysis():
-        flat, segre = walker.flatness(M, cfg), walker.segre_type(M, point, cfg)
-        assert walker.flatness(M, cfg) is flat
-        assert walker.segre_type(M, np.array(point), cfg) is segre
-    assert walker.flatness(M, cfg) is not flat
-    assert walker.segre_type(M, point, cfg) is not segre
+        flat, segre = walker.flatness(M), walker.segre_type(M, point)
+        assert walker.flatness(M) is flat
+        assert walker.segre_type(M, np.array(point)) is segre
+    assert walker.flatness(M) is not flat
+    assert walker.segre_type(M, point) is not segre
 
 
 def test_an_eta_einstein_report_tests_its_discriminant_once(monkeypatch):
@@ -150,7 +148,7 @@ def test_an_eta_einstein_report_tests_its_discriminant_once(monkeypatch):
     sampled = recording(monkeypatch, sampling, "evaluate_with_scale",
                         lambda e, points: e)
     segre = recording(monkeypatch, walker, "_segre_type",
-                      lambda M, point, cfg: point)
+                      lambda M, point: point)
     report = build_report(S, name="cubic")
     assert report.exit_status == 0
     assert report.curvature["eta_einstein"]["holds"]
@@ -245,7 +243,7 @@ def test_each_field_is_walked_once_per_sample(monkeypatch, name):
     build_report(S, name=name)
     # a walk whose field is not yet kept evaluates it; any later one finds it
     evaluated = [key[:3] for key in walks if not key[3]]
-    sampled = [key for key in evaluated if key[1] == id(S.sample_points())]
+    sampled = [key for key in evaluated if key[1] == id(S.domain.sample())]
     assert sampled and max(Counter(evaluated).values()) == 1
 
 
@@ -365,7 +363,7 @@ def test_a_shared_node_is_kept_from_its_first_evaluation(monkeypatch):
 
 def test_a_writable_batch_changed_in_place_gets_fresh_values():
     S = load_fixture("g5g6-normal").build(samples=8)
-    pts, field = np.array(S.sample_points()), parse("x*y + z")
+    pts, field = np.array(S.domain.sample()), parse("x*y + z")
     with ex.analysis():
         before = ex.evaluate_with_scale(field, pts)[0].copy()
         jet = eval_jet(field, pts, 1)
@@ -396,7 +394,7 @@ def test_no_node_is_evaluated_more_than_twice_on_the_sample(
     evaluated = recording(monkeypatch, ex, "_evaluate_node", node_and_points)
     tables = recording(monkeypatch, ex, "_walk", lambda e, pts, kept: kept)
     build_report(S, name=name)
-    sample = id(S.sample_points())
+    sample = id(S.domain.sample())
     counts = Counter(key for key in evaluated if key[1] == sample)
     assert counts and max(counts.values()) == 1
     kept = [array for table in {id(t): t for t in tables}.values()
@@ -426,14 +424,14 @@ def test_the_jet_of_f_is_propagated_once_on_the_sample(monkeypatch, name):
     computed = recording(monkeypatch, jets, "_propagate",
                          lambda e, pts, order, table: (e, pts, order))
     build_report(S, name=name)
-    sample = S.sample_points()
+    sample = S.domain.sample()
     assert [order for e, pts, order in computed
             if e is S.manifold.f and pts is sample] == [2]
 
 
 def test_the_frame_route_reads_the_tensor_forms_it_formed(monkeypatch):
     S = load_fixture("g5g6-normal").build(samples=8)
-    pts = S.sample_points()
+    pts = S.domain.sample()
     formed = recording(monkeypatch, ftensor, "_tensor_forms",
                        lambda F, xi, phi, ginv: F)
     with ex.analysis():
@@ -459,7 +457,7 @@ def test_a_report_builds_one_frame_on_its_sample(monkeypatch, name):
 
     monkeypatch.setattr(structure.Frame, "__init__", init)
     build_report(S, name=name)
-    sample = S.sample_points()
+    sample = S.domain.sample()
     assert sum(points is sample for points in built) == 1
     assert not [points for points in built if np.ndim(points) > 1
                 and points is not sample]
@@ -467,7 +465,7 @@ def test_a_report_builds_one_frame_on_its_sample(monkeypatch, name):
 
 def test_everything_kept_dies_when_the_outermost_analysis_closes(monkeypatch):
     S = load_fixture("g5g6-normal").build(samples=8)
-    pts, field = S.sample_points(), parse("x*y/(1 + z^2)")
+    pts, field = S.domain.sample(), parse("x*y/(1 + z^2)")
     with ex.analysis() as outer:
         with ex.analysis() as inner:    # joins the open analysis
             values, _ = ex.evaluate_with_scale(field, pts)
@@ -500,22 +498,22 @@ def summary(verdict):
 def test_a_nested_analysis_of_another_structure_reads_only_its_own():
     first = load_fixture("g5g6-normal").build(samples=8)
     second = load_fixture("paracontact-exponential").build(samples=8)
-    pts, cfg = first.sample_points(), first.config
-    assert second.sample_points() is pts and second.config == cfg
+    pts = first.domain.sample()
+    assert second.domain.sample() is pts and second.domain == first.domain
     alone = named_classes(second)   # in an analysis of its own
     eta_alone = ftensor.d_eta_coordinate_batch(
         second, ftensor.split_components_batch(second, pts))
     with ex.analysis() as analysis:
         # the first structure's split and eta partials, on the same sample
         classify.is_normal(first)
-        first_batch = classify._components(first, cfg)
+        first_batch = classify._components(first)
         joined = named_classes(second)   # joins the open analysis
-        assert (analysis.key(second, classify.classify_basic, (cfg,))
+        assert (analysis.key(second, classify.classify_basic, ())
                 in analysis.results)
-        batch = classify._components(second, cfg)
+        batch = classify._components(second)
         assert batch is not first_batch
         eta = ftensor.d_eta_coordinate_batch(second, batch)
         # the second structure's release left the first one's entries
-        assert classify._components(first, cfg) is first_batch
+        assert classify._components(first) is first_batch
     assert summary(joined) == summary(alone)
     assert np.array_equal(eta, eta_alone)

@@ -25,7 +25,7 @@ from walkergeo.ftensor import theta_star_xi_field
 from walkergeo.sampling import SamplingConfig, is_identically_zero
 
 CFG = SamplingConfig(samples=24, seed=17)
-build = partial(build_on_box, cfg=CFG)
+build = partial(build_on_box, sampling=CFG)
 
 EXPECTED_BASIC = {
     "g0-parallel": (frozenset(), "G0"),
@@ -57,7 +57,7 @@ EXPECTED_NAMED = {
 def test_fixture_basic_classes(name):
     m = load_fixture(name)
     S = m.build()
-    basic = classify_basic(S, m.sampling)
+    basic = classify_basic(S)
     members, display = EXPECTED_BASIC[name]
     assert basic.members == members
     assert basic.display() == display
@@ -68,7 +68,7 @@ def test_fixture_basic_classes(name):
 @pytest.mark.parametrize("name", list(EXPECTED_NAMED), ids=list(EXPECTED_NAMED))
 def test_fixture_named_classes(name):
     m = load_fixture(name)
-    v = named_classes(m.build(), m.sampling)
+    v = named_classes(m.build())
     true_names = {n for n, route in v.named.items() if route.holds}
     assert true_names == EXPECTED_NAMED[name]
     assert not any(c.fails for c in v.checks)
@@ -77,14 +77,14 @@ def test_fixture_named_classes(name):
 def test_g5bar_flag_only_on_paracontact_fixtures():
     for name, (_, display) in EXPECTED_BASIC.items():
         m = load_fixture(name)
-        basic = classify_basic(m.build(), m.sampling)
+        basic = classify_basic(m.build())
         assert basic.g5bar == ("G5bar" in display)
 
 
 def test_alpha_report_presence():
     # alpha tracks -theta*/2; it is reported when a G6 part is present
     m = load_fixture("g6g10-almost-alpha")
-    v = named_classes(m.build(), m.sampling)
+    v = named_classes(m.build())
     assert v.alpha is not None
     assert v.alpha.value is None
     assert not v.theta_star_constant
@@ -94,7 +94,7 @@ def test_alpha_report_presence():
     assert kenmotsu.witness is not None
 
     m = load_fixture("g10-almost-paracosymplectic")
-    v = named_classes(m.build(), m.sampling)
+    v = named_classes(m.build())
     assert v.alpha is None  # theta* vanishes identically
 
 
@@ -102,21 +102,21 @@ def test_alpha_report_presence():
 
 def test_paracontact_family_instances():
     for psi, mfun in (("z", "0"), ("1", "1")):
-        S = paracontact_family(parse(psi), parse(mfun), BOX, CFG)
-        verdict = is_paracontact_metric(S, CFG)
+        S = paracontact_family(parse(psi), parse(mfun), BOX._replace(sampling=CFG))
+        verdict = is_paracontact_metric(S)
         assert verdict.is_paracontact
         assert not verdict.check.fails
         assert verdict.check.routes[1].holds
-        basic = classify_basic(S, CFG)
+        basic = classify_basic(S)
         assert basic.members == frozenset({"G5", "G10"})
         assert basic.g5bar
 
 
 def test_paracontact_family_validates_psi():
     with pytest.raises(InputError):
-        paracontact_family(parse("x"), parse("0"), BOX, CFG)
+        paracontact_family(parse("x"), parse("0"), BOX._replace(sampling=CFG))
     with pytest.raises(InputError):
-        paracontact_family(parse("z"), parse("y"), BOX, CFG)
+        paracontact_family(parse("z"), parse("y"), BOX._replace(sampling=CFG))
 
 
 def test_perturbed_family_member_fails_with_witness():
@@ -126,7 +126,7 @@ def test_perturbed_family_member_fails_with_witness():
     xi3 = "exp(z - 2*y)"
     xi1 = f"(1 - ({f})*exp(2*z - 4*y))/(2*{xi3})"
     S = build(f, (xi1, "0", xi3))
-    verdict = is_paracontact_metric(S, CFG)
+    verdict = is_paracontact_metric(S)
     assert not verdict.is_paracontact
     assert not verdict.check.fails
     failing = [v for v in verdict.conditions if not v.holds]
@@ -136,9 +136,9 @@ def test_perturbed_family_member_fails_with_witness():
 
 
 def test_paracontact_condition_fields_vanish_on_family():
-    S = paracontact_family(parse("z"), parse("0"), BOX, CFG)
+    S = paracontact_family(parse("z"), parse("0"), BOX._replace(sampling=CFG))
     for field in paracontact_condition_fields(S):
-        assert is_identically_zero(field, S.domain, CFG)
+        assert is_identically_zero(field, S.domain)
 
 
 def test_paracontact_shape_invariant():
@@ -146,19 +146,19 @@ def test_paracontact_shape_invariant():
     # its theta(xi) is the constant 2
     from walkergeo.ftensor import theta_xi_field
 
-    S = paracontact_family(parse("z"), parse("0"), BOX, CFG)
-    basic = classify_basic(S, CFG)
+    S = paracontact_family(parse("z"), parse("0"), BOX._replace(sampling=CFG))
+    basic = classify_basic(S)
     assert basic.members <= {"G5", "G10"}
     assert "G5" in basic.members and basic.g5bar
     two = parse("2")
-    assert is_identically_zero(theta_xi_field(S) - two, S.domain, CFG)
+    assert is_identically_zero(theta_xi_field(S) - two, S.domain)
 
 
 def test_reeb_without_null_component_is_never_paracontact():
     # xi3 = 0 admits no solution of the defining conditions
     for name in ("g5g6-normal", "g12-pure", "flat-bilinear"):
         m = load_fixture(name)
-        verdict = is_paracontact_metric(m.build(), m.sampling)
+        verdict = is_paracontact_metric(m.build())
         assert not verdict.is_paracontact
         assert verdict.shortcut is not None
         assert not verdict.check.fails
@@ -167,7 +167,7 @@ def test_reeb_without_null_component_is_never_paracontact():
 def test_null_direction_reeb_is_never_paracontact():
     # xi1 = xi2 = 0 is obstructed as well
     m = load_fixture("g6g10-almost-alpha")
-    verdict = is_paracontact_metric(m.build(), m.sampling)
+    verdict = is_paracontact_metric(m.build())
     assert not verdict.is_paracontact
     assert verdict.shortcut is not None
     assert not verdict.check.fails
@@ -179,7 +179,7 @@ def test_normal_iff_members_within_g5_g6():
     for name, (members, _) in EXPECTED_BASIC.items():
         m = load_fixture(name)
         S = m.build()
-        verdict = is_normal(S, m.sampling)
+        verdict = is_normal(S)
         assert verdict.is_normal == (members <= {"G5", "G6"})
         assert not verdict.check.fails, name
         # the coordinate route, present for the Reeb shape (xi1, +-1, 0)
@@ -191,7 +191,7 @@ def test_normal_and_paracontact_exclude_each_other():
     for fx in FIXTURES:
         m = load_fixture(fx.name)
         S = m.build()
-        v = named_classes(S, m.sampling)
+        v = named_classes(S)
         assert not (v.named["normal"].holds
                     and v.named["paracontact_metric"].holds), fx.name
 
@@ -201,9 +201,9 @@ def test_normal_and_paracontact_exclude_each_other():
 def test_vanishing_tensor_despite_nonconstant_data():
     # f = (x + y)^2 with xi = (-1, 1, 0): the two x3 y3 contributions cancel
     S = build("(x + y)^2", ("-1", "1", "0"))
-    basic = classify_basic(S, CFG)
+    basic = classify_basic(S)
     assert basic.members == frozenset()
-    v = named_classes(S, CFG)
+    v = named_classes(S)
     assert v.named["paracosymplectic"].holds
     assert v.named["normal"].holds
     assert not any(c.fails for c in v.checks)
@@ -212,22 +212,22 @@ def test_vanishing_tensor_despite_nonconstant_data():
 def test_unit_y_setting_with_negative_sign():
     # xi2 = -1 exercises the sign-aware coordinate cross-checks
     S = build("x + z", ("exp(z/2)", "-1", "0"))
-    v = named_classes(S, CFG)
+    v = named_classes(S)
     assert not any(c.fails for c in v.checks)
 
 
 def test_mixed_second_partial_structure():
     S = build("x^2 + y*z", ("0", "1", "0"))
-    basic = classify_basic(S, CFG)
+    basic = classify_basic(S)
     assert basic.members == frozenset({"G10"})
-    v = named_classes(S, CFG)
+    v = named_classes(S)
     assert v.named["almost_paracosymplectic"].holds
     assert not any(c.fails for c in v.checks)
 
 
 def test_classifier_verdict_repr_is_loadable():
     m = load_fixture("g12-pure")
-    v = named_classes(m.build(), m.sampling)
+    v = named_classes(m.build())
     assert set(v.named) == {
         "paracontact_metric", "para_sasakian", "k_paracontact",
         "quasi_para_sasakian", "normal", "almost_alpha_paracosymplectic",
@@ -241,7 +241,7 @@ def test_para_sasakian_never_on_this_family():
     # K-paracontact flags stay false on every fixture
     for fx in FIXTURES:
         m = load_fixture(fx.name)
-        v = named_classes(m.build(), m.sampling)
+        v = named_classes(m.build())
         assert not v.named["para_sasakian"].holds
         assert not v.named["k_paracontact"].holds
 
@@ -321,14 +321,13 @@ def test_theta_star_of_the_reeb_field_is_minus_its_divergence(name):
     S = load_fixture(name).build()
     xi1, xi2, xi3 = S.xi
     divergence = diff(xi1, "x") + diff(xi2, "y") + diff(xi3, "z")
-    assert is_identically_zero(theta_star_xi_field(S) + divergence, S.domain,
-                               S.config)
+    assert is_identically_zero(theta_star_xi_field(S) + divergence, S.domain)
 
 
 @pytest.mark.parametrize("name", [fx.name for fx in FIXTURES])
 def test_each_named_class_is_the_first_route_of_its_check(name):
     m = load_fixture(name)
-    v = named_classes(m.build(), m.sampling)
+    v = named_classes(m.build())
     checks = {check.name: check for check in v.checks}
     for cls, check in CLASS_CHECKS.items():
         if "kenmotsu" not in cls:

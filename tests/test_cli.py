@@ -380,7 +380,7 @@ def test_derivatives_nested_past_the_recursion_limit_are_analyzed(tmp_path):
 
 
 def test_consistency_failure_exits_3(capsys, tmp_path, monkeypatch):
-    def boom(structure, cfg=None, name="structure"):
+    def boom(structure, name="structure"):
         raise ConsistencyError("routes disagree beyond tolerance")
 
     monkeypatch.setattr("walkergeo.cli.build_report", boom)
@@ -392,7 +392,7 @@ def test_consistency_failure_exits_3(capsys, tmp_path, monkeypatch):
 
 def test_unexpected_exception_exits_3_in_one_line(capsys, tmp_path,
                                                   monkeypatch):
-    def boom(structure, cfg=None, name="structure"):
+    def boom(structure, name="structure"):
         raise ValueError("unexpected shape")
 
     monkeypatch.setattr("walkergeo.cli.build_report", boom)
@@ -419,7 +419,7 @@ def test_every_package_error_sits_under_one_exit_base(capsys, tmp_path,
     bases = [base for base in EXIT_BASES if issubclass(error, base)]
     assert len(bases) == 1, bases
 
-    def boom(structure, cfg=None, name="structure"):
+    def boom(structure, name="structure"):
         raise error.__new__(error)
 
     monkeypatch.setattr("walkergeo.cli.build_report", boom)

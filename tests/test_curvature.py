@@ -20,7 +20,7 @@ from walkergeo.walker import curvature_at, flatness, segre_type
 from write_reports import read_manifest
 
 CFG = SamplingConfig(samples=24, seed=23)
-build = partial(build_on_box, cfg=CFG)
+build = partial(build_on_box, sampling=CFG)
 
 
 # -------------------------------------------------------------- ricci relation
@@ -30,12 +30,12 @@ def test_ricci_residual_fields_vanish_on_parabolic():
     fields = ricci_residual_fields(S)
     assert len(fields) == 6
     for field in fields:
-        assert is_identically_zero(field, S.domain, CFG)
+        assert is_identically_zero(field, S.domain)
 
 
 def test_eta_einstein_parabolic():
     S = build("x^2", ("0", "1", "0"))
-    v = eta_einstein_check(S, CFG)
+    v = eta_einstein_check(S)
     assert v.is_eta_einstein
     assert abs(v.a - 1.0) <= 1e-12
     assert abs(v.b + 1.0) <= 1e-12
@@ -48,7 +48,7 @@ def test_eta_einstein_parabolic():
 def test_eta_einstein_with_mixed_term():
     # f = x^2 + y*z keeps the discriminant degenerate
     S = build("x^2 + y*z", ("0", "1", "0"))
-    v = eta_einstein_check(S, CFG)
+    v = eta_einstein_check(S)
     assert v.is_eta_einstein and not v.check.fails
     assert abs(v.a - 1.0) <= 1e-12 and abs(v.b + 1.0) <= 1e-12
 
@@ -56,16 +56,16 @@ def test_eta_einstein_with_mixed_term():
 def test_eta_einstein_negative_sign_branch():
     # xi2 = -1 flips the eigenvector matching sign
     S = build("x^2", ("0", "-1", "0"))
-    v = eta_einstein_check(S, CFG)
+    v = eta_einstein_check(S)
     assert v.is_eta_einstein and not v.check.fails
 
 
 def test_eta_einstein_requires_alignment():
     # f = (x + y)^2 has degenerate discriminant but needs xi1 = -f_xy/f_xx = -1
     aligned = build("(x + y)^2", ("-1", "1", "0"))
-    assert eta_einstein_check(aligned, CFG).is_eta_einstein
+    assert eta_einstein_check(aligned).is_eta_einstein
     misaligned = build("(x + y)^2", ("0", "1", "0"))
-    v = eta_einstein_check(misaligned, CFG)
+    v = eta_einstein_check(misaligned)
     assert not v.is_eta_einstein
     assert not v.check.fails
     assert "xi1" in v.check.detail
@@ -73,7 +73,7 @@ def test_eta_einstein_requires_alignment():
 
 def test_not_eta_einstein_when_discriminant_splits():
     S = build("x^2 + y^2", ("0", "1", "0"))
-    v = eta_einstein_check(S, CFG)
+    v = eta_einstein_check(S)
     assert not v.is_eta_einstein
     assert not v.check.fails
     assert "discriminant" in v.check.detail
@@ -81,7 +81,7 @@ def test_not_eta_einstein_when_discriminant_splits():
 
 def test_flat_is_not_eta_einstein():
     S = build("y*z", ("0", "1", "0"))
-    v = eta_einstein_check(S, CFG)
+    v = eta_einstein_check(S)
     assert not v.is_eta_einstein
     assert not v.check.fails
     assert not v.fxx_nonzero
@@ -91,16 +91,16 @@ def test_degenerate_quotient_raises_with_witness():
     # f_xx = 2(y - 1.25)^2 vanishes on an interior slice without being
     # identically zero, so the eigenvector quotient f_xy/f_xx is undefined
     # there and the check must refuse rather than guess
-    cfg = SamplingConfig(samples=24, seed=23, tol=1e-2)
-    S = build("x^2 * (y - 1.25)^2", ("0", "1", "0"), cfg=cfg)
+    S = build("x^2 * (y - 1.25)^2", ("0", "1", "0"),
+              sampling=SamplingConfig(samples=24, seed=23, tol=1e-2))
     with pytest.raises(DegenerateInputError) as info:
-        eta_einstein_check(S, cfg)
+        eta_einstein_check(S)
     assert info.value.witness is not None
 
 
 def test_wrong_reeb_shape_fails_coordinate_route():
     m = load_fixture("g6g10-almost-alpha")
-    v = eta_einstein_check(m.build(), m.sampling)
+    v = eta_einstein_check(m.build())
     assert not v.is_eta_einstein
     assert "xi3" in v.check.detail
 
@@ -109,7 +109,7 @@ def test_wrong_reeb_shape_fails_coordinate_route():
 
 def test_equivalences_all_true_on_parabolic():
     S = build("x^2", ("0", "1", "0"))
-    rep = curvature_equivalences(S, CFG)
+    rep = curvature_equivalences(S)
     assert not rep.check.fails
     assert all(rep.flags.values())
     assert set(rep.flags) == {
@@ -124,16 +124,16 @@ def test_equivalences_all_true_on_parabolic():
 
 def test_equivalences_all_true_on_flat():
     S = build("y*z", ("0", "1", "0"))
-    rep = curvature_equivalences(S, CFG)
+    rep = curvature_equivalences(S)
     assert not rep.check.fails
     assert all(rep.flags.values())
-    assert flatness(S.manifold, CFG).flat
-    assert not eta_einstein_check(S, CFG).is_eta_einstein
+    assert flatness(S.manifold).flat
+    assert not eta_einstein_check(S).is_eta_einstein
 
 
 def test_equivalences_all_false_on_mix56():
     m = load_fixture("g5g6-normal")
-    rep = curvature_equivalences(m.build(), m.sampling)
+    rep = curvature_equivalences(m.build())
     assert not rep.check.fails
     assert not any(rep.flags.values())
 
@@ -142,7 +142,7 @@ def test_equivalences_agree_across_fixtures():
     for name in ("g0-parallel", "g10-almost-paracosymplectic", "g12-pure",
                  "paracontact-exponential"):
         m = load_fixture(name)
-        rep = curvature_equivalences(m.build(), m.sampling)
+        rep = curvature_equivalences(m.build())
         assert not rep.check.fails, name
         assert len(set(rep.flags.values())) == 1
 
@@ -204,7 +204,7 @@ def test_report_sectional_curvatures_are_the_pointwise_ones(name, samples):
     report = build_report(S, name=name)
     assert report.exit_status == 0
     section = report.curvature["sectional"]
-    point = tuple(S.sample_points()[0])
+    point = tuple(S.domain.sample()[0])
     rep = sectional_curvatures(S, DIRECTIONS[section["direction"]], point)
     assert bits(rep.K_xi) == bits(section["K_xi"])
     assert bits(rep.K_phi) == bits(section["K_phi"])
@@ -220,7 +220,7 @@ def reference_k_xi(S, point, X):
     R(u, v, v, u) by one einsum without optimize, over the Gram
     determinant of the plane."""
     frame = S.frame(point)
-    R = curvature_at(S.manifold, point).components
+    R = curvature_at(S.manifold, point)
     g, xi = frame.g, frame.xi_vec
     u = np.asarray(X, dtype=float)
     u = u - (frame.eta_vec @ u) * xi
@@ -233,11 +233,11 @@ def reference_k_xi(S, point, X):
 def test_xi_matches_n_is_the_pointwise_comparison(samples):
     S = load_fixture("eta-einstein-parabolic").build(samples=samples)
     verdict = eta_einstein_check(S)
-    point = tuple(S.sample_points()[0])
+    point = tuple(S.domain.sample()[0])
     # the comparison at the point, from the frame there
-    n = segre_type(S.manifold, point, S.config).n_vector
+    n = segre_type(S.manifold, point).n_vector
     xi = S.frame(point).xi_vec
-    allowed = S.config.tol * (1.0 + np.abs(n).max() + np.abs(xi).max())
+    allowed = S.domain.sampling.tol * (1.0 + np.abs(n).max() + np.abs(xi).max())
     signs = [sign for sign in (1, -1) if np.abs(xi - sign * n).max() <= allowed]
     assert signs and verdict.xi_matches_N == signs[0]
 
@@ -246,7 +246,7 @@ def test_xi_matches_n_is_the_pointwise_comparison(samples):
 
 def test_profile_parabolic():
     S = build("x^2", ("0", "1", "0"))
-    prof = eta_einstein_report(S, CFG)
+    prof = eta_einstein_report(S)
     assert prof.verdict.is_eta_einstein
     assert prof.scal_constant and abs(2 * prof.verdict.a - 2.0) <= 1e-12
     assert (abs(prof.verdict.a - 1.0) <= 1e-12
@@ -263,10 +263,10 @@ def test_profile_parabolic():
 def test_profile_is_the_pointwise_sectional_curvatures(f, samples):
     # the profile reads each probe point's column of the sample; the
     # pointwise API on the same draws gives the same bits
-    S = build(f, ("0", "1", "0"), cfg=SamplingConfig(samples=samples))
+    S = build(f, ("0", "1", "0"), sampling=SamplingConfig(samples=samples))
     prof = eta_einstein_report(S)
-    pts = S.sample_points()
-    draws = PCG64Stream(S.config.seed + 1).uniform(
+    pts = S.domain.sample()
+    draws = PCG64Stream(S.domain.sampling.seed + 1).uniform(
         -1.0, 1.0, (min(5, len(pts)), 50, 3))
     k_xi_max, k_phi = 0.0, []
     for p, directions in zip(pts, draws):
@@ -283,7 +283,7 @@ def test_profile_is_the_pointwise_sectional_curvatures(f, samples):
 
 def test_profile_detects_almost_paracosymplectic():
     S = build("x^2 + y*z", ("0", "1", "0"))
-    prof = eta_einstein_report(S, CFG)
+    prof = eta_einstein_report(S)
     assert prof.verdict.is_eta_einstein
     assert prof.scal_constant
     assert not prof.discriminant.holds
@@ -294,6 +294,6 @@ def test_profile_detects_almost_paracosymplectic():
 
 def test_profile_not_applicable_without_eta_einstein():
     S = build("x^2 + y^2", ("0", "1", "0"))
-    prof = eta_einstein_report(S, CFG)
+    prof = eta_einstein_report(S)
     assert not prof.verdict.is_eta_einstein
     assert prof.verdict.a is None

@@ -102,7 +102,7 @@ def rational_points(S) -> np.ndarray:
     """S's sample, each coordinate the nearest fraction with denominator at
     most 100 (in the closed box), as an object array of Q."""
     return np.array([[Q(Fraction(c).limit_denominator(100)) for c in p]
-                     for p in S.sample_points()], dtype=object)
+                     for p in S.domain.sample()], dtype=object)
 
 
 def exact(a) -> bool:

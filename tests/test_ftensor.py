@@ -17,7 +17,8 @@ from geometry_oracles import (
 )
 from test_contract import identical, operand
 import walkergeo.ftensor as ftensor
-from walkergeo.errors import EvaluationError
+from walkergeo.corpus import load_fixture
+from walkergeo.errors import EvaluationError, OutOfDomainError
 from walkergeo.expressions import diff, evaluate_with_scale
 from walkergeo.ftensor import (
     coefficient_fields,
@@ -38,15 +39,15 @@ from walkergeo.ftensor import (
 )
 from walkergeo.manifest import load_manifest
 from walkergeo.sampling import SamplingConfig, is_identically_zero
-from walkergeo.structure import max_abs
+from walkergeo.structure import max_abs, nabla_xi
 from write_reports import MANIFESTS
 
 CFG = SamplingConfig(samples=24, seed=13)
-build = partial(build_on_box, cfg=CFG)
+build = partial(build_on_box, sampling=CFG)
 
 
 def points(S, n=6):
-    return [tuple(float(c) for c in p) for p in S.sample_points(CFG)[:n]]
+    return [tuple(float(c) for c in p) for p in S.domain.sample()[:n]]
 
 
 NORMAL_MIX = ("x^2/y^2", ("x/y", "1", "0"))
@@ -212,7 +213,7 @@ def test_divergence_of_reeb_is_minus_theta_star(f, xi):
     # exterior derivative is the Reeb divergence times the volume form
     S = build(f, xi)
     div = (diff(S.xi[0], "x") + diff(S.xi[1], "y") + diff(S.xi[2], "z"))
-    assert is_identically_zero(div + theta_star_xi_field(S), S.domain, CFG)
+    assert is_identically_zero(div + theta_star_xi_field(S), S.domain)
 
 
 def test_theta_field_closed_form_against_contraction():
@@ -336,21 +337,21 @@ def test_d_fundamental_law_with_g6_present():
 
 def test_normality_defect_vanishes_on_normal_structure():
     S = build(*NORMAL_MIX)
-    batch = split_components_batch(S, S.sample_points(CFG))
+    batch = split_components_batch(S, S.domain.sample())
     defect = normality_defect_batch(S, batch)
     assert np.abs(defect).max() <= 1e-9 * (1 + batch.scale.max())
 
 
 def test_normality_defect_nonzero_with_g10_present():
     S = build(*NULL_SCALED)
-    batch = split_components_batch(S, S.sample_points(CFG))
+    batch = split_components_batch(S, S.domain.sample())
     defect = normality_defect_batch(S, batch)
     assert np.abs(defect).max() > 1e-4
 
 
 def test_pointwise_normality_data_matches_batch():
     S = build(*GENERIC)
-    pts = S.sample_points(CFG)[:4]
+    pts = S.domain.sample()[:4]
     batch = split_components_batch(S, pts)
     defect = normality_defect_batch(S, batch)
     for i, p in enumerate(pts):
@@ -517,7 +518,7 @@ def test_projection_formulas_unit_y_setting():
 @pytest.mark.parametrize("f,xi", ALL, ids=IDS)
 def test_batch_matches_pointwise(f, xi):
     S = build(f, xi)
-    pts = S.sample_points(CFG)[:6]
+    pts = S.domain.sample()[:6]
     F_batch, _ = structure_tensor_batch(S, pts)
     comp = split_components_batch(S, pts)
     de = d_eta_batch(S, comp)
@@ -595,7 +596,7 @@ def test_a_component_split_that_overflows_raises_at_its_first_point():
     # and F10 = F - F5 - F6 - F12 meets inf - inf at every sampled point
     manifest = load_manifest(MANIFESTS / "overflow-contraction.manifest")
     S = manifest.build(samples=4)
-    pts = S.sample_points()
+    pts = S.domain.sample()
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # and no numpy warning before it
         for point, first in ((pts, pts[0]), (pts[2], pts[2])):
@@ -610,7 +611,7 @@ def test_a_batch_split_that_overflows_raises_at_its_first_point():
     # can reach a zero test, and with no numpy warning
     manifest = load_manifest(MANIFESTS / "overflow-contraction.manifest")
     S = manifest.build(samples=4)
-    pts = S.sample_points()
+    pts = S.domain.sample()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match=(
@@ -643,7 +644,7 @@ def test_a_non_finite_route_discrepancy_raises_at_its_first_point(
     name, fault = ROUTE_FAULTS[view]
     original = getattr(ftensor, name)
     S = build(*GENERIC)
-    pts = S.sample_points(CFG)[:4]
+    pts = S.domain.sample()[:4]
     # nan at points 1 and 3 of a batch, or everywhere at one point
     for point, at in ((pts, (..., [1, 3])), (pts[1], ...)):
         monkeypatch.setattr(ftensor, name,
@@ -652,3 +653,25 @@ def test_a_non_finite_route_discrepancy_raises_at_its_first_point(
                 "non-finite value in 'a sampled residual'")) as info:
             view(S, point)
         assert info.value.point == tuple(pts[1].tolist())
+
+
+D_X, D_Y = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+POINTWISE = {
+    "f_tensor_at": f_tensor_at,
+    "theta_forms": theta_forms,
+    "exterior_data_at": exterior_data_at,
+    "normality_data_at": normality_data_at,
+    "project_components": project_components,
+    "nabla_xi": lambda S, p: nabla_xi(S, D_X, p),
+    "nijenhuis": lambda S, p: nijenhuis(S, p, D_X, D_Y),
+}
+
+
+@pytest.mark.parametrize("view", POINTWISE.values(), ids=list(POINTWISE))
+def test_a_pointwise_view_refuses_a_point_outside_the_domain(view):
+    # the box of g5g6-normal is [0.5, 2]^3; every view reads the frame there,
+    # which refuses the point as metric_at and curvature_at do
+    S = load_fixture("g5g6-normal").build(samples=8)
+    with pytest.raises(OutOfDomainError):
+        view(S, (5.0, 5.0, 5.0))
+    view(S, (1.0, 1.5, 0.75))   # a point inside still answers

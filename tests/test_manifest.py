@@ -34,9 +34,9 @@ def test_parse_good_manifest():
     assert m.f_source == "C * x + z"
     assert m.xi_sources == ("exp(C * z)", "1", "0")
     assert m.constants == {"C": Fraction(1, 2)}
-    assert m.sampling.samples == 12
-    assert m.sampling.seed == 7
-    assert m.sampling.tol == 1e-8
+    assert m.domain.sampling.samples == 12
+    assert m.domain.sampling.seed == 7
+    assert m.domain.sampling.tol == 1e-8
     assert m.domain.intervals[0].lo == 0.5
     assert len(m.domain.positive) == 1
     assert len(m.domain.nonzero) == 1
@@ -48,17 +48,17 @@ def test_defaults_when_sampling_keys_absent():
         if not line.startswith(("samples", "seed", "tol"))
     )
     m = parse_manifest(text)
-    assert (m.sampling.samples, m.sampling.seed, m.sampling.tol) == (64, 42, 1e-9)
+    assert m.domain.sampling == (64, 42, 1e-9)
 
 
 def test_build_applies_overrides():
     S = parse_manifest(GOOD).build(samples=5, seed=99, tol=1e-7)
-    assert S.config.samples == 5
-    assert S.config.seed == 99
-    assert S.config.tol == 1e-7
+    assert S.domain.sampling.samples == 5
+    assert S.domain.sampling.seed == 99
+    assert S.domain.sampling.tol == 1e-7
     # unset overrides keep manifest values
     T = parse_manifest(GOOD).build(seed=3)
-    assert (T.config.samples, T.config.seed, T.config.tol) == (12, 3, 1e-8)
+    assert T.domain.sampling == (12, 3, 1e-8)
 
 
 def test_constants_reach_expressions():

@@ -51,9 +51,9 @@ def kernel(name):
         original, seen = getattr(classify, name), []
 
         def faulted(S, batch):
-            out = bumped(original(S, batch), batch.scale, S.config.tol)
+            out = bumped(original(S, batch), batch.scale, S.domain.sampling.tol)
             seen.append(zero_verdict_from_samples(
-                out, batch.scale, batch.points, S.config.tol))
+                out, batch.scale, batch.points, S.domain.sampling.tol))
             return out
         monkeypatch.setattr(classify, name, faulted)
         return seen
@@ -65,14 +65,14 @@ def field(module, pick):
     def install(monkeypatch, S):
         original, target, seen = module.is_identically_zero, pick(S), []
 
-        def faulted(e, domain, cfg):
+        def faulted(e, domain):
             if e is not target:
-                return original(e, domain, cfg)
-            pts = domain.sample(cfg)
+                return original(e, domain)
+            pts, tol = domain.sample(), domain.sampling.tol
             values, scales = evaluate_with_scale(e, pts)
             scales = np.broadcast_to(scales, (len(pts),))
-            values = bumped(np.broadcast_to(values, (len(pts),)), scales, cfg.tol)
-            seen.append(zero_verdict_from_samples(values, scales, pts, cfg.tol))
+            values = bumped(np.broadcast_to(values, (len(pts),)), scales, tol)
+            seen.append(zero_verdict_from_samples(values, scales, pts, tol))
             return seen[-1]
         monkeypatch.setattr(module, "is_identically_zero", faulted)
         return seen
@@ -146,7 +146,7 @@ CASES = [
 def test_a_faulted_route_fails_with_its_witness_and_residual(
         monkeypatch, fixture, check, install):
     S = load_fixture(fixture).build()
-    pts, tol = S.sample_points(), S.config.tol
+    pts, tol = S.domain.sample(), S.domain.sampling.tol
     seen = install(monkeypatch, S)
     report = build_report(S, name=fixture)
 

@@ -29,35 +29,36 @@ def test_interval_rejects_degenerate():
 
 
 def test_sampling_is_deterministic_and_inside():
-    d = Domain(BOX)
-    cfg = SamplingConfig(samples=32, seed=11)
-    pts = d.sample(cfg)
-    again = d.sample(SamplingConfig(samples=32, seed=11))
+    d = Domain(BOX, sampling=SamplingConfig(samples=32, seed=11))
+    pts = d.sample()
+    again = Domain(BOX, sampling=SamplingConfig(samples=32, seed=11)).sample()
     assert pts.shape == (32, 3)
     assert np.array_equal(pts, again)
     assert np.all(pts >= 0.5) and np.all(pts <= 2.0)
-    other = d.sample(SamplingConfig(samples=32, seed=12))
+    other = d._replace(sampling=SamplingConfig(samples=32, seed=12)).sample()
     assert not np.array_equal(pts, other)
 
 
 def test_positivity_constraint_filters_points():
     # x - y > 0 keeps roughly half the box; sampling must still fill up
-    d = Domain(BOX, positive=(parse("x - y"),))
-    pts = d.sample(SamplingConfig(samples=50, seed=3))
+    d = Domain(BOX, positive=(parse("x - y"),),
+               sampling=SamplingConfig(samples=50, seed=3))
+    pts = d.sample()
     assert pts.shape == (50, 3)
     assert np.all(pts[:, 0] > pts[:, 1])
 
 
 def test_contradictory_constraint_exhausts():
-    d = Domain(BOX, positive=(parse("-1 - x"),))
+    d = Domain(BOX, positive=(parse("-1 - x"),),
+               sampling=SamplingConfig(samples=8, seed=0))
     with pytest.raises(EmptyDomainError):
-        d.sample(SamplingConfig(samples=8, seed=0))
+        d.sample()
 
 
 def test_nonzero_constraint():
     d = Domain((Interval(-1.0, 1.0), Interval(-1.0, 1.0), Interval(-1.0, 1.0)),
-               nonzero=(parse("x"),))
-    pts = d.sample(SamplingConfig(samples=40, seed=5))
+               nonzero=(parse("x"),), sampling=SamplingConfig(samples=40, seed=5))
+    pts = d.sample()
     assert np.all(np.abs(pts[:, 0]) > 0)
 
 
@@ -68,9 +69,8 @@ def test_contains():
 
 
 def test_zero_verdict_on_actual_zero():
-    d = Domain(BOX)
-    cfg = SamplingConfig(samples=64, seed=42)
-    v = is_identically_zero(parse("(x + y)^2 - x^2 - 2*x*y - y^2"), d, cfg)
+    d = Domain(BOX, sampling=SamplingConfig(samples=64, seed=42))
+    v = is_identically_zero(parse("(x + y)^2 - x^2 - 2*x*y - y^2"), d)
     assert v
     assert v.holds
     assert v.witness is None
@@ -78,33 +78,31 @@ def test_zero_verdict_on_actual_zero():
 
 
 def test_zero_verdict_finds_witness():
-    d = Domain(BOX)
-    cfg = SamplingConfig(samples=64, seed=42)
-    v = is_identically_zero(parse("x - y"), d, cfg)
+    d = Domain(BOX, sampling=SamplingConfig(samples=64, seed=42))
+    v = is_identically_zero(parse("x - y"), d)
     assert not v.holds
     assert v.witness is not None
     # the witness is a point past the bound tol * (1 + scale), the scale
     # of x - y being its largest subexpression magnitude there
     x, y, _ = v.witness
-    assert abs(x - y) > cfg.tol * (1 + max(x, y))
-    assert v.residual > cfg.tol
+    assert abs(x - y) > d.sampling.tol * (1 + max(x, y))
+    assert v.residual > d.sampling.tol
 
 
 def test_zero_verdict_scales_relative():
     # 1e6 * (tiny but nonzero) must not pass just because values start big
-    d = Domain(BOX)
-    cfg = SamplingConfig(samples=64, seed=1)
-    v = is_identically_zero(parse("1000000*(x - y)"), d, cfg)
+    d = Domain(BOX, sampling=SamplingConfig(samples=64, seed=1))
+    v = is_identically_zero(parse("1000000*(x - y)"), d)
     assert not v.holds
 
 
 def test_nonvanishing_verdict():
-    d = Domain(BOX)
-    cfg = SamplingConfig(samples=64, seed=42)
-    assert nonvanishing(parse("x + y"), d, cfg).holds
+    d = Domain(BOX, sampling=SamplingConfig(samples=64, seed=42))
+    assert nonvanishing(parse("x + y"), d).holds
     # detection is sample-based: catching the zero set of x - y needs a
     # tolerance wider than the closest sample's residual
-    v = nonvanishing(parse("x - y"), d, SamplingConfig(samples=64, seed=42, tol=1e-2))
+    v = nonvanishing(parse("x - y"),
+                     d._replace(sampling=d.sampling.with_overrides(tol=1e-2)))
     assert not v.holds
     assert v.witness is not None
 
@@ -134,7 +132,8 @@ def test_a_constraint_that_fails_on_a_batch_is_evaluated_point_by_point(
     # sqrt(x - 1) raises on every candidate batch, which holds some x <= 1,
     # so the sampler evaluates it point by point and rejects those points
     path = MANIFESTS / "sqrt-constraint.manifest"
-    domain = load_manifest(path).domain
+    domain = load_manifest(path).domain._replace(
+        sampling=SamplingConfig(samples=samples))
     fallback = sampling._evaluate_pointwise
     batches = []
 
@@ -144,7 +143,7 @@ def test_a_constraint_that_fails_on_a_batch_is_evaluated_point_by_point(
 
     monkeypatch.setattr(sampling, "_evaluate_pointwise", pointwise)
     # uncached, so that this call draws the sample itself
-    pts = Domain.sample.__wrapped__(domain, SamplingConfig(samples=samples))
+    pts = Domain.sample.__wrapped__(domain)
     assert batches and pts.shape == (samples, 3)
     assert np.all(pts[:, 0] > 1.0)
     assert main(["analyze", str(path), "--samples", str(samples)]) == 0

@@ -81,30 +81,32 @@ def test_the_stream_continues_to_the_pinned_doubles():
         list(PINNED_AFTER_A_BATCH)
 
 
-def numpy_sample(domain: Domain, cfg: SamplingConfig):
+def numpy_sample(domain: Domain):
     """The sampler's rejection loop drawing from numpy.random, and the
     number of candidate batches it drew."""
-    rng = np.random.default_rng(cfg.seed)
+    n = domain.sampling.samples
+    rng = np.random.default_rng(domain.sampling.seed)
     los = np.array([iv.lo for iv in domain.intervals])
     his = np.array([iv.hi for iv in domain.intervals])
-    collected, count, batch = [], 0, max(cfg.samples * 2, 64)
+    collected, count, batch = [], 0, max(n * 2, 64)
     for batches in range(1, _MAX_BATCHES + 1):
         candidates = rng.uniform(los, his, size=(batch, 3))
         good = candidates[domain._admissible(candidates)]
         collected.append(good)
         count += good.shape[0]
-        if count >= cfg.samples:
-            return np.concatenate(collected)[: cfg.samples], batches
+        if count >= n:
+            return np.concatenate(collected)[:n], batches
     raise AssertionError("the reference loop did not fill the sample")
 
 
 @pytest.mark.parametrize("samples, seed", [(1, 42), (64, 42), (512, 7), (100, 2**70)])
 def test_the_rejection_loop_samples_numpys_points(samples, seed):
-    cfg = SamplingConfig(samples=samples, seed=seed)
-    expected, batches = numpy_sample(RESTRICTED, cfg)
+    domain = RESTRICTED._replace(
+        sampling=SamplingConfig(samples=samples, seed=seed))
+    expected, batches = numpy_sample(domain)
     if samples > 1:
         assert batches > 1
-    pts = RESTRICTED.sample(cfg)
+    pts = domain.sample()
     assert pts.shape == (samples, 3) and np.all(pts[:, 0] > 1.8)
     assert np.array_equal(bits(pts), bits(expected))
 

@@ -21,7 +21,7 @@ from walkergeo.structure import (
 from walkergeo.walker import WalkerManifold
 
 CFG = SamplingConfig(samples=32, seed=9)
-build = partial(build_on_box, cfg=CFG)
+build = partial(build_on_box, sampling=CFG)
 
 # (f, xi) pairs covering the Reeb shapes the classifier cares about
 STRUCTURES = [
@@ -37,7 +37,7 @@ STRUCTURES = [
 @pytest.mark.parametrize("f,xi", STRUCTURES, ids=[s[0] for s in STRUCTURES])
 def test_all_axioms_hold(f, xi):
     S = build(f, xi)
-    routes = validate_axioms(S, CFG)
+    routes = validate_axioms(S)
     for name, route in routes.items():
         assert route.holds, f"{name}: residual {route.residual}"
     assert len(routes) == 10
@@ -48,7 +48,7 @@ def test_all_axioms_hold(f, xi):
 def test_unit_constraint_field_source():
     M = WalkerManifold(parse("x^2"), 1, BOX)
     field = unit_constraint_field(M, (parse("0"), parse("1"), parse("0")))
-    assert is_identically_zero(field, BOX, CFG)
+    assert is_identically_zero(field, BOX._replace(sampling=CFG))
 
 
 def test_phi_closed_form_unit_y():
@@ -76,7 +76,7 @@ def test_phi_closed_form_null_scaled():
 @pytest.mark.parametrize("f,xi", STRUCTURES, ids=[s[0] for s in STRUCTURES])
 def test_eta_is_metric_dual(f, xi):
     S = build(f, xi)
-    for p in S.sample_points(CFG)[:8]:
+    for p in S.domain.sample()[:8]:
         fr = S.frame(tuple(p))
         assert np.abs(fr.eta_vec - fr.g @ fr.xi_vec).max() <= 1e-12 * (1 + fr.scale)
         assert abs(fr.eta_vec @ fr.xi_vec - 1.0) <= 1e-12 * (1 + fr.scale)
@@ -93,7 +93,7 @@ def test_frame_cache_returns_same_object():
 @pytest.mark.parametrize("f,xi", STRUCTURES, ids=[s[0] for s in STRUCTURES])
 def test_value_scale_is_the_order_0_scale(f, xi):
     S = build(f, xi)
-    pts = S.sample_points(CFG)
+    pts = S.domain.sample()
     for points in (pts, pts[3]):
         # outside an analysis each jet is computed afresh
         jets = [eval_jet(e, points, 0) for e in (S.manifold.f,) + S.xi]
@@ -107,7 +107,7 @@ def test_value_scale_is_the_order_0_scale(f, xi):
 def test_frame_jets_are_the_structure_fields_jets(f, xi):
     # eta and phi are stated once, as expressions: the frame holds their jets
     S = build(f, xi)
-    pts = S.sample_points(CFG)
+    pts = S.domain.sample()
     for points in (pts, tuple(pts[3])):
         with analysis():
             fr = S.frame(points)
@@ -122,7 +122,7 @@ def test_nabla_xi_against_oracle(f, xi):
     S = build(f, xi)
     g_fn = metric_fn(S.manifold.f)
     xi_fn = vector_fn(S.xi)
-    for p in S.sample_points(CFG)[:4]:
+    for p in S.domain.sample()[:4]:
         p = tuple(float(c) for c in p)
         gamma = christoffel_oracle(g_fn, p)
         for a in range(3):
@@ -139,7 +139,7 @@ def test_corrupted_phi_fails_validation():
     # flip the sign of phi^2_3; compatibility and skew-adjointness both break
     entries[1][2] = to_source(-S.phi[1][2] + parse("1"))
     bad = with_phi(S, tuple(tuple(parse(e) for e in row) for row in entries))
-    routes = validate_axioms(bad, CFG)
+    routes = validate_axioms(bad)
     failed = {name for name, route in routes.items() if not route.holds}
     assert failed, "corruption must trip at least one axiom"
     for name in failed:
@@ -149,14 +149,14 @@ def test_corrupted_phi_fails_validation():
 def test_unit_constraint_violation_rejected():
     M = WalkerManifold(parse("x^2"), 1, BOX)
     with pytest.raises(UnitConstraintError) as info:
-        build_structure(M, (parse("0"), parse("2"), parse("0")), CFG)
+        build_structure(M, (parse("0"), parse("2"), parse("0")))
     assert "(" in str(info.value)  # witness point is part of the message
 
 
 def test_timelike_complement_rejected():
     M = WalkerManifold(parse("x^2"), -1, BOX)
     with pytest.raises(NonexistentStructureError):
-        build_structure(M, (parse("0"), parse("1"), parse("0")), CFG)
+        build_structure(M, (parse("0"), parse("1"), parse("0")))
 
 
 def test_eta_symbolic_components():

@@ -26,7 +26,9 @@ from walkergeo.expressions import Add, Num, Sub, Var, parse
 from walkergeo.ftensor import f_tensor_at
 from walkergeo.report import build_report
 from walkergeo.sampling import Domain, Interval, Route, SamplingConfig
-from walkergeo.walker import SegreVerdict, curvature_at, flatness, metric_at
+from walkergeo.walker import (
+    SegreVerdict, christoffel_at, curvature_at, flatness, metric_at, ricci_at,
+)
 
 SRC = str(Path(walkergeo.__file__).resolve().parents[1])
 MODULES = [importlib.import_module(f"walkergeo.{info.name}")
@@ -57,13 +59,12 @@ def structure():
 
 
 def test_assigning_a_field_raises(structure):
-    point = structure.sample_points()[0]
+    point = structure.domain.sample()[0]
     values = [
         (parse("x*y + 1"), "left"), (Num(2), "value"), (Var("x"), "name"),
         (Interval(0.0, 1.0), "lo"), (SamplingConfig(), "samples"),
         (structure.domain, "positive"), (Route(True), "holds"),
         (f_tensor_at(structure, point), "components"),
-        (curvature_at(structure.manifold, point), "variance"),
         (build_report(structure, name="v"), "failures"),
     ]
     for value, field in values:
@@ -83,7 +84,7 @@ def test_equal_keys_are_equal_and_hash_equal():
     d1, d2 = (load_fixture(f.name).domain for f in FIXTURES[:1] * 2)
     assert d1 is not d2 and d1 == d2 and hash(d1) == hash(d2)
     # equal domains share the cached sample
-    assert d1.sample(SamplingConfig(4)) is d2.sample(SamplingConfig(4))
+    assert d1.sample() is d2.sample()
     assert Interval(0.5, 2) == Interval(0.5, 2.0)
     assert hash(Interval(0.5, 2)) == hash(Interval(0.5, 2.0))
     assert Interval(0.5, 2) != (0.5, 2) and not Interval(0.5, 2) == (0.5, 2)
@@ -106,13 +107,12 @@ def test_a_cached_sample_is_found_without_python_code():
     # each analysis of a freshly read manifest looks its sample up by a new
     # box equal to the cached one; equal intervals are one object, so the
     # lookup compares the boxes in C
-    cfg = SamplingConfig(4)
-    load_fixture("g12-pure").domain.sample(cfg)
+    load_fixture("g12-pure").domain.sample()
     domain = load_fixture("g12-pure").domain
     calls = []
     sys.setprofile(lambda frame, event, arg: calls.append((event, frame)))
     try:
-        domain.sample(cfg)
+        domain.sample()
     finally:
         sys.setprofile(None)
     assert not [frame for event, frame in calls if event == "call"]
@@ -183,11 +183,12 @@ def test_verdicts_are_truthy_by_their_decision(name):
 
 
 def test_tensor_arrays_are_read_only(structure):
-    point = structure.sample_points()[0]
+    point = structure.domain.sample()[0]
     tensor = f_tensor_at(structure, point)
-    arrays = [tensor.components, tensor.reeb_square,
-              curvature_at(structure.manifold, point).components,
-              *(t.components for t in metric_at(structure.manifold, point))]
+    M = structure.manifold
+    arrays = [tensor.components, tensor.reeb_square, curvature_at(M, point),
+              christoffel_at(M, point), *metric_at(M, point),
+              *ricci_at(M, point)[:2]]
     for array in arrays:
         assert isinstance(array, np.ndarray) and not array.flags.writeable
         with pytest.raises(ValueError):

@@ -38,17 +38,17 @@ def manifold(source, eps=1):
 def test_metric_values():
     M = manifold("x^2")
     g, ginv = metric_at(M, (2.0, 0.7, 0.9))
-    assert g.components[2, 2] == 4.0
-    assert g.components[0, 2] == 1.0 and g.components[1, 1] == 1.0
-    assert ginv.components[0, 0] == -4.0
-    assert ginv.components[0, 2] == 1.0 and ginv.components[1, 1] == 1.0
+    assert g[2, 2] == 4.0
+    assert g[0, 2] == 1.0 and g[1, 1] == 1.0
+    assert ginv[0, 0] == -4.0
+    assert ginv[0, 2] == 1.0 and ginv[1, 1] == 1.0
 
 
 def test_metric_timelike_complement():
     M = manifold("x^2", eps=-1)
     g, ginv = metric_at(M, (1.0, 1.0, 1.0))
-    assert g.components[1, 1] == -1.0
-    assert ginv.components[1, 1] == -1.0
+    assert g[1, 1] == -1.0
+    assert ginv[1, 1] == -1.0
 
 
 @pytest.mark.parametrize("source", F_SOURCES)
@@ -56,8 +56,8 @@ def test_inverse_metric(source):
     M = manifold(source)
     for p in random_points(BOX_ARRAY, 10, seed=1):
         g, ginv = metric_at(M, p)
-        assert np.abs(g.components @ ginv.components - np.eye(3)).max() <= 1e-12
-        assert abs(np.linalg.det(g.components) + 1.0) <= 1e-12
+        assert np.abs(g @ ginv - np.eye(3)).max() <= 1e-12
+        assert abs(np.linalg.det(g) + 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("source", F_SOURCES)
@@ -65,14 +65,14 @@ def test_christoffel_against_generic_oracle(source):
     M = manifold(source)
     g_fn = metric_fn(M.f)
     for p in random_points(BOX_ARRAY, 6, seed=2):
-        gamma = christoffel_at(M, p).components
+        gamma = christoffel_at(M, p)
         oracle = christoffel_oracle(g_fn, p)
         assert np.abs(gamma - oracle).max() <= 1e-6
 
 
 def test_christoffel_closed_form_spot_check():
     M = manifold("x^2")
-    gamma = christoffel_at(M, (1.0, 0.7, 0.9)).components
+    gamma = christoffel_at(M, (1.0, 0.7, 0.9))
     # nabla_{d_z} d_z = (f f_x + f_z)/2 d_x - f_y/2 d_y - f_x/2 d_z
     assert abs(gamma[0, 2, 2] - 1.0) <= 1e-14
     assert abs(gamma[1, 2, 2]) <= 1e-14
@@ -90,7 +90,7 @@ def test_curvature_against_fd_oracle(source):
     M = manifold(source)
     g_fn = metric_fn(M.f)
     for p in random_points(BOX_ARRAY, 4, seed=3):
-        R = curvature_at(M, p).components
+        R = curvature_at(M, p)
         oracle = curvature_oracle(g_fn, p)
         # nested finite differences: truncation error scales with magnitude
         assert np.abs(R - oracle).max() <= 1e-6 * (1 + np.abs(R).max())
@@ -99,7 +99,7 @@ def test_curvature_against_fd_oracle(source):
 def test_curvature_closed_form_spot_check():
     # R(d_y, d_z) d_y = -(f_yy/2) d_x; f = x^2/y^2 gives f_yy = 6 at (1,1,1)
     M = manifold("x^2/y^2")
-    R = curvature_at(M, (1.0, 1.0, 1.0)).components
+    R = curvature_at(M, (1.0, 1.0, 1.0))
     assert np.allclose(R[1, 2, 1], [-3.0, 0.0, 0.0], atol=1e-12)
     # the (d_x, d_y) plane is always flat
     assert np.abs(R[0, 1]).max() == 0.0
@@ -109,9 +109,9 @@ def test_curvature_closed_form_spot_check():
 def test_curvature_symmetries(source):
     M = manifold(source)
     for p in random_points(BOX_ARRAY, 4, seed=4):
-        R = curvature_at(M, p).components
+        R = curvature_at(M, p)
         g, _ = metric_at(M, p)
-        low = np.einsum("ijkl,lm->ijkm", R, g.components)
+        low = np.einsum("ijkl,lm->ijkm", R, g)
         assert np.abs(low + low.transpose(1, 0, 2, 3)).max() <= 1e-10
         assert np.abs(low + low.transpose(0, 1, 3, 2)).max() <= 1e-10
         assert np.abs(low - low.transpose(2, 3, 0, 1)).max() <= 1e-10
@@ -124,12 +124,12 @@ def test_ricci_against_curvature_trace(source):
     M = manifold(source)
     for p in random_points(BOX_ARRAY, 5, seed=5):
         rho, q, scal = ricci_at(M, p)
-        R = curvature_at(M, p).components
-        assert np.abs(rho.components - ricci_from_curvature(R)).max() <= 1e-12
+        R = curvature_at(M, p)
+        assert np.abs(rho - ricci_from_curvature(R)).max() <= 1e-12
         g, ginv = metric_at(M, p)
         assert np.abs(
-            ginv.components @ rho.components - q.components).max() <= 1e-12
-        assert abs(np.trace(q.components) - scal) <= 1e-12
+            ginv @ rho - q).max() <= 1e-12
+        assert abs(np.trace(q) - scal) <= 1e-12
 
 
 def test_ricci_closed_form():
@@ -138,7 +138,7 @@ def test_ricci_closed_form():
     f, fxx, fyy = 2.0, 2.0, 2.0
     want = np.array([[0, 0, fxx / 2], [0, 0, 0],
                      [fxx / 2, 0, (f * fxx - fyy) / 2]])
-    assert np.abs(rho.components - want).max() <= 1e-12
+    assert np.abs(rho - want).max() <= 1e-12
     assert scal == 2.0
 
 
@@ -189,9 +189,9 @@ def test_segre_degenerate():
     # kernel vector: -(f_xy/f_xx) d_x + d_y = d_y here
     assert np.allclose(v.n_vector, [0.0, 1.0, 0.0], atol=1e-12)
     rho, q, _ = ricci_at(manifold("x^2"), (1.0, 1.0, 1.0))
-    assert np.abs(q.components @ v.n_vector).max() <= 1e-12
+    assert np.abs(q @ v.n_vector).max() <= 1e-12
     for vec in (v.v1, v.v2):
-        assert np.abs(q.components @ vec - vec).max() <= 1e-12
+        assert np.abs(q @ vec - vec).max() <= 1e-12
 
 
 def test_segre_other():
