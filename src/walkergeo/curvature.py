@@ -30,18 +30,21 @@ import numpy as np
 
 from .classify import Check, named_classes, unit_y_setting
 from .errors import DegenerateInputError, EvaluationError
-from .expressions import Expr, ONE, ZERO, diff, evaluate_with_scale
+from .expressions import (
+    Expr, ONE, ZERO, analysis, as_points, diff, evaluate_with_scale, is_finite,
+)
 from .sampling import (
     NEVER, PLANE_TOL, PCG64Stream, Route, analyzed, every,
     is_identically_zero, negated, nonvanishing, within,
     zero_verdict_from_samples,
 )
 from .jets import Jet3, eval_jet
-from .structure import ApctStructure, max_abs, points_first
+from .structure import (
+    ApctStructure, dot, mat_vec, max_abs, points_first, vec_mat,
+)
 from .walker import (
-    SegreVerdict, curvature_at, curvature_from_jet, f_hessian, flatness,
-    ricci_at, ricci_from_jet, scalar_curvature_constant,
-    scalar_curvature_field, segre_type,
+    SegreVerdict, curvature_from_jet, f_hessian, flatness, ricci_from_jet,
+    scalar_curvature_constant, scalar_curvature_field, segre_type,
 )
 
 _DIRECTIONS = 50    # per point, in `eta_einstein_report`
@@ -291,53 +294,70 @@ class SectionalReport(NamedTuple):
 
 
 def sectional_curvatures(S: ApctStructure, X, point) -> SectionalReport:
-    """`sectional_from_arrays` at one point; a report reads the same bits
-    from its sample (see `sample_column`)."""
-    frame = S.frame(point)
-    M = S.manifold
-    return sectional_from_arrays(
-        frame.point, curvature_at(M, point), frame.g, frame.xi_vec,
-        frame.eta_vec, frame.phi_mat, ricci_at(M, point)[2], X)
+    """`sectional_profile` at one point of the domain (else
+    OutOfDomainError) of a space-like Walker manifold (else
+    UnsupportedSignatureError), as a batch of one."""
+    pts = as_points(point)[None]
+    S.manifold.require_inside(pts[0])
+    S.manifold.require_spacelike_signature()
+    pts.flags.writeable = False   # so the frame and the jet share one key
+    with analysis():
+        K, degenerate = sectional_profile(S, pts, np.reshape(X, (1, 1, 3)))
+        scal = eval_jet(S.manifold.f, pts, 2).derivative((2, 0, 0))[0]
+    require_finite_sectional(K, degenerate, pts)
+    (K_xi, K_phi), (xi_deg, phi_deg) = K[0, 0], degenerate[0, 0]
+    return SectionalReport(
+        tuple(pts[0].tolist()), None if xi_deg else float(K_xi),
+        None if phi_deg else float(K_phi), scal, bool(xi_deg), bool(phi_deg))
 
 
-def sample_column(S: ApctStructure, pts: np.ndarray, k: int = 0) -> tuple:
-    """(R, g, xi, eta, phi, scal) at pts[k] from column k of the sample's
-    frame and order-2 jet of f (kept in an analysis), with the
-    pointwise bits; copied C-contiguous, as einsum's order follows strides."""
-    frame, f = S.frame(pts), eval_jet(S.manifold.f, pts, 2)
-    coeffs, g, xi, eta, phi = (np.ascontiguousarray(a[..., k]) for a in (
-        f.coeffs, frame.g, frame.xi_vec, frame.eta_vec, frame.phi_mat))
-    jet = Jet3(2, coeffs)
-    return curvature_from_jet(jet), g, xi, eta, phi, ricci_from_jet(jet)[2]
+@np.errstate(all="ignore")
+def sectional_profile(S: ApctStructure, pts: np.ndarray,
+                      X) -> tuple[np.ndarray, np.ndarray]:
+    """K(X_h, xi) and K(X_h, phi X_h), X_h = X - eta(X) xi, for X of shape
+    (m, d, 3): d directions at each of pts[:m], read from the frame and the
+    kept order-2 jet of f over pts, with numpy's warnings off.
 
-
-def sectional_from_arrays(point, R, g, xi, eta, phi, scal, X) -> SectionalReport:
-    """The SectionalReport at a point from the arrays there (see above); a
-    non-finite curvature (an overflow) is an EvaluationError there."""
+    Returns K, shape (m, d, 2) (the Reeb plane first), and the mask of
+    degenerate planes (see `sampling.PLANE_TOL`), where K means nothing. A
+    nondegenerate plane whose K is not finite is its caller's to refuse
+    (see `require_finite_sectional`). Every product runs on contiguous
+    points-first copies and R(u, v, v, u) is one einsum without optimize,
+    so each entry has the bits of the batch of one at its point.
+    """
     X = np.asarray(X, dtype=float)
-    Xh = X - (eta @ X) * xi
+    m, frame = len(X), S.frame(pts)
+    R = curvature_from_jet(
+        Jet3(2, eval_jet(S.manifold.f, pts, 2).coeffs[..., :m]))
+    R, g, xi, eta, phi = (
+        points_first(a[..., :m], a.ndim - 1)
+        for a in (R, frame.g, frame.xi_vec, frame.eta_vec, frame.phi_mat))
+    Xh = X - dot(eta[:, None], X)[..., None] * xi[:, None]
+    # the planes span(u, v), (X_h, xi) and (X_h, phi X_h), on an axis of
+    # their own
+    u = np.stack((Xh, Xh), axis=2)
+    v = np.stack((np.broadcast_to(xi[:, None], Xh.shape),
+                  mat_vec(phi[:, None], Xh)), axis=2)
+    gu, gv = (vec_mat(a, g[:, None, None]) for a in (u, v))
+    guu, gvv, guv = dot(gu, u), dot(gv, v), dot(gu, v)
+    den = guu * gvv - guv * guv
+    degenerate = within(abs(den), PLANE_TOL, abs(guu * gvv) + guv * guv + 1e-300)
+    # R(u, v, v, u) at point p, direction d and plane c
+    pair = np.einsum("pdci,pdcj,pdck,pijkl,plm,pdcm->pdc", u, v, v, R, g, u)
+    # a degenerate plane's den (0.0 among them) is not divided by
+    return pair / np.where(degenerate, 1.0, den), degenerate
 
-    def pair(u, v):
-        # R(u, v, v, u) with all indices fed through the curvature layout
-        return float(
-            np.einsum("i,j,k,ijkl,lm,m->", u, v, v, R, g, u)
-        )
 
-    def plane(u, v, name):
-        guu = float(u @ g @ u)
-        gvv = float(v @ g @ v)
-        guv = float(u @ g @ v)
-        den = guu * gvv - guv * guv
-        if within(abs(den), PLANE_TOL, abs(guu * gvv) + guv * guv + 1e-300):
-            return None, True   # den == 0.0 is among these
-        K = pair(u, v) / den
-        if not np.isfinite(K):
-            raise EvaluationError("non-finite sectional curvature", name, point)
-        return K, False
-
-    K_xi, xi_deg = plane(Xh, xi, "K_xi")
-    K_phi, phi_deg = plane(Xh, phi @ Xh, "K_phi")
-    return SectionalReport(point, K_xi, K_phi, scal, xi_deg, phi_deg)
+def require_finite_sectional(K: np.ndarray, degenerate: np.ndarray,
+                             pts: np.ndarray) -> None:
+    """EvaluationError at the first nondegenerate plane of a
+    `sectional_profile`, in point, direction and then plane order, whose K
+    is not finite (an overflow)."""
+    bad = ~degenerate & ~is_finite(K)
+    if bad.any():
+        k, _, plane = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise EvaluationError("non-finite sectional curvature",
+                              ("K_xi", "K_phi")[plane], pts[k])
 
 
 # --- the eta-Einstein curvature profile --------------------------------------
@@ -372,9 +392,9 @@ def eta_einstein_report(S: ApctStructure) -> EtaEinsteinProfile:
     along _DIRECTIONS vectors each, with components uniform on [-1, 1]
     from the package's PCG64 stream seeded with the sample's seed + 1 (the
     draws of numpy's default_rng(seed + 1), see `sampling.PCG64Stream`), in
-    point order, then direction order, then component order. Each point's
-    arrays are its column of the sample (see `sample_column`), so the
-    values are those of `sectional_curvatures` there.
+    point order, then direction order, then component order, all through
+    one `sectional_profile`: the values of `sectional_curvatures` there.
+    The statistics run over the nondegenerate planes in that order.
     """
     verdict = eta_einstein_check(S)
     if not verdict.is_eta_einstein:
@@ -383,23 +403,14 @@ def eta_einstein_report(S: ApctStructure) -> EtaEinsteinProfile:
     h = f_hessian(S.manifold.f)
     pts = S.domain.sample()
 
-    k_xi_max = 0.0
-    k_phi: list[float] = []
     draws = PCG64Stream(S.domain.sampling.seed + 1).uniform(
         -1.0, 1.0, (min(5, pts.shape[0]), _DIRECTIONS, 3))
-    for k, directions_at_p in enumerate(draws):
-        point = tuple(float(c) for c in pts[k])
-        arrays = sample_column(S, pts, k)
-        for X in directions_at_p:
-            report = sectional_from_arrays(point, *arrays, X)
-            if report.K_xi is not None:
-                k_xi_max = max(k_xi_max, abs(report.K_xi))
-            if report.K_phi is not None:
-                k_phi.append(report.K_phi)
-
-    k_phi_arr = np.asarray(k_phi)
-    k_phi_value = float(k_phi_arr.mean()) if k_phi else None
-    k_phi_variance = float(k_phi_arr.var()) if k_phi else None
+    K, degenerate = sectional_profile(S, pts, draws)
+    require_finite_sectional(K, degenerate, pts)
+    k_xi, k_phi = (K[..., i][~degenerate[..., i]] for i in (0, 1))
+    k_xi_max = float(np.abs(k_xi).max(initial=0.0))
+    k_phi_value = float(k_phi.mean()) if k_phi.size else None
+    k_phi_variance = float(k_phi.var()) if k_phi.size else None
 
     disc_field = (2 * diff(h["fxy"], "z") + h["fx"] * h["fxy"]
                   - h["fxx"] * h["fy"])

@@ -15,8 +15,8 @@ import numpy as np
 
 from .classify import NAMED_CLASSES, Check, decide, named_classes
 from .curvature import (
-    curvature_equivalences, eta_einstein_check, sample_column,
-    sectional_from_arrays,
+    curvature_equivalences, eta_einstein_check, require_finite_sectional,
+    sectional_profile,
 )
 from .expressions import evaluate_with_scale, to_source
 from .ftensor import exterior_data_at, f_tensor_at, project_components, theta_forms
@@ -103,22 +103,21 @@ def _render(tree: dict) -> list[str]:
     return lines
 
 
-def _pick_direction(point, arrays):
-    """First coordinate direction spanning nondegenerate planes with the
-    Reeb field and with its own phi image; falls back to the last try."""
-    candidates = (
-        ("d_z", np.array([0.0, 0.0, 1.0])),
-        ("d_y", np.array([0.0, 1.0, 0.0])),
-        ("d_x", np.array([1.0, 0.0, 0.0])),
-        ("d_x + d_y + d_z", np.array([1.0, 1.0, 1.0])),
-    )
-    last = None
-    for label, X in candidates:
-        sec = sectional_from_arrays(point, *arrays, X)
-        last = (label, X, sec)
-        if not sec.xi_plane_degenerate and not sec.phi_plane_degenerate:
-            return last
-    return last
+# the report's candidate directions at pts[0], in the order they are tried
+_CANDIDATES = {"d_z": (0.0, 0.0, 1.0), "d_y": (0.0, 1.0, 0.0),
+               "d_x": (1.0, 0.0, 0.0), "d_x + d_y + d_z": (1.0, 1.0, 1.0)}
+
+
+def _pick_direction(S: ApctStructure, pts: np.ndarray):
+    """The first candidate direction at pts[0] spanning nondegenerate planes
+    with the Reeb field and with its own phi image, else the last: its
+    label, its (K_xi, K_phi) and their degenerate flags. Only the
+    candidates up to the pick are checked for a non-finite K."""
+    K, degenerate = sectional_profile(S, pts, [list(_CANDIDATES.values())])
+    spans = ~degenerate[0].any(axis=1)
+    pick = int(np.argmax(spans)) if spans.any() else len(spans) - 1
+    require_finite_sectional(K[:, :pick + 1], degenerate[:, :pick + 1], pts)
+    return list(_CANDIDATES)[pick], K[0, pick], degenerate[0, pick]
 
 
 @analyzed
@@ -201,7 +200,7 @@ def build_report(S: ApctStructure, *,
     segre = segre_type(S.manifold, rep_point)
     equiv = curvature_equivalences(S)
     ee = eta_einstein_check(S)
-    direction_label, _, sec = _pick_direction(rep_point, sample_column(S, pts))
+    direction, K, degenerate = _pick_direction(S, pts)
 
     curvature = {
         "scal": scal,
@@ -230,11 +229,11 @@ def build_report(S: ApctStructure, *,
         },
         "sectional": {
             "at": list(rep_point),
-            "direction": direction_label,
-            "K_xi": sec.K_xi,
-            "K_phi": sec.K_phi,
-            "xi_plane_degenerate": sec.xi_plane_degenerate,
-            "phi_plane_degenerate": sec.phi_plane_degenerate,
+            "direction": direction,
+            "K_xi": None if degenerate[0] else float(K[0]),
+            "K_phi": None if degenerate[1] else float(K[1]),
+            "xi_plane_degenerate": bool(degenerate[0]),
+            "phi_plane_degenerate": bool(degenerate[1]),
         },
     }
 

@@ -57,7 +57,7 @@ CONSTRAINT_MARGIN = 1e-7
 # the largest normalized residual an axiom may leave (`validate_axioms`)
 AXIOM_TOL = 1e-10
 # a plane whose Gram determinant is within this of 0, relative to the sizes
-# of its terms, is degenerate (`curvature.sectional_from_arrays`)
+# of its terms, is degenerate (`curvature.sectional_profile`)
 PLANE_TOL = 1e-8
 
 

@@ -38,7 +38,8 @@ coefficients: components first, points last, C-contiguous. Over n points a
 vector is (3, n), a matrix (3, 3, n); a single point has no point axis, and
 a[..., k] of a batch is point k. Contractions are np.einsum on that
 layout, whose batch columns equal the pointwise results on rational
-points; `@` alone runs on points-first copies (see `points_first`).
+points. `@` runs on points-first copies (see `points_first`), and so does
+the one einsum of `curvature.sectional_profile`, whose point axes lead.
 """
 
 from __future__ import annotations

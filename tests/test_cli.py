@@ -230,6 +230,20 @@ def test_overflowing_sectional_curvature_exits_2_without_traceback(tmp_path):
         "input error: non-finite sectional curvature in 'K_phi' at point (")
 
 
+@pytest.mark.parametrize("report", ["machine", "text"])
+@pytest.mark.parametrize("samples", [64, 512])
+def test_overflowing_sectional_manifest_exits_2_without_traceback(
+        samples, report):
+    # f = exp(150 x) at the default seed: the report's candidate planes at
+    # pts[0] overflow, and the first of them up to the pick is named
+    done = run_process("analyze", str(MANIFESTS / "overflow-sectional.manifest"),
+                       "--samples", str(samples), "--report", report)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (
+        "input error: non-finite sectional curvature in 'K_phi' at point "
+        "(1.660934072833945, 1.1583176596280784, 1.7878968798670738)\n")
+
+
 # a literal the parser accepts: twice it is past float range
 BIG = "17" + "0" * 307
 

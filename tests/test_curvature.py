@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geometry_oracles import build as build_on_box
+from walkergeo import report
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.curvature import (
     curvature_equivalences,
@@ -11,8 +12,9 @@ from walkergeo.curvature import (
     eta_einstein_report,
     ricci_residual_fields,
     sectional_curvatures,
+    sectional_profile,
 )
-from walkergeo.errors import DegenerateInputError
+from walkergeo.errors import DegenerateInputError, EvaluationError
 from walkergeo.manifest import parse_manifest
 from walkergeo.report import build_report
 from walkergeo.sampling import PCG64Stream, SamplingConfig, is_identically_zero
@@ -227,6 +229,69 @@ def reference_k_xi(S, point, X):
     guu, gvv, guv = float(u @ g @ u), float(xi @ g @ xi), float(u @ g @ xi)
     pair = float(np.einsum("i,j,k,ijkl,lm,m->", u, xi, xi, R, g, u))
     return pair / (guu * gvv - guv * guv)
+
+
+@pytest.mark.parametrize("samples", REPRESENTATIVE_SAMPLES)
+@pytest.mark.parametrize("name", list(MANIFESTS))
+def test_profile_entries_are_the_batch_of_one(name, samples):
+    # every entry of one points x directions call has the bits of the
+    # pointwise API, a batch of one, at its point and direction
+    S = parse_manifest(MANIFESTS[name]).build(samples=samples)
+    pts = S.domain.sample()
+    draws = PCG64Stream(7).uniform(-1.0, 1.0, (min(5, len(pts)), 8, 3))
+    K, degenerate = sectional_profile(S, pts, draws)
+    assert K.shape == degenerate.shape == draws.shape[:2] + (2,)
+    for k, directions in enumerate(draws):
+        for d, X in enumerate(directions):
+            rep = sectional_curvatures(S, X, tuple(pts[k]))
+            flags = (rep.xi_plane_degenerate, rep.phi_plane_degenerate)
+            assert flags == tuple(degenerate[k, d]), (k, d)
+            for plane, value in enumerate((rep.K_xi, rep.K_phi)):
+                if value is not None:
+                    assert bits(value) == bits(K[k, d, plane]), (k, d, plane)
+
+
+# the report's four candidates at pts[0]: the pick is the first whose two
+# planes are nondegenerate, else the last; a non-finite K is refused only
+# up to the pick, the candidates the report would have tried one by one,
+# and the first in candidate, then Reeb-before-phi order is named
+PICKS = [
+    # (candidates with a degenerate Reeb plane, non-finite entries
+    # (candidate, plane), the plane named or None)
+    ((), [(1, 0)], None),
+    ((), [(3, 1), (2, 0)], None),
+    ((), [(0, 0)], "K_xi"),
+    ((0,), [(0, 1)], "K_phi"),
+    ((0,), [(1, 0), (0, 1)], "K_phi"),
+    ((0, 1), [(2, 1), (2, 0)], "K_xi"),
+    ((0, 1, 2), [(3, 0)], "K_xi"),
+    ((0, 1, 2, 3), [(3, 1)], "K_phi"),
+]
+
+
+@pytest.mark.parametrize("degenerate_at, bad, named", PICKS)
+def test_the_pick_refuses_a_non_finite_k_up_to_the_pick(
+        monkeypatch, degenerate_at, bad, named):
+    S = parse_manifest(MANIFESTS["eta-einstein-parabolic"]).build(samples=3)
+    pts = S.domain.sample()
+    K, degenerate = np.full((1, 4, 2), -1.0), np.zeros((1, 4, 2), bool)
+    degenerate[0, list(degenerate_at), 0] = True
+    for candidate, plane in bad:   # a non-finite K on a nondegenerate plane
+        K[0, candidate, plane] = np.nan
+        degenerate[0, candidate, plane] = False
+
+    def profile(S_, pts_, X):
+        assert S_ is S and pts_ is pts and np.shape(X) == (1, 4, 3)
+        return K, degenerate
+
+    monkeypatch.setattr(report, "sectional_profile", profile)
+    if named is None:
+        assert report._pick_direction(S, pts)[0] == "d_z"
+        return
+    with pytest.raises(EvaluationError) as caught:
+        report._pick_direction(S, pts)
+    assert caught.value.subexpression == named
+    assert caught.value.point == tuple(float(c) for c in pts[0])
 
 
 @pytest.mark.parametrize("samples", REPRESENTATIVE_SAMPLES)

@@ -58,6 +58,13 @@ The inputs, and why each is there:
     zero test of its f_x, judged against the 16777216 its subexpressions
     reach, calls it strict Walker; the f_x of f's jet does not, so it exits
     3 on strict_walker_routes.
+  - overflow-sectional: the parabolic manifest with f = exp(150*x), with
+    no seed line. The curvature products of its report's sectional plane at
+    pts[0] overflow, so it exits 2, naming K_phi and that point, at both
+    sample counts: the error path of the check that refuses a non-finite K
+    among the candidate directions up to the report's pick. (With
+    f = exp(200*x) that error is reached only at 16 samples and seed 5; at
+    seed 42 a sampled residual fails first.)
   - superscript-exponent: f = "x^²". A superscript digit is not a decimal
     one, so the tokenizer refuses it: exit 2 with its position, not an
     internal error.
@@ -110,7 +117,7 @@ sys.exit(main(["examples", "run", "paracontact-exponential",
 """
 
 # outputs of the plan when it was written; a shorter plan is refused
-EXPECTED = 210
+EXPECTED = 214
 
 
 class Run(NamedTuple):
