@@ -31,7 +31,7 @@ import numpy as np
 from .classify import Check, named_classes, unit_y_setting
 from .errors import DegenerateInputError, EvaluationError
 from .expressions import (
-    Expr, ONE, ZERO, analysis, as_points, diff, evaluate_with_scale, is_finite,
+    Expr, ONE, ZERO, diff, evaluate_with_scale, is_finite,
 )
 from .sampling import (
     NEVER, PLANE_TOL, PCG64Stream, Route, analyzed, every,
@@ -40,7 +40,7 @@ from .sampling import (
 )
 from .jets import Jet3, eval_jet
 from .structure import (
-    ApctStructure, dot, mat_vec, max_abs, points_first, vec_mat,
+    ApctStructure, dot, mat_vec, max_abs, points_first, pointwise, vec_mat,
 )
 from .walker import (
     SegreVerdict, curvature_from_jet, f_hessian, flatness, ricci_from_jet,
@@ -225,7 +225,7 @@ def curvature_equivalences(S: ApctStructure) -> EquivalenceReport:
     scales = 1.0 + frame.value_scale + np.maximum(r_max, max_abs(rho, 2)) - 1.0
     reference = 1.0 + scales
 
-    q_first, phi_first = points_first(q, 2), points_first(phi, 2)
+    q_first, phi_first = points_first(q), points_first(phi)
     commute = np.abs(q_first @ phi_first - phi_first @ q_first).max(axis=(1, 2))
     # R is antisymmetric in its first pair: the commutator's (j, i) block is
     # minus its (i, j) block and its (i, i) blocks vanish, so the blocks
@@ -296,19 +296,23 @@ class SectionalReport(NamedTuple):
 def sectional_curvatures(S: ApctStructure, X, point) -> SectionalReport:
     """`sectional_profile` at one point of the domain (else
     OutOfDomainError) of a space-like Walker manifold (else
-    UnsupportedSignatureError), as a batch of one."""
-    pts = as_points(point)[None]
-    S.manifold.require_inside(pts[0])
-    S.manifold.require_spacelike_signature()
-    pts.flags.writeable = False   # so the frame and the jet share one key
-    with analysis():
-        K, degenerate = sectional_profile(S, pts, np.reshape(X, (1, 1, 3)))
-        scal = eval_jet(S.manifold.f, pts, 2).derivative((2, 0, 0))[0]
-    require_finite_sectional(K, degenerate, pts)
-    (K_xi, K_phi), (xi_deg, phi_deg) = K[0, 0], degenerate[0, 0]
+    UnsupportedSignatureError), as column 0 of its batch of one."""
+    point, (K_xi, K_phi), (xi_deg, phi_deg), scal = _sectional(
+        S, point, np.reshape(X, (1, 1, 3)))
     return SectionalReport(
-        tuple(pts[0].tolist()), None if xi_deg else float(K_xi),
+        point, None if xi_deg else float(K_xi),
         None if phi_deg else float(K_phi), scal, bool(xi_deg), bool(phi_deg))
+
+
+@pointwise
+def _sectional(S: ApctStructure, pts: np.ndarray, X) -> tuple:
+    """The points, K and its mask at pts[:m] (points last, the Reeb plane
+    first), and the scalar curvature, for X of shape (m, 1, 3)."""
+    S.manifold.require_spacelike_signature()
+    K, degenerate = sectional_profile(S, pts, X)
+    require_finite_sectional(K, degenerate, pts)
+    return (pts, K[:, 0].T, degenerate[:, 0].T,
+            eval_jet(S.manifold.f, pts, 2).derivative((2, 0, 0)))
 
 
 @np.errstate(all="ignore")
@@ -329,9 +333,8 @@ def sectional_profile(S: ApctStructure, pts: np.ndarray,
     m, frame = len(X), S.frame(pts)
     R = curvature_from_jet(
         Jet3(2, eval_jet(S.manifold.f, pts, 2).coeffs[..., :m]))
-    R, g, xi, eta, phi = (
-        points_first(a[..., :m], a.ndim - 1)
-        for a in (R, frame.g, frame.xi_vec, frame.eta_vec, frame.phi_mat))
+    R, g, xi, eta, phi = (points_first(a[..., :m]) for a in (
+        R, frame.g, frame.xi_vec, frame.eta_vec, frame.phi_mat))
     Xh = X - dot(eta[:, None], X)[..., None] * xi[:, None]
     # the planes span(u, v), (X_h, xi) and (X_h, phi X_h), on an axis of
     # their own

@@ -46,8 +46,9 @@ component, leaving the fourth as remainder; the remainder is then audited
 against the shape identities it must satisfy, so a tensor outside the
 modeled direct sum is detected rather than silently projected.
 
-Arrays are laid out components first, points last: F over n points is
-(3, 3, 3, n), and a single point has no point axis (see `structure`).
+Arrays are laid out components first, points last: F over an (n, 3)
+batch of points is (3, 3, 3, n) (see `structure`), and a view at one point
+is column 0 of the point's batch of one (`structure.pointwise`).
 Contractions are np.einsum on them; on rational points a batch's column k
 equals the pointwise result at pts[k] exactly. In an analysis (each
 pointwise entry point runs in one, or joins the open one), the frames, the
@@ -62,13 +63,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expressions import (
-    Expr, analysis, as_points, diff, evaluate_with_scale, gradient, once,
-    scalar,
-)
+from .expressions import Expr, diff, evaluate_with_scale, gradient, once, scalar
 from .sampling import require_finite
 from .structure import (
-    ApctStructure, Frame, dot, max_abs, points_first, points_last,
+    ApctStructure, Frame, dot, max_abs, points_first, points_last, pointwise,
 )
 from .walker import metric_arrays
 
@@ -175,9 +173,10 @@ def _connection_route(frame: Frame) -> np.ndarray:
 
 
 class FTensorValue(NamedTuple):
-    """Numeric structure tensor at a point, its arrays read-only; given
-    (n, 3) points, this and every value object below holds them in point
-    and its arrays gain a trailing point axis.
+    """Numeric structure tensor over (n, 3) points, its arrays read-only.
+    This and every value object below holds the points in point, and its
+    arrays have a trailing point axis; at one point it is column 0 of the
+    point's batch of one (see `structure.pointwise`).
 
     components[a, b, c] = F(d_a, d_b, d_c) by the coordinate formula;
     route_discrepancy is the largest difference against the connection
@@ -207,9 +206,9 @@ def _tensor_forms(F: np.ndarray, xi: np.ndarray, phi: np.ndarray,
             np.einsum("i...,j...,ijc...->c...", xi, xi, F))
 
 
-def f_tensor_at(S: ApctStructure, point) -> FTensorValue:
+@pointwise
+def f_tensor_at(S: ApctStructure, pts) -> FTensorValue:
     """The structure tensor at the point or points, once per analysis."""
-    pts = as_points(point)
     return once(S, "f_tensor", (pts,), lambda: _f_tensor(S.frame(pts)))
 
 
@@ -230,11 +229,11 @@ def _f_tensor(frame: Frame) -> FTensorValue:
         coord, frame.xi_vec, frame.phi_mat, frame.ginv)
     for array in (coord, theta, theta_star, reeb_square):
         array.setflags(write=False)
-    xi_first = points_first(frame.xi_vec, 1)
+    xi_first = points_first(frame.xi_vec)
     return FTensorValue(
-        frame.point, coord, theta, theta_star,
-        dot(points_first(theta, 1), xi_first),
-        dot(points_first(theta_star, 1), xi_first), reeb_square, discrepancy,
+        frame.points, coord, theta, theta_star,
+        dot(points_first(theta), xi_first),
+        dot(points_first(theta_star), xi_first), reeb_square, discrepancy,
     )
 
 
@@ -251,14 +250,14 @@ class TraceForms(NamedTuple):
     route_discrepancy: float
 
 
-@analysis()
-def theta_forms(S: ApctStructure, point) -> TraceForms:
-    frame = S.frame(point)
-    t = f_tensor_at(S, point)
-    closed = evaluate_with_scale(theta_xi_field(S), frame.points)[0]
-    closed_star = evaluate_with_scale(theta_star_xi_field(S), frame.points)[0]
+@pointwise
+def theta_forms(S: ApctStructure, pts) -> TraceForms:
+    frame = S.frame(pts)
+    t = f_tensor_at(S, pts)
+    closed = evaluate_with_scale(theta_xi_field(S), pts)[0]
+    closed_star = evaluate_with_scale(theta_star_xi_field(S), pts)[0]
     return TraceForms(
-        frame.point, t.theta, t.theta_star, t.theta_xi, t.theta_star_xi,
+        pts, t.theta, t.theta_star, t.theta_xi, t.theta_star_xi,
         _discrepancy(frame, (np.array([t.theta_xi, t.theta_star_xi]),
                              np.array([closed, closed_star]), 1)),
     )
@@ -299,16 +298,16 @@ def _reeb_routes(F: np.ndarray, phi: np.ndarray, xi: np.ndarray):
     )
 
 
-@analysis()
-def exterior_data_at(S: ApctStructure, point) -> ExteriorData:
-    frame = S.frame(point)
-    F = f_tensor_at(S, point).components
+@pointwise
+def exterior_data_at(S: ApctStructure, pts) -> ExteriorData:
+    frame = S.frame(pts)
+    F = f_tensor_at(S, pts).components
 
     d_eta = _d_eta(frame.eta_d)
 
     # nabla eta as a matrix: (nabla_{d_i} eta)(d_j) = g(nabla_{d_i} xi, d_j)
-    nabla_eta = points_last(points_first(frame.nabla_xi_matrix(), 2)
-                            @ points_first(frame.g, 2), 2)
+    nabla_eta = points_last(points_first(frame.nabla_xi_matrix())
+                            @ points_first(frame.g))
     lie_g = nabla_eta + nabla_eta.swapaxes(0, 1)
 
     # d of the fundamental 2-form w: (dw)_ijk = d_i w_jk - d_j w_ik + d_k w_ij.
@@ -325,7 +324,7 @@ def exterior_data_at(S: ApctStructure, point) -> ExteriorData:
         (d_eta, lie_g, nabla_eta, d_fund),
         _reeb_routes(F, frame.phi_mat, frame.xi_vec) + (cyclic,),
         (2, 2, 2, 3)))
-    return ExteriorData(frame.point, d_eta, d_fund, lie_g, nabla_eta, discrepancy)
+    return ExteriorData(pts, d_eta, d_fund, lie_g, nabla_eta, discrepancy)
 
 
 class NormalityData(NamedTuple):
@@ -359,13 +358,13 @@ def _normality_defect(nij, d_eta, xi) -> np.ndarray:
     return nij - 2 * np.einsum("ij...,k...->ijk...", d_eta, xi)
 
 
-@analysis()
-def normality_data_at(S: ApctStructure, point) -> NormalityData:
-    frame = S.frame(point)
+@pointwise
+def normality_data_at(S: ApctStructure, pts) -> NormalityData:
+    frame = S.frame(pts)
     nijenhuis_t = _nijenhuis(frame.phi_mat, frame.phi_d)
-    defect = _normality_defect(nijenhuis_t, exterior_data_at(S, point).d_eta,
+    defect = _normality_defect(nijenhuis_t, exterior_data_at(S, pts).d_eta,
                                frame.xi_vec)
-    return NormalityData(frame.point, nijenhuis_t, defect)
+    return NormalityData(pts, nijenhuis_t, defect)
 
 
 def nijenhuis(S: ApctStructure, point, X, Y) -> np.ndarray:
@@ -451,18 +450,18 @@ class ProjectionBundle(NamedTuple):
         return {"G5": self.F5, "G6": self.F6, "G10": self.F10, "G12": self.F12}
 
 
-@analysis()
-def project_components(S: ApctStructure, point) -> ProjectionBundle:
+@pointwise
+def project_components(S: ApctStructure, pts) -> ProjectionBundle:
     """The split at the point or points; EvaluationError at the first point
     where it is not finite (see `_component_arrays`)."""
-    frame = S.frame(point)
-    t = f_tensor_at(S, point)
+    frame = S.frame(pts)
+    t = f_tensor_at(S, pts)
     F = t.components
     parts, th, ths, defect = _component_arrays(
         F, frame.xi_vec, frame.eta_vec, frame.phi_mat, frame.g,
-        (t.theta, t.theta_star, t.reeb_square), frame.scale, frame.points)
+        (t.theta, t.theta_star, t.reeb_square), frame.scale, pts)
     return ProjectionBundle(
-        frame.point, parts["G5"], parts["G6"], parts["G10"], parts["G12"],
+        pts, parts["G5"], parts["G6"], parts["G10"], parts["G12"],
         F - parts["G5"] - parts["G6"] - parts["G10"] - parts["G12"], th, ths,
         defect,
     )

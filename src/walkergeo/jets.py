@@ -5,16 +5,16 @@ indexed by multi-indices (i, j, k) with i + j + k <= order. Coefficients are
 Taylor coefficients (derivative divided by i! j! k!), which makes products
 plain truncated polynomial multiplication; `derivative` converts back.
 
-Coefficients form one array shaped (coefficients,) + (n,) over an (n, 3)
-batch of points, or (coefficients,) at a single point, a batch-of-one view:
-the package's one layout, components first and points last (see structure).
-Each operation acts on whole rows in one order, so a batch row is bit for
-bit the single-point jet: a product adds each gamma's terms a[alpha] *
-b[beta] one by one, in a fixed split order, to +0.0, as column sums (see
-`_product_table`); and the exp and reciprocal tables call math.exp and
-Python `**` per point (numpy rounds differently), mapped in C. Each
-field's jet is computed once per analysis and points, and a lower order is
-cut from it (see `eval_jet`).
+Coefficients form one array shaped (coefficients, n) over an (n, 3) batch
+of points: the package's one layout, components first and points last
+(see structure). A jet at one point (shape (3,)) is column 0 of its batch
+of one. Each operation acts on whole rows in one order, so a batch row is
+bit for bit the jet of the batch of one: a product adds each gamma's terms
+a[alpha] * b[beta] one by one, in a fixed split order, to +0.0, as column
+sums (see `_product_table`); and the exp and reciprocal tables call
+math.exp and Python `**` per point (numpy rounds differently), mapped in
+C. Each field's jet is computed once per analysis and points, and a lower
+order is cut from it (see `eval_jet`).
 
 `eval_jet` propagates jets bottom-up through an expression DAG, by one
 `expressions.fold` of a per-node jet rule, so every partial derivative up
@@ -95,8 +95,8 @@ def _per_point(fn, values: np.ndarray, *more) -> np.ndarray:
 
 
 class Jet3:
-    """Truncated Taylor expansions up to order <= 3, at one point or over a
-    batch of points (see the module notes for the coefficient layout)."""
+    """Truncated Taylor expansions up to order <= 3 over a batch of points
+    (see the module notes for the coefficient layout)."""
 
     __slots__ = ("order", "coeffs")
 
@@ -195,9 +195,10 @@ class Jet3:
 
 
 def eval_jet(e: Expr, point, order: int = MAX_ORDER) -> Jet3:
-    """Value and all partial derivatives of `e` up to `order`, at one point
-    (shape (3,)) or over a batch of points (shape (n, 3)), by one `fold`:
-    a shared subtree's jet is computed once, children before parents.
+    """Value and all partial derivatives of `e` up to `order` over a batch
+    of points (shape (n, 3)), or at one point (shape (3,)) as column 0 of
+    its batch of one, by one `fold`: a shared subtree's jet is computed
+    once, children before parents.
 
     Domain violations (zero divisor, non-positive sqrt argument, overflow)
     raise EvaluationError naming the first offending subexpression in that

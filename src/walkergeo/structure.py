@@ -23,26 +23,30 @@ g(phi X, Y) = -g(X, phi Y), g(xi, xi) = 1, plus the derived ones
 
 A Frame bundles the order-1 jets of the structure's own fields f, xi, eta
 and phi (the expressions above, so both sweep routes read one statement of
-the construction) over a batch of points (one per analysis) or at one point
-(the pointwise API), with the numeric arrays every tensor operation needs.
-Column k of the sample's arrays has the pointwise bits at pts[k], so a
-report reads its representative point pts[0] there.
+the construction) over a batch of points (one per analysis), with the
+numeric arrays every tensor operation needs. Column k of the sample's
+arrays has the pointwise bits at pts[k], so a report reads its
+representative point pts[0] there.
 All an analysis (a report, a classifier) remembers is one
 `expressions.Analysis`: frames, verdicts, the sample's structure tensor, a
 few shared batches, the values on the sample of each field and of each node
 two fields share, and each field's jets. Each entry is keyed by every input
 it reads, and nothing outlives the analysis.
 
-Every batched numeric array of the package has one layout, that of the jet
-coefficients: components first, points last, C-contiguous. Over n points a
-vector is (3, n), a matrix (3, 3, n); a single point has no point axis, and
-a[..., k] of a batch is point k. Contractions are np.einsum on that
-layout, whose batch columns equal the pointwise results on rational
-points. `@` runs on points-first copies (see `points_first`), and so does
-the one einsum of `curvature.sectional_profile`, whose point axes lead.
+Every numeric array of the package has one layout, that of the jet
+coefficients over an (n, 3) batch of points: components first, points
+last, C-contiguous. A vector is (3, n), a matrix (3, 3, n), and a[..., k]
+is point k. The kernels see no other layout: a view at one point is column
+0 of the point's batch of one (see `pointwise`). Contractions are np.einsum
+on that layout, whose batch columns equal the pointwise results on
+rational points. `@` runs on points-first copies (see `points_first`), and
+so does the one einsum of `curvature.sectional_profile`, whose point axes
+lead.
 """
 
 from __future__ import annotations
+
+from functools import wraps
 
 import numpy as np
 
@@ -51,8 +55,8 @@ from .errors import (
     UnitConstraintError,
 )
 from .expressions import (
-    Div, Expr, Pow, ZERO, as_expr, as_points, evaluate_with_scale, once,
-    to_source, variables, walk,
+    Div, Expr, Pow, ZERO, analysis, as_expr, as_points, evaluate_with_scale,
+    once, to_source, variables, walk,
 )
 from .jets import eval_jet
 from .sampling import (
@@ -62,15 +66,15 @@ from .walker import WalkerManifold, christoffel_from_jet, metric_arrays
 
 
 # numpy's `@` picks its BLAS kernel by memory layout, so `@` runs on
-# contiguous points-first copies: each batch row then gets the bits of its
-# single point. A single point (`rank` axes, no point axis) is used as is.
+# contiguous points-first copies: each batch row then gets the bits of the
+# batch of one at its point.
 
-def points_first(a: np.ndarray, rank: int) -> np.ndarray:
-    return a if a.ndim == rank else np.ascontiguousarray(np.moveaxis(a, -1, 0))
+def points_first(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a.transpose((a.ndim - 1, *range(a.ndim - 1))))
 
 
-def points_last(a: np.ndarray, rank: int) -> np.ndarray:
-    return a if a.ndim == rank else np.ascontiguousarray(np.moveaxis(a, 0, -1))
+def points_last(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a.transpose((*range(1, a.ndim), 0)))
 
 
 # Products of points-first vectors and matrices, each in the operation form
@@ -94,9 +98,9 @@ def max_abs(a: np.ndarray, axes: int) -> np.ndarray:
 
 
 class Frame:
-    """Order-1 jets of a structure's own fields f, xi, eta and phi, and the
-    numeric arrays every tensor operation needs, at a point (shape (3,)) or
-    over a batch of points (shape (n, 3)), arrays then with a point axis last.
+    """Order-1 jets of a structure's own fields f, xi, eta and phi over an
+    (n, 3) batch of points, and the numeric arrays every tensor operation
+    needs, each with a point axis last.
 
     scale is the largest |coefficient| of the f and xi jets per point,
     value_scale the largest |value| of f and xi. The derivative arrays
@@ -106,7 +110,7 @@ class Frame:
     """
 
     __slots__ = (
-        "points", "point", "f", "xi", "eta", "phi",
+        "points", "f", "xi", "eta", "phi",
         "xi_vec", "eta_vec", "phi_mat", "g", "ginv", "scale", "value_scale",
         "xi_d", "eta_d", "phi_d", "gamma", "__weakref__",
     )
@@ -114,15 +118,15 @@ class Frame:
     def __init__(self, structure: "ApctStructure", points):
         M = structure.manifold
         pts = self.points = as_points(points)
-        self.point = tuple(pts.tolist()) if pts.ndim == 1 else pts
-        if pts.ndim == 2:
-            # a sample's curvature routes read f's order-2 jet: propagated
-            # here once, it is kept and cut to order 1 (see eval_jet); where
-            # it cannot be formed, the curvature routes report that
-            try:
-                eval_jet(M.f, pts, 2)
-            except EvaluationError:
-                pass
+        if pts.ndim != 2:
+            raise ValueError("a frame takes an (n, 3) batch of points")
+        # the curvature routes read f's order-2 jet: propagated here once,
+        # it is kept and cut to order 1 (see eval_jet); where it cannot be
+        # formed, the curvature routes report that
+        try:
+            eval_jet(M.f, pts, 2)
+        except EvaluationError:
+            pass
         f = self.f = eval_jet(M.f, pts, 1)
         self.xi = tuple(eval_jet(e, pts, 1) for e in structure.xi)
         self.eta = tuple(eval_jet(e, pts, 1) for e in structure.eta)
@@ -172,13 +176,41 @@ class ApctStructure:
     def domain(self) -> Domain:
         return self.manifold.domain
 
-    def frame(self, point) -> Frame:
-        """Frame at one point of the domain (else OutOfDomainError), or over
-        an (n, 3) batch, once per analysis."""
-        pts = as_points(point)
-        if pts.ndim == 1:
-            self.manifold.require_inside(pts)
+    def frame(self, points) -> Frame:
+        """Frame over an (n, 3) batch of points, once per analysis."""
+        pts = as_points(points)
         return once(self, "frame", (pts,), lambda: Frame(self, pts))
+
+
+def pointwise(batch_view):
+    """The view `batch_view(S, pts, *args)` over an (n, 3) batch of points,
+    in an analysis of its own or the open one, answering at one point
+    (shape (3,)) of S's domain too (else OutOfDomainError). There it runs
+    on the point's batch of one, a read-only copy made once per analysis
+    and keyed by the point (see `Analysis.at`), so repeated views at a
+    point share one frame, and returns column 0 (see `_column_0`)."""
+    @wraps(batch_view)
+    def view(S: "ApctStructure", points, *args):
+        pts = as_points(points)
+        with analysis():
+            if pts.ndim == 2:
+                return batch_view(S, pts, *args)
+            S.manifold.require_inside(pts)
+            one = once(S, "batch_of_one", (pts,),
+                       lambda: np.broadcast_to(pts.copy(), (1, 3)))
+            return _column_0(batch_view(S, one, *args), one)
+    return view
+
+
+def _column_0(value, one: np.ndarray):
+    """value at the point of the batch of one: the point as a tuple, a
+    tuple's entries each so, and an array's column 0 (a vector over the
+    points gives its entry)."""
+    if value is one:
+        return tuple(one[0].tolist())
+    if isinstance(value, tuple):
+        return getattr(value, "_make", tuple)(_column_0(v, one) for v in value)
+    return value[..., 0][()]
 
 
 def unit_constraint_field(manifold: WalkerManifold, xi) -> Expr:
@@ -237,8 +269,12 @@ def reject_poles(S: ApctStructure) -> None:
 
 def nabla_xi(S: ApctStructure, direction, point) -> np.ndarray:
     """Components of nabla_X xi at one point, X given by constant components."""
-    frame = S.frame(point)
-    return np.asarray(direction, dtype=float) @ frame.nabla_xi_matrix()
+    return np.asarray(direction, dtype=float) @ _nabla_xi_matrix(S, point)
+
+
+@pointwise
+def _nabla_xi_matrix(S: ApctStructure, pts: np.ndarray) -> np.ndarray:
+    return S.frame(pts).nabla_xi_matrix()
 
 
 def validate_axioms(S: ApctStructure) -> dict[str, Route]:
@@ -253,8 +289,7 @@ def validate_axioms(S: ApctStructure) -> dict[str, Route]:
     """
     fr = S.frame(S.domain.sample())
     scale = 1.0 + fr.value_scale
-    phi, g = points_first(fr.phi_mat, 2), points_first(fr.g, 2)
-    xi, eta = points_first(fr.xi_vec, 1), points_first(fr.eta_vec, 1)
+    phi, g, xi, eta = map(points_first, (fr.phi_mat, fr.g, fr.xi_vec, fr.eta_vec))
     phi2, gphi = phi @ phi, g @ phi
     residuals = {
         "phi_squared_is_id_minus_eta_xi":

@@ -5,9 +5,11 @@ The metric, in coordinates (x, y, z), is
     g = [[0, 0, 1], [0, eps, 0], [1, 0, f(x, y, z)]],    eps = +1 or -1,
 
 which carries the parallel null line field spanned by d/dx (the strict case
-being f independent of x). All pointwise operations return plain numeric
-arrays built from jets of f; independent generic-formula oracles for the
-same quantities live in the test suite.
+being f independent of x). The metric, connection and curvature kernels
+read values or a jet of f over an (n, 3) batch of points (`eval_jet`) and
+return plain numeric arrays, components first and the point axis last;
+independent generic-formula oracles for the same quantities live in the
+test suite.
 
 Lowered-index curvature follows R(X, Y, Z, W) = g(R(X, Y)Z, W), where the
 curvature operator sign convention is
@@ -17,8 +19,7 @@ curvature operator sign convention is
 the convention under which the Ricci tensor below is the trace
 rho(X, Y) = tr(Z -> R(X, Z)Y). The connection and curvature closed forms are
 stated for eps = +1 (the only signature admitting the structures built on
-top of this module); they raise for eps = -1, while metric_at works for
-both.
+top of this module); the verdicts built on them raise for eps = -1.
 """
 
 from __future__ import annotations
@@ -31,11 +32,6 @@ from .errors import OutOfDomainError, UnsupportedSignatureError
 from .expressions import Expr, diff, gradient, once, scalar, to_source
 from .jets import Jet3, eval_jet
 from .sampling import Domain, Route, every, is_identically_zero, nonvanishing
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 class WalkerManifold:
@@ -65,19 +61,12 @@ class WalkerManifold:
             )
 
 
-def metric_at(M: WalkerManifold, point) -> tuple[np.ndarray, np.ndarray]:
-    """Metric and inverse metric components at a point, read-only.
+def metric_arrays(f, eps: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The metric g and its inverse from the values of f over the points.
 
     The inverse is closed-form: g^11 = -f, g^13 = g^31 = 1, g^22 = eps,
     everything else zero; det(g) = -eps identically.
     """
-    M.require_inside(point)
-    g, ginv = metric_arrays(eval_jet(M.f, point, 0).value, float(M.epsilon))
-    return _read_only(g), _read_only(ginv)
-
-
-def metric_arrays(f, eps: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """The metric g and its inverse from values of f, at points or a point."""
     zero = np.full(np.shape(f), scalar(0, f))
     one = zero + 1.0
     e = eps * one
@@ -85,21 +74,14 @@ def metric_arrays(f, eps: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
             np.array([[-f, zero, one], [zero, e, zero], [one, zero, zero]]))
 
 
-def christoffel_at(M: WalkerManifold, point) -> np.ndarray:
-    """Levi-Civita connection coefficients, read-only; [k, i, j] holds
-    Gamma^k_ij.
+def christoffel_from_jet(jet: Jet3) -> np.ndarray:
+    """Levi-Civita connection coefficients from a jet of f of order >= 1;
+    [k, i, j] holds Gamma^k_ij.
 
     Nonzero coefficients (eps = +1): Gamma^1_13 = f_x/2, Gamma^1_23 = f_y/2,
     Gamma^1_33 = (f f_x + f_z)/2, Gamma^2_33 = -f_y/2, Gamma^3_33 = -f_x/2,
     plus symmetry in the lower pair.
     """
-    M.require_spacelike_signature()
-    M.require_inside(point)
-    return _read_only(christoffel_from_jet(eval_jet(M.f, point, 1)))
-
-
-def christoffel_from_jet(jet: Jet3) -> np.ndarray:
-    """Gamma^k_ij from a jet of f of order >= 1 (point axis last)."""
     f = jet.value
     fx = jet.derivative((1, 0, 0))
     fy = jet.derivative((0, 1, 0))
@@ -113,19 +95,6 @@ def christoffel_from_jet(jet: Jet3) -> np.ndarray:
     return gamma
 
 
-def curvature_at(M: WalkerManifold, point) -> np.ndarray:
-    """Curvature operator components R, read-only: R(d_i, d_j) d_k =
-    sum_l R[i, j, k, l] d_l, under the sign convention in the module
-    docstring.
-
-    Only the (d_x, d_z) and (d_y, d_z) planes act nontrivially; the operator
-    vanishes identically exactly when f_xx, f_xy, f_yy all vanish.
-    """
-    M.require_spacelike_signature()
-    M.require_inside(point)
-    return _read_only(curvature_from_jet(eval_jet(M.f, point, 2)))
-
-
 def _hessian(jet: Jet3):
     """f, f_xx, f_xy and f_yy from a jet of f of order >= 2."""
     return (jet.value, jet.derivative((2, 0, 0)), jet.derivative((1, 1, 0)),
@@ -133,7 +102,13 @@ def _hessian(jet: Jet3):
 
 
 def curvature_from_jet(jet: Jet3) -> np.ndarray:
-    """Curvature operator components from a jet of f of order >= 2."""
+    """Curvature operator components R from a jet of f of order >= 2:
+    R(d_i, d_j) d_k = sum_l R[i, j, k, l] d_l, under the sign convention in
+    the module docstring.
+
+    Only the (d_x, d_z) and (d_y, d_z) planes act nontrivially; the operator
+    vanishes identically exactly when f_xx, f_xy, f_yy all vanish.
+    """
     f, fxx, fxy, fyy = _hessian(jet)
     R = np.full((3, 3, 3, 3) + np.shape(f), scalar(0, f))
     R[0, 2, 0, 0] = -0.5 * fxx
@@ -150,17 +125,9 @@ def curvature_from_jet(jet: Jet3) -> np.ndarray:
     return R
 
 
-def ricci_at(M: WalkerManifold, point) -> tuple[np.ndarray, np.ndarray, float]:
-    """Ricci tensor rho, Ricci operator Q (g(QX, Y) = rho(X, Y)), both
-    read-only, and scalar curvature trace(Q) = f_xx at a point."""
-    M.require_spacelike_signature()
-    M.require_inside(point)
-    rho, q, fxx = ricci_from_jet(eval_jet(M.f, point, 2))
-    return _read_only(rho), _read_only(q), fxx
-
-
 def ricci_from_jet(jet: Jet3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rho, Q, f_xx) from a jet of f of order >= 2."""
+    """Ricci tensor rho, Ricci operator Q (g(QX, Y) = rho(X, Y)) and scalar
+    curvature trace(Q) = f_xx from a jet of f of order >= 2."""
     f, fxx, fxy, fyy = _hessian(jet)
     rho = np.full((3, 3) + np.shape(f), scalar(0, f))
     rho[0, 2] = rho[2, 0] = 0.5 * fxx
@@ -287,14 +254,15 @@ def _segre_type(M: WalkerManifold, point) -> SegreVerdict:
         return SegreVerdict(
             kind="other", degeneracy=degeneracy, fxx_nonvanishing=fxx_nonzero
         )
-    jet = eval_jet(M.f, point, 2)
-    _, fxx_v, fxy_v, _ = _hessian(jet)
+    # the kernels read the point's batch of one; column 0 is the point
+    jet = eval_jet(M.f, np.reshape(point, (1, 3)), 2)
+    _, fxx_v, fxy_v, _ = (a[0] for a in _hessian(jet))
     s = 0.5 * fxx_v
     ratio = fxy_v / fxx_v
     kernel = np.array([-ratio, 1.0, 0.0])
     v1 = np.array([1.0, 0.0, 0.0])
     v2 = np.array([0.0, ratio, 1.0])
-    _, q, _ = ricci_from_jet(jet)
+    q = ricci_from_jet(jet)[1][..., 0]
     scale = 1.0 + abs(s) + abs(ratio)
     residual = max(
         float(np.abs(q @ kernel).max()),

@@ -7,14 +7,16 @@ derivatives. Nothing imports the closed-form paths under test except the
 expression evaluator, which test_expressions pins against raw Python
 arithmetic first.
 
-The last few helpers are objects only tests read: the fundamental 2-form,
-its cyclic wedge with eta and d(fundamental) as the cyclic sum of F, by
-np.einsum on the package's arrays, and a structure with phi overridden.
-`build` makes a structure from source strings on BOX, the box the test
-modules share.
+The last few helpers are objects only tests read: a frame's arrays at one
+point, the fundamental 2-form, its cyclic wedge with eta and
+d(fundamental) as the cyclic sum of F, by np.einsum on the package's
+arrays, and a structure with phi overridden. `build` makes a structure
+from source strings on BOX, the box the test modules share.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -170,6 +172,18 @@ def random_points(domain_box, n, seed):
     lo = box[:, 0]
     span = box[:, 1] - box[:, 0]
     return lo + span * (0.1 + 0.8 * rng.random((n, 3)))
+
+
+FRAME_ARRAYS = ("xi_vec", "eta_vec", "phi_mat", "g", "ginv", "scale",
+                "value_scale", "xi_d", "eta_d", "phi_d", "gamma")
+
+
+def frame_at(S, point) -> SimpleNamespace:
+    """The arrays of S's frame at one point, by name: column 0 of the frame
+    of the point's batch of one (a frame takes batches only)."""
+    frame = S.frame(np.array([point], dtype=float))
+    return SimpleNamespace(**{name: getattr(frame, name)[..., 0]
+                              for name in FRAME_ARRAYS})
 
 
 def _fundamental(phi, g):

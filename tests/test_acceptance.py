@@ -40,14 +40,15 @@ from walkergeo.ftensor import (
     split_components_batch,
     theta_forms,
 )
+from walkergeo.jets import eval_jet
 from walkergeo.sampling import Domain, Interval, SamplingConfig
 from walkergeo.structure import build_structure
 from walkergeo.walker import (
     WalkerManifold,
-    christoffel_at,
-    curvature_at,
-    metric_at,
-    ricci_at,
+    christoffel_from_jet,
+    curvature_from_jet,
+    metric_arrays,
+    ricci_from_jet,
     segre_type,
 )
 
@@ -350,8 +351,8 @@ def test_criterion_6_eta_einstein_fixture_profile():
             problems.append(f"kernel vector {seg.n_vector}, wanted d_y")
         if sorted(seg.eigenvalues) != [0.0, 1.0, 1.0]:
             problems.append(f"eigenvalues {seg.eigenvalues}")
-    _, q, _ = ricci_at(S.manifold, point)
-    q_xi = q @ np.array([0.0, 1.0, 0.0])
+    _, q, _ = ricci_from_jet(eval_jet(S.manifold.f, np.array([point]), 2))
+    q_xi = q[..., 0] @ np.array([0.0, 1.0, 0.0])
     if np.abs(q_xi).max() > 1e-12:
         problems.append(f"Q xi = {q_xi}, wanted 0")
 
@@ -392,21 +393,23 @@ def test_criterion_8_geometry_matches_independent_oracles():
         M = WalkerManifold(parse(source), 1, BOX)
         g_fn = metric_fn(M.f)
         pts = random_points(((0.5, 2.0),) * 3, 12, seed=8)
-        for p in pts:
-            gamma = christoffel_at(M, p)
+        gammas = christoffel_from_jet(eval_jet(M.f, pts, 1))
+        Rs = curvature_from_jet(eval_jet(M.f, pts, 2))
+        gs, _ = metric_arrays(eval_jet(M.f, pts, 0).value)
+        for k, p in enumerate(pts):
+            gamma = gammas[..., k]
             gamma_fd = christoffel_oracle(g_fn, p)
             if np.abs(gamma - gamma_fd).max() > 1e-6 * (1 + np.abs(gamma).max()):
                 problems.append(f"f={source}: Christoffel vs oracle at {p}")
                 break
 
-            R = curvature_at(M, p)
+            R = Rs[..., k]
             R_fd = curvature_oracle(g_fn, p)
             if np.abs(R - R_fd).max() > 1e-6 * (1 + np.abs(R).max()):
                 problems.append(f"f={source}: curvature vs oracle at {p}")
                 break
 
-            g, _ = metric_at(M, p)
-            low = np.einsum("ijkm,ml->ijkl", R, g)
+            low = np.einsum("ijkm,ml->ijkl", R, gs[..., k])
             scale = 1e-10 * (1 + np.abs(low).max())
             if np.abs(low + np.transpose(low, (1, 0, 2, 3))).max() > scale:
                 problems.append(f"f={source}: pair antisymmetry at {p}")

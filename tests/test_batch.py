@@ -1,7 +1,8 @@
 """The batched evaluation path against its batch-of-one views.
 
 Reports evaluate every sample point in one batch; the pointwise API
-evaluates one point. Frames, jets and the Walker tensors hold no
+evaluates one point, as column 0 of its batch of one. Frames, jets and the
+Walker tensors hold no
 contraction, and for them both must give the same bits (np.array_equal,
 never allclose): an operation whose rounding depends on the batch size
 would make a report drift from the pointwise values it documents. The
@@ -29,8 +30,7 @@ from walkergeo.ftensor import (
 from walkergeo.jets import eval_jet
 from walkergeo.report import build_report
 from walkergeo.walker import (
-    christoffel_at, christoffel_from_jet, curvature_at, curvature_from_jet,
-    ricci_at, ricci_from_jet,
+    christoffel_from_jet, curvature_from_jet, ricci_from_jet,
 )
 from write_reports import read_manifest
 
@@ -87,10 +87,10 @@ def test_frame_rows_match_point_frames(structure):
     for name in names:
         assert points_last(getattr(batch, name), len(pts)), name
     for k, p in columns(pts):
-        single = S.frame(tuple(p))
+        single = S.frame(pts[k:k + 1])
         for name in names:
             assert same(getattr(batch, name)[..., k],
-                        getattr(single, name)), (name, k)
+                        getattr(single, name)[..., 0]), (name, k)
 
 
 def test_value_objects_match_point_views(structure):
@@ -134,12 +134,15 @@ def test_walker_tensors_match_point_views(structure):
     for array in (gamma, R, rho, q, fxx):
         assert points_last(array, len(pts))
     for k, p in columns(pts):
-        assert same(gamma[..., k], christoffel_at(M, p))
-        assert same(R[..., k], curvature_at(M, p))
-        point_rho, point_q, point_fxx = ricci_at(M, p)
-        assert same(rho[..., k], point_rho)
-        assert same(q[..., k], point_q)
-        assert same(fxx[k], point_fxx)
+        one = pts[k:k + 1]
+        assert same(gamma[..., k],
+                    christoffel_from_jet(eval_jet(M.f, one, 1))[..., 0])
+        one_jet = eval_jet(M.f, one, 2)
+        assert same(R[..., k], curvature_from_jet(one_jet)[..., 0])
+        point_rho, point_q, point_fxx = ricci_from_jet(one_jet)
+        assert same(rho[..., k], point_rho[..., 0])
+        assert same(q[..., k], point_q[..., 0])
+        assert same(fxx[k], point_fxx[0])
 
 
 @pytest.mark.parametrize("source", FIELDS)

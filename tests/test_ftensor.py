@@ -10,6 +10,7 @@ from geometry_oracles import (
     d_one_form_oracle,
     d_two_form_oracle,
     eta_wedge_fundamental,
+    frame_at,
     fundamental_form,
     lie_metric_oracle,
     metric_fn,
@@ -18,6 +19,7 @@ from geometry_oracles import (
 from test_contract import identical, operand
 import walkergeo.ftensor as ftensor
 from walkergeo.corpus import load_fixture
+from walkergeo.curvature import sectional_curvatures
 from walkergeo.errors import EvaluationError, OutOfDomainError
 from walkergeo.expressions import diff, evaluate_with_scale
 from walkergeo.ftensor import (
@@ -134,7 +136,7 @@ def test_phi_slot_identity(f, xi):
     # F(X, phiY, phiZ) = F(X, Y, Z) + eta(Y) F(X, Z, xi) - eta(Z) F(X, Y, xi)
     S = build(f, xi)
     for p in points(S, 4):
-        fr = S.frame(p)
+        fr = frame_at(S, p)
         F = f_tensor_at(S, p).components
         lhs = np.einsum("abc,bj,ck->ajk", F, fr.phi_mat, fr.phi_mat)
         Fxi = np.einsum("abc,c->ab", F, fr.xi_vec)
@@ -234,12 +236,12 @@ def test_exterior_data_against_fd_oracles(f, xi):
     eta_fn = vector_fn(S.eta)
 
     def fund_fn(p):
-        fr = S.frame(tuple(p))
+        fr = frame_at(S, p)
         return fundamental_form(fr)
 
     for p in points(S, 3):
         ex = exterior_data_at(S, p)
-        scale = 1 + S.frame(p).scale
+        scale = 1 + frame_at(S, p).scale
         # the 1-form convention carries the 1/2: d eta(X,Y) =
         # (X eta(Y) - Y eta(X))/2 on coordinate fields
         assert np.abs(ex.d_eta - 0.5 * d_one_form_oracle(eta_fn, p)).max() \
@@ -255,7 +257,7 @@ def test_fundamental_form_components_are_reeb_components():
     for f, xi in ALL:
         S = build(f, xi)
         for p in points(S, 3):
-            fr = S.frame(p)
+            fr = frame_at(S, p)
             om = fundamental_form(fr)
             xi1, xi2, xi3 = fr.xi_vec
             want = np.array([[0, xi3, -xi2], [-xi3, 0, xi1], [xi2, -xi1, 0]])
@@ -268,7 +270,7 @@ def test_eta_wedge_fundamental_is_volume_form():
     for f, xi in ALL:
         S = build(f, xi)
         for p in points(S, 3):
-            w = eta_wedge_fundamental(S.frame(p))
+            w = eta_wedge_fundamental(frame_at(S, p))
             assert abs(w[0, 1, 2] - 1.0) <= 1e-12
             assert abs(w[0, 2, 1] + 1.0) <= 1e-12
             assert abs(w[0, 0, 1]) <= 1e-12
@@ -282,7 +284,7 @@ def test_d_eta_proportional_to_fundamental_on_mix56():
     for p in points(S):
         ex = exterior_data_at(S, p)
         forms = theta_forms(S, p)
-        fund = fundamental_form(S.frame(p))
+        fund = fundamental_form(frame_at(S, p))
         want = 0.5 * forms.theta_xi * fund
         assert np.abs(ex.d_eta - want).max() <= 1e-9 * (1 + abs(forms.theta_xi))
 
@@ -292,14 +294,14 @@ def test_d_eta_vanishes_on_g6_and_g10():
         S = build(f, xi)
         for p in points(S):
             ex = exterior_data_at(S, p)
-            assert np.abs(ex.d_eta).max() <= 1e-10 * (1 + S.frame(p).scale)
+            assert np.abs(ex.d_eta).max() <= 1e-10 * (1 + frame_at(S, p).scale)
 
 
 def test_d_eta_reeb_law_on_g12():
     # d eta(X, Y) = (eta(X) F(xi, xi, phi Y) - eta(Y) F(xi, xi, phi X))/2
     S = build(*PURE_G12)
     for p in points(S):
-        fr = S.frame(p)
+        fr = frame_at(S, p)
         t = f_tensor_at(S, p)
         ex = exterior_data_at(S, p)
         rs_phi = t.reeb_square @ fr.phi_mat
@@ -316,7 +318,7 @@ def test_d_fundamental_vanishes_without_g6():
         S = build(f, xi)
         for p in points(S):
             ex = exterior_data_at(S, p)
-            assert np.abs(ex.d_fundamental).max() <= 1e-10 * (1 + S.frame(p).scale)
+            assert np.abs(ex.d_fundamental).max() <= 1e-10 * (1 + frame_at(S, p).scale)
 
 
 def test_d_fundamental_law_with_g6_present():
@@ -327,7 +329,7 @@ def test_d_fundamental_law_with_g6_present():
         for p in points(S):
             ex = exterior_data_at(S, p)
             forms = theta_forms(S, p)
-            wedge = eta_wedge_fundamental(S.frame(p))
+            wedge = eta_wedge_fundamental(frame_at(S, p))
             want = -forms.theta_star_xi * wedge
             assert np.abs(ex.d_fundamental - want).max() \
                 <= 1e-9 * (1 + abs(forms.theta_star_xi))
@@ -444,7 +446,7 @@ def test_projection_formulas_null_scaled_setting():
 
         # the G10 block evaluated on the Reeb slot is the symmetric matrix
         # -(f_z/4f^2)(x1 y2 + x2 y1)
-        fr = S.frame((x, y, z))
+        fr = frame_at(S, (x, y, z))
         T = np.einsum("ijk,k->ij", b.F10, fr.xi_vec)
         wantT = np.zeros((3, 3))
         wantT[0, 1] = wantT[1, 0] = -fz / (4 * f ** 2)
@@ -533,7 +535,7 @@ def test_batch_matches_pointwise(f, xi):
         for label, part in b.parts.items():
             assert np.abs(comp.parts[label][..., i] - part).max() <= 1e-11
         ex = exterior_data_at(S, p)
-        fr = S.frame(p)
+        fr = frame_at(S, p)
         assert np.abs(de[..., i] - ex.d_eta).max() <= 1e-11 * (1 + fr.scale)
         assert np.abs(lg[..., i] - ex.lie_g).max() <= 1e-11 * (1 + fr.scale)
         assert np.abs(df[..., i] - ex.d_fundamental).max() <= 1e-11 * (1 + fr.scale)
@@ -664,13 +666,14 @@ POINTWISE = {
     "project_components": project_components,
     "nabla_xi": lambda S, p: nabla_xi(S, D_X, p),
     "nijenhuis": lambda S, p: nijenhuis(S, p, D_X, D_Y),
+    "sectional_curvatures": lambda S, p: sectional_curvatures(S, D_X, p),
 }
 
 
 @pytest.mark.parametrize("view", POINTWISE.values(), ids=list(POINTWISE))
 def test_a_pointwise_view_refuses_a_point_outside_the_domain(view):
-    # the box of g5g6-normal is [0.5, 2]^3; every view reads the frame there,
-    # which refuses the point as metric_at and curvature_at do
+    # the box of g5g6-normal is [0.5, 2]^3; every view runs on the point's
+    # batch of one (structure.pointwise), which refuses the point
     S = load_fixture("g5g6-normal").build(samples=8)
     with pytest.raises(OutOfDomainError):
         view(S, (5.0, 5.0, 5.0))

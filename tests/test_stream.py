@@ -114,6 +114,17 @@ def test_the_rejection_loop_samples_numpys_points(samples, seed):
 UNLOADED = ("numpy.random", "secrets", "_hashlib")
 
 
+def test_importing_the_cli_does_not_load_numpy_random():
+    # importing numpy.random costs each CLI process 10 to 25 ms of start-up
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, walkergeo.cli; print('numpy.random' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout == "False\n"
+
+
 @pytest.mark.parametrize("command", ["examples", "analyze"])
 def test_an_analysis_does_not_load_numpy_random(command):
     argv = (["examples", "run", "eta-einstein-parabolic"]

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from geometry_oracles import (
-    BOX, build as build_on_box, christoffel_oracle, fd_partial, metric_fn,
-    vector_fn, with_phi,
+    BOX, build as build_on_box, christoffel_oracle, fd_partial, frame_at,
+    metric_fn, vector_fn, with_phi,
 )
+from walkergeo.curvature import sectional_curvatures
 from walkergeo.errors import NonexistentStructureError, UnitConstraintError
 from walkergeo.expressions import analysis, evaluate_with_scale, parse, to_source
+from walkergeo.ftensor import (
+    exterior_data_at, f_tensor_at, normality_data_at, project_components,
+    theta_forms,
+)
 from walkergeo.jets import eval_jet
 from walkergeo.sampling import SamplingConfig, is_identically_zero
 from walkergeo.structure import (
@@ -54,7 +59,7 @@ def test_unit_constraint_field_source():
 def test_phi_closed_form_unit_y():
     # xi = d_y forces phi = [[-1, 0, -f], [0, 0, 0], [0, 0, 1]], eta = dy
     S = build("x^2", ("0", "1", "0"))
-    fr = S.frame((1.3, 0.8, 1.1))
+    fr = frame_at(S, (1.3, 0.8, 1.1))
     f = 1.3 ** 2
     assert np.allclose(fr.phi_mat,
                        [[-1, 0, -f], [0, 0, 0], [0, 0, 1]], atol=1e-14)
@@ -66,7 +71,7 @@ def test_phi_closed_form_null_scaled():
     # [1/sqrt(f), 0, 0], [0, -1/sqrt(f), 0]], eta = (dx + f dz)/sqrt(f)
     S = build("x/z", ("0", "0", "1/sqrt(x/z)"))
     p = (1.2, 0.9, 0.6)
-    fr = S.frame(p)
+    fr = frame_at(S, p)
     r = np.sqrt(1.2 / 0.6)
     assert np.allclose(fr.phi_mat,
                        [[0, r, 0], [1 / r, 0, 0], [0, -1 / r, 0]], atol=1e-12)
@@ -77,24 +82,51 @@ def test_phi_closed_form_null_scaled():
 def test_eta_is_metric_dual(f, xi):
     S = build(f, xi)
     for p in S.domain.sample()[:8]:
-        fr = S.frame(tuple(p))
+        fr = frame_at(S, p)
         assert np.abs(fr.eta_vec - fr.g @ fr.xi_vec).max() <= 1e-12 * (1 + fr.scale)
         assert abs(fr.eta_vec @ fr.xi_vec - 1.0) <= 1e-12 * (1 + fr.scale)
 
 
 def test_frame_cache_returns_same_object():
     S = build("x^2", ("0", "1", "0"))
+    pts = S.domain.sample()
     with analysis():
-        assert S.frame((1.0, 1.0, 1.0)) is S.frame((1.0, 1.0, 1.0))
+        assert S.frame(pts) is S.frame(pts)
     # outside an analysis nothing is kept
-    assert S.frame((1.0, 1.0, 1.0)) is not S.frame((1.0, 1.0, 1.0))
+    assert S.frame(pts) is not S.frame(pts)
+    # a frame takes batches only; a point is a view's batch of one
+    with pytest.raises(ValueError, match="batch"):
+        S.frame((1.0, 1.0, 1.0))
+
+
+def test_views_at_a_point_share_its_batch_of_one(monkeypatch):
+    # every pointwise view runs on the point's batch of one, made once per
+    # analysis and keyed by the point, so the views there build one frame
+    S = build("x^2/y^2", ("x/y", "1", "0"))
+    built = []
+    init = Frame.__init__
+    monkeypatch.setattr(Frame, "__init__",
+                        lambda self, *args: built.append(init(self, *args)))
+    p, X = (1.0, 1.5, 0.75), (1.0, 0.0, 0.0)
+    views = (f_tensor_at, theta_forms, exterior_data_at, normality_data_at,
+             project_components, lambda S, p: nabla_xi(S, X, p),
+             lambda S, p: sectional_curvatures(S, X, p))
+    with analysis():
+        for point in (p, np.array(p), list(p)):
+            for view in views:
+                view(S, point)
+    assert len(built) == 1
+    # outside an analysis nothing is kept
+    f_tensor_at(S, p)
+    f_tensor_at(S, p)
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("f,xi", STRUCTURES, ids=[s[0] for s in STRUCTURES])
 def test_value_scale_is_the_order_0_scale(f, xi):
     S = build(f, xi)
     pts = S.domain.sample()
-    for points in (pts, pts[3]):
+    for points in (pts, pts[3:4]):
         # outside an analysis each jet is computed afresh
         jets = [eval_jet(e, points, 0) for e in (S.manifold.f,) + S.xi]
         scale = np.abs(np.concatenate([j.coeffs for j in jets])).max(axis=0)
@@ -108,7 +140,7 @@ def test_frame_jets_are_the_structure_fields_jets(f, xi):
     # eta and phi are stated once, as expressions: the frame holds their jets
     S = build(f, xi)
     pts = S.domain.sample()
-    for points in (pts, tuple(pts[3])):
+    for points in (pts, pts[3:4]):
         with analysis():
             fr = S.frame(points)
             for k in range(3):

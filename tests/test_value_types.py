@@ -24,11 +24,10 @@ from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.curvature import eta_einstein_check
 from walkergeo.expressions import Add, Num, Sub, Var, parse
 from walkergeo.ftensor import f_tensor_at
+from walkergeo.jets import eval_jet
 from walkergeo.report import build_report
 from walkergeo.sampling import Domain, Interval, Route, SamplingConfig
-from walkergeo.walker import (
-    SegreVerdict, christoffel_at, curvature_at, flatness, metric_at, ricci_at,
-)
+from walkergeo.walker import SegreVerdict, flatness
 
 SRC = str(Path(walkergeo.__file__).resolve().parents[1])
 MODULES = [importlib.import_module(f"walkergeo.{info.name}")
@@ -183,12 +182,14 @@ def test_verdicts_are_truthy_by_their_decision(name):
 
 
 def test_tensor_arrays_are_read_only(structure):
-    point = structure.domain.sample()[0]
-    tensor = f_tensor_at(structure, point)
+    # the structure tensor at a point and over the sample, and the jets of f
+    # the Walker kernels read
+    pts = structure.domain.sample()
+    tensor, batch = f_tensor_at(structure, pts[0]), f_tensor_at(structure, pts)
     M = structure.manifold
-    arrays = [tensor.components, tensor.reeb_square, curvature_at(M, point),
-              christoffel_at(M, point), *metric_at(M, point),
-              *ricci_at(M, point)[:2]]
+    arrays = [tensor.components, tensor.reeb_square, batch.components,
+              batch.reeb_square,
+              *(eval_jet(M.f, pts, order).coeffs for order in range(3))]
     for array in arrays:
         assert isinstance(array, np.ndarray) and not array.flags.writeable
         with pytest.raises(ValueError):

@@ -10,15 +10,16 @@ from geometry_oracles import (
 )
 from walkergeo.errors import OutOfDomainError, UnsupportedSignatureError
 from walkergeo.expressions import parse
+from walkergeo.jets import eval_jet
 from walkergeo.sampling import Domain, Interval, SamplingConfig
 from walkergeo.walker import (
     WalkerManifold,
-    christoffel_at,
-    curvature_at,
+    christoffel_from_jet,
+    curvature_from_jet,
     flatness,
     is_strict_walker,
-    metric_at,
-    ricci_at,
+    metric_arrays,
+    ricci_from_jet,
     scalar_curvature_field,
     segre_type,
 )
@@ -35,9 +36,20 @@ def manifold(source, eps=1):
     return WalkerManifold(parse(source), eps, BOX)
 
 
+def one(point):
+    """A point as a batch of one: column 0 of each kernel's arrays is the
+    point."""
+    return np.array([point], dtype=float)
+
+
+def metric(M, pts):
+    """g and its inverse over the points."""
+    return metric_arrays(eval_jet(M.f, pts, 0).value, M.epsilon)
+
+
 def test_metric_values():
     M = manifold("x^2")
-    g, ginv = metric_at(M, (2.0, 0.7, 0.9))
+    g, ginv = (a[..., 0] for a in metric(M, one((2.0, 0.7, 0.9))))
     assert g[2, 2] == 4.0
     assert g[0, 2] == 1.0 and g[1, 1] == 1.0
     assert ginv[0, 0] == -4.0
@@ -46,7 +58,7 @@ def test_metric_values():
 
 def test_metric_timelike_complement():
     M = manifold("x^2", eps=-1)
-    g, ginv = metric_at(M, (1.0, 1.0, 1.0))
+    g, ginv = (a[..., 0] for a in metric(M, one((1.0, 1.0, 1.0))))
     assert g[1, 1] == -1.0
     assert ginv[1, 1] == -1.0
 
@@ -54,8 +66,8 @@ def test_metric_timelike_complement():
 @pytest.mark.parametrize("source", F_SOURCES)
 def test_inverse_metric(source):
     M = manifold(source)
-    for p in random_points(BOX_ARRAY, 10, seed=1):
-        g, ginv = metric_at(M, p)
+    gs, ginvs = metric(M, random_points(BOX_ARRAY, 10, seed=1))
+    for g, ginv in zip(np.moveaxis(gs, -1, 0), np.moveaxis(ginvs, -1, 0)):
         assert np.abs(g @ ginv - np.eye(3)).max() <= 1e-12
         assert abs(np.linalg.det(g) + 1.0) <= 1e-12
 
@@ -64,15 +76,17 @@ def test_inverse_metric(source):
 def test_christoffel_against_generic_oracle(source):
     M = manifold(source)
     g_fn = metric_fn(M.f)
-    for p in random_points(BOX_ARRAY, 6, seed=2):
-        gamma = christoffel_at(M, p)
+    pts = random_points(BOX_ARRAY, 6, seed=2)
+    gammas = christoffel_from_jet(eval_jet(M.f, pts, 1))
+    for k, p in enumerate(pts):
+        gamma = gammas[..., k]
         oracle = christoffel_oracle(g_fn, p)
         assert np.abs(gamma - oracle).max() <= 1e-6
 
 
 def test_christoffel_closed_form_spot_check():
     M = manifold("x^2")
-    gamma = christoffel_at(M, (1.0, 0.7, 0.9))
+    gamma = christoffel_from_jet(eval_jet(M.f, one((1.0, 0.7, 0.9)), 1))[..., 0]
     # nabla_{d_z} d_z = (f f_x + f_z)/2 d_x - f_y/2 d_y - f_x/2 d_z
     assert abs(gamma[0, 2, 2] - 1.0) <= 1e-14
     assert abs(gamma[1, 2, 2]) <= 1e-14
@@ -89,8 +103,10 @@ def test_christoffel_closed_form_spot_check():
 def test_curvature_against_fd_oracle(source):
     M = manifold(source)
     g_fn = metric_fn(M.f)
-    for p in random_points(BOX_ARRAY, 4, seed=3):
-        R = curvature_at(M, p)
+    pts = random_points(BOX_ARRAY, 4, seed=3)
+    Rs = curvature_from_jet(eval_jet(M.f, pts, 2))
+    for k, p in enumerate(pts):
+        R = Rs[..., k]
         oracle = curvature_oracle(g_fn, p)
         # nested finite differences: truncation error scales with magnitude
         assert np.abs(R - oracle).max() <= 1e-6 * (1 + np.abs(R).max())
@@ -99,7 +115,7 @@ def test_curvature_against_fd_oracle(source):
 def test_curvature_closed_form_spot_check():
     # R(d_y, d_z) d_y = -(f_yy/2) d_x; f = x^2/y^2 gives f_yy = 6 at (1,1,1)
     M = manifold("x^2/y^2")
-    R = curvature_at(M, (1.0, 1.0, 1.0))
+    R = curvature_from_jet(eval_jet(M.f, one((1.0, 1.0, 1.0)), 2))[..., 0]
     assert np.allclose(R[1, 2, 1], [-3.0, 0.0, 0.0], atol=1e-12)
     # the (d_x, d_y) plane is always flat
     assert np.abs(R[0, 1]).max() == 0.0
@@ -108,9 +124,11 @@ def test_curvature_closed_form_spot_check():
 @pytest.mark.parametrize("source", F_SOURCES)
 def test_curvature_symmetries(source):
     M = manifold(source)
-    for p in random_points(BOX_ARRAY, 4, seed=4):
-        R = curvature_at(M, p)
-        g, _ = metric_at(M, p)
+    pts = random_points(BOX_ARRAY, 4, seed=4)
+    Rs = curvature_from_jet(eval_jet(M.f, pts, 2))
+    gs, _ = metric(M, pts)
+    for k in range(len(pts)):
+        R, g = Rs[..., k], gs[..., k]
         low = np.einsum("ijkl,lm->ijkm", R, g)
         assert np.abs(low + low.transpose(1, 0, 2, 3)).max() <= 1e-10
         assert np.abs(low + low.transpose(0, 1, 3, 2)).max() <= 1e-10
@@ -122,11 +140,15 @@ def test_curvature_symmetries(source):
 @pytest.mark.parametrize("source", F_SOURCES)
 def test_ricci_against_curvature_trace(source):
     M = manifold(source)
-    for p in random_points(BOX_ARRAY, 5, seed=5):
-        rho, q, scal = ricci_at(M, p)
-        R = curvature_at(M, p)
-        assert np.abs(rho - ricci_from_curvature(R)).max() <= 1e-12
-        g, ginv = metric_at(M, p)
+    pts = random_points(BOX_ARRAY, 5, seed=5)
+    jet = eval_jet(M.f, pts, 2)
+    rhos, qs, scals = ricci_from_jet(jet)
+    Rs = curvature_from_jet(jet)
+    _, ginvs = metric(M, pts)
+    for k in range(len(pts)):
+        rho, q, scal = rhos[..., k], qs[..., k], scals[k]
+        assert np.abs(rho - ricci_from_curvature(Rs[..., k])).max() <= 1e-12
+        ginv = ginvs[..., k]
         assert np.abs(
             ginv @ rho - q).max() <= 1e-12
         assert abs(np.trace(q) - scal) <= 1e-12
@@ -134,7 +156,8 @@ def test_ricci_against_curvature_trace(source):
 
 def test_ricci_closed_form():
     M = manifold("x^2 + y^2")
-    rho, q, scal = ricci_at(M, (1.0, 1.0, 1.0))
+    rho, q, scal = (a[..., 0] for a in ricci_from_jet(
+        eval_jet(M.f, one((1.0, 1.0, 1.0)), 2)))
     f, fxx, fyy = 2.0, 2.0, 2.0
     want = np.array([[0, 0, fxx / 2], [0, 0, 0],
                      [fxx / 2, 0, (f * fxx - fyy) / 2]])
@@ -188,7 +211,8 @@ def test_segre_degenerate():
     assert np.allclose(sorted(v.eigenvalues), [0.0, 1.0, 1.0], atol=1e-12)
     # kernel vector: -(f_xy/f_xx) d_x + d_y = d_y here
     assert np.allclose(v.n_vector, [0.0, 1.0, 0.0], atol=1e-12)
-    rho, q, _ = ricci_at(manifold("x^2"), (1.0, 1.0, 1.0))
+    _, q, _ = ricci_from_jet(eval_jet(manifold("x^2").f, one((1.0, 1.0, 1.0)), 2))
+    q = q[..., 0]
     assert np.abs(q @ v.n_vector).max() <= 1e-12
     for vec in (v.v1, v.v2):
         assert np.abs(q @ vec - vec).max() <= 1e-12
@@ -200,14 +224,16 @@ def test_segre_other():
 
 
 def test_domain_guard():
+    # the walker's pointwise verdict refuses a point outside the domain
     M = manifold("x^2")
     with pytest.raises(OutOfDomainError):
-        christoffel_at(M, (3.0, 1.0, 1.0))
+        segre_type(M, (3.0, 1.0, 1.0))
 
 
 def test_timelike_complement_curvature_unsupported():
+    # the verdicts built on the eps = +1 closed forms refuse eps = -1
     M = manifold("x^2", eps=-1)
     with pytest.raises(UnsupportedSignatureError):
-        christoffel_at(M, (1.0, 1.0, 1.0))
+        flatness(M)
     with pytest.raises(UnsupportedSignatureError):
-        curvature_at(M, (1.0, 1.0, 1.0))
+        segre_type(M, (1.0, 1.0, 1.0))
