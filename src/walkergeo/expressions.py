@@ -369,8 +369,9 @@ def depth(e: Expr) -> int:
 
 class Analysis:
     """What one analysis remembers, until it closes (see `analysis`), in
-    named tables. Each entry is keyed by every input it reads, points by
-    `at`, so the analyses of several structures can share one."""
+    named tables. Each entry is keyed by every input it reads, a batch of
+    points by `at`, so the analyses of several structures can share one.
+    A single point enters only as its batch of one (`batch_of_one`)."""
 
     def __init__(self):
         self.derivatives = {}   # (node, variable) -> derivative; see `diff`
@@ -378,19 +379,28 @@ class Analysis:
         self.jets = {}          # points -> {field: (jet, all finite)}
         self.results = {}       # (owner id, name, *key) -> (owner, result)
         self.batches = {}       # id -> each read-only batch keyed, kept alive
+        self.points = {}        # a point's bytes -> its batch of one
 
     def at(self, points: np.ndarray):
-        """The key of points in every table: one point (shape (3,)) by its
-        bytes, a read-only batch by identity (kept alive, so the id stays
-        unique), and a writable batch by a key no later call shares, so a
-        batch changed in place is never served a kept value."""
-        if points.ndim == 1:   # an exact point's bytes are pointers
-            return (points.tobytes() if points.dtype != object
-                    else tuple(points.tolist()))
+        """The key of an (n, 3) batch in every table: a read-only batch by
+        identity (kept alive, so the id stays unique), and a writable batch
+        by a key no later call shares, so a batch changed in place is never
+        served a kept value."""
         if points.flags.writeable:
             return object()
         self.batches[id(points)] = points
         return id(points)
+
+    def batch_of_one(self, point) -> np.ndarray:
+        """The read-only (1, 3) batch of a point, made once per analysis
+        and keyed by the point's bytes (an exact point's by its entries,
+        whose bytes are pointers), so an equal point, as a tuple or an
+        array, gets the same batch, and with it every kept value."""
+        one = np.reshape(as_points(point), (1, 3))
+        key = one.tobytes() if one.dtype != object else tuple(one[0].tolist())
+        if key not in self.points:
+            self.points[key] = np.broadcast_to(one.copy(), (1, 3))
+        return self.points[key]
 
     def key(self, owner, name: str, key: tuple) -> tuple:
         """The key of a result of `once`."""
@@ -782,6 +792,15 @@ def as_points(points) -> np.ndarray:
     return pts if pts.dtype == object else pts.astype(float, copy=False)
 
 
+def as_batch(points) -> np.ndarray:
+    """points as an (n, 3) batch (see `as_points`), the one layout the
+    evaluator, the jets and the kernels take; ValueError otherwise."""
+    pts = as_points(points)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must be an (n, 3) batch, not {pts.shape}")
+    return pts
+
+
 def scalar(value, like):
     """value as a float, or as 0 * like's first exact entry + value."""
     like = np.asarray(like)
@@ -795,7 +814,7 @@ def is_finite(a) -> np.ndarray:
 
 
 def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate at one point (shape (3,)) or a batch (shape (n, 3)).
+    """Evaluate over a batch of points (shape (n, 3)).
 
     Returns (values, scale) where scale at each point is the largest
     magnitude any subexpression attained there. Zero tests divide residuals
@@ -816,14 +835,9 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     offending subexpression and the first offending point; a node that
     raises is not kept.
     """
-    pts = as_points(points)
-    single = pts.shape == (3,)
-    if not single and (pts.ndim != 2 or pts.shape[1] != 3):
-        raise ValueError("points must have shape (3,) or (n, 3)")
+    pts = as_batch(points)
     active = current()
-    kept = active.values.setdefault(active.at(pts), {})
-    values, scale = _walk(e, pts.reshape(1, 3) if single else pts, kept)
-    return (values[0], scale[0]) if single else (values, scale)
+    return _walk(e, pts, active.values.setdefault(active.at(pts), {}))
 
 
 def raise_at(bad: np.ndarray, reason: str, node: Expr, pts: np.ndarray) -> None:
@@ -878,8 +892,3 @@ def _evaluate_node(node: Expr, args, pts: np.ndarray):
         if not is_finite(v).all():
             raise_at(~is_finite(v), "non-finite value", node, pts)
     return v, np.maximum(scale, np.abs(v))
-
-
-def evaluate(e: Expr, points):
-    """Values only; see evaluate_with_scale."""
-    return evaluate_with_scale(e, points)[0]

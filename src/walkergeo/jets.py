@@ -7,7 +7,7 @@ plain truncated polynomial multiplication; `derivative` converts back.
 
 Coefficients form one array shaped (coefficients, n) over an (n, 3) batch
 of points: the package's one layout, components first and points last
-(see structure). A jet at one point (shape (3,)) is column 0 of its batch
+(see structure), and no other: a jet at one point is column 0 of its batch
 of one. Each operation acts on whole rows in one order, so a batch row is
 bit for bit the jet of the batch of one: a product adds each gamma's terms
 a[alpha] * b[beta] one by one, in a fixed split order, to +0.0, as column
@@ -34,7 +34,7 @@ from itertools import accumulate, product, repeat
 import numpy as np
 
 from .expressions import (
-    Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, as_points,
+    Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, as_batch,
     current, fold, is_finite, raise_at, scalar,
 )
 
@@ -194,11 +194,10 @@ class Jet3:
         return self.compose(derivs[: self.order + 1])
 
 
-def eval_jet(e: Expr, point, order: int = MAX_ORDER) -> Jet3:
+def eval_jet(e: Expr, points, order: int = MAX_ORDER) -> Jet3:
     """Value and all partial derivatives of `e` up to `order` over a batch
-    of points (shape (n, 3)), or at one point (shape (3,)) as column 0 of
-    its batch of one, by one `fold`: a shared subtree's jet is computed
-    once, children before parents.
+    of points (shape (n, 3)), by one `fold`: a shared subtree's jet is
+    computed once, children before parents.
 
     Domain violations (zero divisor, non-positive sqrt argument, overflow)
     raise EvaluationError naming the first offending subexpression in that
@@ -219,7 +218,7 @@ def eval_jet(e: Expr, point, order: int = MAX_ORDER) -> Jet3:
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
-    pts = as_points(point)
+    pts = as_batch(points)
     active = current()
     table = active.jets.setdefault(active.at(pts), {})
     kept = table.get(e)
@@ -244,15 +243,9 @@ def _cut(kept: tuple | None, order: int) -> Jet3 | None:
 
 
 def _propagate(e: Expr, pts: np.ndarray, order: int, table: dict) -> Jet3:
-    """The jet of e at the point or points: one `fold` of ev, a field whose
-    jet the points' table keeps standing as a leaf (see eval_jet)."""
-    single = pts.ndim == 1
-    pts = pts.reshape(-1, 3)
+    """The jet of e over the points: one `fold` of ev, a field whose jet
+    the points' table keeps standing as a leaf (see eval_jet)."""
     shape = pts.shape[:1]
-
-    def known(node: Expr) -> Jet3 | None:   # a point's jet as a batch of one
-        jet = _cut(table.get(node), order)
-        return jet and Jet3(order, jet.coeffs.reshape(len(jet.coeffs), -1))
 
     def finite(out: Jet3, node: Expr) -> Jet3:
         raise_at(~is_finite(out.coeffs).all(axis=0), "non-finite value", node,
@@ -292,5 +285,4 @@ def _propagate(e: Expr, pts: np.ndarray, order: int, table: dict) -> Jet3:
         raise TypeError(f"cannot evaluate {type(node).__name__}")
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        jet = fold(e, ev, known)
-    return Jet3(order, jet.coeffs[:, 0]) if single else jet
+        return fold(e, ev, lambda node: _cut(table.get(node), order))

@@ -155,14 +155,15 @@ class Domain(NamedTuple):
 
 
 def _evaluate_pointwise(field: Expr, pts: np.ndarray):
-    """Fallback when a batch evaluation fails inside a constraint:
-    points where the constraint itself cannot be evaluated are rejected."""
+    """Fallback when a batch evaluation fails inside a constraint: each
+    point is evaluated on its batch of one, and points where the
+    constraint itself cannot be evaluated are rejected."""
     values = np.full(pts.shape[0], np.nan)
     scales = np.zeros(pts.shape[0])
     for i in range(pts.shape[0]):
         try:
-            v, s = evaluate_with_scale(field, pts[i])
-            values[i], scales[i] = v, s
+            values[i:i + 1], scales[i:i + 1] = evaluate_with_scale(
+                field, pts[i:i + 1])
         except EvaluationError:
             pass
     return values, scales
@@ -340,13 +341,13 @@ def every(routes: Iterable[Route]) -> Route:
 
 
 def require_finite(values, pts):
-    """values, a sampled residual at the points (one point, or one per
-    value); EvaluationError at the first point whose value is not finite.
-    Every non-finite residual the package meets raises here."""
+    """values, a sampled residual at the (n, 3) points, one per value;
+    EvaluationError at the first point whose value is not finite. Every
+    non-finite residual the package meets raises here."""
     bad = ~is_finite(values)
     if bad.any():
         raise EvaluationError("non-finite value", "a sampled residual",
-                              np.reshape(pts, (-1, 3))[int(np.argmax(bad))])
+                              pts[int(np.argmax(bad))])
     return values
 
 
@@ -354,7 +355,7 @@ def bound(values, tol: float, pts) -> Route:
     """The route max(values) <= tol over the sample points, decided at
     the first point attaining the maximum, where a nan or inf raises."""
     k = int(values.argmax())   # the first nan, if any
-    require_finite(values[k], pts[k])
+    require_finite(values[k:k + 1], pts[k:k + 1])
     return Route(bool(within(values[k], tol, 1.0)), tuple(pts[k].tolist()),
                  float(values[k]))
 
@@ -371,8 +372,7 @@ def zero_verdict_from_samples(values: np.ndarray, scales, pts: np.ndarray,
     judged against.
     """
     values = np.abs(np.asarray(values, dtype=float))
-    if values.ndim > 1:
-        values = values.reshape(-1, values.shape[-1]).max(axis=0)
+    values = values.reshape(-1, values.shape[-1]).max(axis=0)
     scales = 1.0 + np.asarray(scales, dtype=float)
     return _unless(~within(values, tol, scales), pts,
                    float((values / scales).max(initial=0.0)), values)

@@ -55,8 +55,8 @@ from .errors import (
     UnitConstraintError,
 )
 from .expressions import (
-    Div, Expr, Pow, ZERO, analysis, as_expr, as_points, evaluate_with_scale,
-    once, to_source, variables, walk,
+    Div, Expr, Pow, ZERO, analysis, as_batch, as_expr, as_points,
+    evaluate_with_scale, once, to_source, variables, walk,
 )
 from .jets import eval_jet
 from .sampling import (
@@ -117,9 +117,7 @@ class Frame:
 
     def __init__(self, structure: "ApctStructure", points):
         M = structure.manifold
-        pts = self.points = as_points(points)
-        if pts.ndim != 2:
-            raise ValueError("a frame takes an (n, 3) batch of points")
+        pts = self.points = as_batch(points)
         # the curvature routes read f's order-2 jet: propagated here once,
         # it is kept and cut to order 1 (see eval_jet); where it cannot be
         # formed, the curvature routes report that
@@ -178,7 +176,7 @@ class ApctStructure:
 
     def frame(self, points) -> Frame:
         """Frame over an (n, 3) batch of points, once per analysis."""
-        pts = as_points(points)
+        pts = as_batch(points)
         return once(self, "frame", (pts,), lambda: Frame(self, pts))
 
 
@@ -186,18 +184,17 @@ def pointwise(batch_view):
     """The view `batch_view(S, pts, *args)` over an (n, 3) batch of points,
     in an analysis of its own or the open one, answering at one point
     (shape (3,)) of S's domain too (else OutOfDomainError). There it runs
-    on the point's batch of one, a read-only copy made once per analysis
-    and keyed by the point (see `Analysis.at`), so repeated views at a
-    point share one frame, and returns column 0 (see `_column_0`)."""
+    on the point's batch of one (`Analysis.batch_of_one`), so repeated
+    views at a point share one frame, and returns column 0 (see
+    `_column_0`)."""
     @wraps(batch_view)
     def view(S: "ApctStructure", points, *args):
         pts = as_points(points)
-        with analysis():
+        with analysis() as active:
             if pts.ndim == 2:
                 return batch_view(S, pts, *args)
             S.manifold.require_inside(pts)
-            one = once(S, "batch_of_one", (pts,),
-                       lambda: np.broadcast_to(pts.copy(), (1, 3)))
+            one = active.batch_of_one(pts)
             return _column_0(batch_view(S, one, *args), one)
     return view
 
@@ -238,8 +235,8 @@ def build_structure(manifold: WalkerManifold, xi) -> ApctStructure:
     residual = unit_constraint_field(manifold, xi)
     unit = is_identically_zero(residual, manifold.domain)
     if not unit:
-        value = evaluate_with_scale(residual, np.array(unit.witness))[0]
-        raise UnitConstraintError(unit.witness, abs(value))
+        value = evaluate_with_scale(residual, np.array([unit.witness]))[0]
+        raise UnitConstraintError(unit.witness, abs(value[0]))
     structure = ApctStructure(manifold, xi)
     reject_poles(structure)
     return structure

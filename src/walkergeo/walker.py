@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfDomainError, UnsupportedSignatureError
-from .expressions import Expr, diff, gradient, once, scalar, to_source
+from .expressions import Expr, current, diff, gradient, once, scalar, to_source
 from .jets import Jet3, eval_jet
 from .sampling import Domain, Route, every, is_identically_zero, nonvanishing
 
@@ -240,11 +240,11 @@ def segre_type(M: WalkerManifold, point) -> SegreVerdict:
     point in an analysis."""
     M.require_spacelike_signature()
     M.require_inside(point)
-    return once(M, "segre", (np.asarray(point),),
-                lambda: _segre_type(M, point))
+    one = current().batch_of_one(point)
+    return once(M, "segre", (one,), lambda: _segre_type(M, one))
 
 
-def _segre_type(M: WalkerManifold, point) -> SegreVerdict:
+def _segre_type(M: WalkerManifold, one: np.ndarray) -> SegreVerdict:
     if flatness(M).flat:
         return SegreVerdict(kind="flat", eigenvalues=(0.0, 0.0, 0.0))
     h = f_hessian(M.f)
@@ -255,7 +255,7 @@ def _segre_type(M: WalkerManifold, point) -> SegreVerdict:
             kind="other", degeneracy=degeneracy, fxx_nonvanishing=fxx_nonzero
         )
     # the kernels read the point's batch of one; column 0 is the point
-    jet = eval_jet(M.f, np.reshape(point, (1, 3)), 2)
+    jet = eval_jet(M.f, one, 2)
     _, fxx_v, fxy_v, _ = (a[0] for a in _hessian(jet))
     s = 0.5 * fxx_v
     ratio = fxy_v / fxx_v

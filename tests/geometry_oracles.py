@@ -37,10 +37,11 @@ def build(f: str, xi, sampling: SamplingConfig) -> ApctStructure:
 
 
 def expr_fn(e):
-    """Plain callable point -> float for a symbolic expression."""
+    """Plain callable point -> float for a symbolic expression: column 0
+    of its values on the point's batch of one."""
     def fn(p):
-        value, _ = evaluate_with_scale(e, np.asarray(p, dtype=float))
-        return float(value)
+        value, _ = evaluate_with_scale(e, np.asarray([p], dtype=float))
+        return float(value[0])
     return fn
 
 

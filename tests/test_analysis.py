@@ -318,8 +318,8 @@ def test_outside_an_analysis_nothing_is_kept(monkeypatch):
     first = ex.evaluate_with_scale(field, pts)
     second = ex.evaluate_with_scale(field, pts)
     assert first[0] is not second[0]
-    ex.evaluate_with_scale(field, pts[0])
-    ex.evaluate_with_scale(field, pts[0])
+    ex.evaluate_with_scale(field, pts[:1])
+    ex.evaluate_with_scale(field, pts[:1])
     with ex.analysis() as analysis:
         for _ in range(2):   # a writable array is never found again
             ex.evaluate_with_scale(field, np.array(pts))
@@ -336,12 +336,19 @@ def test_one_point_is_kept_by_its_bytes(monkeypatch):
     nodes = recording(monkeypatch, ex, "_evaluate_node",
                       lambda node, args, p: node)
     with ex.analysis() as analysis:
-        value, scale = ex.evaluate_with_scale(field, pts[0])
-        # an equal new point finds the kept values
-        again = ex.evaluate_with_scale(field, tuple(pts[0]))
-        assert list(analysis.values) == [pts[0].tobytes()]
+        one = analysis.batch_of_one(pts[0])
+        value, scale = ex.evaluate_with_scale(field, one)
+        # an equal new point, as a tuple, gets the same batch of one, and
+        # with it the kept values
+        equal = analysis.batch_of_one(tuple(pts[0]))
+        again = ex.evaluate_with_scale(field, equal)
+        assert equal is one
+        assert list(analysis.points) == [pts[0].tobytes()]
+        assert list(analysis.values) == [id(one)]
+    assert one.shape == (1, 3) and not one.flags.writeable
     assert nodes == ex.walk(field)
-    assert again == (value, scale) and value == pts[0, 0] * pts[0, 1] + pts[0, 2]
+    assert again[0] is value and again[1] is scale
+    assert value[0] == pts[0, 0] * pts[0, 1] + pts[0, 2]
 
 
 def test_a_shared_node_is_kept_from_its_first_evaluation(monkeypatch):

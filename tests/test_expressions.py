@@ -101,15 +101,19 @@ def test_derivative_with_negated_right_operand_round_trips():
 
 
 def test_single_point_evaluation():
-    value, scale = evaluate_with_scale(parse("x*y + z"), np.array([2.0, 3.0, 1.0]))
+    # the evaluator takes batches only: a point is its batch of one
+    e, point = parse("x*y + z"), np.array([2.0, 3.0, 1.0])
+    with pytest.raises(ValueError, match="batch"):
+        evaluate_with_scale(e, point)
+    (value,), (scale,) = evaluate_with_scale(e, point[None])
     assert value == 7.0
     assert scale >= 7.0
 
 
 def test_constants_bind_exact_rationals():
     e = parse("C*x + C1", constants={"C": 2, "C1": -1})
-    v, _ = evaluate_with_scale(e, np.array([3.0, 0.0, 0.0]))
-    assert v == 5.0
+    v, _ = evaluate_with_scale(e, np.array([[3.0, 0.0, 0.0]]))
+    assert v[0] == 5.0
     assert variables(e) == frozenset({"x"})
 
 
@@ -151,12 +155,12 @@ def test_decimal_digits_of_any_script_parse():
 
 def test_division_by_zero_raises():
     with pytest.raises(EvaluationError):
-        evaluate_with_scale(parse("1/x"), np.array([0.0, 1.0, 1.0]))
+        evaluate_with_scale(parse("1/x"), np.array([[0.0, 1.0, 1.0]]))
 
 
 def test_sqrt_of_nonpositive_raises():
     with pytest.raises(EvaluationError):
-        evaluate_with_scale(parse("sqrt(x - 2)"), np.array([1.0, 1.0, 1.0]))
+        evaluate_with_scale(parse("sqrt(x - 2)"), np.array([[1.0, 1.0, 1.0]]))
 
 
 def test_evaluation_error_carries_point():
@@ -178,7 +182,7 @@ def test_diff_matches_finite_differences(source, var, axis):
     e = parse(source)
     de = diff(e, var)
     for p in random_pts(8):
-        exact, _ = evaluate_with_scale(de, p)
+        exact = evaluate_with_scale(de, p[None])[0][0]
         approx = fd_partial(expr_fn(e), p, axis)
         assert abs(exact - approx) <= 1e-6 * (1 + abs(exact))
 
@@ -203,8 +207,8 @@ def test_operator_overloads_build_same_tree():
     x = parse("x")
     y = parse("y")
     built = x ** 2 / y ** 2
-    v1, _ = evaluate_with_scale(built, np.array([3.0, 2.0, 0.0]))
-    assert v1 == 2.25
+    v1, _ = evaluate_with_scale(built, np.array([[3.0, 2.0, 0.0]]))
+    assert v1[0] == 2.25
 
 
 AT_LIMIT = {
@@ -217,12 +221,12 @@ AT_LIMIT = {
 def test_tree_at_the_depth_limit_gets_through_jets_and_diff(source):
     e = parse(source)
     assert depth(e) == MAX_DEPTH
-    p = np.array([1.1, 0.9, 1.3])
+    p = np.array([[1.1, 0.9, 1.3]])
     jet = eval_jet(e, p, order=3)
     partial = diff(e, "x")
     assert to_source(partial)
-    want, _ = evaluate_with_scale(partial, p)
-    assert abs(jet.derivative((1, 0, 0)) - want) <= 1e-9 * (1 + abs(want))
+    want = evaluate_with_scale(partial, p)[0][0]
+    assert abs(jet.derivative((1, 0, 0))[0] - want) <= 1e-9 * (1 + abs(want))
 
 
 @pytest.mark.parametrize("source", [
@@ -254,7 +258,7 @@ def test_a_coerced_number_beyond_float_range_is_refused(value, digits):
     with pytest.raises(ValueError,
                        match=f"number too large for a float: {digits} digits$"):
         X * value
-    assert evaluate_with_scale(X * 10**300, np.ones(3))[0] == 1e300
+    assert evaluate_with_scale(X * 10**300, np.ones((1, 3)))[0][0] == 1e300
 
 
 # A chain e = (...((x + 1)*x + 1)*x ...)*x + 1 built with the smart
@@ -269,16 +273,17 @@ def test_walkers_do_not_recurse_per_level():
     assert depth(e) == 2 * CHAIN > sys.getrecursionlimit()
     assert variables(e) == frozenset("x")
     assert to_source(e).count("+ 1") == CHAIN
-    p = np.array([0.5, 1.0, 1.0])
+    p = np.array([[0.5, 1.0, 1.0]])
     # sum of x^k for k = 0..CHAIN, and its derivative, at x = 1/2
     value = (1 - 0.5 ** (CHAIN + 1)) / 0.5
     slope = (1 - (CHAIN + 1) * 0.5 ** CHAIN + CHAIN * 0.5 ** (CHAIN + 1)) / 0.25
-    assert evaluate_with_scale(e, p)[0] == pytest.approx(value, rel=1e-12)
+    assert evaluate_with_scale(e, p)[0][0] == pytest.approx(value, rel=1e-12)
     partial = diff(e, "x")
-    assert evaluate_with_scale(partial, p)[0] == pytest.approx(slope, rel=1e-12)
+    assert evaluate_with_scale(partial, p)[0][0] == pytest.approx(slope,
+                                                                  rel=1e-12)
     jet = eval_jet(e, p, order=3)
-    assert jet.value == pytest.approx(value, rel=1e-12)
-    assert jet.derivative((1, 0, 0)) == pytest.approx(slope, rel=1e-12)
+    assert jet.value[0] == pytest.approx(value, rel=1e-12)
+    assert jet.derivative((1, 0, 0))[0] == pytest.approx(slope, rel=1e-12)
 
 
 # The differentiation and printing rules stated recursively, per level: the

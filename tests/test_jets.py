@@ -18,13 +18,18 @@ def pts(n):
     return 0.5 + 1.2 * RNG.random((n, 3))
 
 
+def ones(n):
+    """n random points, each as its batch of one."""
+    return pts(n)[:, None]
+
+
 @pytest.mark.parametrize("source", FIELDS)
 def test_jet_value_matches_evaluator(source):
     e = parse(source)
-    for p in pts(6):
+    for p in ones(6):
         jet = eval_jet(e, p)
         direct, _ = evaluate_with_scale(e, p)
-        assert abs(jet.value - direct) <= 1e-12 * (1 + abs(direct))
+        assert abs(jet.value[0] - direct[0]) <= 1e-12 * (1 + abs(direct[0]))
 
 
 @pytest.mark.parametrize("source", FIELDS)
@@ -33,11 +38,12 @@ def test_first_partials_match_symbolic(source):
     e = parse(source)
     exact = [diff(e, v) for v in ("x", "y", "z")]
     alpha = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for p in pts(6):
+    for p in ones(6):
         jet = eval_jet(e, p)
         for axis in range(3):
-            want, _ = evaluate_with_scale(exact[axis], p)
-            assert abs(jet.derivative(alpha[axis]) - want) <= 1e-12 * (1 + abs(want))
+            want = evaluate_with_scale(exact[axis], p)[0][0]
+            got = jet.derivative(alpha[axis])[0]
+            assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
 
 @pytest.mark.parametrize("source", FIELDS)
@@ -45,40 +51,41 @@ def test_partials_match_finite_differences(source):
     e = parse(source)
     fn = expr_fn(e)
     p = np.array([1.1, 0.9, 1.3])
-    jet = eval_jet(e, p)
+    jet = eval_jet(e, np.array([p]))
     for axis, alpha in ((0, (1, 0, 0)), (1, (0, 1, 0)), (2, (0, 0, 1))):
         fd = fd_partial(fn, p, axis)
-        assert abs(jet.derivative(alpha) - fd) <= 1e-6 * (1 + abs(fd))
+        assert abs(jet.derivative(alpha)[0] - fd) <= 1e-6 * (1 + abs(fd))
     second = {(0, 0): (2, 0, 0), (0, 1): (1, 1, 0), (0, 2): (1, 0, 1),
               (1, 1): (0, 2, 0), (1, 2): (0, 1, 1), (2, 2): (0, 0, 2)}
     for (a, b), alpha in second.items():
         fd = fd_partial2(fn, p, a, b)
-        assert abs(jet.derivative(alpha) - fd) <= 1e-6 * (1 + abs(fd))
+        assert abs(jet.derivative(alpha)[0] - fd) <= 1e-6 * (1 + abs(fd))
 
 
 def test_third_order_mixed_partial():
     # f = x^2 y z has d^3 f / dx dy dz = 2 exactly
-    jet = eval_jet(parse("x^2*y*z"), np.array([1.0, 1.0, 1.0]))
-    assert abs(jet.derivative((1, 1, 1)) - 2.0) <= 1e-12
-    jet = eval_jet(parse("exp(z - 2*y)"), np.array([0.7, 0.6, 0.9]))
+    jet = eval_jet(parse("x^2*y*z"), np.array([[1.0, 1.0, 1.0]]))
+    assert abs(jet.derivative((1, 1, 1))[0] - 2.0) <= 1e-12
+    jet = eval_jet(parse("exp(z - 2*y)"), np.array([[0.7, 0.6, 0.9]]))
     want = -2.0 * np.exp(0.9 - 1.2)
-    assert abs(jet.derivative((0, 1, 1)) - want) <= 1e-4 * (1 + abs(want))
+    assert abs(jet.derivative((0, 1, 1))[0] - want) <= 1e-4 * (1 + abs(want))
 
 
 def test_lower_order_jets_still_differentiate():
     e = parse("x^2/y^2")
-    p = np.array([1.5, 1.2, 0.8])
+    p = np.array([[1.5, 1.2, 0.8]])
     j1 = eval_jet(e, p, order=1)
     j3 = eval_jet(e, p, order=3)
-    assert abs(j1.value - j3.value) <= 1e-15
-    assert abs(j1.derivative((0, 1, 0)) - j3.derivative((0, 1, 0))) <= 1e-15
+    assert abs(j1.value[0] - j3.value[0]) <= 1e-15
+    assert abs(j1.derivative((0, 1, 0))[0]
+               - j3.derivative((0, 1, 0))[0]) <= 1e-15
 
 
 def test_jet_respects_domain_guards():
     with pytest.raises(EvaluationError):
-        eval_jet(parse("1/x"), np.array([0.0, 1.0, 1.0]))
+        eval_jet(parse("1/x"), np.array([[0.0, 1.0, 1.0]]))
     with pytest.raises(EvaluationError):
-        eval_jet(parse("sqrt(x - 5)"), np.array([1.0, 1.0, 1.0]))
+        eval_jet(parse("sqrt(x - 5)"), np.array([[1.0, 1.0, 1.0]]))
 
 
 # --- the column-sum product, and the jets an analysis keeps ------------------
@@ -148,15 +155,16 @@ def read_only(a):
 def test_kept_jets_are_read_only_and_returned_again(monkeypatch):
     e, batch = parse("x*y/(1 + z^2)"), read_only(pts(5))
     calls = computations(monkeypatch)
-    with ex.analysis():
-        for point in (batch, batch[0]):   # a batch, and one point
-            jet = eval_jet(e, point, 2)
+    with ex.analysis() as analysis:
+        one = analysis.batch_of_one(batch[0])
+        for points in (batch, one):   # a batch, and a point's batch of one
+            jet = eval_jet(e, points, 2)
             assert not jet.coeffs.flags.writeable
             with pytest.raises(ValueError):
                 jet.coeffs[...] = 0.0
-            assert eval_jet(e, point, 2) is jet
-        # one point is keyed by its bytes: an equal new array finds it
-        assert eval_jet(e, tuple(batch[0]), 2) is jet
+            assert eval_jet(e, points, 2) is jet
+        # an equal point, as a tuple, gets the same batch of one
+        assert eval_jet(e, analysis.batch_of_one(tuple(batch[0])), 2) is jet
     assert calls == [(e, 2), (e, 2)]
 
 
@@ -177,7 +185,7 @@ def test_a_lower_order_is_the_leading_rows_of_a_kept_jet(monkeypatch):
 def test_a_non_finite_kept_jet_is_never_truncated(monkeypatch):
     # sqrt at 1e-200: the third derivative overflows, and order 3 turns its
     # value into nan through the Horner steps; order 2 is finite
-    e, point = parse("sqrt(x)"), np.array([1e-200, 1.0, 1.0])
+    e, point = parse("sqrt(x)"), read_only([[1e-200, 1.0, 1.0]])
     fresh = eval_jet(e, point, 2)
     assert np.isfinite(fresh.coeffs).all()
     calls = computations(monkeypatch)
@@ -192,7 +200,7 @@ def test_a_field_that_raised_leaves_no_entry(monkeypatch):
     calls = computations(monkeypatch)
     with ex.analysis() as analysis:
         eval_jet(good, batch, 1)
-        for point in (batch, batch[0], batch):
+        for point in (batch, batch[:1], batch):
             with pytest.raises(EvaluationError, match="division by zero"):
                 eval_jet(bad, point, 1)
         assert good in analysis.jets[id(batch)]
@@ -205,8 +213,8 @@ def test_outside_an_analysis_no_jet_is_kept(monkeypatch):
     calls = computations(monkeypatch)
     first, second = eval_jet(e, batch, 1), eval_jet(e, batch, 1)
     assert first is not second
-    eval_jet(e, batch[0], 1)
-    eval_jet(e, batch[0], 1)
+    eval_jet(e, batch[:1], 1)
+    eval_jet(e, batch[:1], 1)
     with ex.analysis():    # a writable batch is never found again either
         eval_jet(e, np.array(batch), 1)
         eval_jet(e, np.array(batch), 1)
@@ -218,7 +226,7 @@ def test_outside_an_analysis_no_jet_is_kept(monkeypatch):
 def test_a_quotient_names_a_failing_numerator_first():
     # the numerator is reached before the zero denominator is checked, as in
     # evaluate_with_scale
-    e, p = parse("sqrt(x - 5)/(y - y)"), np.array([1.0, 1.0, 1.0])
+    e, p = parse("sqrt(x - 5)/(y - y)"), np.array([[1.0, 1.0, 1.0]])
     message = r"sqrt of a non-positive argument in 'sqrt\(x - 5\)'"
     with pytest.raises(EvaluationError, match=message):
         evaluate_with_scale(e, p)
@@ -250,18 +258,18 @@ def test_a_shared_subtree_is_propagated_once(monkeypatch):
 
 def test_a_kept_jet_is_a_leaf_of_a_larger_field(monkeypatch):
     inner, batch = parse("x*y/(1 + z^2)"), read_only(pts(5))
-    outer = ex.exp_of(inner)
+    outer, one = ex.exp_of(inner), batch[:1]
     fresh = {order: eval_jet(outer, batch, order) for order in (1, 3)}
-    point_fresh = eval_jet(outer, batch[0], 1)
+    point_fresh = eval_jet(outer, one, 1)
     with ex.analysis():
         eval_jet(inner, batch, 3)
-        eval_jet(inner, batch[0], 3)
+        eval_jet(inner, one, 3)
         calls = computations(monkeypatch)
         products = counting_products(monkeypatch)
         for order in (1, 3):     # rows cut from the kept jet, and all of it
             assert identical(eval_jet(outer, batch, order).coeffs,
                              fresh[order].coeffs)
-        assert identical(eval_jet(outer, batch[0], 1).coeffs,
+        assert identical(eval_jet(outer, one, 1).coeffs,
                          point_fresh.coeffs)
     assert calls == [(outer, 1), (outer, 3), (outer, 1)]
     # only the exp's Horner steps: 1 at each order 1, 3 at order 3

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from walkergeo.errors import ManifestError, StructuralRejection
-from walkergeo.expressions import evaluate
+from walkergeo.expressions import evaluate_with_scale
 from walkergeo.manifest import load_manifest, parse_manifest
 
 GOOD = """\
@@ -64,7 +64,8 @@ def test_build_applies_overrides():
 def test_constants_reach_expressions():
     m = parse_manifest(GOOD)
     # f = x/2 + z at (1, 1, 1)
-    assert abs(evaluate(m.f, [(1.0, 1.0, 1.0)])[0] - 1.5) <= 1e-12
+    value = evaluate_with_scale(m.f, [(1.0, 1.0, 1.0)])[0][0]
+    assert abs(value - 1.5) <= 1e-12
 
 
 def _swap(key, replacement):

@@ -1,15 +1,17 @@
-"""One array layout: the kernels see (n, 3) point batches only.
+"""One array layout: the kernels, and the layer below them, see (n, 3)
+point batches only.
 
 Every kernel of `structure`, `ftensor`, `walker` and `curvature` runs on a
-batch of points, its arrays components first and points last. A view at
-one point is column 0 of the point's batch of one, made by one helper,
-`structure.pointwise`. The package's sources are read, as
-tests/test_sectional_kernel.py reads them, so a second layout written back
-into a kernel fails as soon as it is written:
+batch of points, its arrays components first and points last, and so do
+the evaluator (`expressions`), the jets and the sampler beneath them. A
+view at one point is column 0 of the point's batch of one, made by one
+helper, `structure.pointwise`, from `Analysis.batch_of_one`. The package's
+sources are read, as tests/test_sectional_kernel.py reads them, so a
+second layout written back into a module fails as soon as it is written:
 
 - outside `pointwise` and `_column_0`, these modules hold no comparison of
   an `ndim` with 1 and no comparison of a `shape` with (3,): no branch on
-  whether a kernel got one point or a batch;
+  whether a function got one point or a batch;
 - no function there has a parameter named `rank`, the single-point axis
   count `points_first` and `points_last` took;
 - `walker` defines no function named `*_at`: its pointwise wrappers
@@ -26,7 +28,8 @@ import pytest
 import walkergeo
 
 PACKAGE = Path(walkergeo.__file__).parent
-MODULES = ("structure.py", "ftensor.py", "walker.py", "curvature.py")
+MODULES = ("structure.py", "ftensor.py", "walker.py", "curvature.py",
+           "expressions.py", "jets.py", "sampling.py")
 HELPER = ("pointwise", "_column_0")
 
 

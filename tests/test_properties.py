@@ -172,7 +172,7 @@ COORDINATE = st.floats(-2.5, 2.5)
 def test_a_truncated_jet_is_the_lower_order_jet(source, scaling, point, batch,
                                                 orders):
     e = parse(scaling.format(source), {"C": Fraction(-1, 3)})
-    points = np.array([point, np.add(point, 0.25)] if batch else point)
+    points = np.array([point, np.add(point, 0.25)] if batch else [point])
     points.setflags(write=False)
     high, low = orders
     want = jet_or_error(e, points, low)    # outside an analysis: afresh

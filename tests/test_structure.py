@@ -185,6 +185,17 @@ def test_unit_constraint_violation_rejected():
     assert "(" in str(info.value)  # witness point is part of the message
 
 
+def test_unit_constraint_residual_is_the_field_at_its_witness():
+    # xi2^2 + f xi3^2 + 2 xi1 xi3 - 1 = x^2 + 2x for f = x^2, xi = (x, 1, 1):
+    # nonzero on the whole box, so the first sampled point is the witness
+    M = WalkerManifold(parse("x^2"), 1, BOX)
+    with pytest.raises(UnitConstraintError) as info:
+        build_structure(M, (parse("x"), parse("1"), parse("1")))
+    w = info.value.witness
+    assert w == tuple(M.domain.sample()[0].tolist())
+    assert info.value.residual == pytest.approx(w[0]**2 + 2 * w[0], rel=1e-12)
+
+
 def test_timelike_complement_rejected():
     M = WalkerManifold(parse("x^2"), -1, BOX)
     with pytest.raises(NonexistentStructureError):
@@ -195,5 +206,5 @@ def test_eta_symbolic_components():
     S = build("x/z", ("0", "0", "1/sqrt(x/z)"))
     # eta = (xi3, xi2, xi1 + f*xi3) as symbolic fields
     eta3 = S.eta[2]
-    v, _ = evaluate_with_scale(eta3, np.array([1.2, 0.9, 0.6]))
-    assert abs(v - np.sqrt(2.0)) <= 1e-12
+    v, _ = evaluate_with_scale(eta3, np.array([[1.2, 0.9, 0.6]]))
+    assert abs(v[0] - np.sqrt(2.0)) <= 1e-12

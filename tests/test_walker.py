@@ -169,8 +169,8 @@ def test_scalar_curvature_field():
     M = manifold("x^2/y^2")
     field = scalar_curvature_field(M)
     from walkergeo.expressions import evaluate_with_scale
-    v, _ = evaluate_with_scale(field, np.array([1.0, 1.0, 1.0]))
-    assert abs(v - 2.0) <= 1e-14
+    v, _ = evaluate_with_scale(field, one((1.0, 1.0, 1.0)))
+    assert abs(v[0] - 2.0) <= 1e-14
 
 
 @pytest.mark.parametrize("source,expect", [

@@ -12,6 +12,15 @@ plan, and the two output directories can be compared with `diff -r`:
     python3 tests/write_reports.py src reports/head
     diff -r reports/base reports/head
 
+Beside each machine output it writes `<name>.skeleton`, the output's
+verdict skeleton (see `skeleton`): its exit status and every leaf of its JSON
+report that is not a float, with its path. Floats, expression strings,
+witnesses and details are left out, so a change that moves only digits keeps
+every skeleton, and `diff -r` on the skeletons alone shows whether any
+verdict moved:
+
+    diff -r -x '*.machine' -x '*.text' reports/base reports/head
+
 OUT must not exist yet. The script exits non-zero when an input directory or
 bench/generator.py is missing, when its plan is shorter than EXPECTED, or when
 a run wrote nothing.
@@ -86,6 +95,7 @@ The inputs, and why each is there:
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -118,6 +128,10 @@ sys.exit(main(["examples", "run", "paracontact-exponential",
 
 # outputs of the plan when it was written; a shorter plan is refused
 EXPECTED = 214
+
+# report keys a skeleton leaves out: what the analysis read, and the texts
+# and points that describe a verdict rather than make it
+NOT_VERDICTS = frozenset({"input", "expression", "witness", "detail"})
 
 
 class Run(NamedTuple):
@@ -190,9 +204,38 @@ def plan(work: Path) -> list[Run]:
     return runs
 
 
+def _leaves(value, path: str):
+    """`path = value` for each leaf under value that is not a float,
+    outside the keys in NOT_VERDICTS, in the report's order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key not in NOT_VERDICTS:
+                yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{k}]")
+    elif not isinstance(value, float):
+        yield f"{path} = {json.dumps(value)}"
+
+
+def skeleton(output: str) -> str:
+    """The verdict skeleton of an output (what the child wrote, then its
+    `exit status N` line): that line, then one line per leaf of the JSON
+    report (see `_leaves`). An output that is not a JSON report, such as
+    an error message, gives the exit status alone."""
+    body, status, code = output.rpartition("exit status ")
+    try:
+        report = json.loads(body)
+    except ValueError:
+        report = None
+    leaves = _leaves(report, "") if isinstance(report, dict) else ()
+    return "".join(f"{line}\n" for line in (status + code.strip(), *leaves))
+
+
 def write(run: Run, src: Path, out: Path) -> bool:
-    """Run one child with PYTHONPATH=src into out/run.name; False when the
-    child wrote nothing, which no planned run does."""
+    """Run one child with PYTHONPATH=src into out/run.name, and write the
+    skeleton of a machine output beside it; False when the child wrote
+    nothing, which no planned run does."""
     path = out / run.name
     with open(path, "wb") as handle:
         done = subprocess.run([sys.executable, *run.args], cwd=ROOT,
@@ -201,6 +244,10 @@ def write(run: Run, src: Path, out: Path) -> bool:
     wrote = path.stat().st_size > 0
     with open(path, "ab") as handle:
         handle.write(f"exit status {done.returncode}\n".encode())
+    if run.name.endswith(".machine"):
+        output = path.read_text(encoding="utf-8", errors="replace")
+        (out / f"{run.name}.skeleton").write_text(skeleton(output),
+                                                  encoding="utf-8")
     return wrote
 
 
