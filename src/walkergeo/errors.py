@@ -50,12 +50,16 @@ class ManifestError(InputError):
 
 
 class EvaluationError(InputError):
-    """A field could not be evaluated at a point."""
+    """A field could not be evaluated at a point: the first point of a
+    batch where it fails, and `rows`, the boolean mask over that batch of
+    every point where it fails (None when no mask was given; see
+    `expressions.raise_at`)."""
 
-    def __init__(self, reason: str, subexpression: str, point):
+    def __init__(self, reason: str, subexpression: str, point, rows=None):
         self.reason = reason
         self.subexpression = subexpression
         self.point = tuple(float(c) for c in point)
+        self.rows = rows
         super().__init__(
             f"{reason} in {subexpression!r} at point {self.point}"
         )

@@ -46,6 +46,7 @@ round-tripping is lossless.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -782,7 +783,9 @@ def parse(source: str, constants: Mapping[str, Rational] | None = None) -> Expr:
 # Numeric evaluation
 
 
-_BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
+# the arithmetic of a binary node, on value arrays and jets alike
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+           Div: operator.truediv}
 
 
 def as_points(points) -> np.ndarray:
@@ -831,9 +834,10 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     values and scale depend on its subtree alone, so this changes no bit.
 
     Raises EvaluationError on division by exactly zero, sqrt of a
-    non-positive argument, or a non-finite result (overflow), reporting the
-    offending subexpression and the first offending point; a node that
-    raises is not kept.
+    non-positive argument, or a non-finite result (overflow), by the domain
+    rules `guard` and `guard_finite`, reporting the offending subexpression,
+    the first offending point and the mask of every offending point
+    (`rows`); a node that raises is not kept.
     """
     pts = as_batch(points)
     active = current()
@@ -841,9 +845,42 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def raise_at(bad: np.ndarray, reason: str, node: Expr, pts: np.ndarray) -> None:
-    """EvaluationError at node and the first of the points where bad holds."""
+    """EvaluationError at node and the first of the (n, 3) points where
+    bad holds, with bad as its `rows`: every point node refuses."""
     if bad.any():
-        raise EvaluationError(reason, to_source(node), pts[int(np.argmax(bad))])
+        raise EvaluationError(reason, to_source(node), pts[bad.argmax()], bad)
+
+
+def divisor(node: Expr) -> Expr | None:
+    """The child node divides by, or None: the right operand of a Div, the
+    base of a negative Pow; node's last child either way."""
+    divides = type(node) is Div or type(node) is Pow and node.exponent < 0
+    return _children(node)[-1] if divides else None
+
+
+def guard(node: Expr, operand, pts: np.ndarray) -> None:
+    """The domain rules on a node's operands, the evaluator's and the jets'
+    alike: given the value of node's last child over the (n, 3) points, a
+    zero divisor (see `divisor`) or a non-positive sqrt argument refuses
+    its point (see `raise_at`). Each rule acts elementwise, so a point is
+    refused on any batch exactly when it is refused on its batch of one."""
+    if divisor(node) is not None:
+        raise_at(operand == 0.0, "division by zero", node, pts)
+    elif type(node) is Call and node.func == "sqrt":
+        raise_at(operand <= 0.0, "sqrt of a non-positive argument", node, pts)
+
+
+def guard_finite(node: Expr, values: np.ndarray, pts: np.ndarray) -> None:
+    """The domain rule on a node's result, values over the (n, 3) points
+    (points last): a point where an entry is not finite is refused (see
+    `raise_at`). A negation and a sqrt of finite operands have finite
+    values, so neither is checked; one `is_finite` pass when all are."""
+    if type(node) is Neg or type(node) is Call and node.func == "sqrt":
+        return
+    finite = is_finite(values)
+    if not finite.all():
+        raise_at(~finite.reshape(-1, len(pts)).all(axis=0), "non-finite value",
+                 node, pts)
 
 
 def _walk(e: Expr, pts: np.ndarray, kept: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -863,8 +900,9 @@ def _walk(e: Expr, pts: np.ndarray, kept: dict) -> tuple[np.ndarray, np.ndarray]
 
 def _evaluate_node(node: Expr, args, pts: np.ndarray):
     """The evaluator's rule: (values, scale) of node over the points from
-    those of its children, args (in `_children` order), all finite: an
-    overflow raises, under `_walk`'s errstate, so with no warning."""
+    those of its children, args (in `_children` order), where the domain
+    rules (`guard`, `guard_finite`) hold: an overflow raises, under
+    `_walk`'s errstate, so with no warning."""
     kind = type(node)
     if kind in (Num, Const, Var):
         v = (pts[:, _VARIABLES.index(node.name)] if kind is Var
@@ -873,22 +911,14 @@ def _evaluate_node(node: Expr, args, pts: np.ndarray):
     (a, scale), *rest = args
     if kind is Neg:
         return -a, scale
+    guard(node, args[-1][0], pts)
     if kind in _BINARY:
         b, b_scale = rest[0]
-        if kind is Div:
-            raise_at(b == 0.0, "division by zero", node, pts)
         v = _BINARY[kind](a, b)
         scale = np.maximum(scale, b_scale)
     elif kind is Pow:
-        if node.exponent < 0:
-            raise_at(a == 0.0, "division by zero", node, pts)
         v = a ** node.exponent   # the bits of a ** float(exponent)
-    elif node.func == "sqrt":
-        raise_at(a <= 0.0, "sqrt of a non-positive argument", node, pts)
-        v = np.sqrt(a)
     else:
-        v = np.exp(a)
-    if kind is not Call or node.func == "exp":   # a finite sqrt stays finite
-        if not is_finite(v).all():
-            raise_at(~is_finite(v), "non-finite value", node, pts)
+        v = np.sqrt(a) if node.func == "sqrt" else np.exp(a)
+    guard_finite(node, v, pts)
     return v, np.maximum(scale, np.abs(v))

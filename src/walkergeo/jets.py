@@ -21,8 +21,12 @@ order is cut from it (see `eval_jet`).
 to the requested order comes out of one pass, with no symbolic
 differentiation and no finite differencing. Unary functions are
 applied by composing with their univariate Taylor expansion around the inner
-value; that needs the same domain guards as plain evaluation (nonzero
-divisors, positive sqrt arguments).
+value; that needs the domain rules of plain evaluation (nonzero divisors,
+positive sqrt arguments, finite results), and each node calls the same
+statement of them, `expressions.guard` and `expressions.guard_finite`. So
+where a value fails, its jet fails at the same node, for the same reason,
+on the same points; a jet fails too where only a higher coefficient
+overflows.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from itertools import accumulate, product, repeat
 import numpy as np
 
 from .expressions import (
-    Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, as_batch,
-    current, fold, is_finite, raise_at, scalar,
+    _BINARY, Call, Const, Expr, Neg, Num, Pow, Var, as_batch, current, fold,
+    guard, guard_finite, is_finite, scalar,
 )
 
 MAX_ORDER = 3
@@ -199,9 +203,10 @@ def eval_jet(e: Expr, points, order: int = MAX_ORDER) -> Jet3:
     of points (shape (n, 3)), by one `fold`: a shared subtree's jet is
     computed once, children before parents.
 
-    Domain violations (zero divisor, non-positive sqrt argument, overflow)
-    raise EvaluationError naming the first offending subexpression in that
-    order and the first point where it fails.
+    Domain violations (zero divisor, non-positive sqrt argument, overflow
+    of any coefficient) raise EvaluationError naming the first offending
+    subexpression in that order, the first point where it fails and every
+    such point (`rows`), by the evaluator's rules (`expressions.guard`).
 
     The jet of each field is kept, read-only, in the `current` analysis's
     jets for these points (see `expressions.Analysis.at`); a field that
@@ -247,11 +252,6 @@ def _propagate(e: Expr, pts: np.ndarray, order: int, table: dict) -> Jet3:
     the points' table keeps standing as a leaf (see eval_jet)."""
     shape = pts.shape[:1]
 
-    def finite(out: Jet3, node: Expr) -> Jet3:
-        raise_at(~is_finite(out.coeffs).all(axis=0), "non-finite value", node,
-                 pts)
-        return out
-
     def ev(node: Expr, args: list[Jet3]) -> Jet3:
         if isinstance(node, (Num, Const)):
             return Jet3.constant(scalar(node.value, pts), order, shape)
@@ -261,28 +261,17 @@ def _propagate(e: Expr, pts: np.ndarray, order: int, table: dict) -> Jet3:
             if order >= 1:
                 jet.coeffs[1 + axis] = scalar(1, pts)
             return jet
-        if isinstance(node, Add):
-            return finite(args[0] + args[1], node)
-        if isinstance(node, Sub):
-            return finite(args[0] - args[1], node)
+        guard(node, args[-1].value, pts)
         if isinstance(node, Neg):
-            return -args[0]
-        if isinstance(node, Mul):
-            return finite(args[0] * args[1], node)
-        if isinstance(node, Div):
-            raise_at(args[1].value == 0.0, "division by zero", node, pts)
-            return finite(args[0] / args[1], node)
-        if isinstance(node, Pow):
-            if node.exponent < 0:
-                raise_at(args[0].value == 0.0, "division by zero", node, pts)
-            return finite(args[0].intpow(node.exponent), node)
-        if isinstance(node, Call):
-            if node.func == "sqrt":
-                raise_at(args[0].value <= 0.0, "sqrt of a non-positive argument",
-                         node, pts)
-                return args[0].sqrt()
-            return finite(args[0].exp(), node)
-        raise TypeError(f"cannot evaluate {type(node).__name__}")
+            out = -args[0]
+        elif isinstance(node, Pow):
+            out = args[0].intpow(node.exponent)
+        elif isinstance(node, Call):
+            out = args[0].sqrt() if node.func == "sqrt" else args[0].exp()
+        else:
+            out = _BINARY[type(node)](*args)
+        guard_finite(node, out.coeffs, pts)
+        return out
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return fold(e, ev, lambda node: _cut(table.get(node), order))

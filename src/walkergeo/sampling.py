@@ -4,7 +4,10 @@ A Domain is an open coordinate box plus constraint fields required to be
 strictly positive or bounded away from zero, and the settings of its
 sample (`SamplingConfig`: samples, seed, tol), the one place they are
 held. The sampler rejects candidate points violating a constraint; it
-never clamps. Candidates come in batches from one `PCG64Stream` per
+never clamps. A constraint that cannot be evaluated at some candidates
+raises with their rows (`EvaluationError.rows`), which are dropped before
+the rest is evaluated again (`Domain._admissible`), so no loop runs over
+points. Candidates come in batches from one `PCG64Stream` per
 domain, seeded with the domain's seed:
 a PCG64 in numpy's uint64 arithmetic that draws the doubles numpy's
 `default_rng(seed).uniform` draws, bit for bit, without loading numpy's
@@ -139,34 +142,33 @@ class Domain(NamedTuple):
         return bool(np.all(self._admissible(p.reshape(1, 3))))
 
     def _admissible(self, pts: np.ndarray) -> np.ndarray:
-        """Mask of points satisfying every constraint with margin."""
+        """Mask of points satisfying every constraint with margin. Where a
+        constraint raises, the rows the error names (`EvaluationError.rows`)
+        are dropped and the rest evaluated again, until an evaluation
+        succeeds: a dropped row gets nan, which is refused. Each domain rule
+        acts elementwise, so a point is refused exactly when its batch of
+        one raises, and each failing rule costs one evaluation more, however
+        many points the batch holds."""
         ok = np.ones(pts.shape[0], dtype=bool)
         for field, positive in [(f, True) for f in self.positive] + [
             (f, False) for f in self.nonzero
         ]:
-            try:
-                values, scales = evaluate_with_scale(field, pts)
-            except EvaluationError:
-                values, scales = _evaluate_pointwise(field, pts)
+            kept, rows = np.ones(pts.shape[0], dtype=bool), pts
+            while True:
+                try:
+                    values, scales = evaluate_with_scale(field, rows)
+                    break
+                except EvaluationError as error:
+                    kept[kept] = ~error.rows
+                    rows = pts[kept]
+            if rows is not pts:
+                spread = np.full((2, pts.shape[0]), np.nan)
+                spread[:, kept] = values, scales
+                values, scales = spread
             ok &= np.isfinite(values) & within(
                 values if positive else np.abs(values), CONSTRAINT_MARGIN,
                 1.0 + scales, exceeds=True)
         return ok
-
-
-def _evaluate_pointwise(field: Expr, pts: np.ndarray):
-    """Fallback when a batch evaluation fails inside a constraint: each
-    point is evaluated on its batch of one, and points where the
-    constraint itself cannot be evaluated are rejected."""
-    values = np.full(pts.shape[0], np.nan)
-    scales = np.zeros(pts.shape[0])
-    for i in range(pts.shape[0]):
-        try:
-            values[i:i + 1], scales[i:i + 1] = evaluate_with_scale(
-                field, pts[i:i + 1])
-        except EvaluationError:
-            pass
-    return values, scales
 
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

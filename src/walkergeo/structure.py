@@ -55,7 +55,7 @@ from .errors import (
     UnitConstraintError,
 )
 from .expressions import (
-    Div, Expr, Pow, ZERO, analysis, as_batch, as_expr, as_points,
+    Expr, ZERO, analysis, as_batch, as_expr, as_points, divisor,
     evaluate_with_scale, once, to_source, variables, walk,
 )
 from .jets import eval_jet
@@ -243,15 +243,15 @@ def build_structure(manifold: WalkerManifold, xi) -> ApctStructure:
 
 
 def reject_poles(S: ApctStructure) -> None:
-    """DegenerateInputError when a denominator of f or xi (a divisor, or the
-    base of a negative power) takes both signs on the sample: a pole lies
-    between sampled points. A denominator the domain requires nonzero or
-    positive is not scanned; a pole of even order keeps its sign."""
+    """DegenerateInputError when a denominator of f or xi (a node's
+    `divisor`, the rule the evaluator's guard reads) takes both signs on
+    the sample: a pole lies between sampled points. A denominator the
+    domain requires nonzero or positive is not scanned; a pole of even
+    order keeps its sign."""
     pts, seen = S.domain.sample(), set(S.domain.positive + S.domain.nonzero)
     for name, field in zip(("f", "xi1", "xi2", "xi3"), (S.manifold.f,) + S.xi):
         for node in walk(field):
-            d = node.right if isinstance(node, Div) else node.base if (
-                isinstance(node, Pow) and node.exponent < 0) else None
+            d = divisor(node)
             if d is None or d in seen or not variables(d):
                 continue
             seen.add(d)

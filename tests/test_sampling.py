@@ -1,10 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import walkergeo.sampling as sampling
 from walkergeo.cli import main
 from walkergeo.errors import EmptyDomainError, EvaluationError
-from walkergeo.expressions import parse
+from walkergeo.expressions import evaluate_with_scale, parse
 from walkergeo.manifest import load_manifest
 from walkergeo.sampling import (
     Domain,
@@ -66,6 +68,10 @@ def test_contains():
     d = Domain(BOX)
     assert d.contains((1.0, 1.0, 1.0))
     assert not d.contains((0.0, 1.0, 1.0))
+    # a point where a constraint cannot be evaluated is outside
+    d = Domain(BOX, positive=(parse("sqrt(x - 1)"),))
+    assert d.contains((1.5, 1.0, 1.0))
+    assert not d.contains((0.75, 1.0, 1.0))
 
 
 def test_zero_verdict_on_actual_zero():
@@ -126,25 +132,76 @@ def test_with_overrides():
     assert cfg.with_overrides() == cfg
 
 
+def admissible_alone(domain, point) -> bool:
+    """The point-by-point rule the sampler's batches must reproduce: the
+    point's batch of one meets every constraint with margin, and a
+    constraint that raises there refuses it."""
+    one = point.reshape(1, 3)
+    for field, positive in [(f, True) for f in domain.positive] + [
+            (f, False) for f in domain.nonzero]:
+        try:
+            value, scale = evaluate_with_scale(field, one)
+        except EvaluationError:
+            return False
+        if not (value[0] if positive else abs(value[0])) > (
+                sampling.CONSTRAINT_MARGIN * (1.0 + scale[0])):
+            return False
+    return True
+
+
+def counted_evaluations(monkeypatch, field) -> Counter:
+    """Count the sampler's candidate batches and its evaluations of field."""
+    count, evaluate = Counter(), sampling.evaluate_with_scale
+    admissible = Domain._admissible
+
+    def evaluations(e, pts):
+        count["evaluations"] += e is field
+        return evaluate(e, pts)
+
+    def batches(domain, pts):
+        count["batches"] += 1
+        return admissible(domain, pts)
+
+    monkeypatch.setattr(sampling, "evaluate_with_scale", evaluations)
+    monkeypatch.setattr(Domain, "_admissible", batches)
+    return count
+
+
 @pytest.mark.parametrize("samples", [64, 512])
 def test_a_constraint_that_fails_on_a_batch_is_evaluated_point_by_point(
         monkeypatch, capsys, samples):
-    # sqrt(x - 1) raises on every candidate batch, which holds some x <= 1,
-    # so the sampler evaluates it point by point and rejects those points
-    path = MANIFESTS / "sqrt-constraint.manifest"
-    domain = load_manifest(path).domain._replace(
-        sampling=SamplingConfig(samples=samples))
-    fallback = sampling._evaluate_pointwise
-    batches = []
+    # every candidate batch holds some x <= 1 (and y <= 1), where a sqrt of
+    # the constraint cannot be evaluated: each failing sqrt drops its rows
+    # and the rest is evaluated again, so the sample is the one a point by
+    # point evaluation draws, and a batch costs at most one evaluation per
+    # failing node and one that succeeds
+    for stem, failing in [("sqrt-constraint", 1), ("two-guard-constraint", 2)]:
+        path = MANIFESTS / f"{stem}.manifest"
+        domain = load_manifest(path).domain._replace(
+            sampling=SamplingConfig(samples=samples))
+        with monkeypatch.context() as patch:
+            patch.setattr(Domain, "_admissible", lambda domain, pts: np.array(
+                [admissible_alone(domain, p) for p in pts], dtype=bool))
+            # uncached, so that each call draws the sample itself
+            reference = Domain.sample.__wrapped__(domain)
+        with monkeypatch.context() as patch:
+            count = counted_evaluations(patch, domain.positive[0])
+            pts = Domain.sample.__wrapped__(domain)
+        assert pts.shape == (samples, 3) and np.all(pts[:, 0] > 1.0), stem
+        assert pts.tobytes() == reference.tobytes(), stem
+        assert count["batches"] < count["evaluations"] <= (
+            (1 + failing) * count["batches"]), stem
+        assert main(["analyze", str(path), "--samples", str(samples)]) == 0
+        capsys.readouterr()
 
-    def pointwise(field, pts):
-        batches.append(len(pts))
-        return fallback(field, pts)
 
-    monkeypatch.setattr(sampling, "_evaluate_pointwise", pointwise)
-    # uncached, so that this call draws the sample itself
-    pts = Domain.sample.__wrapped__(domain)
-    assert batches and pts.shape == (samples, 3)
-    assert np.all(pts[:, 0] > 1.0)
-    assert main(["analyze", str(path), "--samples", str(samples)]) == 0
-    capsys.readouterr()
+def test_a_constraint_that_never_evaluates_exhausts(monkeypatch):
+    # sqrt(x - 5) raises at every point of the box: each batch drops all of
+    # its rows at once and evaluates the empty rest, twice in all
+    field = parse("sqrt(x - 5)")
+    d = Domain(BOX, positive=(field,), sampling=SamplingConfig(samples=64))
+    count = counted_evaluations(monkeypatch, field)
+    with pytest.raises(EmptyDomainError, match="after 200 batches"):
+        Domain.sample.__wrapped__(d)
+    assert count["batches"] == sampling._MAX_BATCHES
+    assert count["evaluations"] == 2 * count["batches"]

@@ -24,7 +24,8 @@ def test_the_plan_holds_every_input_once(tmp_path):
              for path in directory.iterdir()]
     stems += list(write_reports.CHAINS)
     assert {"restricted", "dense-curvature", "constant-rational",
-            "parabolic-98x", "parabolic-100x"} <= set(stems)
+            "sqrt-constraint", "two-guard-constraint", "parabolic-98x",
+            "parabolic-100x"} <= set(stems)
     for stem in stems:
         for samples in (64, 512):
             for report in REPORTS:

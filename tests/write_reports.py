@@ -52,8 +52,12 @@ The inputs, and why each is there:
     not pass a zero test: it exits 2, naming a non-finite value.
   - sqrt-constraint: the g5g6-normal fields with require_positive =
     "sqrt(x - 1)". Every candidate batch holds some x <= 1, where the
-    constraint cannot be evaluated, so the sampler takes its point-by-point
-    fallback and rejects those points.
+    constraint cannot be evaluated, so the sampler drops the rows the
+    evaluation refuses and evaluates the rest again.
+  - two-guard-constraint: the same fields with require_positive =
+    "sqrt(x - 1) * sqrt(y - 1)". Its two sqrt nodes fail on different rows
+    of each batch, so the sampler drops rows twice before an evaluation
+    succeeds.
   - scaled-square: the parabolic manifest with f = (16*x)^2/16^2, which is
     x^2. The sampled zero test of its f_xx, judged against the 16^8 its
     subexpressions reach, calls it flat; the jet's curvature does not, so
@@ -127,7 +131,7 @@ sys.exit(main(["examples", "run", "paracontact-exponential",
 """
 
 # outputs of the plan when it was written; a shorter plan is refused
-EXPECTED = 214
+EXPECTED = 218
 
 # report keys a skeleton leaves out: what the analysis read, and the texts
 # and points that describe a verdict rather than make it
