@@ -29,13 +29,16 @@ Each walker (`diff`, `to_source`, `depth`, `walk`, the evaluator and the
 jets) is a per-node rule given to `fold`, one iterative post-order pass over
 the DAG as on an operation tape (Griewank and Walther, Evaluating
 Derivatives, 2008): nothing recurses per level, so derived fields may nest
-deeply. All one analysis remembers (derivatives, kept values and jets,
-results of `once` such as frames) is one `Analysis`, in named tables
-keyed by every input an entry reads (as in hash-consing practice:
-Filliatre and Conchon, Type-safe modular hash-consing, 2006). Every
-walker and `once` use the `current` analysis, the open one or one that
-lives for the call alone, under one rule: `diff` and the evaluator keep
-each node, the jets each field, from its first computation.
+deeply. All one analysis keeps is one table, a dict: each derivative
+under its (node, variable), and every other entry (a batch's kept values
+and jets, a point's batch of one, frames, verdicts) a result of `once`,
+keyed by `once_key` from every input it reads (as in hash-consing
+practice: Filliatre and Conchon, Type-safe modular hash-consing, 2006).
+Every walker and `once` use the `current` table, the open analysis's or
+one that lives for the call alone, under one rule: `diff` and the
+evaluator keep each node, the jets each field, from its first
+computation. A writable batch, which may change in place, has no key, so
+what is made on one is kept nowhere.
 
 Numeric literals are exact `Fraction`s. The smart constructors used by
 `diff` and by the Python operator overloads only ever produce fractions with
@@ -368,60 +371,24 @@ def depth(e: Expr) -> int:
 # Differentiation
 
 
-class Analysis:
-    """What one analysis remembers, until it closes (see `analysis`), in
-    named tables. Each entry is keyed by every input it reads, a batch of
-    points by `at`, so the analyses of several structures can share one.
-    A single point enters only as its batch of one (`batch_of_one`)."""
-
-    def __init__(self):
-        self.derivatives = {}   # (node, variable) -> derivative; see `diff`
-        self.values = {}        # points -> {node: (values, scale)}
-        self.jets = {}          # points -> {field: (jet, all finite)}
-        self.results = {}       # (owner id, name, *key) -> (owner, result)
-        self.batches = {}       # id -> each read-only batch keyed, kept alive
-        self.points = {}        # a point's bytes -> its batch of one
-
-    def at(self, points: np.ndarray):
-        """The key of an (n, 3) batch in every table: a read-only batch by
-        identity (kept alive, so the id stays unique), and a writable batch
-        by a key no later call shares, so a batch changed in place is never
-        served a kept value."""
-        if points.flags.writeable:
-            return object()
-        self.batches[id(points)] = points
-        return id(points)
-
-    def batch_of_one(self, point) -> np.ndarray:
-        """The read-only (1, 3) batch of a point, made once per analysis
-        and keyed by the point's bytes (an exact point's by its entries,
-        whose bytes are pointers), so an equal point, as a tuple or an
-        array, gets the same batch, and with it every kept value."""
-        one = np.reshape(as_points(point), (1, 3))
-        key = one.tobytes() if one.dtype != object else tuple(one[0].tolist())
-        if key not in self.points:
-            self.points[key] = np.broadcast_to(one.copy(), (1, 3))
-        return self.points[key]
-
-    def key(self, owner, name: str, key: tuple) -> tuple:
-        """The key of a result of `once`."""
-        return (id(owner), name, *(self.at(p) if isinstance(p, np.ndarray)
-                                   else p for p in key))
+# One table holds all one analysis keeps, until it closes (see `analysis`):
+# each result of `once` under `once_key`, and each derivative of `diff`
+# under its (node, variable).
+_ANALYSIS: ContextVar[dict | None] = ContextVar("analysis", default=None)
 
 
-_ANALYSIS: ContextVar[Analysis | None] = ContextVar("analysis", default=None)
-
-
-def current() -> Analysis:
-    """The open Analysis, or a new one that lives only for the caller's
-    call, so a call made outside an analysis keeps nothing for the next."""
-    return _ANALYSIS.get() or Analysis()
+def current() -> dict:
+    """The open analysis's table, or a new one that lives only for the
+    caller's call, so a call made outside an analysis keeps nothing for the
+    next."""
+    table = _ANALYSIS.get()
+    return {} if table is None else table
 
 
 @contextmanager
 def analysis():
-    """The open Analysis, or a new one that closes, with all it keeps, when
-    the block ends."""
+    """The open analysis's table, or a new one that closes, with all it
+    keeps, when the block ends."""
     token = _ANALYSIS.set(current())
     try:
         yield _ANALYSIS.get()
@@ -429,34 +396,62 @@ def analysis():
         _ANALYSIS.reset(token)
 
 
-def once(owner, name: str, key: tuple, build):
-    """build(), once per (owner, name, key) in the `current` analysis's
-    results: owner by identity (kept with the result), key by
-    `Analysis.key`, so key must name every other input the result reads."""
-    active = current()
-    k = active.key(owner, name, key)
-    if k not in active.results:
-        active.results[k] = (owner, build())
-    return active.results[k][1]
+def once_key(owner, name, key: tuple) -> tuple | None:
+    """The key of a result of `once`: owner and every batch of points in
+    key by identity (the entry keeps them alive, so an id stays unique),
+    the rest of key as given. None when owner or key holds a writable
+    batch, which may change in place: such a result is kept nowhere."""
+    if type(owner) is np.ndarray and owner.flags.writeable:
+        return None
+    out = [id(owner), name]
+    for part in key:
+        if type(part) is np.ndarray:
+            if part.flags.writeable:
+                return None
+            part = id(part)
+        out.append(part)
+    return tuple(out)
+
+
+def once(owner, name, key: tuple, build):
+    """build(), once per (owner, name, key) in the `current` analysis, under
+    `once_key`, so key must name every other input the result reads."""
+    k = once_key(owner, name, key)
+    if k is None:
+        return build()
+    table = current()
+    if k not in table:
+        table[k] = (owner, key, build())
+    return table[k][2]
 
 
 def release(owner, name: str, key: tuple) -> None:
     """Drop a result of `once` that no later step needs (sample arrays)."""
-    active = current()
-    active.results.pop(active.key(owner, name, key), None)
+    current().pop(once_key(owner, name, key), None)
+
+
+def batch_of_one(point) -> np.ndarray:
+    """The read-only (1, 3) batch of a point, a result of `once` keyed by
+    the point's bytes (an exact point's by its entries, whose bytes are
+    pointers), so an equal point, as a tuple or an array, gets the same
+    batch, and with it every kept value."""
+    one = np.reshape(as_points(point), (1, 3))
+    key = one.tobytes() if one.dtype != object else tuple(one[0].tolist())
+    return once(batch_of_one, "point", (key,),
+                lambda: np.broadcast_to(one.copy(), (1, 3)))
 
 
 def diff(e: Expr, var: str) -> Expr:
     """Exact partial derivative with respect to 'x', 'y', or 'z'.
 
     One `fold` of `_derive`, memoized per (node, variable) in the `current`
-    analysis's derivatives: a node in the memo stands as a leaf, and each
-    node differentiated enters it. So a derivative shares the derivative
+    analysis: a node in the memo stands as a leaf, and each node
+    differentiated enters it. So a derivative shares the derivative
     objects of its shared subtrees and DAG-shaped inputs stay DAG-shaped.
     """
     if var not in _VARIABLES:
         raise ValueError(f"unknown variable {var!r}")
-    memo = current().derivatives
+    memo = current()
 
     def rule(node: Expr, derivatives: list[Expr]) -> Expr:
         d = memo[node, var] = _derive(node, var, derivatives)
@@ -829,9 +824,10 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     call, children left to right. Values are those of a tree walk.
 
     Each node's (values, scale), read-only, is kept from its first
-    evaluation in the `current` analysis's values for these points (see
-    `Analysis.at`), where it stands as a leaf of later calls; a node's
-    values and scale depend on its subtree alone, so this changes no bit.
+    evaluation in the points' values, `once(pts, "values", (), dict)`,
+    where it stands as a leaf of later calls; a node's values and scale
+    depend on its subtree alone, so this changes no bit. The values of a
+    writable batch are kept for the call alone (see `once_key`).
 
     Raises EvaluationError on division by exactly zero, sqrt of a
     non-positive argument, or a non-finite result (overflow), by the domain
@@ -840,8 +836,7 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     (`rows`); a node that raises is not kept.
     """
     pts = as_batch(points)
-    active = current()
-    return _walk(e, pts, active.values.setdefault(active.at(pts), {}))
+    return _walk(e, pts, once(pts, "values", (), dict))
 
 
 def raise_at(bad: np.ndarray, reason: str, node: Expr, pts: np.ndarray) -> None:

@@ -368,10 +368,11 @@ def normality_data_at(S: ApctStructure, pts) -> NormalityData:
 
 
 def nijenhuis(S: ApctStructure, point, X, Y) -> np.ndarray:
-    """Nijenhuis torsion of phi on vectors X, Y at a point, as a vector."""
+    """Nijenhuis torsion of phi on vectors X, Y at a point or over a batch,
+    as a vector."""
     data = normality_data_at(S, point)
     return np.einsum(
-        "i,j,ijk->k",
+        "i...,j...,ijk...->k...",
         np.asarray(X, dtype=float), np.asarray(Y, dtype=float),
         data.nijenhuis,
     )

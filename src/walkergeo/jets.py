@@ -13,8 +13,9 @@ bit for bit the jet of the batch of one: a product adds each gamma's terms
 a[alpha] * b[beta] one by one, in a fixed split order, to +0.0, as column
 sums (see `_product_table`); and the exp and reciprocal tables call
 math.exp and Python `**` per point (numpy rounds differently), mapped in
-C. Each field's jet is computed once per analysis and points, and a lower
-order is cut from it (see `eval_jet`).
+C. Each field's jet is computed once per analysis and points, kept as a
+result of `expressions.once` like every other entry of the analysis, and
+a lower order is cut from it (see `eval_jet`).
 
 `eval_jet` propagates jets bottom-up through an expression DAG, by one
 `expressions.fold` of a per-node jet rule, so every partial derivative up
@@ -38,8 +39,8 @@ from itertools import accumulate, product, repeat
 import numpy as np
 
 from .expressions import (
-    _BINARY, Call, Const, Expr, Neg, Num, Pow, Var, as_batch, current, fold,
-    guard, guard_finite, is_finite, scalar,
+    _BINARY, Call, Const, Expr, Neg, Num, Pow, Var, as_batch, fold, guard,
+    guard_finite, is_finite, once, scalar,
 )
 
 MAX_ORDER = 3
@@ -208,11 +209,12 @@ def eval_jet(e: Expr, points, order: int = MAX_ORDER) -> Jet3:
     subexpression in that order, the first point where it fails and every
     such point (`rows`), by the evaluator's rules (`expressions.guard`).
 
-    The jet of each field is kept, read-only, in the `current` analysis's
-    jets for these points (see `expressions.Analysis.at`); a field that
-    raised is not kept. A call at the kept order returns the kept jet; one
-    at a lower order returns its leading rows when every kept coefficient
-    is finite; a larger field uses either as a leaf. That changes no bit:
+    The jet of each field is kept, read-only, in the points' jets,
+    `once(pts, "jets", (), dict)` (a writable batch's for the call alone,
+    see `expressions.once_key`); a field that raised is not kept. A call
+    at the kept order returns the kept jet; one at a lower order returns
+    its leading rows when every kept coefficient is finite; a larger field
+    uses either as a leaf. That changes no bit:
     a coefficient of degree d comes from those of degree <= d by the same
     operations at every order, except that a higher order adds Horner steps
     in w = u - u0 (see `compose`). Those reach degree d only as products
@@ -224,8 +226,7 @@ def eval_jet(e: Expr, points, order: int = MAX_ORDER) -> Jet3:
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
     pts = as_batch(points)
-    active = current()
-    table = active.jets.setdefault(active.at(pts), {})
+    table = once(pts, "jets", (), dict)
     kept = table.get(e)
     jet = _cut(kept, order)
     if jet is None:

@@ -135,7 +135,7 @@ class Domain(NamedTuple):
     sampling: SamplingConfig = SamplingConfig()
 
     def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
+        p = np.array(point, dtype=float)   # a writable copy: nothing is kept
         for c, interval in zip(p, self.intervals):
             if not interval.lo <= c <= interval.hi:
                 return False
@@ -284,7 +284,11 @@ class PCG64Stream:
 @lru_cache(maxsize=256)
 def _sample_cached(domain: Domain) -> np.ndarray:
     """`Domain.sample`: the deterministic (n, 3) array of admissible
-    points, found again with no Python frame."""
+    points, read-only, found again with no Python frame. It is the one
+    cache that outlives an analysis: building a structure (`reject_poles`)
+    and its report, which run in different analyses, read one drawn
+    sample, and every step of a report that calls `domain.sample()` gets
+    this one array, the batch its kept values are keyed by."""
     n = domain.sampling.samples
     stream = PCG64Stream(domain.sampling.seed)
     los = np.array([iv.lo for iv in domain.intervals])

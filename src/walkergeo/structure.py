@@ -27,11 +27,13 @@ the construction) over a batch of points (one per analysis), with the
 numeric arrays every tensor operation needs. Column k of the sample's
 arrays has the pointwise bits at pts[k], so a report reads its
 representative point pts[0] there.
-All an analysis (a report, a classifier) remembers is one
-`expressions.Analysis`: frames, verdicts, the sample's structure tensor, a
-few shared batches, the values on the sample of each field and of each node
-two fields share, and each field's jets. Each entry is keyed by every input
-it reads, and nothing outlives the analysis.
+All an analysis (a report, a classifier) keeps is one table, each entry a
+result of `expressions.once` (or a derivative): frames, verdicts, the
+sample's structure tensor, the values on the sample of each field and of
+each node two fields share, and each field's jets. Each entry is keyed by
+every input it reads, a writable batch has no key, and nothing outlives
+the analysis but the sample itself (`Domain.sample`, cached per domain,
+so building a structure, `reject_poles` and the report share it).
 
 Every numeric array of the package has one layout, that of the jet
 coefficients over an (n, 3) batch of points: components first, points
@@ -55,8 +57,8 @@ from .errors import (
     UnitConstraintError,
 )
 from .expressions import (
-    Expr, ZERO, analysis, as_batch, as_expr, as_points, divisor,
-    evaluate_with_scale, once, to_source, variables, walk,
+    Expr, ZERO, analysis, as_batch, as_expr, as_points, batch_of_one,
+    divisor, evaluate_with_scale, once, to_source, variables, walk,
 )
 from .jets import eval_jet
 from .sampling import (
@@ -184,17 +186,18 @@ def pointwise(batch_view):
     """The view `batch_view(S, pts, *args)` over an (n, 3) batch of points,
     in an analysis of its own or the open one, answering at one point
     (shape (3,)) of S's domain too (else OutOfDomainError). There it runs
-    on the point's batch of one (`Analysis.batch_of_one`), so repeated
+    on the point's batch of one (`expressions.batch_of_one`), so repeated
     views at a point share one frame, and returns column 0 (see
-    `_column_0`)."""
+    `_column_0`). A writable batch keeps nothing in the analysis (see
+    `expressions.once_key`), so each view on it is computed afresh."""
     @wraps(batch_view)
     def view(S: "ApctStructure", points, *args):
         pts = as_points(points)
-        with analysis() as active:
+        with analysis():
             if pts.ndim == 2:
                 return batch_view(S, pts, *args)
             S.manifold.require_inside(pts)
-            one = active.batch_of_one(pts)
+            one = batch_of_one(pts)
             return _column_0(batch_view(S, one, *args), one)
     return view
 
@@ -265,8 +268,10 @@ def reject_poles(S: ApctStructure) -> None:
 
 
 def nabla_xi(S: ApctStructure, direction, point) -> np.ndarray:
-    """Components of nabla_X xi at one point, X given by constant components."""
-    return np.asarray(direction, dtype=float) @ _nabla_xi_matrix(S, point)
+    """Components of nabla_X xi at a point or over a batch, X given by
+    constant components."""
+    return np.einsum("i...,ik...->k...", np.asarray(direction, dtype=float),
+                     _nabla_xi_matrix(S, point))
 
 
 @pointwise

@@ -29,7 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfDomainError, UnsupportedSignatureError
-from .expressions import Expr, current, diff, gradient, once, scalar, to_source
+from .expressions import (
+    Expr, batch_of_one, diff, gradient, once, scalar, to_source,
+)
 from .jets import Jet3, eval_jet
 from .sampling import Domain, Route, every, is_identically_zero, nonvanishing
 
@@ -237,10 +239,11 @@ class SegreVerdict(NamedTuple):
 def segre_type(M: WalkerManifold, point) -> SegreVerdict:
     """Classify the Ricci operator: flat, degenerate {11;1} with a null
     eigenvector (f_xy^2 - f_xx f_yy = 0 != f_xx), or other; once per
-    point in an analysis."""
+    point in an analysis, keyed by the point's batch of one
+    (`expressions.batch_of_one`)."""
     M.require_spacelike_signature()
     M.require_inside(point)
-    one = current().batch_of_one(point)
+    one = batch_of_one(point)
     return once(M, "segre", (one,), lambda: _segre_type(M, one))
 
 

@@ -300,12 +300,12 @@ def test_a_field_that_raised_is_not_kept(monkeypatch):
     good, bad = parse("x - 1"), parse("1/(x - x)")
     nodes = recording(monkeypatch, ex, "_evaluate_node",
                       lambda node, args, p: node)
-    with ex.analysis() as analysis:
+    with ex.analysis():
         ex.evaluate_with_scale(good, pts)
         for _ in range(2):
             with pytest.raises(EvaluationError, match="division by zero"):
                 ex.evaluate_with_scale(bad, pts)
-        kept = analysis.values[id(pts)]
+        kept = ex.once(pts, "values", (), dict)
         assert good in kept and bad not in kept
     # the quotient raised both times; its divisor was kept from the first
     assert nodes.count(bad) == 2 and nodes.count(parse("x - x")) == 1
@@ -323,10 +323,10 @@ def test_outside_an_analysis_nothing_is_kept(monkeypatch):
     with ex.analysis() as analysis:
         for _ in range(2):   # a writable array is never found again
             ex.evaluate_with_scale(field, np.array(pts))
-        assert id(pts) not in analysis.values
+        assert ex.once_key(pts, "values", ()) not in analysis
         ex.evaluate_with_scale(field, pts)
         ex.evaluate_with_scale(field, pts)
-        assert set(analysis.values[id(pts)]) == set(ex.walk(field))
+        assert set(ex.once(pts, "values", (), dict)) == set(ex.walk(field))
     # 7 of the 8 calls evaluated every node; the last found the kept field
     assert set(Counter(nodes).values()) == {7}
 
@@ -336,15 +336,17 @@ def test_one_point_is_kept_by_its_bytes(monkeypatch):
     nodes = recording(monkeypatch, ex, "_evaluate_node",
                       lambda node, args, p: node)
     with ex.analysis() as analysis:
-        one = analysis.batch_of_one(pts[0])
+        one = ex.batch_of_one(pts[0])
         value, scale = ex.evaluate_with_scale(field, one)
         # an equal new point, as a tuple, gets the same batch of one, and
         # with it the kept values
-        equal = analysis.batch_of_one(tuple(pts[0]))
+        equal = ex.batch_of_one(tuple(pts[0]))
         again = ex.evaluate_with_scale(field, equal)
         assert equal is one
-        assert list(analysis.points) == [pts[0].tobytes()]
-        assert list(analysis.values) == [id(one)]
+        point, values = analysis   # the analysis keeps these two alone
+        assert point == ex.once_key(ex.batch_of_one, "point",
+                                    (pts[0].tobytes(),))
+        assert values == ex.once_key(one, "values", ())
     assert one.shape == (1, 3) and not one.flags.writeable
     assert nodes == ex.walk(field)
     assert again[0] is value and again[1] is scale
@@ -356,12 +358,12 @@ def test_a_shared_node_is_kept_from_its_first_evaluation(monkeypatch):
     fields = [parse("x*y + z"), parse("x*y - z"), parse("x*y * z")]
     nodes = recording(monkeypatch, ex, "_evaluate_node",
                       lambda node, args, p: node)
-    with ex.analysis() as analysis:
+    with ex.analysis():
         fresh = []
         for field in fields:
-            fresh.append(product in analysis.values.get(id(pts), {}))
+            fresh.append(product in ex.once(pts, "values", (), dict))
             ex.evaluate_with_scale(field, pts)
-        values, scale = analysis.values[id(pts)][product]
+        values, scale = ex.once(pts, "values", (), dict)[product]
     assert fresh == [False, True, True]
     assert nodes.count(product) == 1
     assert not values.flags.writeable and not scale.flags.writeable
@@ -515,8 +517,7 @@ def test_a_nested_analysis_of_another_structure_reads_only_its_own():
         classify.is_normal(first)
         first_batch = classify._components(first)
         joined = named_classes(second)   # joins the open analysis
-        assert (analysis.key(second, classify.classify_basic, ())
-                in analysis.results)
+        assert ex.once_key(second, classify.classify_basic, ()) in analysis
         batch = classify._components(second)
         assert batch is not first_batch
         eta = ftensor.d_eta_coordinate_batch(second, batch)

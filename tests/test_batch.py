@@ -24,11 +24,12 @@ from walkergeo import parse_manifest
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.expressions import parse
 from walkergeo.ftensor import (
-    exterior_data_at, f_tensor_at, normality_data_at, project_components,
-    theta_forms,
+    exterior_data_at, f_tensor_at, nijenhuis, normality_data_at,
+    project_components, theta_forms,
 )
 from walkergeo.jets import eval_jet
 from walkergeo.report import build_report
+from walkergeo.structure import nabla_xi
 from walkergeo.walker import (
     christoffel_from_jet, curvature_from_jet, ricci_from_jet,
 )
@@ -122,6 +123,19 @@ def test_value_objects_match_point_views(structure):
         for k, p in columns(pts):
             p = tuple(p)
             assert view(p).point == p
+    # the two vector-valued wrappers contract their constant vectors with
+    # the component axes alone, so each batch column is the view there, to
+    # the rounding of the einsum that forms the matrix of nabla xi
+    for wrapper in (lambda p: nabla_xi(S, (0.3, -1.7, 2.1), p),
+                    lambda p: nijenhuis(S, p, (0.5, 1.1, -2.0),
+                                        (1.0, 0.0, 0.0))):
+        batch = wrapper(pts)
+        assert points_last(batch, len(pts)) and batch.shape[0] == 3
+        for k, p in columns(pts):
+            view = wrapper(tuple(p))
+            assert view.shape == (3,)
+            assert np.abs(batch[:, k] - view).max() <= 1e-13 * (
+                1.0 + np.abs(view).max()), k
 
 
 def test_walker_tensors_match_point_views(structure):

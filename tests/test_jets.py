@@ -155,8 +155,8 @@ def read_only(a):
 def test_kept_jets_are_read_only_and_returned_again(monkeypatch):
     e, batch = parse("x*y/(1 + z^2)"), read_only(pts(5))
     calls = computations(monkeypatch)
-    with ex.analysis() as analysis:
-        one = analysis.batch_of_one(batch[0])
+    with ex.analysis():
+        one = ex.batch_of_one(batch[0])
         for points in (batch, one):   # a batch, and a point's batch of one
             jet = eval_jet(e, points, 2)
             assert not jet.coeffs.flags.writeable
@@ -164,7 +164,7 @@ def test_kept_jets_are_read_only_and_returned_again(monkeypatch):
                 jet.coeffs[...] = 0.0
             assert eval_jet(e, points, 2) is jet
         # an equal point, as a tuple, gets the same batch of one
-        assert eval_jet(e, analysis.batch_of_one(tuple(batch[0])), 2) is jet
+        assert eval_jet(e, ex.batch_of_one(tuple(batch[0])), 2) is jet
     assert calls == [(e, 2), (e, 2)]
 
 
@@ -203,8 +203,9 @@ def test_a_field_that_raised_leaves_no_entry(monkeypatch):
         for point in (batch, batch[:1], batch):
             with pytest.raises(EvaluationError, match="division by zero"):
                 eval_jet(bad, point, 1)
-        assert good in analysis.jets[id(batch)]
-        assert all(bad not in table for table in analysis.jets.values())
+        assert good in ex.once(batch, "jets", (), dict)
+        assert all(bad not in entry[2] for key, entry in analysis.items()
+                   if key[1] == "jets")
     assert calls == [(good, 1), (bad, 1), (bad, 1), (bad, 1)]
 
 

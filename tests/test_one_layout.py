@@ -5,9 +5,10 @@ Every kernel of `structure`, `ftensor`, `walker` and `curvature` runs on a
 batch of points, its arrays components first and points last, and so do
 the evaluator (`expressions`), the jets and the sampler beneath them. A
 view at one point is column 0 of the point's batch of one, made by one
-helper, `structure.pointwise`, from `Analysis.batch_of_one`. The package's
-sources are read, as tests/test_sectional_kernel.py reads them, so a
-second layout written back into a module fails as soon as it is written:
+helper, `structure.pointwise`, from `expressions.batch_of_one`. The
+package's sources are read, as tests/test_sectional_kernel.py reads them,
+so a second layout written back into a module fails as soon as it is
+written:
 
 - outside `pointwise` and `_column_0`, these modules hold no comparison of
   an `ndim` with 1 and no comparison of a `shape` with (3,): no branch on
