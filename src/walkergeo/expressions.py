@@ -727,7 +727,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "num":
             self.advance()
-            return Num(self.in_float_range(_parse_number(token.text), token))
+            return Num(self.in_float_range(Fraction(token.text), token))
         if token.kind == "ident":
             self.advance()
             name = token.text
@@ -748,13 +748,6 @@ class _Parser:
             self.source,
             token.position,
         )
-
-
-def _parse_number(text: str) -> Fraction:
-    if "." in text:
-        whole, frac = text.split(".")
-        return Fraction(int(whole + frac), 10 ** len(frac))
-    return Fraction(int(text))
 
 
 def parse(source: str, constants: Mapping[str, Rational] | None = None) -> Expr:
@@ -839,11 +832,14 @@ def evaluate_with_scale(e: Expr, points) -> tuple[np.ndarray, np.ndarray]:
     return _walk(e, pts, once(pts, "values", (), dict))
 
 
-def raise_at(bad: np.ndarray, reason: str, node: Expr, pts: np.ndarray) -> None:
-    """EvaluationError at node and the first of the (n, 3) points where
-    bad holds, with bad as its `rows`: every point node refuses."""
+def raise_at(bad: np.ndarray, reason: str, node: Expr | str,
+             pts: np.ndarray) -> None:
+    """EvaluationError at node, or at a label where no node is at hand,
+    and the first of the (n, 3) points where bad holds, with bad as its
+    `rows`: every point node refuses."""
     if bad.any():
-        raise EvaluationError(reason, to_source(node), pts[bad.argmax()], bad)
+        where = node if isinstance(node, str) else to_source(node)
+        raise EvaluationError(reason, where, pts[bad.argmax()], bad)
 
 
 def divisor(node: Expr) -> Expr | None:
@@ -865,12 +861,16 @@ def guard(node: Expr, operand, pts: np.ndarray) -> None:
         raise_at(operand <= 0.0, "sqrt of a non-positive argument", node, pts)
 
 
-def guard_finite(node: Expr, values: np.ndarray, pts: np.ndarray) -> None:
-    """The domain rule on a node's result, values over the (n, 3) points
-    (points last): a point where an entry is not finite is refused (see
-    `raise_at`). A negation and a sqrt of finite operands have finite
-    values, so neither is checked; one `is_finite` pass when all are."""
-    if type(node) is Neg or type(node) is Call and node.func == "sqrt":
+def guard_finite(node: Expr | str, values: np.ndarray,
+                 pts: np.ndarray) -> None:
+    """The domain rule on a result, values over the (n, 3) points (points
+    last): a node's values, its jet's coefficients or a labelled residual
+    (see `raise_at`). A point where an entry is not finite is refused.
+    A negation of finite entries is finite, so it alone is not checked;
+    a sqrt is, since its Taylor coefficients grow like u0^(1/2 - k) and
+    overflow where its value does not. One `is_finite` pass when all are
+    finite."""
+    if type(node) is Neg:
         return
     finite = is_finite(values)
     if not finite.all():

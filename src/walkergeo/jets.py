@@ -26,8 +26,12 @@ value; that needs the domain rules of plain evaluation (nonzero divisors,
 positive sqrt arguments, finite results), and each node calls the same
 statement of them, `expressions.guard` and `expressions.guard_finite`. So
 where a value fails, its jet fails at the same node, for the same reason,
-on the same points; a jet fails too where only a higher coefficient
-overflows.
+on the same points; a jet fails too, at the first node whose jet holds a
+non-finite coefficient, where only a higher coefficient overflows (a
+sqrt's coefficients grow like u0^(1/2 - k)). Every node but a negation
+is checked, so a jet that is returned or kept is finite, unless a
+variable, or a negation chain over one, is read at a non-finite input
+coordinate.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 
 from .expressions import (
     _BINARY, Call, Const, Expr, Neg, Num, Pow, Var, as_batch, fold, guard,
-    guard_finite, is_finite, once, scalar,
+    guard_finite, once, scalar,
 )
 
 MAX_ORDER = 3
@@ -204,24 +208,24 @@ def eval_jet(e: Expr, points, order: int = MAX_ORDER) -> Jet3:
     of points (shape (n, 3)), by one `fold`: a shared subtree's jet is
     computed once, children before parents.
 
-    Domain violations (zero divisor, non-positive sqrt argument, overflow
-    of any coefficient) raise EvaluationError naming the first offending
-    subexpression in that order, the first point where it fails and every
-    such point (`rows`), by the evaluator's rules (`expressions.guard`).
+    Domain violations (zero divisor, non-positive sqrt argument, a
+    non-finite coefficient at any node but a negation) raise
+    EvaluationError naming the first offending subexpression in that
+    order, the first point where it fails and every such point (`rows`),
+    by the evaluator's rules (`expressions.guard`, `guard_finite`).
 
     The jet of each field is kept, read-only, in the points' jets,
     `once(pts, "jets", (), dict)` (a writable batch's for the call alone,
     see `expressions.once_key`); a field that raised is not kept. A call
     at the kept order returns the kept jet; one at a lower order returns
-    its leading rows when every kept coefficient is finite; a larger field
-    uses either as a leaf. That changes no bit:
-    a coefficient of degree d comes from those of degree <= d by the same
-    operations at every order, except that a higher order adds Horner steps
-    in w = u - u0 (see `compose`). Those reach degree d only as products
-    with w's zero constant term, +-0.0 when finite, added to sums that
-    start at +0.0. A non-finite factor there gives nan, which reaches the
-    result, so a jet with a non-finite coefficient is never truncated, and
-    the jet at the lower order is computed afresh.
+    its leading rows (see `_cut`); a larger field uses either as a leaf.
+    That changes no bit: a coefficient of degree d comes from those of
+    degree <= d by the same operations at every order, except that a
+    higher order adds Horner steps in w = u - u0 (see `compose`). Those
+    reach degree d only as products with w's zero constant term, added to
+    sums that start at +0.0; each product is +-0.0, since a non-finite
+    factor would give a nan that reaches the jet, and a returned jet is
+    finite (see the module notes).
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
@@ -232,19 +236,21 @@ def eval_jet(e: Expr, points, order: int = MAX_ORDER) -> Jet3:
     if jet is None:
         jet = _propagate(e, pts, order, table)
         jet.coeffs.setflags(write=False)
-        if kept is None or order > kept[0].order:
-            table[e] = (jet, bool(is_finite(jet.coeffs).all()))
+        if kept is None or order > kept.order:
+            table[e] = jet
     return jet
 
 
-def _cut(kept: tuple | None, order: int) -> Jet3 | None:
-    """The jet at `order` a kept (jet, all finite) entry gives."""
+def _cut(kept: Jet3 | None, order: int) -> Jet3 | None:
+    """The jet at `order` a kept jet gives: itself, or its leading rows
+    when it is of a higher order. A kept jet is finite (see `eval_jet`),
+    but for a variable, or a negation chain over one, read at a
+    non-finite coordinate, whose rows are the same at every order."""
     if kept is not None:
-        jet, finite = kept
-        if jet.order == order:
-            return jet
-        if jet.order > order and finite:
-            return Jet3(order, jet.coeffs[:len(_INDICES[order])])
+        if kept.order == order:
+            return kept
+        if kept.order > order:
+            return Jet3(order, kept.coeffs[:len(_INDICES[order])])
     return None
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import EmptyDomainError, EvaluationError, InputError
 from .expressions import (
-    ZERO, Expr, analysis, evaluate_with_scale, is_finite, once,
+    ZERO, Expr, analysis, evaluate_with_scale, guard_finite, once,
 )
 
 _MAX_BATCHES = 200
@@ -145,10 +145,11 @@ class Domain(NamedTuple):
         """Mask of points satisfying every constraint with margin. Where a
         constraint raises, the rows the error names (`EvaluationError.rows`)
         are dropped and the rest evaluated again, until an evaluation
-        succeeds: a dropped row gets nan, which is refused. Each domain rule
-        acts elementwise, so a point is refused exactly when its batch of
-        one raises, and each failing rule costs one evaluation more, however
-        many points the batch holds."""
+        succeeds: a dropped row gets nan, which `within` refuses (an
+        evaluated value is finite, see `expressions.guard_finite`). Each
+        domain rule acts elementwise, so a point is refused exactly when
+        its batch of one raises, and each failing rule costs one evaluation
+        more, however many points the batch holds."""
         ok = np.ones(pts.shape[0], dtype=bool)
         for field, positive in [(f, True) for f in self.positive] + [
             (f, False) for f in self.nonzero
@@ -165,7 +166,7 @@ class Domain(NamedTuple):
                 spread = np.full((2, pts.shape[0]), np.nan)
                 spread[:, kept] = values, scales
                 values, scales = spread
-            ok &= np.isfinite(values) & within(
+            ok &= within(
                 values if positive else np.abs(values), CONSTRAINT_MARGIN,
                 1.0 + scales, exceeds=True)
         return ok
@@ -347,13 +348,12 @@ def every(routes: Iterable[Route]) -> Route:
 
 
 def require_finite(values, pts):
-    """values, a sampled residual at the (n, 3) points, one per value;
-    EvaluationError at the first point whose value is not finite. Every
-    non-finite residual the package meets raises here."""
-    bad = ~is_finite(values)
-    if bad.any():
-        raise EvaluationError("non-finite value", "a sampled residual",
-                              pts[int(np.argmax(bad))])
+    """values, a sampled residual at the (n, 3) points, one per value,
+    by the evaluator's rule (`expressions.guard_finite`) under the label
+    "a sampled residual": EvaluationError at the first point whose value
+    is not finite, with every such point as its `rows`. Every non-finite
+    residual the package meets raises here."""
+    guard_finite("a sampled residual", values, pts)
     return values
 
 

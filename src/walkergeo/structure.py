@@ -24,9 +24,11 @@ g(phi X, Y) = -g(X, phi Y), g(xi, xi) = 1, plus the derived ones
 A Frame bundles the order-1 jets of the structure's own fields f, xi, eta
 and phi (the expressions above, so both sweep routes read one statement of
 the construction) over a batch of points (one per analysis), with the
-numeric arrays every tensor operation needs. Column k of the sample's
-arrays has the pointwise bits at pts[k], so a report reads its
-representative point pts[0] there.
+numeric arrays every tensor operation needs. Column k of a Frame's jet
+arrays over the sample has the pointwise bits at pts[k], so a report
+reads its representative point pts[0] there. The einsum columns of
+`Frame.nabla_xi_matrix` are not bound to those bits: a column may differ
+by one ulp from the matrix at its point's batch of one.
 All an analysis (a report, a classifier) keeps is one table, each entry a
 result of `expressions.once` (or a derivative): frames, verdicts, the
 sample's structure tensor, the values on the sample of each field and of

@@ -151,6 +151,7 @@ def test_a_digit_int_cannot_read_is_a_parse_error(source, position):
 def test_decimal_digits_of_any_script_parse():
     assert parse("x^\u0662") is parse("x^2")
     assert parse("\u0661\u0660*x") is parse("10*x")
+    assert parse("\u0663.\u0665").value == Fraction(7, 2)   # Arabic-Indic 3.5
 
 
 def test_division_by_zero_raises():

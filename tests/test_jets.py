@@ -184,13 +184,19 @@ def test_a_lower_order_is_the_leading_rows_of_a_kept_jet(monkeypatch):
 
 def test_a_non_finite_kept_jet_is_never_truncated(monkeypatch):
     # sqrt at 1e-200: the third derivative overflows, and order 3 turns its
-    # value into nan through the Horner steps; order 2 is finite
+    # value into nan through the Horner steps, so the sqrt node refuses the
+    # point, as any node but a negation would; order 2 is finite
     e, point = parse("sqrt(x)"), read_only([[1e-200, 1.0, 1.0]])
     fresh = eval_jet(e, point, 2)
     assert np.isfinite(fresh.coeffs).all()
     calls = computations(monkeypatch)
     with ex.analysis():
-        assert not np.isfinite(eval_jet(e, point, 3).coeffs).all()
+        with pytest.raises(EvaluationError) as caught:
+            eval_jet(e, point, 3)
+        assert str(caught.value) == (
+            "non-finite value in 'sqrt(x)' at point (1e-200, 1.0, 1.0)")
+        assert caught.value.rows.tolist() == [True]
+        assert e not in ex.once(point, "jets", (), dict)
         assert identical(eval_jet(e, point, 2).coeffs, fresh.coeffs)
     assert calls == [(e, 3), (e, 2)]
 

@@ -157,7 +157,7 @@ def jet_or_error(e, points, order):
 # Fields scaled by 1e200, divided by such a product, or the square root of
 # that: their derivative tables overflow to +-inf, so Taylor coefficients
 # turn to +-0.0, and the root's third-order table to inf, which makes a
-# third-order jet non-finite where the lower orders are finite.
+# third-order jet raise where the lower orders are finite.
 HUGE = "1" + "0" * 200
 SCALINGS = st.sampled_from(["{}", "({}) * " + HUGE, "1/(({}) * " + HUGE + ")",
                             "sqrt(1/(({}) * " + HUGE + "))"])
