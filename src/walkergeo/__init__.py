@@ -13,13 +13,11 @@ from .classify import (
     AlphaReport, BasicClassification, ClassVerdict, NAMED_CLASSES,
     NormalityVerdict, ParacontactVerdict, classify_basic, is_normal,
     is_paracontact_metric, named_classes, paracontact_condition_fields,
-    paracontact_family,
 )
-from .corpus import FIXTURES, Fixture, fixture_names, get_fixture, load_fixture
+from .corpus import FIXTURES, Fixture, get_fixture, load_fixture
 from .curvature import (
-    EquivalenceReport, EtaEinsteinProfile, EtaEinsteinVerdict, SectionalReport,
-    curvature_equivalences, eta_einstein_check, eta_einstein_report,
-    ricci_residual_fields, sectional_curvatures,
+    EquivalenceReport, EtaEinsteinVerdict, curvature_equivalences,
+    eta_einstein_check, ricci_residual_fields,
 )
 from .errors import (
     ConsistencyError, DegenerateInputError, EmptyDomainError, EvaluationError,
@@ -30,8 +28,8 @@ from .errors import (
 from .expressions import Expr, diff, evaluate_with_scale, parse, to_source
 from .ftensor import (
     ExteriorData, FTensorValue, ProjectionBundle, TraceForms,
-    coefficient_fields, exterior_data_at, f_tensor_at, nijenhuis,
-    project_components, theta_forms, theta_star_xi_field, theta_xi_field,
+    coefficient_fields, exterior_data_at, f_tensor_at, project_components,
+    theta_forms, theta_star_xi_field, theta_xi_field,
 )
 from .manifest import Manifest, load_manifest, parse_manifest
 from .report import ClassificationReport, build_report
@@ -39,8 +37,7 @@ from .sampling import (
     Domain, Interval, Route, SamplingConfig, is_identically_zero, nonvanishing,
 )
 from .structure import (
-    ApctStructure, build_structure, nabla_xi, unit_constraint_field,
-    validate_axioms,
+    ApctStructure, build_structure, unit_constraint_field, validate_axioms,
 )
 from .walker import (
     FlatnessVerdict, SegreVerdict, WalkerManifold, flatness, is_strict_walker,

@@ -1,6 +1,6 @@
 """Class membership decisions for structures on Walker 3-manifolds.
 
-Two layers. classify_basic splits the structure tensor pointwise over a
+Two layers. classify_basic splits the structure tensor at each point of a
 sample of the domain and reports which of the four admissible components
 are present; the empty set is reported as the parallel class G0, and a
 present G5 component whose trace form equals 2 on the Reeb field is
@@ -44,11 +44,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import InputError
-from .expressions import (
-    Expr, Var, ZERO, as_expr, diff, exp_of, gradient, once, release, to_source,
-    variables,
-)
+from .expressions import Expr, diff, gradient, once, release
 from .ftensor import (
     ComponentBatch, d_eta_batch, d_eta_coordinate_batch,
     fundamental_form_batch, lie_g_batch, normality_defect_batch,
@@ -56,11 +52,10 @@ from .ftensor import (
 )
 from .jets import eval_jet
 from .sampling import (
-    NEVER, Domain, Route, analyzed, bound, every,
+    NEVER, Route, analyzed, bound, every,
     is_identically_zero, negated, zero_verdict_from_samples,
 )
-from .structure import ApctStructure, build_structure, max_abs
-from .walker import WalkerManifold
+from .structure import ApctStructure, max_abs
 
 BASIC_LABELS = ("G5", "G6", "G10", "G12")
 
@@ -519,30 +514,3 @@ def _setting_checks(S: ApctStructure, basic: BasicClassification,
     primary = {**named, "pure_G12": _split_route(basic, {"G12"}, "G12")}
     return [Check.of(f"classification:{name} {tag}", detail, primary[name],
                      cross) for name, detail, cross in rows]
-
-
-# --- explicit paracontact family ---------------------------------------------
-
-def paracontact_family(psi, m, domain: Domain) -> ApctStructure:
-    """Build the two-function family of paracontact metric structures.
-
-    psi and m are expressions in z alone; the family takes
-    f = 2 psi'(z) x + m(z) and Reeb components xi2 = 0,
-    xi3 = exp(-2y + psi(z)), with xi1 forced by the unit constraint.
-    Every member is paracontact metric with trace form 2 on the Reeb
-    field (contact-type G5, possibly plus a G10 part).
-    """
-    psi = as_expr(psi)
-    m = as_expr(m)
-    for name, e in (("psi", psi), ("m", m)):
-        extra = variables(e) - {"z"}
-        if extra:
-            raise InputError(
-                f"{name} must depend on z only; found "
-                f"{', '.join(sorted(extra))} in {to_source(e)}"
-            )
-    f = 2 * diff(psi, "z") * Var("x") + m
-    xi3 = exp_of(psi - 2 * Var("y"))
-    xi1 = (1 - f * xi3**2) / (2 * xi3)
-    manifold = WalkerManifold(f, 1, domain)
-    return build_structure(manifold, (xi1, ZERO, xi3))

@@ -13,8 +13,7 @@ from typing import NamedTuple
 from .errors import InputError
 from .manifest import Manifest, parse_manifest
 
-__all__ = ["Fixture", "FIXTURES", "fixture_names", "get_fixture",
-           "load_fixture"]
+__all__ = ["Fixture", "FIXTURES", "get_fixture", "load_fixture"]
 
 
 class Fixture(NamedTuple):
@@ -156,15 +155,11 @@ FIXTURES: tuple[Fixture, ...] = (
 )
 
 
-def fixture_names() -> tuple[str, ...]:
-    return tuple(f.name for f in FIXTURES)
-
-
 def get_fixture(name: str) -> Fixture:
     for fixture in FIXTURES:
         if fixture.name == name:
             return fixture
-    known = ", ".join(fixture_names())
+    known = ", ".join(f.name for f in FIXTURES)
     raise InputError(f"no example named '{name}'; known examples: {known}")
 
 

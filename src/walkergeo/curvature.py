@@ -10,7 +10,7 @@ identity trivially with a = b = 0; they are reported as not eta-Einstein,
 matching the coordinate route, which demands f_xx != 0.
 
 The residual is written once (`eta_einstein_residual`): the direct route
-reads it over expressions, the chain's pointwise eta-Einstein mask over the
+reads it over expressions, the chain's per-point eta-Einstein mask over the
 jet's arrays, and the coordinate route checks it. The Ricci tensor rho
 itself stays written twice on purpose, as expressions in
 `ricci_residual_fields` and as `walker.ricci_from_jet`, because the chain
@@ -28,27 +28,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import Check, named_classes, unit_y_setting
+from .classify import Check, unit_y_setting
 from .errors import DegenerateInputError, EvaluationError
-from .expressions import (
-    Expr, ONE, ZERO, diff, evaluate_with_scale, is_finite,
-)
+from .expressions import Expr, ONE, ZERO, evaluate_with_scale, is_finite
 from .sampling import (
-    NEVER, PLANE_TOL, PCG64Stream, Route, analyzed, every,
+    NEVER, PLANE_TOL, Route, analyzed, every,
     is_identically_zero, negated, nonvanishing, within,
     zero_verdict_from_samples,
 )
 from .jets import Jet3, eval_jet
 from .structure import (
-    ApctStructure, dot, mat_vec, max_abs, points_first, pointwise, vec_mat,
+    ApctStructure, dot, mat_vec, max_abs, points_first, vec_mat,
 )
 from .walker import (
     SegreVerdict, curvature_from_jet, f_hessian, flatness, ricci_from_jet,
     scalar_curvature_constant, scalar_curvature_field, segre_type,
 )
-
-_DIRECTIONS = 50    # per point, in `eta_einstein_report`
-
 
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
@@ -127,7 +122,7 @@ def eta_einstein_check(S: ApctStructure) -> EtaEinsteinVerdict:
         values, _ = evaluate_with_scale(fxx, pts)
         a = float(values.mean()) / 2.0
         b = -a
-        segre = segre_type(M, tuple(float(c) for c in pts[0]))
+        segre = segre_type(M, pts)
         xi_match = _xi_versus_null_eigenvector(S, segre, pts)
 
     return EtaEinsteinVerdict(direct.holds, a, b, segre, xi_match,
@@ -193,7 +188,7 @@ class EquivalenceReport(NamedTuple):
     flags carries one boolean per statement, the answer of its route in
     check (in the same order), which fails when the chain breaks.
     mixed marks the honest in-between case for the second flag: every
-    sampled point is flat or eta-Einstein pointwise, but neither holds on
+    sampled point is flat or eta-Einstein at that point, but neither holds on
     the whole sampled domain; the flag counts that as satisfied.
     flatness compares `walker.flatness` (the zero tests of f_xx, f_xy and
     f_yy) with the curvature of f's jet at every sampled point, and
@@ -221,7 +216,7 @@ def curvature_equivalences(S: ApctStructure) -> EquivalenceReport:
 
     r_max = max_abs(R, 4)
     # the zero rule's 1 + scales is 1 + value_scale + that maximum, as
-    # B - 1 is exact for 1 <= B < 2^53; the pointwise masks judge by it too
+    # B - 1 is exact for 1 <= B < 2^53; the per-point masks judge by it too
     scales = 1.0 + frame.value_scale + np.maximum(r_max, max_abs(rho, 2)) - 1.0
     reference = 1.0 + scales
 
@@ -276,45 +271,6 @@ def curvature_equivalences(S: ApctStructure) -> EquivalenceReport:
 
 # --- sectional curvatures ----------------------------------------------------
 
-class SectionalReport(NamedTuple):
-    """Sectional curvatures of the Reeb plane span(X, xi) and the phi-plane
-    span(X, phi X) at a point, for X projected onto the kernel of eta.
-
-    A plane whose induced metric is degenerate (relative to
-    `sampling.PLANE_TOL`) has no sectional curvature; its value is None
-    and the flag is set.
-    """
-
-    point: tuple[float, float, float]
-    K_xi: float | None
-    K_phi: float | None
-    scal: float
-    xi_plane_degenerate: bool
-    phi_plane_degenerate: bool
-
-
-def sectional_curvatures(S: ApctStructure, X, point) -> SectionalReport:
-    """`sectional_profile` at one point of the domain (else
-    OutOfDomainError) of a space-like Walker manifold (else
-    UnsupportedSignatureError), as column 0 of its batch of one."""
-    point, (K_xi, K_phi), (xi_deg, phi_deg), scal = _sectional(
-        S, point, np.reshape(X, (1, 1, 3)))
-    return SectionalReport(
-        point, None if xi_deg else float(K_xi),
-        None if phi_deg else float(K_phi), scal, bool(xi_deg), bool(phi_deg))
-
-
-@pointwise
-def _sectional(S: ApctStructure, pts: np.ndarray, X) -> tuple:
-    """The points, K and its mask at pts[:m] (points last, the Reeb plane
-    first), and the scalar curvature, for X of shape (m, 1, 3)."""
-    S.manifold.require_spacelike_signature()
-    K, degenerate = sectional_profile(S, pts, X)
-    require_finite_sectional(K, degenerate, pts)
-    return (pts, K[:, 0].T, degenerate[:, 0].T,
-            eval_jet(S.manifold.f, pts, 2).derivative((2, 0, 0)))
-
-
 @np.errstate(all="ignore")
 def sectional_profile(S: ApctStructure, pts: np.ndarray,
                       X) -> tuple[np.ndarray, np.ndarray]:
@@ -361,76 +317,3 @@ def require_finite_sectional(K: np.ndarray, degenerate: np.ndarray,
         k, _, plane = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise EvaluationError("non-finite sectional curvature",
                               ("K_xi", "K_phi")[plane], pts[k])
-
-
-# --- the eta-Einstein curvature profile --------------------------------------
-
-class EtaEinsteinProfile(NamedTuple):
-    """Aggregate curvature behavior of an eta-Einstein structure: constant
-    nonzero scalar curvature C = 2 verdict.a, Ricci coefficients
-    verdict.a = -verdict.b = C / 2, zero Reeb-plane sectional curvature,
-    constant phi-plane sectional curvature -C / 2, and membership in exactly
-    one of the two cosymplectic-type classes: paracosymplectic when the
-    closed discriminant 2 f_xyz + f_x f_xy - f_xx f_y vanishes
-    (discriminant holds), else almost paracosymplectic.
-
-    When the verdict is not eta-Einstein, every other field is None.
-    """
-
-    verdict: EtaEinsteinVerdict
-    scal_constant: bool | None = None
-    k_xi_max: float | None = None
-    k_phi_value: float | None = None
-    k_phi_variance: float | None = None
-    discriminant: Route | None = None
-    matches_named_classes: bool | None = None
-
-
-@analyzed
-def eta_einstein_report(S: ApctStructure) -> EtaEinsteinProfile:
-    """The eta-Einstein profile of S (see EtaEinsteinProfile), or the
-    profile of its verdict alone when S is not eta-Einstein.
-
-    The sectional curvatures are taken at the first five sample points,
-    along _DIRECTIONS vectors each, with components uniform on [-1, 1]
-    from the package's PCG64 stream seeded with the sample's seed + 1 (the
-    draws of numpy's default_rng(seed + 1), see `sampling.PCG64Stream`), in
-    point order, then direction order, then component order, all through
-    one `sectional_profile`: the values of `sectional_curvatures` there.
-    The statistics run over the nondegenerate planes in that order.
-    """
-    verdict = eta_einstein_check(S)
-    if not verdict.is_eta_einstein:
-        return EtaEinsteinProfile(verdict)
-
-    h = f_hessian(S.manifold.f)
-    pts = S.domain.sample()
-
-    draws = PCG64Stream(S.domain.sampling.seed + 1).uniform(
-        -1.0, 1.0, (min(5, pts.shape[0]), _DIRECTIONS, 3))
-    K, degenerate = sectional_profile(S, pts, draws)
-    require_finite_sectional(K, degenerate, pts)
-    k_xi, k_phi = (K[..., i][~degenerate[..., i]] for i in (0, 1))
-    k_xi_max = float(np.abs(k_xi).max(initial=0.0))
-    k_phi_value = float(k_phi.mean()) if k_phi.size else None
-    k_phi_variance = float(k_phi.var()) if k_phi.size else None
-
-    disc_field = (2 * diff(h["fxy"], "z") + h["fx"] * h["fxy"]
-                  - h["fxx"] * h["fy"])
-    disc = is_identically_zero(disc_field, S.domain)
-
-    named = named_classes(S).named
-    matches = (
-        named["paracosymplectic"].holds == disc.holds
-        and named["almost_paracosymplectic"].holds == (not disc.holds)
-    )
-
-    return EtaEinsteinProfile(
-        verdict,
-        scal_constant=scalar_curvature_constant(S.manifold).holds,
-        k_xi_max=k_xi_max,
-        k_phi_value=k_phi_value,
-        k_phi_variance=k_phi_variance,
-        discriminant=disc,
-        matches_named_classes=matches,
-    )

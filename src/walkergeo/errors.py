@@ -8,7 +8,7 @@ line maps each base to its exit status:
     epsilon = +1);
   * InputError, exit 2: the input cannot be analyzed (bad expressions or
     manifests, a field that cannot be evaluated at a point, an empty or
-    degenerate domain, a point outside it);
+    degenerate domain);
   * ConsistencyError, exit 3: two independent routes disagreed.
 """
 
@@ -70,7 +70,9 @@ class EmptyDomainError(InputError):
 
 
 class OutOfDomainError(InputError):
-    """A pointwise operation was called outside the declared domain."""
+    """A point outside the declared domain. Nothing in the package raises
+    it, as every view takes a batch of points; it stays a name that error
+    handlers may list."""
 
     def __init__(self, point):
         self.point = tuple(float(c) for c in point)

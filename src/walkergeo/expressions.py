@@ -31,9 +31,9 @@ the DAG as on an operation tape (Griewank and Walther, Evaluating
 Derivatives, 2008): nothing recurses per level, so derived fields may nest
 deeply. All one analysis keeps is one table, a dict: each derivative
 under its (node, variable), and every other entry (a batch's kept values
-and jets, a point's batch of one, frames, verdicts) a result of `once`,
-keyed by `once_key` from every input it reads (as in hash-consing
-practice: Filliatre and Conchon, Type-safe modular hash-consing, 2006).
+and jets, frames, verdicts) a result of `once`, keyed by `once_key` from
+every input it reads (as in hash-consing practice: Filliatre and Conchon,
+Type-safe modular hash-consing, 2006).
 Every walker and `once` use the `current` table, the open analysis's or
 one that lives for the call alone, under one rule: `diff` and the
 evaluator keep each node, the jets each field, from its first
@@ -299,12 +299,6 @@ def pow_of(base: Expr, exponent: int) -> Expr:
     return Pow(base, exponent)
 
 
-def exp_of(arg: Expr) -> Expr:
-    if arg is ZERO:
-        return ONE
-    return Call("exp", arg)
-
-
 def variables(e: Expr) -> frozenset[str]:
     """Names of the coordinates the expression actually mentions."""
     return frozenset(node.name for node in walk(e) if isinstance(node, Var))
@@ -400,11 +394,14 @@ def once_key(owner, name, key: tuple) -> tuple | None:
     """The key of a result of `once`: owner and every batch of points in
     key by identity (the entry keeps them alive, so an id stays unique),
     the rest of key as given. None when owner or key holds a writable
-    batch, which may change in place: such a result is kept nowhere."""
+    batch or a list (points given as nested lists), which may change in
+    place: such a result is kept nowhere."""
     if type(owner) is np.ndarray and owner.flags.writeable:
         return None
     out = [id(owner), name]
     for part in key:
+        if type(part) is list:
+            return None
         if type(part) is np.ndarray:
             if part.flags.writeable:
                 return None
@@ -428,17 +425,6 @@ def once(owner, name, key: tuple, build):
 def release(owner, name: str, key: tuple) -> None:
     """Drop a result of `once` that no later step needs (sample arrays)."""
     current().pop(once_key(owner, name, key), None)
-
-
-def batch_of_one(point) -> np.ndarray:
-    """The read-only (1, 3) batch of a point, a result of `once` keyed by
-    the point's bytes (an exact point's by its entries, whose bytes are
-    pointers), so an equal point, as a tuple or an array, gets the same
-    batch, and with it every kept value."""
-    one = np.reshape(as_points(point), (1, 3))
-    key = one.tobytes() if one.dtype != object else tuple(one[0].tolist())
-    return once(batch_of_one, "point", (key,),
-                lambda: np.broadcast_to(one.copy(), (1, 3)))
 
 
 def diff(e: Expr, var: str) -> Expr:
@@ -776,17 +762,14 @@ _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
            Div: operator.truediv}
 
 
-def as_points(points) -> np.ndarray:
-    """points as floats, or as given when exact: an object array of a scalar
-    type that takes float literals exactly, which every kernel keeps."""
-    pts = np.asarray(points)
-    return pts if pts.dtype == object else pts.astype(float, copy=False)
-
-
 def as_batch(points) -> np.ndarray:
-    """points as an (n, 3) batch (see `as_points`), the one layout the
-    evaluator, the jets and the kernels take; ValueError otherwise."""
-    pts = as_points(points)
+    """points as an (n, 3) batch, the one layout the evaluator, the jets and
+    the kernels take (ValueError otherwise): as floats, or as given when
+    exact, an object array of a scalar type that takes float literals
+    exactly, which every kernel keeps."""
+    pts = np.asarray(points)
+    if pts.dtype != object:
+        pts = pts.astype(float, copy=False)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be an (n, 3) batch, not {pts.shape}")
     return pts

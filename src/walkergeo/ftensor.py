@@ -25,7 +25,7 @@ the trace-form routes compare the two.
 The value objects of two-route quantities (FTensorValue, TraceForms,
 ExteriorData) record the normalized discrepancy between their routes
 (`_discrepancy`, which raises at the first point where it is not finite);
-NormalityData and ProjectionBundle hold one route's arrays.
+ProjectionBundle holds one route's arrays.
 
 Derived objects, each again by two independent routes:
 
@@ -36,8 +36,8 @@ Derived objects, each again by two independent routes:
     coordinate exterior/derivative formulas vs. contractions of F;
   * d(fundamental 2-form): cyclic sum of F vs. the coordinate exterior
     derivative;
-  * the Nijenhuis torsion of phi on coordinate fields, and the normality
-    defect N - 2 d(eta) (x) xi.
+  * the normality defect N - 2 d(eta) (x) xi, N the Nijenhuis torsion of
+    phi on coordinate fields, against the component split.
 
 The pointwise split of F into its four admissible components (the only
 basic-class components a 3-dimensional structure can carry) uses the
@@ -47,14 +47,12 @@ against the shape identities it must satisfy, so a tensor outside the
 modeled direct sum is detected rather than silently projected.
 
 Arrays are laid out components first, points last: F over an (n, 3)
-batch of points is (3, 3, 3, n) (see `structure`), and a view at one point
-is column 0 of the point's batch of one (`structure.pointwise`).
-Contractions are np.einsum on them; on rational points a batch's column k
-equals the pointwise result at pts[k] exactly. In an analysis (each
-pointwise entry point runs in one, or joins the open one), the frames, the
-structure tensor (`f_tensor_at`) and every symbolic field's values are
-formed once; the eta partials and a batch's Reeb contractions are shared
-by the routes that read them until the classification ends.
+batch of points is (3, 3, 3, n) (see `structure`); every view takes a
+batch. Contractions are np.einsum on them. In an analysis (each view runs
+in one, or joins the open one, see `sampling.analyzed`), the frames, each
+view over a read-only batch and every symbolic field's values are formed
+once; the eta partials and a batch's Reeb contractions are shared by the
+routes that read them until the classification ends.
 """
 
 from __future__ import annotations
@@ -64,9 +62,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .expressions import Expr, diff, evaluate_with_scale, gradient, once, scalar
-from .sampling import require_finite
+from .sampling import analyzed, require_finite
 from .structure import (
-    ApctStructure, Frame, dot, max_abs, points_first, points_last, pointwise,
+    ApctStructure, Frame, dot, max_abs, points_first, points_last,
 )
 from .walker import metric_arrays
 
@@ -175,8 +173,7 @@ def _connection_route(frame: Frame) -> np.ndarray:
 class FTensorValue(NamedTuple):
     """Numeric structure tensor over (n, 3) points, its arrays read-only.
     This and every value object below holds the points in point, and its
-    arrays have a trailing point axis; at one point it is column 0 of the
-    point's batch of one (see `structure.pointwise`).
+    arrays have a trailing point axis.
 
     components[a, b, c] = F(d_a, d_b, d_c) by the coordinate formula;
     route_discrepancy is the largest difference against the connection
@@ -186,14 +183,14 @@ class FTensorValue(NamedTuple):
     F(xi, xi, .); the trace forms and the component shapes read them here.
     """
 
-    point: tuple[float, float, float]
+    point: np.ndarray
     components: np.ndarray
     theta: np.ndarray
     theta_star: np.ndarray
-    theta_xi: float
-    theta_star_xi: float
+    theta_xi: np.ndarray
+    theta_star_xi: np.ndarray
     reeb_square: np.ndarray
-    route_discrepancy: float
+    route_discrepancy: np.ndarray
 
 
 def _tensor_forms(F: np.ndarray, xi: np.ndarray, phi: np.ndarray,
@@ -206,10 +203,10 @@ def _tensor_forms(F: np.ndarray, xi: np.ndarray, phi: np.ndarray,
             np.einsum("i...,j...,ijc...->c...", xi, xi, F))
 
 
-@pointwise
+@analyzed
 def f_tensor_at(S: ApctStructure, pts) -> FTensorValue:
-    """The structure tensor at the point or points, once per analysis."""
-    return once(S, "f_tensor", (pts,), lambda: _f_tensor(S.frame(pts)))
+    """The structure tensor over the points."""
+    return _f_tensor(S.frame(pts))
 
 
 def _discrepancy(frame: Frame, *routes) -> np.ndarray:
@@ -238,19 +235,19 @@ def _f_tensor(frame: Frame) -> FTensorValue:
 
 
 class TraceForms(NamedTuple):
-    """theta and theta* at a point, on coordinate fields and on the Reeb
+    """theta and theta* over the points, on coordinate fields and on the Reeb
     field, with the discrepancy between contraction and expanded-formula
     routes."""
 
-    point: tuple[float, float, float]
+    point: np.ndarray
     theta: np.ndarray
     theta_star: np.ndarray
-    theta_xi: float
-    theta_star_xi: float
-    route_discrepancy: float
+    theta_xi: np.ndarray
+    theta_star_xi: np.ndarray
+    route_discrepancy: np.ndarray
 
 
-@pointwise
+@analyzed
 def theta_forms(S: ApctStructure, pts) -> TraceForms:
     frame = S.frame(pts)
     t = f_tensor_at(S, pts)
@@ -264,7 +261,7 @@ def theta_forms(S: ApctStructure, pts) -> TraceForms:
 
 
 class ExteriorData(NamedTuple):
-    """d(eta), d(fundamental), Lie_xi g, and nabla(eta) at a point.
+    """d(eta), d(fundamental), Lie_xi g, and nabla(eta) over the points.
 
     Primary components come from the coordinate routes (exterior derivative
     of the 1-form eta, exterior derivative of the fundamental 2-form, and
@@ -273,12 +270,12 @@ class ExteriorData(NamedTuple):
     same objects.
     """
 
-    point: tuple[float, float, float]
+    point: np.ndarray
     d_eta: np.ndarray
     d_fundamental: np.ndarray
     lie_g: np.ndarray
     nabla_eta: np.ndarray
-    route_discrepancy: float
+    route_discrepancy: np.ndarray
 
 
 def _d_eta(eta_d: np.ndarray) -> np.ndarray:
@@ -298,7 +295,7 @@ def _reeb_routes(F: np.ndarray, phi: np.ndarray, xi: np.ndarray):
     )
 
 
-@pointwise
+@analyzed
 def exterior_data_at(S: ApctStructure, pts) -> ExteriorData:
     frame = S.frame(pts)
     F = f_tensor_at(S, pts).components
@@ -327,19 +324,6 @@ def exterior_data_at(S: ApctStructure, pts) -> ExteriorData:
     return ExteriorData(pts, d_eta, d_fund, lie_g, nabla_eta, discrepancy)
 
 
-class NormalityData(NamedTuple):
-    """Nijenhuis torsion of phi on coordinate fields and the normality
-    defect; the structure is normal exactly when the defect vanishes.
-
-    nijenhuis[i, j, k] is the k-th component of N(d_i, d_j); the defect is
-    N(X, Y) - 2 d(eta)(X, Y) xi on the same index layout.
-    """
-
-    point: tuple[float, float, float]
-    nijenhuis: np.ndarray
-    defect: np.ndarray
-
-
 def _nijenhuis(phi: np.ndarray, pd: np.ndarray) -> np.ndarray:
     """N(d_i, d_j)^k from phi and its partials pd[a, i, j] = d_a phi^i_j."""
     # [phi d_i, phi d_j]^k, using [U, V]^k = u^m d_m v^k - v^m d_m u^k;
@@ -353,32 +337,12 @@ def _nijenhuis(phi: np.ndarray, pd: np.ndarray) -> np.ndarray:
 
 
 def _normality_defect(nij, d_eta, xi) -> np.ndarray:
-    """N - 2 d(eta) (x) xi from the torsion and d(eta) in the layout of
-    `NormalityData`."""
+    """N - 2 d(eta) (x) xi from the torsion and d(eta): [i, j, k] is the
+    k-th component at (d_i, d_j)."""
     return nij - 2 * np.einsum("ij...,k...->ijk...", d_eta, xi)
 
 
-@pointwise
-def normality_data_at(S: ApctStructure, pts) -> NormalityData:
-    frame = S.frame(pts)
-    nijenhuis_t = _nijenhuis(frame.phi_mat, frame.phi_d)
-    defect = _normality_defect(nijenhuis_t, exterior_data_at(S, pts).d_eta,
-                               frame.xi_vec)
-    return NormalityData(pts, nijenhuis_t, defect)
-
-
-def nijenhuis(S: ApctStructure, point, X, Y) -> np.ndarray:
-    """Nijenhuis torsion of phi on vectors X, Y at a point or over a batch,
-    as a vector."""
-    data = normality_data_at(S, point)
-    return np.einsum(
-        "i...,j...,ijk...->k...",
-        np.asarray(X, dtype=float), np.asarray(Y, dtype=float),
-        data.nijenhuis,
-    )
-
-
-# --- pointwise component split ---------------------------------------------
+# --- component split ---------------------------------------------------------
 
 @np.errstate(all="ignore")
 def _component_arrays(F, xi, eta, phi, g, forms, scale, pts):
@@ -426,7 +390,7 @@ def _component_arrays(F, xi, eta, phi, g, forms, scale, pts):
 
 
 class ProjectionBundle(NamedTuple):
-    """Split of the structure tensor at one point into the component shapes
+    """Split of the structure tensor over the points into the component shapes
     a 3-dimensional structure can carry.
 
     F5 + F6 + F10 + F12 recovers the input tensor up to the stored residual
@@ -436,24 +400,20 @@ class ProjectionBundle(NamedTuple):
     tensor falls outside the modeled direct sum.
     """
 
-    point: tuple[float, float, float]
+    point: np.ndarray
     F5: np.ndarray
     F6: np.ndarray
     F10: np.ndarray
     F12: np.ndarray
     residual: np.ndarray
-    theta_xi: float
-    theta_star_xi: float
-    model_defect: float
-
-    @property
-    def parts(self) -> dict[str, np.ndarray]:
-        return {"G5": self.F5, "G6": self.F6, "G10": self.F10, "G12": self.F12}
+    theta_xi: np.ndarray
+    theta_star_xi: np.ndarray
+    model_defect: np.ndarray
 
 
-@pointwise
+@analyzed
 def project_components(S: ApctStructure, pts) -> ProjectionBundle:
-    """The split at the point or points; EvaluationError at the first point
+    """The split over the points; EvaluationError at the first point
     where it is not finite (see `_component_arrays`)."""
     frame = S.frame(pts)
     t = f_tensor_at(S, pts)

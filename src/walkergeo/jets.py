@@ -7,15 +7,16 @@ plain truncated polynomial multiplication; `derivative` converts back.
 
 Coefficients form one array shaped (coefficients, n) over an (n, 3) batch
 of points: the package's one layout, components first and points last
-(see structure), and no other: a jet at one point is column 0 of its batch
-of one. Each operation acts on whole rows in one order, so a batch row is
-bit for bit the jet of the batch of one: a product adds each gamma's terms
-a[alpha] * b[beta] one by one, in a fixed split order, to +0.0, as column
-sums (see `_product_table`); and the exp and reciprocal tables call
-math.exp and Python `**` per point (numpy rounds differently), mapped in
-C. Each field's jet is computed once per analysis and points, kept as a
-result of `expressions.once` like every other entry of the analysis, and
-a lower order is cut from it (see `eval_jet`).
+(see structure), and no other. Each operation acts on whole rows in one
+order, so a batch row is bit for bit the jet of the batch of one at its
+point: a product adds each gamma's terms a[alpha] * b[beta] one by one, in
+a fixed split order, to +0.0, as column sums (see `_product_table`); and
+the exp and reciprocal tables call math.exp and Python `**` per point
+(numpy rounds differently), mapped in C. So `walker.segre_type` reads the
+jet at pts[0] in column 0 of the sample's. Each field's jet is computed
+once per analysis and points, kept as a result of `expressions.once` like
+every other entry of the analysis, and a lower order is cut from it (see
+`eval_jet`).
 
 `eval_jet` propagates jets bottom-up through an expression DAG, by one
 `expressions.fold` of a per-node jet rule, so every partial derivative up
@@ -180,16 +181,26 @@ class Jet3:
         return self * other.reciprocal()
 
     def intpow(self, exponent: int) -> "Jet3":
-        result = Jet3.constant(scalar(1, self.coeffs), self.order,
-                               self.value.shape)
-        base = self.reciprocal() if exponent < 0 else self
+        """self ** exponent by repeated squaring, from the first factor and
+        up to the exponent's last bit, so each product formed is used; the
+        constant 1 at exponent 0. At +-1 the lone factor is returned plus
+        0, the bits of its product with 1: a product's sums start at +0.0,
+        so a -0.0 coefficient becomes +0.0."""
         n = abs(exponent)
-        while n:
+        if n == 0:
+            return Jet3.constant(scalar(1, self.coeffs), self.order,
+                                 self.value.shape)
+        base = self.reciprocal() if exponent < 0 else self
+        if n == 1:
+            return Jet3(self.order, base.coeffs + scalar(0, base.coeffs))
+        result = None
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def exp(self) -> "Jet3":
         """exp; an overflowing value becomes inf, which eval_jet reports."""

@@ -197,7 +197,7 @@ def build_report(S: ApctStructure, *,
     }
 
     flat = flatness(S.manifold)
-    segre = segre_type(S.manifold, rep_point)
+    segre = segre_type(S.manifold, pts)
     equiv = curvature_equivalences(S)
     ee = eta_einstein_check(S)
     direction, K, degenerate = _pick_direction(S, pts)

@@ -134,13 +134,6 @@ class Domain(NamedTuple):
     nonzero: tuple[Expr, ...] = ()
     sampling: SamplingConfig = SamplingConfig()
 
-    def contains(self, point) -> bool:
-        p = np.array(point, dtype=float)   # a writable copy: nothing is kept
-        for c, interval in zip(p, self.intervals):
-            if not interval.lo <= c <= interval.hi:
-                return False
-        return bool(np.all(self._admissible(p.reshape(1, 3))))
-
     def _admissible(self, pts: np.ndarray) -> np.ndarray:
         """Mask of points satisfying every constraint with margin. Where a
         constraint raises, the rows the error names (`EvaluationError.rows`)

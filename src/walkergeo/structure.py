@@ -24,11 +24,8 @@ g(phi X, Y) = -g(X, phi Y), g(xi, xi) = 1, plus the derived ones
 A Frame bundles the order-1 jets of the structure's own fields f, xi, eta
 and phi (the expressions above, so both sweep routes read one statement of
 the construction) over a batch of points (one per analysis), with the
-numeric arrays every tensor operation needs. Column k of a Frame's jet
-arrays over the sample has the pointwise bits at pts[k], so a report
-reads its representative point pts[0] there. The einsum columns of
-`Frame.nabla_xi_matrix` are not bound to those bits: a column may differ
-by one ulp from the matrix at its point's batch of one.
+numeric arrays every tensor operation needs. A report reads its
+representative point pts[0] in column 0 of the sample's arrays.
 All an analysis (a report, a classifier) keeps is one table, each entry a
 result of `expressions.once` (or a derivative): frames, verdicts, the
 sample's structure tensor, the values on the sample of each field and of
@@ -40,17 +37,13 @@ so building a structure, `reject_poles` and the report share it).
 Every numeric array of the package has one layout, that of the jet
 coefficients over an (n, 3) batch of points: components first, points
 last, C-contiguous. A vector is (3, n), a matrix (3, 3, n), and a[..., k]
-is point k. The kernels see no other layout: a view at one point is column
-0 of the point's batch of one (see `pointwise`). Contractions are np.einsum
-on that layout, whose batch columns equal the pointwise results on
-rational points. `@` runs on points-first copies (see `points_first`), and
-so does the one einsum of `curvature.sectional_profile`, whose point axes
-lead.
+is point k. The kernels and the views see no other layout: each takes a
+batch of points. Contractions are np.einsum on that layout. `@` runs on
+points-first copies (see `points_first`), and so does the one einsum of
+`curvature.sectional_profile`, whose point axes lead.
 """
 
 from __future__ import annotations
-
-from functools import wraps
 
 import numpy as np
 
@@ -59,8 +52,8 @@ from .errors import (
     UnitConstraintError,
 )
 from .expressions import (
-    Expr, ZERO, analysis, as_batch, as_expr, as_points, batch_of_one,
-    divisor, evaluate_with_scale, once, to_source, variables, walk,
+    Expr, ZERO, as_batch, as_expr, divisor, evaluate_with_scale, once,
+    to_source, variables, walk,
 )
 from .jets import eval_jet
 from .sampling import (
@@ -184,37 +177,6 @@ class ApctStructure:
         return once(self, "frame", (pts,), lambda: Frame(self, pts))
 
 
-def pointwise(batch_view):
-    """The view `batch_view(S, pts, *args)` over an (n, 3) batch of points,
-    in an analysis of its own or the open one, answering at one point
-    (shape (3,)) of S's domain too (else OutOfDomainError). There it runs
-    on the point's batch of one (`expressions.batch_of_one`), so repeated
-    views at a point share one frame, and returns column 0 (see
-    `_column_0`). A writable batch keeps nothing in the analysis (see
-    `expressions.once_key`), so each view on it is computed afresh."""
-    @wraps(batch_view)
-    def view(S: "ApctStructure", points, *args):
-        pts = as_points(points)
-        with analysis():
-            if pts.ndim == 2:
-                return batch_view(S, pts, *args)
-            S.manifold.require_inside(pts)
-            one = batch_of_one(pts)
-            return _column_0(batch_view(S, one, *args), one)
-    return view
-
-
-def _column_0(value, one: np.ndarray):
-    """value at the point of the batch of one: the point as a tuple, a
-    tuple's entries each so, and an array's column 0 (a vector over the
-    points gives its entry)."""
-    if value is one:
-        return tuple(one[0].tolist())
-    if isinstance(value, tuple):
-        return getattr(value, "_make", tuple)(_column_0(v, one) for v in value)
-    return value[..., 0][()]
-
-
 def unit_constraint_field(manifold: WalkerManifold, xi) -> Expr:
     """Residual of the unit-Reeb constraint as a symbolic field."""
     xi1, xi2, xi3 = (as_expr(c) for c in xi)
@@ -267,18 +229,6 @@ def reject_poles(S: ApctStructure) -> None:
                     f"denominator {to_source(d)} of {name} takes both signs on "
                     f"the domain, so {name} has a pole there: {v[k]:.3g} at "
                     f"{tuple(float(c) for c in pts[k])} and {v[m]:.3g}", pts[m])
-
-
-def nabla_xi(S: ApctStructure, direction, point) -> np.ndarray:
-    """Components of nabla_X xi at a point or over a batch, X given by
-    constant components."""
-    return np.einsum("i...,ik...->k...", np.asarray(direction, dtype=float),
-                     _nabla_xi_matrix(S, point))
-
-
-@pointwise
-def _nabla_xi_matrix(S: ApctStructure, pts: np.ndarray) -> np.ndarray:
-    return S.frame(pts).nabla_xi_matrix()
 
 
 def validate_axioms(S: ApctStructure) -> dict[str, Route]:

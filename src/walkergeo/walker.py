@@ -28,9 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfDomainError, UnsupportedSignatureError
+from .errors import UnsupportedSignatureError
 from .expressions import (
-    Expr, batch_of_one, diff, gradient, once, scalar, to_source,
+    Expr, as_batch, diff, gradient, once, scalar, to_source,
 )
 from .jets import Jet3, eval_jet
 from .sampling import Domain, Route, every, is_identically_zero, nonvanishing
@@ -50,10 +50,6 @@ class WalkerManifold:
         return (
             f"WalkerManifold(f={to_source(self.f)!r}, epsilon={self.epsilon})"
         )
-
-    def require_inside(self, point) -> None:
-        if not self.domain.contains(point):
-            raise OutOfDomainError(point)
 
     def require_spacelike_signature(self) -> None:
         if self.epsilon != 1:
@@ -220,10 +216,11 @@ class SegreVerdict(NamedTuple):
     """Algebraic type of the Ricci operator.
 
     kind is 'flat', 'type11_1_degenerate', or 'other'. In the degenerate
-    non-flat case the eigenvalues at the evaluation point are (0, s, s) with
-    s = f_xx/2 != 0; n_vector = -(f_xy/f_xx) d_x + d_y spans the kernel,
-    v1 = d_x and v2 = (f_xy/f_xx) d_y + d_z span the s-eigenspace, and
-    max_residual records how well Q n = 0, Q vi = s vi held numerically.
+    non-flat case the eigenvalues at the sample's first point are (0, s, s)
+    with s = f_xx/2 != 0; n_vector = -(f_xy/f_xx) d_x + d_y spans the
+    kernel, v1 = d_x and v2 = (f_xy/f_xx) d_y + d_z span the s-eigenspace,
+    and max_residual records how well Q n = 0, Q vi = s vi held
+    numerically.
     """
 
     kind: str
@@ -236,18 +233,17 @@ class SegreVerdict(NamedTuple):
     fxx_nonvanishing: Route | None = None
 
 
-def segre_type(M: WalkerManifold, point) -> SegreVerdict:
+def segre_type(M: WalkerManifold, pts) -> SegreVerdict:
     """Classify the Ricci operator: flat, degenerate {11;1} with a null
-    eigenvector (f_xy^2 - f_xx f_yy = 0 != f_xx), or other; once per
-    point in an analysis, keyed by the point's batch of one
-    (`expressions.batch_of_one`)."""
+    eigenvector (f_xy^2 - f_xx f_yy = 0 != f_xx), or other; the
+    eigenvectors at pts[0] of the (n, 3) sample pts, once per sample in an
+    analysis."""
     M.require_spacelike_signature()
-    M.require_inside(point)
-    one = batch_of_one(point)
-    return once(M, "segre", (one,), lambda: _segre_type(M, one))
+    pts = as_batch(pts)
+    return once(M, "segre", (pts,), lambda: _segre_type(M, pts))
 
 
-def _segre_type(M: WalkerManifold, one: np.ndarray) -> SegreVerdict:
+def _segre_type(M: WalkerManifold, pts: np.ndarray) -> SegreVerdict:
     if flatness(M).flat:
         return SegreVerdict(kind="flat", eigenvalues=(0.0, 0.0, 0.0))
     h = f_hessian(M.f)
@@ -257,8 +253,8 @@ def _segre_type(M: WalkerManifold, one: np.ndarray) -> SegreVerdict:
         return SegreVerdict(
             kind="other", degeneracy=degeneracy, fxx_nonvanishing=fxx_nonzero
         )
-    # the kernels read the point's batch of one; column 0 is the point
-    jet = eval_jet(M.f, one, 2)
+    # column 0 of the sample's order-2 jet of f (the frame keeps it) is pts[0]
+    jet = eval_jet(M.f, pts, 2)
     _, fxx_v, fxy_v, _ = (a[0] for a in _hessian(jet))
     s = 0.5 * fxx_v
     ratio = fxy_v / fxx_v

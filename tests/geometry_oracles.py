@@ -10,8 +10,10 @@ arithmetic first.
 The last few helpers are objects only tests read: a frame's arrays at one
 point, the fundamental 2-form, its cyclic wedge with eta and
 d(fundamental) as the cyclic sum of F, by np.einsum on the package's
-arrays, and a structure with phi overridden. `build` makes a structure
-from source strings on BOX, the box the test modules share.
+arrays, a structure with phi overridden, the discriminant that splits
+the eta-Einstein structures between the two cosymplectic-type classes, and
+the two-function family of paracontact metric structures. `build` makes a
+structure from source strings on BOX, the box the test modules share.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from walkergeo.expressions import evaluate_with_scale, parse
+from walkergeo.errors import InputError
+from walkergeo.expressions import (
+    ONE, ZERO, Call, Expr, Var, as_expr, diff, evaluate_with_scale, parse,
+    to_source, variables,
+)
 from walkergeo.sampling import Domain, Interval, SamplingConfig
 from walkergeo.structure import ApctStructure, build_structure
 from walkergeo.walker import WalkerManifold
@@ -228,3 +234,44 @@ def with_phi(S, phi_entries):
     bad = ApctStructure(S.manifold, S.xi)
     bad.phi = phi_entries
     return bad
+
+
+def eta_einstein_discriminant(f: Expr) -> Expr:
+    """2 f_xyz + f_x f_xy - f_xx f_y, symbolically: an eta-Einstein
+    structure over f is paracosymplectic where it vanishes identically,
+    else almost paracosymplectic."""
+    fx, fy = diff(f, "x"), diff(f, "y")
+    fxy = diff(fx, "y")
+    return 2 * diff(fxy, "z") + fx * fxy - diff(fx, "x") * fy
+
+
+def exp_of(arg: Expr) -> Expr:
+    """exp(arg), folded to 1 at arg = 0."""
+    if arg is ZERO:
+        return ONE
+    return Call("exp", arg)
+
+
+def paracontact_family(psi, m, domain: Domain) -> ApctStructure:
+    """Build the two-function family of paracontact metric structures.
+
+    psi and m are expressions in z alone; the family takes
+    f = 2 psi'(z) x + m(z) and Reeb components xi2 = 0,
+    xi3 = exp(-2y + psi(z)), with xi1 forced by the unit constraint.
+    Every member is paracontact metric with trace form 2 on the Reeb
+    field (contact-type G5, possibly plus a G10 part).
+    """
+    psi = as_expr(psi)
+    m = as_expr(m)
+    for name, e in (("psi", psi), ("m", m)):
+        extra = variables(e) - {"z"}
+        if extra:
+            raise InputError(
+                f"{name} must depend on z only; found "
+                f"{', '.join(sorted(extra))} in {to_source(e)}"
+            )
+    f = 2 * diff(psi, "z") * Var("x") + m
+    xi3 = exp_of(psi - 2 * Var("y"))
+    xi1 = (1 - f * xi3**2) / (2 * xi3)
+    manifold = WalkerManifold(f, 1, domain)
+    return build_structure(manifold, (xi1, ZERO, xi3))

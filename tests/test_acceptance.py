@@ -12,8 +12,10 @@ from geometry_oracles import (
     christoffel_oracle,
     curvature_oracle,
     d_fundamental_batch,
+    eta_einstein_discriminant,
     eta_wedge_fundamental_batch,
     metric_fn,
+    paracontact_family,
     random_points,
 )
 from walkergeo.classify import (
@@ -21,14 +23,13 @@ from walkergeo.classify import (
     is_normal,
     is_paracontact_metric,
     named_classes,
-    paracontact_family,
 )
 from walkergeo.cli import main
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.curvature import (
     curvature_equivalences,
     eta_einstein_check,
-    eta_einstein_report,
+    sectional_profile,
 )
 from walkergeo.expressions import parse
 from walkergeo.ftensor import (
@@ -41,7 +42,9 @@ from walkergeo.ftensor import (
     theta_forms,
 )
 from walkergeo.jets import eval_jet
-from walkergeo.sampling import Domain, Interval, SamplingConfig
+from walkergeo.sampling import (
+    Domain, Interval, PCG64Stream, SamplingConfig, is_identically_zero,
+)
 from walkergeo.structure import build_structure
 from walkergeo.walker import (
     WalkerManifold,
@@ -49,6 +52,7 @@ from walkergeo.walker import (
     curvature_from_jet,
     metric_arrays,
     ricci_from_jet,
+    scalar_curvature_constant,
     segre_type,
 )
 
@@ -243,13 +247,15 @@ def test_criterion_4_dual_route_agreement():
         dfund_jet = np.empty_like(dfund_tensor)
         local = 0.0
         for n, p in enumerate(pts):
-            t = f_tensor_at(S, p)
-            local = max(local, t.route_discrepancy)
-            local = max(local, theta_forms(S, p).route_discrepancy)
-            ex = exterior_data_at(S, p)
-            local = max(local, ex.route_discrepancy)
-            de_jet[..., n] = ex.d_eta
-            dfund_jet[..., n] = ex.d_fundamental
+            one = np.array([p])
+            t = f_tensor_at(S, one)
+            local = max(local, float(t.route_discrepancy[..., 0]))
+            local = max(local,
+                        float(theta_forms(S, one).route_discrepancy[..., 0]))
+            ex = exterior_data_at(S, one)
+            local = max(local, float(ex.route_discrepancy[..., 0]))
+            de_jet[..., n] = ex.d_eta[..., 0]
+            dfund_jet[..., n] = ex.d_fundamental[..., 0]
 
         spread = np.abs(de_coord - de_tensor).reshape(-1, len(pts)).max(0)
         local = max(local, float((spread / norm).max()))
@@ -328,22 +334,30 @@ def test_criterion_6_eta_einstein_fixture_profile():
     if abs(v.a - 1.0) > 1e-9 or abs(v.b + 1.0) > 1e-9:
         problems.append(f"coefficients a={v.a}, b={v.b}, wanted 1, -1")
 
-    prof = eta_einstein_report(S)
-    if not prof.scal_constant or abs(2 * prof.verdict.a - 2.0) > 1e-9:
-        problems.append(f"scal {2 * prof.verdict.a}, wanted constant 2")
-    if prof.k_xi_max > 1e-9:
-        problems.append(f"Reeb-plane curvature reaches {prof.k_xi_max:.2e}")
-    if abs(prof.k_phi_value + 1.0) > 1e-9 or prof.k_phi_variance > 1e-9:
+    if not scalar_curvature_constant(S.manifold) or abs(2 * v.a - 2.0) > 1e-9:
+        problems.append(f"scal {2 * v.a}, wanted constant 2")
+    # the sectional curvatures along 50 directions at each of the first
+    # five sample points, in one points x directions call
+    draws = PCG64Stream(S.domain.sampling.seed + 1).uniform(
+        -1.0, 1.0, (5, 50, 3))
+    K, degenerate = sectional_profile(S, S.domain.sample(), draws)
+    k_xi, k_phi = (K[..., i][~degenerate[..., i]] for i in (0, 1))
+    k_xi_max = float(np.abs(k_xi).max(initial=0.0))
+    if k_xi_max > 1e-9:
+        problems.append(f"Reeb-plane curvature reaches {k_xi_max:.2e}")
+    if (not k_phi.size or abs(k_phi.mean() + 1.0) > 1e-9
+            or k_phi.var() > 1e-9):
         problems.append(
-            f"phi-plane curvature {prof.k_phi_value} "
-            f"(variance {prof.k_phi_variance:.2e}), wanted constant -1")
-    if not prof.discriminant.holds:
+            f"phi-plane curvature {k_phi.mean()} "
+            f"(variance {k_phi.var():.2e}), wanted constant -1")
+    if not is_identically_zero(eta_einstein_discriminant(S.manifold.f),
+                               S.domain):
         problems.append("not flagged paracosymplectic")
     if not named_classes(S).named["paracosymplectic"]:
         problems.append("named classifier disagrees on paracosymplectic")
 
     point = (1.0, 1.0, 1.0)
-    seg = segre_type(S.manifold, point)
+    seg = segre_type(S.manifold, np.array([point]))
     if seg.kind != "type11_1_degenerate":
         problems.append(f"Segre kind {seg.kind}")
     else:

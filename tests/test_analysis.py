@@ -32,6 +32,7 @@ from walkergeo.expressions import Num, parse, to_source
 from walkergeo.jets import eval_jet
 from walkergeo.manifest import parse_manifest
 from walkergeo.report import build_report
+from geometry_oracles import exp_of
 from write_reports import read_manifest
 
 NAMES = [fixture.name for fixture in FIXTURES]
@@ -114,7 +115,7 @@ def test_each_report_step_runs_once(monkeypatch, name):
 VERDICTS = (classify.classify_basic, classify.is_paracontact_metric,
             classify.is_normal, classify.named_classes,
             curvature.eta_einstein_check, curvature.curvature_equivalences,
-            curvature.eta_einstein_report, build_report)
+            build_report)
 
 
 @pytest.mark.parametrize("verdict", VERDICTS, ids=lambda f: f.__name__)
@@ -128,13 +129,13 @@ def test_a_verdict_is_decided_once_per_analysis(verdict):
 
 def test_flatness_and_segre_type_are_decided_once_per_analysis():
     S = load_fixture("eta-einstein-parabolic").build(samples=8)
-    M, point = S.manifold, tuple(S.domain.sample()[0])
+    M, pts = S.manifold, S.domain.sample()
     with ex.analysis():
-        flat, segre = walker.flatness(M), walker.segre_type(M, point)
+        flat, segre = walker.flatness(M), walker.segre_type(M, pts)
         assert walker.flatness(M) is flat
-        assert walker.segre_type(M, np.array(point)) is segre
+        assert walker.segre_type(M, pts) is segre
     assert walker.flatness(M) is not flat
-    assert walker.segre_type(M, point) is not segre
+    assert walker.segre_type(M, pts) is not segre
 
 
 def test_an_eta_einstein_report_tests_its_discriminant_once(monkeypatch):
@@ -284,7 +285,7 @@ def test_kept_arrays_are_read_only_and_reused():
 
 def test_a_kept_field_is_a_leaf_of_a_larger_one(monkeypatch):
     pts, inner = sample(), parse("x*y/(1 + z^2)")
-    outer = ex.exp_of(inner)
+    outer = exp_of(inner)
     fresh = ex.evaluate_with_scale(outer, pts)
     with ex.analysis():
         ex.evaluate_with_scale(inner, pts)
@@ -329,28 +330,6 @@ def test_outside_an_analysis_nothing_is_kept(monkeypatch):
         assert set(ex.once(pts, "values", (), dict)) == set(ex.walk(field))
     # 7 of the 8 calls evaluated every node; the last found the kept field
     assert set(Counter(nodes).values()) == {7}
-
-
-def test_one_point_is_kept_by_its_bytes(monkeypatch):
-    pts, field = sample(), parse("x*y + z")
-    nodes = recording(monkeypatch, ex, "_evaluate_node",
-                      lambda node, args, p: node)
-    with ex.analysis() as analysis:
-        one = ex.batch_of_one(pts[0])
-        value, scale = ex.evaluate_with_scale(field, one)
-        # an equal new point, as a tuple, gets the same batch of one, and
-        # with it the kept values
-        equal = ex.batch_of_one(tuple(pts[0]))
-        again = ex.evaluate_with_scale(field, equal)
-        assert equal is one
-        point, values = analysis   # the analysis keeps these two alone
-        assert point == ex.once_key(ex.batch_of_one, "point",
-                                    (pts[0].tobytes(),))
-        assert values == ex.once_key(one, "values", ())
-    assert one.shape == (1, 3) and not one.flags.writeable
-    assert nodes == ex.walk(field)
-    assert again[0] is value and again[1] is scale
-    assert value[0] == pts[0, 0] * pts[0, 1] + pts[0, 2]
 
 
 def test_a_shared_node_is_kept_from_its_first_evaluation(monkeypatch):
@@ -436,6 +415,18 @@ def test_the_jet_of_f_is_propagated_once_on_the_sample(monkeypatch, name):
     sample = S.domain.sample()
     assert [order for e, pts, order in computed
             if e is S.manifold.f and pts is sample] == [2]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_report_forms_jets_on_its_sample_alone(monkeypatch, name):
+    # the Segre type reads column 0 of the sample's order-2 jet of f, so
+    # no jet is formed on pts[0]'s batch of one or on any other batch
+    S = load_fixture(name).build(samples=64)
+    computed = recording(monkeypatch, jets, "_propagate",
+                         lambda e, pts, order, table: pts)
+    build_report(S, name=name)
+    sample = S.domain.sample()
+    assert computed and all(pts is sample for pts in computed)
 
 
 def test_the_frame_route_reads_the_tensor_forms_it_formed(monkeypatch):

@@ -1,15 +1,14 @@
-"""The batched evaluation path against its batch-of-one views.
+"""The batched evaluation path against its batches of one.
 
-Reports evaluate every sample point in one batch; the pointwise API
-evaluates one point, as column 0 of its batch of one. Frames, jets and the
-Walker tensors hold no
-contraction, and for them both must give the same bits (np.array_equal,
-never allclose): an operation whose rounding depends on the batch size
-would make a report drift from the pointwise values it documents. The
-value objects of `ftensor` contract with np.einsum, whose summation order
-may differ between a batch and a point, so here only their layout is
-checked; tests/test_exact.py compares their columns with the pointwise
-results in exact arithmetic. Every batched array is laid out components
+Reports evaluate every sample point in one batch; a batch of one evaluates
+one point. Frames, jets and the Walker tensors hold no contraction, and
+for them both must give the same bits (np.array_equal, never allclose): an
+operation whose rounding depends on the batch size would make a report's
+value at its representative point pts[0] depend on the rest of the
+sample. The value objects of `ftensor` contract with np.einsum, whose
+summation order may differ between a batch and a point, so here only their
+layout is checked; tests/test_exact.py compares their columns with the
+batches of one in exact arithmetic. Every batched array is laid out components
 first, points last, and is C-contiguous, so slice [..., k] is point k.
 """
 
@@ -19,17 +18,16 @@ import numpy as np
 import pytest
 
 import walkergeo.expressions
+import walkergeo.ftensor as ftensor
 from test_jets import FIELDS
 from walkergeo import parse_manifest
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.expressions import parse
 from walkergeo.ftensor import (
-    exterior_data_at, f_tensor_at, nijenhuis, normality_data_at,
-    project_components, theta_forms,
+    exterior_data_at, f_tensor_at, project_components, theta_forms,
 )
 from walkergeo.jets import eval_jet
 from walkergeo.report import build_report
-from walkergeo.structure import nabla_xi
 from walkergeo.walker import (
     christoffel_from_jet, curvature_from_jet, ricci_from_jet,
 )
@@ -101,7 +99,6 @@ def test_value_objects_match_point_views(structure):
     tf = theta_forms(S, pts)
     ex = exterior_data_at(S, pts)
     pr = project_components(S, pts)
-    nd = normality_data_at(S, pts)
     for batch, view, fields in (
         (t, lambda p: f_tensor_at(S, p),
          ("components", "theta_xi", "theta_star_xi", "reeb_square",
@@ -115,26 +112,26 @@ def test_value_objects_match_point_views(structure):
         (pr, lambda p: project_components(S, p),
          ("F5", "F6", "F10", "F12", "residual", "theta_xi",
           "theta_star_xi", "model_defect")),
-        (nd, lambda p: normality_data_at(S, p), ("nijenhuis", "defect")),
     ):
         for name in fields:
             assert points_last(getattr(batch, name), len(pts)), \
                 (type(batch).__name__, name)
         for k, p in columns(pts):
-            p = tuple(p)
-            assert view(p).point == p
-    # the two vector-valued wrappers contract their constant vectors with
-    # the component axes alone, so each batch column is the view there, to
-    # the rounding of the einsum that forms the matrix of nabla xi
-    for wrapper in (lambda p: nabla_xi(S, (0.3, -1.7, 2.1), p),
-                    lambda p: nijenhuis(S, p, (0.5, 1.1, -2.0),
-                                        (1.0, 0.0, 0.0))):
-        batch = wrapper(pts)
-        assert points_last(batch, len(pts)) and batch.shape[0] == 3
+            one = np.array([p])
+            single = view(one)
+            assert single.point is one
+            for name in fields:
+                assert points_last(getattr(single, name), 1), (name, k)
+    # the matrix of nabla xi and the Nijenhuis torsion, as the frame forms
+    # them: each batch column is the batch of one there, to the rounding of
+    # the einsum that forms the matrix of nabla xi
+    for kernel in (lambda fr: fr.nabla_xi_matrix(),
+                   lambda fr: ftensor._nijenhuis(fr.phi_mat, fr.phi_d)):
+        batch = kernel(S.frame(pts))
+        assert points_last(batch, len(pts))
         for k, p in columns(pts):
-            view = wrapper(tuple(p))
-            assert view.shape == (3,)
-            assert np.abs(batch[:, k] - view).max() <= 1e-13 * (
+            view = kernel(S.frame(np.array([p])))[..., 0]
+            assert np.abs(batch[..., k] - view).max() <= 1e-13 * (
                 1.0 + np.abs(view).max()), k
 
 

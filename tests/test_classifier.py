@@ -3,7 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from geometry_oracles import BOX, build as build_on_box
+from geometry_oracles import BOX, build as build_on_box, paracontact_family
 from walkergeo import report
 from walkergeo.classify import (
     NEVER,
@@ -16,7 +16,6 @@ from walkergeo.classify import (
     is_paracontact_metric,
     named_classes,
     paracontact_condition_fields,
-    paracontact_family,
 )
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.errors import InputError

@@ -4,10 +4,11 @@ Every subscripts string the package passes to np.einsum with point axes
 (`...` trailing) is found in the sources, so a new contraction is tested as
 soon as it is written; contractions the package no longer forms stay as
 cases: two outer products, the only ones that permute an operand's axes
-without summing any, and the second contraction of each antisymmetric
-pair, which the package takes as a swapped view of the first (checked bit
-for bit below). The test names keep the word `contract` from the function
-these contractions once went through.
+without summing any, the second contraction of each antisymmetric pair,
+which the package takes as a swapped view of the first (checked bit for
+bit below), and the contractions of constant vectors with the matrix of
+nabla xi and with the Nijenhuis torsion. The test names keep the word
+`contract` from the function these contractions once went through.
 
 Each contraction is checked against np.einsum on contiguous points-first
 operands (`...` leading), and on strided views of its operands, bit for
@@ -22,8 +23,8 @@ arithmetic", 1991); the swapped pairs are compared bit for bit on such
 operands, spanning e^-12 .. e^12 with exact zeros and -0.0, because each
 pair adds the same terms in the same order. Each contraction's peak memory
 is bounded, so no broadcast product over the summed axes comes back. A
-batch's columns are compared with the pointwise results in exact
-arithmetic, in tests/test_exact.py.
+batch's columns are compared with the batches of one in exact arithmetic,
+in tests/test_exact.py.
 """
 
 import re
@@ -49,7 +50,8 @@ SWAPPED_PAIRS = (
 # kernels unroll or collapse axes
 LEADS = [(), (1,), (7,), (512,), (2,), (3,), (4,), (5,), (8,), (9,), (16,),
          (17,), (64,), (1024,)]
-RETIRED = ({"i...,jk...->ijk...", "j...,ki...->ijk..."}
+RETIRED = ({"i...,jk...->ijk...", "j...,ki...->ijk...", "i...,ik...->k...",
+            "i...,j...,ijk...->k..."}
            | {second for _, second, _ in SWAPPED_PAIRS})
 SUBSCRIPTS = sorted(RETIRED | {
     match for path in SOURCES

@@ -3,15 +3,16 @@ from functools import partial
 import numpy as np
 import pytest
 
-from geometry_oracles import build as build_on_box, frame_at
+from geometry_oracles import (
+    build as build_on_box, eta_einstein_discriminant, frame_at,
+)
 from walkergeo import report
+from walkergeo.classify import named_classes
 from walkergeo.corpus import FIXTURES, load_fixture
 from walkergeo.curvature import (
     curvature_equivalences,
     eta_einstein_check,
-    eta_einstein_report,
     ricci_residual_fields,
-    sectional_curvatures,
     sectional_profile,
 )
 from walkergeo.errors import DegenerateInputError, EvaluationError
@@ -19,7 +20,9 @@ from walkergeo.manifest import parse_manifest
 from walkergeo.report import build_report
 from walkergeo.sampling import PCG64Stream, SamplingConfig, is_identically_zero
 from walkergeo.jets import eval_jet
-from walkergeo.walker import curvature_from_jet, flatness, segre_type
+from walkergeo.walker import (
+    curvature_from_jet, flatness, scalar_curvature_constant, segre_type,
+)
 from write_reports import read_manifest
 
 CFG = SamplingConfig(samples=24, seed=23)
@@ -152,35 +155,43 @@ def test_equivalences_agree_across_fixtures():
 
 # ----------------------------------------------------------------- sectional
 
+def sectional_at(S, X, point):
+    """K (the Reeb plane first) and the degenerate flags of the one plane
+    pair of direction X at a point: entry [0, 0] of its batch of one."""
+    K, degenerate = sectional_profile(S, np.array([point]), [[X]])
+    return K[0, 0], degenerate[0, 0]
+
+
 def test_sectional_parabolic_values():
     S = build("x^2", ("0", "1", "0"))
-    rep = sectional_curvatures(S, np.array([0.0, 0.0, 1.0]), (1.0, 1.0, 1.0))
-    assert abs(rep.K_xi) <= 1e-12
-    assert abs(rep.K_phi + 1.0) <= 1e-12
-    assert abs(rep.scal - 2.0) <= 1e-12
-    assert not rep.xi_plane_degenerate
-    assert not rep.phi_plane_degenerate
+    one = np.array([(1.0, 1.0, 1.0)])
+    (K_xi, K_phi), degenerate = sectional_at(S, (0.0, 0.0, 1.0), one[0])
+    assert abs(K_xi) <= 1e-12
+    assert abs(K_phi + 1.0) <= 1e-12
+    scal = eval_jet(S.manifold.f, one, 2).derivative((2, 0, 0))[..., 0]
+    assert abs(scal - 2.0) <= 1e-12
+    assert not degenerate.any()
 
 
 def test_sectional_direction_along_reeb_degenerates():
     S = build("x^2", ("0", "1", "0"))
-    rep = sectional_curvatures(S, np.array([0.0, 1.0, 0.0]), (1.0, 1.0, 1.0))
-    assert rep.xi_plane_degenerate and rep.phi_plane_degenerate
-    assert rep.K_xi is None and rep.K_phi is None
+    _, degenerate = sectional_at(S, (0.0, 1.0, 0.0), (1.0, 1.0, 1.0))
+    assert degenerate.all()
 
 
 def test_sectional_invariant_under_reeb_component():
     # X and X + c xi span the same horizontal data
     S = build("x^2", ("0", "1", "0"))
-    r1 = sectional_curvatures(S, np.array([0.3, 0.0, 1.0]), (1.2, 0.8, 1.5))
-    r2 = sectional_curvatures(S, np.array([0.3, 5.0, 1.0]), (1.2, 0.8, 1.5))
-    assert abs(r1.K_phi - r2.K_phi) <= 1e-10
-    assert abs(r1.K_xi - r2.K_xi) <= 1e-10
+    K1, _ = sectional_at(S, (0.3, 0.0, 1.0), (1.2, 0.8, 1.5))
+    K2, _ = sectional_at(S, (0.3, 5.0, 1.0), (1.2, 0.8, 1.5))
+    assert abs(K1[1] - K2[1]) <= 1e-10
+    assert abs(K1[0] - K2[0]) <= 1e-10
 
 
 # A report reads the representative point pts[0] as column 0 of its sample's
-# arrays; the pointwise API must give the same bits there, at sample sizes
-# for which numpy's batched kernels take their small-batch and long paths.
+# arrays; the point's batch of one must give the same bits there, at sample
+# sizes for which numpy's batched kernels take their small-batch and long
+# paths.
 REPRESENTATIVE_SAMPLES = [1, 3, 64, 512]
 
 DIRECTIONS = {"d_z": (0.0, 0.0, 1.0), "d_y": (0.0, 1.0, 0.0),
@@ -208,13 +219,14 @@ def test_report_sectional_curvatures_are_the_pointwise_ones(name, samples):
     assert report.exit_status == 0
     section = report.curvature["sectional"]
     point = tuple(S.domain.sample()[0])
-    rep = sectional_curvatures(S, DIRECTIONS[section["direction"]], point)
-    assert bits(rep.K_xi) == bits(section["K_xi"])
-    assert bits(rep.K_phi) == bits(section["K_phi"])
-    assert rep.xi_plane_degenerate == section["xi_plane_degenerate"]
-    assert rep.phi_plane_degenerate == section["phi_plane_degenerate"]
-    if not rep.xi_plane_degenerate:
-        X = DIRECTIONS[section["direction"]]
+    X = DIRECTIONS[section["direction"]]
+    K, degenerate = sectional_at(S, X, point)
+    assert tuple(degenerate) == (section["xi_plane_degenerate"],
+                                 section["phi_plane_degenerate"])
+    for plane, key in enumerate(("K_xi", "K_phi")):
+        want = None if degenerate[plane] else bits(K[plane])
+        assert want == bits(section[key])
+    if not degenerate[0]:
         assert bits(reference_k_xi(S, point, X)) == bits(section["K_xi"])
 
 
@@ -237,7 +249,7 @@ def reference_k_xi(S, point, X):
 @pytest.mark.parametrize("name", list(MANIFESTS))
 def test_profile_entries_are_the_batch_of_one(name, samples):
     # every entry of one points x directions call has the bits of the
-    # pointwise API, a batch of one, at its point and direction
+    # batch of one at its point and direction
     S = parse_manifest(MANIFESTS[name]).build(samples=samples)
     pts = S.domain.sample()
     draws = PCG64Stream(7).uniform(-1.0, 1.0, (min(5, len(pts)), 8, 3))
@@ -245,12 +257,12 @@ def test_profile_entries_are_the_batch_of_one(name, samples):
     assert K.shape == degenerate.shape == draws.shape[:2] + (2,)
     for k, directions in enumerate(draws):
         for d, X in enumerate(directions):
-            rep = sectional_curvatures(S, X, tuple(pts[k]))
-            flags = (rep.xi_plane_degenerate, rep.phi_plane_degenerate)
-            assert flags == tuple(degenerate[k, d]), (k, d)
-            for plane, value in enumerate((rep.K_xi, rep.K_phi)):
-                if value is not None:
-                    assert bits(value) == bits(K[k, d, plane]), (k, d, plane)
+            K_one, flags = sectional_at(S, X, pts[k])
+            assert tuple(flags) == tuple(degenerate[k, d]), (k, d)
+            for plane in (0, 1):
+                if not flags[plane]:
+                    assert bits(K_one[plane]) == bits(K[k, d, plane]), (
+                        k, d, plane)
 
 
 # the report's four candidates at pts[0]: the pick is the first whose two
@@ -302,7 +314,7 @@ def test_xi_matches_n_is_the_pointwise_comparison(samples):
     verdict = eta_einstein_check(S)
     point = tuple(S.domain.sample()[0])
     # the comparison at the point, from the frame there
-    n = segre_type(S.manifold, point).n_vector
+    n = segre_type(S.manifold, np.array([point])).n_vector
     xi = frame_at(S, point).xi_vec
     allowed = S.domain.sampling.tol * (1.0 + np.abs(n).max() + np.abs(xi).max())
     signs = [sign for sign in (1, -1) if np.abs(xi - sign * n).max() <= allowed]
@@ -310,57 +322,84 @@ def test_xi_matches_n_is_the_pointwise_comparison(samples):
 
 
 # -------------------------------------------------------------------- profile
+# An eta-Einstein structure has constant scalar curvature C = 2a, a = -b =
+# C / 2, zero Reeb-plane and constant phi-plane sectional curvature -C / 2,
+# and is paracosymplectic exactly when `eta_einstein_discriminant` vanishes,
+# else almost paracosymplectic.
+
+def profile_draws(S) -> np.ndarray:
+    """50 directions at each of the first five sample points, components
+    uniform on [-1, 1] from the sample's seed + 1."""
+    return PCG64Stream(S.domain.sampling.seed + 1).uniform(
+        -1.0, 1.0, (min(5, len(S.domain.sample())), 50, 3))
+
+
+def profile_planes(S) -> tuple[np.ndarray, np.ndarray]:
+    """K of the nondegenerate Reeb planes and of the nondegenerate
+    phi-planes along `profile_draws`, from one `sectional_profile` call,
+    in point, then direction order."""
+    K, degenerate = sectional_profile(S, S.domain.sample(), profile_draws(S))
+    return K[..., 0][~degenerate[..., 0]], K[..., 1][~degenerate[..., 1]]
+
+
+def splits_by_discriminant(S) -> bool:
+    """Whether the named classes put S in paracosymplectic exactly when
+    the discriminant vanishes, and in almost paracosymplectic otherwise."""
+    disc = is_identically_zero(eta_einstein_discriminant(S.manifold.f),
+                               S.domain)
+    named = named_classes(S).named
+    return (named["paracosymplectic"].holds == disc.holds
+            and named["almost_paracosymplectic"].holds == (not disc.holds))
+
 
 def test_profile_parabolic():
     S = build("x^2", ("0", "1", "0"))
-    prof = eta_einstein_report(S)
-    assert prof.verdict.is_eta_einstein
-    assert prof.scal_constant and abs(2 * prof.verdict.a - 2.0) <= 1e-12
-    assert (abs(prof.verdict.a - 1.0) <= 1e-12
-            and abs(prof.verdict.b + 1.0) <= 1e-12)
-    assert prof.k_xi_max <= 1e-9
-    assert abs(prof.k_phi_value + 1.0) <= 1e-9
-    assert prof.k_phi_variance <= 1e-9
-    assert prof.discriminant.holds
-    assert prof.matches_named_classes
+    v = eta_einstein_check(S)
+    assert v.is_eta_einstein
+    assert scalar_curvature_constant(S.manifold) and abs(2 * v.a - 2.0) <= 1e-12
+    assert abs(v.a - 1.0) <= 1e-12 and abs(v.b + 1.0) <= 1e-12
+    k_xi, k_phi = profile_planes(S)
+    assert np.abs(k_xi).max(initial=0.0) <= 1e-9
+    assert abs(k_phi.mean() + 1.0) <= 1e-9
+    assert k_phi.var() <= 1e-9
+    assert is_identically_zero(eta_einstein_discriminant(S.manifold.f),
+                               S.domain)
+    assert splits_by_discriminant(S)
 
 
 @pytest.mark.parametrize("samples", REPRESENTATIVE_SAMPLES)
 @pytest.mark.parametrize("f", ["x^2", "x^2 + y*z"])
 def test_profile_is_the_pointwise_sectional_curvatures(f, samples):
     # the profile reads each probe point's column of the sample; the
-    # pointwise API on the same draws gives the same bits
+    # batches of one on the same draws give the same bits
     S = build(f, ("0", "1", "0"), sampling=SamplingConfig(samples=samples))
-    prof = eta_einstein_report(S)
-    pts = S.domain.sample()
-    draws = PCG64Stream(S.domain.sampling.seed + 1).uniform(
-        -1.0, 1.0, (min(5, len(pts)), 50, 3))
-    k_xi_max, k_phi = 0.0, []
-    for p, directions in zip(pts, draws):
+    k_xi, k_phi = profile_planes(S)
+    one_xi, one_phi = [], []
+    for p, directions in zip(S.domain.sample(), profile_draws(S)):
         for X in directions:
-            rep = sectional_curvatures(S, X, tuple(float(c) for c in p))
-            if rep.K_xi is not None:
-                k_xi_max = max(k_xi_max, abs(rep.K_xi))
-            if rep.K_phi is not None:
-                k_phi.append(rep.K_phi)
-    assert k_phi and bits(prof.k_xi_max) == bits(k_xi_max)
-    assert bits(prof.k_phi_value) == bits(np.mean(k_phi))
-    assert bits(prof.k_phi_variance) == bits(np.var(k_phi))
+            K, degenerate = sectional_at(S, X, p)
+            if not degenerate[0]:
+                one_xi.append(abs(K[0]))
+            if not degenerate[1]:
+                one_phi.append(K[1])
+    assert one_phi
+    assert bits(np.abs(k_xi).max(initial=0.0)) == bits(max(one_xi, default=0.0))
+    assert bits(k_phi.mean()) == bits(np.mean(one_phi))
+    assert bits(k_phi.var()) == bits(np.var(one_phi))
 
 
 def test_profile_detects_almost_paracosymplectic():
     S = build("x^2 + y*z", ("0", "1", "0"))
-    prof = eta_einstein_report(S)
-    assert prof.verdict.is_eta_einstein
-    assert prof.scal_constant
-    assert not prof.discriminant.holds
-    assert not prof.discriminant.holds
-    assert prof.matches_named_classes
-    assert prof.k_phi_variance <= 1e-9
+    assert eta_einstein_check(S).is_eta_einstein
+    assert scalar_curvature_constant(S.manifold)
+    assert not is_identically_zero(eta_einstein_discriminant(S.manifold.f),
+                                   S.domain)
+    assert splits_by_discriminant(S)
+    assert profile_planes(S)[1].var() <= 1e-9
 
 
 def test_profile_not_applicable_without_eta_einstein():
     S = build("x^2 + y^2", ("0", "1", "0"))
-    prof = eta_einstein_report(S)
-    assert not prof.verdict.is_eta_einstein
-    assert prof.verdict.a is None
+    v = eta_einstein_check(S)
+    assert not v.is_eta_einstein
+    assert v.a is None

@@ -1,11 +1,11 @@
 """Batch columns against points, in exact arithmetic.
 
-Reports evaluate every sample point in one batch; the pointwise API
+Reports evaluate every sample point in one batch; a batch of one
 evaluates one point. The value objects of `ftensor` are built both ways on
 rational points, whose every kernel then runs in exact arithmetic: each
 contraction is a sum of exact terms, so column k of every array must equal
-the pointwise result at pts[k] as a number, whatever order np.einsum adds
-the terms in. Float results are not compared: their rounding depends on
+column 0 of the batch of one pts[k] as a number, whatever order np.einsum
+adds the terms in. Float results are not compared: their rounding depends on
 the summation order (Goldberg, "What every computer scientist should know
 about floating-point arithmetic", 1991).
 
@@ -16,17 +16,29 @@ fails the test, as does an entry of another type.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from walkergeo import parse_manifest
+import walkergeo.ftensor as ftensor
 from walkergeo.corpus import load_fixture
 from walkergeo.ftensor import (
-    exterior_data_at, f_tensor_at, normality_data_at, project_components,
-    theta_forms,
+    exterior_data_at, f_tensor_at, project_components, theta_forms,
 )
 from write_reports import read_manifest
+
+
+def normality(S, pts) -> SimpleNamespace:
+    """The Nijenhuis torsion of phi and the normality defect over the
+    points, by the jet route (the frame's partials of phi)."""
+    fr = S.frame(pts)
+    nij = ftensor._nijenhuis(fr.phi_mat, fr.phi_d)
+    return SimpleNamespace(point=pts, nijenhuis=nij, defect=(
+        ftensor._normality_defect(nij, exterior_data_at(S, pts).d_eta,
+                                  fr.xi_vec)))
+
 
 LITERALS = frozenset({0.0, 0.5, 1.0, 2.0, 6.0})
 
@@ -94,7 +106,7 @@ VIEWS = (
                         "route_discrepancy")),
     (project_components, ("F5", "F6", "F10", "F12", "residual", "theta_xi",
                           "theta_star_xi", "model_defect")),
-    (normality_data_at, ("nijenhuis", "defect")),
+    (normality, ("nijenhuis", "defect")),
 )
 
 
@@ -125,11 +137,12 @@ def test_batch_columns_equal_points_exactly(name, samples):
     for view, fields in VIEWS:
         batch = view(S, pts)
         for k, p in enumerate(pts):
-            single = view(S, tuple(p))
-            assert single.point == tuple(p)
+            one = np.array([p])
+            single = view(S, one)
+            assert single.point is one
             for field in fields:
                 column = getattr(batch, field)[..., k]
-                point = getattr(single, field)
+                point = getattr(single, field)[..., 0]
                 where = (view.__name__, field, k)
                 assert exact(column) and exact(point), where
                 assert np.array_equal(column, point), where

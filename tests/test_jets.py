@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geometry_oracles import expr_fn, fd_partial, fd_partial2
+from geometry_oracles import exp_of, expr_fn, fd_partial, fd_partial2
 import walkergeo.expressions as ex
 import walkergeo.jets as jets
 from walkergeo.errors import EvaluationError
@@ -156,15 +156,12 @@ def test_kept_jets_are_read_only_and_returned_again(monkeypatch):
     e, batch = parse("x*y/(1 + z^2)"), read_only(pts(5))
     calls = computations(monkeypatch)
     with ex.analysis():
-        one = ex.batch_of_one(batch[0])
-        for points in (batch, one):   # a batch, and a point's batch of one
+        for points in (batch, batch[:1]):   # a batch, and a batch of one
             jet = eval_jet(e, points, 2)
             assert not jet.coeffs.flags.writeable
             with pytest.raises(ValueError):
                 jet.coeffs[...] = 0.0
             assert eval_jet(e, points, 2) is jet
-        # an equal point, as a tuple, gets the same batch of one
-        assert eval_jet(e, ex.batch_of_one(tuple(batch[0])), 2) is jet
     assert calls == [(e, 2), (e, 2)]
 
 
@@ -265,7 +262,7 @@ def test_a_shared_subtree_is_propagated_once(monkeypatch):
 
 def test_a_kept_jet_is_a_leaf_of_a_larger_field(monkeypatch):
     inner, batch = parse("x*y/(1 + z^2)"), read_only(pts(5))
-    outer, one = ex.exp_of(inner), batch[:1]
+    outer, one = exp_of(inner), batch[:1]
     fresh = {order: eval_jet(outer, batch, order) for order in (1, 3)}
     point_fresh = eval_jet(outer, one, 1)
     with ex.analysis():
@@ -281,3 +278,56 @@ def test_a_kept_jet_is_a_leaf_of_a_larger_field(monkeypatch):
     assert calls == [(outer, 1), (outer, 3), (outer, 1)]
     # only the exp's Horner steps: 1 at each order 1, 3 at order 3
     assert len(products) == 5
+
+
+# --- integer powers ------------------------------------------------------------
+
+def parent_intpow(jet, exponent):
+    """`Jet3.intpow` as it was, the reference: from the constant-1 jet, and
+    squaring once more after the exponent's last bit."""
+    result = jets.Jet3.constant(1.0, jet.order, jet.value.shape)
+    base = jet.reciprocal() if exponent < 0 else jet
+    n = abs(exponent)
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def signed_zero_jet(order, exponent):
+    """A 64-point jet whose coefficients are +0.0 at every fourth point and
+    -0.0 at the next, else of either sign; its values are nonzero where
+    the exponent is negative."""
+    rng = np.random.default_rng(order)
+    coeffs = rng.uniform(-2.0, 2.0, (len(jets._INDICES[order]), 64))
+    coeffs[:, 0::4], coeffs[:, 1::4] = 0.0, -0.0
+    if exponent < 0:
+        coeffs[0] = rng.uniform(0.5, 2.0, 64) * rng.choice((-1.0, 1.0), 64)
+    return jets.Jet3(order, coeffs)
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_intpow_has_the_bits_of_the_parent_loop(order):
+    # the lone factor of an exponent of +-1 comes back plus 0.0, as its
+    # product with 1 did: -0.0 coefficients become +0.0
+    for exponent in range(-6, 9):
+        jet = signed_zero_jet(order, exponent)
+        assert identical(jet.intpow(exponent).coeffs,
+                         parent_intpow(jet, exponent).coeffs), exponent
+
+
+def test_intpow_multiplies_only_the_factors_it_uses(monkeypatch):
+    # at order 3 a reciprocal's Horner steps are 3 products
+    products = counting_products(monkeypatch)
+    batch, counts, parent = pts(8), [], []
+    for exponent in (2, 3, -2):
+        jet = eval_jet(parse("x"), batch, 3)
+        del products[:]
+        jet.intpow(exponent)
+        counts.append(len(products))
+        del products[:]
+        parent_intpow(jet, exponent)
+        parent.append(len(products))
+    assert counts == [1, 2, 4] and parent == [3, 4, 6]

@@ -3,22 +3,24 @@ point batches only.
 
 Every kernel of `structure`, `ftensor`, `walker` and `curvature` runs on a
 batch of points, its arrays components first and points last, and so do
-the evaluator (`expressions`), the jets and the sampler beneath them. A
-view at one point is column 0 of the point's batch of one, made by one
-helper, `structure.pointwise`, from `expressions.batch_of_one`. The
-package's sources are read, as tests/test_sectional_kernel.py reads them,
-so a second layout written back into a module fails as soon as it is
-written:
+the evaluator (`expressions`), the jets and the sampler beneath them, and
+so does every view: a value at one point is column 0 of the point's batch
+of one, which the caller makes. The package's sources are read, as
+tests/test_sectional_kernel.py reads them, so a second layout written back
+into a module fails as soon as it is written:
 
-- outside `pointwise` and `_column_0`, these modules hold no comparison of
-  an `ndim` with 1 and no comparison of a `shape` with (3,): no branch on
-  whether a function got one point or a batch;
+- these modules hold no comparison of an `ndim` with 1 and no comparison
+  of a `shape` with (3,): no branch on whether a function got one point or
+  a batch;
 - no function there has a parameter named `rank`, the single-point axis
   count `points_first` and `points_last` took;
 - `walker` defines no function named `*_at`: its pointwise wrappers
   `metric_at`, `christoffel_at`, `curvature_at` and `ricci_at` are gone,
   and a jet of f over a batch (`eval_jet`) feeds `metric_arrays` and the
-  `*_from_jet` kernels instead.
+  `*_from_jet` kernels instead;
+- no module defines a helper of the point form: `pointwise`, which ran a
+  view at a point on its batch of one, `_column_0`, which read the answer
+  back, `expressions.batch_of_one` and `WalkerManifold.require_inside`.
 """
 
 import ast
@@ -31,7 +33,7 @@ import walkergeo
 PACKAGE = Path(walkergeo.__file__).parent
 MODULES = ("structure.py", "ftensor.py", "walker.py", "curvature.py",
            "expressions.py", "jets.py", "sampling.py")
-HELPER = ("pointwise", "_column_0")
+POINT_HELPERS = ("pointwise", "_column_0", "batch_of_one", "require_inside")
 
 
 def _is(node, kind, attribute=None) -> bool:
@@ -41,14 +43,10 @@ def _is(node, kind, attribute=None) -> bool:
 
 def layout_branches(source: str) -> list[int]:
     """The lines of every `x.ndim == 1` or `x.shape == (3,)` comparison
-    (either side, any comparison operator) outside the helper."""
-    tree = ast.parse(source)
-    skip = {id(n) for f in ast.walk(tree)
-            if isinstance(f, ast.FunctionDef) and f.name in HELPER
-            for n in ast.walk(f)}
+    (either side, any comparison operator)."""
     lines = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Compare) or id(node) in skip:
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
             continue
         sides = [node.left, *node.comparators]
         ndim = any(_is(s, ast.Attribute, "ndim") for s in sides) and any(
@@ -89,15 +87,21 @@ def test_walker_defines_no_pointwise_wrapper():
     assert pointwise_wrappers(source) == []
 
 
-def test_the_helper_is_where_the_scan_allows_the_branch():
-    source = (PACKAGE / "structure.py").read_text(encoding="utf-8")
-    names = {node.name for node in ast.parse(source).body
-             if isinstance(node, ast.FunctionDef)}
-    assert set(HELPER) <= names
+def point_helpers(source: str) -> list[str]:
+    """The functions and methods named as a helper of the point form."""
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in POINT_HELPERS)
 
 
-# the layout as it was: a single-point branch, a rank parameter and a
-# pointwise wrapper
+def test_no_module_defines_a_point_helper():
+    found = {path.name: point_helpers(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: helpers for name, helpers in found.items() if helpers} == {}
+
+
+# the layout as it was: a single-point branch, a rank parameter, a
+# pointwise wrapper and the helper that ran a view at one point
 TWO_LAYOUTS = """\
 def points_first(a, rank):
     return a if a.ndim == rank else a
@@ -119,6 +123,7 @@ def pointwise(view):
 
 
 def test_the_scan_sees_two_layouts():
-    assert layout_branches(TWO_LAYOUTS) == [6, 8, 8]
+    assert layout_branches(TWO_LAYOUTS) == [6, 8, 8, 16]
     assert rank_parameters(TWO_LAYOUTS) == ["points_first"]
     assert pointwise_wrappers(TWO_LAYOUTS) == ["metric_at"]
+    assert point_helpers(TWO_LAYOUTS) == ["pointwise"]

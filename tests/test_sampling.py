@@ -65,13 +65,12 @@ def test_nonzero_constraint():
 
 
 def test_contains():
-    d = Domain(BOX)
-    assert d.contains((1.0, 1.0, 1.0))
-    assert not d.contains((0.0, 1.0, 1.0))
-    # a point where a constraint cannot be evaluated is outside
+    # the domain keeps the points of a batch where every constraint holds
+    # with margin; a point where a constraint cannot be evaluated is outside
+    pts = np.array([(1.5, 1.0, 1.0), (0.75, 1.0, 1.0), (1.0, 1.0, 1.0)])
+    assert Domain(BOX)._admissible(pts).tolist() == [True, True, True]
     d = Domain(BOX, positive=(parse("sqrt(x - 1)"),))
-    assert d.contains((1.5, 1.0, 1.0))
-    assert not d.contains((0.75, 1.0, 1.0))
+    assert d._admissible(pts).tolist() == [True, False, False]
 
 
 def test_zero_verdict_on_actual_zero():

@@ -3,14 +3,12 @@ directions.
 
 `curvature.sectional_profile` computes the sectional curvatures of the
 Reeb plane and the phi-plane of d directions at each of m points as numpy
-work over the batch. Each of its callers makes one call: the pointwise
-`sectional_curvatures` (a batch of one), `eta_einstein_report` (5 points
-by 50 directions) and the report's `_pick_direction` (4 candidates at
-pts[0]). The package's sources are read, as tests/test_tolerances.py reads
-them, so a loop written back into one of them fails as soon as it is
-written:
+work over the batch. Its caller makes one call: the report's
+`_pick_direction` (4 candidates at pts[0]). The package's sources are
+read, as tests/test_tolerances.py reads them, so a loop written back into
+one of them fails as soon as it is written:
 
-- the kernel, its finiteness check and its callers hold no `for` or
+- the kernel, its finiteness check and its caller hold no `for` or
   `while` statement (a comprehension over the few entries of a tuple is
   not a statement);
 - the per-direction kernel and the per-point column reader it replaced,
@@ -28,8 +26,7 @@ import walkergeo
 PACKAGE = Path(walkergeo.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 LOOP_FREE = {
-    "curvature.py": ("sectional_profile", "require_finite_sectional",
-                     "sectional_curvatures", "eta_einstein_report"),
+    "curvature.py": ("sectional_profile", "require_finite_sectional"),
     "report.py": ("_pick_direction",),
 }
 REPLACED = ("sectional_from_arrays", "sample_column")

@@ -1,9 +1,9 @@
 """The in-package PCG64 stream against numpy.random, its reference.
 
-The sampler and the eta-Einstein directions draw from `PCG64Stream`, which
-must give the doubles `np.random.default_rng(seed).uniform` gives, bit for
-bit, so the sample, and every report, does not depend on numpy's random
-module; and no analysis may load that module. A few doubles are pinned
+The sampler draws from `PCG64Stream`, which must give the doubles
+`np.random.default_rng(seed).uniform` gives, bit for bit, so the sample,
+and every report, does not depend on numpy's random module; and no
+analysis may load that module. A few doubles are pinned
 as literals as well, so the stream is fixed here whatever numpy draws.
 """
 
@@ -134,10 +134,7 @@ def test_an_analysis_does_not_load_numpy_random(command):
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     script = ("import sys\n"
               "from walkergeo.cli import main\n"
-              "from walkergeo.curvature import eta_einstein_report\n"
-              "from walkergeo.corpus import load_fixture\n"
               "status = main(sys.argv[1:])\n"
-              "eta_einstein_report(load_fixture('eta-einstein-parabolic').build())\n"
               f"print(status, [m for m in {UNLOADED!r} if m in sys.modules])\n")
     done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=120)

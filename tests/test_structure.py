@@ -7,23 +7,21 @@ from geometry_oracles import (
     BOX, build as build_on_box, christoffel_oracle, fd_partial, frame_at,
     metric_fn, vector_fn, with_phi,
 )
-from walkergeo.curvature import sectional_curvatures
 from walkergeo.errors import NonexistentStructureError, UnitConstraintError
+from walkergeo.curvature import sectional_profile
 from walkergeo.expressions import analysis, evaluate_with_scale, parse, to_source
 from walkergeo.ftensor import (
-    exterior_data_at, f_tensor_at, normality_data_at, project_components,
-    theta_forms,
+    exterior_data_at, f_tensor_at, project_components, theta_forms,
 )
 from walkergeo.jets import eval_jet
 from walkergeo.sampling import SamplingConfig, is_identically_zero
 from walkergeo.structure import (
     Frame,
     build_structure,
-    nabla_xi,
     unit_constraint_field,
     validate_axioms,
 )
-from walkergeo.walker import WalkerManifold
+from walkergeo.walker import WalkerManifold, segre_type
 
 CFG = SamplingConfig(samples=32, seed=9)
 build = partial(build_on_box, sampling=CFG)
@@ -94,31 +92,62 @@ def test_frame_cache_returns_same_object():
         assert S.frame(pts) is S.frame(pts)
     # outside an analysis nothing is kept
     assert S.frame(pts) is not S.frame(pts)
-    # a frame takes batches only; a point is a view's batch of one
+    # a frame takes batches only
     with pytest.raises(ValueError, match="batch"):
         S.frame((1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("view", (
+    f_tensor_at, theta_forms, exterior_data_at, project_components,
+    lambda S, p: segre_type(S.manifold, p),
+), ids=("f_tensor_at", "theta_forms", "exterior_data_at",
+        "project_components", "segre_type"))
+def test_a_view_refuses_a_single_point(view):
+    # every view takes an (n, 3) batch: a point is its batch of one
+    S = build("x^2", ("0", "1", "0"))
+    for point in ((1.0, 1.5, 0.75), np.array([1.0, 1.5, 0.75])):
+        with pytest.raises(ValueError, match="batch"):
+            view(S, point)
+    view(S, np.array([(1.0, 1.5, 0.75)]))
+
+
+@pytest.mark.parametrize("view", (
+    f_tensor_at, theta_forms, exterior_data_at, project_components,
+), ids=("f_tensor_at", "theta_forms", "exterior_data_at",
+        "project_components"))
+def test_a_view_takes_a_batch_given_as_lists(view):
+    # nested lists are an (n, 3) batch like the array they convert to; a
+    # list may change in place, so nothing is kept for it
+    S = build("x^2", ("0", "1", "0"))
+    points = [[1.0, 1.5, 0.75], [1.25, 0.5, 2.0]]
+    with analysis():
+        listed = view(S, points)
+        assert view(S, points) is not listed
+    expected = view(S, np.array(points))
+    for got, want in zip(listed, expected):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_views_at_a_point_share_its_batch_of_one(monkeypatch):
-    # every pointwise view runs on the point's batch of one, made once per
-    # analysis and keyed by the point, so the views there build one frame
+    # every view at a point runs on the point's read-only batch of one, so
+    # in an analysis the views there build one frame
     S = build("x^2/y^2", ("x/y", "1", "0"))
     built = []
     init = Frame.__init__
     monkeypatch.setattr(Frame, "__init__",
                         lambda self, *args: built.append(init(self, *args)))
-    p, X = (1.0, 1.5, 0.75), (1.0, 0.0, 0.0)
-    views = (f_tensor_at, theta_forms, exterior_data_at, normality_data_at,
-             project_components, lambda S, p: nabla_xi(S, X, p),
-             lambda S, p: sectional_curvatures(S, X, p))
+    one = np.array([(1.0, 1.5, 0.75)])
+    one.setflags(write=False)
+    views = (f_tensor_at, theta_forms, exterior_data_at, project_components,
+             lambda S, pts: S.frame(pts).nabla_xi_matrix(),
+             lambda S, pts: sectional_profile(S, pts, [[(1.0, 0.0, 0.0)]]))
     with analysis():
-        for point in (p, np.array(p), list(p)):
-            for view in views:
-                view(S, point)
+        for view in views:
+            view(S, one)
     assert len(built) == 1
     # outside an analysis nothing is kept
-    f_tensor_at(S, p)
-    f_tensor_at(S, p)
+    f_tensor_at(S, one)
+    f_tensor_at(S, one)
     assert len(built) == 3
 
 
@@ -157,12 +186,11 @@ def test_nabla_xi_against_oracle(f, xi):
     for p in S.domain.sample()[:4]:
         p = tuple(float(c) for c in p)
         gamma = christoffel_oracle(g_fn, p)
+        # row a is nabla_{d_a} xi
+        nab = S.frame(np.array([p])).nabla_xi_matrix()[..., 0]
         for a in range(3):
-            direction = np.zeros(3)
-            direction[a] = 1.0
-            got = nabla_xi(S, direction, p)
             want = fd_partial(xi_fn, p, a) + gamma[:, a, :] @ xi_fn(p)
-            assert np.abs(got - want).max() <= 1e-6 * (1 + np.abs(want).max())
+            assert np.abs(nab[a] - want).max() <= 1e-6 * (1 + np.abs(want).max())
 
 
 def test_corrupted_phi_fails_validation():

@@ -63,7 +63,7 @@ def test_assigning_a_field_raises(structure):
         (parse("x*y + 1"), "left"), (Num(2), "value"), (Var("x"), "name"),
         (Interval(0.0, 1.0), "lo"), (SamplingConfig(), "samples"),
         (structure.domain, "positive"), (Route(True), "holds"),
-        (f_tensor_at(structure, point), "components"),
+        (f_tensor_at(structure, np.array([point])), "components"),
         (build_report(structure, name="v"), "failures"),
     ]
     for value, field in values:
@@ -182,10 +182,12 @@ def test_verdicts_are_truthy_by_their_decision(name):
 
 
 def test_tensor_arrays_are_read_only(structure):
-    # the structure tensor at a point and over the sample, and the jets of f
+    # the structure tensor at a batch of one and over the sample, and the
+    # jets of f
     # the Walker kernels read
     pts = structure.domain.sample()
-    tensor, batch = f_tensor_at(structure, pts[0]), f_tensor_at(structure, pts)
+    tensor = f_tensor_at(structure, np.array([pts[0]]))
+    batch = f_tensor_at(structure, pts)
     M = structure.manifold
     arrays = [tensor.components, tensor.reeb_square, batch.components,
               batch.reeb_square,
