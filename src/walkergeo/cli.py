@@ -10,11 +10,22 @@ for the given data), 2 input error, 3 internal consistency failure; the
 second to fourth are the three bases of `errors`. Any
 other exception is a defect of the program: it also exits 3, with the one
 line `internal error: <Type>: <message>` on stderr and no traceback.
+
+Two entries. `main(argv)` parses `argv` (default `sys.argv[1:]`), runs the
+command and returns its exit status; it leaves the process as it found it,
+so tests and library callers run it in process. `run()` is the process
+entry, the `walkergeo` console script and `python -m walkergeo.cli`: it
+returns `main()`'s status after `gc.freeze()`, which moves every object
+then alive out of the collector's reach, so the interpreter's shutdown
+does not walk a heap that dies with the process. Shutdown still runs the
+`atexit` handlers and flushes stdout and stderr; `os._exit` would skip
+both.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .corpus import FIXTURES, load_fixture
@@ -22,7 +33,7 @@ from .errors import ConsistencyError, InputError, StructuralRejection
 from .manifest import Manifest, load_manifest
 from .report import build_report
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,5 +119,15 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def run() -> int:
+    """`main()` on the command line, for a process that ends when it returns:
+    the heap is frozen, even when argparse exits, so shutdown skips its
+    collections."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

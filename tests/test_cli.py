@@ -1,3 +1,5 @@
+import ast
+import gc
 import json
 import os
 import subprocess
@@ -203,12 +205,15 @@ def test_structural_rejection_comes_before_the_pole_scan(capsys, tmp_path):
     assert err.startswith("structural rejection:")
 
 
-def run_process(*argv):
-    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+def run_process(*argv, stdout=subprocess.PIPE, **env):
+    """The CLI in a fresh interpreter, so a traceback would reach stderr;
+    `env` adds environment variables."""
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    env = dict(os.environ, **env,
+               PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, "-m", "walkergeo.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=120)
 
 
 def test_jet_overflow_exits_2_without_traceback(tmp_path):
@@ -439,6 +444,75 @@ def test_every_package_error_sits_under_one_exit_base(capsys, tmp_path,
     monkeypatch.setattr("walkergeo.cli.build_report", boom)
     status, out, _ = run(capsys, "analyze", write(tmp_path, PARABOLIC))
     assert status == EXIT_BASES[bases[0]] and out == ""
+
+
+# ------------------------------------------------------------ process entry
+
+@pytest.mark.parametrize("status, argv", [
+    (0, ("examples", "run", "g0-parallel", "--report", "machine")),
+    (1, ("analyze", "BROKEN_REEB")),
+    (2, ("examples", "run", "no-such-example")),
+    (3, ("analyze", str(MANIFESTS / "scaled-square.manifest"),
+         "--samples", "64", "--report", "machine")),
+], ids=["clean", "rejection", "input-error", "consistency-failure"])
+def test_the_process_ends_as_main_returns(capsys, tmp_path, status, argv):
+    # `run`, the process entry, writes what `main` writes in process and
+    # exits with its status
+    argv = [write(tmp_path, BROKEN_REEB) if arg == "BROKEN_REEB" else arg
+            for arg in argv]
+    done = run_process(*argv)
+    assert run(capsys, *argv) == (status, done.stdout, done.stderr)
+    assert done.returncode == status
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    before = gc.get_freeze_count(), gc.isenabled()
+    run(capsys, "examples", "run", "g0-parallel")
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_run_freezes_the_heap_after_main_returns_or_exits():
+    # a usage error leaves main through argparse's SystemExit
+    code = ("import gc, sys\n"
+            "from walkergeo.cli import run\n"
+            "for argv in (['examples', 'list'], ['--no-such-flag']):\n"
+            "    sys.argv[1:] = argv\n"
+            "    gc.unfreeze()\n"
+            "    try:\n"
+            "        status = run()\n"
+            "    except SystemExit as exc:\n"
+            "        status = exc.code\n"
+            "    print(status, gc.get_freeze_count() > 0, file=sys.stderr)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                          timeout=120)
+    assert done.returncode == 0
+    lines = done.stderr.splitlines()
+    assert (lines[0], lines[-1]) == ("0 True", "2 True")
+
+
+def test_only_run_freezes_and_nothing_skips_shutdown():
+    # the heap of an in-process caller stays collectable, and `atexit`
+    # handlers (coverage.py saves a child's data in one) always run
+    calls = [(path.name, ast.unparse(node.func))
+             for path in sorted(Path(SRC, "walkergeo").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).endswith(("freeze", "_exit"))]
+    assert calls == [("cli.py", "gc.freeze")]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_exits_3_in_one_line():
+    # unbuffered, the failing write happens inside `main`; a buffered stdout
+    # fails only in the shutdown flush, where Python reports it itself
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        done = run_process("examples", "run", "g0-parallel",
+                           "--report", "machine", stdout=full,
+                           PYTHONUNBUFFERED="1")
+    assert done.returncode == 3
+    assert done.stderr == (
+        "internal error: OSError: [Errno 28] No space left on device\n")
 
 
 # ------------------------------------------------------------- report shape
